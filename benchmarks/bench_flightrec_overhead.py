@@ -57,11 +57,11 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import statistics
 import tempfile
 import time
 from pathlib import Path
 
+from benchmarks.conftest import paired_overheads
 from repro import HiPAC
 from repro.obs import flightrec
 from repro.saa import SecuritiesAssistant
@@ -118,15 +118,10 @@ def _measure(base: Path) -> dict:
         # Warm-up (class/rule caches, allocator, open files) untimed.
         for saa in stacks.values():
             _block(saa)
-        ratios = []
-        best = {mode: float("inf") for mode in stacks}
-        for _ in range(BLOCKS):
-            timings = {mode: _block(saa) for mode, saa in stacks.items()}
-            ratios.append(timings["on"] / timings["off"])
-            for mode, seconds in timings.items():
-                best[mode] = min(best[mode], seconds)
-        overhead_pct = (statistics.median(ratios) - 1.0) * 100.0
-        best_overhead_pct = (best["on"] / best["off"] - 1.0) * 100.0
+        overheads, best = paired_overheads(stacks, _block, [("on", "off")],
+                                           BLOCKS)
+        overhead_pct = overheads[("on", "off")]["median_pct"]
+        best_overhead_pct = overheads[("on", "off")]["best_pct"]
 
         recorder = stacks["on"].db.flight_recorder
         # Push the bounded-window queue to disk before reading it back.

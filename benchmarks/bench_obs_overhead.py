@@ -51,11 +51,11 @@ from __future__ import annotations
 
 import json
 import os
-import statistics
 import time
 import urllib.request
 from pathlib import Path
 
+from benchmarks.conftest import paired_overheads
 from repro import HiPAC
 from repro.saa import SecuritiesAssistant
 from repro.workloads import MarketDataGenerator, make_symbols
@@ -114,42 +114,36 @@ def test_obs_overhead_shape():
     # Warm-up (class/rule caches, allocator) outside the measured rounds.
     for saa in stacks.values():
         _round(saa)
-    ratios = {"on": [], "trace": []}
-    ticker_ratios = []
-    forensics_ratios = []
-    best = {mode: float("inf") for mode in stacks}
-    for index in range(ROUNDS):
-        timings = {mode: _round(saa) for mode, saa in stacks.items()}
-        for mode in ratios:
-            ratios[mode].append(timings[mode] / timings["off"])
-        # The ticker's own cost: instrumented-with-ticker against
-        # instrumented-without, paired under the same machine load.
-        ticker_ratios.append(timings["on"] / timings["no_ticker"])
-        # The armed-but-idle forensics recorder against the same
-        # instrumented stack without it.
-        forensics_ratios.append(timings["forensics"] / timings["on"])
-        for mode, seconds in timings.items():
-            best[mode] = min(best[mode], seconds)
+
+    def scrape(index):
+        nonlocal scrapes
         if index % 10 == 0:
             for path in ("/metrics", "/health"):
                 with urllib.request.urlopen(admin.url + path,
                                             timeout=5.0) as resp:
                     assert resp.status == 200 and resp.read()
                     scrapes += 1
-    overhead_pct = (statistics.median(ratios["on"]) - 1.0) * 100.0
-    trace_pct = (statistics.median(ratios["trace"]) - 1.0) * 100.0
+
+    # Besides on/off and trace/off: the ticker's own cost
+    # (instrumented-with-ticker against instrumented-without) and the
+    # armed-but-idle forensics recorder against the same instrumented
+    # stack without it, all paired under the same machine load.
+    ticker, forensics = ("on", "no_ticker"), ("forensics", "on")
+    overheads, best = paired_overheads(
+        stacks, _round, [("on", "off"), ("trace", "off"), ticker, forensics],
+        ROUNDS, between=scrape)
+    overhead_pct = overheads[("on", "off")]["median_pct"]
+    trace_pct = overheads[("trace", "off")]["median_pct"]
     # Two estimators of the ticker's share, gated on the lower (the
     # best-block ratio discounts one-sided scheduling noise — the same
     # argument as the flight-recorder bench): the ticker wakes once a
     # second, so on a loaded host the *median* paired ratio mostly
     # measures whose round absorbed a neighbour's burst.
-    ticker_median_pct = (statistics.median(ticker_ratios) - 1.0) * 100.0
-    ticker_best_pct = (best["on"] / best["no_ticker"] - 1.0) * 100.0
-    ticker_pct = min(ticker_median_pct, ticker_best_pct)
-    forensics_median_pct = \
-        (statistics.median(forensics_ratios) - 1.0) * 100.0
-    forensics_best_pct = (best["forensics"] / best["on"] - 1.0) * 100.0
-    forensics_pct = min(forensics_median_pct, forensics_best_pct)
+    ticker_median_pct = overheads[ticker]["median_pct"]
+    ticker_pct = min(ticker_median_pct, overheads[ticker]["best_pct"])
+    forensics_median_pct = overheads[forensics]["median_pct"]
+    forensics_pct = min(forensics_median_pct,
+                        overheads[forensics]["best_pct"])
 
     on = stacks["on"]
     snapshot = on.db.metrics.collect()

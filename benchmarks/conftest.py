@@ -8,6 +8,8 @@ measured numbers.
 
 from __future__ import annotations
 
+import statistics
+
 import pytest
 
 from repro import (
@@ -43,6 +45,43 @@ def seed_stocks(db: HiPAC, count: int, price: float = 100.0):
             oids.append(db.create(
                 "Stock", {"symbol": "S%04d" % i, "price": price}, txn))
     return oids
+
+
+def paired_overheads(stacks, sample, pairs, rounds, between=None):
+    """The paired-block overhead estimator of the add-on benchmarks.
+
+    ``sample(stack)`` runs one timing block on one stack and returns its
+    seconds; every round samples all of ``stacks`` back to back, so the
+    ratio of two stacks within a round is taken under the same machine
+    load (on a shared host load drifts on a seconds timescale; pairing
+    cancels the drift each round).  For each ``(numerator, denominator)``
+    in ``pairs`` two estimates of the overhead come back, in percent:
+    ``median_pct``, the median paired ratio (discards the outlier rounds a
+    mean lets through), and ``best_pct``, the ratio of the best blocks
+    (discounts one-sided scheduling noise).  ``between(index)`` runs
+    untimed after each round.
+
+    Returns ``(overheads, best)``: ``overheads[(numerator, denominator)]``
+    is ``{"median_pct", "best_pct"}``, ``best[mode]`` the fastest block.
+    """
+    ratios = {pair: [] for pair in pairs}
+    best = {mode: float("inf") for mode in stacks}
+    for index in range(rounds):
+        timings = {mode: sample(stack) for mode, stack in stacks.items()}
+        for pair in pairs:
+            ratios[pair].append(timings[pair[0]] / timings[pair[1]])
+        for mode, seconds in timings.items():
+            best[mode] = min(best[mode], seconds)
+        if between is not None:
+            between(index)
+    overheads = {
+        pair: {
+            "median_pct": (statistics.median(ratios[pair]) - 1.0) * 100.0,
+            "best_pct": (best[pair[0]] / best[pair[1]] - 1.0) * 100.0,
+        }
+        for pair in pairs
+    }
+    return overheads, best
 
 
 def print_table(title: str, headers, rows) -> None:

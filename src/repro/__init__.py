@@ -45,6 +45,7 @@ from repro.errors import (
     TransactionAborted,
     TransactionError,
     UnknownObjectError,
+    UnreadableLogError,
 )
 from repro.events import (
     Conjunction,
@@ -175,6 +176,7 @@ __all__ = [
     "HiPACError",
     "SchemaError",
     "UnknownObjectError",
+    "UnreadableLogError",
     "QueryError",
     "TransactionError",
     "TransactionAborted",

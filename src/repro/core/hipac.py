@@ -68,7 +68,6 @@ class HiPAC:
                  use_indexes: bool = True,
                  indexed_dispatch: bool = True,
                  config: Optional[RuleManagerConfig] = None,
-                 signal_transaction_events: bool = True,
                  durability: Optional[str] = None,
                  data_dir: Optional[Any] = None,
                  wal_fsync: bool = True,
@@ -76,17 +75,11 @@ class HiPAC:
                  checkpoint_interval: Optional[int] = None,
                  rule_library: Optional[Any] = None,
                  observability: Union[bool, str] = True,
-                 span_capacity: int = 1024,
-                 slow_threshold: float = 0.050,
-                 firing_log_capacity: Optional[int] = None,
                  watchdog: Optional[WatchdogConfig] = None,
                  flight_recorder: bool = False,
                  provenance: Optional[bool] = None,
-                 provenance_per_key: int = 8,
-                 provenance_capacity: int = 50_000,
                  timeseries: Optional[bool] = None,
                  timeseries_interval: float = 1.0,
-                 timeseries_capacity: int = 600,
                  slos: Optional[List[Objective]] = None,
                  forensics: Optional[Any] = None) -> None:
         self.tracer = tracing.Tracer()
@@ -108,10 +101,8 @@ class HiPAC:
                 "observability must be True, False, or 'trace' (got %r)"
                 % (observability,))
         self.metrics = MetricsRegistry(enabled=bool(observability))
-        self.spans = SpanRecorder(capacity=span_capacity,
-                                  enabled=observability == "trace")
-        self.slow_log = SlowLog(threshold=slow_threshold,
-                                enabled=bool(observability))
+        self.spans = SpanRecorder(enabled=observability == "trace")
+        self.slow_log = SlowLog(enabled=bool(observability))
         #: anomaly watchdogs (rule storm, cascade depth, deferred-queue
         #: blowup, lock-wait spikes).  Alert recording stays on even with
         #: observability=False — its feeds are per-firing/per-wait events,
@@ -124,16 +115,12 @@ class HiPAC:
         #: "window"); None until then and whenever the ticker is off.
         self.timeseries: Optional[TimeseriesRing] = None
         self.slo: Optional[SLOMonitor] = None
-        config = config or RuleManagerConfig()
-        if firing_log_capacity is not None:
-            config.firing_log_capacity = firing_log_capacity
         self.store = ObjectStore()
         self.locks = LockManager(default_timeout=lock_timeout,
                                  metrics=self.metrics,
                                  watchdog=self.watchdog)
         self.transaction_manager = TransactionManager(self.locks, self.tracer,
                                                       metrics=self.metrics)
-        self.transaction_manager.signal_transaction_events = signal_transaction_events
         self.object_manager = ObjectManager(self.store, self.transaction_manager,
                                             self.tracer, self.clock,
                                             indexed_dispatch=indexed_dispatch,
@@ -159,6 +146,9 @@ class HiPAC:
             applications=self.applications, config=config,
             metrics=self.metrics, spans=self.spans, slow_log=self.slow_log,
             watchdog=self.watchdog)
+        #: §6.1 rule creation and administration (the Rule Manager's
+        #: catalog; the rule operations below call it directly)
+        self.rule_catalog = self.rule_manager.catalog
         # Figure 5.1 wiring: every detector reports to the Rule Manager; the
         # Transaction Manager signals transaction termination to it.  The
         # database detector additionally delivers all reports of one
@@ -201,6 +191,7 @@ class HiPAC:
             self.object_manager.recorder = recorder
             self.transaction_manager.recorder = recorder
             self.rule_manager.recorder = recorder
+            self.rule_catalog.recorder = recorder
             self.external_detector.recorder = recorder
             self.temporal_detector.recorder = recorder
         #: causal provenance store (see :mod:`repro.obs.provenance`):
@@ -215,9 +206,7 @@ class HiPAC:
                    else bool(provenance))
         if prov_on:
             from repro.obs.provenance import ProvenanceStore
-            prov = ProvenanceStore(per_key=provenance_per_key,
-                                   capacity=provenance_capacity,
-                                   metrics=self.metrics)
+            prov = ProvenanceStore(metrics=self.metrics)
             self.provenance = prov
             self.object_manager.provenance = prov
             self.transaction_manager.provenance = prov
@@ -243,8 +232,7 @@ class HiPAC:
                  else bool(timeseries))
         if ts_on:
             ring = TimeseriesRing(self.metrics,
-                                  interval=timeseries_interval,
-                                  capacity=timeseries_capacity)
+                                  interval=timeseries_interval)
             self.timeseries = ring
             self.slo = SLOMonitor(ring, objectives=slos,
                                   watchdog=self.watchdog,
@@ -289,7 +277,7 @@ class HiPAC:
         txn = self.transaction_manager.create_transaction(label="bootstrap")
         self.object_manager.execute_operation(DefineClass(rule_class_def()), txn)
         self.transaction_manager.commit_transaction(txn)
-        for spec in self.rule_manager.bootstrap_specs():
+        for spec in self.rule_catalog.bootstrap_specs():
             self.object_manager.event_detector.define_event(spec)
 
     # ---------------------------------------------------------- durability
@@ -328,7 +316,7 @@ class HiPAC:
         self.wal = wal
         self.transaction_manager.wal = wal
         self.object_manager.wal = wal
-        self.rule_manager.wal = wal
+        self.rule_catalog.wal = wal
         self.checkpointer = Checkpointer(self, wal,
                                          interval_records=checkpoint_interval)
         self.transaction_manager.checkpointer = self.checkpointer
@@ -386,21 +374,15 @@ class HiPAC:
     def define_class(self, class_def: ClassDef,
                      txn: Optional[Transaction] = None) -> ClassDef:
         """Define an object class (auto-commits when no ``txn`` is given)."""
-        if txn is not None:
+        with self._in_txn(txn) as txn:
             self.object_manager.execute_operation(DefineClass(class_def), txn)
-            return class_def
-        with self.transaction() as auto:
-            self.object_manager.execute_operation(DefineClass(class_def), auto)
         return class_def
 
     def drop_class(self, class_name: str,
                    txn: Optional[Transaction] = None) -> None:
         """Drop an (empty) object class."""
-        if txn is not None:
+        with self._in_txn(txn) as txn:
             self.object_manager.execute_operation(DropClass(class_name), txn)
-            return
-        with self.transaction() as auto:
-            self.object_manager.execute_operation(DropClass(class_name), auto)
 
     # ------------------------------------------------------------- data ops
 
@@ -462,38 +444,37 @@ class HiPAC:
             if not txn.is_finished():
                 self.commit(txn)
 
+    @contextlib.contextmanager
+    def _in_txn(self, txn: Optional[Transaction]) -> Iterator[Transaction]:
+        """``txn`` itself, or — when the caller gave none — a fresh
+        top-level transaction that auto-commits."""
+        if txn is not None:
+            yield txn
+        else:
+            with self.transaction() as auto:
+                yield auto
+
     # ------------------------------------------------------------ rule ops
 
     def create_rule(self, rule: Rule, txn: Optional[Transaction] = None) -> Rule:
         """Create an ECA rule (auto-commits when no ``txn`` is given)."""
-        if txn is not None:
-            return self.rule_manager.create_rule(rule, txn)
-        with self.transaction() as auto:
-            return self.rule_manager.create_rule(rule, auto)
+        with self._in_txn(txn) as txn:
+            return self.rule_catalog.create_rule(rule, txn)
 
     def delete_rule(self, name: str, txn: Optional[Transaction] = None) -> None:
         """Delete a rule."""
-        if txn is not None:
-            self.rule_manager.delete_rule(name, txn)
-            return
-        with self.transaction() as auto:
-            self.rule_manager.delete_rule(name, auto)
+        with self._in_txn(txn) as txn:
+            self.rule_catalog.delete_rule(name, txn)
 
     def enable_rule(self, name: str, txn: Optional[Transaction] = None) -> None:
         """Enable automatic firing of a rule."""
-        if txn is not None:
-            self.rule_manager.enable_rule(name, txn)
-            return
-        with self.transaction() as auto:
-            self.rule_manager.enable_rule(name, auto)
+        with self._in_txn(txn) as txn:
+            self.rule_catalog.enable_rule(name, txn)
 
     def disable_rule(self, name: str, txn: Optional[Transaction] = None) -> None:
         """Disable automatic firing of a rule."""
-        if txn is not None:
-            self.rule_manager.disable_rule(name, txn)
-            return
-        with self.transaction() as auto:
-            self.rule_manager.disable_rule(name, auto)
+        with self._in_txn(txn) as txn:
+            self.rule_catalog.disable_rule(name, txn)
 
     def fire_rule(self, name: str, txn: Optional[Transaction] = None, *,
                   args: Optional[Dict[str, Any]] = None) -> None:
@@ -502,27 +483,23 @@ class HiPAC:
 
     def rule_names(self) -> List[str]:
         """Names of all rules."""
-        return self.rule_manager.rule_names()
+        return self.rule_catalog.rule_names()
 
     def rules_in_group(self, group: str) -> List[str]:
         """Names of the rules in a rule group (paper §4.2)."""
-        return self.rule_manager.rules_in_group(group)
+        return self.rule_catalog.rules_in_group(group)
 
     def enable_group(self, group: str,
                      txn: Optional[Transaction] = None) -> List[str]:
         """Enable a whole rule group."""
-        if txn is not None:
-            return self.rule_manager.enable_group(group, txn)
-        with self.transaction() as auto:
-            return self.rule_manager.enable_group(group, auto)
+        with self._in_txn(txn) as txn:
+            return self.rule_catalog.enable_group(group, txn)
 
     def disable_group(self, group: str,
                       txn: Optional[Transaction] = None) -> List[str]:
         """Disable a whole rule group."""
-        if txn is not None:
-            return self.rule_manager.disable_group(group, txn)
-        with self.transaction() as auto:
-            return self.rule_manager.disable_group(group, auto)
+        with self._in_txn(txn) as txn:
+            return self.rule_catalog.disable_group(group, txn)
 
     # ----------------------------------------------------------- event ops
 

@@ -177,28 +177,6 @@ class Tracer:
             return Trace(list(self._records), dict(self._counters))
 
 
-class NullTracer(Tracer):
-    """A tracer that can never be enabled; used where tracing is irrelevant.
-
-    Every observation entry point (:meth:`record`, :meth:`bump`) is an
-    unconditional no-op, :meth:`start` and :meth:`stop` raise — a component
-    holding a NullTracer can never produce or return a trace, racing
-    callers included.
-    """
-
-    def start(self) -> None:
-        raise RuntimeError("NullTracer cannot be started")
-
-    def stop(self) -> Trace:
-        raise RuntimeError("NullTracer cannot be stopped (never started)")
-
-    def record(self, source: str, target: str, operation: str, detail: str = "") -> None:
-        return
-
-    def bump(self, counter: str, amount: int = 1) -> None:
-        return
-
-
 def figure_5_1_edges() -> FrozenSet[Tuple[str, str]]:
     """The inter-component edges depicted in Figure 5.1 of the paper.
 

@@ -9,6 +9,8 @@ transaction was aborted" (retryable) from genuine programming errors.
 
 from __future__ import annotations
 
+from typing import Any
+
 
 class HiPACError(Exception):
     """Base class for every error raised by this library."""
@@ -68,6 +70,18 @@ class LockTimeout(TransactionAborted):
 
     def __init__(self, message: str) -> None:
         super().__init__(message, reason="lock-timeout")
+
+
+class UnreadableLogError(HiPACError):
+    """A data directory holds a log file in a format this version cannot
+    read (a pre-segment-store ``.jsonl`` log).  Opening the directory as
+    if it were empty would silently drop that history, so recovery stops
+    here; the offending file is available as :attr:`path`."""
+
+    def __init__(self, path: Any) -> None:
+        super().__init__("unreadable log file %s: JSONL logs are no longer "
+                         "supported" % path)
+        self.path = path
 
 
 class EventError(HiPACError):

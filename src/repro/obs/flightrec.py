@@ -71,8 +71,7 @@ since aborted work is incident material.  Buffering on the sphere is
 crash-equivalent to the libc buffer: a lost tail is an uncommitted
 sphere the WAL discards too.
 
-Record shape (framed by :mod:`repro.storage.framing`; old JSONL segments
-remain readable through the same module's compatibility scanner)::
+Record shape (framed by :mod:`repro.storage.framing`)::
 
     {"seq": 41, "type": "external", "wall": 1754450000.123,
      "txn": "t7", "data": {...}}
@@ -145,7 +144,7 @@ def journal_dir(data_dir: Any) -> Path:
 
 
 def journal_segments(data_dir: Any) -> List[Path]:
-    """Existing journal segments (old JSONL and new binary), oldest first."""
+    """Existing journal segments, oldest first."""
     return segment_files(journal_dir(data_dir), FLIGHT_PREFIX)
 
 

@@ -20,7 +20,6 @@ from repro.recovery.recover import (
     replay_into,
 )
 from repro.recovery.wal import (
-    WAL_FILENAME,
     WriteAheadLog,
     read_wal_records,
     wal_files,
@@ -32,7 +31,6 @@ __all__ = [
     "FaultingWAL",
     "InjectedCrash",
     "RecoveryReport",
-    "WAL_FILENAME",
     "WriteAheadLog",
     "corrupt_record",
     "has_durable_state",

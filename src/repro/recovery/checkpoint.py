@@ -57,7 +57,7 @@ def _schema_superclass_first(schema: Any) -> List[Dict[str, Any]]:
 class Checkpointer:
     """Writes checkpoints for one HiPAC instance.
 
-    ``db`` is duck-typed: it needs ``store``, ``rule_manager``,
+    ``db`` is duck-typed: it needs ``store``, ``rule_catalog``,
     ``transaction_manager``, and ``tracer`` attributes (the facade).
     """
 
@@ -94,7 +94,7 @@ class Checkpointer:
             self.db.tracer.bump("checkpoint_skipped")
             return False
         store = self.db.store
-        rules = self.db.rule_manager
+        rules = self.db.rule_catalog
         state = {
             "format": CHECKPOINT_FORMAT,
             "lsn": self.wal.last_lsn,

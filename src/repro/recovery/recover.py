@@ -141,7 +141,7 @@ def rebind_stored_rules(db: Any,
         txn = db.transaction_manager.create_transaction(
             label="recover:%s" % name, internal=True)
         try:
-            db.rule_manager.reattach_rule(rule, oid, bool(attrs["enabled"]),
+            db.rule_catalog.reattach_rule(rule, oid, bool(attrs["enabled"]),
                                           txn)
             db.transaction_manager.commit_transaction(txn)
         except BaseException:

@@ -35,9 +35,7 @@ records front-to-back reproduces exactly the state the sphere committed,
 aborted subtransactions included (the ARIES CLR idea, flattened to redo).
 
 On disk the log is a stream of ``wal-<index:08d>.seg`` binary segments
-in ``data_dir``; a pre-refactor single-file ``wal.jsonl`` log (canonical
-JSON lines with an embedded checksum) is still read, ordered before the
-segments, by the storage layer's compatibility scanner.
+in ``data_dir``.
 """
 
 from __future__ import annotations
@@ -55,8 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.objstore.store import Delta
     from repro.txn.transaction import Transaction
 
-#: pre-refactor single-file log, still readable (ordered first)
-WAL_FILENAME = "wal.jsonl"
 WAL_PREFIX = "wal"
 
 # Record types.
@@ -69,25 +65,23 @@ RULE_DROP = "rule-drop"
 
 
 def read_wal_records(source: Any) -> Tuple[List[Dict[str, Any]], int]:
-    """Read the valid prefix of a WAL from a data directory (or, for
-    compatibility, a single log file).
+    """Read the valid prefix of a WAL from a data directory (or from one
+    segment file).
 
     Returns ``(records, discarded)`` where ``discarded`` counts the
-    trailing lines/bytes dropped after the first malformed /
+    trailing bytes dropped after the first malformed /
     checksum-failing / out-of-order record (a torn tail: everything past
     the first bad record is untrusted).
     """
     source = Path(source)
     if source.is_file() or source.suffix:
         return scan_segment(source, seq_field="lsn")
-    return read_stream(source, WAL_PREFIX, seq_field="lsn",
-                       legacy=WAL_FILENAME)
+    return read_stream(source, WAL_PREFIX, seq_field="lsn")
 
 
 def wal_files(data_dir: Any) -> List[Path]:
-    """Existing WAL files under ``data_dir``, oldest first (the legacy
-    single-file log, when present, precedes every numbered segment)."""
-    return segment_files(data_dir, WAL_PREFIX, legacy=WAL_FILENAME)
+    """Existing WAL segments under ``data_dir``, oldest first."""
+    return segment_files(data_dir, WAL_PREFIX)
 
 
 class WriteAheadLog:
@@ -119,7 +113,7 @@ class WriteAheadLog:
         self._writer = SegmentWriter(
             self.data_dir, WAL_PREFIX, seq_field="lsn",
             fsync=fsync, fsync_interval_ms=fsync_interval_ms,
-            start_seq=start_lsn, legacy_filename=WAL_FILENAME,
+            start_seq=start_lsn,
             metrics=metrics, metric_prefix="wal", tracer=self._tracer)
         self._stats = {"commits_forced": 0, "append_failures": 0}
 

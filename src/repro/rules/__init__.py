@@ -1,5 +1,5 @@
-"""ECA rules: the rule object class, actions, couplings, and the Rule
-Manager (paper §2, §5.4, §6)."""
+"""ECA rules: the rule object class, actions, couplings, the rule catalog
+(§6.1) and the Rule Manager (paper §2, §5.4, §6.2–§6.3)."""
 
 from repro.rules.coupling import DEFERRED, IMMEDIATE, MODES, SEPARATE, all_combinations
 from repro.rules.rule import RULE_CLASS, Rule, rule_class_def
@@ -13,6 +13,7 @@ from repro.rules.actions import (
     RequestStep,
     SignalStep,
 )
+from repro.rules.catalog import RuleCatalog
 from repro.rules.firing import FiringLog, RuleFiring
 from repro.rules.manager import RuleManager, RuleManagerConfig
 
@@ -35,6 +36,7 @@ __all__ = [
     "AbortStep",
     "RuleFiring",
     "FiringLog",
+    "RuleCatalog",
     "RuleManager",
     "RuleManagerConfig",
 ]

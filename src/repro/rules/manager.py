@@ -6,22 +6,25 @@ schedules condition evaluation and action execution for those rules
 according to their coupling modes."
 
 Its paper interface is a single operation — **Signal Event** — used by the
-Event Detectors and the Transaction Manager.  Everything else here
-implements the protocols of Section 6:
+Event Detectors and the Transaction Manager.  The protocols of Section 6:
 
-* **rule creation** (§6.1): the application's create-rule request goes to
-  the Object Manager, which creates the rule object and signals the
-  create-rule event; the Rule Manager (synchronously, before the Object
-  Manager resumes) adds the rule to the Condition Evaluator, programs the
-  Event Detectors, and extends its event->rule mapping;
-* **event signal processing** (§6.2): triggered rules are partitioned by
-  E-C coupling; *separate* firings get new top-level transactions in their
-  own threads; *deferred* firings are saved on the triggering transaction;
-  *immediate* firings evaluate conditions in subtransactions (all
-  conditions first, then actions), suspending the triggering operation;
-* **transaction commit processing** (§6.3): at commit the deferred set is
+* **rule creation** (§6.1) is :class:`~repro.rules.catalog.RuleCatalog`;
+  this module asks it only which rules a signal triggers;
+* **event signal processing** (§6.2, :meth:`RuleManager.signal_event_batch`):
+  triggered rules are partitioned by E-C coupling; *separate* firings get
+  new top-level transactions in their own threads; *deferred* firings are
+  saved on the triggering transaction; *immediate* firings evaluate
+  conditions in subtransactions (all conditions first, then actions),
+  suspending the triggering operation;
+* **transaction commit processing** (§6.3,
+  :meth:`RuleManager.transaction_event`): at commit the deferred set is
   split into deferred-condition and deferred-action firings and processed
   before commit completes.
+
+Whatever the coupling, a firing is one :class:`RuleFiring` record, one
+:meth:`~RuleManager._run_condition` and at most one
+:meth:`~RuleManager._run_action`; the coupling only decides *which
+transaction* each runs in and *when*.
 
 Cascading: operations performed by conditions/actions signal further events
 through the same path, producing the paper's trees of nested transactions.
@@ -31,43 +34,39 @@ from __future__ import annotations
 
 import threading
 import time as _time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.clock import Clock, VirtualClock
+from repro.clock import Clock
 from repro.conditions.condition import ConditionOutcome
 from repro.conditions.evaluator import ConditionEvaluator, Memo
 from repro.core import tracing
 from repro.errors import CascadeLimitExceeded, RuleError, TransactionAborted
 from repro.events.composite import CompositeEventDetector
 from repro.events.database import DatabaseEventDetector
-from repro.events.derivation import derive_event_spec
 from repro.events.external import ExternalEventDetector
 from repro.events.signal import EventSignal
-from repro.events.spec import (
-    TXN_OPS,
-    CompositeEventSpec,
-    DatabaseEventSpec,
-    EventSpec,
-    ExternalEventSpec,
-    TemporalEventSpec,
-)
 from repro.events.temporal import TemporalEventDetector
 from repro.obs.metrics import (DEFAULT_SIZE_BUCKETS, HOT_PATH_SAMPLE,
                                 MetricsRegistry)
 from repro.obs.slowlog import SlowLog
-from repro.obs.spans import Span, SpanRecorder
+from repro.obs.spans import SpanRecorder
 from repro.obs.watchdog import Watchdog
 from repro.objstore.manager import ObjectManager
-from repro.objstore.objects import OID
 from repro.rules.actions import ActionContext
-from repro.rules.coupling import DEFERRED, IMMEDIATE, SEPARATE
+from repro.rules.catalog import RuleCatalog
+from repro.rules.coupling import DEFERRED, IMMEDIATE, MODES, SEPARATE
 from repro.rules.firing import FiringLog, RuleFiring
 from repro.rules.rule import RULE_CLASS, Rule
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction
-from repro.txn.undo import CallbackUndo
+
+#: one triggered rule on its way through the firing path: the rule, its own
+#: spec-tagged copy of the signal, and the record made at partition (§6.2)
+Entry = Tuple[Rule, EventSignal, RuleFiring]
 
 
 @dataclass
@@ -115,44 +114,34 @@ class RuleManager:
     def __init__(self, object_manager: ObjectManager,
                  txn_manager: TransactionManager,
                  evaluator: ConditionEvaluator,
-                 temporal_detector: Optional[TemporalEventDetector] = None,
-                 external_detector: Optional[ExternalEventDetector] = None,
-                 composite_detector: Optional[CompositeEventDetector] = None,
-                 tracer: Optional[tracing.Tracer] = None,
-                 clock: Optional[Clock] = None,
-                 applications: Any = None,
-                 config: Optional[RuleManagerConfig] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 spans: Optional[SpanRecorder] = None,
-                 slow_log: Optional[SlowLog] = None,
-                 watchdog: Optional[Watchdog] = None) -> None:
+                 temporal_detector: TemporalEventDetector,
+                 external_detector: ExternalEventDetector,
+                 composite_detector: CompositeEventDetector, *,
+                 tracer: tracing.Tracer, clock: Clock, applications: Any,
+                 metrics: MetricsRegistry, spans: SpanRecorder,
+                 slow_log: SlowLog, watchdog: Watchdog,
+                 config: Optional[RuleManagerConfig] = None) -> None:
         self._om = object_manager
         self._txns = txn_manager
         self._evaluator = evaluator
         self._temporal = temporal_detector
         self._external = external_detector
         self._composite = composite_detector
-        self._tracer = tracer or tracing.Tracer()
-        self._clock = clock or VirtualClock()
+        self._clock = clock
         self.applications = applications
         self.config = config or RuleManagerConfig()
-        self._metrics = metrics or MetricsRegistry(enabled=False)
-        self._spans = spans or SpanRecorder(enabled=False)
-        # `is not None`, not truthiness: an empty SlowLog is falsy (len 0).
-        self._slow_log = (slow_log if slow_log is not None
-                          else SlowLog(enabled=False))
-        # Same rule for the watchdog (empty alert log is falsy too).
-        self._watchdog = (watchdog if watchdog is not None
-                          else Watchdog(enabled=False))
-        couplings = (IMMEDIATE, DEFERRED, SEPARATE)
+        self._metrics = metrics
+        self._spans = spans
+        self._slow_log = slow_log
+        self._watchdog = watchdog
         self._firing_count = {
             (ec, ca): self._metrics.counter("rule_firings_total", ec=ec, ca=ca)
-            for ec in couplings for ca in couplings
+            for ec in MODES for ca in MODES
         }
         self._action_seconds = {
             ca: self._metrics.histogram("rule_action_seconds",
                                         sample=HOT_PATH_SAMPLE, coupling=ca)
-            for ca in couplings
+            for ca in MODES
         }
         self._deferred_batch = self._metrics.histogram(
             "deferred_batch_size", buckets=DEFAULT_SIZE_BUCKETS)
@@ -162,20 +151,20 @@ class RuleManager:
         #: ... acts as an event detector", §5.2); its sink is this manager
         self.txn_detector = DatabaseEventDetector(
             object_manager.store.schema, sink=self.signal_event,
-            tracer=self._tracer, component=tracing.TRANSACTION_MANAGER,
+            tracer=tracer, component=tracing.TRANSACTION_MANAGER,
             indexed_dispatch=object_manager.event_detector.indexed_dispatch,
             metrics=self._metrics)
         self.txn_detector.sink_batch = self.signal_event_batch
+        #: §6.1: the registered rules and the event->rule mapping
+        self.catalog = RuleCatalog(
+            object_manager, evaluator, self.txn_detector, temporal_detector,
+            external_detector, composite_detector, tracer)
 
-        #: write-ahead log; None while the system runs in-memory only
-        #: (attached by the facade when durability is enabled)
-        self.wal: Optional[Any] = None
         #: flight recorder; None unless the facade enables it.  The Rule
-        #: Manager is the journal's gatekeeper: rule administration is
-        #: journalled here as a stimulus, every rule-cascade scope raises
-        #: the recorder's thread-local suppression (cascade work is replay
-        #: *output*, re-derived by re-signalling the stimuli), and each
-        #: completed condition evaluation is journalled as a ``firing``
+        #: Manager is the journal's gatekeeper: every rule-cascade scope
+        #: raises the recorder's thread-local suppression (cascade work is
+        #: replay *output*, re-derived by re-signalling the stimuli), and
+        #: each completed condition evaluation is journalled as a ``firing``
         #: response record for replay to diff against.
         self.recorder: Optional[Any] = None
         #: causal provenance store; None unless the facade enables it.
@@ -183,10 +172,6 @@ class RuleManager:
         #: writes it performs are attributed to the firing and its
         #: triggering event.
         self.provenance: Optional[Any] = None
-        self._rules: Dict[str, Rule] = {}
-        self._rules_by_oid: Dict[OID, Rule] = {}
-        self._event_map: Dict[EventSpec, Set[str]] = {}
-        self._pending = threading.local()
         self._depth = threading.local()
 
         self.firings = FiringLog(capacity=self.config.firing_log_capacity)
@@ -197,142 +182,6 @@ class RuleManager:
                       "actions_executed": 0, "separate_spawned": 0,
                       "deferred_queued": 0, "max_cascade_depth_seen": 0,
                       "cascades_cut": 0, "firing_errors": 0}
-
-    # ============================================================ rule ops
-
-    def create_rule(self, rule: Rule, txn: Transaction, *,
-                    source: str = tracing.APPLICATION) -> Rule:
-        """Create a rule (paper §6.1).
-
-        The request is handled by the Object Manager: it creates the rule's
-        ``HiPAC::Rule`` object under a write lock and signals the
-        create-rule event; this manager registers the rule (condition graph,
-        event detectors, event->rule map) while handling that signal, before
-        the Object Manager resumes.  All registration is undone if ``txn``
-        aborts.
-        """
-        if rule.name in self._rules:
-            raise RuleError("a rule named %r already exists" % rule.name)
-        if rule.event is None:
-            rule.event = derive_event_spec(rule.condition.queries)
-        if self.recorder is not None:
-            # Rule administration is a journal stimulus: the rule-object
-            # operation itself is *not* journalled at the Object Manager
-            # (replay re-creates the row by re-issuing create_rule from
-            # the caller's rule library, at this same point in sequence).
-            self.recorder.record_rule_op("rule-create", rule.name, txn)
-        stack = self._pending_stack()
-        stack.append(rule)
-        try:
-            self._om.create(RULE_CLASS, rule.store_attrs(), txn, source=source)
-        finally:
-            if stack and stack[-1] is rule:
-                stack.pop()
-        if rule.name not in self._rules:  # pragma: no cover - defensive
-            raise RuleError("rule registration failed for %r" % rule.name)
-        return rule
-
-    def delete_rule(self, name: str, txn: Transaction, *,
-                    source: str = tracing.APPLICATION) -> None:
-        """Delete a rule (write lock; undone if ``txn`` aborts)."""
-        rule = self.get_rule(name)
-        assert rule.oid is not None
-        if self.recorder is not None:
-            self.recorder.record_rule_op("rule-delete", name, txn)
-        self._om.delete(rule.oid, txn, source=source)
-
-    def enable_rule(self, name: str, txn: Transaction, *,
-                    source: str = tracing.APPLICATION) -> None:
-        """Re-enable automatic firing of a rule (write lock)."""
-        rule = self.get_rule(name)
-        assert rule.oid is not None
-        if self.recorder is not None:
-            self.recorder.record_rule_op("rule-enable", name, txn)
-        self._om.update(rule.oid, {"enabled": True}, txn, source=source)
-
-    def disable_rule(self, name: str, txn: Transaction, *,
-                     source: str = tracing.APPLICATION) -> None:
-        """Disable automatic firing of a rule (write lock)."""
-        rule = self.get_rule(name)
-        assert rule.oid is not None
-        if self.recorder is not None:
-            self.recorder.record_rule_op("rule-disable", name, txn)
-        self._om.update(rule.oid, {"enabled": False}, txn, source=source)
-
-    def fire_rule(self, name: str, txn: Optional[Transaction], *,
-                  args: Optional[Dict[str, Any]] = None) -> None:
-        """Manually fire a rule (the paper's *fire* operation).
-
-        Evaluates the condition and, if satisfied, executes the action,
-        subject to the rule's coupling modes, exactly as if its event had
-        occurred in ``txn``.  Manual firing works even when automatic firing
-        is disabled.  ``args`` provides event-argument bindings for
-        parameterized conditions.
-        """
-        rule = self.get_rule(name)
-        seq = None
-        if self.recorder is not None:
-            seq = self.recorder.record_fire(name, args, txn)
-        signal = EventSignal(kind="external", name="fire:%s" % name,
-                             args=dict(args or {}), txn=txn,
-                             timestamp=self._clock.now())
-        if seq is not None:
-            # Manual fires are journalled stimuli: address provenance of
-            # the firing's writes to the fire record.
-            signal._journal_seq = seq
-        with self._suppression():
-            self._process_firings([(rule, signal)], manual=True)
-
-    def rules_in_group(self, group: str) -> List[str]:
-        """Names of the rules belonging to ``group`` (paper §4.2), sorted."""
-        return sorted(name for name, rule in self._rules.items()
-                      if rule.group == group)
-
-    def enable_group(self, group: str, txn: Transaction, *,
-                     source: str = tracing.APPLICATION) -> List[str]:
-        """Enable every rule in a group; returns the affected rule names."""
-        names = self.rules_in_group(group)
-        for name in names:
-            self.enable_rule(name, txn, source=source)
-        return names
-
-    def disable_group(self, group: str, txn: Transaction, *,
-                      source: str = tracing.APPLICATION) -> List[str]:
-        """Disable every rule in a group; returns the affected rule names."""
-        names = self.rules_in_group(group)
-        for name in names:
-            self.disable_rule(name, txn, source=source)
-        return names
-
-    def reattach_rule(self, rule: Rule, oid: OID, enabled: bool,
-                      txn: Transaction) -> Rule:
-        """Re-register a rule against its recovered ``HiPAC::Rule`` row.
-
-        Used by crash recovery: the row (carrying ``oid`` and the stored
-        ``enabled`` flag) was restored by checkpoint/WAL replay at the
-        store level, without signals, so the in-memory registration —
-        condition graph, event detectors, event map — must be rebuilt from
-        the caller's rule object.
-        """
-        if rule.name in self._rules:
-            raise RuleError("a rule named %r already exists" % rule.name)
-        if rule.event is None:
-            rule.event = derive_event_spec(rule.condition.queries)
-        rule.enabled = bool(enabled)
-        self._register_rule(rule, oid, txn)
-        self._sync_detector_enablement(rule)
-        return rule
-
-    def get_rule(self, name: str) -> Rule:
-        """Return the rule named ``name`` or raise :class:`RuleError`."""
-        rule = self._rules.get(name)
-        if rule is None:
-            raise RuleError("no such rule: %r" % name)
-        return rule
-
-    def rule_names(self) -> List[str]:
-        """Names of all registered rules, sorted."""
-        return sorted(self._rules)
 
     # ===================================================== the §5.4 interface
 
@@ -408,26 +257,23 @@ class RuleManager:
             with self._suppression():
                 self.stats["signals"] += len(signals)
                 if base.kind == "database" and base.class_name == RULE_CLASS:
-                    self._manage_rule_object(base)
+                    self.catalog.on_rule_object(base)
                 # Feed the temporal detector (baselines of relative/periodic
                 # events) and the composite automata — once per operation.
                 # Composite occurrences recognized here re-enter
                 # signal_event recursively.
-                if self._temporal is not None and \
-                        self._temporal.wants_baseline(base):
+                if self._temporal.wants_baseline(base):
                     self._temporal.observe_baseline(base)
-                if self._composite is not None and self._composite.wants(base):
+                if self._composite.wants(base):
                     self._composite.observe(base)
-                entries: List[Tuple[Rule, EventSignal]] = []
-                for signal in signals:
-                    for rule in self._triggered_rules(signal):
-                        entries.append((rule, signal))
-                if entries:
-                    self.stats["triggered"] += len(entries)
+                triggered = [(rule, signal) for signal in signals
+                             for rule in self.catalog.triggered(signal)]
+                if triggered:
+                    self.stats["triggered"] += len(triggered)
                     # One global firing order across all matched specs.
-                    entries.sort(key=lambda entry: (-entry[0].priority,
-                                                    entry[0].name))
-                    self._process_firings(entries)
+                    triggered.sort(key=lambda pair: (-pair[0].priority,
+                                                     pair[0].name))
+                    self._process_firings(triggered)
         finally:
             self._spans.finish_span(espan)
             self._depth.value = depth
@@ -443,281 +289,115 @@ class RuleManager:
         transaction)."""
         if kind == "commit":
             self._process_deferred(txn)
-            if not txn.internal:
-                signal = EventSignal(kind="database", op="commit", txn=txn,
-                                     timestamp=self._clock.now())
-                self.txn_detector.observe(signal)
-        elif kind == "begin" and not txn.internal:
-            signal = EventSignal(kind="database", op="begin", txn=txn,
-                                 timestamp=self._clock.now())
-            self.txn_detector.observe(signal)
-        elif kind == "abort" and not txn.internal:
-            signal = EventSignal(kind="database", op="abort", txn=None,
-                                 timestamp=self._clock.now())
-            self.txn_detector.observe(signal)
+        if not txn.internal:
+            self.txn_detector.observe(EventSignal(
+                kind="database", op=kind,
+                txn=None if kind == "abort" else txn,
+                timestamp=self._clock.now()))
 
-    # ================================================= rule-object management
+    def fire_rule(self, name: str, txn: Optional[Transaction], *,
+                  args: Optional[Dict[str, Any]] = None) -> None:
+        """Manually fire a rule (the paper's *fire* operation).
 
-    def _pending_stack(self) -> List[Rule]:
-        stack = getattr(self._pending, "stack", None)
-        if stack is None:
-            stack = []
-            self._pending.stack = stack
-        return stack
-
-    def bootstrap_specs(self) -> List[DatabaseEventSpec]:
-        """The self-management event specs (create/update/delete on the rule
-        class) that the facade programs into the database event detector."""
-        return [
-            DatabaseEventSpec("create", RULE_CLASS),
-            DatabaseEventSpec("update", RULE_CLASS),
-            DatabaseEventSpec("delete", RULE_CLASS),
-        ]
-
-    def _manage_rule_object(self, signal: EventSignal) -> None:
-        assert signal.oid is not None
-        txn = signal.txn
-        if txn is None:  # pragma: no cover - rule ops always run in a txn
-            raise RuleError("rule-object operations require a transaction")
-        if signal.op == "create":
-            stack = self._pending_stack()
-            if not stack:
-                # An application created a bare rule object without going
-                # through create_rule; there is no condition/action to
-                # register, so nothing to manage.
-                return
-            rule = stack[-1]
-            self._register_rule(rule, signal.oid, txn)
-        elif signal.op == "delete":
-            rule = self._rules_by_oid.get(signal.oid)
-            if rule is not None:
-                self._unregister_rule(rule, txn)
-        elif signal.op == "update":
-            rule = self._rules_by_oid.get(signal.oid)
-            if rule is None or signal.new_attrs is None:
-                return
-            new_enabled = bool(signal.new_attrs.get("enabled", rule.enabled))
-            if new_enabled != rule.enabled:
-                self._set_enabled(rule, new_enabled, txn)
-
-    def _register_rule(self, rule: Rule, oid: OID, txn: Transaction) -> None:
-        assert rule.event is not None
-        rule.oid = oid
-        # §6.1 step 1: add the rule to the condition graph.
-        self._evaluator.add_rule(rule.condition, txn)
-        # §6.1 step 2: program the event detectors.
-        self._define_event(rule.event)
-        txn.log_undo(CallbackUndo(
-            lambda: self._delete_event(rule.event),
-            label="undefine events of %s" % rule.name))
-        # §6.1 step 3: extend the event->rule mapping.
-        for spec in self._mapping_specs(rule.event):
-            self._event_map.setdefault(spec, set()).add(rule.name)
-        self._rules[rule.name] = rule
-        self._rules_by_oid[oid] = rule
-        txn.log_undo(CallbackUndo(
-            lambda: self._forget_rule(rule),
-            label="forget rule %s" % rule.name))
-        if self.wal is not None:
-            self.wal.log_rule_create(rule.name, rule.store_attrs(), txn)
-
-    def _unregister_rule(self, rule: Rule, txn: Transaction) -> None:
-        assert rule.event is not None
-        self._evaluator.delete_rule(rule.condition, txn)
-        self._delete_event(rule.event)
-        txn.log_undo(CallbackUndo(
-            lambda: self._define_event(rule.event),
-            label="re-define events of %s" % rule.name))
-        self._forget_rule(rule)
-        txn.log_undo(CallbackUndo(
-            lambda: self._remember_rule(rule),
-            label="re-register rule %s" % rule.name))
-        if self.wal is not None:
-            self.wal.log_rule_drop(rule.name, txn)
-
-    def _forget_rule(self, rule: Rule) -> None:
-        for spec in self._mapping_specs(rule.event):
-            names = self._event_map.get(spec)
-            if names is not None:
-                names.discard(rule.name)
-                if not names:
-                    del self._event_map[spec]
-        self._rules.pop(rule.name, None)
-        if rule.oid is not None:
-            self._rules_by_oid.pop(rule.oid, None)
-
-    def _remember_rule(self, rule: Rule) -> None:
-        for spec in self._mapping_specs(rule.event):
-            self._event_map.setdefault(spec, set()).add(rule.name)
-        self._rules[rule.name] = rule
-        if rule.oid is not None:
-            self._rules_by_oid[rule.oid] = rule
-
-    def _set_enabled(self, rule: Rule, enabled: bool, txn: Transaction) -> None:
-        previous = rule.enabled
-        rule.enabled = enabled
-        self._sync_detector_enablement(rule)
-        def revert() -> None:
-            rule.enabled = previous
-            self._sync_detector_enablement(rule)
-        txn.log_undo(CallbackUndo(revert, label="revert enable %s" % rule.name))
-
-    def _sync_detector_enablement(self, rule: Rule) -> None:
-        """Disable event detection for a spec only when *no* enabled rule
-        uses it (several rules may share one event, §5.3)."""
-        for spec in self._mapping_specs(rule.event):
-            names = self._event_map.get(spec, set())
-            any_enabled = any(
-                self._rules[name].enabled
-                for name in names if name in self._rules
-            )
-            detector = self._detector_for(spec)
-            if detector is None or not detector.is_defined(spec):
-                continue
-            if any_enabled:
-                detector.enable_event(spec)
-            else:
-                detector.disable_event(spec)
-
-    # ====================================================== detector routing
-
-    def _mapping_specs(self, event: Optional[EventSpec]) -> List[EventSpec]:
-        """The specs under which a rule is looked up when signals arrive.
-
-        A composite rule is triggered by its composite occurrences (reported
-        by the composite detector with the composite spec); a primitive rule
-        by its primitive spec."""
-        if event is None:
-            return []
-        return [event]
-
-    def _detector_for(self, spec: EventSpec):
-        if isinstance(spec, CompositeEventSpec):
-            return self._composite
-        if isinstance(spec, DatabaseEventSpec):
-            if spec.op in TXN_OPS:
-                return self.txn_detector
-            return self._om.event_detector
-        if isinstance(spec, TemporalEventSpec):
-            return self._temporal
-        if isinstance(spec, ExternalEventSpec):
-            return self._external
-        return None
-
-    def _define_event(self, spec: EventSpec) -> None:
-        """Program the detectors for ``spec`` (recursively for composites
-        and temporal baselines), with tracing per §6.1."""
-        detector = self._detector_for(spec)
-        if detector is None:
-            raise RuleError("no detector available for event %r" % spec)
-        self._tracer.record(tracing.RULE_MANAGER, tracing.EVENT_DETECTOR,
-                            "define_event", repr(spec))
-        detector.define_event(spec)
-        if isinstance(spec, CompositeEventSpec):
-            for member in spec.members:
-                self._define_event(member)
-        elif isinstance(spec, TemporalEventSpec) and spec.baseline is not None:
-            self._define_event(spec.baseline)
-
-    def _delete_event(self, spec: EventSpec) -> None:
-        detector = self._detector_for(spec)
-        if detector is None:
-            return
-        self._tracer.record(tracing.RULE_MANAGER, tracing.EVENT_DETECTOR,
-                            "delete_event", repr(spec))
-        detector.delete_event(spec)
-        if isinstance(spec, CompositeEventSpec):
-            for member in spec.members:
-                self._delete_event(member)
-        elif isinstance(spec, TemporalEventSpec) and spec.baseline is not None:
-            self._delete_event(spec.baseline)
+        Evaluates the condition and, if satisfied, executes the action,
+        subject to the rule's coupling modes, exactly as if its event had
+        occurred in ``txn``.  Manual firing works even when automatic firing
+        is disabled.  ``args`` provides event-argument bindings for
+        parameterized conditions.
+        """
+        rule = self.catalog.get_rule(name)
+        signal = EventSignal(kind="external", name="fire:%s" % name,
+                             args=dict(args or {}), txn=txn,
+                             timestamp=self._clock.now())
+        if self.recorder is not None:
+            # Manual fires are journalled stimuli: address provenance of
+            # the firing's writes to the fire record.
+            signal._journal_seq = self.recorder.record_fire(name, args, txn)
+        with self._suppression():
+            self._process_firings([(rule, signal)])
 
     # ========================================================== §6.2 firing
 
-    def _triggered_rules(self, signal: EventSignal) -> List[Rule]:
-        if signal.spec is None:
-            return []
-        names = self._event_map.get(signal.spec, ())
-        return [self._rules[name] for name in sorted(names)
-                if name in self._rules and self._rules[name].enabled]
-
-    def _process_firings(self, entries: List[Tuple[Rule, EventSignal]], *,
-                         manual: bool = False) -> None:
+    def _process_firings(self, triggered: List[Tuple[Rule, EventSignal]]
+                         ) -> None:
         """Partition triggered rules by E-C coupling and schedule them
         (paper §6.2).
 
-        ``entries`` pairs each triggered rule with the signal that triggered
-        it (its own spec-tagged copy of the operation), already in global
-        firing order.  All signals of one call describe the same operation,
-        so they share one transaction.
+        ``triggered`` pairs each rule with the signal that triggered it (its
+        own spec-tagged copy of the operation), already in global firing
+        order.  All signals of one call describe the same operation, so they
+        share one transaction.  Each pair gets its :class:`RuleFiring` here —
+        the one record of that firing, whenever and wherever it runs.
         """
-        txn = entries[0][1].txn
-        separate = [e for e in entries if e[0].ec_coupling == SEPARATE]
-        deferred = [e for e in entries if e[0].ec_coupling == DEFERRED]
-        immediate = [e for e in entries if e[0].ec_coupling == IMMEDIATE]
+        txn = triggered[0][1].txn
+        # Causality bridge for firings that run later or elsewhere (deferred
+        # at commit, §6.3; separate on a fresh thread with an empty span
+        # stack): their firing span hangs off the span active *here*.
+        origin = self._spans.current() if self._spans.enabled else None
+        groups: Dict[str, List[Entry]] = {mode: [] for mode in MODES}
+        for rule, signal in triggered:
+            firing = self.firings.append(RuleFiring(
+                rule.name, signal.describe(), rule.ec_coupling,
+                rule.ca_coupling,
+                triggering_txn=txn.txn_id if txn is not None else None))
+            if origin is not None and rule.ec_coupling != IMMEDIATE:
+                signal._obs_span = origin
+            groups[rule.ec_coupling].append((rule, signal, firing))
 
-        for rule, signal in separate:
-            self._launch_separate_firing(rule, signal)
+        for rule, signal, firing in groups[SEPARATE]:
+            self._launch_separate(rule, signal, firing)
 
-        if txn is not None:
-            target = txn.top_level() if self.config.defer_to_top_level else txn
-            for rule, signal in deferred:
-                self.stats["deferred_queued"] += 1
-                if self._spans.enabled:
-                    # Causality bridge across the event->commit time gap
-                    # (§6.3): the firing span opened at commit hangs off
-                    # the event span that queued it, not off the commit.
-                    signal._obs_span = self._spans.current()
-                target.add_deferred_condition((rule, signal))
-                self.firings.append(RuleFiring(
-                    rule.name, signal.describe(), rule.ec_coupling,
-                    rule.ca_coupling, triggering_txn=txn.txn_id, deferred=True))
-        else:
+        immediate = groups[IMMEDIATE]
+        if txn is None:
             # Events outside any transaction (temporal, detached external):
             # host immediate *and* deferred work in a fresh top-level
             # transaction; its commit drives the deferred set.
-            immediate = immediate + deferred
-            deferred = []
+            immediate = immediate + groups[DEFERRED]
+        else:
+            target = txn.top_level() if self.config.defer_to_top_level else txn
+            for entry in groups[DEFERRED]:
+                self.stats["deferred_queued"] += 1
+                entry[2].deferred = True
+                target.add_deferred_condition(entry)
 
         if not immediate:
             return
-        host = txn
-        detached = False
-        if host is None:
-            host = self._txns.create_transaction(source=tracing.RULE_MANAGER,
-                                                 label="detached-firing",
-                                                 internal=True)
-            detached = True
+        if txn is not None:
+            self._fire_group(immediate, txn, IMMEDIATE)
+            return
+        host = self._txns.create_transaction(source=tracing.RULE_MANAGER,
+                                             label="detached-firing",
+                                             internal=True)
         try:
-            self._fire_immediate_group(immediate, host)
+            self._fire_group(immediate, host, IMMEDIATE)
         except BaseException:
-            if detached:
-                self._txns.abort_transaction(host, source=tracing.RULE_MANAGER)
+            self._txns.abort_transaction(host, source=tracing.RULE_MANAGER)
             raise
-        if detached:
-            self._txns.commit_transaction(host, source=tracing.RULE_MANAGER)
+        self._txns.commit_transaction(host, source=tracing.RULE_MANAGER)
 
-    def _fire_immediate_group(self, entries: List[Tuple[Rule, EventSignal]],
-                              host: Transaction) -> None:
-        """Evaluate all conditions first (each in a subtransaction of the
-        triggering transaction), then execute the satisfied rules' actions
-        per their C-A coupling (paper §6.2)."""
-        outcomes: List[Tuple[Rule, EventSignal, RuleFiring, ConditionOutcome]] = []
-        if self.config.concurrent_conditions and len(entries) > 1:
-            outcomes = self._evaluate_concurrently(entries, host)
+    def _fire_group(self, entries: List[Entry], host: Transaction,
+                    coupling: str) -> None:
+        """Evaluate all conditions first (each in a subtransaction of
+        ``host``), then schedule the satisfied rules' actions per their C-A
+        coupling (paper §6.2; §6.3 for the deferred set at commit)."""
+        if (coupling == IMMEDIATE and self.config.concurrent_conditions
+                and len(entries) > 1):
+            # Concurrent sibling condition subtransactions (§3.2, §6.2); the
+            # first failure is re-raised once every sibling has finished.
+            with ThreadPoolExecutor(max_workers=len(entries)) as pool:
+                futures = [pool.submit(self._run_condition, *entry, host,
+                                       None, coupling) for entry in entries]
+            outcomes = [future.result() for future in futures]
         else:
             memo: Memo = {}
-            for rule, signal in entries:
-                firing, outcome = self._evaluate_condition(rule, signal, host,
-                                                           memo, IMMEDIATE)
-                outcomes.append((rule, signal, firing, outcome))
-        for rule, signal, firing, outcome in outcomes:
-            if not outcome.satisfied:
-                continue
-            self._route_action(rule, firing, outcome, signal, host)
+            outcomes = [self._run_condition(*entry, host, memo, coupling)
+                        for entry in entries]
+        for (rule, signal, firing), outcome in zip(entries, outcomes):
+            if outcome.satisfied:
+                self._route_action(rule, signal, firing, outcome, host)
 
-    def _route_action(self, rule: Rule, firing: RuleFiring,
-                      outcome: ConditionOutcome, signal: EventSignal,
+    def _route_action(self, rule: Rule, signal: EventSignal,
+                      firing: RuleFiring, outcome: ConditionOutcome,
                       condition_host: Transaction) -> None:
         """Schedule the action of a satisfied rule per its C-A coupling.
 
@@ -726,66 +406,56 @@ class RuleManager:
         and deferred E-C; the separate top-level transaction for separate
         E-C)."""
         if rule.ca_coupling == IMMEDIATE:
-            self._execute_action(rule, firing, outcome, signal, condition_host)
+            self._run_action(rule, signal, firing, outcome, condition_host)
         elif rule.ca_coupling == DEFERRED:
             self.stats["deferred_queued"] += 1
             firing.deferred = True
             target = (condition_host.top_level()
                       if self.config.defer_to_top_level else condition_host)
-            target.add_deferred_action((rule, signal, outcome, firing))
+            target.add_deferred_action((rule, signal, firing, outcome))
         else:  # separate
-            self._launch_separate_action(rule, firing, outcome, signal)
+            self._spawn(partial(self._run_action, rule, signal, firing,
+                                outcome, None),
+                        rule.name, deadline=rule.deadline)
 
-    def _evaluate_concurrently(self, entries, host):
-        """Concurrent sibling condition subtransactions (paper §3.2, §6.2)."""
-        results: List[Optional[Tuple[Rule, EventSignal, RuleFiring,
-                                     ConditionOutcome]]] = [None] * len(entries)
-        errors: List[BaseException] = []
+    # ================================================== the two firing phases
 
-        def worker(index: int, rule: Rule, signal: EventSignal) -> None:
-            try:
-                firing, outcome = self._evaluate_condition(
-                    rule, signal, host, None, IMMEDIATE)
-                results[index] = (rule, signal, firing, outcome)
-            except BaseException as exc:  # collected, re-raised by caller
-                errors.append(exc)
+    def _run_condition(self, rule: Rule, signal: EventSignal,
+                       firing: RuleFiring, parent: Optional[Transaction],
+                       memo: Optional[Memo], coupling: str
+                       ) -> Optional[ConditionOutcome]:
+        """Evaluate one rule's condition (fire takes a read lock on the rule
+        object) and record the outcome on ``firing``.
 
-        threads = [threading.Thread(target=worker, args=(i, rule, signal),
-                                    daemon=True)
-                   for i, (rule, signal) in enumerate(entries)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return [entry for entry in results if entry is not None]
-
-    def _evaluate_condition(self, rule: Rule, signal: EventSignal,
-                            parent: Transaction, memo: Optional[Memo],
-                            coupling: str) -> Tuple[RuleFiring, ConditionOutcome]:
-        """Evaluate one rule's condition in a new subtransaction of
-        ``parent`` (fire takes a read lock on the rule object)."""
-        # Explicit span parent for deferred firings (queued at event time,
-        # fired at commit); immediate firings nest via the thread stack.
+        With a ``parent`` (immediate and deferred E-C) the condition runs in
+        a new subtransaction of it and errors propagate to the triggering
+        operation.  ``parent=None`` is separate E-C: a new top-level
+        transaction that also hosts the action routing before it commits;
+        no caller is waiting, so errors are collected instead of raised."""
+        separate = parent is None
         fspan = cspan = None
         if self._spans.enabled:
+            # Explicit span parent for firings scheduled earlier or on
+            # another thread; immediate firings nest via the thread stack.
             fspan = self._spans.start_span(
                 "fire:%s" % rule.name, kind="firing",
                 parent=getattr(signal, "_obs_span", None),
                 rule=rule.name, ec=rule.ec_coupling, ca=rule.ca_coupling,
-                coupling=coupling)
+                coupling=coupling,
+                **({"separate_thread": True} if separate else {}))
         if self._metrics.enabled:
             self._firing_count[(rule.ec_coupling, rule.ca_coupling)].inc()
         self._watchdog.note_firing()
-        ctxn = self._txns.create_transaction(parent=parent,
-                                             source=tracing.RULE_MANAGER,
-                                             label="cond:%s" % rule.name,
-                                             internal=True)
-        firing = RuleFiring(rule.name, signal.describe(), rule.ec_coupling,
-                            rule.ca_coupling, triggering_txn=parent.txn_id,
-                            condition_txn=ctxn.txn_id, span=fspan)
-        self.firings.append(firing)
+        ctxn = self._txns.create_transaction(
+            parent=parent, source=tracing.RULE_MANAGER, internal=True,
+            label=("sep-cond:%s" if separate else "cond:%s") % rule.name)
+        if not separate:
+            # What the condition nests under — the event's transaction, its
+            # top level (deferred scoping) or a detached-firing host.
+            firing.triggering_txn = parent.txn_id
+        firing.condition_txn = ctxn.txn_id
+        firing.separate_thread = separate
+        firing.span = fspan
         if fspan is not None:
             cspan = self._spans.start_span("cond:%s" % rule.name,
                                            kind="condition", rule=rule.name,
@@ -797,36 +467,46 @@ class RuleManager:
             self.stats["conditions_evaluated"] += 1
             outcome = self._evaluator.evaluate(
                 rule.condition, signal, ctxn, coupling=coupling, memo=memo)
-            self._txns.commit_transaction(ctxn, source=tracing.RULE_MANAGER)
+            if not separate:
+                self._txns.commit_transaction(ctxn, source=tracing.RULE_MANAGER)
             firing.satisfied = outcome.satisfied
             if self.recorder is not None:
                 # Response record (bypasses suppression): the journalled
-                # outcome replay diffs its own evaluations against.  The
-                # condition subtransaction's top level is the sphere the
-                # firing buffers on when it is the triggering one.
+                # outcome replay diffs its own evaluations against.  It
+                # buffers on the enclosing sphere — the condition
+                # transaction's top level — unless the firing is on a
+                # separate thread, which flushes itself.
                 self.recorder.record_firing(firing, ctxn.top_level())
             if fspan is not None:
                 fspan.tags["satisfied"] = outcome.satisfied
-            return firing, outcome
+            if separate:
+                self._spans.finish_span(cspan)
+                cspan = None
+                if outcome.satisfied:
+                    self._route_action(rule, signal, firing, outcome, ctxn)
+                self._txns.commit_transaction(ctxn, source=tracing.RULE_MANAGER)
+            return outcome
         except BaseException as exc:
-            firing.error = str(exc)
-            self._note_firing_error()
-            if not ctxn.is_finished():
-                self._txns.abort_transaction(ctxn, source=tracing.RULE_MANAGER)
-            raise
+            if not self._firing_failed(rule, firing, ctxn, exc, separate):
+                raise
+            return None
         finally:
             self._spans.finish_span(cspan)
             self._spans.finish_span(fspan)
 
-    def _execute_action(self, rule: Rule, firing: RuleFiring,
-                        outcome: ConditionOutcome, signal: EventSignal,
-                        parent: Transaction) -> None:
-        """Execute one rule's action in a new subtransaction of ``parent``."""
-        atxn = self._txns.create_transaction(parent=parent,
-                                             source=tracing.RULE_MANAGER,
-                                             label="act:%s" % rule.name,
-                                             internal=True)
+    def _run_action(self, rule: Rule, signal: EventSignal, firing: RuleFiring,
+                    outcome: ConditionOutcome,
+                    parent: Optional[Transaction]) -> None:
+        """Execute one rule's action: in a new subtransaction of ``parent``
+        (errors propagate), or — ``parent=None``, separate C-A — in a new
+        top-level transaction on this thread (errors collected)."""
+        separate = parent is None
+        atxn = self._txns.create_transaction(
+            parent=parent, source=tracing.RULE_MANAGER, internal=True,
+            label=("sep-act:%s" if separate else "act:%s") % rule.name)
         firing.action_txn = atxn.txn_id
+        if separate:
+            firing.separate_thread = True
         # The action hangs off its firing span (which may already be
         # finished — deferred C-A runs at commit, long after the condition).
         aspan = None
@@ -844,16 +524,21 @@ class RuleManager:
                 bindings=outcome.bindings, results=outcome.results,
                 applications=self.applications, rule=rule,
                 signal_external=self._signal_external)
-            self._run_action(rule, firing, signal, ctx)
+            if self.provenance is None:
+                rule.action.run(ctx)
+            else:
+                # Causal scope: every write the action performs is tagged
+                # with this firing and its triggering event; cascaded
+                # firings push nested scopes, so attribution always names
+                # the *innermost* cause.
+                with self.provenance.firing_scope(rule, firing, signal):
+                    rule.action.run(ctx)
             self._txns.commit_transaction(atxn, source=tracing.RULE_MANAGER)
             firing.executed = True
             self.stats["actions_executed"] += 1
         except BaseException as exc:
-            firing.error = str(exc)
-            self._note_firing_error()
-            if not atxn.is_finished():
-                self._txns.abort_transaction(atxn, source=tracing.RULE_MANAGER)
-            raise
+            if not self._firing_failed(rule, firing, atxn, exc, separate):
+                raise
         finally:
             if timed:
                 elapsed = _time.perf_counter() - start
@@ -864,38 +549,36 @@ class RuleManager:
                                         txn=atxn.txn_id)
             self._spans.finish_span(aspan)
 
-    def _note_firing_error(self) -> None:
-        """Count one errored firing (condition or action path).
+    def _firing_failed(self, rule: Rule, firing: RuleFiring, txn: Transaction,
+                       exc: BaseException, collect: bool) -> bool:
+        """Record one errored firing (either phase) and abort its
+        transaction; True when the error was collected (separate coupling)
+        and the caller must not re-raise.
 
-        The SLO monitor's firing-error-rate objective windows this
-        against ``triggered`` — it must tick on every failure mode."""
+        The SLO monitor's firing-error-rate objective windows the error
+        count against ``triggered`` — it must tick on every failure mode.
+        Collected errors land in :attr:`background_errors`, except an
+        abort: a separate firing that loses its transaction just stops."""
+        firing.error = str(exc)
         self.stats["firing_errors"] += 1
         self._error_count.inc()
-
-    def _run_action(self, rule: Rule, firing: RuleFiring,
-                    signal: EventSignal, ctx: ActionContext) -> None:
-        """Run the action body inside a causal provenance scope.
-
-        With provenance on, every write the action performs is tagged
-        with this firing and its triggering event; cascaded firings push
-        nested scopes, so attribution always names the *innermost* cause.
-        """
-        if self.provenance is None:
-            rule.action.run(ctx)
-            return
-        with self.provenance.firing_scope(rule, firing, signal):
-            rule.action.run(ctx)
+        if not txn.is_finished():
+            self._txns.abort_transaction(txn, source=tracing.RULE_MANAGER)
+        if not collect or not isinstance(exc, Exception):
+            return False
+        if not isinstance(exc, TransactionAborted):
+            self.background_errors.append((rule.name, str(exc)))
+        return True
 
     def _signal_external(self, name: str, args: Dict[str, Any],
                          txn: Optional[Transaction]) -> Any:
-        if self._external is None:
-            raise RuleError("no external event detector wired")
         return self._external.signal(name, args, txn=txn,
                                      timestamp=self._clock.now())
 
     # ===================================================== separate coupling
 
-    def _launch_separate_firing(self, rule: Rule, signal: EventSignal) -> None:
+    def _launch_separate(self, rule: Rule, signal: EventSignal,
+                         firing: RuleFiring) -> None:
         """Spawn a separate-coupling firing: condition (and, per C-A
         coupling, action) in a new top-level transaction on its own thread
         (paper §6.2).
@@ -903,23 +586,8 @@ class RuleManager:
         With ``rule.separate_dependent`` (extension), the launch waits for
         the triggering transaction's top-level commit and is discarded on
         abort."""
-        # The new thread starts with an empty span stack; causality is the
-        # span active on the *launching* thread, captured here.
-        launch_span = self._spans.current() if self._spans.enabled else None
-
-        def body() -> None:
-            try:
-                # Fresh thread, fresh suppression scope: everything this
-                # separate firing does (its actions may open non-internal
-                # application transactions) is cascade output, not stimulus.
-                with self._suppression():
-                    firing, outcome = self._separate_condition(rule, signal,
-                                                               launch_span)
-            except TransactionAborted:
-                return  # recorded on the firing; separate work just stops
-            except Exception as exc:
-                self.background_errors.append((rule.name, str(exc)))
-
+        body = partial(self._run_condition, rule, signal, firing, None, None,
+                       SEPARATE)
         if rule.separate_dependent and signal.txn is not None:
             # Hook the transaction in which the event occurred: a nested
             # transaction's hooks migrate to its parent on commit and are
@@ -931,134 +599,32 @@ class RuleManager:
         else:
             self._spawn(body, rule.name, deadline=rule.deadline)
 
-    def _separate_condition(self, rule: Rule, signal: EventSignal,
-                            launch_span: Optional[Span] = None):
-        fspan = cspan = None
-        if self._spans.enabled:
-            fspan = self._spans.start_span(
-                "fire:%s" % rule.name, kind="firing", parent=launch_span,
-                rule=rule.name, ec=rule.ec_coupling, ca=rule.ca_coupling,
-                coupling=SEPARATE, separate_thread=True)
-        if self._metrics.enabled:
-            self._firing_count[(rule.ec_coupling, rule.ca_coupling)].inc()
-        self._watchdog.note_firing()
-        stxn = self._txns.create_transaction(source=tracing.RULE_MANAGER,
-                                             label="sep-cond:%s" % rule.name,
-                                             internal=True)
-        firing = RuleFiring(rule.name, signal.describe(), rule.ec_coupling,
-                            rule.ca_coupling,
-                            triggering_txn=(signal.txn.txn_id
-                                            if signal.txn is not None else None),
-                            condition_txn=stxn.txn_id, separate_thread=True,
-                            span=fspan)
-        self.firings.append(firing)
-        if fspan is not None:
-            cspan = self._spans.start_span("cond:%s" % rule.name,
-                                           kind="condition", rule=rule.name,
-                                           coupling=SEPARATE, txn=stxn.txn_id)
-        try:
-            if rule.oid is not None:
-                self._om.read(rule.oid, stxn, source=tracing.RULE_MANAGER)
-            self.stats["conditions_evaluated"] += 1
-            outcome = self._evaluator.evaluate(
-                rule.condition, signal, stxn, coupling=SEPARATE)
-            firing.satisfied = outcome.satisfied
-            if self.recorder is not None:
-                self.recorder.record_firing(firing)
-            if fspan is not None:
-                fspan.tags["satisfied"] = outcome.satisfied
-            self._spans.finish_span(cspan)
-            cspan = None
-            if outcome.satisfied:
-                self._route_action(rule, firing, outcome, signal, stxn)
-            self._txns.commit_transaction(stxn, source=tracing.RULE_MANAGER)
-            return firing, outcome
-        except BaseException as exc:
-            firing.error = str(exc)
-            self._note_firing_error()
-            if not stxn.is_finished():
-                self._txns.abort_transaction(stxn, source=tracing.RULE_MANAGER)
-            raise
-        finally:
-            self._spans.finish_span(cspan)
-            self._spans.finish_span(fspan)
-
-    def _launch_separate_action(self, rule: Rule, firing: RuleFiring,
-                                outcome: ConditionOutcome,
-                                signal: EventSignal) -> None:
-        def body() -> None:
-            with self._suppression():
-                self._separate_action_body(rule, firing, outcome, signal)
-
-        self._spawn(body, rule.name, deadline=rule.deadline)
-
-    def _separate_action_body(self, rule: Rule, firing: RuleFiring,
-                              outcome: ConditionOutcome,
-                              signal: EventSignal) -> None:
-        atxn = self._txns.create_transaction(source=tracing.RULE_MANAGER,
-                                             label="sep-act:%s" % rule.name,
-                                             internal=True)
-        firing.action_txn = atxn.txn_id
-        firing.separate_thread = True
-        aspan = None
-        if self._spans.enabled:
-            aspan = self._spans.start_span(
-                "act:%s" % rule.name, kind="action", parent=firing.span,
-                rule=rule.name, coupling=SEPARATE, txn=atxn.txn_id)
-        hist = self._action_seconds[SEPARATE]
-        timed = hist.should_sample()
-        start = _time.perf_counter() if timed else 0.0
-        try:
-            ctx = ActionContext(
-                object_manager=self._om, txn=atxn, signal=signal,
-                bindings=outcome.bindings, results=outcome.results,
-                applications=self.applications, rule=rule,
-                signal_external=self._signal_external)
-            self._run_action(rule, firing, signal, ctx)
-            self._txns.commit_transaction(atxn, source=tracing.RULE_MANAGER)
-            firing.executed = True
-            self.stats["actions_executed"] += 1
-        except TransactionAborted as exc:
-            firing.error = str(exc)
-            self._note_firing_error()
-            if not atxn.is_finished():
-                self._txns.abort_transaction(atxn, source=tracing.RULE_MANAGER)
-        except Exception as exc:
-            firing.error = str(exc)
-            self._note_firing_error()
-            self.background_errors.append((rule.name, str(exc)))
-            if not atxn.is_finished():
-                self._txns.abort_transaction(atxn, source=tracing.RULE_MANAGER)
-        finally:
-            if timed:
-                elapsed = _time.perf_counter() - start
-                hist.observe(elapsed)
-                if elapsed >= self._slow_log.threshold:
-                    self._slow_log.note("rule-action", rule.name, elapsed,
-                                        coupling=SEPARATE,
-                                        txn=atxn.txn_id)
-            self._spans.finish_span(aspan)
-
-    def _spawn(self, body: Callable[[], None], label: str,
+    def _spawn(self, body: Callable[[], Any], label: str,
                deadline: Optional[float] = None) -> None:
+        """Run ``body`` as separate-coupling work: on the deadline executor
+        when one is configured, else on a thread of its own."""
         self.stats["separate_spawned"] += 1
-        executor = self.config.deadline_executor
-        if executor is not None:
-            # Deadline-aware dispatch: most urgent separate work first.
-            absolute = (self._clock.now() + deadline if deadline is not None
-                        else float("inf"))
-            executor.submit(absolute, body)
-            return
 
-        def runner() -> None:
+        def run() -> None:
             try:
-                body()
+                # Fresh thread, fresh suppression scope: everything separate
+                # work does (its actions may open non-internal application
+                # transactions) is cascade output, not stimulus.
+                with self._suppression():
+                    body()
             finally:
                 with self._threads_cv:
                     self._threads.discard(threading.current_thread())
                     self._threads_cv.notify_all()
 
-        thread = threading.Thread(target=runner, daemon=True,
+        executor = self.config.deadline_executor
+        if executor is not None:
+            # Deadline-aware dispatch: most urgent separate work first.
+            absolute = (self._clock.now() + deadline if deadline is not None
+                        else float("inf"))
+            executor.submit(absolute, run)
+            return
+        thread = threading.Thread(target=run, daemon=True,
                                   name="hipac-sep-%s" % label)
         with self._threads_cv:
             self._threads.add(thread)
@@ -1070,18 +636,17 @@ class RuleManager:
         Returns True on quiescence, False on timeout.  Used by tests,
         benchmarks, and applications that need a consistent post-firing
         view."""
-        import time
-        deadline = time.monotonic() + (timeout if timeout is not None
-                                       else self.config.drain_timeout)
+        deadline = _time.monotonic() + (timeout if timeout is not None
+                                        else self.config.drain_timeout)
         with self._threads_cv:
             while self._threads:
-                remaining = deadline - time.monotonic()
+                remaining = deadline - _time.monotonic()
                 if remaining <= 0:
                     return False
                 self._threads_cv.wait(timeout=remaining)
         executor = self.config.deadline_executor
         if executor is not None:
-            remaining = deadline - time.monotonic()
+            remaining = deadline - _time.monotonic()
             if remaining <= 0:
                 return False
             return executor.drain(timeout=remaining)
@@ -1101,11 +666,8 @@ class RuleManager:
         set drains."""
         if not txn.has_deferred_work():
             return
-        bspan = None
-        if self._spans.enabled:
-            bspan = self._spans.start_span("deferred:%s" % txn.txn_id,
-                                           kind="deferred_batch",
-                                           txn=txn.txn_id)
+        bspan = self._spans.start_span("deferred:%s" % txn.txn_id,
+                                       kind="deferred_batch", txn=txn.txn_id)
         try:
             # Commit-time cascade scope: the triggering commit was already
             # journalled as a stimulus; everything below is re-derived by
@@ -1122,26 +684,15 @@ class RuleManager:
                     txn.deferred_conditions = []
                     actions = txn.deferred_actions
                     txn.deferred_actions = []
+                    size = len(conditions) + len(actions)
                     if self._metrics.enabled:
-                        self._deferred_batch.observe(len(conditions)
-                                                     + len(actions))
+                        self._deferred_batch.observe(size)
                     # Deferred-queue blowup detector (§6.3): the commit that
                     # drains an oversized queue is where the latency lands.
-                    self._watchdog.note_deferred_depth(len(conditions)
-                                                       + len(actions))
-                    memo: Memo = {}
-                    satisfied: List[Tuple[Rule, RuleFiring, ConditionOutcome,
-                                          EventSignal]] = []
-                    for rule, signal in conditions:
-                        if not rule.enabled:
-                            continue
-                        firing, outcome = self._evaluate_condition(
-                            rule, signal, txn, memo, DEFERRED)
-                        if outcome.satisfied:
-                            satisfied.append((rule, firing, outcome, signal))
-                    for rule, firing, outcome, signal in satisfied:
-                        self._route_action(rule, firing, outcome, signal, txn)
-                    for rule, signal, outcome, firing in actions:
-                        self._execute_action(rule, firing, outcome, signal, txn)
+                    self._watchdog.note_deferred_depth(size)
+                    self._fire_group([entry for entry in conditions
+                                      if entry[0].enabled], txn, DEFERRED)
+                    for rule, signal, firing, outcome in actions:
+                        self._run_action(rule, signal, firing, outcome, txn)
         finally:
             self._spans.finish_span(bspan)

@@ -217,7 +217,7 @@ class SecuritiesAssistant:
                         symbol=symbol, shares=shares, client=client,
                         limit_price=ctx.bindings.get("new_price", limit))
             if one_shot:
-                self.db.rule_manager.disable_rule(name, ctx.txn)
+                self.db.disable_rule(name, ctx.txn)
 
         rule = Rule(
             name=name,

@@ -10,7 +10,6 @@ from repro.storage.framing import (
     FRAME_HEADER_SIZE,
     FRAME_MAGIC,
     encode_frame,
-    legacy_record_ok,
     scan_segment,
 )
 from repro.storage.segments import (
@@ -27,7 +26,6 @@ __all__ = [
     "SEGMENT_SUFFIX",
     "SegmentWriter",
     "encode_frame",
-    "legacy_record_ok",
     "read_stream",
     "scan_segment",
     "segment_files",

@@ -1,10 +1,10 @@
-"""Record framing for the segment store: binary frames + JSONL compat.
+"""Record framing for the segment store: checksummed binary frames.
 
 This module is the **only** place in the tree that computes a frame
 checksum; both durable logs (the WAL and the flight-recorder journal)
 write and read records exclusively through it.
 
-Binary frame format (the native format since the unified segment store)::
+Frame format::
 
     +-------+-----------------+-----------------+------------------+
     | magic |  payload length |  CRC-32(payload)|  payload (JSON)  |
@@ -22,19 +22,10 @@ the raw payload *bytes*, writers do not need a canonical key order —
 win on the journal hot path over the previous
 canonical-JSON-with-embedded-checksum line format.
 
-Legacy JSONL format (read-only compatibility): one JSON object per line
-with an embedded ``"crc"`` field holding the CRC-32 of the canonical
-compact JSON (sorted keys) of the remaining fields — the format both the
-old WAL (``wal.jsonl``) and old flight journals (``flight-*.jsonl``)
-used.  :func:`scan_segment` sniffs the format from the first byte of the
-file (``{`` opens a JSONL record; anything else must be the frame
-magic), so a directory may mix old and new segments freely.
-
-Torn-tail rule (both formats): reading stops at the first frame or line
-that is malformed, fails its checksum, or does not carry a strictly
-increasing sequence number.  Everything after the stop point is
-untrusted — a torn tail write — and is reported as a discarded count
-(trailing bytes for binary segments, trailing lines for JSONL ones).
+Torn-tail rule: reading stops at the first frame that is malformed,
+fails its checksum, or does not carry a strictly increasing sequence
+number.  Everything after the stop point is untrusted — a torn tail
+write — and is reported as a count of discarded trailing bytes.
 """
 
 from __future__ import annotations
@@ -45,8 +36,7 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
-#: first byte of every binary frame; also the format sniff — a JSONL
-#: segment starts with ``{`` (0x7B), which can never collide with this
+#: first byte of every frame
 FRAME_MAGIC = 0xA6
 
 FRAME_HEADER = struct.Struct("<BII")  # magic, payload length, CRC-32
@@ -70,15 +60,6 @@ def encode_frame(record: Any) -> bytes:
     payload = _encode_payload(record).encode("utf-8")
     return FRAME_HEADER.pack(FRAME_MAGIC, len(payload),
                              zlib.crc32(payload)) + payload
-
-
-def legacy_record_ok(record: Any) -> bool:
-    """Verify a legacy JSONL record against its embedded ``crc`` field."""
-    if not isinstance(record, dict) or "crc" not in record:
-        return False
-    body = {key: value for key, value in record.items() if key != "crc"}
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(payload.encode("utf-8")) == record["crc"]
 
 
 def scan_frames(data: bytes, seq_field: str,
@@ -127,47 +108,14 @@ def scan_frames(data: bytes, seq_field: str,
     return records, size - offset
 
 
-def scan_jsonl(data: bytes, seq_field: str,
-               last_seq: int = 0) -> Tuple[List[Dict[str, Any]], int]:
-    """Scan a legacy JSONL segment; returns ``(records, discarded_lines)``.
-
-    Verified records are returned *without* their embedded ``crc`` field,
-    so callers see the same shape for both formats.
-    """
-    lines = data.decode("utf-8", errors="replace").splitlines()
-    records: List[Dict[str, Any]] = []
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            seq = record[seq_field]
-        except (ValueError, KeyError, TypeError):
-            return records, len(lines) - index
-        if (not isinstance(seq, int) or seq <= last_seq
-                or not legacy_record_ok(record)):
-            return records, len(lines) - index
-        record.pop("crc", None)
-        last_seq = seq
-        records.append(record)
-    return records, 0
-
-
 def scan_segment(path: Any, *, seq_field: str,
                  last_seq: int = 0) -> Tuple[List[Dict[str, Any]], int]:
-    """Read the valid prefix of one segment file, either format.
+    """Read the valid prefix of one segment file.
 
-    Returns ``(records, discarded)`` where ``discarded`` counts trailing
-    unreadable content (bytes for binary segments, lines for JSONL) after
-    the first bad record.
+    Returns ``(records, discarded)`` where ``discarded`` counts the
+    trailing unreadable bytes after the first bad frame.
     """
     path = Path(path)
     if not path.exists():
         return [], 0
-    data = path.read_bytes()
-    if not data:
-        return [], 0
-    if data[0] == FRAME_MAGIC:
-        return scan_frames(data, seq_field, last_seq)
-    return scan_jsonl(data, seq_field, last_seq)
+    return scan_frames(path.read_bytes(), seq_field, last_seq)

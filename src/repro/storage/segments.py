@@ -32,11 +32,7 @@ Durability policies
 
 A new session always opens a fresh segment: the previous session's tail
 may be torn, and appending past a tear would hide good records behind a
-bad one.  Segment files are named ``<prefix>-<index:08d>.seg``; legacy
-JSONL files (``<prefix>-<index:08d>.jsonl``, or a single legacy file
-such as ``wal.jsonl`` logically ordered first) are read by the
-compatibility scanner and deleted on :meth:`SegmentWriter.reset` like
-any other segment.
+bad one.  Segment files are named ``<prefix>-<index:08d>.seg``.
 """
 
 from __future__ import annotations
@@ -47,34 +43,32 @@ import time as _time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import UnreadableLogError
 from repro.obs.metrics import HOT_PATH_SAMPLE, MetricsRegistry
 from repro.storage.framing import encode_frame, scan_segment
 
 SEGMENT_SUFFIX = ".seg"
-LEGACY_SUFFIX = ".jsonl"
 
 #: group-commit batch sizes are small record counts, not latencies
 BATCH_SIZE_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
-def segment_files(directory: Any, prefix: str, *,
-                  legacy: Optional[str] = None) -> List[Path]:
+def segment_files(directory: Any, prefix: str) -> List[Path]:
     """Existing segment files for one stream, oldest first.
 
-    ``legacy`` names a single old-layout file (e.g. ``wal.jsonl``) that
-    logically precedes every numbered segment.
+    Raises :class:`~repro.errors.UnreadableLogError` if the stream still
+    has a ``.jsonl`` file (``wal.jsonl``, ``<prefix>-<index>.jsonl``): no
+    reader for that format remains, and skipping it would pass a
+    directory with history off as an empty one.
     """
     directory = Path(directory)
     if not directory.exists():
         return []
+    stale = sorted(directory.glob(prefix + "*.jsonl"))
+    if stale:
+        raise UnreadableLogError(stale[0])
     indexed: List[Tuple[int, Path]] = []
-    if legacy is not None:
-        legacy_path = directory / legacy
-        if legacy_path.exists():
-            indexed.append((0, legacy_path))
-    for path in directory.glob(prefix + "-*"):
-        if path.suffix not in (SEGMENT_SUFFIX, LEGACY_SUFFIX):
-            continue
+    for path in directory.glob(prefix + "-*" + SEGMENT_SUFFIX):
         try:
             index = int(path.stem.rsplit("-", 1)[1])
         except (IndexError, ValueError):
@@ -91,20 +85,19 @@ def _count_units(path: Path, seq_field: str) -> int:
     return len(records) + (1 if trailing else 0)
 
 
-def read_stream(directory: Any, prefix: str, *, seq_field: str,
-                legacy: Optional[str] = None
+def read_stream(directory: Any, prefix: str, *, seq_field: str
                 ) -> Tuple[List[Dict[str, Any]], int]:
     """Read the valid prefix of a whole stream, across segments.
 
     A bad record poisons everything after it (later segments included):
     the trusted prefix is exactly what a sequential writer durably
     completed before the first tear.  ``discarded`` counts the dropped
-    trailing content — unreadable lines/bytes in the torn segment plus
-    the record units of every later segment.
+    trailing content — unreadable bytes in the torn segment plus the
+    record units of every later segment.
     """
     records: List[Dict[str, Any]] = []
     discarded = 0
-    files = segment_files(directory, prefix, legacy=legacy)
+    files = segment_files(directory, prefix)
     last_seq = 0
     for index, path in enumerate(files):
         seg_records, seg_discarded = scan_segment(
@@ -134,7 +127,6 @@ class SegmentWriter:
                  max_segment_bytes: Optional[int] = None,
                  max_segments: Optional[int] = None,
                  start_seq: int = 0,
-                 legacy_filename: Optional[str] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  metric_prefix: Optional[str] = None,
                  tracer: Optional[Any] = None) -> None:
@@ -150,7 +142,6 @@ class SegmentWriter:
         self._pending: List[Dict[str, Any]] = []
         self.max_segment_bytes = max_segment_bytes
         self.max_segments = max_segments
-        self.legacy_filename = legacy_filename
         self._tracer = tracer
         self._metrics = metrics or MetricsRegistry(enabled=False)
         name = metric_prefix or prefix
@@ -181,10 +172,8 @@ class SegmentWriter:
             "group_leads": 0, "group_follows": 0, "batched_records": 0,
             "last_seq": 0,
         }
-        existing = segment_files(self.directory, prefix,
-                                 legacy=legacy_filename)
-        records, _ = read_stream(self.directory, prefix,
-                                 seq_field=seq_field, legacy=legacy_filename)
+        existing = segment_files(self.directory, prefix)
+        records, _ = read_stream(self.directory, prefix, seq_field=seq_field)
         self._seq = max(start_seq,
                         records[-1][seq_field] if records else 0)
         self._durable_seq = self._seq
@@ -230,8 +219,7 @@ class SegmentWriter:
         self._file.close()
         self._open_segment_locked(self._segment_index + 1)
         self.stats["rotations"] += 1
-        segments = segment_files(self.directory, self.prefix,
-                                 legacy=self.legacy_filename)
+        segments = segment_files(self.directory, self.prefix)
         if self.max_segments is not None:
             while len(segments) > self.max_segments:
                 victim = segments.pop(0)
@@ -437,14 +425,13 @@ class SegmentWriter:
     # ---------------------------------------------------------- lifecycle
 
     def reset(self) -> None:
-        """Delete every segment (and any legacy file) and start a fresh
-        one — the post-checkpoint truncation.  Sequence numbers keep
+        """Delete every segment and start a fresh one — the
+        post-checkpoint truncation.  Sequence numbers keep
         increasing across resets."""
         with self._mutex:
             self._pending = []  # truncated along with the log they belong to
             self._file.close()
-            for path in segment_files(self.directory, self.prefix,
-                                      legacy=self.legacy_filename):
+            for path in segment_files(self.directory, self.prefix):
                 try:
                     os.unlink(path)
                 except OSError:

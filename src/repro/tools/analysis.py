@@ -301,5 +301,5 @@ def _stratify(adjacency: Dict[str, Set[str]]) -> List[List[str]]:
 
 def analyze_rule_base(db, extra_effects=None) -> AnalysisReport:
     """Analyze a live HiPAC instance's rule base."""
-    rules = [db.rule_manager.get_rule(name) for name in db.rule_names()]
+    rules = [db.rule_catalog.get_rule(name) for name in db.rule_names()]
     return RuleBaseAnalyzer(rules, extra_effects).analyze()

@@ -156,13 +156,13 @@ def why_not(db, rule_name: str) -> str:
     from repro.errors import RuleError
 
     try:
-        rule = db.rule_manager.get_rule(rule_name)
+        rule = db.rule_catalog.get_rule(rule_name)
     except RuleError:
         return "rule %r does not exist" % rule_name
     reasons: List[str] = []
     if not rule.enabled:
         reasons.append("the rule is DISABLED")
-    detector = db.rule_manager._detector_for(rule.event)
+    detector = db.rule_catalog.detector_for(rule.event)
     if detector is None or not detector.is_defined(rule.event):
         reasons.append("its event is not programmed on any detector")
     elif not detector.is_enabled(rule.event):

@@ -123,6 +123,24 @@ class TestDeferredFamily:
         assert phase_index(events, "after-update")[0] < action
         assert action < phase_index(events, "after-commit")[0]
 
+    def test_one_firing_leaves_one_record(self, db):
+        """The record made when the firing is queued is the one the commit
+        completes — not a placeholder beside a second record."""
+        events = []
+        install(db, events, DEFERRED, IMMEDIATE)
+        txn = db.begin()
+        oid = db.create("Stock", {"symbol": "X", "price": 1.0}, txn)
+        db.update(oid, {"price": 2.0}, txn)
+        [queued] = db.firing_log().for_rule("probe")
+        assert queued.deferred and queued.condition_txn is None
+        db.commit(txn)
+        [firing] = db.firing_log().for_rule("probe")
+        assert firing is queued
+        assert firing.deferred and firing.executed
+        assert firing.condition_txn is not None
+        assert firing.triggering_txn == txn.txn_id
+        assert db.rule_profiler().profiles()["probe"].firings == 1
+
     def test_deferred_deferred(self, db):
         events = []
         install(db, events, DEFERRED, DEFERRED)

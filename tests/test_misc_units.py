@@ -14,7 +14,7 @@ from repro import (
     attributes,
     on_create,
 )
-from repro.core.tracing import NullTracer, Trace, TraceRecord, Tracer
+from repro.core.tracing import Trace, TraceRecord, Tracer
 from repro.rules.firing import FiringLog, RuleFiring
 
 
@@ -60,12 +60,6 @@ class TestTracer:
         trace = tracer.stop()
         assert len(trace.records) == 800
         assert len({r.seq for r in trace.records}) == 800
-
-    def test_null_tracer_never_starts(self):
-        tracer = NullTracer()
-        with pytest.raises(RuntimeError):
-            tracer.start()
-        tracer.record("A", "B", "op")  # silently ignored
 
     def test_trace_helpers(self):
         trace = Trace([

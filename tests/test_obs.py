@@ -21,10 +21,11 @@ from repro import (
     Condition,
     HiPAC,
     Rule,
+    RuleManagerConfig,
     attributes,
     on_create,
 )
-from repro.core.tracing import NullTracer, Tracer
+from repro.core.tracing import Tracer
 from repro.obs.export import prometheus_text, render_span_tree
 from repro.obs.metrics import HOT_PATH_SAMPLE, MetricsRegistry
 from repro.obs.slowlog import SlowLog
@@ -287,7 +288,8 @@ class TestFiringLogRing:
         assert len(log) == 0 and log.dropped == 0
 
     def test_facade_exports_dropped_as_component_stat(self):
-        db = HiPAC(lock_timeout=2.0, firing_log_capacity=2)
+        db = HiPAC(lock_timeout=2.0,
+                   config=RuleManagerConfig(firing_log_capacity=2))
         db.define_class(ClassDef("A", attributes(("v", "int"))))
         db.create_rule(Rule(
             name="R", event=on_create("A"), condition=Condition.true(),
@@ -320,7 +322,8 @@ class TestSlowLog:
 
     def test_slow_rule_surfaces_through_facade(self):
         import time as _time
-        db = HiPAC(lock_timeout=2.0, slow_threshold=0.001)
+        db = HiPAC(lock_timeout=2.0)
+        db.slow_log.threshold = 0.001
         db.define_class(ClassDef("A", attributes(("v", "int"))))
         db.create_rule(Rule(
             name="sluggish", event=on_create("A"),
@@ -351,16 +354,6 @@ class TestTracerContract:
         # stop() drained everything; a fresh start sees a clean slate.
         tracer.start()
         assert tracer.stop().records == []
-
-    def test_null_tracer_cannot_start_and_ignores_observations(self):
-        tracer = NullTracer()
-        tracer.record("Application", "ObjectManager", "op")
-        tracer.bump("x")
-        with pytest.raises(RuntimeError):
-            tracer.start()
-        with pytest.raises(RuntimeError):
-            tracer.stop()
-        assert not tracer.enabled
 
 
 class TestExportsAndFacade:

@@ -282,65 +282,66 @@ class TestLifecycle:
 # ================================================================= bounding
 
 
+class _Txn:
+    """The slice of a top-level transaction the store touches."""
+    txn_id = "t1"
+    prov_tail = None
+    flight_seq = None
+
+    def top_level(self):
+        return self
+
+
+class _Delta:
+    kind = "update"
+
+    def __init__(self, oid, n):
+        self.oid = oid
+        self.old_attrs = {"v": n - 1}
+        self.new_attrs = {"v": n}
+
+
 class TestBounds:
+    """The facade builds its store with the default bounds (8 per key,
+    50 000 overall); these drive stores built with test-sized ones."""
+
     def test_per_key_ring_keeps_last_k(self):
-        db = _db(provenance_per_key=3)
-        a, _, _ = _seed_abc(db)
+        store = ProvenanceStore(per_key=3)
+        a = OID("A", 1)
         for i in range(10):
-            with db.transaction() as txn:
-                db.update(a, {"v": i + 1}, txn)
-        store = db.provenance
+            txn = _Txn()
+            store.note_delta(_Delta(a, i + 1), txn, "u")
+            store.publish(txn)
         ring = store._rings[(a, "v")]
         assert [e.new_value for e in ring] == [8, 9, 10]
         assert store.stats_snapshot()["evicted"] > 0
-        db.close()
 
     def test_memory_bounded_under_100k_write_soak(self):
         """Acceptance: 100k writes stay under the global cap, evictions
         are observed, and the order deque does not accumulate garbage."""
-        db = _db(provenance_per_key=4, provenance_capacity=500)
-        oids = []
-        with db.transaction() as txn:
-            for i in range(100):
-                oids.append(db.create("A", {"v": 0}, txn))
+        store = ProvenanceStore(per_key=4, capacity=500)
+        oids = [OID("A", i + 1) for i in range(100)]
         writes = 0
         for round_no in range(10):
             for oid in oids:
-                with db.transaction() as txn:
-                    for _ in range(100):
-                        writes += 1
-                        db.update(oid, {"v": writes}, txn)
+                txn = _Txn()
+                for _ in range(100):
+                    writes += 1
+                    store.note_delta(_Delta(oid, writes), txn, "u")
+                store.publish(txn)
         assert writes == 100_000
-        snap = db.provenance.stats_snapshot()
+        snap = store.stats_snapshot()
         assert snap["live_entries"] <= 500
         assert snap["evicted"] > 0
         assert snap["published"] >= 100_000
         assert snap["evicted"] + snap["live_entries"] == snap["published"]
         # internal bookkeeping stays proportional to live entries
-        assert len(db.provenance._order) <= 2 * snap["live_entries"] + 1
+        assert len(store._order) <= 2 * snap["live_entries"] + 1
         assert snap["approx_bytes"] > 0
-        db.close()
 
     def test_capacity_eviction_across_keys(self):
         store = ProvenanceStore(per_key=8, capacity=4)
-
-        class _Txn:
-            txn_id = "t1"
-
-            def top_level(self):
-                return self
-
-        class _Delta:
-            kind = "update"
-
-            def __init__(self, oid, n):
-                self.oid = oid
-                self.old_attrs = {"v": n - 1}
-                self.new_attrs = {"v": n}
-
         txn = _Txn()
-        txn.prov_tail = None
-        txn.flight_seq = None
         for i in range(10):
             store.note_delta(_Delta(OID("X", i), i + 1), txn, "u")
         store.publish(txn)

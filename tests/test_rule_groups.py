@@ -68,7 +68,7 @@ class TestGroups:
         sink = []
         db.create_rule(grouped_rule("d1", "display", sink))
         txn = db.begin()
-        db.rule_manager.disable_group("display", txn)
+        db.rule_catalog.disable_group("display", txn)
         db.abort(txn)
         with db.transaction() as t2:
             db.create("Doc", {"title": "x"}, t2)

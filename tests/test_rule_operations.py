@@ -74,7 +74,7 @@ class TestCreate:
     def test_create_undone_on_abort(self, db):
         events = []
         txn = db.begin()
-        db.rule_manager.create_rule(probe_rule(events), txn)
+        db.rule_catalog.create_rule(probe_rule(events), txn)
         db.abort(txn)
         assert db.rule_names() == []
         touch(db)
@@ -112,7 +112,7 @@ class TestDelete:
         events = []
         db.create_rule(probe_rule(events))
         txn = db.begin()
-        db.rule_manager.delete_rule("probe", txn)
+        db.rule_catalog.delete_rule("probe", txn)
         db.abort(txn)
         assert db.rule_names() == ["probe"]
         touch(db)
@@ -160,7 +160,7 @@ class TestEnableDisable:
         events = []
         db.create_rule(probe_rule(events))
         txn = db.begin()
-        db.rule_manager.disable_rule("probe", txn)
+        db.rule_catalog.disable_rule("probe", txn)
         db.abort(txn)
         touch(db)
         assert events == ["probe"]

@@ -1,41 +1,32 @@
-"""Shared segment store tests: framing, mixed-format reads, rotation,
-group commit, and the compatibility path for pre-refactor JSONL logs.
+"""Shared segment store tests: framing, multi-segment reads, rotation,
+group commit, and the refusal of pre-segment-store JSONL logs.
 
 The WAL- and journal-level behaviours (recovery sweeps, replay) live in
 ``test_wal_recovery.py`` / ``test_flightrec.py``; this file exercises the
-storage layer directly, plus the one end-to-end compatibility claim: a
-data directory written by the old single-file JSONL WAL still recovers.
+storage layer directly, plus one end-to-end claim: a data directory that
+still holds a ``.jsonl`` log fails recovery by name instead of opening
+as empty.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-import zlib
 
 import pytest
 
 from repro import HiPAC
+from repro.errors import UnreadableLogError
 from repro.recovery.recover import recover
 from repro.storage import (
     FRAME_HEADER_SIZE,
     SegmentWriter,
     encode_frame,
-    legacy_record_ok,
     read_stream,
     scan_segment,
     segment_files,
 )
 from repro.storage.framing import scan_frames
-
-
-def legacy_line(record: dict) -> str:
-    """Render one record in the pre-refactor JSONL format: canonical
-    compact JSON with an embedded crc over the other fields."""
-    payload = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    framed = dict(record, crc=zlib.crc32(payload.encode("utf-8")))
-    return json.dumps(framed, sort_keys=True, separators=(",", ":"))
 
 
 class TestFraming:
@@ -89,42 +80,24 @@ class TestFraming:
         assert [r["seq"] for r in decoded] == [1]
         assert discarded == len(bad)
 
-    def test_legacy_record_ok_verifies_embedded_crc(self):
-        line = legacy_line({"seq": 1, "data": {"n": 1}})
-        record = json.loads(line)
-        assert legacy_record_ok(record)
-        record["data"]["n"] = 2
-        assert not legacy_record_ok(record)
-
-    def test_segment_sniffs_format_from_first_byte(self, tmp_path):
-        binary = tmp_path / "a-00000001.seg"
-        binary.write_bytes(encode_frame({"seq": 1, "data": {}}))
-        jsonl = tmp_path / "a-00000002.jsonl"
-        jsonl.write_text(legacy_line({"seq": 2, "data": {}}) + "\n",
-                         encoding="utf-8")
-        for path, seq in ((binary, 1), (jsonl, 2)):
-            records, discarded = scan_segment(path, seq_field="seq")
-            assert [r["seq"] for r in records] == [seq]
-            assert discarded == 0
+    def test_a_file_that_is_not_frames_is_discarded_whole(self, tmp_path):
+        text = tmp_path / "a-00000001.seg"
+        text.write_text('{"seq": 1, "data": {}}\n', encoding="utf-8")
+        records, discarded = scan_segment(text, seq_field="seq")
+        assert records == []
+        assert discarded == text.stat().st_size
 
 
-class TestMixedStream:
-    def test_jsonl_then_binary_segments_read_as_one_stream(self, tmp_path):
-        # A directory migrated mid-life: a legacy single file, a legacy
-        # numbered JSONL segment, then native binary segments.
-        (tmp_path / "wal.jsonl").write_text(
-            "\n".join(legacy_line({"lsn": i, "type": "t"})
-                      for i in (1, 2)) + "\n", encoding="utf-8")
-        (tmp_path / "wal-00000001.jsonl").write_text(
-            legacy_line({"lsn": 3, "type": "t"}) + "\n", encoding="utf-8")
+class TestStream:
+    def test_segments_read_as_one_stream(self, tmp_path):
+        (tmp_path / "wal-00000001.seg").write_bytes(
+            encode_frame({"lsn": 1, "type": "t"}))
         (tmp_path / "wal-00000002.seg").write_bytes(
-            encode_frame({"lsn": 4, "type": "t"})
-            + encode_frame({"lsn": 5, "type": "t"}))
-        records, discarded = read_stream(tmp_path, "wal", seq_field="lsn",
-                                         legacy="wal.jsonl")
-        assert [r["lsn"] for r in records] == [1, 2, 3, 4, 5]
+            encode_frame({"lsn": 2, "type": "t"})
+            + encode_frame({"lsn": 3, "type": "t"}))
+        records, discarded = read_stream(tmp_path, "wal", seq_field="lsn")
+        assert [r["lsn"] for r in records] == [1, 2, 3]
         assert discarded == 0
-        assert all("crc" not in r for r in records)
 
     def test_bad_record_poisons_later_segments(self, tmp_path):
         (tmp_path / "wal-00000001.seg").write_bytes(
@@ -135,28 +108,26 @@ class TestMixedStream:
         assert [r["lsn"] for r in records] == [1]
         assert discarded > 0
 
-    def test_legacy_jsonl_wal_directory_recovers(self, tmp_path):
-        # End-to-end compatibility: replay a WAL written entirely in the
-        # pre-refactor format through the real recovery path.
-        src = tmp_path / "src"
-        db = HiPAC(durability="wal", data_dir=src, wal_fsync=False)
-        from tests.test_wal_recovery import stock_class
-        db.define_class(stock_class())
-        with db.transaction() as t:
-            db.create("Stock", {"symbol": "IBM", "price": 42.0}, t)
-        db.close()
-        from repro.recovery.wal import read_wal_records, wal_files
-        records, _ = read_wal_records(src)
-        legacy = tmp_path / "legacy"
-        legacy.mkdir()
-        (legacy / "wal.jsonl").write_text(
-            "\n".join(legacy_line(r) for r in records) + "\n",
-            encoding="utf-8")
-        recovered = recover(legacy, durability=None)
-        rows = recovered.store.snapshot_state()["Stock"]
-        assert [row["symbol"] for row in rows.values()] == ["IBM"]
-        # The old layout file participates in file listings too.
-        assert wal_files(legacy)[0].name == "wal.jsonl"
+    @pytest.mark.parametrize("name", ["wal.jsonl", "wal-00000001.jsonl"])
+    def test_jsonl_wal_directory_fails_recovery_by_name(self, tmp_path, name):
+        # No reader for the pre-segment-store format remains; a directory
+        # that still holds such a log must not open as if it were empty.
+        (tmp_path / name).write_text('{"lsn": 1, "type": "begin"}\n',
+                                     encoding="utf-8")
+        for reopen in (lambda: recover(tmp_path, durability=None),
+                       lambda: HiPAC(durability="wal", data_dir=tmp_path)):
+            with pytest.raises(UnreadableLogError) as raised:
+                reopen()
+            assert raised.value.path == tmp_path / name
+            assert name in str(raised.value)
+
+    def test_jsonl_flight_journal_is_refused_too(self, tmp_path):
+        journal = tmp_path / "flight"
+        journal.mkdir()
+        (journal / "flight-00000001.jsonl").write_text("{}\n",
+                                                       encoding="utf-8")
+        with pytest.raises(UnreadableLogError):
+            HiPAC(data_dir=tmp_path, flight_recorder=True)
 
 
 class TestSegmentWriter:

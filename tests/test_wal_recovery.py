@@ -256,7 +256,7 @@ def attach_wal(db, wal):
     db.wal = wal
     db.transaction_manager.wal = wal
     db.object_manager.wal = wal
-    db.rule_manager.wal = wal
+    db.rule_catalog.wal = wal
 
 
 class TestFaultInjection:
