@@ -26,10 +26,9 @@ across rules within one signal-processing round.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.objstore.objects import OID
-from repro.objstore.predicates import Predicate
 from repro.objstore.query import Query
 from repro.objstore.store import (
     CREATE,
@@ -55,14 +54,15 @@ def alpha_key(query: Query) -> AlphaKey:
 class AlphaNode:
     """One shared, materialized predicate memory."""
 
-    __slots__ = ("key", "class_name", "include_subclasses", "predicate",
+    __slots__ = ("key", "class_name", "include_subclasses", "test",
                  "memory", "refcount")
 
     def __init__(self, query: Query) -> None:
         self.key = alpha_key(query)
         self.class_name = query.class_name
         self.include_subclasses = query.include_subclasses
-        self.predicate: Predicate = query.predicate
+        #: the static predicate, bound once: attrs -> bool
+        self.test = query.predicate.bind({})
         self.memory: Set[OID] = set()
         self.refcount = 0
 
@@ -77,6 +77,9 @@ class ConditionGraph:
     def __init__(self, store: ObjectStore) -> None:
         self._store = store
         self._nodes: Dict[AlphaKey, AlphaNode] = {}
+        #: delta routing: class ranged over -> its nodes, so a delta on a
+        #: class no condition mentions costs one probe per ancestor
+        self._by_class: Dict[str, List[AlphaNode]] = {}
         self._mutex = threading.RLock()
         self.stats = {"nodes_created": 0, "nodes_shared": 0,
                       "deltas_processed": 0, "memory_updates": 0}
@@ -93,22 +96,28 @@ class ConditionGraph:
         memory is initialized by scanning the store.  Registration is undone
         if ``txn`` aborts.
         """
-        key = alpha_key(query)
         with self._mutex:
-            node = self._nodes.get(key)
-            if node is None:
-                node = AlphaNode(query)
-                self._nodes[key] = node
-                if memory is not None:
-                    node.memory = set(memory)
-                else:
-                    self._initialize_memory(node)
-                self.stats["nodes_created"] += 1
-            else:
-                self.stats["nodes_shared"] += 1
-            node.refcount += 1
+            node = self._acquire(query, memory)
+            self.stats["nodes_created" if node.refcount == 1
+                       else "nodes_shared"] += 1
         txn.log_undo(CallbackUndo(lambda: self.release_query(query),
-                                  label="condition-graph add %s" % (key[0],)))
+                                  label="condition-graph add %s" % node.class_name))
+        return node
+
+    def _acquire(self, query: Query, memory: Optional[Set[OID]]) -> AlphaNode:
+        key = alpha_key(query)
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = AlphaNode(query)
+            self._by_class.setdefault(node.class_name, []).append(node)
+            if memory is not None:
+                node.memory = set(memory)
+            else:
+                records = self._store.extent(node.class_name,
+                                             node.include_subclasses)
+                node.memory = {record.oid for record in records
+                               if node.test(record.attrs)}
+        node.refcount += 1
         return node
 
     def release_query(self, query: Query) -> None:
@@ -121,24 +130,12 @@ class ConditionGraph:
             node.refcount -= 1
             if node.refcount <= 0:
                 del self._nodes[key]
+                self._by_class[node.class_name].remove(node)
 
     def reacquire_query(self, query: Query) -> None:
         """Re-add a reference (undo of a release during an aborted delete)."""
         with self._mutex:
-            key = alpha_key(query)
-            node = self._nodes.get(key)
-            if node is None:
-                node = AlphaNode(query)
-                self._nodes[key] = node
-                self._initialize_memory(node)
-            node.refcount += 1
-
-    def _initialize_memory(self, node: AlphaNode) -> None:
-        records = self._store.extent(node.class_name, node.include_subclasses)
-        node.memory = {
-            record.oid for record in records
-            if node.predicate.matches(record.attrs, {})
-        }
+            self._acquire(query, None)
 
     def node_for(self, query: Query) -> Optional[AlphaNode]:
         """Return the alpha node for a query, if registered."""
@@ -167,20 +164,12 @@ class ConditionGraph:
             if delta.kind == DROP_CLASS:
                 # An empty extent was dropped: no memory can reference it.
                 return
-            for node in list(self._nodes.values()):
-                if not self._covers(node, delta.class_name):
-                    continue
-                self._adjust(node, txn, delta)
-
-    def _covers(self, node: AlphaNode, class_name: str) -> bool:
-        if node.class_name == class_name:
-            return True
-        if not node.include_subclasses:
-            return False
-        schema = self._store.schema
-        if not schema.has(class_name) or not schema.has(node.class_name):
-            return False
-        return schema.is_subclass(class_name, node.class_name)
+            # A node covers the delta's class when it ranges over that class
+            # or, including subclasses, over one of its ancestors.
+            for name in self._store.schema.lineage(delta.class_name):
+                for node in self._by_class.get(name, ()):
+                    if node.include_subclasses or name == delta.class_name:
+                        self._adjust(node, txn, delta)
 
     def _adjust(self, node: AlphaNode, txn: Transaction, delta: Delta) -> None:
         oid = delta.oid
@@ -190,7 +179,7 @@ class ConditionGraph:
             should_be_in = False
         else:
             attrs = delta.new_attrs or {}
-            should_be_in = node.predicate.matches(attrs, {})
+            should_be_in = node.test(attrs)
         if was_in == should_be_in:
             return
         self.stats["memory_updates"] += 1

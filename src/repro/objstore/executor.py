@@ -11,6 +11,9 @@ Plan selection is deliberately simple and predictable:
    extents ranged over, probe the index and filter the residue.
 2. Otherwise scan the extent(s) and filter.
 
+Filtering binds the predicate's conjuncts once per execution and applies them
+one at a time, each to the survivors of the one before.
+
 The chosen plan is reported in :class:`Plan` so the ablation benchmark can
 verify which path ran.
 """
@@ -47,8 +50,7 @@ class QueryExecutor:
         """Return the plan that :meth:`execute` would use for ``query``."""
         class_names = self._extent_classes(query)
         if self.use_indexes:
-            lookups = equality_lookups(query.predicate)
-            for attr in sorted(lookups):
+            for attr in equality_lookups(query.predicate):
                 if all(
                     self._store.indexes.get(name, attr) is not None
                     for name in class_names
@@ -61,16 +63,12 @@ class QueryExecutor:
         bindings = bindings or {}
         plan = self.plan(query, bindings)
         if plan.kind == "index-probe":
-            candidates = self._probe(query, plan, bindings)
+            records = self._probe(query, plan, bindings)
         else:
-            candidates = self._scan(plan)
-        rows = [
-            self._project(query, record)
-            for record in candidates
-            if query.predicate.matches(record.attrs, bindings)
-        ]
-        rows = self._order_and_limit(query, rows)
-        return QueryResult(query, rows)
+            records = self._scan(plan)
+        for test in query.predicate.bind_conjuncts(bindings):
+            records = [record for record in records if test(record.attrs)]
+        return self.materialize_rows(query, records)
 
     def count(self, query: Query, bindings: Bindings = ()) -> int:
         """Return the number of matching rows (no projection cost)."""
@@ -103,8 +101,7 @@ class QueryExecutor:
         return records
 
     def _probe(self, query: Query, plan: Plan, bindings: Bindings) -> Iterable[ObjectRecord]:
-        lookups = equality_lookups(query.predicate)
-        value_expr = lookups[plan.index_attr]  # type: ignore[index]
+        value_expr = equality_lookups(query.predicate)[plan.index_attr]  # type: ignore[index]
         value = value_expr.evaluate({}, bindings)
         records: List[ObjectRecord] = []
         for name in plan.class_names:
@@ -128,11 +125,15 @@ class QueryExecutor:
 
     def _order_and_limit(self, query: Query, rows: List[Row]) -> List[Row]:
         if query.order_by is not None:
-            rows.sort(
-                key=lambda row: (row.get(query.order_by) is None,
-                                 row.get(query.order_by), row.oid),
-                reverse=query.descending,
-            )
+            try:
+                rows.sort(
+                    key=lambda row: (row.get(query.order_by) is None,
+                                     row.get(query.order_by), row.oid),
+                    reverse=query.descending,
+                )
+            except TypeError as exc:
+                raise QueryError("cannot order by %r: values are not mutually "
+                                 "comparable (%s)" % (query.order_by, exc)) from exc
         else:
             rows.sort(key=lambda row: row.oid)
         if query.limit is not None:

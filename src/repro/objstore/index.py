@@ -12,7 +12,7 @@ that list/dict attribute values can be indexed too.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Set
+from typing import Any, Dict, Iterable, Mapping, Optional, Set
 
 from repro.objstore.objects import OID
 from repro.util.canonical import freeze
@@ -59,7 +59,8 @@ class HashIndex:
 
 
 class IndexSet:
-    """All indexes of one store, keyed by ``(class_name, attr_name)``.
+    """All indexes of one store, grouped per class: ``class_name -> attr_name
+    -> index``, so a write consults only its own class's indexes.
 
     An index on class C covers exactly the objects stored in C's *own*
     extent; queries over a class hierarchy consult the index of each extent
@@ -67,33 +68,27 @@ class IndexSet:
     """
 
     def __init__(self) -> None:
-        self._indexes: Dict[tuple, HashIndex] = {}
+        self._by_class: Dict[str, Dict[str, HashIndex]] = {}
 
     def create(self, class_name: str, attr_name: str) -> HashIndex:
         """Create (or return the existing) index for ``class_name.attr_name``."""
-        key = (class_name, attr_name)
-        index = self._indexes.get(key)
+        indexes = self._by_class.setdefault(class_name, {})
+        index = indexes.get(attr_name)
         if index is None:
-            index = HashIndex(class_name, attr_name)
-            self._indexes[key] = index
+            index = indexes[attr_name] = HashIndex(class_name, attr_name)
         return index
 
     def drop_class(self, class_name: str) -> None:
         """Drop every index belonging to ``class_name``."""
-        for key in [key for key in self._indexes if key[0] == class_name]:
-            del self._indexes[key]
+        self._by_class.pop(class_name, None)
 
     def get(self, class_name: str, attr_name: str) -> Optional[HashIndex]:
         """Return the index for ``class_name.attr_name`` or None."""
-        return self._indexes.get((class_name, attr_name))
+        return self.for_class(class_name).get(attr_name)
 
-    def for_class(self, class_name: str) -> Dict[str, HashIndex]:
+    def for_class(self, class_name: str) -> Mapping[str, HashIndex]:
         """Return ``attr_name -> index`` for all indexes on ``class_name``."""
-        return {
-            key[1]: index
-            for key, index in self._indexes.items()
-            if key[0] == class_name
-        }
+        return self._by_class.get(class_name, {})
 
     def object_created(self, class_name: str, oid: OID, attrs: Dict[str, Any]) -> None:
         """Maintain indexes after an instance was added to ``class_name``."""

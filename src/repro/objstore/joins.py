@@ -29,7 +29,7 @@ from typing import Any, Dict, FrozenSet, List, Tuple
 
 from repro.errors import QueryError
 from repro.objstore.query import Query, Row
-from repro.util.canonical import freeze
+from repro.util.canonical import freeze, once
 
 #: join against the right object's OID instead of one of its attributes
 OID_ATTR = "_oid"
@@ -61,11 +61,13 @@ class JoinQuery:
                 "right projection must retain the join attribute %r"
                 % self.right_attr)
 
+    @once
     def canonical_key(self) -> Tuple:
         """Structural key (memoization within a signal round)."""
         return ("join", self.left.canonical_key(), self.right.canonical_key(),
                 self.left_attr, self.right_attr)
 
+    @once
     def event_args(self) -> FrozenSet[str]:
         """Event-argument names referenced by either side."""
         return self.left.event_args() | self.right.event_args()

@@ -19,6 +19,7 @@ from typing import Any, FrozenSet, List, Mapping, Optional, Tuple
 from repro.errors import QueryError
 from repro.objstore.objects import OID
 from repro.objstore.predicates import TRUE, Predicate
+from repro.util.canonical import once
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,7 @@ class Query:
         if self.limit is not None and self.limit < 0:
             raise QueryError("query limit must be non-negative")
 
+    @once
     def canonical_key(self) -> Tuple:
         """Structural key used for condition-graph sharing."""
         return (

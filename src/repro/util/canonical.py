@@ -8,6 +8,7 @@ equivalents before they enter a predicate key.
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
 
@@ -30,3 +31,25 @@ def freeze(value: Any) -> Any:
 def canonical_value(value: Any) -> str:
     """Return a stable string form of ``value`` for diagnostics and keys."""
     return repr(freeze(value))
+
+
+def once(method):
+    """Memoize a zero-argument method (or a function of one such value) on
+    its immutable instance.
+
+    Predicates and queries are immutable values that are keyed, hashed and
+    compiled many times over a rule's life; what they derive from their own
+    structure is computed on first use and kept in the instance ``__dict__``
+    (which also works on frozen dataclasses).  Two threads racing on the
+    first call both compute the same value; the last store wins.
+    """
+    slot = "_once_" + method.__name__
+
+    @functools.wraps(method)
+    def cached(self):
+        try:
+            return self.__dict__[slot]
+        except KeyError:
+            value = self.__dict__[slot] = method(self)
+            return value
+    return cached

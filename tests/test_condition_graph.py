@@ -3,12 +3,14 @@
 import pytest
 
 from repro import (
+    And,
     Attr,
     ClassDef,
     Compare,
     Condition,
     EventArg,
     HiPAC,
+    Or,
     Query,
     attributes,
 )
@@ -56,6 +58,16 @@ class TestSharing:
         q2 = Query("Stock", Attr("price") > 50)
         add_condition(db, Condition.of(q1))
         add_condition(db, Condition.of(q2))
+        assert evaluator(db).graph.node_count() == 1
+
+    def test_both_spellings_of_a_conjunction_share_one_node(self, db):
+        a, b, c = Attr("price") > 50, Attr("price") < 90, Attr("symbol") != "X"
+        chained, flat = a & b & c, And(a, b, c)
+        assert chained == flat and hash(chained) == hash(flat)
+        assert (a | b | c) == Or(a, b, c)
+        assert And(a, Or(b, c)) != And(a, b, c)     # only same-kind nesting flattens
+        add_condition(db, Condition.of(Query("Stock", chained)))
+        add_condition(db, Condition.of(Query("Stock", flat)))
         assert evaluator(db).graph.node_count() == 1
 
     def test_parameterized_queries_not_materialized(self, db):
@@ -135,6 +147,51 @@ class TestIncrementalMaintenance:
         assert node.memory == {a}
         db.commit(top)
         assert node.memory == {a}
+
+
+class TestDeltaRouting:
+    """Deltas reach a node through its class or, with subclasses included,
+    through an ancestor of the delta's class — and no other node."""
+
+    def test_subclass_deltas_follow_the_include_flag(self, db):
+        own = Query("Stock", Attr("price") > 50, include_subclasses=False)
+        both = Query("Stock", Attr("price") > 50)
+        add_condition(db, Condition.of(own))
+        add_condition(db, Condition.of(both))
+        # defined after the nodes exist: coverage is resolved per delta
+        db.define_class(ClassDef("Preferred", (), superclass="Stock"))
+        db.define_class(ClassDef("Bond", attributes(("price", "number"))))
+        graph = evaluator(db).graph
+        with db.transaction() as txn:
+            stock = db.create("Stock", {"symbol": "S", "price": 90.0}, txn)
+            pref = db.create("Preferred", {"symbol": "P", "price": 90.0}, txn)
+            db.create("Bond", {"price": 90.0}, txn)
+        assert graph.node_for(own).memory == {stock}
+        assert graph.node_for(both).memory == {stock, pref}
+        assert graph.stats["deltas_processed"] == 3
+        assert graph.stats["memory_updates"] == 3
+
+    def test_released_node_no_longer_receives_deltas(self, db):
+        query = Query("Stock", Attr("price") > 50)
+        add_condition(db, Condition.of(query))
+        node = evaluator(db).graph.node_for(query)
+        with db.transaction() as txn:
+            evaluator(db).delete_rule(Condition.of(query), txn)
+        add_condition(db, Condition.of(Query("Stock", Attr("price") > 60)))
+        with db.transaction() as txn:
+            db.create("Stock", {"symbol": "S", "price": 90.0}, txn)
+        assert node.memory == set()
+        assert evaluator(db).graph.stats["memory_updates"] == 1
+
+    def test_aborted_delete_puts_the_node_back_on_its_route(self, db):
+        query = Query("Stock", Attr("price") > 50)
+        add_condition(db, Condition.of(query))
+        txn = db.begin()
+        evaluator(db).delete_rule(Condition.of(query), txn)
+        db.abort(txn)
+        with db.transaction() as txn:
+            oid = db.create("Stock", {"symbol": "S", "price": 90.0}, txn)
+        assert evaluator(db).graph.node_for(query).memory == {oid}
 
 
 class TestGraphEvaluation:

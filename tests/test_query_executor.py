@@ -87,6 +87,14 @@ class TestExecution:
             Query("Stock", order_by="price", descending=True, limit=2))
         assert result.values("price") == [30.0, 20.0]
 
+    def test_order_by_over_incomparable_values_names_the_attribute(self):
+        store = ObjectStore()
+        store.define_class(ClassDef("Mixed", (AttributeDef("v", AttrType.ANY),)))
+        store.insert("Mixed", {"v": 1})
+        store.insert("Mixed", {"v": "a"})
+        with pytest.raises(QueryError, match="'v'"):
+            QueryExecutor(store).execute(Query("Mixed", order_by="v"))
+
     def test_default_order_is_oid(self):
         store, oids = seeded_store()
         result = QueryExecutor(store).execute(Query("Stock"))
