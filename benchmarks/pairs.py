@@ -18,6 +18,15 @@ Pair *i* gives both sides the same seed, cycling through ``--seeds``, whose
 last entry (23) is the held-out seed no change is tuned on.  Every gated
 end-to-end metric of ``BENCHMARK.json`` is reported; ``--metric`` names the
 claimed one, and the exit status is 1 unless that claim holds.
+
+``--counts`` checks the other half of a change's contract instead: one
+``--trace 1`` run per side at seed 11, and every per-layer metric that
+``BENCHMARK.json`` declares with ``"unit": "count"`` (transactions created,
+locks granted, rules triggered ... per stimulus) must be *exactly* equal on
+both sides.  The exit status is 1 on any difference not announced with
+``--moved NAME``.
+
+    python3 benchmarks/pairs.py --counts --workload saa_mem coupling_mix
 """
 
 from __future__ import annotations
@@ -35,11 +44,15 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = [11, 12, 13, 14, 15, 16, 17, 18, 19, 23]
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+COUNTS_SEED = 11
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     """One benchmark run in ``tree``; the result object of its last line."""
     done = subprocess.run(
         [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, check=True, capture_output=True, text=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -87,8 +100,29 @@ def report(workload: str, metrics: List[dict], claimed: str,
     return held
 
 
+def report_counts(workload: str, names: List[str], moved: List[str],
+                  sides: Dict[str, dict]) -> bool:
+    """Print one row per count metric; return whether every difference was
+    announced."""
+    print("%s: exact per-stimulus counts, seed %d" % (workload, COUNTS_SEED))
+    print("  %-28s %-14s %-14s %s" % ("metric", "parent", "change", "verdict"))
+    clean = True
+    for name in names:
+        parent, change = (sides[side]["metrics"][name]["value"]
+                          for side in ("parent", "change"))
+        if parent == change:
+            verdict = "same"
+        elif name in moved:
+            verdict = "moved (announced)"
+        else:
+            verdict, clean = "MOVED", False
+        print("  %-28s %-14.6f %-14.6f %s" % (name, parent, change, verdict))
+    return clean
+
+
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    count_names = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", nargs="+", required=True,
                         choices=[w["name"] for w in spec["workloads"]])
@@ -102,6 +136,12 @@ def main() -> int:
     parser.add_argument("--metric", default="stimuli_per_s",
                         choices=[m["name"] for m in spec["end_to_end"]],
                         help="the end-to-end metric the change claims")
+    parser.add_argument("--counts", action="store_true",
+                        help="compare the exact per-layer counts of one traced"
+                             " run per side instead of running pairs")
+    parser.add_argument("--moved", nargs="*", default=[], metavar="NAME",
+                        choices=count_names,
+                        help="count metrics the change is meant to move")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory(prefix="pairs-parent-") as tmp:
@@ -111,6 +151,11 @@ def main() -> int:
         trees = {"parent": Path(tmp), "change": ROOT}
         held = True
         for workload in args.workload:
+            if args.counts:
+                held &= report_counts(workload, count_names, args.moved, {
+                    side: run_once(tree, workload, COUNTS_SEED, args.seconds,
+                                   trace=1) for side, tree in trees.items()})
+                continue
             runs: Dict[str, List[dict]] = {"parent": [], "change": []}
             for pair in range(args.pairs):
                 seed = args.seeds[pair % len(args.seeds)]

@@ -64,8 +64,8 @@ class ApplicationRegistry:
         Called by rule actions (:class:`~repro.rules.actions.RequestStep`).
         Returns the application's reply (None in mailbox mode)."""
         self._tracer.record(tracing.RULE_MANAGER, tracing.APPLICATION,
-                            "application_request",
-                            "%s.%s" % (application, operation))
+                            "application_request", "%s.%s", application,
+                            operation)
         channel = self.channel(application)
         request = Request(application, operation, dict(args or {}))
         self.stats["requests"] += 1

@@ -118,8 +118,8 @@ class ConditionEvaluator:
         results for the action.
         """
         self._tracer.record(tracing.RULE_MANAGER, tracing.CONDITION_EVALUATOR,
-                            "evaluate_condition",
-                            "%s coupling=%s" % (condition.name or "-", coupling))
+                            "evaluate_condition", "%s coupling=%s",
+                            condition.name or "-", coupling)
         self.stats["evaluations"] += 1
         timed = self._eval_seconds.should_sample()
         start = _time.perf_counter() if timed else 0.0

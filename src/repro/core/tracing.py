@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 # Canonical component names, matching Figure 5.1 of the paper.
 APPLICATION = "Application"
@@ -130,10 +130,20 @@ class Tracer:
         self._seq = 0
         self._lock = threading.Lock()
 
-    def record(self, source: str, target: str, operation: str, detail: str = "") -> None:
-        """Record one call from ``source`` to ``target`` (no-op when disabled)."""
+    def record(self, source: str, target: str, operation: str,
+               detail: Any = "", *args: Any) -> None:
+        """Record one call from ``source`` to ``target`` (no-op when disabled).
+
+        ``detail`` is built only when tracing is on: a ``%``-format string
+        is applied to ``args``; a callable (``op.describe``) is called.
+        Call sites therefore pass the parts, never a finished string, and a
+        disabled tracer costs them one attribute check."""
         if not self.enabled:
             return
+        if args:
+            detail = detail % args
+        elif callable(detail):
+            detail = detail()
         with self._lock:
             if not self.enabled:  # re-check: stop() may have won the race
                 return

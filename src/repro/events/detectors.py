@@ -200,7 +200,7 @@ class EventDetector:
         signal.spec = spec
         self.stats["reported"] += 1
         self._tracer.record(self.component, tracing.RULE_MANAGER,
-                            "signal_event", signal.describe())
+                            "signal_event", signal.describe)
         self.sink(signal)
 
     def report_batch(self, pairs: List[Tuple[EventSpec, EventSignal]]) -> None:
@@ -226,7 +226,7 @@ class EventDetector:
             signal.spec = spec
             self.stats["reported"] += 1
             self._tracer.record(self.component, tracing.RULE_MANAGER,
-                                "signal_event", signal.describe())
+                                "signal_event", signal.describe)
             deliverable.append(signal)
         if not deliverable:
             return

@@ -122,7 +122,7 @@ class ObjectManager:
         if not isinstance(op, Operation):
             raise SchemaError("unknown operation: %r" % (op,))
         self._tracer.record(source, tracing.OBJECT_MANAGER,
-                            "execute_operation", op.describe())
+                            "execute_operation", op.describe)
         txn.require_active()
         self.stats["operations"] += 1
         if self.recorder is not None:
@@ -201,24 +201,35 @@ class ObjectManager:
     def read(self, oid: OID, txn: Transaction, *, user: str = "system",
              source: str = tracing.APPLICATION) -> Dict[str, Any]:
         """Read one instance's attributes (shared-locked snapshot)."""
-        self._tracer.record(source, tracing.OBJECT_MANAGER, "read", str(oid))
         txn.require_active()
         self.stats["reads"] += 1
-        # Application read latency only: the Rule Manager's per-firing
-        # rule-object read (§2.2 "firing requires a read lock") is a dict
-        # probe already accounted inside the firing's condition timing.
+        # Application read latency only: a rule action's read is accounted
+        # inside the action's own timing.
         timed = (source != tracing.RULE_MANAGER
                  and self._read_seconds.should_sample())
         start = _time.perf_counter() if timed else 0.0
-        locks = self.txns.locks
-        locks.acquire(txn, LockResource.for_class(oid.class_name), LockMode.IS)
-        locks.acquire(txn, LockResource.for_object(oid), LockMode.S)
+        self.lock_for_read(oid, txn, source=source)
         snapshot = self.store.get(oid).snapshot()
         self._signal_retrieval("read", oid.class_name, txn, user,
                                oid=oid, attrs=snapshot, source=source)
         if timed:
             self._read_seconds.observe(_time.perf_counter() - start)
         return snapshot
+
+    def lock_for_read(self, oid: OID, txn: Transaction, *,
+                      source: str = tracing.APPLICATION) -> None:
+        """Take the locks of a read of ``oid`` — IS on its class, S on the
+        object — without reading it.
+
+        This is all the Rule Manager needs of a rule object when it fires
+        the rule ("firing requires a read lock", §2.2); it asks on the
+        transaction the firing nests under, which may be committing (§6.3),
+        so only a finished transaction is refused (by the lock manager).
+        """
+        self._tracer.record(source, tracing.OBJECT_MANAGER, "read", "%s", oid)
+        locks = self.txns.locks
+        locks.acquire(txn, LockResource.for_class(oid.class_name), LockMode.IS)
+        locks.acquire(txn, LockResource.for_object(oid), LockMode.S)
 
     def execute_query(self, query: Query, txn: Transaction,
                       bindings: Bindings = (), *, user: str = "system",
@@ -254,8 +265,8 @@ class ObjectManager:
         locking apply per side); the pairs are produced by a hash join.
         """
         self._tracer.record(source, tracing.OBJECT_MANAGER, "execute_join",
-                            "%s x %s" % (join.left.class_name,
-                                         join.right.class_name))
+                            "%s x %s", join.left.class_name,
+                            join.right.class_name)
         left = self.execute_query(join.left, txn, bindings, source=source)
         right = self.execute_query(join.right, txn, bindings, source=source)
         return hash_join(join, left.rows, right.rows)

@@ -429,7 +429,9 @@ class _Connective(Predicate):
 
     @once
     def canonical_key(self) -> Tuple:
-        keys = sorted(part.canonical_key() for part in self.parts)
+        # Sorted by repr: a total order, where the keys themselves are not
+        # one (``x == 5`` against ``x == "a"`` compares an int with a str).
+        keys = sorted((part.canonical_key() for part in self.parts), key=repr)
         return (type(self).__name__.lower(), tuple(keys))
 
     def attributes(self) -> FrozenSet[str]:

@@ -316,7 +316,7 @@ class RuleCatalog:
         if detector is None:
             raise RuleError("no detector available for event %r" % spec)
         self._tracer.record(tracing.RULE_MANAGER, tracing.EVENT_DETECTOR,
-                            "define_event", repr(spec))
+                            "define_event", "%r", spec)
         detector.define_event(spec)
         for member in _constituents(spec):
             self._define_event(member)
@@ -326,7 +326,7 @@ class RuleCatalog:
         if detector is None:
             return
         self._tracer.record(tracing.RULE_MANAGER, tracing.EVENT_DETECTOR,
-                            "delete_event", repr(spec))
+                            "delete_event", "%r", spec)
         detector.delete_event(spec)
         for member in _constituents(spec):
             self._delete_event(member)

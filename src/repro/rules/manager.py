@@ -279,14 +279,13 @@ class RuleManager:
             self._depth.value = depth
 
     def transaction_event(self, kind: str, txn: Transaction) -> None:
-        """Transaction-control event hook (wired as the Transaction
-        Manager's event sink).
+        """Transaction-control event hook (the Transaction Manager's event
+        sink; it calls for every transaction that is not internal, and for
+        an internal one that commits with deferred firings queued).
 
-        For ``commit``, first processes the transaction's deferred rule
-        firings (paper §6.3) and then reports the commit event; begin/abort
-        events are simply reported.  Abort events are reported detached
-        (rules triggered by an abort cannot run inside the aborted
-        transaction)."""
+        For ``commit``, first processes the deferred firings (§6.3), then
+        reports the event; begin/abort are simply reported, aborts detached
+        (their rules cannot run inside the aborted transaction)."""
         if kind == "commit":
             self._process_deferred(txn)
         if not txn.internal:
@@ -462,8 +461,10 @@ class RuleManager:
                                            coupling=coupling, txn=ctxn.txn_id)
         try:
             if rule.oid is not None:
-                # "Firing requires a read lock" (§2.2).
-                self._om.read(rule.oid, ctxn, source=tracing.RULE_MANAGER)
+                # "Firing requires a read lock" (§2.2) — on the transaction
+                # the firing nests under, so the condition's own stays empty.
+                self._om.lock_for_read(rule.oid, ctxn if separate else parent,
+                                       source=tracing.RULE_MANAGER)
             self.stats["conditions_evaluated"] += 1
             outcome = self._evaluator.evaluate(
                 rule.condition, signal, ctxn, coupling=coupling, memo=memo)

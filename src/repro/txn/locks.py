@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import threading
 import time as _time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, NamedTuple, Optional, Set,
+                    Tuple)
 
 from repro.errors import DeadlockError, LockTimeout, TransactionStateError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.watchdog import Watchdog
+from repro.util.tally import Tally
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.txn.transaction import Transaction
@@ -50,53 +51,37 @@ class LockMode:
     ALL = (IS, IX, S, SIX, X)
 
 
-# Standard multigranularity compatibility matrix.
-_COMPATIBLE: Dict[Tuple[str, str], bool] = {}
+# Standard multigranularity compatibility matrix: requested mode (row)
+# against held mode (column, in LockMode.ALL order).
+_COMPATIBLE: Dict[Tuple[str, str], bool] = {
+    (requested, held): ok
+    for requested, row in {
+        LockMode.IS: (True, True, True, True, False),
+        LockMode.IX: (True, True, False, False, False),
+        LockMode.S: (True, False, True, False, False),
+        LockMode.SIX: (True, False, False, False, False),
+        LockMode.X: (False, False, False, False, False),
+    }.items()
+    for held, ok in zip(LockMode.ALL, row)
+}
 
+# Least upper bound of two modes in the lattice IS < {IX, S} < SIX < X (the
+# mode a holder ends up with after an upgrade or after inheriting a child's
+# lock on the same resource); columns in LockMode.ALL order.
+_SUPREMUM: Dict[Tuple[str, str], str] = {
+    (a, b): join
+    for a, row in {
+        LockMode.IS: ("IS", "IX", "S", "SIX", "X"),
+        LockMode.IX: ("IX", "IX", "SIX", "SIX", "X"),
+        LockMode.S: ("S", "SIX", "S", "SIX", "X"),
+        LockMode.SIX: ("SIX", "SIX", "SIX", "SIX", "X"),
+        LockMode.X: ("X", "X", "X", "X", "X"),
+    }.items()
+    for b, join in zip(LockMode.ALL, row)
+}
 
-def _fill_matrix() -> None:
-    rows = {
-        LockMode.IS: {LockMode.IS: True, LockMode.IX: True, LockMode.S: True,
-                      LockMode.SIX: True, LockMode.X: False},
-        LockMode.IX: {LockMode.IS: True, LockMode.IX: True, LockMode.S: False,
-                      LockMode.SIX: False, LockMode.X: False},
-        LockMode.S: {LockMode.IS: True, LockMode.IX: False, LockMode.S: True,
-                     LockMode.SIX: False, LockMode.X: False},
-        LockMode.SIX: {LockMode.IS: True, LockMode.IX: False, LockMode.S: False,
-                       LockMode.SIX: False, LockMode.X: False},
-        LockMode.X: {LockMode.IS: False, LockMode.IX: False, LockMode.S: False,
-                     LockMode.SIX: False, LockMode.X: False},
-    }
-    for left, row in rows.items():
-        for right, ok in row.items():
-            _COMPATIBLE[(left, right)] = ok
-
-
-_fill_matrix()
-
-# Least-upper-bound of two modes (the mode a holder ends up with after an
-# upgrade or after inheriting a child's lock on the same resource).
-_SUPREMUM: Dict[Tuple[str, str], str] = {}
-
-
-def _fill_supremum() -> None:
-    order = {LockMode.IS: 0, LockMode.IX: 1, LockMode.S: 1, LockMode.SIX: 2,
-             LockMode.X: 3}
-    for a in LockMode.ALL:
-        for b in LockMode.ALL:
-            if a == b:
-                _SUPREMUM[(a, b)] = a
-            elif {a, b} == {LockMode.IX, LockMode.S}:
-                _SUPREMUM[(a, b)] = LockMode.SIX
-            elif order[a] > order[b]:
-                _SUPREMUM[(a, b)] = a if order[a] != order[b] else LockMode.SIX
-            elif order[a] < order[b]:
-                _SUPREMUM[(a, b)] = b
-            else:  # equal rank, different modes other than IX/S cannot occur
-                _SUPREMUM[(a, b)] = LockMode.SIX
-
-
-_fill_supremum()
+# (held, requested) pairs where the holding already covers the request.
+_COVERS = frozenset(pair for pair, join in _SUPREMUM.items() if join == pair[0])
 
 
 def compatible(requested: str, held: str) -> bool:
@@ -109,13 +94,13 @@ def supremum(a: str, b: str) -> str:
     return _SUPREMUM[(a, b)]
 
 
-@dataclass(frozen=True, order=True)
-class LockResource:
+class LockResource(NamedTuple):
     """A lockable resource: a class extent or an individual object.
 
     ``kind`` is ``"class"`` or ``"object"``; ``name`` is the class name;
     ``number`` is the OID number for object resources (0 for class
-    resources).
+    resources).  A tuple, because one is built, hashed and compared on
+    every lock request.
     """
 
     kind: str
@@ -138,48 +123,40 @@ class LockResource:
         return "object:%s#%d" % (self.name, self.number)
 
 
-class _LockEntry:
-    """Holders of one resource: transaction -> strongest held mode."""
-
-    __slots__ = ("holders",)
-
-    def __init__(self) -> None:
-        self.holders: Dict["Transaction", str] = {}
-
-
 class LockManager:
-    """The system-wide lock table.
+    """The system-wide lock table: resource -> holding transaction -> mode.
 
-    All state is protected by a single condition variable; waiters re-check
-    on every release.  This keeps the implementation obviously correct;
-    contention on the internal mutex is negligible compared to condition
-    evaluation work.
+    The table is protected by one plain mutex.  A request its requester's
+    own holding already covers is answered from ``txn.held_locks`` without
+    it; an uncontended request is granted under one entry of it; only a
+    request that must block reads the clock, records who it waits for and
+    sleeps on the condition variable, and releases notify only when such a
+    waiter exists.
     """
 
     def __init__(self, default_timeout: float = 10.0,
                  metrics: Optional[MetricsRegistry] = None,
                  watchdog: Optional[Watchdog] = None) -> None:
-        self._cond = threading.Condition()
-        self._table: Dict[LockResource, _LockEntry] = {}
-        #: transactions currently blocked -> the set of transactions they wait on
-        self._waits_for: Dict["Transaction", FrozenSet["Transaction"]] = {}
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
+        self._table: Dict[LockResource, Dict["Transaction", str]] = {}
+        #: blocked requests, by waiting thread: (requester, transactions it
+        #: waits on).  By thread, not by transaction: concurrent condition
+        #: evaluations take their rule locks for the one host transaction.
+        self._waits_for: Dict[int, Tuple["Transaction",
+                                         Tuple["Transaction", ...]]] = {}
         self.default_timeout = default_timeout
-        #: statistics for benchmarks
-        self.stats = {"acquired": 0, "waited": 0, "deadlocks": 0, "timeouts": 0}
+        #: statistics for benchmarks; ``acquired`` counts every request
+        #: granted, re-grants of a lock already held included
+        self.stats = Tally("acquired", "waited", "deadlocks", "timeouts")
+        self._acquired, self._waited, self._deadlocks, self._timeouts = map(
+            self.stats.counter, self.stats)
         self._metrics = metrics or MetricsRegistry(enabled=False)
         self._watchdog = (watchdog if watchdog is not None
                           else Watchdog(enabled=False))
         #: blocked-time histogram: observed only when a request actually
-        #: waited (grant, timeout, or deadlock) — the uncontended fast path
-        #: never reads the clock for it
+        #: waited (grant, timeout, or deadlock)
         self._wait_seconds = self._metrics.histogram("lock_wait_seconds")
-
-    def _record_wait(self, started: float) -> None:
-        """One lock request finished waiting (grant, timeout, or deadlock):
-        record the blocked time, and feed the watchdog's wait-spike window."""
-        waited = _time.monotonic() - started
-        self._wait_seconds.observe(waited)
-        self._watchdog.note_lock_wait(waited)
 
     # ----------------------------------------------------------- acquire
 
@@ -192,108 +169,121 @@ class LockManager:
         :class:`DeadlockError` if waiting would close a waits-for cycle, and
         :class:`LockTimeout` if the wait exceeds ``timeout``.
         """
+        self._require_unfinished(txn)
+        if (txn.held_locks.get(resource), mode) in _COVERS:
+            # Only the requester's *own* holding short-cuts.  A lock an
+            # ancestor holds must still be registered for the child: sibling
+            # subtransactions conflict through exactly those entries.
+            self._acquired()
+            return
+        with self._mutex:
+            holders = self._table.get(resource)
+            if holders:
+                blockers = self._conflicting_holders(txn, holders, mode)
+                if blockers:
+                    holders = self._wait(txn, resource, mode, blockers, timeout)
+            self._grant(txn, resource, holders, mode)
+
+    def try_acquire(self, txn: "Transaction", resource: LockResource, mode: str) -> bool:
+        """Non-blocking acquire; returns False instead of waiting."""
+        # A finished transaction's release_all already ran, so any lock
+        # granted to it would leak forever.
+        self._require_unfinished(txn)
+        with self._mutex:
+            holders = self._table.get(resource)
+            if holders and self._conflicting_holders(txn, holders, mode):
+                return False
+            self._grant(txn, resource, holders, mode)
+            return True
+
+    @staticmethod
+    def _require_unfinished(txn: "Transaction") -> None:
         if txn.is_finished():
             raise TransactionStateError(
                 "transaction %s is %s; cannot lock" % (txn.txn_id, txn.state)
             )
-        wait_budget = self.default_timeout if timeout is None else timeout
-        deadline = _time.monotonic() + wait_budget
-        with self._cond:
-            entry = self._table.get(resource)
-            if entry is None:
-                entry = _LockEntry()
-                self._table[resource] = entry
-            waited = False
+
+    def _grant(self, txn: "Transaction", resource: LockResource,
+               holders: Optional[Dict["Transaction", str]], mode: str) -> None:
+        """Enter the granted request in the table (mutex held)."""
+        if holders is None:
+            holders = self._table[resource] = {}
+        current = holders.get(txn)
+        if current is not None:
+            mode = _SUPREMUM[(current, mode)]
+        holders[txn] = mode
+        txn.held_locks[resource] = mode
+        self._acquired()
+
+    @staticmethod
+    def _conflicting_holders(txn: "Transaction",
+                             holders: Dict["Transaction", str],
+                             mode: str) -> Tuple["Transaction", ...]:
+        """The holders ``txn``'s request must wait for — none, uncontended,
+        and then nothing is allocated.  Moss: a conflicting lock held by an
+        ancestor does not block."""
+        blockers: Tuple["Transaction", ...] = ()
+        for holder, held_mode in holders.items():
+            if not (holder is txn or _COMPATIBLE[(mode, held_mode)]
+                    or txn.is_descendant_of(holder)):
+                blockers += (holder,)
+        return blockers
+
+    def _wait(self, txn: "Transaction", resource: LockResource, mode: str,
+              blockers: Tuple["Transaction", ...], timeout: Optional[float]
+              ) -> Optional[Dict["Transaction", str]]:
+        """Block until no holder of ``resource`` conflicts (mutex held);
+        returns the resource's holders as the table then has them."""
+        started = _time.monotonic()
+        deadline = started + (self.default_timeout if timeout is None
+                              else timeout)
+        me = threading.get_ident()
+        slept = False
+        try:
             while True:
                 if txn.aborted_flag:
                     raise DeadlockError(
                         "transaction %s aborted while waiting for %s"
                         % (txn.txn_id, resource)
                     )
-                blockers = self._conflicting_holders(txn, entry, mode)
-                if not blockers:
-                    break
                 # Would waiting close a cycle?
-                self._waits_for[txn] = frozenset(blockers)
+                self._waits_for[me] = (txn, blockers)
                 if self._closes_cycle(txn, blockers):
-                    del self._waits_for[txn]
-                    self.stats["deadlocks"] += 1
-                    if waited:
-                        self._record_wait(deadline - wait_budget)
+                    self._deadlocks()
                     raise DeadlockError(
                         "deadlock: %s waiting for %s held by %s"
                         % (txn.txn_id, resource,
                            sorted(b.txn_id for b in blockers))
                     )
-                waited = True
-                self.stats["waited"] += 1
+                slept = True
+                self._waited()
                 remaining = deadline - _time.monotonic()
                 signalled = remaining > 0 and self._cond.wait(timeout=remaining)
-                self._waits_for.pop(txn, None)
                 # The last holder's release_all may have dropped the table
-                # entry while we slept; re-resolve so the eventual grant
-                # lands in the live table, not a discarded entry object.
-                entry = self._table.get(resource)
-                if entry is None:
-                    entry = _LockEntry()
-                    self._table[resource] = entry
+                # entry while we slept: re-resolve, so the grant lands in
+                # the live table.  And when the deadline passed, the
+                # conflicting holder may still have released while we were
+                # being scheduled: the re-check avoids a spurious timeout
+                # on a now-free lock.
+                holders = self._table.get(resource)
+                blockers = (self._conflicting_holders(txn, holders, mode)
+                            if holders else ())
+                if not blockers:
+                    return holders
                 if not signalled:
-                    # The deadline passed, but the conflicting holder may
-                    # have released while we were being scheduled: a final
-                    # re-check avoids a spurious timeout on a now-free lock.
-                    if not self._conflicting_holders(txn, entry, mode):
-                        break
-                    self.stats["timeouts"] += 1
-                    self._record_wait(deadline - wait_budget)
+                    self._timeouts()
                     raise LockTimeout(
                         "transaction %s timed out waiting for %s on %s"
                         % (txn.txn_id, mode, resource)
                     )
-            self._waits_for.pop(txn, None)
-            current = entry.holders.get(txn)
-            new_mode = mode if current is None else supremum(current, mode)
-            entry.holders[txn] = new_mode
-            txn.held_locks[resource] = new_mode
-            self.stats["acquired"] += 1
-            if waited:
-                self._record_wait(deadline - wait_budget)
-                # Others may have been enabled by table changes along the way.
-                self._cond.notify_all()
-
-    def try_acquire(self, txn: "Transaction", resource: LockResource, mode: str) -> bool:
-        """Non-blocking acquire; returns False instead of waiting."""
-        if txn.is_finished():
-            # Same guard as acquire: a finished transaction's release_all
-            # already ran, so any lock granted here would leak forever.
-            raise TransactionStateError(
-                "transaction %s is %s; cannot lock" % (txn.txn_id, txn.state)
-            )
-        with self._cond:
-            entry = self._table.get(resource)
-            if entry is None:
-                entry = _LockEntry()
-                self._table[resource] = entry
-            if self._conflicting_holders(txn, entry, mode):
-                return False
-            current = entry.holders.get(txn)
-            entry.holders[txn] = mode if current is None else supremum(current, mode)
-            txn.held_locks[resource] = entry.holders[txn]
-            self.stats["acquired"] += 1
-            return True
-
-    def _conflicting_holders(self, txn: "Transaction", entry: _LockEntry,
-                             mode: str) -> List["Transaction"]:
-        blockers = []
-        for holder, held_mode in entry.holders.items():
-            if holder is txn:
-                continue
-            if compatible(mode, held_mode):
-                continue
-            if txn.is_descendant_of(holder):
-                # Moss: a conflicting lock held by an ancestor does not block.
-                continue
-            blockers.append(holder)
-        return blockers
+        finally:
+            self._waits_for.pop(me, None)
+            if slept:
+                # Grant, timeout, or deadlock: record the blocked time, and
+                # feed the watchdog's wait-spike window.
+                blocked = _time.monotonic() - started
+                self._wait_seconds.observe(blocked)
+                self._watchdog.note_lock_wait(blocked)
 
     def _closes_cycle(self, requester: "Transaction",
                       blockers: Iterable["Transaction"]) -> bool:
@@ -320,8 +310,8 @@ class LockManager:
             # blocker's own waits (and its active descendants' waits) keep
             # the resource pinned.  We follow waits of the node and of all
             # transactions in its sphere that are themselves blocked.
-            for waiter, waitees in self._waits_for.items():
-                if waiter is node or waiter.is_descendant_of(node):
+            for waiter, waitees in self._waits_for.values():
+                if waiter.is_descendant_of(node):
                     stack.extend(waitees)
         return False
 
@@ -329,15 +319,20 @@ class LockManager:
 
     def release_all(self, txn: "Transaction") -> None:
         """Release every lock held by ``txn`` (top-level commit, or abort)."""
-        with self._cond:
-            for resource in list(txn.held_locks):
-                entry = self._table.get(resource)
-                if entry is not None:
-                    entry.holders.pop(txn, None)
-                    if not entry.holders:
-                        del self._table[resource]
-            txn.held_locks.clear()
-            self._cond.notify_all()
+        held = txn.held_locks
+        if not held:
+            return
+        with self._mutex:
+            table = self._table
+            for resource in held:
+                holders = table.get(resource)
+                if holders is not None:
+                    holders.pop(txn, None)
+                    if not holders:
+                        del table[resource]
+            held.clear()
+            if self._waits_for:
+                self._cond.notify_all()
 
     def inherit_to_parent(self, child: "Transaction") -> None:
         """Transfer all of ``child``'s locks to its parent (subtxn commit)."""
@@ -346,43 +341,45 @@ class LockManager:
             raise TransactionStateError(
                 "transaction %s has no parent to inherit locks" % child.txn_id
             )
-        with self._cond:
-            for resource, mode in list(child.held_locks.items()):
-                entry = self._table.get(resource)
-                if entry is None:
+        with self._mutex:
+            parent_held = parent.held_locks
+            for resource, mode in child.held_locks.items():
+                holders = self._table.get(resource)
+                if holders is None:
                     continue
-                entry.holders.pop(child, None)
-                existing = entry.holders.get(parent)
-                merged = mode if existing is None else supremum(existing, mode)
-                entry.holders[parent] = merged
-                parent.held_locks[resource] = merged
+                holders.pop(child, None)
+                existing = holders.get(parent)
+                if existing is not None:
+                    mode = _SUPREMUM[(existing, mode)]
+                holders[parent] = mode
+                parent_held[resource] = mode
             child.held_locks.clear()
-            self._cond.notify_all()
+            # A waiter below the parent stops conflicting with these locks.
+            if self._waits_for:
+                self._cond.notify_all()
 
     def wake_aborted(self, txn: "Transaction") -> None:
-        """Wake a transaction that was flagged aborted while it may be waiting."""
-        with self._cond:
-            self._cond.notify_all()
+        """Wake a transaction that was flagged aborted while it may be
+        waiting.  Under the mutex: a requester either has not yet checked
+        the flag or is already registered as a waiter."""
+        with self._mutex:
+            if self._waits_for:
+                self._cond.notify_all()
 
     # ------------------------------------------------------------- introspection
 
     def holders(self, resource: LockResource) -> Dict[str, str]:
         """Return ``txn_id -> mode`` for the current holders of ``resource``."""
-        with self._cond:
-            entry = self._table.get(resource)
-            if entry is None:
-                return {}
-            return {holder.txn_id: mode for holder, mode in entry.holders.items()}
+        with self._mutex:
+            return {holder.txn_id: mode for holder, mode
+                    in self._table.get(resource, {}).items()}
 
     def mode_held(self, txn: "Transaction", resource: LockResource) -> Optional[str]:
         """Return the mode ``txn`` holds on ``resource`` (None if none)."""
-        with self._cond:
-            entry = self._table.get(resource)
-            if entry is None:
-                return None
-            return entry.holders.get(txn)
+        with self._mutex:
+            return self._table.get(resource, {}).get(txn)
 
     def resource_count(self) -> int:
         """Number of resources with at least one holder (for leak tests)."""
-        with self._cond:
+        with self._mutex:
             return len(self._table)

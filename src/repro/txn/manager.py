@@ -17,7 +17,6 @@ benchmarks.
 
 from __future__ import annotations
 
-import threading
 import time as _time
 from typing import Any, Callable, Dict, List, Optional
 
@@ -34,6 +33,7 @@ from repro.txn.transaction import (
 )
 from repro.txn.undo import replay_reverse
 from repro.util.ids import IdGenerator
+from repro.util.tally import Tally
 
 TransactionEventSink = Callable[[str, Transaction], None]
 """Hook to the Rule Manager: ``sink(kind, txn)`` with kind in
@@ -75,10 +75,14 @@ class TransactionManager:
         #: causal provenance store; None unless the facade enables it.
         #: Published on top-level commit, pruned on abort.
         self.provenance: Optional[Any] = None
-        self._mutex = threading.Lock()
+        #: created but not yet terminated, by id.  Entered and removed with
+        #: single dict operations and counted on a :class:`Tally`, so the
+        #: live set and the counts stay exact under threads with no mutex.
         self._live: Dict[str, Transaction] = {}
-        self.stats = {"created": 0, "committed": 0, "aborted": 0,
-                      "top_level_committed": 0}
+        self.stats = Tally("created", "committed", "aborted",
+                           "top_level_committed")
+        (self._created, self._committed, self._aborted,
+         self._top_level_committed) = map(self.stats.counter, self.stats)
 
     # ------------------------------------------------------------- create
 
@@ -92,14 +96,17 @@ class TransactionManager:
         Manager creates transactions for rule firings, applications create
         their own).
         """
-        self._tracer.record(source, tracing.TRANSACTION_MANAGER,
-                            "create_transaction",
-                            "nested under %s" % parent.txn_id if parent else "top level")
+        if parent is None:
+            self._tracer.record(source, tracing.TRANSACTION_MANAGER,
+                                "create_transaction", "top level")
+        else:
+            self._tracer.record(source, tracing.TRANSACTION_MANAGER,
+                                "create_transaction", "nested under %s",
+                                parent.txn_id)
         txn = Transaction(self._ids.next_id(), parent, deadline=deadline,
                           priority=priority, label=label, internal=internal)
-        with self._mutex:
-            self._live[txn.txn_id] = txn
-            self.stats["created"] += 1
+        self._live[txn.txn_id] = txn
+        self._created()
         if self.recorder is not None and not internal:
             self.recorder.record_txn_begin(txn)
         if self.wal is not None:
@@ -110,7 +117,7 @@ class TransactionManager:
                 # retire it so it is not stranded in the live set.
                 self.abort_transaction(txn, source=tracing.TRANSACTION_MANAGER)
                 raise
-        if self.event_sink is not None and self.signal_transaction_events:
+        if not internal:
             self._signal("begin", txn)
         return txn
 
@@ -135,7 +142,8 @@ class TransactionManager:
         """
         self._tracer.record(source, tracing.TRANSACTION_MANAGER,
                             "commit_transaction", txn.txn_id)
-        timed = txn.parent is None and self._commit_seconds.should_sample()
+        parent = txn.parent
+        timed = parent is None and self._commit_seconds.should_sample()
         start = _time.perf_counter() if timed else 0.0
         txn.require_active()
         active_children = txn.active_children()
@@ -153,7 +161,7 @@ class TransactionManager:
             # this sphere use it as their replay address.
             txn.flight_seq = self.recorder.record_txn_commit(txn)
         try:
-            if self.event_sink is not None and self.signal_transaction_events:
+            if not txn.internal or txn.has_deferred_work():
                 self._signal("commit", txn)
         except BaseException:
             # Deferred rule work failed: the transaction cannot commit.
@@ -171,30 +179,34 @@ class TransactionManager:
             # transaction (§6.3), so its deltas precede this record.
             if self.wal is not None:
                 self.wal.log_commit(txn)
-            if txn.parent is not None:
-                self.locks.inherit_to_parent(txn)
-                txn.parent.adopt_child_log(txn)
+            if parent is not None:
+                # Hand up what exists; a subtransaction that holds nothing
+                # never enters the lock table's mutex.
+                if txn.held_locks:
+                    self.locks.inherit_to_parent(txn)
+                if txn.undo_log:
+                    parent.adopt_child_log(txn)
                 # Permanence of nested effects awaits the ancestors: hand
                 # hooks up.
-                txn.parent.on_commit.extend(txn.on_commit)
-                txn.parent.on_abort.extend(txn.on_abort)
-                txn.on_commit = []
-                txn.on_abort = []
+                if txn.on_commit:
+                    parent.on_commit.extend(txn.on_commit)
+                    txn.on_commit = []
+                if txn.on_abort:
+                    parent.on_abort.extend(txn.on_abort)
+                    txn.on_abort = []
                 txn.state = COMMITTED
             else:
                 txn.state = COMMITTED
                 txn.undo_log = []
                 self.locks.release_all(txn)
-                with self._mutex:
-                    self.stats["top_level_committed"] += 1
+                self._top_level_committed()
         except BaseException:
             txn.state = ACTIVE
             self.abort_transaction(txn, source=tracing.TRANSACTION_MANAGER)
             raise
-        with self._mutex:
-            self.stats["committed"] += 1
-            self._live.pop(txn.txn_id, None)
-        if txn.parent is None:
+        self._committed()
+        self._live.pop(txn.txn_id, None)
+        if parent is None:
             # The sphere is durable and visible: publish its buffered
             # provenance before hooks (a hook's why() sees this commit).
             if self.provenance is not None:
@@ -250,27 +262,33 @@ class TransactionManager:
         txn.deferred_conditions = []
         txn.deferred_actions = []
         self.locks.release_all(txn)
-        with self._mutex:
-            self.stats["aborted"] += 1
-            self._live.pop(txn.txn_id, None)
+        self._aborted()
+        self._live.pop(txn.txn_id, None)
         for hook in txn.on_abort:
             hook(txn)
         txn.on_abort = []
         txn.on_commit = []
         if self._metrics.enabled:
             self._abort_seconds.observe(_time.perf_counter() - start)
-        if self.event_sink is not None and self.signal_transaction_events:
+        if not txn.internal:
             self._signal("abort", txn)
 
     # ---------------------------------------------------------------- misc
 
     def _signal(self, kind: str, txn: Transaction) -> None:
+        """Report a transaction-control event to the Rule Manager.
+
+        Callers make the round trip only for a transaction the Rule Manager
+        does anything with: one that is not internal (its begin, commit and
+        abort are user-visible events) or that commits carrying deferred
+        firings (§6.3)."""
+        if self.event_sink is None or not self.signal_transaction_events:
+            return
         self._tracer.record(tracing.TRANSACTION_MANAGER, tracing.RULE_MANAGER,
-                            "signal_event", "transaction %s %s" % (kind, txn.txn_id))
-        assert self.event_sink is not None
+                            "signal_event", "transaction %s %s", kind,
+                            txn.txn_id)
         self.event_sink(kind, txn)
 
     def live_transactions(self) -> List[Transaction]:
         """Transactions created but not yet terminated (diagnostics)."""
-        with self._mutex:
-            return list(self._live.values())
+        return list(self._live.copy().values())

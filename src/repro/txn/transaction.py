@@ -21,7 +21,6 @@ transaction:
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.errors import TransactionStateError
@@ -42,6 +41,23 @@ class Transaction:
     :class:`~repro.core.hipac.HiPAC` facade.
     """
 
+    #: flight-recorder coalescing buffer for a journalled top-level sphere
+    #: (set by the recorder at begin, detached at its commit/abort intent).
+    #: Lives on the transaction because the sphere is thread-confined:
+    #: entries append without any lock.
+    flight_tail: Optional[Dict[str, Any]] = None
+    #: provenance coalescing buffer, same thread-confinement argument as
+    #: ``flight_tail``: entries buffered here until top-level commit
+    #: publishes them (abort prunes)
+    prov_tail: Optional[List[Any]] = None
+    #: journal seq of this sphere's coalesced flight record (set at commit
+    #: when the recorder is on; provenance entries without a stimulus seq
+    #: inherit it as their replay address)
+    flight_seq: Optional[int] = None
+    #: set True when the system decides to abort this transaction from
+    #: another thread (deadlock victim wake-up, dependency discard)
+    aborted_flag = False
+
     def __init__(self, txn_id: str, parent: Optional["Transaction"] = None,
                  *, deadline: Optional[float] = None,
                  priority: int = 0, label: str = "",
@@ -53,6 +69,9 @@ class Transaction:
         #: transaction-control events (their commits would otherwise
         #: re-trigger rules defined on the commit event, recursively)
         self.internal = internal
+        #: subtransactions, in creation order.  Appended to by whichever
+        #: thread creates a child: ``list.append`` is atomic, and iterating
+        #: a list tolerates a concurrent append, so no mutex guards it.
         self.children: List["Transaction"] = []
         self.state = ACTIVE
         self.depth = 0 if parent is None else parent.depth + 1
@@ -72,27 +91,10 @@ class Transaction:
         #: deferred rule firings: list of (rule, signal, results) whose
         #: *action* execution was deferred to this transaction's commit
         self.deferred_actions: List[Any] = []
-        #: flight-recorder coalescing buffer for a journalled top-level
-        #: sphere (set by the recorder at begin, detached at its
-        #: commit/abort intent).  Lives on the transaction because the
-        #: sphere is thread-confined: entries append without any lock.
-        self.flight_tail: Optional[Dict[str, Any]] = None
-        #: provenance coalescing buffer, same thread-confinement argument
-        #: as ``flight_tail``: entries buffered here until top-level
-        #: commit publishes them (abort prunes)
-        self.prov_tail: Optional[List[Any]] = None
-        #: journal seq of this sphere's coalesced flight record (set at
-        #: commit when the recorder is on; provenance entries without a
-        #: stimulus seq inherit it as their replay address)
-        self.flight_seq: Optional[int] = None
         #: callbacks to run after a successful (top-level-effective) commit
         self.on_commit: List[Callable[["Transaction"], None]] = []
         #: callbacks to run after abort
         self.on_abort: List[Callable[["Transaction"], None]] = []
-        #: set True when the system decides to abort this transaction from
-        #: another thread (deadlock victim wake-up, dependency discard)
-        self.aborted_flag = False
-        self._mutex = threading.Lock()
 
         if parent is not None:
             if parent.is_finished():
@@ -100,8 +102,7 @@ class Transaction:
                     "cannot nest under %s transaction %s"
                     % (parent.state, parent.txn_id)
                 )
-            with parent._mutex:
-                parent.children.append(self)
+            parent.children.append(self)
 
     # ----------------------------------------------------------- structure
 
@@ -125,26 +126,25 @@ class Transaction:
 
     def is_descendant_of(self, other: "Transaction") -> bool:
         """True if ``other`` is this transaction or one of its ancestors."""
-        return any(node is other for node in self.ancestors(include_self=True))
+        node: Optional["Transaction"] = self
+        while node is not None:
+            if node is other:
+                return True
+            node = node.parent
+        return False
 
     def active_children(self) -> List["Transaction"]:
         """Return children still in the ACTIVE or COMMITTING state."""
-        with self._mutex:
-            return [child for child in self.children if not child.is_finished()]
+        return [child for child in self.children if not child.is_finished()]
 
     def tree_size(self) -> int:
         """Number of transactions in this subtree (self included)."""
-        with self._mutex:
-            children = list(self.children)
-        return 1 + sum(child.tree_size() for child in children)
+        return 1 + sum(child.tree_size() for child in self.children)
 
     def tree_depth(self) -> int:
         """Height of this transaction subtree (a leaf has depth 1)."""
-        with self._mutex:
-            children = list(self.children)
-        if not children:
-            return 1
-        return 1 + max(child.tree_depth() for child in children)
+        return 1 + max((child.tree_depth() for child in self.children),
+                       default=0)
 
     # ----------------------------------------------------------- state
 

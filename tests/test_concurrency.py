@@ -1,6 +1,7 @@
 """Concurrency tests: serializability of concurrent application
 transactions and separate-coupling rule firings under strict 2PL."""
 
+import sys
 import threading
 
 import pytest
@@ -18,6 +19,7 @@ from repro import (
     TransactionAborted,
     on_update,
 )
+from repro.txn.locks import LockMode, LockResource
 
 
 @pytest.fixture
@@ -144,3 +146,64 @@ class TestSeparateFiringConcurrency:
         assert db.drain(timeout=60.0)
         assert len(total) == 30
         assert db.rule_manager.background_errors == []
+
+
+class TestBookkeepingUnderThreads:
+    def test_counts_and_live_set_stay_exact_without_a_manager_mutex(self, db):
+        """The Transaction Manager keeps its live set and counters, and the
+        Lock Manager its grant count (own-covered re-grants bypass the table
+        mutex), exact under threads: 8 threads x 500 top-level transactions
+        with nested children, one in ten aborted."""
+        tm, locks = db.transaction_manager, db.locks
+        before = {"txn": dict(tm.stats), "acquired": locks.stats["acquired"]}
+        shared = LockResource.for_class("Counter")
+        granted = [0] * 8
+        failures = []
+
+        def work(worker):
+            try:
+                for n in range(500):
+                    top = tm.create_transaction()
+                    child = tm.create_transaction(parent=top)
+                    grandchild = tm.create_transaction(parent=child)
+                    mine = LockResource("object", "Counter", worker + 1)
+                    for txn, resource, mode in (
+                            (top, shared, LockMode.IS),
+                            (child, shared, LockMode.IX),
+                            (child, mine, LockMode.X),
+                            (child, mine, LockMode.S),       # own re-grant
+                            (grandchild, mine, LockMode.S),  # under ancestor
+                            (grandchild, shared, LockMode.IS),
+                            (grandchild, shared, LockMode.IS)):
+                        locks.acquire(txn, resource, mode)
+                        granted[worker] += 1
+                    tm.commit_transaction(grandchild)
+                    if n % 10 == 0:
+                        tm.abort_transaction(top)   # takes the child along
+                    else:
+                        tm.commit_transaction(child)
+                        tm.commit_transaction(top)
+            except BaseException as exc:    # surfaced by the assert below
+                failures.append(exc)
+                raise
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,), daemon=True)
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and failures == []
+        moved = {key: tm.stats[key] - before["txn"][key] for key in tm.stats}
+        assert moved["created"] == 8 * 500 * 3
+        assert moved["created"] == moved["committed"] + moved["aborted"]
+        assert moved["aborted"] == 8 * 50 * 2
+        assert moved["top_level_committed"] == 8 * 450
+        assert tm.live_transactions() == []
+        assert locks.resource_count() == 0
+        assert locks.stats["acquired"] - before["acquired"] == sum(granted)

@@ -103,6 +103,12 @@ class TestPerTransactionDeferral:
         order_of_events.append("before-top-commit")
         db.commit(txn)
         assert order_of_events == ["deferred-ran", "before-top-commit"]
+        # The host was the internal action subtransaction: the Transaction
+        # Manager still signals the commit of an internal transaction that
+        # carries deferred work.
+        spawn = db.firing_log().for_rule("spawn")[0]
+        observer = db.firing_log().for_rule("deferred-observer")[0]
+        assert observer.triggering_txn == spawn.action_txn != txn.txn_id
 
     def test_top_level_deferral_waits_for_outer_commit(self):
         db = build(defer_to_top_level=True)

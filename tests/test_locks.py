@@ -155,6 +155,39 @@ class TestMossRules:
         with pytest.raises(LockTimeout):
             locks.acquire(b, RES, LockMode.X, timeout=0.1)
 
+    def test_lock_under_an_ancestor_is_still_registered_for_siblings(self):
+        # The parent's X covers anything child A asks for, yet A's read must
+        # enter the table: it is the only thing that keeps sibling B out
+        # while A runs.  Skipping an ancestor-covered request is unsound.
+        locks = LockManager()
+        p = txn("p")
+        a = txn("a", p)
+        b = txn("b", p)
+        outsider = txn("o")
+        locks.acquire(p, RES, LockMode.X)
+        locks.acquire(a, RES, LockMode.S)
+        assert locks.holders(RES) == {"p": LockMode.X, "a": LockMode.S}
+        assert not locks.try_acquire(b, RES, LockMode.X)
+        with pytest.raises(LockTimeout):
+            locks.acquire(b, RES, LockMode.X, timeout=0)
+        locks.inherit_to_parent(a)          # A commits
+        # Now only the parent holds it: B passes as its descendant (and is
+        # registered in turn), a stranger still waits for the parent.
+        assert locks.try_acquire(b, RES, LockMode.X)
+        assert locks.holders(RES) == {"p": LockMode.X, "b": LockMode.X}
+        assert not locks.try_acquire(outsider, RES, LockMode.IS)
+
+    def test_own_covered_request_is_a_counted_regrant(self):
+        locks = LockManager()
+        t = txn()
+        locks.acquire(t, RES, LockMode.SIX)
+        for mode in (LockMode.IS, LockMode.IX, LockMode.S, LockMode.SIX):
+            locks.acquire(t, RES, mode)
+            assert locks.mode_held(t, RES) == LockMode.SIX
+        assert locks.stats["acquired"] == 5
+        locks.acquire(t, RES, LockMode.X)   # not covered: a real upgrade
+        assert t.held_locks == {RES: LockMode.X}
+
     def test_unrelated_conflict_blocks(self):
         locks = LockManager()
         a, b = txn("a"), txn("b")
@@ -291,10 +324,14 @@ class TestDeadlockDetection:
         original_wait = locks._cond.wait
 
         def wait_and_lose_race(timeout=None):
-            # Holder releases while b is blocked, then the wait returns
-            # False as if the deadline had already passed (the condition
-            # uses an RLock, so re-entering release_all here is safe).
-            locks.release_all(a)
+            # Holder releases while b is blocked (a wait gives up the
+            # table's mutex for its duration), then the wait returns False
+            # as if the deadline had already passed.
+            locks._mutex.release()
+            try:
+                locks.release_all(a)
+            finally:
+                locks._mutex.acquire()
             return False
 
         locks._cond.wait = wait_and_lose_race

@@ -61,6 +61,68 @@ class TestTracer:
         assert len(trace.records) == 800
         assert len({r.seq for r in trace.records}) == 800
 
+    def test_detail_is_built_only_when_enabled(self):
+        class Loud:
+            def __str__(self):
+                raise AssertionError("formatted while tracing is off")
+
+        def describe():
+            raise AssertionError("called while tracing is off")
+
+        tracer = Tracer()
+        tracer.record("A", "B", "op", "nested under %s", Loud())
+        tracer.record("A", "B", "op", describe)
+        tracer.start()
+        tracer.record("A", "B", "op", "%s coupling=%s", "r1", "immediate")
+        tracer.record("A", "B", "op", lambda: "described")
+        tracer.record("A", "B", "op", "plain")
+        assert [r.detail for r in tracer.stop().records] == [
+            "r1 coupling=immediate", "described", "plain"]
+
+    def test_disabled_tracer_costs_an_saa_quote_no_detail_strings(
+            self, monkeypatch):
+        """With the tracer off the managers build no trace detail: one SAA
+        quote (an update, its firings and their subtransactions) never describes
+        its operation and never renders an OID for a trace record."""
+        import sys
+
+        from repro.objstore import operations
+        from repro.objstore.objects import OID
+        from repro.saa import SecuritiesAssistant
+
+        db = HiPAC()
+        saa = SecuritiesAssistant(db, coupling="immediate")
+        ticker = saa.add_ticker("NYSE")
+        saa.add_display("analyst")
+        saa.add_trader("TRDSVC")
+        saa.add_trading_rule(client="c", symbol="XRX", shares=10, limit=50.0,
+                             service="TRDSVC", one_shot=False)
+        ticker.push_quote("XRX", 60.0)      # creates the stock
+
+        calls = []
+        for cls in (operations.CreateObject, operations.UpdateObject,
+                    operations.DeleteObject):
+            monkeypatch.setattr(
+                cls, "describe", lambda self: calls.append("describe") or "")
+        render = OID.__str__
+
+        def counted(self):
+            caller = sys._getframe(1).f_code.co_filename
+            if caller.endswith(("manager.py", "tracing.py")):
+                calls.append("str(oid) in " + caller)
+            return render(self)
+
+        monkeypatch.setattr(OID, "__str__", counted)
+        fired = len(db.firing_log())
+        ticker.push_quote("XRX", 61.0)
+        assert len(db.firing_log()) >= fired + 2
+        assert calls == []
+        db.tracer.start()
+        ticker.push_quote("XRX", 62.0)
+        db.tracer.stop()
+        assert "describe" in calls
+        assert any(call.startswith("str(oid)") for call in calls)
+
     def test_trace_helpers(self):
         trace = Trace([
             TraceRecord(1, "A", "B", "x"),

@@ -65,3 +65,16 @@ class TestCanonicalKeys:
         q2 = Query("C", pred)
         assert q1.canonical_key() == q2.canonical_key()
         assert Query("D", pred).canonical_key() != q1.canonical_key()
+
+    def test_parts_of_mixed_types_sort_under_a_total_order(self):
+        """Regression: the part keys of ``x == 5`` and ``x == "a"`` differ
+        in an int against a str, which a plain sort cannot order."""
+        one = And(Compare(Attr("x"), "==", Const(5)),
+                  Compare(Attr("x"), "==", Const("a")),
+                  Compare(Attr("x"), "==", Const(None)))
+        other = And(Compare(Attr("x"), "==", Const(None)),
+                    Compare(Attr("x"), "==", Const("a")),
+                    Compare(Attr("x"), "==", Const(5)))
+        assert one.canonical_key() == other.canonical_key()
+        assert one == other and hash(one) == hash(other)
+        assert Or(*one.parts) == Or(*other.parts) != one

@@ -1,6 +1,8 @@
 """Tests for rule operations (paper §2.2): create, delete, enable, disable,
 fire — their locking, and their undo when the enclosing transaction aborts."""
 
+import threading
+
 import pytest
 
 from repro import (
@@ -16,6 +18,7 @@ from repro import (
     on_update,
 )
 from repro.rules.rule import RULE_CLASS
+from repro.txn.locks import LockMode, LockResource
 
 
 @pytest.fixture
@@ -260,3 +263,74 @@ class TestRuleLocking:
             oid = db.create("Stock", {"symbol": "X", "price": 1.0}, txn)
             db.update(oid, {"price": 2.0}, txn)
         assert events == ["probe"]
+
+    @pytest.mark.parametrize("ec", ["immediate", "deferred", "separate"])
+    def test_open_firing_transaction_blocks_rule_writers(self, db, ec):
+        """The firing's read lock sits on the transaction the firing nests
+        under — the triggering transaction, its top level at commit, the
+        firing's own for separate E-C — so while that transaction is open
+        another transaction's disable_rule waits, and is granted at its
+        end."""
+        in_action, finish = threading.Event(), threading.Event()
+
+        def action(ctx):
+            in_action.set()
+            assert finish.wait(5.0)
+
+        rule = db.create_rule(Rule(
+            name="held", event=on_update("Stock"), condition=Condition.true(),
+            action=Action.call(action), ec_coupling=ec))
+        toucher = threading.Thread(target=touch, args=(db,), daemon=True)
+        toucher.start()
+        assert in_action.wait(5.0)
+        firing = db.firing_log().for_rule("held")[0]
+        host = (firing.condition_txn if ec == "separate"
+                else firing.triggering_txn)
+        assert db.locks.holders(LockResource.for_object(rule.oid)) == {
+            host: LockMode.S}
+
+        granted = threading.Event()
+        writer = db.begin()
+
+        def disable():
+            db.disable_rule("held", writer)
+            granted.set()
+
+        disabler = threading.Thread(target=disable, daemon=True)
+        disabler.start()
+        assert not granted.wait(0.3)        # blocked behind the firing's host
+        finish.set()
+        toucher.join(5.0)
+        db.drain()
+        assert granted.wait(5.0)
+        disabler.join(5.0)
+        assert not toucher.is_alive() and not disabler.is_alive()
+        db.commit(writer)
+        assert db.locks.resource_count() == 0
+
+    def test_failed_condition_leaves_the_host_usable_and_locked(self, db):
+        """A condition that raises aborts its own subtransaction only; the
+        triggering transaction goes on, and keeps the rule's read lock until
+        it ends (more isolation than releasing it with the condition)."""
+        def broken(bindings, results):
+            raise ZeroDivisionError("guard")
+
+        rule = db.create_rule(Rule(
+            name="broken", event=on_update("Stock"),
+            condition=Condition(guard=broken),
+            action=Action.call(lambda ctx: None)))
+        resource = LockResource.for_object(rule.oid)
+        txn = db.begin()
+        oid = db.create("Stock", {"symbol": "X", "price": 1.0}, txn)
+        with pytest.raises(Exception):
+            db.update(oid, {"price": 2.0}, txn)
+        firing = db.firing_log().for_rule("broken")[0]
+        assert firing.error and firing.triggering_txn == txn.txn_id
+        assert txn.is_active()
+        assert db.locks.holders(resource) == {txn.txn_id: LockMode.S}
+        db.disable_rule("broken", txn)      # its own S does not block its X
+        db.update(oid, {"price": 3.0}, txn)
+        db.commit(txn)
+        assert db.locks.holders(resource) == {}
+        with db.transaction() as reader:
+            assert db.read(oid, reader)["price"] == 3.0
