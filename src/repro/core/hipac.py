@@ -337,12 +337,19 @@ class HiPAC:
         return self._recovery_report
 
     def close(self) -> None:
-        """Stop the admin server (if serving), drain the forensics
-        worker, stop the timeseries ticker, and flush/close the WAL and
+        """Stop the admin server (if serving), wait for separate-coupling
+        work (bounded by ``drain_timeout``), drain the forensics worker,
+        stop the timeseries ticker, and flush/close the WAL and
         flight-recorder journal."""
         if self._admin is not None:
             self._admin.close()
             self._admin = None
+        # Separate firings commit through the journal and the WAL: let them
+        # finish while both are open.  The Rule Manager's own executor stops
+        # with it; one the caller configured is the caller's to shut down.
+        self.drain()
+        if self.rule_manager.config.deadline_executor is None:
+            self.rule_manager.executor.shutdown()
         # Forensics first: a queued capture reads the timeseries ring and
         # the flight journal, so drain it while they are still alive.
         if self.forensics is not None:

@@ -55,6 +55,7 @@ directory never sees a torn bundle.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import os
 import queue
@@ -454,8 +455,20 @@ def _safe_kind(kind: str) -> str:
 def _thread_dumps() -> List[Dict[str, Any]]:
     """Per-thread stack dumps: what every thread was doing at capture."""
     names = {thread.ident: thread.name for thread in threading.enumerate()}
+    # CPython before 3.12.4 (gh-106883) builds this dict under the runtime's
+    # thread-list lock; a collection started by one of its allocations can
+    # release the GIL (a finalizer, a file closed by dealloc) to a thread
+    # that is starting or exiting, which then waits for that lock holding
+    # the GIL — the whole process stops.  No collection in there.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        frames = sys._current_frames()
+    finally:
+        if collecting:
+            gc.enable()
     dumps = []
-    for ident, frame in sorted(sys._current_frames().items()):
+    for ident, frame in sorted(frames.items()):
         dumps.append({
             "thread_id": ident,
             "name": names.get(ident, "?"),

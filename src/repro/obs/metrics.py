@@ -17,7 +17,7 @@ Design constraints, in order:
    serialized, or aggregated until someone asks (no sink attached = no
    work beyond the raw increments).
 2. **Thread safety, by sharding.**  Separate-coupling firings record from
-   their own threads; each recording thread owns a private shard (keyed by
+   worker threads; each recording thread owns a private shard (keyed by
    thread id) that no other thread writes, so unlocked read-modify-write
    is safe under the GIL.  Creating a shard and merging shards for a
    snapshot take the instrument's lock; snapshots taken *while* another

@@ -16,7 +16,7 @@ Causality, not call stacks, defines the tree:
   the Rule Manager captures the span active at queue time and opens the
   commit-time firing span with that *explicit parent*, so the firing hangs
   off the event that caused it, not off the commit that drained it;
-* **separate** firings run on their own threads; the launching span is
+* **separate** firings run on worker threads; the launching span is
   captured at spawn time and passed as the explicit parent the same way.
 
 Completed root spans are kept in a bounded ring (dropped roots are

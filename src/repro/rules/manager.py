@@ -12,7 +12,7 @@ Event Detectors and the Transaction Manager.  The protocols of Section 6:
   this module asks it only which rules a signal triggers;
 * **event signal processing** (§6.2, :meth:`RuleManager.signal_event_batch`):
   triggered rules are partitioned by E-C coupling; *separate* firings get
-  new top-level transactions in their own threads; *deferred* firings are
+  new top-level transactions on worker threads; *deferred* firings are
   saved on the triggering transaction; *immediate* firings evaluate
   conditions in subtransactions (all conditions first, then actions),
   suspending the triggering operation;
@@ -32,13 +32,14 @@ through the same path, producing the paper's trees of nested transactions.
 
 from __future__ import annotations
 
+import os
 import threading
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.clock import Clock
 from repro.conditions.condition import ConditionOutcome
@@ -61,8 +62,12 @@ from repro.rules.catalog import RuleCatalog
 from repro.rules.coupling import DEFERRED, IMMEDIATE, MODES, SEPARATE
 from repro.rules.firing import FiringLog, RuleFiring
 from repro.rules.rule import RULE_CLASS, Rule
+from repro.scheduler.timecon import DeadlineExecutor
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction
+
+#: worker bound of a manager-owned executor (the stdlib pool's default)
+SEPARATE_WORKERS = min(32, (os.cpu_count() or 1) + 4)
 
 #: one triggered rule on its way through the firing path: the rule, its own
 #: spec-tagged copy of the signal, and the record made at partition (§6.2)
@@ -101,10 +106,9 @@ class RuleManagerConfig:
     #: ring capacity of the firing log (oldest records evicted beyond this;
     #: evictions are counted on :attr:`FiringLog.dropped`)
     firing_log_capacity: int = 100000
-    #: optional deadline-aware dispatcher for separate-coupling firings
-    #: (the [BUC88] time-constrained scheduling integration): when set,
-    #: separate firings are submitted to it ordered by the triggering
-    #: rule's deadline instead of each spawning a dedicated thread
+    #: the :class:`~repro.scheduler.DeadlineExecutor` that runs separate
+    #: firings, most urgent ``Rule.deadline`` first ([BUC88] time-constrained
+    #: scheduling); None: one the manager makes, :data:`SEPARATE_WORKERS` wide
     deadline_executor: Any = None
 
 
@@ -176,8 +180,9 @@ class RuleManager:
 
         self.firings = FiringLog(capacity=self.config.firing_log_capacity)
         self.background_errors: List[Tuple[str, str]] = []
-        self._threads: Set[threading.Thread] = set()
-        self._threads_cv = threading.Condition()
+        #: where separate work runs (§6.2): the caller's, else the manager's
+        self.executor = self.config.deadline_executor or DeadlineExecutor(
+            SEPARATE_WORKERS, name="hipac-sep")
         self.stats = {"signals": 0, "triggered": 0, "conditions_evaluated": 0,
                       "actions_executed": 0, "separate_spawned": 0,
                       "deferred_queued": 0, "max_cascade_depth_seen": 0,
@@ -192,8 +197,8 @@ class RuleManager:
         Transaction-internal filtering alone is not enough: rule actions may
         call into applications (``ctx.request``) that open their own
         non-internal top-level transactions, and separate-coupling firings
-        run on fresh threads — so the suppression scope is thread-local and
-        entered at every point where cascade processing begins."""
+        run on worker threads, outside every cascade — so the scope is
+        thread-local and entered wherever cascade processing begins."""
         if self.recorder is None:
             return nullcontext()
         return self.recorder.suppressed()
@@ -330,7 +335,7 @@ class RuleManager:
         """
         txn = triggered[0][1].txn
         # Causality bridge for firings that run later or elsewhere (deferred
-        # at commit, §6.3; separate on a fresh thread with an empty span
+        # at commit, §6.3; separate on a worker thread with an empty span
         # stack): their firing span hangs off the span active *here*.
         origin = self._spans.current() if self._spans.enabled else None
         groups: Dict[str, List[Entry]] = {mode: [] for mode in MODES}
@@ -414,8 +419,7 @@ class RuleManager:
             target.add_deferred_action((rule, signal, firing, outcome))
         else:  # separate
             self._spawn(partial(self._run_action, rule, signal, firing,
-                                outcome, None),
-                        rule.name, deadline=rule.deadline)
+                                outcome, None), rule.name, rule.deadline)
 
     # ================================================== the two firing phases
 
@@ -580,78 +584,45 @@ class RuleManager:
 
     def _launch_separate(self, rule: Rule, signal: EventSignal,
                          firing: RuleFiring) -> None:
-        """Spawn a separate-coupling firing: condition (and, per C-A
-        coupling, action) in a new top-level transaction on its own thread
-        (paper §6.2).
-
-        With ``rule.separate_dependent`` (extension), the launch waits for
-        the triggering transaction's top-level commit and is discarded on
-        abort."""
-        body = partial(self._run_condition, rule, signal, firing, None, None,
-                       SEPARATE)
+        """Queue a separate-coupling firing: condition (and, per C-A
+        coupling, action) in a new top-level transaction on a worker thread
+        (paper §6.2)."""
+        launch = partial(self._spawn, partial(
+            self._run_condition, rule, signal, firing, None, None, SEPARATE),
+            rule.name, rule.deadline)
         if rule.separate_dependent and signal.txn is not None:
-            # Hook the transaction in which the event occurred: a nested
-            # transaction's hooks migrate to its parent on commit and are
-            # dropped on abort, so the firing launches only if the event's
-            # effects become permanent (top-level commit).
-            signal.txn.on_commit.append(
-                lambda _txn: self._spawn(body, rule.name,
-                                         deadline=rule.deadline))
+            # Extension: hook the transaction in which the event occurred.
+            # A nested transaction's hooks migrate to its parent on commit
+            # and are dropped on abort, so the firing launches only if the
+            # event's effects become permanent (top-level commit).
+            signal.txn.on_commit.append(lambda _txn: launch())
         else:
-            self._spawn(body, rule.name, deadline=rule.deadline)
+            launch()
 
     def _spawn(self, body: Callable[[], Any], label: str,
                deadline: Optional[float] = None) -> None:
-        """Run ``body`` as separate-coupling work: on the deadline executor
-        when one is configured, else on a thread of its own."""
+        """Queue ``body`` as separate-coupling work, most urgent first; the
+        worker that takes it is named ``hipac-sep-<label>`` meanwhile."""
         self.stats["separate_spawned"] += 1
 
         def run() -> None:
+            worker = threading.current_thread()
+            own, worker.name = worker.name, "hipac-sep-%s" % label
             try:
-                # Fresh thread, fresh suppression scope: everything separate
-                # work does (its actions may open non-internal application
-                # transactions) is cascade output, not stimulus.
                 with self._suppression():
                     body()
             finally:
-                with self._threads_cv:
-                    self._threads.discard(threading.current_thread())
-                    self._threads_cv.notify_all()
+                worker.name = own
 
-        executor = self.config.deadline_executor
-        if executor is not None:
-            # Deadline-aware dispatch: most urgent separate work first.
-            absolute = (self._clock.now() + deadline if deadline is not None
-                        else float("inf"))
-            executor.submit(absolute, run)
-            return
-        thread = threading.Thread(target=run, daemon=True,
-                                  name="hipac-sep-%s" % label)
-        with self._threads_cv:
-            self._threads.add(thread)
-        thread.start()
+        self.executor.submit(self._clock.now() + deadline
+                             if deadline is not None else float("inf"), run)
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait until all separate-coupling threads have finished.
-
-        Returns True on quiescence, False on timeout.  Used by tests,
-        benchmarks, and applications that need a consistent post-firing
-        view."""
-        deadline = _time.monotonic() + (timeout if timeout is not None
-                                        else self.config.drain_timeout)
-        with self._threads_cv:
-            while self._threads:
-                remaining = deadline - _time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._threads_cv.wait(timeout=remaining)
-        executor = self.config.deadline_executor
-        if executor is not None:
-            remaining = deadline - _time.monotonic()
-            if remaining <= 0:
-                return False
-            return executor.drain(timeout=remaining)
-        return True
+        """Wait until no separate-coupling work is queued or running: True
+        on quiescence, False on timeout.  Separate work is asynchronous;
+        tests, benchmarks and applications drain before reading its effects."""
+        return self.executor.drain(self.config.drain_timeout
+                                   if timeout is None else timeout)
 
     # ========================================================== §6.3 commit
 

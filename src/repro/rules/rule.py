@@ -62,8 +62,10 @@ class Rule:
     T aborts.  ``priority`` orders deterministic (serial-mode) firing of
     rules triggered by the same event; the paper itself prescribes *no*
     conflict resolution — all triggered rules fire, as concurrent siblings.
-    ``deadline`` attaches a time constraint to the rule's separate firings
-    (see :class:`repro.scheduler.DeadlineExecutor`).
+    ``deadline`` attaches a time constraint to the rule's separate firings:
+    of the separate work queued at any moment the Rule Manager's
+    :class:`repro.scheduler.DeadlineExecutor` runs the most urgent first,
+    work without a deadline last.
     """
 
     name: str
@@ -81,8 +83,8 @@ class Rule:
     #: listed as a unit
     group: str = ""
     #: extension ([BUC88] direction): relative deadline, in seconds from the
-    #: triggering event, for this rule's separate-coupling work; honored
-    #: when the Rule Manager is configured with a deadline executor
+    #: triggering event, for this rule's separate-coupling work; queued
+    #: separate work is taken earliest deadline first
     deadline: Optional[float] = None
 
     #: the rule's object in the store; assigned at creation

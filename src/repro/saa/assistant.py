@@ -213,11 +213,17 @@ class SecuritiesAssistant:
         condition = Condition(guard=crossed, name=name)
 
         def run_trade(ctx: ActionContext) -> None:
+            if one_shot:
+                # Check and disable before trading, under the rule object's
+                # lock (§2.2): of two separate firings that both passed the
+                # condition, the second reads ``enabled`` false here — or
+                # loses the S->X upgrade as deadlock victim and aborts.
+                if not ctx.read(ctx.rule.oid)["enabled"]:
+                    return
+                self.db.disable_rule(name, ctx.txn)
             ctx.request("trader:%s" % service, "execute_trade",
                         symbol=symbol, shares=shares, client=client,
                         limit_price=ctx.bindings.get("new_price", limit))
-            if one_shot:
-                self.db.disable_rule(name, ctx.txn)
 
         rule = Rule(
             name=name,

@@ -12,8 +12,7 @@ line of work built on:
   under a policy — FIFO, EDF (earliest deadline first), or LSF (least slack
   first) — and the miss rate / lateness are measured;
 * a real :class:`DeadlineExecutor` that runs Python callables on worker
-  threads in deadline order, for integrating deadline-aware dispatch of
-  separate-coupling rule firings.
+  threads in deadline order: where separate-coupling rule firings run.
 
 The A2 benchmark reproduces the qualitative claim of the time-constrained
 scheduling literature: under load, deadline-aware policies miss far fewer
@@ -162,69 +161,99 @@ def compare_policies(jobs: Sequence[Job], servers: int = 1,
     return {policy: simulate(jobs, policy, servers) for policy in policies}
 
 
+#: how long a worker with nothing to run stays before it leaves
+IDLE_SECONDS = 5.0
+
+
 class DeadlineExecutor:
     """Run callables on worker threads in earliest-deadline-first order.
 
-    A practical integration point for deadline-aware dispatch of
-    separate-coupling rule firings: submit with a deadline, workers always
-    pick the most urgent queued task.
+    The dispatch path of separate-coupling rule firings: submit with a
+    deadline, workers always pick the most urgent queued task.  A worker is
+    started only when a task arrives and none is idle, up to ``workers`` of
+    them, and leaves after :data:`IDLE_SECONDS` without work.
     """
 
-    def __init__(self, workers: int = 2) -> None:
+    def __init__(self, workers: int = 2, name: str = "deadline-worker") -> None:
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
-        self._cv = threading.Condition()
+        mutex = threading.Lock()
+        self._work = threading.Condition(mutex)     # workers wait for a task
+        self._quiet = threading.Condition(mutex)    # drain() waits for none
         self._shutdown = False
         self._outstanding = 0
-        self._workers = [threading.Thread(target=self._run, daemon=True,
-                                          name="deadline-worker-%d" % i)
-                         for i in range(workers)]
-        for worker in self._workers:
-            worker.start()
+        self._workers, self._name = workers, name
+        self._live = self._idle = 0
+        self._roused = False        # a woken or new worker is on its way
         self.stats = {"submitted": 0, "completed": 0, "errors": 0}
 
     def submit(self, deadline: float, task: Callable[[], None]) -> None:
         """Queue ``task`` with the given deadline."""
-        with self._cv:
+        with self._work:
             if self._shutdown:
                 raise RuntimeError("executor is shut down")
             heapq.heappush(self._heap, (deadline, next(self._seq), task))
             self._outstanding += 1
             self.stats["submitted"] += 1
-            self._cv.notify()
+            self._rouse()
+
+    def _rouse(self) -> None:
+        """Send a worker to the queue (mutex held): wake an idle one, else
+        start one if the bound allows.  Only one is on its way at a time —
+        it sends the next if it leaves tasks behind — so a burst that one
+        worker clears under the GIL does not wake them all."""
+        if self._heap and not self._roused:
+            if self._idle:
+                self._work.notify()
+            elif self._live < self._workers:
+                threading.Thread(target=self._run, daemon=True,
+                                 name=self._name).start()
+                self._live += 1
+            else:
+                return
+            self._roused = True
 
     def _run(self) -> None:
+        with self._work:
+            self._roused = False                    # the new worker is here
         while True:
-            with self._cv:
-                while not self._heap and not self._shutdown:
-                    self._cv.wait()
-                if self._shutdown and not self._heap:
-                    return
-                _deadline, _seq, task = heapq.heappop(self._heap)
+            with self._work:
+                woken = True
+                while not self._heap:
+                    if self._shutdown or not woken:     # or idle too long
+                        self._live -= 1
+                        return
+                    self._idle += 1
+                    woken = self._work.wait(IDLE_SECONDS)
+                    self._idle -= 1
+                    self._roused = False            # the woken worker is here
+                task = heapq.heappop(self._heap)[2]
+                self._rouse()
+            ok = None
             try:
                 task()
-                self.stats["completed"] += 1
+                ok = True
             except Exception:
-                self.stats["errors"] += 1
+                ok = False
             finally:
-                with self._cv:
+                with self._work:
+                    self.stats["completed" if ok else "errors"] += 1
                     self._outstanding -= 1
-                    self._cv.notify_all()
+                    if ok is None:
+                        # A BaseException is on its way out and ends this
+                        # thread: its slot goes to whatever is queued.
+                        self._live -= 1
+                        self._rouse()
+                    if not self._outstanding:
+                        self._quiet.notify_all()
 
     def drain(self, timeout: float = 30.0) -> bool:
-        """Wait for all submitted tasks to finish."""
-        import time
-        deadline = time.monotonic() + timeout
-        with self._cv:
-            while self._outstanding > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cv.wait(timeout=remaining)
-        return True
+        """Wait for all submitted tasks, queued or running, to finish."""
+        with self._quiet:
+            return self._quiet.wait_for(lambda: not self._outstanding, timeout)
 
     def shutdown(self) -> None:
         """Stop the workers after the queue drains."""
-        with self._cv:
+        with self._work:
             self._shutdown = True
-            self._cv.notify_all()
+            self._work.notify_all()

@@ -115,7 +115,7 @@ class TestDeadlineDispatch:
         assert order == ["deadline", "none"]
         executor.shutdown()
 
-    def test_without_executor_threads_used(self):
+    def test_without_configured_executor_own_pool_used(self):
         db = HiPAC(lock_timeout=5.0)
         db.define_class(ClassDef("Stock", attributes(
             "symbol", ("price", "number"))))
@@ -126,7 +126,7 @@ class TestDeadlineDispatch:
             condition=Condition.true(),
             action=Action.call(lambda ctx: ran.append(1)),
             ec_coupling="separate",
-            deadline=1.0,  # ignored without an executor
+            deadline=1.0,  # ordered by the manager's own executor
         ))
         with db.transaction() as txn:
             oid = db.create("Stock", {"symbol": "A", "price": 1.0}, txn)

@@ -12,6 +12,10 @@ SEQ inside the incident's journal range.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import urllib.error
@@ -236,6 +240,59 @@ class TestForensicsRecorder:
         db.close()
         assert recorder.trigger(RULE_STORM, reason="after close") is False
         assert recorder.capture(reason="after close") is None
+
+    def test_thread_dump_survives_a_collection_while_threads_come_and_go(self):
+        """``sys._current_frames()`` on CPython < 3.12.4 holds the runtime's
+        thread-list lock while it allocates (gh-106883): a collection that
+        starts there and lets a starting or exiting thread in stops the
+        process for good, so the dump must not collect there.  Driven in a
+        child, because the failure is a frozen interpreter: garbage whose
+        finalizer yields the GIL and a collection due at the next
+        allocation on every call, threads starting and exiting throughout."""
+        child = textwrap.dedent("""
+            import gc, os, sys, threading, time
+            from repro.obs import forensics
+
+            class Cycle:
+                def __init__(self):
+                    self.me = self
+                def __del__(self):
+                    time.sleep(0)               # lets another thread in
+
+            current_frames = sys._current_frames
+
+            def frames_with_a_collection_due():
+                garbage = [Cycle() for _ in range(5)]
+                del garbage
+                gc.set_threshold(1)
+                try:
+                    return current_frames()
+                finally:
+                    gc.set_threshold(100000)
+
+            def dump():
+                while True:
+                    forensics._thread_dumps()
+
+            def churn():
+                while True:
+                    threads = [threading.Thread(target=int) for _ in range(8)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join()
+
+            gc.set_threshold(100000)
+            sys._current_frames = frames_with_a_collection_due
+            for target in (dump, churn):
+                threading.Thread(target=target, daemon=True).start()
+            time.sleep(1.5)
+            os._exit(0)
+        """)
+        done = subprocess.run(
+            [sys.executable, "-c", child], timeout=30,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert done.returncode == 0
 
 
 def _raise_io(*args, **kwargs):

@@ -1,5 +1,7 @@
 """Tests for the Securities Analyst's Assistant (paper §4.2, Figure 4.2)."""
 
+import threading
+
 import pytest
 
 from repro import HiPAC, Query
@@ -171,4 +173,31 @@ class TestSeparateCouplingSAA:
         assert saa.drain(timeout=30.0)
         assert trader.stats["trades"] == 1
         assert display.trade_log
+        assert db.rule_manager.background_errors == []
+
+    def test_one_shot_rule_trades_once_when_two_firings_interleave(self):
+        """Two separate firings of a one-shot trading rule that have both
+        passed the condition before either action runs: the action checks
+        and disables under the rule object's lock before it trades, so
+        exactly one of them does."""
+        db = HiPAC(lock_timeout=5.0)
+        saa = SecuritiesAssistant(db)  # separate coupling
+        ticker = saa.add_ticker("NYSE")
+        trader = saa.add_trader("TRDSVC")
+        rule = saa.add_trading_rule(client="A", symbol="XRX", shares=100,
+                                    limit=50.0, service="TRDSVC")
+        ticker.push_quote("XRX", 45.0)
+        assert saa.drain(timeout=30.0)
+        # Gate the action: neither firing starts it until both are there,
+        # i.e. until both conditions have been evaluated.
+        both = threading.Barrier(2, timeout=10.0)
+        step = rule.action.steps[0]
+        trade = step.fn
+        step.fn = lambda ctx: (both.wait(), trade(ctx))
+        ticker.push_quote("XRX", 55.0)
+        ticker.push_quote("XRX", 56.0)
+        assert saa.drain(timeout=30.0)
+        assert trader.stats["trades"] == 1
+        with db.transaction() as txn:
+            assert len(db.query(Query(TRADE_CLASS), txn)) == 1
         assert db.rule_manager.background_errors == []
