@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import make_db, print_table, seed_stocks
+from benchmarks.conftest import make_db, naive, print_table, seed_stocks
 from repro import Attr, Compare, Condition, EventArg, Query
 from repro.workloads import make_threshold_rules
 
@@ -28,7 +28,7 @@ def one_signal(db, oids):
 @pytest.mark.parametrize("sharing", [True, False],
                          ids=["sharing-on", "sharing-off"])
 def test_ablate_condition_graph(sharing, benchmark):
-    db = make_db(use_condition_graph=sharing)
+    db = naive(make_db(), graph=sharing)
     oids = seed_stocks(db, 300)
     for rule in make_threshold_rules(80, shared_fraction=0.75):
         db.create_rule(rule)
@@ -40,7 +40,7 @@ def test_ablate_condition_graph(sharing, benchmark):
 def test_ablate_indexes(indexes, benchmark):
     """Parameterized conditions (symbol == event binding) hit the symbol
     index when enabled, scan otherwise."""
-    db = make_db(use_indexes=indexes)
+    db = naive(make_db(), indexes=indexes)
     oids = seed_stocks(db, 500)
 
     def lookup():
@@ -58,7 +58,7 @@ def test_ablation_summary(benchmark):
     rows = []
 
     def graph_cost(sharing):
-        db = make_db(use_condition_graph=sharing)
+        db = naive(make_db(), graph=sharing)
         oids = seed_stocks(db, 300)
         for rule in make_threshold_rules(80, shared_fraction=0.75):
             db.create_rule(rule)
@@ -75,7 +75,7 @@ def test_ablation_summary(benchmark):
     assert with_graph < without_graph
 
     def index_cost(indexes):
-        db = make_db(use_indexes=indexes)
+        db = naive(make_db(), indexes=indexes)
         seed_stocks(db, 500)
         query = Query("Stock", Compare(Attr("symbol"), "==", EventArg("s")))
         start = time.perf_counter()

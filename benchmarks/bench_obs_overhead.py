@@ -22,11 +22,12 @@ The "on" stack additionally runs the embedded admin endpoint
 pull-path work and must not change what the hot path pays, so the scrape
 validates the endpoint under benchmark load without polluting the timings.
 
-The windowed-telemetry ticker (``timeseries=True``, riding the default
-observability surface) gets its own paired ablation: the "on" stack is
-also measured against an identical instrumented stack with the ticker
-off, and that delta is gated at 1% — a background thread that snapshots
-the registry once a second must be invisible from the hot path.
+The windowed-telemetry ticker (part of the default observability
+surface) gets its own paired ablation: the "on" stack is also measured
+against an identical instrumented stack whose ticker was stopped right
+after construction, and that delta is gated at 1% — a background thread
+that snapshots the registry once a second must be invisible from the hot
+path.
 
 The forensics recorder (``forensics=True``, ISSUE 10) gets the same
 treatment: an *armed-but-idle* stack — recorder wired to the watchdog
@@ -96,16 +97,17 @@ def test_obs_overhead_shape():
     import tempfile
 
     # The armed-but-idle forensics ablation: identical instrumented
-    # stack plus an armed recorder that never captures (slos=[] keeps
-    # the default objectives from raising the only alert kind this
-    # workload could trip, so the recorder stays truly idle — its worker
-    # thread is lazy-started and must not even exist).
+    # stack plus an armed recorder that never captures (emptying the SLO
+    # monitor's objectives keeps the defaults from raising the only alert
+    # kind this workload could trip, so the recorder stays truly idle —
+    # its worker thread is lazy-started and must not even exist).
     forensics_dir = tempfile.mkdtemp(prefix="hipac-bench-forensics-")
     stacks = {"on": _build(True), "trace": _build("trace"),
-              "off": _build(False),
-              "no_ticker": _build(True, timeseries=False),
+              "off": _build(False), "no_ticker": _build(True),
               "forensics": _build(True, forensics=True,
-                                  data_dir=forensics_dir, slos=[])}
+                                  data_dir=forensics_dir)}
+    stacks["no_ticker"].db.timeseries.stop()
+    stacks["forensics"].db.slo.objectives = []
     # The serving layer rides along on the instrumented stack; it is
     # scraped between rounds (untimed) to prove the endpoint stays valid
     # while the workload runs.
@@ -193,7 +195,7 @@ def test_obs_overhead_shape():
     # really didn't on its paired ablation...
     assert on.db.timeseries is not None
     assert on.db.timeseries.stats["ticks"] >= 1
-    assert stacks["no_ticker"].db.timeseries is None
+    assert not stacks["no_ticker"].db.timeseries.running
     # ...the admin endpoint answered every between-rounds scrape and its
     # shutdown is clean...
     assert scrapes == 2 * ((ROUNDS + 9) // 10)

@@ -37,6 +37,19 @@ def make_db(**kwargs) -> HiPAC:
     return db
 
 
+def naive(db: HiPAC, *, graph: bool = True, indexes: bool = True) -> HiPAC:
+    """Put ``db`` on the reference side an experiment compares against:
+    ``graph=False`` re-evaluates every condition per rule instead of sharing
+    it through the condition graph, ``indexes=False`` scans extents instead
+    of probing indexes (A1, Q2).  The engine itself has no such option; set
+    before any rule exists, since rule creation fills the graph."""
+    if db.rule_names():
+        raise ValueError("choose the reference side before creating rules")
+    db.condition_evaluator.use_graph = graph
+    db.object_manager.executor.use_indexes = indexes
+    return db
+
+
 def seed_stocks(db: HiPAC, count: int, price: float = 100.0):
     """Create ``count`` stocks; returns their OIDs."""
     oids = []

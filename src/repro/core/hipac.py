@@ -13,12 +13,14 @@ applications use: data and transaction operations, event define/signal,
 rule operations (create / delete / enable / disable / fire), and
 per-application interfaces (Figure 4.1).
 
-Construction flags select the ablations the benchmarks compare:
-``use_condition_graph=False`` disables multiple-query sharing;
-``use_indexes=False`` disables index probes; ``indexed_dispatch=False``
-restores linear scan-all-specs event routing (instead of the discrimination
-index keyed on operation and class); ``concurrent_conditions=True``
-evaluates immediate-group conditions in concurrent sibling subtransactions.
+The engine has one configuration; the constructor selects deployment
+(durability, data directory, observability add-ons), not algorithms.  The
+reference sides the experiments compare against are reached where they are
+used: the naive evaluator and executor are the component attributes
+``condition_evaluator.use_graph`` and ``object_manager.executor.use_indexes``
+(set by ``benchmarks/conftest.py::naive`` before any rule exists, for A1 and
+Q2), and the scan of every programmed event spec that indexed dispatch
+replaced is the oracle in ``tests/test_dispatch_index.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.events.temporal import TemporalEventDetector
 from repro.obs import export as obs_export
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import RuleProfiler
-from repro.obs.slo import Objective, SLOMonitor
+from repro.obs.slo import SLOMonitor
 from repro.obs.slowlog import SlowLog
 from repro.obs.spans import SpanRecorder
 from repro.obs.timeseries import TimeseriesRing, Window
@@ -64,24 +66,31 @@ class HiPAC:
 
     def __init__(self, *, clock: Optional[Clock] = None,
                  lock_timeout: float = 10.0,
-                 use_condition_graph: bool = True,
-                 use_indexes: bool = True,
-                 indexed_dispatch: bool = True,
                  config: Optional[RuleManagerConfig] = None,
                  durability: Optional[str] = None,
                  data_dir: Optional[Any] = None,
                  wal_fsync: bool = True,
-                 fsync_interval_ms: Optional[int] = None,
-                 checkpoint_interval: Optional[int] = None,
                  rule_library: Optional[Any] = None,
                  observability: Union[bool, str] = True,
                  watchdog: Optional[WatchdogConfig] = None,
                  flight_recorder: bool = False,
                  provenance: Optional[bool] = None,
-                 timeseries: Optional[bool] = None,
                  timeseries_interval: float = 1.0,
-                 slos: Optional[List[Objective]] = None,
                  forensics: Optional[Any] = None) -> None:
+        # Every argument is checked before the first component is built: a
+        # rejected call leaves no thread running and no file behind.
+        if observability not in (True, False, "trace"):
+            raise ValueError(
+                "observability must be True, False, or 'trace' (got %r)"
+                % (observability,))
+        if durability not in (None, "wal"):
+            raise ValueError("unknown durability mode: %r" % durability)
+        if data_dir is None:
+            for needs, what in ((durability, "durability='wal'"),
+                                (flight_recorder, "flight_recorder=True"),
+                                (forensics, "forensics=True")):
+                if needs:
+                    raise ValueError("%s requires data_dir" % what)
         self.tracer = tracing.Tracer()
         self.clock = clock or VirtualClock()
         #: observability levels:
@@ -96,10 +105,6 @@ class HiPAC:
         #:                 window you want to explain);
         #:   ``False``   — overhead-ablation off switch: every instrument
         #:                 degrades to one attribute check.
-        if observability not in (True, False, "trace"):
-            raise ValueError(
-                "observability must be True, False, or 'trace' (got %r)"
-                % (observability,))
         self.metrics = MetricsRegistry(enabled=bool(observability))
         self.spans = SpanRecorder(enabled=observability == "trace")
         self.slow_log = SlowLog(enabled=bool(observability))
@@ -123,20 +128,15 @@ class HiPAC:
                                                       metrics=self.metrics)
         self.object_manager = ObjectManager(self.store, self.transaction_manager,
                                             self.tracer, self.clock,
-                                            indexed_dispatch=indexed_dispatch,
                                             metrics=self.metrics)
-        self.object_manager.executor.use_indexes = use_indexes
         self.condition_evaluator = ConditionEvaluator(
-            self.object_manager, self.tracer, use_graph=use_condition_graph,
+            self.object_manager, self.tracer,
             metrics=self.metrics, slow_log=self.slow_log)
         self.temporal_detector = TemporalEventDetector(
-            self.clock, tracer=self.tracer, schema=self.store.schema,
-            indexed_dispatch=indexed_dispatch)
-        self.external_detector = ExternalEventDetector(
-            tracer=self.tracer, indexed_dispatch=indexed_dispatch)
+            self.clock, tracer=self.tracer, schema=self.store.schema)
+        self.external_detector = ExternalEventDetector(tracer=self.tracer)
         self.composite_detector = CompositeEventDetector(
-            tracer=self.tracer, schema=self.store.schema,
-            indexed_dispatch=indexed_dispatch)
+            tracer=self.tracer, schema=self.store.schema)
         self.applications = ApplicationRegistry(self.tracer)
         self.rule_manager = RuleManager(
             self.object_manager, self.transaction_manager,
@@ -173,20 +173,11 @@ class HiPAC:
         #: journal marker.
         self.flight_recorder: Optional[Any] = None
         if flight_recorder:
-            if data_dir is None:
-                raise ValueError("flight_recorder=True requires data_dir")
-            from repro.obs.flightrec import (DEFAULT_FSYNC_INTERVAL_MS,
-                                             FlightRecorder)
-            # The journal always runs in the bounded-window mode (an
-            # incident recorder tolerates an N-ms loss window; the strict
-            # WAL still anchors committed state) — a facade-level
-            # ``fsync_interval_ms`` overrides the journal default too.
-            recorder = FlightRecorder(
-                data_dir,
-                fsync_interval_ms=(fsync_interval_ms
-                                   if fsync_interval_ms is not None
-                                   else DEFAULT_FSYNC_INTERVAL_MS),
-                metrics=self.metrics)
+            from repro.obs.flightrec import FlightRecorder
+            # The journal runs in its bounded-window default (an incident
+            # recorder tolerates an N-ms loss window; the strict WAL still
+            # anchors committed state).
+            recorder = FlightRecorder(data_dir, metrics=self.metrics)
             self.flight_recorder = recorder
             self.object_manager.recorder = recorder
             self.transaction_manager.recorder = recorder
@@ -216,26 +207,21 @@ class HiPAC:
         self.checkpointer: Optional[Any] = None
         self._recovery_report: Optional[Any] = None
         self.durability = durability
-        self._enable_durability(durability, data_dir, wal_fsync,
-                                fsync_interval_ms, checkpoint_interval,
-                                rule_library)
-        #: windowed telemetry: a background ticker snapshots the registry
-        #: every ``timeseries_interval`` seconds into a bounded ring (see
-        #: :mod:`repro.obs.timeseries`), and the SLO monitor evaluates
-        #: its objectives on each window (:mod:`repro.obs.slo`).
-        #: ``timeseries=None`` follows the observability switch; the
+        if durability is not None:
+            self._enable_durability(data_dir, wal_fsync, rule_library)
+        #: windowed telemetry, on whenever observability is: a background
+        #: ticker snapshots the registry every ``timeseries_interval``
+        #: seconds into a bounded ring (see :mod:`repro.obs.timeseries`),
+        #: and the SLO monitor evaluates its objectives
+        #: (:func:`~repro.obs.slo.default_objectives`; ``db.slo.objectives``
+        #: is a plain list) on each window (:mod:`repro.obs.slo`).  The
         #: ticker backs off while the instance is idle, so short-lived
         #: instances (a test suite) cost a handful of wakeups.
-        #: ``slos`` overrides :func:`~repro.obs.slo.default_objectives`
-        #: (pass ``[]`` for windows without objectives).
-        ts_on = (bool(observability) if timeseries is None
-                 else bool(timeseries))
-        if ts_on:
+        if observability:
             ring = TimeseriesRing(self.metrics,
                                   interval=timeseries_interval)
             self.timeseries = ring
-            self.slo = SLOMonitor(ring, objectives=slos,
-                                  watchdog=self.watchdog,
+            self.slo = SLOMonitor(ring, watchdog=self.watchdog,
                                   metrics=self.metrics)
             ring.add_callback(self._on_tick)
             ring.start()
@@ -247,8 +233,6 @@ class HiPAC:
         #: :class:`~repro.obs.forensics.ForensicsConfig`; off by default.
         self.forensics: Optional[Any] = None
         if forensics:
-            if data_dir is None:
-                raise ValueError("forensics=True requires data_dir")
             from repro.obs.forensics import (ForensicsConfig,
                                              ForensicsRecorder)
             self.forensics = ForensicsRecorder(
@@ -282,12 +266,9 @@ class HiPAC:
 
     # ---------------------------------------------------------- durability
 
-    def _enable_durability(self, durability: Optional[str],
-                           data_dir: Optional[Any], wal_fsync: bool,
-                           fsync_interval_ms: Optional[int],
-                           checkpoint_interval: Optional[int],
+    def _enable_durability(self, data_dir: Any, wal_fsync: bool,
                            rule_library: Optional[Any]) -> None:
-        """Attach the recovery subsystem (after bootstrap, so the system
+        """Attach the WAL and the checkpointer (after bootstrap, so the system
         class definition is never logged: every instance re-creates it).
 
         If ``data_dir`` already holds durable state it is replayed into
@@ -295,12 +276,6 @@ class HiPAC:
         the old WAL so the fresh transaction-id sequence cannot collide
         with logged ids from the previous incarnation.
         """
-        if durability is None:
-            return
-        if durability != "wal":
-            raise ValueError("unknown durability mode: %r" % durability)
-        if data_dir is None:
-            raise ValueError("durability='wal' requires data_dir")
         from repro.recovery.checkpoint import Checkpointer
         from repro.recovery.recover import has_durable_state, replay_into
         from repro.recovery.wal import WriteAheadLog
@@ -309,16 +284,13 @@ class HiPAC:
         if has_durable_state(data_dir):
             report = replay_into(self, data_dir, rules=rule_library)
         wal = WriteAheadLog(data_dir, fsync=wal_fsync,
-                            fsync_interval_ms=fsync_interval_ms,
-                            tracer=self.tracer,
                             start_lsn=report.last_lsn if report else 0,
                             metrics=self.metrics)
         self.wal = wal
         self.transaction_manager.wal = wal
         self.object_manager.wal = wal
         self.rule_catalog.wal = wal
-        self.checkpointer = Checkpointer(self, wal,
-                                         interval_records=checkpoint_interval)
+        self.checkpointer = Checkpointer(self, wal)
         self.transaction_manager.checkpointer = self.checkpointer
         self._recovery_report = report
         if report is not None:
@@ -338,9 +310,9 @@ class HiPAC:
 
     def close(self) -> None:
         """Stop the admin server (if serving), wait for separate-coupling
-        work (bounded by ``drain_timeout``), drain the forensics worker,
-        stop the timeseries ticker, and flush/close the WAL and
-        flight-recorder journal."""
+        work (bounded by the Rule Manager's ``DRAIN_TIMEOUT``), drain the
+        forensics worker, stop the timeseries ticker, and flush/close the
+        WAL and flight-recorder journal."""
         if self._admin is not None:
             self._admin.close()
             self._admin = None
@@ -368,11 +340,8 @@ class HiPAC:
         standing-deferred-backlog alerts fire without an external scraper
         attached) and the SLO burn-rate evaluation.
         """
-        live = self.transaction_manager.live_transactions()
-        depth = sum(
-            len(txn.deferred_conditions) + len(txn.deferred_actions)
-            for txn in live)
-        self.watchdog.check(deferred_depth=depth)
+        self.watchdog.check(deferred_depth=self._deferred_queue_depth(
+            self.transaction_manager.live_transactions()))
         if self.slo is not None:
             self.slo.evaluate(now=window.t)
 
@@ -678,9 +647,7 @@ class HiPAC:
             "stats": self.stats(),
             "derived": {
                 "live_transactions": len(live),
-                "deferred_queue_depth": sum(
-                    len(txn.deferred_conditions) + len(txn.deferred_actions)
-                    for txn in live),
+                "deferred_queue_depth": self._deferred_queue_depth(live),
             },
         }
         # Mixed-type forensics status (last capture kind/id) lives here,
@@ -688,6 +655,12 @@ class HiPAC:
         if self.forensics is not None:
             payload["forensics"] = self.forensics.status()
         return payload
+
+    @staticmethod
+    def _deferred_queue_depth(live: List[Transaction]) -> int:
+        """Deferred firings queued on the given live transactions."""
+        return sum(len(txn.deferred_conditions) + len(txn.deferred_actions)
+                   for txn in live)
 
     def rule_profiler(self) -> RuleProfiler:
         """A :class:`~repro.obs.profiler.RuleProfiler` over the current
@@ -711,9 +684,7 @@ class HiPAC:
                 flat["%s_%s" % (section, key)] = value
         live = self.transaction_manager.live_transactions()
         flat["live_transactions"] = len(live)
-        flat["deferred_queue_depth"] = sum(
-            len(txn.deferred_conditions) + len(txn.deferred_actions)
-            for txn in live)
+        flat["deferred_queue_depth"] = self._deferred_queue_depth(live)
         return flat
 
     def stats(self) -> Dict[str, Dict[str, int]]:

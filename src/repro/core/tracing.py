@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, FrozenSet, List, Optional, Tuple
 
 # Canonical component names, matching Figure 5.1 of the paper.
 APPLICATION = "Application"
@@ -53,10 +53,6 @@ class Trace:
     """An ordered list of :class:`TraceRecord` with protocol-checking helpers."""
 
     records: List[TraceRecord] = field(default_factory=list)
-    #: named event counters accumulated while tracing was on (dispatch-index
-    #: hits/misses/fast-path skips and similar non-call observations that
-    #: have no Figure 5.1 edge to be recorded under)
-    counters: Dict[str, int] = field(default_factory=dict)
 
     def edges(self) -> List[Tuple[str, str, str]]:
         """Return ``(source, target, operation)`` triples in call order."""
@@ -113,12 +109,12 @@ class Tracer:
 
     * ``enabled`` is toggled **only** by :meth:`start` / :meth:`stop`
       (both take the lock); callers must never write it directly.
-    * :meth:`record` and :meth:`bump` read ``enabled`` unlocked as the
-      disabled fast path (one attribute check per call), then re-check it
-      *under the lock* before touching state — so once :meth:`stop`
-      returns, no concurrent call can append to the records it swapped
-      out, and a call racing :meth:`start` either lands in the fresh
-      trace or not at all (never in the previous one).
+    * :meth:`record` reads ``enabled`` unlocked as the disabled fast path
+      (one attribute check per call), then re-checks it *under the lock*
+      before touching state — so once :meth:`stop` returns, no concurrent
+      call can append to the records it swapped out, and a call racing
+      :meth:`start` either lands in the fresh trace or not at all (never
+      in the previous one).
     * The unlocked read means a call overlapping :meth:`start` /
       :meth:`stop` may be dropped; it will never be misfiled or torn.
     """
@@ -126,7 +122,6 @@ class Tracer:
     def __init__(self) -> None:
         self.enabled = False
         self._records: List[TraceRecord] = []
-        self._counters: Dict[str, int] = {}
         self._seq = 0
         self._lock = threading.Lock()
 
@@ -150,25 +145,10 @@ class Tracer:
             self._seq += 1
             self._records.append(TraceRecord(self._seq, source, target, operation, detail))
 
-    def bump(self, counter: str, amount: int = 1) -> None:
-        """Increment a named counter (no-op when disabled).
-
-        Counters capture hot-path observations that are not inter-component
-        calls — dispatch-index hits/misses, fast-path skips — without
-        inventing trace edges outside Figure 5.1.
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            if not self.enabled:  # re-check: stop() may have won the race
-                return
-            self._counters[counter] = self._counters.get(counter, 0) + amount
-
     def start(self) -> None:
         """Enable tracing and clear any previous records."""
         with self._lock:
             self._records = []
-            self._counters = {}
             self._seq = 0
             self.enabled = True
 
@@ -176,15 +156,14 @@ class Tracer:
         """Disable tracing and return everything recorded since :meth:`start`."""
         with self._lock:
             self.enabled = False
-            trace = Trace(list(self._records), dict(self._counters))
+            trace = Trace(list(self._records))
             self._records = []
-            self._counters = {}
         return trace
 
     def snapshot(self) -> Trace:
         """Return a copy of the records so far without stopping."""
         with self._lock:
-            return Trace(list(self._records), dict(self._counters))
+            return Trace(list(self._records))
 
 
 def figure_5_1_edges() -> FrozenSet[Tuple[str, str]]:

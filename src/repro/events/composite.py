@@ -176,9 +176,8 @@ class CompositeEventDetector(EventDetector):
 
     def __init__(self, sink: Optional[EventSink] = None,
                  tracer: Optional[tracing.Tracer] = None,
-                 schema: Optional[Schema] = None, *,
-                 indexed_dispatch: bool = True) -> None:
-        super().__init__(sink, tracer, indexed_dispatch=indexed_dispatch)
+                 schema: Optional[Schema] = None) -> None:
+        super().__init__(sink, tracer)
         self._schema = schema
         self._automata: Dict[EventSpec, _Automaton] = {}
         #: (kind, op/name) -> number of automata with a member wanting it
@@ -209,16 +208,12 @@ class CompositeEventDetector(EventDetector):
 
         Conservative — keyed on ``(kind, op/name)`` only; finer scoping
         (class, attributes) is still checked by the automata themselves.
-        With ``indexed_dispatch=False`` every signal is fed (ablation).
         """
-        if not self.indexed_dispatch:
-            return True
         if signal.kind == "composite":
             return False  # composite occurrences never feed other composites
         if signal_interest_key(signal) in self._interest:
             return True
         self.stats["feeds_skipped"] += 1
-        self._tracer.bump("composite_feed_skipped")
         return False
 
     def observe(self, signal: EventSignal) -> List[EventSignal]:

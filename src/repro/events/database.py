@@ -22,9 +22,9 @@ routes through a discrimination index keyed on ``(op, class_name)``:
   (the per-op refcount table), whatever the rule population.
 
 Every candidate found by a probe is still verified with
-:func:`matches_primitive`, so indexed and linear dispatch are semantically
-identical; ``indexed_dispatch=False`` restores the linear scan for the
-ablation benchmarks.
+:func:`matches_primitive`, so the index only ever narrows what a scan of
+all programmed specs would report (``tests/test_dispatch_index.py`` holds
+that scan as the oracle).
 """
 
 from __future__ import annotations
@@ -50,10 +50,8 @@ class DatabaseEventDetector(EventDetector):
     def __init__(self, schema: Schema, sink: Optional[EventSink] = None,
                  tracer: Optional[tracing.Tracer] = None,
                  component: Optional[str] = None, *,
-                 indexed_dispatch: bool = True,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        super().__init__(sink, tracer, component,
-                         indexed_dispatch=indexed_dispatch, metrics=metrics)
+        super().__init__(sink, tracer, component, metrics=metrics)
         self._schema = schema
         #: dispatch (match-lookup) latency only — report_batch runs the
         #: whole rule cascade and is accounted to the rules, not dispatch
@@ -74,7 +72,7 @@ class DatabaseEventDetector(EventDetector):
         #: op -> number of programmed specs (the single-dict-miss fast path)
         self._ops: Dict[str, int] = {}
         self.stats.update({"index_hits": 0, "index_misses": 0,
-                           "fast_path": 0, "linear_scans": 0})
+                           "fast_path": 0})
 
     # -------------------------------------------------- index maintenance
 
@@ -127,12 +125,8 @@ class DatabaseEventDetector(EventDetector):
         operation of kind ``op`` on ``class_name``?
 
         Used by the Object Manager to skip signal construction entirely for
-        irrelevant operations.  Never returns a false negative; with
-        ``indexed_dispatch=False`` it always answers True (the ablation
-        keeps the original always-signal behavior).
+        irrelevant operations.  Never returns a false negative.
         """
-        if not self.indexed_dispatch:
-            return True
         if op not in self._ops:
             return False
         for name in self._scope_names(class_name):
@@ -156,15 +150,10 @@ class DatabaseEventDetector(EventDetector):
         # several times what it measures.  Hit or miss is unknown until
         # after the probe, so one instrument's stride drives the sampling
         # decision for both.
-        timed = (not (self.indexed_dispatch and signal.op not in self._ops)
+        timed = (signal.op in self._ops
                  and self._dispatch_seconds[True].should_sample())
         start = _time.perf_counter() if timed else 0.0
-        if self.indexed_dispatch:
-            matched = self._probe(signal)
-        else:
-            self.stats["linear_scans"] += 1
-            matched = [spec for spec in list(self._registrations)
-                       if matches_primitive(spec, signal, self._schema)]
+        matched = self._probe(signal)
         if timed:
             self._dispatch_seconds[bool(matched)].observe(
                 _time.perf_counter() - start)
@@ -181,7 +170,6 @@ class DatabaseEventDetector(EventDetector):
         op = signal.op
         if op is None or op not in self._ops:
             self.stats["fast_path"] += 1
-            self._tracer.bump("db_dispatch_fast_path")
             return []
         matched: List[DatabaseEventSpec] = []
         seen = set()
@@ -206,8 +194,6 @@ class DatabaseEventDetector(EventDetector):
                                 matched.append(spec)  # type: ignore[arg-type]
         if matched:
             self.stats["index_hits"] += 1
-            self._tracer.bump("db_dispatch_index_hit")
         else:
             self.stats["index_misses"] += 1
-            self._tracer.bump("db_dispatch_index_miss")
         return matched

@@ -100,17 +100,12 @@ class EventDetector:
     def __init__(self, sink: Optional[EventSink] = None,
                  tracer: Optional[tracing.Tracer] = None,
                  component: Optional[str] = None, *,
-                 indexed_dispatch: bool = True,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.sink = sink
         #: batched sink: when wired, all reports of one observed operation
         #: are delivered in a single call (the Rule Manager processes the
         #: union of triggered rules with one priority sort, §6.2)
         self.sink_batch: Optional[BatchEventSink] = None
-        #: ablation flag: False restores the linear scan-all-specs routing
-        #: (benchmark comparison); subscription indexes are maintained
-        #: either way (maintenance is off the hot path)
-        self.indexed_dispatch = indexed_dispatch
         if component is not None:
             # The database detectors are embedded in the Object Manager and
             # Transaction Manager (paper §5.3); their signals trace as calls

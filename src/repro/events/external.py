@@ -30,9 +30,8 @@ class ExternalEventDetector(EventDetector):
     accepts = ExternalEventSpec
 
     def __init__(self, sink: Optional[EventSink] = None,
-                 tracer: Optional[tracing.Tracer] = None, *,
-                 indexed_dispatch: bool = True) -> None:
-        super().__init__(sink, tracer, indexed_dispatch=indexed_dispatch)
+                 tracer: Optional[tracing.Tracer] = None) -> None:
+        super().__init__(sink, tracer)
         self._by_name: Dict[str, ExternalEventSpec] = {}
         #: flight recorder (wired by the facade); application-level event
         #: definitions and signals are journalled as replayable stimuli

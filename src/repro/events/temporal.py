@@ -42,9 +42,8 @@ class TemporalEventDetector(EventDetector):
 
     def __init__(self, clock: Clock, sink: Optional[EventSink] = None,
                  tracer: Optional[tracing.Tracer] = None,
-                 schema: Optional[Schema] = None, *,
-                 indexed_dispatch: bool = True) -> None:
-        super().__init__(sink, tracer, indexed_dispatch=indexed_dispatch)
+                 schema: Optional[Schema] = None) -> None:
+        super().__init__(sink, tracer)
         self._clock = clock
         self._schema = schema
         #: flight recorder (wired by the facade); temporal occurrences are
@@ -101,14 +100,10 @@ class TemporalEventDetector(EventDetector):
         match ``signal`` — the Rule Manager's subscription-driven feed; most
         signals skip :meth:`observe_baseline` entirely.
 
-        Conservative (keyed on ``(kind, op/name)`` only); with
-        ``indexed_dispatch=False`` every signal is fed (ablation)."""
-        if not self.indexed_dispatch:
-            return True
+        Conservative (keyed on ``(kind, op/name)`` only)."""
         if signal_interest_key(signal) in self._baseline_interest:
             return True
         self.stats["baseline_feeds_skipped"] += 1
-        self._tracer.bump("temporal_baseline_feed_skipped")
         return False
 
     def _push(self, due: float, spec: TemporalEventSpec) -> None:
@@ -117,7 +112,7 @@ class TemporalEventDetector(EventDetector):
     def observe_baseline(self, signal: EventSignal) -> None:
         """Schedule timers for relative/periodic specs whose baseline is
         ``signal``'s event.  Called by the Rule Manager for signals in the
-        baseline interest set (every processed signal when unindexed)."""
+        baseline interest set."""
         self.stats["baseline_feeds"] += 1
         with self._mutex:
             specs = list(self._baseline_specs)

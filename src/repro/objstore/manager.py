@@ -61,7 +61,6 @@ class ObjectManager:
     def __init__(self, store: ObjectStore, txn_manager: TransactionManager,
                  tracer: Optional[tracing.Tracer] = None,
                  clock: Optional[Clock] = None, *,
-                 indexed_dispatch: bool = True,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.store = store
         self.txns = txn_manager
@@ -85,9 +84,7 @@ class ObjectManager:
         #: sink is wired to the Rule Manager by the facade
         self.event_detector = DatabaseEventDetector(
             store.schema, tracer=self._tracer,
-            component=tracing.OBJECT_MANAGER,
-            indexed_dispatch=indexed_dispatch,
-            metrics=self._metrics)
+            component=tracing.OBJECT_MANAGER, metrics=self._metrics)
         self._delta_listeners: List[DeltaListener] = []
         #: write-ahead log; None while the system runs in-memory only
         #: (attached by the facade when durability is enabled)
@@ -355,7 +352,6 @@ class ObjectManager:
         # a class without rules pays a couple of dict probes, not a scan.
         if not self.event_detector.relevant(delta.kind, delta.class_name):
             self.stats["signals_skipped"] += 1
-            self._tracer.bump("om_signal_skipped")
             return
         signal = EventSignal(
             kind="database",

@@ -178,7 +178,7 @@ class _AdminHandler(BaseHTTPRequestHandler):
         if ring is None:
             self._send(409, "text/plain; charset=utf-8",
                        "timeseries ticker is off; construct the instance"
-                       " with timeseries=True (or leave observability on)")
+                       " with observability on")
             return
         last = _int_param(query, "last", 60)
         window = _int_param(query, "window", 0)
@@ -191,7 +191,7 @@ class _AdminHandler(BaseHTTPRequestHandler):
         if monitor is None:
             self._send(409, "text/plain; charset=utf-8",
                        "SLO monitor is off; it requires the timeseries"
-                       " ticker (timeseries=True or observability on)")
+                       " ticker (observability on)")
             return
         self._send_json(200, monitor.as_dict())
 

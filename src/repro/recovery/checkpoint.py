@@ -57,18 +57,17 @@ def _schema_superclass_first(schema: Any) -> List[Dict[str, Any]]:
 class Checkpointer:
     """Writes checkpoints for one HiPAC instance.
 
-    ``db`` is duck-typed: it needs ``store``, ``rule_catalog``,
-    ``transaction_manager``, and ``tracer`` attributes (the facade).
+    ``db`` is duck-typed: it needs ``store``, ``rule_catalog`` and
+    ``transaction_manager`` attributes (the facade).
     """
 
-    def __init__(self, db: Any, wal: Any, *,
-                 interval_records: Optional[int] = None) -> None:
+    def __init__(self, db: Any, wal: Any) -> None:
         self.db = db
         self.wal = wal
         self.path = Path(wal.data_dir) / CHECKPOINT_FILENAME
         #: checkpoint automatically once the WAL holds this many records
         #: past the last checkpoint (None disables automatic checkpoints)
-        self.interval_records = interval_records
+        self.interval_records: Optional[int] = None
         self._last_lsn = wal.last_lsn
         self.stats = {"checkpoints": 0, "skipped": 0}
 
@@ -91,7 +90,6 @@ class Checkpointer:
         """
         if self.db.transaction_manager.live_transactions():
             self.stats["skipped"] += 1
-            self.db.tracer.bump("checkpoint_skipped")
             return False
         store = self.db.store
         rules = self.db.rule_catalog
@@ -126,5 +124,4 @@ class Checkpointer:
         self.wal.reset()
         self._last_lsn = self.wal.last_lsn
         self.stats["checkpoints"] += 1
-        self.db.tracer.bump("checkpoint_taken")
         return True

@@ -221,8 +221,6 @@ def replay_into(db: Any, data_dir: Any,
 
     # Rebind recovered rule rows to the caller's rule library.
     rebind_stored_rules(db, rules, report)
-
-    db.tracer.bump("recovery_replay")
     return report
 
 

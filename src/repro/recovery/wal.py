@@ -43,7 +43,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.core import tracing
 from repro.obs.metrics import MetricsRegistry
 from repro.recovery.serialize import encode_delta
 from repro.storage import SegmentWriter, read_stream, scan_segment, segment_files
@@ -91,30 +90,22 @@ class WriteAheadLog:
     top-level commit (the §6.3 durability point); ``fsync=False`` still
     pushes every committed prefix to the OS (surviving a process crash,
     not a power failure) — the mode the overhead benchmark calls plain
-    "WAL".  ``fsync_interval_ms`` opts into a bounded durability window
-    instead: commits only flush, and a background thread fsyncs every
-    N milliseconds.
+    "WAL".
     """
 
     def __init__(self, data_dir: Any, *, fsync: bool = True,
-                 fsync_interval_ms: Optional[int] = None,
-                 tracer: Optional[tracing.Tracer] = None,
                  start_lsn: int = 0,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
-        self.fsync_on_commit = fsync and fsync_interval_ms is None
         self.failed = False
         #: optional hook invoked (with the exception) when an append
         #: fails — the forensics recorder captures a bundle before anyone
         #: restarts the process; must never raise back into the log path
         self.on_append_failure: Optional[Any] = None
-        self._tracer = tracer or tracing.Tracer()
         self._writer = SegmentWriter(
-            self.data_dir, WAL_PREFIX, seq_field="lsn",
-            fsync=fsync, fsync_interval_ms=fsync_interval_ms,
-            start_seq=start_lsn,
-            metrics=metrics, metric_prefix="wal", tracer=self._tracer)
+            self.data_dir, WAL_PREFIX, seq_field="lsn", fsync=fsync,
+            start_seq=start_lsn, metrics=metrics, metric_prefix="wal")
         self._stats = {"commits_forced": 0, "append_failures": 0}
 
     @property
@@ -163,7 +154,6 @@ class WriteAheadLog:
         except Exception as exc:
             self.failed = True
             self._stats["append_failures"] += 1
-            self._tracer.bump("wal_append_failed")
             if self.on_append_failure is not None:
                 try:
                     self.on_append_failure(exc)

@@ -68,6 +68,10 @@ from repro.txn.transaction import Transaction
 
 #: worker bound of a manager-owned executor (the stdlib pool's default)
 SEPARATE_WORKERS = min(32, (os.cpu_count() or 1) + 4)
+#: bound on deferred firings scheduling further deferred firings at one commit
+MAX_DEFERRED_ROUNDS = 1000
+#: seconds :meth:`RuleManager.drain` waits when the caller names no timeout
+DRAIN_TIMEOUT = 60.0
 
 #: one triggered rule on its way through the firing path: the rule, its own
 #: spec-tagged copy of the signal, and the record made at partition (§6.2)
@@ -94,15 +98,11 @@ class RuleManagerConfig:
       Events occurring directly in a top-level transaction behave the same
       either way.
     * ``max_cascade_depth`` — bound on recursive rule triggering.
-    * ``max_deferred_rounds`` — bound on deferred firings scheduling further
-      deferred firings at the same commit.
     """
 
     concurrent_conditions: bool = False
     defer_to_top_level: bool = True
     max_cascade_depth: int = 64
-    max_deferred_rounds: int = 1000
-    drain_timeout: float = 60.0
     #: ring capacity of the firing log (oldest records evicted beyond this;
     #: evictions are counted on :attr:`FiringLog.dropped`)
     firing_log_capacity: int = 100000
@@ -156,7 +156,6 @@ class RuleManager:
         self.txn_detector = DatabaseEventDetector(
             object_manager.store.schema, sink=self.signal_event,
             tracer=tracer, component=tracing.TRANSACTION_MANAGER,
-            indexed_dispatch=object_manager.event_detector.indexed_dispatch,
             metrics=self._metrics)
         self.txn_detector.sink_batch = self.signal_event_batch
         #: §6.1: the registered rules and the event->rule mapping
@@ -621,7 +620,7 @@ class RuleManager:
         """Wait until no separate-coupling work is queued or running: True
         on quiescence, False on timeout.  Separate work is asynchronous;
         tests, benchmarks and applications drain before reading its effects."""
-        return self.executor.drain(self.config.drain_timeout
+        return self.executor.drain(DRAIN_TIMEOUT
                                    if timeout is None else timeout)
 
     # ========================================================== §6.3 commit
@@ -648,10 +647,10 @@ class RuleManager:
                 rounds = 0
                 while txn.has_deferred_work():
                     rounds += 1
-                    if rounds > self.config.max_deferred_rounds:
+                    if rounds > MAX_DEFERRED_ROUNDS:
                         raise RuleError(
                             "deferred rule firings did not quiesce after"
-                            " %d rounds" % self.config.max_deferred_rounds)
+                            " %d rounds" % MAX_DEFERRED_ROUNDS)
                     conditions = txn.deferred_conditions
                     txn.deferred_conditions = []
                     actions = txn.deferred_actions

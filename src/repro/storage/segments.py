@@ -26,9 +26,9 @@ Durability policies
     :meth:`sync`/:meth:`flush`, which drain first).  At most the last
     N ms of records are exposed to a crash, and the framing cost leaves
     the caller's hot path entirely — on a busy system it overlaps the
-    WAL's fsync waits.  Used by the flight journal (its default) and by
-    opt-in relaxed WAL durability.  Queued record dicts are owned by
-    the writer once appended: callers must not mutate them afterwards.
+    WAL's fsync waits.  The flight journal's mode.  Queued record dicts
+    are owned by the writer once appended: callers must not mutate them
+    afterwards.
 
 A new session always opens a fresh segment: the previous session's tail
 may be torn, and appending past a tear would hide good records behind a
@@ -128,8 +128,7 @@ class SegmentWriter:
                  max_segments: Optional[int] = None,
                  start_seq: int = 0,
                  metrics: Optional[MetricsRegistry] = None,
-                 metric_prefix: Optional[str] = None,
-                 tracer: Optional[Any] = None) -> None:
+                 metric_prefix: Optional[str] = None) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.prefix = prefix
@@ -142,14 +141,8 @@ class SegmentWriter:
         self._pending: List[Dict[str, Any]] = []
         self.max_segment_bytes = max_segment_bytes
         self.max_segments = max_segments
-        self._tracer = tracer
         self._metrics = metrics or MetricsRegistry(enabled=False)
         name = metric_prefix or prefix
-        self._name = name
-        # Hot-path tracer counters, preformatted (append runs per record).
-        self._append_counter = name + "_append"
-        self._fsync_counter = name + "_fsync"
-        self._bump = tracer.bump if tracer is not None else None
         self._append_seconds = self._metrics.histogram(
             "%s_append_seconds" % name, sample=HOT_PATH_SAMPLE)
         self._fsync_seconds = self._metrics.histogram(
@@ -291,8 +284,6 @@ class SegmentWriter:
             self.stats["records"] += 1
             self.stats["bytes"] += len(frame)
             self.stats["last_seq"] = self._seq
-            if self._bump is not None:
-                self._bump(self._append_counter)
             if (self.max_segment_bytes is not None
                     and self._segment_bytes >= self.max_segment_bytes):
                 self._rotate_locked()
@@ -311,8 +302,6 @@ class SegmentWriter:
         if not self._pending:
             return
         pending, self._pending = self._pending, []
-        if self._bump is not None:
-            self._bump(self._append_counter, len(pending))
         for start in range(0, len(pending), self.DRAIN_BATCH_RECORDS):
             chunk = pending[start:start + self.DRAIN_BATCH_RECORDS]
             frame = encode_frame(chunk if len(chunk) > 1 else chunk[0])
@@ -376,8 +365,6 @@ class SegmentWriter:
                     # the fsync; rotation fsynced it before closing.
                     pass
                 self.stats["fsyncs"] += 1
-                if self._bump is not None:
-                    self._bump(self._fsync_counter)
                 if timed:
                     self._fsync_seconds.observe(_time.perf_counter() - start)
         except BaseException:

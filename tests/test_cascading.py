@@ -15,6 +15,7 @@ from repro import (
     attributes,
     on_create,
 )
+from repro.rules import manager as rule_manager
 from repro.rules.manager import RuleManagerConfig
 
 
@@ -76,6 +77,26 @@ class TestCascades:
         with pytest.raises((RuleError, TransactionAborted)):
             with database.transaction() as txn:
                 database.create("A", {"v": 0}, txn)
+
+    def test_deferred_loop_bounded(self, db, monkeypatch):
+        """A deferred rule whose action re-queues it never quiesces: the
+        commit gives up after MAX_DEFERRED_ROUNDS and aborts the transaction."""
+        monkeypatch.setattr(rule_manager, "MAX_DEFERRED_ROUNDS", 3)
+        db.create_rule(Rule(
+            name="loop",
+            event=on_create("A"),
+            condition=Condition.true(),
+            action=Action.call(lambda ctx: ctx.create("A", {"v": 0})),
+            ec_coupling="deferred",
+        ))
+        txn = db.begin()
+        db.create("A", {"v": 0}, txn)
+        with pytest.raises(RuleError, match="did not quiesce after 3 rounds"):
+            db.commit(txn)
+        assert txn.state == "aborted"
+        assert db.locks.resource_count() == 0
+        with db.transaction() as r:
+            assert len(db.query(Query("A"), r)) == 0
 
     def test_action_error_aborts_action_subtransaction_only_effects(self, db):
         """An action that raises propagates to the triggering operation; the

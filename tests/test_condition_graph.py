@@ -262,7 +262,8 @@ class TestGraphEvaluation:
         assert outcome.satisfied
 
     def test_naive_mode_never_uses_graph(self):
-        db = HiPAC(lock_timeout=2.0, use_condition_graph=False)
+        db = HiPAC(lock_timeout=2.0)
+        db.condition_evaluator.use_graph = False
         db.define_class(ClassDef("Stock", attributes("symbol", ("price", "number"))))
         query = Query("Stock", Attr("price") > 50)
         with db.transaction() as txn:

@@ -5,8 +5,16 @@ attribute sub-index, fast paths), the spec-tag aliasing regression, indexed
 vs. linear equivalence on randomized workloads, schema-cache invalidation
 under DDL (including transaction undo), the composite/temporal interest-set
 gating, and the batched union firing protocol.
+
+Linear dispatch — signal every operation, scan every programmed spec, feed
+every signal to the composite and temporal detectors — is what the index
+replaced.  The engine no longer has it; it lives here as the oracle the
+indexed path is compared against (:func:`linear_matches`,
+:func:`install_linear_dispatch`; ``make_detector(indexed=False)`` and
+``make_db(indexed=False)`` build on it).
 """
 
+import copy
 import random
 
 import pytest
@@ -24,7 +32,9 @@ from repro import (
     on_create,
     on_update,
 )
+from repro.events import database
 from repro.events.database import DatabaseEventDetector
+from repro.events.matching import matches_primitive
 from repro.events.signal import EventSignal
 from repro.events.spec import DatabaseEventSpec, after
 from repro.objstore.types import Schema
@@ -42,8 +52,40 @@ def make_schema():
     return schema
 
 
+def linear_matches(detector, signal, schema):
+    """The oracle: every programmed spec the signal satisfies."""
+    return [spec for spec in detector.registered_specs()
+            if matches_primitive(spec, signal, schema)]
+
+
+def install_linear_dispatch(detector, schema):
+    """Route ``detector`` through the oracle: no pre-check, no index."""
+    def observe(signal):
+        matched = linear_matches(detector, signal, schema)
+        detector.report_batch([(spec, copy.copy(signal)) for spec in matched])
+        return matched
+
+    detector.relevant = lambda op, class_name: True
+    detector.observe = observe
+
+
+def make_db(indexed=True, **kwargs):
+    """A HiPAC; with ``indexed=False`` its event routing is the oracle's."""
+    db = HiPAC(**kwargs)
+    if not indexed:
+        for detector in (db.object_manager.event_detector,
+                         db.rule_manager.txn_detector):
+            install_linear_dispatch(detector, db.store.schema)
+        db.composite_detector.wants = lambda signal: True
+        db.temporal_detector.wants_baseline = lambda signal: True
+    return db
+
+
 def make_detector(indexed=True):
-    detector = DatabaseEventDetector(make_schema(), indexed_dispatch=indexed)
+    schema = make_schema()
+    detector = DatabaseEventDetector(schema)
+    if not indexed:
+        install_linear_dispatch(detector, schema)
     seen = []
     detector.sink = seen.append
     return detector, seen
@@ -61,7 +103,6 @@ class TestDiscriminationIndex:
         detector.observe(db_signal(op="delete"))
         assert seen == []
         assert detector.stats["fast_path"] == 1
-        assert detector.stats["linear_scans"] == 0
 
     def test_wildcard_bucket_matches_any_class(self):
         detector, seen = make_detector()
@@ -142,12 +183,32 @@ class TestDiscriminationIndex:
         detector, _ = make_detector(indexed=False)
         assert detector.relevant("create", "Stock")
 
-    def test_linear_mode_counts_scans(self):
-        detector, seen = make_detector(indexed=False)
-        detector.define_event(on_create("Stock"))
-        detector.observe(db_signal())
-        assert detector.stats["linear_scans"] == 1
-        assert len(seen) == 1
+    def test_unrelated_specs_add_no_match_calls(self, monkeypatch):
+        """Detection cost follows the relevant specs, not the population:
+        one update of the watched class verifies the same candidates with
+        10 and with 1,000 specs programmed on unrelated classes."""
+        calls = []
+
+        def counting(spec, signal, schema):
+            calls.append(spec)
+            return matches_primitive(spec, signal, schema)
+
+        monkeypatch.setattr(database, "matches_primitive", counting)
+        counts = []
+        for unrelated in (10, 1000):
+            schema = make_schema()
+            detector = DatabaseEventDetector(schema, sink=lambda signal: None)
+            detector.define_event(on_update("Stock", attrs=["price"]))
+            for i in range(unrelated):
+                schema.define_class(ClassDef("U%d" % i, (AttributeDef("x"),)))
+                detector.define_event(on_update("U%d" % i))
+            calls.clear()
+            matched = detector.observe(db_signal(op="update",
+                                                 old={"price": 1},
+                                                 new={"price": 2}))
+            assert matched == [on_update("Stock", attrs=["price"])]
+            counts.append(len(calls))
+        assert counts == [1, 1]
 
 
 class TestSpecTagAliasing:
@@ -200,16 +261,17 @@ class TestIndexedLinearEquivalence:
     def test_detector_equivalence_on_random_workload(self):
         rng = random.Random(1789)
         specs = {random_spec(rng) for _ in range(120)}
-        indexed, _ = make_detector(indexed=True)
-        linear, _ = make_detector(indexed=False)
+        schema = make_schema()
+        detector = DatabaseEventDetector(schema, sink=lambda signal: None)
         for spec in specs:
-            indexed.define_event(spec)
-            linear.define_event(spec)
+            detector.define_event(spec)
         for _ in range(400):
             signal = random_signal(rng)
-            fast = set(indexed.observe(signal))
-            slow = set(linear.observe(signal))
+            fast = set(detector.observe(signal))
+            slow = set(linear_matches(detector, signal, schema))
             assert fast == slow, "dispatch divergence on %s" % signal.describe()
+            # the Object Manager's pre-check never hides a match
+            assert not slow or detector.relevant(signal.op, signal.class_name)
 
     def test_full_stack_equivalence_on_random_workload(self):
         """Identical rule populations + identical operation scripts must
@@ -236,8 +298,8 @@ class TestIndexedLinearEquivalence:
                 live.remove(victim)
                 script.append(("delete", victim))
 
-        def run(indexed_dispatch):
-            db = HiPAC(lock_timeout=5.0, indexed_dispatch=indexed_dispatch)
+        def run(indexed):
+            db = make_db(indexed, lock_timeout=5.0)
             for cd in (ClassDef("Sec", (AttributeDef("price"),
                                         AttributeDef("volume"))),
                        ClassDef("Stock", (AttributeDef("symbol"),),
@@ -294,7 +356,7 @@ class TestSchemaCacheInvalidation:
     def test_subclass_scoped_rule_tracks_ddl(self, indexed):
         """A rule on an ancestor class must start firing for a subclass
         defined *after* the rule, and stop after the subclass is dropped."""
-        db = HiPAC(lock_timeout=5.0, indexed_dispatch=indexed)
+        db = make_db(indexed, lock_timeout=5.0)
         db.define_class(ClassDef("Sec", attributes("price")))
         hits = []
         db.create_rule(Rule(
@@ -319,7 +381,7 @@ class TestSchemaCacheInvalidation:
     @pytest.mark.parametrize("indexed", [True, False])
     def test_aborted_ddl_restores_cached_hierarchy(self, indexed):
         """The transaction-undo schema paths must invalidate the caches too."""
-        db = HiPAC(lock_timeout=5.0, indexed_dispatch=indexed)
+        db = make_db(indexed, lock_timeout=5.0)
         db.define_class(ClassDef("Sec", attributes("price")))
         txn = db.begin()
         db.define_class(ClassDef("Temp", (), superclass="Sec"), txn)
@@ -476,18 +538,3 @@ class TestStatsAndTracer:
         # The create matched no spec (only update is programmed for Stock):
         # the Object Manager skipped signal construction entirely.
         assert stats["objects"]["signals_skipped"] >= 1
-
-    def test_tracer_collects_dispatch_counters(self):
-        db = HiPAC(lock_timeout=5.0)
-        db.define_class(ClassDef("Stock", attributes("price")))
-        db.create_rule(Rule(
-            name="r", event=on_update("Stock"),
-            condition=Condition.true(),
-            action=Action.call(lambda ctx: None)))
-        db.tracer.start()
-        with db.transaction() as txn:
-            oid = db.create("Stock", {"price": 1}, txn)  # skipped: no spec
-            db.update(oid, {"price": 2}, txn)            # index hit
-        trace = db.tracer.stop()
-        assert trace.counters.get("om_signal_skipped", 0) >= 1
-        assert trace.counters.get("db_dispatch_index_hit", 0) >= 1

@@ -1,5 +1,9 @@
 """Tests for the HiPAC facade: wiring, auto-commit conveniences, stats."""
 
+import dataclasses
+import inspect
+import threading
+
 import pytest
 
 from repro import (
@@ -13,6 +17,7 @@ from repro import (
     attributes,
     on_create,
 )
+from repro.rules.manager import RuleManagerConfig
 
 
 class TestConstruction:
@@ -39,6 +44,38 @@ class TestConstruction:
         db = HiPAC(clock=SystemClock())
         with pytest.raises(TypeError):
             db.advance_time(1.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"observability": "verbose"},
+        {"flight_recorder": True},
+        {"forensics": True},
+        {"durability": "wal"},
+        {"durability": "bogus", "data_dir": "here", "flight_recorder": True},
+    ], ids=["observability", "flight_recorder", "forensics", "wal", "bogus"])
+    def test_rejected_arguments_build_nothing(self, kwargs, tmp_path):
+        """Arguments are checked before the first component exists: a
+        refused call starts no thread and writes no file."""
+        if "data_dir" in kwargs:
+            kwargs = dict(kwargs, data_dir=tmp_path)
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError):
+            HiPAC(**kwargs)
+        assert set(threading.enumerate()) <= before
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_configuration(self):
+        """The whole option surface of the engine.  A keyword or field added
+        here multiplies what every test and benchmark owes; edit this list
+        on purpose, not in passing."""
+        parameters = inspect.signature(HiPAC.__init__).parameters
+        assert list(parameters)[1:] == [
+            "clock", "lock_timeout", "config", "durability", "data_dir",
+            "wal_fsync", "rule_library", "observability", "watchdog",
+            "flight_recorder", "provenance", "timeseries_interval",
+            "forensics"]
+        assert [f.name for f in dataclasses.fields(RuleManagerConfig)] == [
+            "concurrent_conditions", "defer_to_top_level",
+            "max_cascade_depth", "firing_log_capacity", "deadline_executor"]
 
 
 class TestAutoCommitConveniences:

@@ -354,6 +354,35 @@ class TestJournal:
         assert "storage_journal_records" in text
         assert "storage_wal_records" in text
 
+    def test_saa_session_journal_is_whole_and_cascade_suppressed(
+            self, tmp_path):
+        """Through the facade: the trade cascade a quote sets off is counted
+        as suppressed rather than journalled, and what is journalled reads
+        back untorn, in seq order, up to the recorder's last seq."""
+        db = HiPAC(durability="wal", data_dir=tmp_path, flight_recorder=True)
+        saa = _build_saa(db, coupling=IMMEDIATE, install=True)
+        for symbol, price in QUOTES:
+            saa.tickers["NYSE"].push_quote(symbol, price)
+        db.flight_recorder.flush()
+        stats = dict(db.flight_recorder.stats)
+        db.close()
+        assert stats["records"] >= len(QUOTES)
+        assert stats["suppressed"] > 0
+        records, discarded = flightrec.read_journal(tmp_path)
+        assert discarded == 0
+        seqs = [r["seq"] for r in records]
+        assert seqs == sorted(set(seqs)) and seqs[-1] == stats["last_seq"]
+
+    def test_nothing_is_journalled_with_the_recorder_off(self, tmp_path):
+        db = HiPAC(durability="wal", data_dir=tmp_path)
+        db.define_class(ClassDef("A", attributes(("v", "int"))))
+        with db.transaction() as txn:
+            db.create("A", {"v": 1}, txn)
+        assert db.flight_recorder is None
+        assert db.stats()["storage"]["journal_records"] == 0
+        db.close()
+        assert not flightrec.journal_segments(tmp_path)
+
     def test_recorder_requires_data_dir(self):
         with pytest.raises(ValueError):
             HiPAC(flight_recorder=True)

@@ -343,14 +343,11 @@ class TestTracerContract:
         tracer = Tracer()
         assert not tracer.enabled
         tracer.record("Application", "ObjectManager", "op")
-        tracer.bump("x")
         tracer.start()
         tracer.record("Application", "ObjectManager", "op")
-        tracer.bump("x", 2)
         trace = tracer.stop()
         assert not tracer.enabled
         assert len(trace.records) == 1
-        assert trace.counters == {"x": 2}
         # stop() drained everything; a fresh start sees a clean slate.
         tracer.start()
         assert tracer.stop().records == []

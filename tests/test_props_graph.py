@@ -16,7 +16,8 @@ from repro.events.signal import EventSignal
 
 
 def fresh_db(use_graph):
-    db = HiPAC(lock_timeout=2.0, use_condition_graph=use_graph)
+    db = HiPAC(lock_timeout=2.0)
+    db.condition_evaluator.use_graph = use_graph
     db.define_class(ClassDef("Stock", (
         AttributeDef("symbol", AttrType.STRING, required=True, indexed=True),
         AttributeDef("price", AttrType.NUMBER, default=0.0),

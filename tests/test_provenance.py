@@ -339,6 +339,21 @@ class TestBounds:
         assert len(store._order) <= 2 * snap["live_entries"] + 1
         assert snap["approx_bytes"] > 0
 
+    def test_facade_rings_evict_under_churn(self):
+        """The same through the facade's default bounds: one attribute
+        rewritten past its ring evicts, every write is published, and
+        the live set stays under the capacity."""
+        db = _db()
+        a, _, _ = _seed_abc(db)
+        for i in range(20):
+            with db.transaction() as txn:
+                db.update(a, {"v": i + 1}, txn)
+        section = db.stats()["provenance"]
+        db.close()
+        assert section["published"] >= 20
+        assert section["evicted"] >= 20 - section["per_key"]
+        assert section["live_entries"] <= section["capacity"]
+
     def test_capacity_eviction_across_keys(self):
         store = ProvenanceStore(per_key=8, capacity=4)
         txn = _Txn()

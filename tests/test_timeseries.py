@@ -406,7 +406,7 @@ class TestHiPACTimeseriesIntegration:
     def test_endpoints_409_when_ticker_off(self):
         import urllib.error as _error
         import urllib.request as _request
-        db = HiPAC(timeseries=False)
+        db = HiPAC(observability=False)
         try:
             assert db.timeseries is None
             assert db.slo is None

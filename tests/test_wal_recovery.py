@@ -346,7 +346,8 @@ class TestFaultInjection:
 
 class TestCheckpointer:
     def test_interval_checkpoint_truncates_wal(self, tmp_path):
-        db = make_durable_db(tmp_path / "d", checkpoint_interval=5)
+        db = make_durable_db(tmp_path / "d")
+        db.checkpointer.interval_records = 5
         db.define_class(stock_class())
         for i in range(5):
             with db.transaction() as t:
