@@ -24,7 +24,10 @@ claimed one, and the exit status is 1 unless that claim holds.
 ``BENCHMARK.json`` declares with ``"unit": "count"`` (transactions created,
 locks granted, rules triggered ... per stimulus) must be *exactly* equal on
 both sides.  The exit status is 1 on any difference not announced with
-``--moved NAME``.
+``--moved NAME``.  The ``"unit": "B"`` rows (WAL, journal and durable bytes
+per stimulus) are printed beside them as information and never fail the run:
+``recovery.wal_bytes`` repeats exactly, the journal's bytes carry wall-clock
+digits and batch framing.
 
     python3 benchmarks/pairs.py --counts --workload saa_mem coupling_mix
 """
@@ -100,17 +103,19 @@ def report(workload: str, metrics: List[dict], claimed: str,
     return held
 
 
-def report_counts(workload: str, names: List[str], moved: List[str],
-                  sides: Dict[str, dict]) -> bool:
-    """Print one row per count metric; return whether every difference was
-    announced."""
+def report_counts(workload: str, names: List[str], byte_names: List[str],
+                  moved: List[str], sides: Dict[str, dict]) -> bool:
+    """Print one row per count metric, then the byte rows; return whether
+    every difference in a count was announced."""
     print("%s: exact per-stimulus counts, seed %d" % (workload, COUNTS_SEED))
     print("  %-28s %-14s %-14s %s" % ("metric", "parent", "change", "verdict"))
     clean = True
-    for name in names:
+    for name in names + byte_names:
         parent, change = (sides[side]["metrics"][name]["value"]
                           for side in ("parent", "change"))
-        if parent == change:
+        if name in byte_names:
+            verdict = "bytes (not compared)"
+        elif parent == change:
             verdict = "same"
         elif name in moved:
             verdict = "moved (announced)"
@@ -123,6 +128,7 @@ def report_counts(workload: str, names: List[str], moved: List[str],
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     count_names = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
+    byte_names = [m["name"] for m in spec["per_layer"] if m["unit"] == "B"]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", nargs="+", required=True,
                         choices=[w["name"] for w in spec["workloads"]])
@@ -152,7 +158,8 @@ def main() -> int:
         held = True
         for workload in args.workload:
             if args.counts:
-                held &= report_counts(workload, count_names, args.moved, {
+                held &= report_counts(workload, count_names, byte_names,
+                                      args.moved, {
                     side: run_once(tree, workload, COUNTS_SEED, args.seconds,
                                    trace=1) for side, tree in trees.items()})
                 continue

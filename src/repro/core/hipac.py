@@ -289,7 +289,6 @@ class HiPAC:
         self.wal = wal
         self.transaction_manager.wal = wal
         self.object_manager.wal = wal
-        self.rule_catalog.wal = wal
         self.checkpointer = Checkpointer(self, wal)
         self.transaction_manager.checkpointer = self.checkpointer
         self._recovery_report = report
@@ -605,9 +604,10 @@ class HiPAC:
         """Liveness/anomaly summary backing the admin ``/health`` endpoint.
 
         Runs the watchdog's pull-path checks, then escalates on failure
-        signals the watchdog does not see: WAL append failures mean
-        durability is broken (``failing``), background separate-firing
-        errors mean rule work is silently dying (at least ``degraded``).
+        signals the watchdog does not see: a failed WAL write (append or
+        force) means durability is broken (``failing``), background
+        separate-firing errors mean rule work is silently dying (at least
+        ``degraded``).
         """
         report = self.watchdog.health()
         background_errors = len(self.rule_manager.background_errors)
@@ -725,30 +725,18 @@ class HiPAC:
         # One ``storage`` family for both segment streams: the WAL
         # (``wal_*``) and the flight journal (``journal_*``), each the
         # shared segment writer's counters plus its domain layer's own.
-        storage: Dict[str, int] = {}
-        wal_stats = dict.fromkeys(
-            ("records", "bytes", "segments", "fsyncs", "syncs",
-             "group_leads", "group_follows", "batched_records",
-             "commits_forced", "append_failures"), 0)
-        if self.wal is not None:
-            wal_stats.update(self.wal.stats)
-            wal_stats.pop("rotations", None)
-            wal_stats.pop("dropped_segments", None)
-            wal_stats.pop("last_seq", None)
-        for key, value in wal_stats.items():
-            storage["wal_%s" % key] = value
-        journal_stats = dict.fromkeys(
-            ("records", "bytes", "segments", "rotations",
-             "dropped_segments", "fsyncs", "last_seq", "suppressed",
-             "checkpoint_markers"), 0)
-        if self.flight_recorder is not None:
-            journal_stats.update(self.flight_recorder.stats)
-            journal_stats.pop("syncs", None)
-            journal_stats.pop("group_leads", None)
-            journal_stats.pop("group_follows", None)
-            journal_stats.pop("batched_records", None)
-        for key, value in journal_stats.items():
-            storage["journal_%s" % key] = value
+        wal_stats = self.wal.stats if self.wal is not None else {}
+        storage = {"wal_%s" % key: wal_stats.get(key, 0) for key in (
+            "records", "bytes", "segments", "fsyncs", "syncs",
+            "group_leads", "group_follows", "batched_records",
+            "commits_forced", "append_failures")}
+        journal_stats = (self.flight_recorder.stats
+                         if self.flight_recorder is not None else {})
+        storage.update(
+            ("journal_%s" % key, journal_stats.get(key, 0)) for key in (
+                "records", "bytes", "segments", "rotations",
+                "dropped_segments", "fsyncs", "last_seq", "suppressed",
+                "checkpoint_markers"))
         provenance = dict.fromkeys(
             ("published", "pruned", "evicted", "why_queries",
              "live_entries", "approx_bytes", "per_key", "capacity"), 0)

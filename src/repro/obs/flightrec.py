@@ -35,24 +35,16 @@ intent discipline).  A torn final record therefore denotes a stimulus that
 never ran: readers drop it and the journal still matches the committed
 state exactly.
 
-**Durability window.**  By default the journal runs in the segment
-store's bounded-window mode (``DEFAULT_FSYNC_INTERVAL_MS``): appended
-records queue in recorder memory and a background thread frames, writes,
-and fsyncs them every N milliseconds — so the JSON framing cost leaves
-the stimulus hot path entirely (on a loaded system it overlaps the WAL's
-commit fsyncs), at the price of up to N ms of journal being lost to a
-hard crash.  An incident recorder tolerates that trade: a lost tail is
-bounded, reported by replay as a divergence note, and never corrupts the
-surviving prefix (the torn-tail scan rule).  Passing
-``fsync_interval_ms=None`` restores the strict mode, where writes are
-pushed to the OS at every record that can *trigger durable effects* —
-commit/abort intents, external and temporal stimuli, explicit fires,
-rule administration, checkpoint markers, separate-thread firings.  The
-journal is one sequential stream, so each boundary flush carries the
-whole buffered prefix with it: txn-begin/op records of a sphere always
-reach the OS before that sphere's commit intent executes (and hence
-before the WAL can force the sphere durable), and a hard process kill
-can only lose records whose effects were not durable either.
+**Durability window.**  The journal runs in the segment store's
+bounded-window mode (``FSYNC_INTERVAL_MS``): appended records queue in
+recorder memory and a background thread frames, writes, and fsyncs them
+every N milliseconds — so the JSON framing cost leaves the stimulus hot
+path entirely (on a loaded system it overlaps the WAL's commit fsyncs),
+at the price of up to N ms of journal being lost to a hard crash.  An
+incident recorder tolerates that trade: a lost tail is bounded, reported
+by replay as a divergence note, and never corrupts the surviving prefix
+(the torn-tail scan rule).  The journal is one sequential stream, so the
+surviving prefix is always a prefix of the stimulus sequence.
 
 **Journal compaction.**  The dominant journal traffic is the
 begin/op/commit plumbing of single-operation application transactions
@@ -104,11 +96,10 @@ if TYPE_CHECKING:  # pragma: no cover
 FLIGHT_DIRNAME = "flight"
 FLIGHT_PREFIX = "flight"
 
-#: default journal durability window (ms) — appended records queue in
+#: the journal's durability window (ms) — appended records queue in
 #: memory and the segment writer's background thread frames, writes, and
-#: fsyncs them this often.  Pass ``fsync_interval_ms=None`` to the
-#: recorder for the strict flush-at-every-boundary mode instead.
-DEFAULT_FSYNC_INTERVAL_MS = 100
+#: fsyncs them this often
+FSYNC_INTERVAL_MS = 100
 
 # Stimulus record types (replayed by the replay engine, in order).
 TXN_BEGIN = "txn-begin"
@@ -175,20 +166,16 @@ class FlightRecorder:
     replay order, so concurrent producers must interleave through one
     point); the suppression counter is thread-local, so one thread doing
     rule-cascade work does not mute application threads.  Framing,
-    rotation, retention, and the optional background-fsync window are the
-    shared segment writer's job (:mod:`repro.storage.segments`).
+    rotation, retention, and the background-fsync window are the shared
+    segment writer's job (:mod:`repro.storage.segments`).
     """
 
     def __init__(self, data_dir: Any, *,
                  max_segment_bytes: int = 4 * 1024 * 1024,
                  max_segments: int = 8,
                  recent_capacity: int = 256,
-                 fsync_interval_ms: Optional[int] = DEFAULT_FSYNC_INTERVAL_MS,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        self.data_dir = Path(data_dir)
         self.directory = journal_dir(data_dir)
-        self.max_segment_bytes = max_segment_bytes
-        self.max_segments = max_segments
         self._mutex = threading.Lock()
         self._local = threading.local()
         self._recent: Deque[Dict[str, Any]] = deque(maxlen=recent_capacity)
@@ -202,7 +189,7 @@ class FlightRecorder:
         # tear would hide good records behind a bad one.
         self._writer = SegmentWriter(
             self.directory, FLIGHT_PREFIX, seq_field="seq",
-            fsync_interval_ms=fsync_interval_ms,
+            fsync_interval_ms=FSYNC_INTERVAL_MS,
             max_segment_bytes=max_segment_bytes,
             max_segments=max_segments,
             metrics=metrics, metric_prefix="journal")
@@ -246,36 +233,24 @@ class FlightRecorder:
 
     def record(self, rtype: str, data: Optional[Dict[str, Any]] = None, *,
                txn: Optional[str] = None,
-               respect_suppression: bool = True,
-               flush: bool = True) -> Optional[int]:
-        """Append one record; returns its seq, or None when skipped.
-
-        ``flush=False`` leaves the record in the process buffer: safe for
-        records whose loss is always *consistent* with the WAL (txn-begin
-        and op records of a sphere that cannot be durable yet, firing
-        responses preceding their boundary).  Every boundary record — the
-        commit/abort intent, cascade-triggering stimuli, rule admin,
-        checkpoint markers — flushes, and a flush pushes the whole
-        buffered prefix of the (single, sequential) stream with it, so
-        any state the WAL could have made durable has its causal journal
-        prefix in the OS already.
-        """
+               respect_suppression: bool = True) -> Optional[int]:
+        """Append one record; returns its seq, or None when skipped."""
         if not self._admit(respect_suppression):
             return None
         with self._mutex:
             if self._closed:
                 return None
             self._spill_current_sphere_locked()
-            return self._append_locked(rtype, data, txn, flush)
+            return self._append_locked(rtype, data, txn)
 
     def _append_locked(self, rtype: str, data: Optional[Dict[str, Any]],
-                       txn: Optional[str], flush: bool) -> int:
+                       txn: Optional[str]) -> int:
         # One dict serves both the journal and the recent ring: the
         # writer fills in "seq", and nobody mutates a record after
         # append (the ring and the admin endpoint only read it).
         fields = {"seq": 0, "type": rtype, "wall": time.time(),
                   "txn": txn, "data": data or {}}
-        seq = self._writer.append(fields, flush=flush)
+        seq = self._writer.append(fields)
         self._recent.append(fields)
         return seq
 
@@ -287,9 +262,9 @@ class FlightRecorder:
         whenever an interleaving record must keep the journal a true
         serialization of the stimulus sequence."""
         begin = {"parent": None, "label": txn.label}
-        self._append_locked(TXN_BEGIN, begin, txn.txn_id, False)
+        self._append_locked(TXN_BEGIN, begin, txn.txn_id)
         for rtype, data, rtxn in tail["entries"]:
-            self._append_locked(rtype, data, rtxn, False)
+            self._append_locked(rtype, data, rtxn)
 
     def _spill_current_sphere_locked(self) -> None:
         """Spill the calling thread's open buffered sphere, if any.
@@ -327,7 +302,7 @@ class FlightRecorder:
             if self._closed:
                 return None
             self._spill_current_sphere_locked()
-            return self._append_locked(TXN_BEGIN, begin, txn.txn_id, False)
+            return self._append_locked(TXN_BEGIN, begin, txn.txn_id)
 
     def record_txn_commit(self, txn: "Transaction") -> Optional[int]:
         if not self._admit():
@@ -341,8 +316,7 @@ class FlightRecorder:
                 if self._closed:
                     return None
                 self._spill_current_sphere_locked()
-                return self._append_locked(TXN_COMMIT, None, txn.txn_id,
-                                           True)
+                return self._append_locked(TXN_COMMIT, None, txn.txn_id)
         if not tail["entries"]:
             return None  # empty transaction: no effects, no journal
         if not tail["ops"]:
@@ -352,8 +326,7 @@ class FlightRecorder:
                 if self._closed:
                     return None
                 self._spill_sphere_locked(txn, tail)
-                return self._append_locked(TXN_COMMIT, None, txn.txn_id,
-                                           True)
+                return self._append_locked(TXN_COMMIT, None, txn.txn_id)
         auto: Dict[str, Any] = {
             "label": txn.label,
             "ops": [data for rtype, data, _ in tail["entries"]
@@ -366,7 +339,7 @@ class FlightRecorder:
         with self._mutex:
             if self._closed:
                 return None
-            return self._append_locked(TXN_AUTO, auto, txn.txn_id, True)
+            return self._append_locked(TXN_AUTO, auto, txn.txn_id)
 
     def record_txn_abort(self, txn: "Transaction") -> Optional[int]:
         if not self._admit():
@@ -384,7 +357,7 @@ class FlightRecorder:
             self._spill_current_sphere_locked()
             if tail is not None:
                 self._spill_sphere_locked(txn, tail)
-            return self._append_locked(TXN_ABORT, None, txn.txn_id, True)
+            return self._append_locked(TXN_ABORT, None, txn.txn_id)
 
     def record_operation(self, op: "Operation", txn: "Transaction",
                          user: str) -> Optional[int]:
@@ -400,7 +373,7 @@ class FlightRecorder:
             if self._closed:
                 return None
             self._spill_current_sphere_locked()
-            return self._append_locked(OPERATION, data, txn.txn_id, False)
+            return self._append_locked(OPERATION, data, txn.txn_id)
 
     def record_signal(self, signal: "EventSignal", *,
                       spec_repr: Optional[str] = None) -> Optional[int]:
@@ -437,9 +410,9 @@ class FlightRecorder:
 
         Synchronous firings buffer on their enclosing sphere when the
         caller passes it (``sphere``, the top-level transaction whose
-        commit intent will flush them); separate-thread firings flush
-        themselves — their sphere commits outside any journalled
-        transaction, so nothing downstream would push them out.
+        commit intent will journal them); separate-thread firings are
+        appended at once — their sphere commits outside any journalled
+        transaction, so nothing downstream would carry them.
         """
         if self._closed:
             return None
@@ -466,8 +439,7 @@ class FlightRecorder:
             if self._closed:
                 return None
             self._spill_current_sphere_locked()
-            return self._append_locked(FIRING, data, txn,
-                                       firing.separate_thread)
+            return self._append_locked(FIRING, data, txn)
 
     def note_checkpoint(self, lsn: int) -> Optional[int]:
         """Mark that the durable checkpoint now covers everything before

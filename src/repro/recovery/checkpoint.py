@@ -1,13 +1,14 @@
 """Checkpointing: bound WAL replay by snapshotting the full state.
 
 A checkpoint is a single atomically-replaced JSON file holding the schema
-(superclass-first so it can be re-defined in order), every extent row, the
-OID allocator's floor, and the registered-rule roster — everything replay
-needs, produced via the same canonical serialization the WAL uses.  The
-file records the WAL LSN it covers; after a successful write the WAL is
-truncated.  LSNs stay monotonic across truncations, so a crash *between*
-checkpoint write and WAL truncation is harmless: replay skips every record
-with ``lsn <= checkpoint.lsn``.
+(superclass-first so it can be re-defined in order), every extent row and
+the OID allocator's floor — everything replay needs (rules are rebound from
+their ``HiPAC::Rule`` rows, which are extent rows), produced via the same
+canonical serialization the WAL uses.  The file records the WAL LSN it
+covers; after a successful write the WAL is truncated.  LSNs stay
+monotonic across truncations, so a crash *between* checkpoint write and WAL
+truncation is harmless: replay skips every record with
+``lsn <= checkpoint.lsn``.
 
 Checkpoints are taken only at quiescent points — no live transactions — so
 the snapshot never contains uncommitted state.  The
@@ -57,8 +58,8 @@ def _schema_superclass_first(schema: Any) -> List[Dict[str, Any]]:
 class Checkpointer:
     """Writes checkpoints for one HiPAC instance.
 
-    ``db`` is duck-typed: it needs ``store``, ``rule_catalog`` and
-    ``transaction_manager`` attributes (the facade).
+    ``db`` is duck-typed: it needs ``store`` and ``transaction_manager``
+    attributes (the facade).
     """
 
     def __init__(self, db: Any, wal: Any) -> None:
@@ -92,7 +93,6 @@ class Checkpointer:
             self.stats["skipped"] += 1
             return False
         store = self.db.store
-        rules = self.db.rule_catalog
         state = {
             "format": CHECKPOINT_FORMAT,
             "lsn": self.wal.last_lsn,
@@ -105,8 +105,6 @@ class Checkpointer:
                 for oid, attrs in sorted(extent.items(),
                                          key=lambda item: item[0].number)
             ],
-            "rules": [[name, rules.get_rule(name).enabled]
-                      for name in rules.rule_names()],
         }
         tmp = self.path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as handle:

@@ -60,14 +60,14 @@ class FaultingWAL(WriteAheadLog):
         writer = self._writer
         real_append, real_sync = writer.append, writer.sync
 
-        def faulting_append(fields: Dict[str, Any], **opts: Any) -> int:
+        def faulting_append(fields: Dict[str, Any]) -> int:
             if self.fail_after is not None and (
                     self.crashed
                     or writer.stats["records"] >= self.fail_after):
                 self.crashed = True
                 raise InjectedCrash(
                     "WAL device failed after %d records" % self.fail_after)
-            return real_append(fields, **opts)
+            return real_append(fields)
 
         def faulting_sync(seq: Optional[int] = None) -> None:
             # Only the sync path dies: the device still accepts appends,

@@ -1,21 +1,24 @@
 """Write-ahead log: a domain layer over the shared segment store.
 
 The paper's execution model makes top-level transactions "atomic,
-serializable, and permanent" (§3.1); this log supplies *permanent*.  Every
-state change — object create/update/delete, class define/drop, rule
-create/drop, transaction begin/commit/abort — is appended as one framed
-record before (or, for compensations, exactly as) it is applied, and the
-log is **forced before ``commit_transaction`` returns** for top-level
-transactions (§6.3 ordering: deferred rule work runs first, inside the
-committing transaction, so its deltas precede the commit record; the
-commit record is then the last thing made durable before commit
-processing resumes).
+serializable, and permanent" (§3.1); this log supplies *permanent*, and
+it holds what redo-only recovery reads and nothing else: every store
+delta — object create/update/delete, class define/drop, a rule's
+``HiPAC::Rule`` row — appended as one framed record before (or, for
+compensations, exactly as) it is applied, and the *top-level* outcome of
+its sphere.  The log is **forced before ``commit_transaction`` returns**
+for top-level transactions (§6.3 ordering: deferred rule work runs
+first, inside the committing transaction, so its deltas precede the
+commit record; the commit record is then the last thing made durable
+before commit processing resumes).  What happened transaction by
+transaction — begins, nested outcomes, rule administration — is the
+flight journal's fact (:mod:`repro.obs.flightrec`), not this log's.
 
 Framing, torn-tail scanning, segment rotation, and the durability wait
 itself all live in :mod:`repro.storage`: the WAL appends records shaped
 as ::
 
-    {"lsn": 17, "type": "delta", "txn": "t5", "sphere": "t3", "data": {...}}
+    {"lsn": 17, "type": "delta", "sphere": "t3", "data": {...}}
 
 and calls :meth:`~repro.storage.segments.SegmentWriter.sync` at each
 top-level commit.  Under concurrency that sync is a **group commit**:
@@ -24,15 +27,18 @@ so N simultaneous commits cost one fsync.
 
 ``sphere`` is the id of the record's *top-level* transaction: recovery
 groups deltas by sphere and applies a sphere's records only when its
-top-level commit record is present in the durable prefix.
+top-level commit record is present in the durable prefix.  ``commit``
+and ``abort`` records carry ``{"top": true}``, which recovery tests
+before it believes one: a directory written when nested outcomes were
+still logged holds ``{"top": false}`` markers, and those decide nothing.
 
 Nested-transaction handling: a nested commit is *not* a durability point
 (its effects become permanent only through its committed top-level
-ancestor), so its commit record is informational.  A nested **abort**
-inside a live sphere appends *compensation* delta records — the inverses
-the in-memory undo replay applies — so replaying a committed sphere's
-records front-to-back reproduces exactly the state the sphere committed,
-aborted subtransactions included (the ARIES CLR idea, flattened to redo).
+ancestor), so it writes nothing.  A nested **abort** inside a live
+sphere appends *compensation* delta records — the inverses the in-memory
+undo replay applies — so replaying a committed sphere's records
+front-to-back reproduces exactly the state the sphere committed, aborted
+subtransactions included (the ARIES CLR idea, flattened to redo).
 
 On disk the log is a stream of ``wal-<index:08d>.seg`` binary segments
 in ``data_dir``.
@@ -55,12 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover
 WAL_PREFIX = "wal"
 
 # Record types.
-TXN_BEGIN = "begin"
 TXN_COMMIT = "commit"
 TXN_ABORT = "abort"
 DELTA = "delta"
-RULE_CREATE = "rule-create"
-RULE_DROP = "rule-drop"
 
 
 def read_wal_records(source: Any) -> Tuple[List[Dict[str, Any]], int]:
@@ -98,20 +101,16 @@ class WriteAheadLog:
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
-        self.failed = False
-        #: optional hook invoked (with the exception) when an append
-        #: fails — the forensics recorder captures a bundle before anyone
-        #: restarts the process; must never raise back into the log path
+        #: optional hook invoked (with the exception) when a log write —
+        #: an append or a force — fails: the forensics recorder captures
+        #: a bundle before anyone restarts the process; must never raise
+        #: back into the log path
         self.on_append_failure: Optional[Any] = None
         self._writer = SegmentWriter(
             self.data_dir, WAL_PREFIX, seq_field="lsn", fsync=fsync,
             start_seq=start_lsn, metrics=metrics, metric_prefix="wal")
+        #: ``append_failures`` counts log writes that failed, forces included
         self._stats = {"commits_forced": 0, "append_failures": 0}
-
-    @property
-    def path(self) -> Path:
-        """Path of the segment currently being appended to."""
-        return self._writer.segment_path
 
     @property
     def last_lsn(self) -> int:
@@ -127,20 +126,29 @@ class WriteAheadLog:
 
     # ------------------------------------------------------------- append
 
-    def append(self, rtype: str, data: Optional[Dict[str, Any]] = None, *,
-               txn_id: Optional[str] = None, sphere: Optional[str] = None,
-               force: bool = False) -> int:
-        """Append one record; returns its LSN.  ``force`` additionally
-        waits for durability (group-committed when the log fsyncs)."""
-        lsn = self._writer.append({"type": rtype, "txn": txn_id,
-                                   "sphere": sphere, "data": data or {}})
-        if force:
-            self._writer.sync(lsn)
-        return lsn
+    def append(self, rtype: str, data: Dict[str, Any], *, sphere: str) -> int:
+        """Append one record; returns its LSN."""
+        try:
+            return self._writer.append({"type": rtype, "sphere": sphere,
+                                        "data": data})
+        except Exception as exc:
+            self._write_failed(exc)
+            raise
 
-    def append_safe(self, rtype: str, data: Optional[Dict[str, Any]] = None, *,
-                    txn_id: Optional[str] = None,
-                    sphere: Optional[str] = None) -> bool:
+    def _write_failed(self, exc: Exception) -> None:
+        """Every failed log write passes here once, whether its caller
+        raises it (a delta, the commit force) or swallows it (the abort
+        path): durability is broken either way, ``/health`` reads the
+        count and forensics captures on the hook."""
+        self._stats["append_failures"] += 1
+        if self.on_append_failure is not None:
+            try:
+                self.on_append_failure(exc)
+            except Exception:
+                pass
+
+    def append_safe(self, rtype: str, data: Dict[str, Any], *,
+                    sphere: str) -> None:
         """Best-effort append for abort-path records.
 
         A failing log device must not break in-memory abort processing: a
@@ -149,74 +157,50 @@ class WriteAheadLog:
         missing compensation record is unrecoverable-state-safe.
         """
         try:
-            self.append(rtype, data, txn_id=txn_id, sphere=sphere)
-            return True
-        except Exception as exc:
-            self.failed = True
-            self._stats["append_failures"] += 1
-            if self.on_append_failure is not None:
-                try:
-                    self.on_append_failure(exc)
-                except Exception:
-                    pass
-            return False
+            self.append(rtype, data, sphere=sphere)
+        except Exception:
+            pass  # counted and reported by append()
 
-    def force(self) -> None:
-        """Force buffered records to stable storage (fsync when enabled)."""
-        self._writer.sync()
+    def force(self, lsn: Optional[int] = None) -> None:
+        """Wait until the records up to ``lsn`` (default: every appended
+        one) are on stable storage — group-committed when the log fsyncs,
+        pushed to the OS when it does not."""
+        try:
+            self._writer.sync(lsn)
+        except Exception as exc:
+            self._write_failed(exc)
+            raise
 
     # ---------------------------------------------------- domain appenders
 
-    def log_begin(self, txn: "Transaction") -> None:
-        """Record transaction creation."""
-        self.append(TXN_BEGIN,
-                    {"parent": txn.parent.txn_id if txn.parent else None,
-                     "label": txn.label},
-                    txn_id=txn.txn_id, sphere=txn.top_level().txn_id)
-
     def log_commit(self, txn: "Transaction") -> None:
-        """Record a commit; for a top-level transaction this is the §6.3
+        """Record the commit of a top-level transaction, the §6.3
         durability point — the record is durable before the call returns
         (one group-commit fsync covers every concurrently parked
         committer)."""
-        top = txn.parent is None
-        self.append(TXN_COMMIT, {"top": top},
-                    txn_id=txn.txn_id, sphere=txn.top_level().txn_id,
-                    force=top)
-        if top:
-            self._stats["commits_forced"] += 1
+        self.force(self.append(TXN_COMMIT, {"top": True}, sphere=txn.txn_id))
+        self._stats["commits_forced"] += 1
 
     def log_abort(self, txn: "Transaction") -> None:
-        """Record an abort, preceded — for nested transactions inside a
-        live sphere — by compensation records mirroring the inverse deltas
-        the in-memory undo replay is about to apply.  Best-effort (see
-        :meth:`append_safe`)."""
+        """Record an abort.  Best-effort (see :meth:`append_safe`).
+
+        A nested transaction inside a live sphere leaves compensation
+        records mirroring the inverse deltas the in-memory undo replay is
+        about to apply, and no marker; a top-level one leaves the outcome
+        record that discards its sphere at replay."""
+        if txn.parent is None:
+            self.append_safe(TXN_ABORT, {"top": True}, sphere=txn.txn_id)
+            return
         sphere = txn.top_level().txn_id
-        if txn.parent is not None:
-            for record in reversed(txn.undo_log):
-                if isinstance(record, DeltaUndo):
-                    self.append_safe(
-                        DELTA, encode_delta(record.delta.inverse()),
-                        txn_id=txn.txn_id, sphere=sphere)
-        self.append_safe(TXN_ABORT, {"top": txn.parent is None},
-                         txn_id=txn.txn_id, sphere=sphere)
+        for record in reversed(txn.undo_log):
+            if isinstance(record, DeltaUndo):
+                self.append_safe(DELTA, encode_delta(record.delta.inverse()),
+                                 sphere=sphere)
 
     def log_delta(self, delta: "Delta", txn: "Transaction") -> None:
         """Record one applied store delta (object DML or class DDL)."""
-        self.append(DELTA, encode_delta(delta), txn_id=txn.txn_id,
+        self.append(DELTA, encode_delta(delta),
                     sphere=txn.top_level().txn_id)
-
-    def log_rule_create(self, name: str, attrs: Dict[str, Any],
-                        txn: "Transaction") -> None:
-        """Record rule registration (informational: the rule's
-        ``HiPAC::Rule`` row travels as an ordinary object delta)."""
-        self.append(RULE_CREATE, {"name": name, "attrs": attrs},
-                    txn_id=txn.txn_id, sphere=txn.top_level().txn_id)
-
-    def log_rule_drop(self, name: str, txn: "Transaction") -> None:
-        """Record rule deletion (informational, like rule creation)."""
-        self.append(RULE_DROP, {"name": name},
-                    txn_id=txn.txn_id, sphere=txn.top_level().txn_id)
 
     # ---------------------------------------------------------- lifecycle
 

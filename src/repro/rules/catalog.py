@@ -55,8 +55,6 @@ class RuleCatalog:
         self._external = external_detector
         self._composite = composite_detector
         self._tracer = tracer
-        #: write-ahead log; None while the system runs in-memory only
-        self.wal: Optional[Any] = None
         #: flight recorder; None unless the facade enables it.  Rule
         #: administration is journalled here as a stimulus: the rule-object
         #: operation itself is *not* journalled at the Object Manager
@@ -239,8 +237,6 @@ class RuleCatalog:
         txn.log_undo(CallbackUndo(
             lambda: self._forget(rule),
             label="forget rule %s" % rule.name))
-        if self.wal is not None:
-            self.wal.log_rule_create(rule.name, rule.store_attrs(), txn)
 
     def _unregister(self, rule: Rule, txn: Transaction) -> None:
         self._evaluator.delete_rule(rule.condition, txn)
@@ -252,8 +248,6 @@ class RuleCatalog:
         txn.log_undo(CallbackUndo(
             lambda: self._remember(rule),
             label="re-register rule %s" % rule.name))
-        if self.wal is not None:
-            self.wal.log_rule_drop(rule.name, txn)
 
     def _remember(self, rule: Rule) -> None:
         self._event_map.setdefault(rule.event, set()).add(rule.name)

@@ -26,9 +26,11 @@ Durability policies
     :meth:`sync`/:meth:`flush`, which drain first).  At most the last
     N ms of records are exposed to a crash, and the framing cost leaves
     the caller's hot path entirely — on a busy system it overlaps the
-    WAL's fsync waits.  The flight journal's mode.  Queued record dicts
-    are owned by the writer once appended: callers must not mutate them
-    afterwards.
+    WAL's fsync waits.  Queued record dicts are owned by the writer once
+    appended: callers must not mutate them afterwards.
+
+A stream keeps one policy for life: the WAL frames each record as it is
+appended and group-commits, the flight journal runs the bounded window.
 
 A new session always opens a fresh segment: the previous session's tail
 may be torn, and appending past a tear would hide good records behind a
@@ -245,17 +247,13 @@ class SegmentWriter:
         """Path of the segment currently being appended to."""
         return self._segment_path
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def append(self, fields: Dict[str, Any], *, flush: bool = False) -> int:
+    def append(self, fields: Dict[str, Any]) -> int:
         """Frame and append one record; returns its sequence number.
 
         The writer owns numbering: ``fields[seq_field]`` is assigned here
-        (the argument dict is updated in place).  ``flush=True`` pushes
-        the libc buffer to the OS before returning; durability beyond
-        that is :meth:`sync`'s job.
+        (the argument dict is updated in place).  The frame lands in the
+        process buffer; pushing it to the OS is :meth:`flush`'s job and
+        durability :meth:`sync`'s.
         """
         with self._mutex:
             if self._closed:
@@ -263,7 +261,6 @@ class SegmentWriter:
             if self._defer:
                 # Bounded-window mode: queue the dict; the background
                 # thread (or the next drain point) frames and writes it.
-                # ``flush`` is ignored — the interval *is* the window.
                 # Even the metric bump waits for the drain (one bump per
                 # batch): nothing but the queue append is on this path.
                 self._seq += 1
@@ -278,8 +275,6 @@ class SegmentWriter:
             fields[self.seq_field] = self._seq
             frame = encode_frame(fields)
             self._file.write(frame)
-            if flush:
-                self._file.flush()
             self._segment_bytes += len(frame)
             self.stats["records"] += 1
             self.stats["bytes"] += len(frame)

@@ -109,14 +109,6 @@ class TransactionManager:
         self._created()
         if self.recorder is not None and not internal:
             self.recorder.record_txn_begin(txn)
-        if self.wal is not None:
-            try:
-                self.wal.log_begin(txn)
-            except BaseException:
-                # Log device failed before the transaction did anything:
-                # retire it so it is not stranded in the live set.
-                self.abort_transaction(txn, source=tracing.TRANSACTION_MANAGER)
-                raise
         if not internal:
             self._signal("begin", txn)
         return txn
@@ -173,12 +165,6 @@ class TransactionManager:
         # must not be stranded in COMMITTING with its locks held: undo its
         # effects and surface the failure as an abort.
         try:
-            # Write-ahead: the commit record is forced (fsync for a
-            # top-level transaction) before any effect becomes permanent.
-            # Deferred rule work already ran above, inside the committing
-            # transaction (§6.3), so its deltas precede this record.
-            if self.wal is not None:
-                self.wal.log_commit(txn)
             if parent is not None:
                 # Hand up what exists; a subtransaction that holds nothing
                 # never enters the lock table's mutex.
@@ -196,6 +182,13 @@ class TransactionManager:
                     txn.on_abort = []
                 txn.state = COMMITTED
             else:
+                # Write-ahead: the commit record is forced before any
+                # effect becomes permanent.  Deferred rule work already ran
+                # above, inside the committing transaction (§6.3), so its
+                # deltas precede this record.  A nested commit is not a
+                # durability point and writes nothing.
+                if self.wal is not None:
+                    self.wal.log_commit(txn)
                 txn.state = COMMITTED
                 txn.undo_log = []
                 self.locks.release_all(txn)

@@ -165,6 +165,28 @@ class TestStats:
         assert stats["objects"]["operations"] >= 2
         assert stats["transactions"]["top_level_committed"] >= 2
 
+    def test_storage_section_keys(self, tmp_path):
+        # The same keys in the same order whether the streams exist or not
+        # (exporters and dashboards index this section by name).
+        keys = [
+            "wal_records", "wal_bytes", "wal_segments", "wal_fsyncs",
+            "wal_syncs", "wal_group_leads", "wal_group_follows",
+            "wal_batched_records", "wal_commits_forced",
+            "wal_append_failures", "journal_records", "journal_bytes",
+            "journal_segments", "journal_rotations",
+            "journal_dropped_segments", "journal_fsyncs", "journal_last_seq",
+            "journal_suppressed", "journal_checkpoint_markers"]
+        db = HiPAC()
+        assert list(db.stats()["storage"]) == keys
+        assert set(db.stats()["storage"].values()) == {0}
+        db = HiPAC(durability="wal", data_dir=tmp_path, wal_fsync=False,
+                   flight_recorder=True)
+        db.define_class(ClassDef("C", attributes("a")))
+        storage = db.stats()["storage"]
+        db.close()
+        assert list(storage) == keys
+        assert storage["wal_records"] > 0 and storage["journal_records"] > 0
+
 
 class TestWorkloadGenerators:
     def test_symbols_distinct(self):

@@ -218,7 +218,7 @@ class TestForensicsRecorder:
             txn = db.begin()
             db.wal._writer.append = _raise_io  # break the log device
             # The abort path logs best-effort (append_safe): the failed
-            # append flips wal.failed and fires the forensics hook.
+            # append is counted and fires the forensics hook.
             db.abort(txn)
             recorder = db.forensics
             assert _wait_for(

@@ -23,6 +23,7 @@ from repro import (
 from repro.recovery import (
     FaultingWAL,
     InjectedCrash,
+    WriteAheadLog,
     corrupt_record,
     has_durable_state,
     load_checkpoint,
@@ -157,7 +158,79 @@ def sweep(src, captures, tmp_path, torn_tail=False):
             % (n, lsn))
 
 
+def in_parent_vocabulary(records):
+    """The log of ``records`` as the engine wrote it while it also logged
+    what recovery never read: a ``begin`` per transaction, a ``commit`` or
+    ``abort`` marker with ``top: False`` per subtransaction (here every
+    delta is made some subtransaction's, alternately committed and
+    aborted), ``rule-create`` / ``rule-drop`` beside a rule row's delta,
+    and a ``txn`` field on every record."""
+    out = []
+    for record in records:
+        sphere = record["sphere"]
+        if not any(old["sphere"] == sphere for old in out):
+            out.append({"type": "begin", "txn": sphere, "sphere": sphere,
+                        "data": {"parent": None, "label": ""}})
+        if record["type"] != "delta":
+            out.append(dict(record, txn=sphere))
+            continue
+        child = "%s.%d" % (sphere, len(out))
+        out.append({"type": "begin", "txn": child, "sphere": sphere,
+                    "data": {"parent": sphere, "label": "act:r"}})
+        out.append(dict(record, txn=child))
+        delta = record["data"]
+        if delta["class_name"] == RULE_CLASS and delta["kind"] != "update":
+            out.append({"type": ("rule-create" if delta["kind"] == "create"
+                                 else "rule-drop"),
+                        "txn": child, "sphere": sphere,
+                        "data": {"name": "audit-price"}})
+        out.append({"type": "abort" if len(out) % 2 else "commit",
+                    "txn": child, "sphere": sphere, "data": {"top": False}})
+    for lsn, record in enumerate(out, 1):
+        record["lsn"] = lsn
+    return out
+
+
 class TestWalFormat:
+    def test_every_record_has_a_reader(self, tmp_path):
+        # DESIGN decision 23: the log and the checkpoint hold what
+        # replay_into / apply_checkpoint_state / tools/replay.py read,
+        # and nothing else.
+        db = make_durable_db(tmp_path / "d")
+        run_workload(db)
+        records, _ = read_wal_records(tmp_path / "d")
+        assert {r["type"] for r in records} == {"delta", "commit", "abort"}
+        assert all(r["data"]["top"] is True
+                   for r in records if r["type"] != "delta")
+        assert all(set(r) == {"lsn", "type", "sphere", "data"}
+                   for r in records)
+        assert db.checkpoint()
+        db.close()
+        assert set(load_checkpoint(tmp_path / "d")) == {
+            "format", "lsn", "next_oid", "schema", "extents"}
+
+    def test_parent_vocabulary_still_recovers(self, tmp_path):
+        # No compatibility reader was needed to stop writing those
+        # records, because recovery never looked at them: a directory
+        # written before they left recovers to the same store.
+        db = make_durable_db(tmp_path / "new")
+        run_workload(db)
+        final = db.store.snapshot_state()
+        db.close()
+        records, _ = read_wal_records(tmp_path / "new")
+        old = in_parent_vocabulary(records)
+        assert {(r["type"], r["data"].get("top")) for r in old} >= {
+            ("begin", None), ("commit", False), ("abort", False),
+            ("rule-create", None), ("rule-drop", None)}
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "wal-00000001.seg").write_bytes(
+            b"".join(encode_frame(record) for record in old))
+        recovered = [
+            recover(tmp_path / name, rules=build_rules(),
+                    durability=None).store.snapshot_state()
+            for name in ("old", "new")]
+        assert recovered[0] == recovered[1] == final
+
     def test_reader_returns_only_valid_prefix(self, tmp_path):
         db = make_durable_db(tmp_path / "d")
         db.define_class(stock_class())
@@ -166,7 +239,7 @@ class TestWalFormat:
         db.close()
         records, discarded = read_wal_records(tmp_path / "d")
         assert discarded == 0
-        assert [r["type"] for r in records[:2]] == ["begin", "delta"]
+        assert [r["type"] for r in records[:2]] == ["delta", "commit"]
         assert all(r1["lsn"] < r2["lsn"]
                    for r1, r2 in zip(records, records[1:]))
 
@@ -256,7 +329,6 @@ def attach_wal(db, wal):
     db.wal = wal
     db.transaction_manager.wal = wal
     db.object_manager.wal = wal
-    db.rule_catalog.wal = wal
 
 
 class TestFaultInjection:
@@ -267,8 +339,8 @@ class TestFaultInjection:
         db = HiPAC(lock_timeout=2.0)
         db.define_class(stock_class())
         before = db.store.snapshot_state()
-        # fail_after=2: begin + create delta succeed, the commit append dies.
-        attach_wal(db, FaultingWAL(tmp_path / "d", fail_after=2))
+        # fail_after=1: the create delta succeeds, the commit append dies.
+        attach_wal(db, FaultingWAL(tmp_path / "d", fail_after=1))
         txn = db.begin()
         db.create("Stock", {"symbol": "IBM", "price": 1.0}, txn)
         with pytest.raises(InjectedCrash):
@@ -291,7 +363,7 @@ class TestFaultInjection:
         with db.transaction() as t:
             db.create("Stock", {"symbol": "IBM", "price": 1.0}, t)
         committed = db.store.snapshot_state()
-        wal.fail_after = wal.stats["records"] + 2  # dies at the next commit
+        wal.fail_after = wal.stats["records"] + 1  # dies at the next commit
         txn = db.begin()
         db.create("Stock", {"symbol": "DEC", "price": 2.0}, txn)
         with pytest.raises(InjectedCrash):
@@ -324,6 +396,52 @@ class TestFaultInjection:
         assert (recovered.store.snapshot_state()["Stock"]
                 == committed["Stock"])
 
+    def test_failed_force_is_a_durability_failure(self, tmp_path):
+        # A commit whose force fails raises and rolls back — and is
+        # counted, handed to the forensics hook and shown by /health like
+        # any other failed log write.
+        db = HiPAC(lock_timeout=2.0)
+        db.define_class(stock_class())
+        wal = FaultingWAL(tmp_path / "d", fail_fsync_after=0, fsync=True)
+        seen = []
+        wal.on_append_failure = seen.append
+        attach_wal(db, wal)
+        txn = db.begin()
+        db.create("Stock", {"symbol": "IBM", "price": 1.0}, txn)
+        with pytest.raises(InjectedCrash):
+            db.commit(txn)
+        assert txn.state == "aborted"
+        assert db.locks.resource_count() == 0
+        assert wal.stats["append_failures"] == 1
+        assert len(seen) == 1 and isinstance(seen[0], InjectedCrash)
+        assert db.health()["status"] == "failing"
+
+    def test_transient_append_failure_is_counted(self, tmp_path):
+        # The device refuses one delta and then works again: the abort
+        # record that follows succeeds, and the failure still counts.
+        db = HiPAC(lock_timeout=2.0)
+        db.define_class(stock_class())
+        wal = WriteAheadLog(tmp_path / "d", fsync=False)
+        seen = []
+        wal.on_append_failure = seen.append
+        attach_wal(db, wal)
+        working_append = wal._writer.append
+
+        def refuse_once(fields):
+            wal._writer.append = working_append
+            raise OSError("no space left on device")
+
+        wal._writer.append = refuse_once
+        txn = db.begin()
+        with pytest.raises(OSError):
+            db.create("Stock", {"symbol": "IBM", "price": 1.0}, txn)
+        db.abort(txn)
+        assert db.locks.resource_count() == 0
+        assert wal.stats["append_failures"] == 1
+        assert wal.stats["records"] == 1  # the abort record
+        assert len(seen) == 1 and isinstance(seen[0], OSError)
+        assert db.health()["status"] == "failing"
+
     def test_nested_commit_crash_aborts_child_only(self, tmp_path):
         db = HiPAC(lock_timeout=2.0)
         db.define_class(stock_class())
@@ -332,10 +450,12 @@ class TestFaultInjection:
         parent = db.begin()
         ibm = db.create("Stock", {"symbol": "IBM", "price": 1.0}, parent)
         child = db.begin(parent)
-        db.update(ibm, {"price": 2.0}, child)
+        # A nested commit writes nothing, so the append that can die under
+        # the child is its update's delta.
         wal.fail_after = wal.stats["records"]  # next append dies
         with pytest.raises(InjectedCrash):
-            db.commit(child)
+            db.update(ibm, {"price": 2.0}, child)
+        db.abort(child)
         assert child.state == "aborted"
         assert parent.state == "active"
         assert db.store.get(ibm).snapshot()["price"] == 1.0
