@@ -54,10 +54,6 @@ class Condition:
         """Condition over the given queries."""
         return Condition(tuple(queries))
 
-    def is_trivial(self) -> bool:
-        """True for the always-true condition with no guard."""
-        return not self.queries and self.guard is None
-
     def event_args(self) -> frozenset:
         """All event-argument names referenced by the condition's queries."""
         names: frozenset = frozenset()

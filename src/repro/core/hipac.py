@@ -288,7 +288,6 @@ class HiPAC:
                             metrics=self.metrics)
         self.wal = wal
         self.transaction_manager.wal = wal
-        self.object_manager.wal = wal
         self.checkpointer = Checkpointer(self, wal)
         self.transaction_manager.checkpointer = self.checkpointer
         self._recovery_report = report

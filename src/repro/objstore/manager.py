@@ -11,7 +11,9 @@ Execution of one operation:
 2. acquire the locks the operation needs (multigranularity: intention lock
    on the class extent, S/X on the object);
 3. apply the operation to the store, producing a :class:`Delta`;
-4. log the delta in the transaction's undo log;
+4. log the delta in the transaction's undo log — the one record of the
+   sphere's surviving writes: an abort replays it backwards, a durable
+   top-level commit writes it to the log (nothing is made durable here);
 5. notify delta listeners (the Condition Evaluator maintains its
    materialized condition-graph memories from these);
 6. report the operation to the database event detector, which signals the
@@ -86,9 +88,6 @@ class ObjectManager:
             store.schema, tracer=self._tracer,
             component=tracing.OBJECT_MANAGER, metrics=self._metrics)
         self._delta_listeners: List[DeltaListener] = []
-        #: write-ahead log; None while the system runs in-memory only
-        #: (attached by the facade when durability is enabled)
-        self.wal: Optional[Any] = None
         #: flight recorder; None unless the facade enables it.  Top-level
         #: application operations are journalled as replayable stimuli;
         #: rule-cascade operations are suppressed (replay re-derives them).
@@ -334,16 +333,10 @@ class ObjectManager:
 
     def _record_and_signal(self, delta: Delta, txn: Transaction, user: str) -> None:
         txn.log_undo(DeltaUndo(self.store, delta))
-        # Write-ahead: the delta reaches the log before the operation's
-        # signal can trigger further (immediate) rule work.  If the append
-        # raises, the undo record above rolls this operation back with the
-        # rest of the transaction.
-        if self.wal is not None:
-            self.wal.log_delta(delta, txn)
         if self.provenance is not None:
             # Buffered on the sphere, not yet queryable: publish happens
-            # at top-level commit, abort prunes (so a WAL failure above
-            # or any later rollback never leaks phantom provenance).
+            # at top-level commit, abort prunes (so a rollback never
+            # leaks phantom provenance).
             self.provenance.note_delta(delta, txn, user)
         for listener in self._delta_listeners:
             listener(txn, delta)

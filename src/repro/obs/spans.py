@@ -173,16 +173,6 @@ class SpanRecorder:
         with self._lock:
             return self._roots[-1] if self._roots else None
 
-    def find_roots(self, **tags: Any) -> List[Span]:
-        """Completed roots whose tags contain all of ``tags``."""
-        return [root for root in self.roots()
-                if all(root.tags.get(key) == value
-                       for key, value in tags.items())]
-
-    def span_count(self) -> int:
-        """Total spans in all retained trees (diagnostics)."""
-        return sum(1 for root in self.roots() for _ in root.walk())
-
     def clear(self) -> None:
         """Drop retained roots (between experiment phases)."""
         with self._lock:

@@ -5,7 +5,7 @@ Complementary fault shapes, now aimed at the shared segment store:
 * :class:`FaultingWAL` — a :class:`~repro.recovery.wal.WriteAheadLog`
   whose device "dies" after N successful appends (every later append
   raises :class:`InjectedCrash` and the log stays dead), exercising the
-  live system's reaction to a failing log at commit/abort time.  With
+  live system's reaction to a failing log at commit time.  With
   ``fail_fsync_after`` the *sync* path dies instead — the records land
   in the OS but the durability wait fails, modelling a crash **between
   the group-commit batch write and its fsync**.
@@ -46,8 +46,8 @@ class FaultingWAL(WriteAheadLog):
     succeed, then every later one raises *after* the batch was written
     and flushed — a crash between the group-commit write and its fsync
     (records reach the OS; stable storage is never confirmed).  The
-    append path stays alive under a sync fault, so abort-path
-    compensation records can still settle the sphere's fate.
+    append path stays alive under a sync fault, so the failed commit's
+    abort record can still settle the sphere's fate.
     """
 
     def __init__(self, data_dir: Any, *, fail_after: Optional[int] = None,
@@ -71,8 +71,8 @@ class FaultingWAL(WriteAheadLog):
 
         def faulting_sync(seq: Optional[int] = None) -> None:
             # Only the sync path dies: the device still accepts appends,
-            # so the abort path's best-effort compensation records can
-            # land and settle the sphere's on-disk fate.
+            # so the failed commit's best-effort abort record can land
+            # and settle the sphere's on-disk fate.
             if (self.fail_fsync_after is not None
                     and writer.stats["syncs"] >= self.fail_fsync_after):
                 self.crashed = True

@@ -12,9 +12,9 @@ model's guarantees directly:
   the committing transaction and therefore precede the commit record);
 * no uncommitted or aborted effect resurfaces (its sphere never replays);
 * nested commits are durable exactly through their committed top-level
-  ancestor (their deltas carry the ancestor's sphere id; nested aborts
-  left compensation records in the sphere, so replaying the sphere
-  front-to-back lands on the committed state).
+  ancestor (their deltas carry its sphere id; an aborted subtransaction's
+  never reach the log — a directory written when they did holds each with
+  its compensation, so front-to-back replay lands on the same state).
 
 Rules are *rebound* rather than replayed: conditions and actions are
 Python callables the log cannot capture, so the recovered ``HiPAC::Rule``

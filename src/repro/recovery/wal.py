@@ -2,17 +2,21 @@
 
 The paper's execution model makes top-level transactions "atomic,
 serializable, and permanent" (§3.1); this log supplies *permanent*, and
-it holds what redo-only recovery reads and nothing else: every store
-delta — object create/update/delete, class define/drop, a rule's
-``HiPAC::Rule`` row — appended as one framed record before (or, for
-compensations, exactly as) it is applied, and the *top-level* outcome of
-its sphere.  The log is **forced before ``commit_transaction`` returns**
-for top-level transactions (§6.3 ordering: deferred rule work runs
-first, inside the committing transaction, so its deltas precede the
-commit record; the commit record is then the last thing made durable
-before commit processing resumes).  What happened transaction by
-transaction — begins, nested outcomes, rule administration — is the
-flight journal's fact (:mod:`repro.obs.flightrec`), not this log's.
+it is written at one point: the top-level commit (§6.3).  Deferred rule
+work has run by then, inside the committing transaction, and the
+sphere's surviving writes — object create/update/delete, class
+define/drop, a rule's ``HiPAC::Rule`` row — stand once, in order, in the
+transaction's undo log (a nested commit handed its records up, a nested
+abort consumed them).  :meth:`WriteAheadLog.log_commit` appends each as
+one framed ``delta`` record, then the ``commit`` record, and **forces
+the log before ``commit_transaction`` returns**.  Nothing reaches the
+log earlier: no other transaction and no checkpoint can see a write
+before that force (strict locking; checkpoints refuse live
+transactions), so redo information is needed at commit and not before —
+and work that aborts, nested or top-level, costs the log nothing.  What
+happened transaction by transaction — begins, nested outcomes, rule
+administration — is the flight journal's fact
+(:mod:`repro.obs.flightrec`), not this log's.
 
 Framing, torn-tail scanning, segment rotation, and the durability wait
 itself all live in :mod:`repro.storage`: the WAL appends records shaped
@@ -32,13 +36,11 @@ and ``abort`` records carry ``{"top": true}``, which recovery tests
 before it believes one: a directory written when nested outcomes were
 still logged holds ``{"top": false}`` markers, and those decide nothing.
 
-Nested-transaction handling: a nested commit is *not* a durability point
-(its effects become permanent only through its committed top-level
-ancestor), so it writes nothing.  A nested **abort** inside a live
-sphere appends *compensation* delta records — the inverses the in-memory
-undo replay applies — so replaying a committed sphere's records
-front-to-back reproduces exactly the state the sphere committed, aborted
-subtransactions included (the ARIES CLR idea, flattened to redo).
+The only partial sphere a log can hold is a commit that failed or
+crashed part-way.  A crash leaves deltas without an outcome, which
+recovery discards; a write that *raises* is followed by a best-effort
+``abort`` record, because the commit record may already have landed when
+its force failed and recovery takes a sphere's last outcome.
 
 On disk the log is a stream of ``wal-<index:08d>.seg`` binary segments
 in ``data_dir``.
@@ -136,30 +138,15 @@ class WriteAheadLog:
             raise
 
     def _write_failed(self, exc: Exception) -> None:
-        """Every failed log write passes here once, whether its caller
-        raises it (a delta, the commit force) or swallows it (the abort
-        path): durability is broken either way, ``/health`` reads the
-        count and forensics captures on the hook."""
+        """Every failed log write passes here once: durability is
+        broken, ``/health`` reads the count and forensics captures on
+        the hook."""
         self._stats["append_failures"] += 1
         if self.on_append_failure is not None:
             try:
                 self.on_append_failure(exc)
             except Exception:
                 pass
-
-    def append_safe(self, rtype: str, data: Dict[str, Any], *,
-                    sphere: str) -> None:
-        """Best-effort append for abort-path records.
-
-        A failing log device must not break in-memory abort processing: a
-        sphere whose compensation cannot be logged can never durably commit
-        either (its commit force would fail on the same device), so a
-        missing compensation record is unrecoverable-state-safe.
-        """
-        try:
-            self.append(rtype, data, sphere=sphere)
-        except Exception:
-            pass  # counted and reported by append()
 
     def force(self, lsn: Optional[int] = None) -> None:
         """Wait until the records up to ``lsn`` (default: every appended
@@ -174,33 +161,32 @@ class WriteAheadLog:
     # ---------------------------------------------------- domain appenders
 
     def log_commit(self, txn: "Transaction") -> None:
-        """Record the commit of a top-level transaction, the §6.3
-        durability point — the record is durable before the call returns
-        (one group-commit fsync covers every concurrently parked
-        committer)."""
-        self.force(self.append(TXN_COMMIT, {"top": True}, sphere=txn.txn_id))
+        """The whole durable write of a top-level transaction, at the
+        §6.3 durability point: its surviving deltas in undo-log order,
+        then the commit record — durable before the call returns (one
+        group-commit fsync covers every concurrently parked committer).
+
+        A write that raises may leave the commit record behind (the force
+        is what failed): the best-effort abort record settles the sphere
+        for recovery."""
+        try:
+            for record in txn.undo_log:
+                if isinstance(record, DeltaUndo):
+                    self.log_delta(record.delta, txn)
+            self.force(self.append(TXN_COMMIT, {"top": True},
+                                   sphere=txn.txn_id))
+        except BaseException:
+            try:
+                self.append(TXN_ABORT, {"top": True}, sphere=txn.txn_id)
+            except Exception:
+                pass  # counted and reported by append()
+            raise
         self._stats["commits_forced"] += 1
 
-    def log_abort(self, txn: "Transaction") -> None:
-        """Record an abort.  Best-effort (see :meth:`append_safe`).
-
-        A nested transaction inside a live sphere leaves compensation
-        records mirroring the inverse deltas the in-memory undo replay is
-        about to apply, and no marker; a top-level one leaves the outcome
-        record that discards its sphere at replay."""
-        if txn.parent is None:
-            self.append_safe(TXN_ABORT, {"top": True}, sphere=txn.txn_id)
-            return
-        sphere = txn.top_level().txn_id
-        for record in reversed(txn.undo_log):
-            if isinstance(record, DeltaUndo):
-                self.append_safe(DELTA, encode_delta(record.delta.inverse()),
-                                 sphere=sphere)
-
     def log_delta(self, delta: "Delta", txn: "Transaction") -> None:
-        """Record one applied store delta (object DML or class DDL)."""
-        self.append(DELTA, encode_delta(delta),
-                    sphere=txn.top_level().txn_id)
+        """Record one store delta (object DML or class DDL) of the
+        committing top-level transaction ``txn``."""
+        self.append(DELTA, encode_delta(delta), sphere=txn.txn_id)
 
     # ---------------------------------------------------------- lifecycle
 

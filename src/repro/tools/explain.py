@@ -140,13 +140,6 @@ def explain_state(db, oid, attr: Optional[str] = None,
     return "\n".join(lines)
 
 
-def hottest_rules(db, top: int = 10) -> str:
-    """The profiler's top-N "hottest rules" table (see
-    :class:`repro.obs.profiler.RuleProfiler`) — the aggregate companion to
-    the per-firing account :func:`explain` gives."""
-    return db.rule_profiler().report(top=top)
-
-
 def why_not(db, rule_name: str) -> str:
     """Diagnose why a rule has not been executing.
 

@@ -8,7 +8,10 @@ Manager" (§5.2).  Per §6.3, the commit-event signal is issued **as part of
 commit processing, before commit completes**, so deferred rule firings run
 inside the committing transaction ("just prior to its parent transaction
 committing", §3.2) and the Transaction Manager "resumes commit processing"
-only after the Rule Manager replies.
+only after the Rule Manager replies.  With durability on, that resumed
+top-level commit is the one point where the log is written: the undo log
+then holds exactly the sphere's surviving writes, so a nested commit, a
+nested abort and a top-level abort cost the log nothing.
 
 The interface is exactly the paper's three operations — create transaction,
 commit transaction, abort transaction — plus introspection used by tests and
@@ -182,11 +185,10 @@ class TransactionManager:
                     txn.on_abort = []
                 txn.state = COMMITTED
             else:
-                # Write-ahead: the commit record is forced before any
-                # effect becomes permanent.  Deferred rule work already ran
-                # above, inside the committing transaction (§6.3), so its
-                # deltas precede this record.  A nested commit is not a
-                # durability point and writes nothing.
+                # The durability point and the only log write there is:
+                # the surviving deltas (deferred rule work ran above,
+                # inside this transaction, §6.3) and the commit record,
+                # forced before any effect becomes permanent.
                 if self.wal is not None:
                     self.wal.log_commit(txn)
                 txn.state = COMMITTED
@@ -244,12 +246,6 @@ class TransactionManager:
         txn.aborted_flag = True
         txn.state = ABORTED
         self.locks.wake_aborted(txn)
-        # Write-ahead (best-effort: a dead log device must not block abort
-        # cleanup): nested aborts append compensation records so a later
-        # top-level commit of the surrounding sphere replays to the right
-        # state; a top-level abort record discards the sphere at replay.
-        if self.wal is not None:
-            self.wal.log_abort(txn)
         replay_reverse(txn.undo_log)
         txn.undo_log = []
         txn.deferred_conditions = []

@@ -58,10 +58,6 @@ class MarketDataGenerator:
         self._min_price = min_price
         self._seq = 0
 
-    def price_of(self, symbol: str) -> float:
-        """Current price of ``symbol``."""
-        return self._prices[symbol]
-
     def next_quote(self) -> Quote:
         """Produce the next quote (random symbol, random-walk price)."""
         symbol = self._rng.choice(self.symbols)

@@ -39,7 +39,10 @@ def test_trace_seam_on_the_durable_stack(tmp_path):
         assert trace.is_untraced(db) == []
         recorded = recorder.totals()
         for span in ("rules.signal", "rules.txn_event", "conditions.evaluate",
-                     "txn.create", "obs.provenance", "obs.flightrec"):
+                     "txn.create", "obs.provenance", "obs.flightrec",
+                     "recovery.log_delta", "recovery.log_commit",
+                     "recovery.append", "recovery.force",
+                     "storage.append", "storage.sync"):
             assert recorded.get(span, [0])[0] > 0, span
         assert db.rule_manager.background_errors == []
     finally:

@@ -77,6 +77,20 @@ class TestConstruction:
             "concurrent_conditions", "defer_to_top_level",
             "max_cascade_depth", "firing_log_capacity", "deadline_executor"]
 
+    def test_the_wal_has_one_writer(self, tmp_path):
+        """Durability lives at the commit point: the Transaction Manager
+        writes the log (and the checkpointer truncates it).  The next
+        component to hold it edits this test on purpose."""
+        db = HiPAC(durability="wal", data_dir=tmp_path)
+        try:
+            assert db.wal is not None
+            assert "object_manager" in vars(db)
+            assert {name for name, part in vars(db).items()
+                    if getattr(part, "wal", None) is not None} == {
+                "transaction_manager", "checkpointer"}
+        finally:
+            db.close()
+
 
 class TestAutoCommitConveniences:
     def test_define_class_auto_commits(self):

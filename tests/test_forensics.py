@@ -216,10 +216,12 @@ class TestForensicsRecorder:
             with db.transaction() as txn:
                 db.create("A", {"v": 1}, txn)
             txn = db.begin()
+            db.create("A", {"v": 2}, txn)
             db.wal._writer.append = _raise_io  # break the log device
-            # The abort path logs best-effort (append_safe): the failed
-            # append is counted and fires the forensics hook.
-            db.abort(txn)
+            # The commit is where the log is written: the failed append
+            # is counted, fires the forensics hook and surfaces there.
+            with pytest.raises(OSError):
+                db.commit(txn)
             recorder = db.forensics
             assert _wait_for(
                 lambda: recorder.stats_snapshot()["captures"] >= 1)

@@ -9,6 +9,9 @@ deferred-rule effects (which per §6.3 ran inside the committing
 transaction) replayed atomically with their commit.
 """
 
+import random
+import threading
+
 import pytest
 
 from repro import (
@@ -31,6 +34,7 @@ from repro.recovery import (
     recover,
     truncated_copy,
 )
+from repro.recovery.serialize import encode_delta
 from repro.recovery.wal import wal_files
 from repro.rules.coupling import DEFERRED, IMMEDIATE
 from repro.storage import encode_frame
@@ -67,9 +71,9 @@ def make_durable_db(data_dir, **kwargs):
 
 def run_workload(db):
     """A mixed workload: DDL, creates, deferred rule firings, an explicit
-    abort, nested commit + nested abort (compensation records), rule
-    create/drop.  Returns ``[(lsn, snapshot)]`` captured at every point
-    where the durable state legally changes (each top-level outcome)."""
+    abort, nested commit + nested abort, rule create/drop.  Returns
+    ``[(lsn, snapshot)]`` captured at every point where the durable state
+    legally changes (each top-level outcome)."""
     captures = [(db.wal.last_lsn, db.store.snapshot_state())]
 
     def cap():
@@ -100,8 +104,7 @@ def run_workload(db):
     db.abort(t)
     cap()
 
-    # Nested: committed child + aborted child (compensation records) under
-    # a committing top level.
+    # Nested: committed child + aborted child under a committing top level.
     t = db.begin()
     child = db.begin(t)
     db.update(dec, {"price": 21.0}, child)
@@ -199,7 +202,22 @@ class TestWalFormat:
         db = make_durable_db(tmp_path / "d")
         run_workload(db)
         records, _ = read_wal_records(tmp_path / "d")
-        assert {r["type"] for r in records} == {"delta", "commit", "abort"}
+        assert {r["type"] for r in records} == {"delta", "commit"}
+        # An abort record has one writer — a commit whose log write raised
+        # — and one reader: recovery's "last outcome wins", for a commit
+        # record that landed when its force did not.
+        failing = HiPAC(lock_timeout=2.0)
+        failing.define_class(stock_class())
+        attach_wal(failing, FaultingWAL(tmp_path / "f", fail_fsync_after=0,
+                                        fsync=True))
+        txn = failing.begin()
+        failing.create("Stock", {"symbol": "IBM", "price": 1.0}, txn)
+        with pytest.raises(InjectedCrash):
+            failing.commit(txn)
+        failing.wal.close()
+        refused, _ = read_wal_records(tmp_path / "f")
+        assert [r["type"] for r in refused] == ["delta", "commit", "abort"]
+        records += refused
         assert all(r["data"]["top"] is True
                    for r in records if r["type"] != "delta")
         assert all(set(r) == {"lsn", "type", "sphere", "data"}
@@ -328,7 +346,23 @@ class TestCrashSweep:
 def attach_wal(db, wal):
     db.wal = wal
     db.transaction_manager.wal = wal
-    db.object_manager.wal = wal
+
+
+def refuse_nth(wal, method, n):
+    """Make the ``n``-th call (from 1) of the segment writer's ``method``
+    raise ``OSError`` once — a transient ``ENOSPC`` — and every other call
+    go through.  Returns the call counter (``[calls so far]``)."""
+    working = getattr(wal._writer, method)
+    calls = [0]
+
+    def faulty(*args):
+        calls[0] += 1
+        if calls[0] == n:
+            raise OSError("no space left on device")
+        return working(*args)
+
+    setattr(wal._writer, method, faulty)
+    return calls
 
 
 class TestFaultInjection:
@@ -417,25 +451,20 @@ class TestFaultInjection:
         assert db.health()["status"] == "failing"
 
     def test_transient_append_failure_is_counted(self, tmp_path):
-        # The device refuses one delta and then works again: the abort
-        # record that follows succeeds, and the failure still counts.
+        # The device refuses one delta and then works again: the refusal
+        # surfaces from the commit (the one place the log is written), the
+        # abort record that follows succeeds, and the failure still counts.
         db = HiPAC(lock_timeout=2.0)
         db.define_class(stock_class())
         wal = WriteAheadLog(tmp_path / "d", fsync=False)
         seen = []
         wal.on_append_failure = seen.append
         attach_wal(db, wal)
-        working_append = wal._writer.append
-
-        def refuse_once(fields):
-            wal._writer.append = working_append
-            raise OSError("no space left on device")
-
-        wal._writer.append = refuse_once
+        refuse_nth(wal, "append", 1)
         txn = db.begin()
+        db.create("Stock", {"symbol": "IBM", "price": 1.0}, txn)
         with pytest.raises(OSError):
-            db.create("Stock", {"symbol": "IBM", "price": 1.0}, txn)
-        db.abort(txn)
+            db.commit(txn)
         assert db.locks.resource_count() == 0
         assert wal.stats["append_failures"] == 1
         assert wal.stats["records"] == 1  # the abort record
@@ -443,25 +472,171 @@ class TestFaultInjection:
         assert db.health()["status"] == "failing"
 
     def test_nested_commit_crash_aborts_child_only(self, tmp_path):
+        # A dead device under a child is not noticed: nothing is written
+        # before the top-level commit, which is where the failure lands.
         db = HiPAC(lock_timeout=2.0)
         db.define_class(stock_class())
         wal = FaultingWAL(tmp_path / "d", fail_after=100)
         attach_wal(db, wal)
         parent = db.begin()
         ibm = db.create("Stock", {"symbol": "IBM", "price": 1.0}, parent)
+        records = wal.stats["records"]
+        wal.fail_after = records  # next append dies
         child = db.begin(parent)
-        # A nested commit writes nothing, so the append that can die under
-        # the child is its update's delta.
-        wal.fail_after = wal.stats["records"]  # next append dies
-        with pytest.raises(InjectedCrash):
-            db.update(ibm, {"price": 2.0}, child)
-        db.abort(child)
-        assert child.state == "aborted"
+        db.update(ibm, {"price": 2.0}, child)
+        db.commit(child)
+        doomed = db.begin(parent)
+        db.update(ibm, {"price": 3.0}, doomed)
+        db.abort(doomed)
+        assert child.state == "committed" and doomed.state == "aborted"
+        assert wal.stats["records"] == records
         assert parent.state == "active"
-        assert db.store.get(ibm).snapshot()["price"] == 1.0
-        attach_wal(db, None)
-        db.abort(parent)
+        assert db.store.get(ibm).snapshot()["price"] == 2.0
+        with pytest.raises(InjectedCrash):
+            db.commit(parent)
+        assert parent.state == "aborted"
         assert db.locks.resource_count() == 0
+
+    def test_contained_child_failure_leaves_a_recoverable_directory(
+            self, tmp_path):
+        # §3.1 under one transient ENOSPC: a subtransaction fails, the
+        # application contains the failure, aborts it and commits the
+        # parent.  When deltas were logged as they happened the child's
+        # create was the refused write and its compensation delete was not
+        # — a directory that would not start.
+        db = make_durable_db(tmp_path / "d")
+        db.define_class(stock_class())
+        seen = []
+        db.wal.on_append_failure = seen.append
+        parent = db.begin()
+        db.create("Stock", {"symbol": "A", "price": 1.0}, parent)
+        refuse_nth(db.wal, "append", 1)
+        child = db.begin(parent)
+        try:
+            db.create("Stock", {"symbol": "B", "price": 2.0}, child)
+        except OSError:
+            pass
+        db.abort(child)
+        # Nothing is appended before a commit, so this is where it lands.
+        with pytest.raises(OSError):
+            db.commit(parent)
+        assert parent.state == "aborted"
+        assert db.locks.resource_count() == 0
+        assert db.wal.stats["append_failures"] == 1
+        assert len(seen) == 1 and isinstance(seen[0], OSError)
+        live = db.store.snapshot_state()
+        db.close()
+        recovered = recover(tmp_path / "d", durability=None)
+        assert recovered.store.snapshot_state() == live
+
+    def test_aborted_subtransaction_never_reaches_the_log(self, tmp_path):
+        db = make_durable_db(tmp_path / "d")
+        db.define_class(stock_class())
+        with db.transaction() as t:
+            dec = db.create("Stock", {"symbol": "DEC", "price": 20.0}, t)
+        before = db.wal.stats["records"]
+        t = db.begin()
+        child = db.begin(t)
+        db.update(dec, {"price": 21.0}, child)
+        db.commit(child)
+        doomed = db.begin(t)
+        tmp = db.create("Stock", {"symbol": "TMP", "price": 1.0}, doomed)
+        db.update(dec, {"price": 1000.0}, doomed)
+        db.abort(doomed)
+        db.update(dec, {"price": 22.0}, t)
+        assert db.wal.stats["records"] == before
+        surviving = [encode_delta(undo.delta) for undo in t.undo_log]
+        assert [delta["new_attrs"]["price"] for delta in surviving] == [
+            21.0, 22.0]
+        db.commit(t)
+        records, _ = read_wal_records(tmp_path / "d")
+        sphere = [r for r in records if r["sphere"] == t.txn_id]
+        assert [r["type"] for r in sphere] == ["delta", "delta", "commit"]
+        assert [r["data"] for r in sphere[:2]] == surviving
+        assert not any(r["data"].get("oid") == [tmp.class_name, tmp.number]
+                       for r in records)
+        after = db.wal.stats["records"]
+        assert after == before + 3
+        t = db.begin()
+        db.create("Stock", {"symbol": "BAD", "price": 0.0}, t)
+        db.abort(t)
+        assert db.wal.stats["records"] == after
+        db.close()
+
+
+def run_contained(db):
+    """Four transactions in ``run_workload``'s shapes, written the way an
+    application that outlives a failing call writes them: each commits
+    or, on any error, aborts; the doomed child's failure is contained in
+    the child, which the application then aborts."""
+    state = {}
+
+    def unit(body):
+        try:
+            with db.transaction() as txn:
+                body(txn)
+        except Exception:
+            pass
+
+    def create_two(txn):
+        state["ibm"] = db.create("Stock", {"symbol": "IBM", "price": 10.0},
+                                 txn)
+        state["dec"] = db.create("Stock", {"symbol": "DEC", "price": 20.0},
+                                 txn)
+
+    def nested(txn):
+        with db.transaction(txn) as child:
+            db.update(state["dec"], {"price": 21.0}, child)
+        doomed = db.begin(txn)
+        try:
+            db.create("Stock", {"symbol": "TMP", "price": 1.0}, doomed)
+            db.update(state["dec"], {"price": 1000.0}, doomed)
+        except Exception:
+            pass
+        db.abort(doomed)
+        db.update(state["dec"], {"price": 22.0}, txn)
+
+    unit(create_two)
+    unit(lambda txn: db.update(state["ibm"], {"price": 11.0}, txn))
+    unit(nested)
+    unit(lambda txn: db.delete(state["ibm"], txn))
+
+
+class TestLiveFaultSweep:
+    """One log write is refused once, at every position of a session in
+    turn; whatever the live system made of it, the directory it leaves
+    must start and must hold the live store (§3.1: no committed effect
+    lost, no aborted one recovered)."""
+
+    def refuse_each(self, tmp_path, method, fsync):
+        def session(name, nth):
+            db = make_durable_db(tmp_path / name, wal_fsync=fsync)
+            db.define_class(stock_class())
+            calls = refuse_nth(db.wal, method, nth)
+            run_contained(db)
+            live = db.store.snapshot_state()
+            failures = db.wal.stats["append_failures"]
+            db.close()
+            return calls[0], failures, live
+
+        count, failures, live = session("clean", 0)
+        assert count >= 4 and failures == 0
+        assert len(live["Stock"]) == 1
+        for k in range(1, count + 1):
+            name = "%s%d" % (method, k)
+            _, failures, live = session(name, k)
+            assert failures == 1
+            recovered = recover(tmp_path / name, durability=None)
+            assert recovered.store.snapshot_state() == live, (
+                "refusing %s #%d left a directory that differs from the "
+                "live store" % (method, k))
+
+    def test_one_refused_append_at_every_position(self, tmp_path):
+        self.refuse_each(tmp_path, "append", False)
+
+    @pytest.mark.parametrize("fsync", [False, True])
+    def test_one_refused_force_at_every_position(self, tmp_path, fsync):
+        self.refuse_each(tmp_path, "sync", fsync)
 
 
 class TestCheckpointer:
@@ -568,6 +743,58 @@ class TestRestart:
         db.define_class(stock_class())
         db.close()
         assert has_durable_state(tmp_path / "d")
+
+
+class TestConcurrentCommitters:
+    def test_concurrent_committers_with_nested_aborts_recover_exactly(
+            self, tmp_path):
+        # The log is written by whichever threads are committing, each its
+        # whole sphere at once, interleaved record by record; work that
+        # aborted — a child half the time, the parent one time in five —
+        # must leave no trace in what recovers.
+        db = make_durable_db(tmp_path / "d")
+        db.define_class(stock_class())
+        forced = db.wal.stats["commits_forced"]
+        committed = []
+        errors = []
+
+        def committer(seed):
+            rng = random.Random(seed)
+            try:
+                for i in range(60):
+                    t = db.begin()
+                    oid = db.create(
+                        "Stock", {"symbol": "S%d-%d" % (seed, i),
+                                  "price": 1.0}, t)
+                    child = db.begin(t)
+                    db.create("Stock", {"symbol": "C%d-%d" % (seed, i),
+                                        "price": 2.0}, child)
+                    db.update(oid, {"price": 3.0}, child)
+                    if rng.random() < 0.5:
+                        db.abort(child)
+                    else:
+                        db.commit(child)
+                    if rng.random() < 0.2:
+                        db.abort(t)
+                    else:
+                        db.commit(t)
+                        committed.append(t.txn_id)
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=committer, args=(seed,))
+                   for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert db.wal.stats["commits_forced"] - forced == len(committed)
+        assert 0 < len(committed) < 8 * 60
+        live = db.store.snapshot_state()
+        db.close()
+        recovered = recover(tmp_path / "d", durability=None)
+        assert recovered.store.snapshot_state() == live
 
 
 class TestStatsAndDefaults:
