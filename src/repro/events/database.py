@@ -30,7 +30,6 @@ that scan as the oracle).
 from __future__ import annotations
 
 import copy
-import time as _time
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import tracing
@@ -38,7 +37,7 @@ from repro.events.detectors import EventDetector, EventSink, SubscriptionIndex
 from repro.events.matching import matches_primitive
 from repro.events.signal import EventSignal
 from repro.events.spec import OP_UPDATE, DatabaseEventSpec
-from repro.obs.metrics import HOT_PATH_SAMPLE, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.objstore.types import Schema
 
 
@@ -53,16 +52,6 @@ class DatabaseEventDetector(EventDetector):
                  metrics: Optional[MetricsRegistry] = None) -> None:
         super().__init__(sink, tracer, component, metrics=metrics)
         self._schema = schema
-        #: dispatch (match-lookup) latency only — report_batch runs the
-        #: whole rule cascade and is accounted to the rules, not dispatch
-        self._dispatch_seconds = {
-            True: self._metrics.histogram("db_dispatch_seconds",
-                                          sample=HOT_PATH_SAMPLE,
-                                          result="hit"),
-            False: self._metrics.histogram("db_dispatch_seconds",
-                                           sample=HOT_PATH_SAMPLE,
-                                           result="miss"),
-        }
         #: (op, class_name) -> specs without attribute scope
         self._index = SubscriptionIndex()
         #: (op, class_name, attr) -> attribute-scoped update specs
@@ -145,18 +134,7 @@ class DatabaseEventDetector(EventDetector):
         carrying its own spec tag on its own shallow copy — the caller's
         signal object is never mutated.
         """
-        # Time real dispatch work only: the index fast path (no rule uses
-        # this op at all) is a dict probe — instrumenting it would cost
-        # several times what it measures.  Hit or miss is unknown until
-        # after the probe, so one instrument's stride drives the sampling
-        # decision for both.
-        timed = (signal.op in self._ops
-                 and self._dispatch_seconds[True].should_sample())
-        start = _time.perf_counter() if timed else 0.0
         matched = self._probe(signal)
-        if timed:
-            self._dispatch_seconds[bool(matched)].observe(
-                _time.perf_counter() - start)
         if not matched:
             return matched  # type: ignore[return-value]
         # Each report needs an independent .spec tag; always copy (cheap

@@ -11,9 +11,10 @@ Execution of one operation:
 2. acquire the locks the operation needs (multigranularity: intention lock
    on the class extent, S/X on the object);
 3. apply the operation to the store, producing a :class:`Delta`;
-4. log the delta in the transaction's undo log — the one record of the
-   sphere's surviving writes: an abort replays it backwards, a durable
-   top-level commit writes it to the log (nothing is made durable here);
+4. log the delta, stamped with its cause, in the transaction's undo log —
+   the one record of the sphere's surviving writes: an abort replays it
+   backwards, a top-level commit writes it to the log and expands it into
+   provenance (nothing is made durable or queryable here);
 5. notify delta listeners (the Condition Evaluator maintains its
    materialized condition-graph memories from these);
 6. report the operation to the database event detector, which signals the
@@ -71,16 +72,12 @@ class ObjectManager:
         self._metrics = metrics or MetricsRegistry(enabled=False)
         #: operation latency includes everything the §6.2 suspension
         #: protocol charges to the operation: locks, store apply, event
-        #: dispatch, and synchronous (immediate) rule work.  All three are
-        #: sampled (1 in HOT_PATH_SAMPLE operations timed): these paths run
-        #: in single-digit microseconds, where timing every call would cost
-        #: more than the call.
+        #: dispatch, and synchronous (immediate) rule work.  Sampled (1 in
+        #: HOT_PATH_SAMPLE operations timed): the path runs in single-digit
+        #: microseconds, where timing every call would cost more than the
+        #: call.
         self._op_seconds = self._metrics.histogram(
             "om_operation_seconds", sample=HOT_PATH_SAMPLE)
-        self._read_seconds = self._metrics.histogram(
-            "om_read_seconds", sample=HOT_PATH_SAMPLE)
-        self._query_seconds = self._metrics.histogram(
-            "om_query_seconds", sample=HOT_PATH_SAMPLE)
         self.executor = QueryExecutor(store)
         #: the in-Object-Manager database event detector (paper §5.3); its
         #: sink is wired to the Rule Manager by the facade
@@ -93,8 +90,8 @@ class ObjectManager:
         #: rule-cascade operations are suppressed (replay re-derives them).
         self.recorder: Optional[Any] = None
         #: causal provenance store; None unless the facade enables it.
-        #: Every instance-level delta is tagged with its causal envelope
-        #: (rule firing or application) on the writing sphere's tail.
+        #: Every instance-level delta's undo record is stamped with its
+        #: causal envelope (rule firing or application).
         self.provenance: Optional[Any] = None
         self.stats = {"operations": 0, "queries": 0, "reads": 0,
                       "signals_skipped": 0}
@@ -199,17 +196,10 @@ class ObjectManager:
         """Read one instance's attributes (shared-locked snapshot)."""
         txn.require_active()
         self.stats["reads"] += 1
-        # Application read latency only: a rule action's read is accounted
-        # inside the action's own timing.
-        timed = (source != tracing.RULE_MANAGER
-                 and self._read_seconds.should_sample())
-        start = _time.perf_counter() if timed else 0.0
         self.lock_for_read(oid, txn, source=source)
         snapshot = self.store.get(oid).snapshot()
         self._signal_retrieval("read", oid.class_name, txn, user,
                                oid=oid, attrs=snapshot, source=source)
-        if timed:
-            self._read_seconds.observe(_time.perf_counter() - start)
         return snapshot
 
     def lock_for_read(self, oid: OID, txn: Transaction, *,
@@ -235,8 +225,6 @@ class ObjectManager:
                             query.class_name)
         txn.require_active()
         self.stats["queries"] += 1
-        timed = self._query_seconds.should_sample()
-        start = _time.perf_counter() if timed else 0.0
         locks = self.txns.locks
         if query.include_subclasses:
             class_names = self.store.schema.subclasses(query.class_name)
@@ -248,8 +236,6 @@ class ObjectManager:
         result = self.executor.execute(query, bindings)
         self._signal_retrieval("query", query.class_name, txn, user,
                                source=source)
-        if timed:
-            self._query_seconds.observe(_time.perf_counter() - start)
         return result
 
     def execute_join(self, join: JoinQuery, txn: Transaction,
@@ -332,12 +318,11 @@ class ObjectManager:
         return delta
 
     def _record_and_signal(self, delta: Delta, txn: Transaction, user: str) -> None:
-        txn.log_undo(DeltaUndo(self.store, delta))
-        if self.provenance is not None:
-            # Buffered on the sphere, not yet queryable: publish happens
-            # at top-level commit, abort prunes (so a rollback never
-            # leaks phantom provenance).
-            self.provenance.note_delta(delta, txn, user)
+        # The stamp rides the undo record: only a write that survives to
+        # the top-level commit is ever expanded into provenance entries.
+        stamp = (self.provenance.note_delta(delta, txn, user)
+                 if self.provenance is not None else None)
+        txn.log_undo(DeltaUndo(self.store, delta, stamp))
         for listener in self._delta_listeners:
             listener(txn, delta)
         # Dispatch-index pre-check: when no programmed spec can match this

@@ -114,7 +114,7 @@ HELP_TEXTS: Dict[str, str] = {
     "txn_abort_seconds": "Transaction abort latency",
     "lock_wait_seconds": "Time lock requests spent blocked",
     "om_operation_seconds": "Object Manager operation latency (sampled)",
-    "cond_eval_seconds": "Condition evaluation latency (sampled)",
+    "condition_eval_seconds": "Condition evaluation latency (sampled)",
     "wal_append_seconds": "WAL record append latency (sampled)",
     "wal_fsync_seconds": "WAL force (fsync) latency",
     "wal_group_batch_size":

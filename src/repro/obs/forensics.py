@@ -146,7 +146,7 @@ class ForensicsRecorder:
         only, never capture inline, never raise)."""
         try:
             self.trigger(alert.kind, reason=alert.message,
-                         alert=_alert_dict(alert))
+                         alert=alert.as_dict())
         except Exception:
             self._note_error()
 
@@ -387,8 +387,8 @@ class ForensicsRecorder:
         bundle["stats"] = db.stats()
         bundle["derived"] = db.admin_stats().get("derived", {})
         bundle["alerts"] = [
-            _alert_dict(entry)
-            for entry in db.watchdog.alerts()[-config.alerts_last:]]
+            alert.as_dict()
+            for alert in db.watchdog.alerts()[-config.alerts_last:]]
         bundle["slo"] = db.slo.as_dict() if db.slo is not None else None
         bundle["timeseries"] = (
             db.timeseries.as_dict(last=config.timeseries_last)
@@ -438,14 +438,6 @@ class ForensicsRecorder:
                 "python -m repro.tools.replay %s --diff --until %d"
                 % (data_dir, last_seq))
         return section
-
-
-def _alert_dict(alert: Any) -> Dict[str, Any]:
-    if isinstance(alert, dict):
-        return alert
-    return {"kind": alert.kind, "severity": alert.severity,
-            "message": alert.message, "value": alert.value,
-            "threshold": alert.threshold, "timestamp": alert.timestamp}
 
 
 def _safe_kind(kind: str) -> str:

@@ -15,12 +15,14 @@ Design points (DESIGN.md decision 16):
   last K writes; a global entry cap evicts oldest-first across keys.
   Both evictions are counted, so a truncated chain is observable rather
   than silent.
-* **Transaction-correct.**  Writes are buffered on the top-level
-  transaction (thread-confined, like the flight recorder's sphere tail)
-  and only *published* into the queryable store on top-level commit;
-  aborts — including nested subtransaction aborts inside a surviving
-  parent — prune the buffered entries, so the store never shows state
-  that was rolled back.
+* **Transaction-correct, by reading the undo log.**  A write leaves only
+  a *stamp* (cause, writing transaction, wall time) on its undo record.
+  The top-level commit expands the stamped records of ``txn.undo_log`` —
+  by then exactly the sphere's surviving writes: a nested abort consumed
+  its own, a nested commit handed its own up (DESIGN.md decision 25) —
+  into entries, after the durability point and before the sphere's locks
+  are released, so the rings are in the order the writes were serialized.
+  An abort has nothing to clean up; it only counts what it discarded.
 * **Replay-joined.**  Each entry carries the flight-journal seq of the
   stimulus that (transitively) caused it: the seq of the journalled
   external/temporal signal when the write happened inside a rule cascade
@@ -136,20 +138,20 @@ class ProvenanceEntry:
     """One attribute write and its causal envelope.
 
     ``attr`` is None for delete entries (the whole instance went away;
-    ``old_value`` holds the final attribute snapshot).  ``txn`` holds the
-    *writing* (possibly nested) transaction only while the entry is
-    pending on its sphere's tail — abort pruning needs it — and is
-    cleared at publish so committed entries never pin transaction trees.
+    ``old_value`` holds the final attribute snapshot).  ``txn_id`` names
+    the *writing* (possibly nested) transaction, ``top_txn_id`` the
+    top-level one whose commit made the write permanent.
     """
 
     __slots__ = (
         "seq", "op", "oid", "attr", "old_value", "new_value",
         "txn_id", "top_txn_id", "journal_seq", "wall_time",
-        "cause", "evicted", "nbytes", "txn",
+        "cause", "evicted", "nbytes",
     )
 
-    def __init__(self, *, op: str, oid: OID, attr: Optional[str],
-                 old_value: Any, new_value: Any, txn: Any,
+    def __init__(self, op: str, oid: OID, attr: Optional[str],
+                 old_value: Any, new_value: Any, txn_id: str,
+                 top_txn_id: str, journal_seq: Optional[int],
                  wall_time: float, cause: CausalEnvelope) -> None:
         self.seq = 0  # assigned at publish
         self.op = op
@@ -157,10 +159,9 @@ class ProvenanceEntry:
         self.attr = attr
         self.old_value = old_value
         self.new_value = new_value
-        self.txn = txn
-        self.txn_id = txn.txn_id
-        self.top_txn_id = txn.top_level().txn_id
-        self.journal_seq = cause.journal_seq
+        self.txn_id = txn_id
+        self.top_txn_id = top_txn_id
+        self.journal_seq = journal_seq
         self.wall_time = wall_time
         self.cause = cause
         self.evicted = False
@@ -246,11 +247,11 @@ _RingKey = Tuple[OID, Optional[str]]
 class ProvenanceStore:
     """Bounded, thread-safe store of causal write provenance.
 
-    Capture (``note_delta``) appends to the writing sphere's thread-
-    confined tail without taking the store mutex — the hot write path
-    pays an attribute check, a couple of comparisons and a list append.
-    ``publish`` (top-level commit) and ``why`` queries serialize on one
-    mutex; both are off the per-operation path.
+    Capture (``note_delta``) buffers nothing and takes no mutex — the
+    hot write path pays a kind check, a thread-local read and a clock
+    read for the stamp its undo record carries.  ``publish`` (top-level
+    commit) and ``why`` queries serialize on one mutex; both are off the
+    per-operation path.
     """
 
     def __init__(self, *, per_key: int = 8, capacity: int = 50_000,
@@ -351,98 +352,95 @@ class ProvenanceStore:
 
     # ------------------------------------------------------------- capture
 
-    def note_delta(self, delta: Any, txn: Any, user: str) -> None:
-        """Buffer provenance for ``delta`` on the writing sphere's tail.
+    def note_delta(self, delta: Any, txn: Any,
+                   user: str) -> Optional[Tuple[CausalEnvelope, str, float]]:
+        """The provenance stamp of ``delta``: ``(cause, writing txn id,
+        wall time)``, or None for DDL (no instance, no entries).
 
-        Called from the Object Manager's write path; DDL deltas carry no
-        instance and are skipped.  Entries stay thread-confined on the
-        top-level transaction until commit publishes them (or abort
-        prunes them), mirroring the flight recorder's sphere tail.
+        Called from the Object Manager's write path, which puts the stamp
+        on the delta's undo record; whether the write ever becomes an
+        entry is the undo log's business (see :meth:`publish`).
         """
-        kind = delta.kind
-        if kind not in _INSTANCE_KINDS or delta.oid is None:
-            return
-        top = txn.top_level()
-        tail = top.prov_tail
-        if tail is None:
-            tail = top.prov_tail = []
+        if delta.kind not in _INSTANCE_KINDS or delta.oid is None:
+            return None
         cause = self.current_cause()
         if cause is None:
             cause = CausalEnvelope(kind="application", user=user)
-        wall = time.time()
-        oid = delta.oid
-        if kind == "update":
-            old = delta.old_attrs or {}
-            new = delta.new_attrs or {}
-            for attr in set(old) | set(new):
-                if old.get(attr) != new.get(attr):
-                    tail.append(ProvenanceEntry(
-                        op=kind, oid=oid, attr=attr,
-                        old_value=old.get(attr), new_value=new.get(attr),
-                        txn=txn, wall_time=wall, cause=cause))
-        elif kind == "create":
-            for attr, value in (delta.new_attrs or {}).items():
-                tail.append(ProvenanceEntry(
-                    op=kind, oid=oid, attr=attr,
-                    old_value=None, new_value=value,
-                    txn=txn, wall_time=wall, cause=cause))
-        else:  # delete: one object-level entry keyed on attr=None
-            tail.append(ProvenanceEntry(
-                op=kind, oid=oid, attr=None,
-                old_value=delta.old_attrs, new_value=None,
-                txn=txn, wall_time=wall, cause=cause))
+        return cause, txn.txn_id, time.time()
 
     # ----------------------------------------------------------- lifecycle
 
-    def publish(self, txn: Any) -> None:
-        """Move the sphere's buffered entries into the queryable store.
+    @staticmethod
+    def _expand(txn: Any) -> List[ProvenanceEntry]:
+        """One entry per attribute written by the stamped records of
+        ``txn.undo_log``, in log order.
 
-        Called after a *top-level* commit; ``txn.flight_seq`` (the seq of
-        the sphere's coalesced journal record, when the recorder is on)
-        backfills entries whose cause carried no stimulus seq, so every
-        hop of a why-chain is addressable by ``replay --until``.
+        ``txn.flight_seq`` (the seq of the sphere's coalesced journal
+        record, when the recorder is on) backfills entries whose cause
+        carried no stimulus seq, so every hop of a why-chain is
+        addressable by ``replay --until``.  Plain loops on purpose: this
+        runs inside every top-level commit.
         """
-        tail = txn.prov_tail
-        txn.prov_tail = None
-        if not tail:
+        out: List[ProvenanceEntry] = []
+        top_id = txn.txn_id
+        fallback_seq = txn.flight_seq
+        for record in txn.undo_log:
+            stamp = record.stamp
+            if stamp is None:
+                continue
+            cause, txn_id, wall = stamp
+            seq = cause.journal_seq
+            if seq is None:
+                seq = fallback_seq
+            delta = record.delta
+            kind, oid = delta.kind, delta.oid
+            if kind == "update":
+                old = delta.old_attrs or {}
+                new = delta.new_attrs or {}
+                for attr in set(old) | set(new):
+                    if old.get(attr) != new.get(attr):
+                        out.append(ProvenanceEntry(
+                            kind, oid, attr, old.get(attr), new.get(attr),
+                            txn_id, top_id, seq, wall, cause))
+            elif kind == "create":
+                for attr, value in (delta.new_attrs or {}).items():
+                    out.append(ProvenanceEntry(
+                        kind, oid, attr, None, value,
+                        txn_id, top_id, seq, wall, cause))
+            else:  # delete: one object-level entry keyed on attr=None
+                out.append(ProvenanceEntry(
+                    kind, oid, None, delta.old_attrs, None,
+                    txn_id, top_id, seq, wall, cause))
+        return out
+
+    def publish(self, txn: Any) -> None:
+        """Make the sphere's surviving writes queryable.
+
+        Called inside a *top-level* commit, after the durability point
+        and while the sphere still holds its locks: no other writer of
+        the same objects can publish in between, so ring order is the
+        order the writes were serialized in.
+        """
+        entries = self._expand(txn)
+        if not entries:
             return
-        fallback_seq = getattr(txn, "flight_seq", None)
         with self._mutex:
-            for entry in tail:
-                if entry.journal_seq is None:
-                    entry.journal_seq = fallback_seq
-                entry.txn = None
+            for entry in entries:
                 entry.seq = next(self._seq)
                 entry.nbytes = entry.estimate_bytes()
                 self._insert_locked(entry)
-            self.stats["published"] += len(tail)
-            entries, nbytes = self._entries, self._bytes
+            self.stats["published"] += len(entries)
+            live, nbytes = self._entries, self._bytes
         if self._entries_gauge is not None:
-            self._entries_gauge.set(entries)
+            self._entries_gauge.set(live)
             self._bytes_gauge.set(nbytes)
 
     def on_abort(self, txn: Any) -> None:
-        """Prune buffered entries written under the aborting transaction.
-
-        A top-level abort drops the whole tail; a nested abort filters
-        out entries written by the aborting subtree (idempotent under the
-        manager's recursive child-first abort order).
-        """
-        top = txn.top_level()
-        tail = top.prov_tail
-        if not tail:
-            if txn.parent is None:
-                txn.prov_tail = None
-            return
-        if txn.parent is None:
-            txn.prov_tail = None
-            pruned = len(tail)
-        else:
-            kept = [e for e in tail
-                    if e.txn is not None and not e.txn.is_descendant_of(txn)]
-            pruned = len(tail) - len(kept)
-            if pruned:
-                top.prov_tail = kept
+        """Count the entries the aborting transaction's own log would have
+        published.  Nothing was buffered, so nothing is removed; the
+        manager aborts still-active children in turn and each counts its
+        own log, so no write is counted twice."""
+        pruned = len(self._expand(txn))
         if pruned:
             with self._mutex:
                 self.stats["pruned"] += pruned

@@ -230,12 +230,7 @@ class _AdminHandler(BaseHTTPRequestHandler):
                         for key, value in db.watchdog.stats.items()
                         if key.startswith("alerts_")
                         and key != "alerts_total"},
-            "alerts": [
-                {"kind": alert.kind, "severity": alert.severity,
-                 "message": alert.message, "value": alert.value,
-                 "threshold": alert.threshold,
-                 "timestamp": alert.timestamp}
-                for alert in alerts[-last:]],
+            "alerts": [alert.as_dict() for alert in alerts[-last:]],
         })
 
     def _forensics(self, db: Any, query: Dict[str, Any]) -> None:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 #: alert severities, in increasing order of operator urgency
@@ -69,6 +69,10 @@ class Alert:
         return "[%s] %-14s %s (%.4g over threshold %.4g)" % (
             self.severity, self.kind, self.message, self.value,
             self.threshold)
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The JSON form ``/health``, ``/alerts`` and forensics bundles use."""
+        return asdict(self)
 
 
 @dataclass
@@ -292,12 +296,7 @@ class Watchdog:
             "alerts": by_kind,
             "alerts_total": self.stats["alerts_total"],
             "alerts_dropped": self.dropped,
-            "recent": [
-                {"kind": alert.kind, "severity": alert.severity,
-                 "message": alert.message, "value": alert.value,
-                 "threshold": alert.threshold, "timestamp": alert.timestamp}
-                for alert in alerts[-5:]
-            ],
+            "recent": [alert.as_dict() for alert in alerts[-5:]],
         }
 
     def format(self, last: int = 20) -> str:

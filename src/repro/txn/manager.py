@@ -8,10 +8,10 @@ Manager" (§5.2).  Per §6.3, the commit-event signal is issued **as part of
 commit processing, before commit completes**, so deferred rule firings run
 inside the committing transaction ("just prior to its parent transaction
 committing", §3.2) and the Transaction Manager "resumes commit processing"
-only after the Rule Manager replies.  With durability on, that resumed
-top-level commit is the one point where the log is written: the undo log
+only after the Rule Manager replies.  That resumed top-level commit is the
+one point where the log is written and provenance published: the undo log
 then holds exactly the sphere's surviving writes, so a nested commit, a
-nested abort and a top-level abort cost the log nothing.
+nested abort and a top-level abort cost neither of them anything.
 
 The interface is exactly the paper's three operations — create transaction,
 commit transaction, abort transaction — plus introspection used by tests and
@@ -76,7 +76,7 @@ class TransactionManager:
         #: (internal and rule-cascade transactions are replay *output*).
         self.recorder: Optional[Any] = None
         #: causal provenance store; None unless the facade enables it.
-        #: Published on top-level commit, pruned on abort.
+        #: Reads the undo log at top-level commit; an abort is only counted.
         self.provenance: Optional[Any] = None
         #: created but not yet terminated, by id.  Entered and removed with
         #: single dict operations and counted on a :class:`Tally`, so the
@@ -90,7 +90,6 @@ class TransactionManager:
     # ------------------------------------------------------------- create
 
     def create_transaction(self, parent: Optional[Transaction] = None, *,
-                           deadline: Optional[float] = None, priority: int = 0,
                            label: str = "", internal: bool = False,
                            source: str = tracing.APPLICATION) -> Transaction:
         """Create a top-level transaction (``parent=None``) or a nested one.
@@ -106,8 +105,8 @@ class TransactionManager:
             self._tracer.record(source, tracing.TRANSACTION_MANAGER,
                                 "create_transaction", "nested under %s",
                                 parent.txn_id)
-        txn = Transaction(self._ids.next_id(), parent, deadline=deadline,
-                          priority=priority, label=label, internal=internal)
+        txn = Transaction(self._ids.next_id(), parent, label=label,
+                          internal=internal)
         self._live[txn.txn_id] = txn
         self._created()
         if self.recorder is not None and not internal:
@@ -129,8 +128,8 @@ class TransactionManager:
            ``txn``) and any rules triggered by the commit event itself;
         2. when the Rule Manager replies, resume commit processing: for a
            nested transaction, transfer locks and the undo log to the
-           parent; for a top-level transaction, release locks and make
-           effects permanent;
+           parent; for a top-level transaction, make the undo log's writes
+           permanent, publish their provenance, then release locks;
         3. run post-commit hooks (top-level only — a nested transaction's
            hooks are adopted by its parent, since its effects are not yet
            permanent).
@@ -183,29 +182,30 @@ class TransactionManager:
                 if txn.on_abort:
                     parent.on_abort.extend(txn.on_abort)
                     txn.on_abort = []
-                txn.state = COMMITTED
-            else:
+            elif self.wal is not None:
                 # The durability point and the only log write there is:
                 # the surviving deltas (deferred rule work ran above,
                 # inside this transaction, §6.3) and the commit record,
                 # forced before any effect becomes permanent.
-                if self.wal is not None:
-                    self.wal.log_commit(txn)
-                txn.state = COMMITTED
-                txn.undo_log = []
-                self.locks.release_all(txn)
-                self._top_level_committed()
+                self.wal.log_commit(txn)
         except BaseException:
             txn.state = ACTIVE
             self.abort_transaction(txn, source=tracing.TRANSACTION_MANAGER)
             raise
+        # The commit stands: nothing below may take it back.
+        txn.state = COMMITTED
         self._committed()
         self._live.pop(txn.txn_id, None)
         if parent is None:
-            # The sphere is durable and visible: publish its buffered
-            # provenance before hooks (a hook's why() sees this commit).
-            if self.provenance is not None:
-                self.provenance.publish(txn)
+            self._top_level_committed()
+            try:
+                # Provenance reads the undo log the WAL just read, under the
+                # sphere's locks: publish order is serialization order.
+                if self.provenance is not None:
+                    self.provenance.publish(txn)
+            finally:
+                txn.undo_log = []
+                self.locks.release_all(txn)
             for hook in txn.on_commit:
                 hook(txn)
             txn.on_commit = []
@@ -237,8 +237,8 @@ class TransactionManager:
         if self.recorder is not None and not txn.internal:
             self.recorder.record_txn_abort(txn)
         if self.provenance is not None:
-            # Drop (top-level) or filter (nested) the sphere's buffered
-            # provenance: rolled-back writes must never become queryable.
+            # A count, before the log below is consumed: the writes were
+            # never published, so there is nothing to take back.
             self.provenance.on_abort(txn)
         # Abort any still-active descendants first (deepest first).
         for child in txn.active_children():

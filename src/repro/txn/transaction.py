@@ -46,10 +46,6 @@ class Transaction:
     #: Lives on the transaction because the sphere is thread-confined:
     #: entries append without any lock.
     flight_tail: Optional[Dict[str, Any]] = None
-    #: provenance coalescing buffer, same thread-confinement argument as
-    #: ``flight_tail``: entries buffered here until top-level commit
-    #: publishes them (abort prunes)
-    prov_tail: Optional[List[Any]] = None
     #: journal seq of this sphere's coalesced flight record (set at commit
     #: when the recorder is on; provenance entries without a stimulus seq
     #: inherit it as their replay address)
@@ -59,9 +55,7 @@ class Transaction:
     aborted_flag = False
 
     def __init__(self, txn_id: str, parent: Optional["Transaction"] = None,
-                 *, deadline: Optional[float] = None,
-                 priority: int = 0, label: str = "",
-                 internal: bool = False) -> None:
+                 *, label: str = "", internal: bool = False) -> None:
         self.txn_id = txn_id
         self.parent = parent
         #: True for transactions the Rule Manager creates to run rule
@@ -76,10 +70,6 @@ class Transaction:
         self.state = ACTIVE
         self.depth = 0 if parent is None else parent.depth + 1
         self.label = label
-        #: optional real-time attributes used by the time-constrained
-        #: scheduler extension (cited future work [BUC88])
-        self.deadline = deadline
-        self.priority = priority
 
         #: undo log, oldest first; child logs are appended on child commit
         self.undo_log: List[UndoRecord] = []

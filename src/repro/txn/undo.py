@@ -10,7 +10,11 @@ and all of its ancestors through a top transaction, commit").
 Two record kinds cover everything in the system:
 
 * :class:`DeltaUndo` — inverts a store :class:`~repro.objstore.store.Delta`
-  (object create/update/delete, class define/drop);
+  (object create/update/delete, class define/drop).  Because the log of a
+  committing top-level transaction is exactly the sphere's surviving
+  writes, it is also what the commit point reads: the WAL writes its
+  deltas, and provenance expands the ``stamp`` each instance-level record
+  carries (cause, writing transaction, wall time) into queryable entries;
 * :class:`CallbackUndo` — runs an arbitrary compensation, used by the
   condition evaluator (memory maintenance), by event detectors (event
   definitions made inside an aborted rule-creating transaction), and by
@@ -19,13 +23,16 @@ Two record kinds cover everything in the system:
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Any, Callable, List
 
 from repro.objstore.store import Delta, ObjectStore
 
 
 class UndoRecord:
     """Base class for undo-log entries."""
+
+    #: provenance stamp; only a :class:`DeltaUndo` ever carries one
+    stamp: Any = None
 
     def undo(self) -> None:
         """Compensate the logged effect."""
@@ -35,11 +42,13 @@ class UndoRecord:
 class DeltaUndo(UndoRecord):
     """Inverts one store delta."""
 
-    __slots__ = ("store", "delta")
+    __slots__ = ("store", "delta", "stamp")
 
-    def __init__(self, store: ObjectStore, delta: Delta) -> None:
+    def __init__(self, store: ObjectStore, delta: Delta,
+                 stamp: Any = None) -> None:
         self.store = store
         self.delta = delta
+        self.stamp = stamp
 
     def undo(self) -> None:
         self.store.apply(self.delta.inverse())

@@ -44,6 +44,10 @@ def test_trace_seam_on_the_durable_stack(tmp_path):
                      "recovery.append", "recovery.force",
                      "storage.append", "storage.sync"):
             assert recorded.get(span, [0])[0] > 0, span
+        # capture (note_delta, once per delta) and publish (once per
+        # top-level commit): a change that stopped calling either would
+        # quietly change what obs.provenance_self_us measures
+        assert recorded["obs.provenance"][0] >= 2
         assert db.rule_manager.background_errors == []
     finally:
         db.close()

@@ -76,6 +76,8 @@ class TestAbortRestoresState:
             apply_ops(db, txn, setup, live)
         before = db.store.snapshot_state()
         before_index = index_snapshot(db)
+        before_prov = db.provenance.stats_snapshot()
+        before_ops = db.object_manager.stats["operations"]
 
         txn = db.begin()
         apply_ops(db, txn, work, live)
@@ -83,6 +85,12 @@ class TestAbortRestoresState:
 
         assert db.store.snapshot_state() == before
         assert index_snapshot(db) == before_index
+        # Provenance never hears of aborted work, except to count it.
+        after_prov = db.provenance.stats_snapshot()
+        assert after_prov["published"] == before_prov["published"]
+        assert after_prov["live_entries"] == before_prov["live_entries"]
+        if db.object_manager.stats["operations"] == before_ops:
+            assert after_prov["pruned"] == before_prov["pruned"]
 
     @settings(max_examples=60, deadline=None)
     @given(setup=ops_strategy, work=ops_strategy)
@@ -95,6 +103,17 @@ class TestAbortRestoresState:
             apply_ops(db1, txn, setup, live1)
             apply_ops(db1, txn, work, live1)
         state_nested = _canonical(db1.store.snapshot_state())
+        # Provenance explains exactly the committed state: the newest
+        # entry of every live attribute carries the store's value, and
+        # the newest entry of a deleted object is its delete (an object
+        # only ever created under an aborted subtransaction has none).
+        for oid in live1:
+            if db1.store.exists(oid):
+                for attr, value in db1.store.get(oid).attrs.items():
+                    assert db1.provenance.latest(oid, attr).new_value == value
+            else:
+                newest = db1.provenance.latest(oid)
+                assert newest is None or newest.op == "delete"
 
         db2 = fresh_db()
         live2 = []

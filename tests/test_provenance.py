@@ -32,7 +32,10 @@ from repro.events.spec import ExternalEventSpec
 from repro.obs.provenance import ProvenanceStore, parse_oid
 from repro.objstore.objects import OID
 from repro.tools.explain import _wall_stamp, explain_state
+from repro.recovery import recover
 from repro.tools.replay import replay
+from repro.txn.transaction import COMMITTED
+from repro.txn.undo import DeltaUndo
 
 
 def _db(**kwargs) -> HiPAC:
@@ -268,6 +271,57 @@ class TestLifecycle:
         assert db.why(a, "v").hops[0].new_value == 42
         db.close()
 
+    def test_publish_order_is_commit_order(self):
+        """A writer that gets the lock the moment "first" lets go must
+        also come second in the ring: publish happens under the sphere's
+        locks, not after their release."""
+        db = _db()
+        a, _, _ = _seed_abc(db)
+        real = db.locks.release_all
+
+        def release_then_interleave(txn):
+            real(txn)
+            if txn.label == "first":
+                db.locks.release_all = real
+                with db.transaction() as second:
+                    db.update(a, {"v": 2}, second)
+
+        db.locks.release_all = release_then_interleave
+        first = db.begin(label="first")
+        db.update(a, {"v": 1}, first)
+        db.commit(first)
+        check = db.begin()
+        assert db.read(a, check)["v"] == 2
+        db.commit(check)
+        assert db.why(a, "v").hops[0].new_value == 2
+        ring = list(db.provenance._rings[(a, "v")])
+        assert [e.new_value for e in ring] == [0, 1, 2]
+        for earlier, later in zip(ring, ring[1:]):
+            assert later.old_value == earlier.new_value
+        db.close()
+
+    def test_publish_failure_does_not_undo_a_commit(self, tmp_path):
+        """The commit record is forced before publish runs: a failure
+        there propagates, but the commit stands and no lock is left."""
+        db = _db(durability="wal", data_dir=tmp_path)
+        a, _, _ = _seed_abc(db)
+
+        def refuse(txn):
+            raise RuntimeError("provenance store is broken")
+
+        db.provenance.publish = refuse
+        txn = db.begin()
+        db.update(a, {"v": 5}, txn)
+        with pytest.raises(RuntimeError, match="provenance store is broken"):
+            db.commit(txn)
+        assert txn.state == COMMITTED
+        assert db.locks.resource_count() == 0
+        assert db.transaction_manager.live_transactions() == []
+        db.close()
+        reopened = recover(tmp_path, durability=None)
+        assert reopened.store.get(a).attrs["v"] == 5
+        reopened.close()
+
     def test_delete_records_an_object_level_entry(self):
         db = _db()
         a, _, _ = _seed_abc(db)
@@ -285,11 +339,15 @@ class TestLifecycle:
 class _Txn:
     """The slice of a top-level transaction the store touches."""
     txn_id = "t1"
-    prov_tail = None
     flight_seq = None
 
-    def top_level(self):
-        return self
+    def __init__(self):
+        self.undo_log = []
+
+    def write(self, store, delta):
+        """What the Object Manager does with a delta: stamp, then log."""
+        self.undo_log.append(
+            DeltaUndo(None, delta, store.note_delta(delta, self, "u")))
 
 
 class _Delta:
@@ -310,7 +368,7 @@ class TestBounds:
         a = OID("A", 1)
         for i in range(10):
             txn = _Txn()
-            store.note_delta(_Delta(a, i + 1), txn, "u")
+            txn.write(store, _Delta(a, i + 1))
             store.publish(txn)
         ring = store._rings[(a, "v")]
         assert [e.new_value for e in ring] == [8, 9, 10]
@@ -327,7 +385,7 @@ class TestBounds:
                 txn = _Txn()
                 for _ in range(100):
                     writes += 1
-                    store.note_delta(_Delta(oid, writes), txn, "u")
+                    txn.write(store, _Delta(oid, writes))
                 store.publish(txn)
         assert writes == 100_000
         snap = store.stats_snapshot()
@@ -358,7 +416,7 @@ class TestBounds:
         store = ProvenanceStore(per_key=8, capacity=4)
         txn = _Txn()
         for i in range(10):
-            store.note_delta(_Delta(OID("X", i), i + 1), txn, "u")
+            txn.write(store, _Delta(OID("X", i), i + 1))
         store.publish(txn)
         snap = store.stats_snapshot()
         assert snap["live_entries"] == 4
