@@ -114,7 +114,7 @@ class HiPAC:
         #: never per-operation, and a guard against runaway rule sets is
         #: not an instrument to ablate.  Thresholds come from the
         #: :class:`~repro.obs.watchdog.WatchdogConfig` ``watchdog`` knob.
-        self.watchdog = Watchdog(config=watchdog, metrics=self.metrics)
+        self.watchdog = Watchdog(config=watchdog)
         #: windowed telemetry + SLO monitor (created at the end of
         #: __init__, after recovery replay, so startup work is never a
         #: "window"); None until then and whenever the ticker is off.
@@ -221,8 +221,7 @@ class HiPAC:
             ring = TimeseriesRing(self.metrics,
                                   interval=timeseries_interval)
             self.timeseries = ring
-            self.slo = SLOMonitor(ring, watchdog=self.watchdog,
-                                  metrics=self.metrics)
+            self.slo = SLOMonitor(ring, watchdog=self.watchdog)
             ring.add_callback(self._on_tick)
             ring.start()
         #: incident forensics: black-box snapshot bundles on watchdog
@@ -519,8 +518,8 @@ class HiPAC:
 
     def metrics_report(self) -> str:
         """Human-readable summary: latency percentiles per instrumented
-        operation, non-zero counters, component stats, span retention, and
-        the slow-log tail."""
+        operation, non-zero component stats, span retention, and the
+        slow-log tail."""
         return obs_export.metrics_report(self.metrics,
                                          slow_log=self.slow_log,
                                          span_recorder=self.spans)

@@ -2,8 +2,9 @@
 rule-cascade profiler, anomaly watchdogs, admin HTTP endpoint.
 
 One surface for "where does the time go" across the Figure 5.1
-components — see :mod:`repro.obs.metrics` (counters / gauges / histograms
-with percentiles), :mod:`repro.obs.spans` (causal rule-cascade trees),
+components — see :mod:`repro.obs.metrics` (histograms with percentiles,
+plus the component ``stats`` pulled in by collectors),
+:mod:`repro.obs.spans` (causal rule-cascade trees),
 :mod:`repro.obs.export` (Chrome ``trace_event`` JSON, Prometheus text,
 human-readable reports), :mod:`repro.obs.slowlog` (threshold-based
 slow-rule log), :mod:`repro.obs.profiler` (per-rule cost attribution),
@@ -23,8 +24,6 @@ from repro.obs.export import (
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -32,12 +31,7 @@ from repro.obs.profiler import RuleProfile, RuleProfiler, percentile_of
 from repro.obs.server import PROMETHEUS_CONTENT_TYPE, AdminServer
 from repro.obs.slowlog import SlowEntry, SlowLog
 from repro.obs.spans import Span, SpanRecorder
-from repro.obs.watchdog import (
-    Alert,
-    Watchdog,
-    WatchdogConfig,
-    disabled_watchdog,
-)
+from repro.obs.watchdog import Alert, Watchdog, WatchdogConfig
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -45,8 +39,6 @@ __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
     "AdminServer",
     "Alert",
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "RuleProfile",
@@ -58,7 +50,6 @@ __all__ = [
     "Watchdog",
     "WatchdogConfig",
     "chrome_trace",
-    "disabled_watchdog",
     "metrics_report",
     "percentile_of",
     "prometheus_text",

@@ -9,8 +9,8 @@ Three consumers, three formats:
   threads) travels in ``args.parent_id``, and a flow arrow ("s"/"f" pair)
   is emitted for every child that starts after its parent finished, so
   Perfetto draws the event → deferred-firing causality explicitly.
-* **Prometheus text format** (:func:`prometheus_text`) — counters, gauges,
-  histograms (cumulative ``le`` buckets, ``_sum``/``_count``), plus every
+* **Prometheus text format** (:func:`prometheus_text`) — histograms
+  (cumulative ``le`` buckets, ``_sum``/``_count``), plus every
   collector-pulled component stat as an untyped sample.
 * **Humans** (:func:`render_span_tree`, :func:`metrics_report`) — indented
   causal trees and a latency/throughput summary for a REPL or an incident.
@@ -101,13 +101,10 @@ def write_chrome_trace(source: Any, path: Any) -> Dict[str, Any]:
 
 # --------------------------------------------------------------- prometheus
 
-#: help strings for the instrument families the system creates (exposed as
+#: help strings for the histogram families the system creates (exposed as
 #: ``# HELP`` lines; families not listed get a generated fallback)
 HELP_TEXTS: Dict[str, str] = {
-    "rule_firings_total": "Rule firings by E-C and C-A coupling mode",
     "rule_action_seconds": "Rule action execution latency (sampled)",
-    "rule_firing_errors_total":
-        "Rule firings that errored (condition or action path)",
     "deferred_batch_size": "Deferred rule firings drained per commit round",
     "txn_commit_seconds":
         "Top-level commit latency including deferred rule processing",
@@ -119,39 +116,12 @@ HELP_TEXTS: Dict[str, str] = {
     "wal_fsync_seconds": "WAL force (fsync) latency",
     "wal_group_batch_size":
         "Records made durable per group-commit leader fsync",
-    "wal_group_leader_total": "Group-commit syncs that led the fsync",
-    "wal_group_follower_total":
-        "Group-commit syncs satisfied by another leader's fsync",
     "journal_append_seconds":
         "Flight-journal record append latency (sampled)",
     "journal_fsync_seconds": "Flight-journal background fsync latency",
-    "provenance_entries": "Live entries in the causal provenance store",
-    "provenance_bytes":
-        "Approximate memory held by the causal provenance store",
-    "provenance_evictions_total":
-        "Provenance entries evicted by the per-key ring or the global cap",
     "provenance_why_seconds": "why() causal chain walk latency",
-    "timeseries_ticks_total": "Timeseries ring snapshot ticks taken",
-    "timeseries_tick_seconds": "Timeseries ring snapshot tick latency",
-    "slo_burn_rate":
-        "Error-budget burn rate by objective and window (1.0 = on budget)",
-    "slo_state":
-        "SLO state by objective (0=ok 1=burning 2=breached 3=recovered)",
-    "slo_breaches_total": "SLO objectives entering the breached state",
     "serving_latency_seconds":
         "Loadgen per-stimulus latency from scheduled send time",
-    "watchdog_alerts_total": "Watchdog alerts raised, by detector kind",
-    "forensics_captures_total":
-        "Forensics snapshot bundles captured, by trigger kind",
-    "forensics_capture_errors_total":
-        "Forensics captures that failed (never propagated to the "
-        "signalling thread)",
-    "forensics_debounced_total":
-        "Forensics capture requests suppressed by the per-kind debounce",
-    "forensics_evicted_total":
-        "Forensics bundles evicted oldest-first to hold the disk budget",
-    "forensics_bundles": "Snapshot bundles currently on disk",
-    "forensics_bytes": "Disk bytes held by snapshot bundles",
     "forensics_capture_seconds": "Snapshot bundle capture latency",
 }
 
@@ -216,25 +186,19 @@ def prometheus_text(registry: MetricsRegistry,
     """
     lines: List[str] = []
     seen: set = set()
-    for instrument in registry.instruments():
-        name = prefix + _prom_key(instrument.name)
-        labels = instrument.labels
-        if instrument.kind in ("counter", "gauge"):
-            _family_header(lines, seen, name, instrument.name,
-                           instrument.kind)
-            lines.append("%s %s" % (_prom_sample_name(name, labels),
-                                    _prom_value(instrument.value)))
-            continue
-        _family_header(lines, seen, name, instrument.name, "histogram")
-        for bound, cumulative in instrument.buckets():
+    for histogram in registry.instruments():
+        name = prefix + _prom_key(histogram.name)
+        labels = histogram.labels
+        _family_header(lines, seen, name, histogram.name, "histogram")
+        for bound, cumulative in histogram.buckets():
             bucket_labels = labels + (("le", _prom_value(bound)),)
             lines.append("%s %d" % (_prom_sample_name(name + "_bucket",
                                                       bucket_labels),
                                     cumulative))
         lines.append("%s %s" % (_prom_sample_name(name + "_sum", labels),
-                                _prom_value(instrument.sum)))
+                                _prom_value(histogram.sum)))
         lines.append("%s %d" % (_prom_sample_name(name + "_count", labels),
-                                instrument.count))
+                                histogram.count))
     for key, value in sorted(registry.collected().items()):
         name = prefix + _prom_key(key)
         _family_header(lines, seen, name, key, "untyped")
@@ -261,7 +225,7 @@ def metrics_report(registry: MetricsRegistry,
                    span_recorder: Optional[SpanRecorder] = None) -> str:
     """Human-readable summary: latency percentiles, counts, slow log."""
     lines: List[str] = ["== metrics =="]
-    histograms = [m for m in registry.instruments() if m.kind == "histogram"]
+    histograms = registry.instruments()
     if histograms:
         lines.append("%-44s %9s %9s %9s %9s %9s %9s" % (
             "latency", "count", "mean", "p50", "p95", "p99", "p99.9"))
@@ -273,13 +237,6 @@ def metrics_report(registry: MetricsRegistry,
                 format_name(histogram.name, histogram.labels), snap["count"],
                 snap["mean"] * 1e3, snap["p50"] * 1e3,
                 snap["p95"] * 1e3, snap["p99"] * 1e3, snap["p999"] * 1e3))
-    scalars = [m for m in registry.instruments()
-               if m.kind in ("counter", "gauge") and m.value]
-    if scalars:
-        lines.append("-- counters/gauges --")
-        for metric in scalars:
-            lines.append("%-44s %12s" % (
-                format_name(metric.name, metric.labels), metric.value))
     collected = registry.collected()
     if collected:
         lines.append("-- component stats --")

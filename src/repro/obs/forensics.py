@@ -44,9 +44,9 @@ records is worse than none:
 * **bounded on disk** — a budget in bytes plus a bundle-count cap,
   enforced by oldest-first eviction after every write (the newest
   bundle always survives, even when it alone exceeds the budget);
-* **failure-isolated** — a capture error increments
-  ``forensics_capture_errors_total`` and the ``capture_errors`` stat
-  and never propagates into the thread that signalled the alert.
+* **failure-isolated** — a capture error increments the
+  ``capture_errors`` stat and never propagates into the thread that
+  signalled the alert.
 
 Writes are atomic (temp file + ``os.replace``) so a reader listing the
 directory never sees a torn bundle.
@@ -175,8 +175,6 @@ class ForensicsRecorder:
             if last is not None \
                     and now - last < self.config.debounce_seconds:
                 self.stats["debounced"] += 1
-                if self._metrics is not None:
-                    self._metrics.counter("forensics_debounced_total").inc()
                 return False
             self._last_capture[kind] = now
             self._ensure_worker()
@@ -292,11 +290,6 @@ class ForensicsRecorder:
     def _note_error(self) -> None:
         with self._lock:
             self.stats["capture_errors"] += 1
-        if self._metrics is not None:
-            try:
-                self._metrics.counter("forensics_capture_errors_total").inc()
-            except Exception:
-                pass
 
     def _capture(self, kind: str, reason: str,
                  alert: Optional[Dict[str, Any]]) -> str:
@@ -317,8 +310,6 @@ class ForensicsRecorder:
         with self._lock:
             self.stats["captures"] += 1
         if self._metrics is not None:
-            self._metrics.counter("forensics_captures_total",
-                                  kind=_safe_kind(kind)).inc()
             self._metrics.histogram("forensics_capture_seconds").observe(
                 elapsed)
         return bundle_id
@@ -344,9 +335,6 @@ class ForensicsRecorder:
             self.stats["evicted"] += evicted
             self.stats["bundles"] = len(bundles)
             self.stats["bytes"] = total
-        if evicted and self._metrics is not None:
-            self._metrics.counter("forensics_evicted_total").inc(evicted)
-        self._set_gauges(len(bundles), total)
 
     def _refresh_disk_stats(self) -> None:
         bundles = self.list_bundles()
@@ -354,12 +342,6 @@ class ForensicsRecorder:
         with self._lock:
             self.stats["bundles"] = len(bundles)
             self.stats["bytes"] = total
-        self._set_gauges(len(bundles), total)
-
-    def _set_gauges(self, bundles: int, total: int) -> None:
-        if self._metrics is not None:
-            self._metrics.gauge("forensics_bundles").set(bundles)
-            self._metrics.gauge("forensics_bytes").set(total)
 
     # ----------------------------------------------------------- the bundle
 

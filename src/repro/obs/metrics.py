@@ -1,21 +1,22 @@
-"""Always-on metrics registry: counters, gauges, fixed-bucket histograms.
+"""Always-on metrics registry: fixed-bucket histograms plus collectors.
 
 The Section 6 protocols say *which* component calls which; they say nothing
 about where the time goes.  This registry is the system's single numeric
-observability surface: every component records its hot-path timings and
-occurrence counts here, and the existing per-component ``stats`` dicts are
-folded in through pull-time *collectors* (so the legacy ``HiPAC.stats()``
-API keeps working and costs nothing extra on the hot path).
+observability surface: every component records its hot-path timings here,
+and every count or level has one owner — its component's ``stats`` dict —
+folded in through pull-time *collectors* (so ``HiPAC.stats()``, the
+Prometheus exposition and the timeseries windows read the same number, and
+counting costs a dict increment, never an instrument call).
 
 Design constraints, in order:
 
 1. **Near-zero overhead.**  Instruments are looked up once (at component
-   construction) and held; an ``observe``/``inc`` on a disabled registry is
-   a single attribute check; an enabled histogram observation is a bisect
+   construction) and held; an ``observe`` on a disabled registry is a
+   single attribute check; an enabled histogram observation is a bisect
    over ~16 bucket bounds plus plain stores into this thread's own shard —
    no lock is ever taken on the hot path.  Nothing is exported,
    serialized, or aggregated until someone asks (no sink attached = no
-   work beyond the raw increments).
+   work beyond the raw observations).
 2. **Thread safety, by sharding.**  Separate-coupling firings record from
    worker threads; each recording thread owns a private shard (keyed by
    thread id) that no other thread writes, so unlocked read-modify-write
@@ -65,88 +66,6 @@ def format_name(name: str, labels: LabelItems) -> str:
         return name
     inner = ",".join('%s="%s"' % (key, value) for key, value in labels)
     return "%s{%s}" % (name, inner)
-
-
-class Counter:
-    """A monotonically increasing count.
-
-    The unit increment rides on :func:`itertools.count` — a single C call,
-    atomic under the GIL, with the running total recoverable through the
-    iterator's pickle protocol (``__reduce__``) without consuming it.
-    Non-unit increments are rare (batch accounting) and take a lock.
-    """
-
-    __slots__ = ("name", "labels", "_registry", "_lock", "_ticks", "_bulk")
-
-    kind = "counter"
-
-    def __init__(self, registry: "MetricsRegistry", name: str,
-                 labels: LabelItems) -> None:
-        self.name = name
-        self.labels = labels
-        self._registry = registry
-        self._lock = threading.Lock()
-        self._ticks = itertools.count()
-        self._bulk = 0
-
-    def inc(self, amount: int = 1) -> None:
-        """Add ``amount`` (no-op while the registry is disabled)."""
-        if not self._registry.enabled:
-            return
-        if amount == 1:
-            next(self._ticks)
-            return
-        with self._lock:
-            self._bulk += amount
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            # count.__reduce__() -> (count, (next_value,)): the number of
-            # unit increments so far, read without consuming one.
-            return self._ticks.__reduce__()[1][0] + self._bulk
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"value": self.value}
-
-
-class Gauge:
-    """A value that can go up and down (depths, live counts)."""
-
-    __slots__ = ("name", "labels", "_registry", "_lock", "_value")
-
-    kind = "gauge"
-
-    def __init__(self, registry: "MetricsRegistry", name: str,
-                 labels: LabelItems) -> None:
-        self.name = name
-        self.labels = labels
-        self._registry = registry
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        if not self._registry.enabled:
-            return
-        with self._lock:
-            self._value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        if not self._registry.enabled:
-            return
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"value": self.value}
 
 
 class _HistogramShard:
@@ -258,8 +177,6 @@ class Histogram:
 
     __slots__ = ("name", "labels", "sample", "_registry", "_lock", "_bounds",
                  "_shards", "_ticks")
-
-    kind = "histogram"
 
     def __init__(self, registry: "MetricsRegistry", name: str,
                  labels: LabelItems,
@@ -435,34 +352,10 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._lock = threading.Lock()
-        self._instruments: Dict[Tuple[str, LabelItems], Any] = {}
+        self._instruments: Dict[Tuple[str, LabelItems], Histogram] = {}
         self._collectors: List[StatsCollector] = []
 
     # ------------------------------------------------------- instruments
-
-    def _get(self, cls: type, name: str, labels: Dict[str, str],
-             **kwargs: Any) -> Any:
-        items: LabelItems = tuple(sorted(
-            (key, str(value)) for key, value in labels.items()))
-        key = (name, items)
-        with self._lock:
-            instrument = self._instruments.get(key)
-            if instrument is None:
-                instrument = cls(self, name, items, **kwargs)
-                self._instruments[key] = instrument
-            elif not isinstance(instrument, cls):
-                raise TypeError(
-                    "metric %r already registered as %s"
-                    % (format_name(name, items), instrument.kind))
-            return instrument
-
-    def counter(self, name: str, **labels: str) -> Counter:
-        """Get or create a counter."""
-        return self._get(Counter, name, labels)
-
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        """Get or create a gauge."""
-        return self._get(Gauge, name, labels)
 
     def histogram(self, name: str,
                   buckets: Optional[Tuple[float, ...]] = None,
@@ -473,12 +366,20 @@ class MetricsRegistry:
         ``sample=N`` makes it a sampled latency histogram (see
         :class:`Histogram`); the stride is fixed by whichever call creates
         the instrument first."""
-        return self._get(Histogram, name, labels,
-                         bounds=buckets or DEFAULT_LATENCY_BUCKETS,
-                         sample=sample)
+        items: LabelItems = tuple(sorted(
+            (key, str(value)) for key, value in labels.items()))
+        key = (name, items)
+        with self._lock:
+            instrument = self._instruments.get(key)
+            if instrument is None:
+                instrument = Histogram(
+                    self, name, items,
+                    bounds=buckets or DEFAULT_LATENCY_BUCKETS, sample=sample)
+                self._instruments[key] = instrument
+            return instrument
 
-    def instruments(self) -> List[Any]:
-        """All registered instruments, sorted by rendered name."""
+    def instruments(self) -> List[Histogram]:
+        """All registered histograms, sorted by rendered name."""
         with self._lock:
             return sorted(self._instruments.values(),
                           key=lambda m: format_name(m.name, m.labels))
@@ -503,15 +404,8 @@ class MetricsRegistry:
 
     def collect(self) -> Dict[str, Any]:
         """One structured snapshot of everything the registry knows."""
-        snapshot: Dict[str, Any] = {"counters": {}, "gauges": {},
-                                    "histograms": {}}
-        for instrument in self.instruments():
-            rendered = format_name(instrument.name, instrument.labels)
-            if instrument.kind == "counter":
-                snapshot["counters"][rendered] = instrument.value
-            elif instrument.kind == "gauge":
-                snapshot["gauges"][rendered] = instrument.value
-            else:
-                snapshot["histograms"][rendered] = instrument.snapshot()
-        snapshot["collected"] = self.collected()
-        return snapshot
+        return {
+            "histograms": {format_name(h.name, h.labels): h.snapshot()
+                           for h in self.instruments()},
+            "collected": self.collected(),
+        }

@@ -272,17 +272,8 @@ class ProvenanceStore:
         self._bytes = 0
         self.stats = {"published": 0, "pruned": 0, "evicted": 0,
                       "why_queries": 0}
-        if metrics is not None:
-            self._entries_gauge = metrics.gauge("provenance_entries")
-            self._bytes_gauge = metrics.gauge("provenance_bytes")
-            self._evictions_counter = metrics.counter(
-                "provenance_evictions_total")
-            self._why_seconds = metrics.histogram("provenance_why_seconds")
-        else:  # pragma: no cover - facade always passes a registry
-            self._entries_gauge = None
-            self._bytes_gauge = None
-            self._evictions_counter = None
-            self._why_seconds = None
+        self._why_seconds = (metrics.histogram("provenance_why_seconds")
+                             if metrics is not None else None)
 
     # ------------------------------------------------------- causal scopes
 
@@ -430,10 +421,6 @@ class ProvenanceStore:
                 entry.nbytes = entry.estimate_bytes()
                 self._insert_locked(entry)
             self.stats["published"] += len(entries)
-            live, nbytes = self._entries, self._bytes
-        if self._entries_gauge is not None:
-            self._entries_gauge.set(live)
-            self._bytes_gauge.set(nbytes)
 
     def on_abort(self, txn: Any) -> None:
         """Count the entries the aborting transaction's own log would have
@@ -487,8 +474,6 @@ class ProvenanceStore:
         self._entries -= 1
         self._bytes -= entry.nbytes
         self.stats["evicted"] += 1
-        if self._evictions_counter is not None:
-            self._evictions_counter.inc()
         if not ring:
             del self._rings[key]
             attrs = self._by_oid.get(key[0])

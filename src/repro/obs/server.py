@@ -18,7 +18,7 @@ and exposes:
 * ``GET /flight``   — flight-recorder journal stats plus the newest
   records (``?last=N``); ``?download=1`` streams the live journal segment
   (409 unless the instance was built with ``flight_recorder=True``);
-* ``GET /timeseries`` — the windowed-telemetry ring (per-window counter
+* ``GET /timeseries`` — the windowed-telemetry ring (per-window stat
   deltas and histogram-delta percentiles; ``?last=N`` windows,
   ``?window=SECONDS`` adds a trailing aggregate) — rates and tails are
   computed server-side once, instead of by every scraper;

@@ -25,8 +25,8 @@ Objective state machine::
 
 Transitions into ``burning``/``breached`` raise a watchdog ``slo_burn``
 alert (WARNING — a burning budget degrades health, it never flips it to
-failing) and are mirrored into the ``slo_*`` metrics family; the current
-state of every objective backs ``GET /slo`` and the health report.
+failing) and are counted in the monitor's ``stats``; the current state of
+every objective backs ``GET /slo`` and the health report.
 
 No traffic means no burn: every objective treats an empty window as
 within budget, so budgets recover while the system is idle — which is
@@ -39,11 +39,10 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeseriesRing
 from repro.obs.watchdog import SLO_BURN, Watchdog
 
-#: objective states, in escalation order (gauge values)
+#: objective states, in escalation order
 OK = "ok"
 BURNING = "burning"
 BREACHED = "breached"
@@ -64,8 +63,8 @@ class Objective:
       ``histogram`` must fall at or under ``threshold`` seconds.  The
       bad fraction comes from the windowed bucket-count deltas, with the
       straddling bucket split linearly.
-    * ``kind=RATIO`` — ``numerator``/``denominator`` (counter or
-      collected-stat names) must stay under ``budget``.
+    * ``kind=RATIO`` — ``numerator``/``denominator`` (collected-stat
+      names) must stay under ``budget``.
     * ``kind=ALERT_FREE`` — no watchdog alerts in the window (its own
       ``slo_burn`` alerts excluded, or every burn would feed itself).
       The burn rate is simply the number of alerts.
@@ -115,19 +114,14 @@ class SLOMonitor:
 
     def __init__(self, ring: TimeseriesRing,
                  objectives: Optional[List[Objective]] = None,
-                 watchdog: Optional[Watchdog] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 watchdog: Optional[Watchdog] = None) -> None:
         self.ring = ring
         self.objectives = (objectives if objectives is not None
                            else default_objectives())
         self._watchdog = watchdog
-        self._metrics = metrics
         self._lock = threading.Lock()
         self.stats: Dict[str, int] = {"evaluations": 0, "breaches": 0,
                                       "alerts": 0}
-        self._breach_counter = None
-        if metrics is not None:
-            self._breach_counter = metrics.counter("slo_breaches_total")
 
     # ---------------------------------------------------------- burn rates
 
@@ -223,24 +217,12 @@ class SLOMonitor:
                     objective.state = transition
                     if transition == BREACHED:
                         self.stats["breaches"] += 1
-                        if self._breach_counter is not None:
-                            self._breach_counter.inc()
                     if transition in (BURNING, BREACHED) \
                             and self._watchdog is not None:
                         self.stats["alerts"] += 1
                         self._watchdog.note_slo(
                             objective.name, transition, objective.burn_fast,
                             objective.burn_threshold)
-                if self._metrics is not None:
-                    self._metrics.gauge("slo_burn_rate",
-                                        objective=objective.name,
-                                        window="fast").set(objective.burn_fast)
-                    self._metrics.gauge("slo_burn_rate",
-                                        objective=objective.name,
-                                        window="slow").set(objective.burn_slow)
-                    self._metrics.gauge("slo_state",
-                                        objective=objective.name).set(
-                        STATE_VALUES[objective.state])
                 results.append(self._objective_dict(objective))
         return results
 

@@ -1,13 +1,13 @@
 """Windowed telemetry: a background ticker over the metrics registry.
 
-Every instrument in :mod:`repro.obs.metrics` is cumulative-since-boot,
-which answers "how much, ever" but not the operational questions — "what
-is commit p99 *right now*", "is the firing rate climbing".  This module
-adds the time dimension without an external TSDB: a daemon thread
-snapshots the registry every ``interval`` seconds, subtracts the
-previous snapshot, and appends the resulting *window* (counter deltas,
-gauge levels, histogram bucket-count deltas) to a bounded in-memory
-ring.  Windowed percentiles come from the bucket-count differences
+Every histogram in :mod:`repro.obs.metrics` and every collected component
+stat is cumulative-since-boot, which answers "how much, ever" but not the
+operational questions — "what is commit p99 *right now*", "is the firing
+rate climbing".  This module adds the time dimension without an external
+TSDB: a daemon thread snapshots the registry every ``interval`` seconds,
+subtracts the previous snapshot, and appends the resulting *window*
+(collected-stat deltas, histogram bucket-count deltas) to a bounded
+in-memory ring.  Windowed percentiles come from the bucket-count differences
 (:class:`~repro.obs.metrics.HistogramState` /
 :func:`~repro.obs.metrics.percentile_from_counts`), so a window's p99
 describes that window alone — the rates and tails every scraper used to
@@ -22,7 +22,7 @@ Design constraints:
 2. **Negligible overhead.**  A tick is one pass over the instruments
    (shard merges, tuple copies — no percentile math; summaries are
    computed lazily when a reader asks) plus one collector pull.  When a
-   window comes back *idle* (no counter or histogram activity) the
+   window comes back *idle* (no stat or histogram activity) the
    ticker backs off, doubling its delay up to ``idle_backoff`` — so the
    hundreds of short-lived HiPAC instances a test suite creates cost a
    handful of wakeups, not one per second each.
@@ -56,18 +56,14 @@ _SELF_PREFIXES = ("timeseries_", "slo_")
 class Window:
     """One tick's worth of deltas (only nonzero entries are stored)."""
 
-    __slots__ = ("seq", "t", "dt", "counters", "gauges", "collected",
-                 "histograms", "idle")
+    __slots__ = ("seq", "t", "dt", "collected", "histograms", "idle")
 
     def __init__(self, seq: int, t: float, dt: float,
-                 counters: Dict[str, float], gauges: Dict[str, float],
                  collected: Dict[str, float],
                  histograms: Dict[str, HistogramState], idle: bool) -> None:
         self.seq = seq
         self.t = t          #: wall-clock end of the window
         self.dt = dt        #: seconds covered
-        self.counters = counters      #: counter deltas over the window
-        self.gauges = gauges          #: gauge levels at the end of it
         self.collected = collected    #: component-stat deltas
         self.histograms = histograms  #: bucket-count deltas
         self.idle = idle
@@ -94,7 +90,6 @@ class TimeseriesRing:
         self._lock = threading.Lock()
         self._windows: Deque[Window] = deque(maxlen=self.capacity)
         self._bounds: Dict[str, Tuple[float, ...]] = {}
-        self._prev_counters: Dict[str, float] = {}
         self._prev_collected: Dict[str, float] = {}
         self._prev_hists: Dict[str, HistogramState] = {}
         self._last_t: Optional[float] = None
@@ -118,28 +113,17 @@ class TimeseriesRing:
         """Snapshot the registry, append one window, run the callbacks."""
         if now is None:
             now = self._clock()
-        counters: Dict[str, float] = {}
-        gauges: Dict[str, float] = {}
         hist_states: Dict[str, HistogramState] = {}
-        for instrument in self.registry.instruments():
-            rendered = format_name(instrument.name, instrument.labels)
-            if instrument.kind == "counter":
-                counters[rendered] = instrument.value
-            elif instrument.kind == "gauge":
-                gauges[rendered] = instrument.value
-            else:
-                hist_states[rendered] = instrument.state()
-                if rendered not in self._bounds:
-                    self._bounds[rendered] = instrument.bounds
+        for histogram in self.registry.instruments():
+            rendered = format_name(histogram.name, histogram.labels)
+            hist_states[rendered] = histogram.state()
+            if rendered not in self._bounds:
+                self._bounds[rendered] = histogram.bounds
         collected = self.registry.collected()
         with self._lock:
             dt = (now - self._last_t) if self._last_t is not None \
                 else self.interval
             dt = max(dt, 1e-9)
-            counter_deltas = {
-                name: value - self._prev_counters.get(name, 0)
-                for name, value in counters.items()
-                if value - self._prev_counters.get(name, 0)}
             collected_deltas = {
                 name: value - self._prev_collected.get(name, 0)
                 for name, value in collected.items()
@@ -150,15 +134,13 @@ class TimeseriesRing:
                 delta = state.delta(self._prev_hists.get(name))
                 if delta.count:
                     hist_deltas[name] = delta
-            idle = not counter_deltas and not hist_deltas and all(
+            idle = not hist_deltas and all(
                 key.startswith(_SELF_PREFIXES)
                 for key in collected_deltas)
             self._seq += 1
-            window = Window(self._seq, now, dt, counter_deltas,
-                            {name: value for name, value in gauges.items()
-                             if value}, collected_deltas, hist_deltas, idle)
+            window = Window(self._seq, now, dt, collected_deltas,
+                            hist_deltas, idle)
             self._windows.append(window)
-            self._prev_counters = counters
             self._prev_collected = {
                 name: value for name, value in collected.items()
                 if isinstance(value, (int, float))}
@@ -241,19 +223,16 @@ class TimeseriesRing:
                   now: Optional[float] = None) -> Dict[str, Any]:
         """Merge the windows covering the trailing ``seconds``.
 
-        Counter/collected deltas sum; histogram bucket counts sum and
+        Collected-stat deltas sum; histogram bucket counts sum and
         yield the trailing-window percentiles; rates divide by the
         covered time (the sum of selected ``dt``, not the requested
         span — a ring younger than the span reports what it has).
         """
         selected = self._select(seconds, now)
         elapsed = sum(window.dt for window in selected)
-        counters: Dict[str, float] = {}
         collected: Dict[str, float] = {}
         merged: Dict[str, HistogramState] = {}
         for window in selected:
-            for name, delta in window.counters.items():
-                counters[name] = counters.get(name, 0) + delta
             for name, delta in window.collected.items():
                 collected[name] = collected.get(name, 0) + delta
             for name, state in window.histograms.items():
@@ -266,24 +245,16 @@ class TimeseriesRing:
                               in zip(prior.counts, state.counts)),
                         prior.sum + state.sum, prior.count + state.count)
         safe_elapsed = max(elapsed, 1e-9)
-        out: Dict[str, Any] = {
+        return {
             "seconds": seconds,
             "elapsed": elapsed,
             "windows": len(selected),
-            "counters": {name: {"delta": delta,
-                                "rate": delta / safe_elapsed}
-                         for name, delta in sorted(counters.items())},
             "collected": {name: {"delta": delta,
                                  "rate": delta / safe_elapsed}
                           for name, delta in sorted(collected.items())},
             "histograms": {name: self._summarize(name, state)
                            for name, state in sorted(merged.items())},
         }
-        if selected:
-            out["gauges"] = dict(selected[-1].gauges)
-        else:
-            out["gauges"] = {}
-        return out
 
     def _summarize(self, name: str, state: HistogramState,
                    bounds: Optional[Tuple[float, ...]] = None
@@ -339,22 +310,10 @@ class TimeseriesRing:
 
     def counter_window(self, name: str, seconds: float,
                        now: Optional[float] = None) -> Tuple[float, float]:
-        """``(delta, covered_seconds)`` for a counter or collected stat.
-
-        Like :meth:`histogram_raw_window`, a bare family name sums every
-        labeled child of that counter family.
-        """
+        """``(delta, covered_seconds)`` for one collected stat."""
         selected = self._select(seconds, now)
-        total = 0.0
-        for window in selected:
-            if name in window.counters:
-                total += window.counters[name]
-            elif name in window.collected:
-                total += window.collected[name]
-            else:
-                total += sum(delta for key, delta
-                             in window.counters.items()
-                             if key.split("{", 1)[0] == name)
+        total = sum((window.collected.get(name, 0) for window in selected),
+                    0.0)
         return total, sum(window.dt for window in selected)
 
     # --------------------------------------------------------------- stats
@@ -379,8 +338,6 @@ class TimeseriesRing:
             "t": window.t,
             "dt": window.dt,
             "idle": window.idle,
-            "counters": dict(window.counters),
-            "gauges": dict(window.gauges),
             "collected": dict(window.collected),
             "histograms": {name: self._summarize(name, state)
                            for name, state in window.histograms.items()},

@@ -117,16 +117,9 @@ class Watchdog:
     """
 
     def __init__(self, config: Optional[WatchdogConfig] = None,
-                 enabled: bool = True,
-                 metrics: Optional[Any] = None) -> None:
+                 enabled: bool = True) -> None:
         self.config = config or WatchdogConfig()
         self.enabled = enabled
-        #: optional metrics registry: every alert increments the labeled
-        #: ``watchdog_alerts_total{kind="..."}`` counter so the per-kind
-        #: breakdown reaches the Prometheus exposition (alerts are rare
-        #: events, so the registry lookup per alert costs nothing that
-        #: matters)
-        self._metrics = metrics
         self._lock = threading.Lock()
         self._alerts: Deque[Alert] = deque(maxlen=self.config.alert_capacity)
         self._callbacks: List[AlertCallback] = []
@@ -339,14 +332,6 @@ class Watchdog:
             self.stats["alerts_total"] += 1
             self.stats["alerts_%s" % kind] += 1
             callbacks = list(self._callbacks)
-        if self._metrics is not None:
-            self._metrics.counter("watchdog_alerts_total", kind=kind).inc()
         for callback in callbacks:
             callback(alert)
         return alert
-
-
-#: default disabled instance for components constructed standalone
-def disabled_watchdog() -> Watchdog:
-    """A watchdog that records and checks nothing (standalone components)."""
-    return Watchdog(enabled=False)

@@ -138,10 +138,6 @@ class RuleManager:
         self._spans = spans
         self._slow_log = slow_log
         self._watchdog = watchdog
-        self._firing_count = {
-            (ec, ca): self._metrics.counter("rule_firings_total", ec=ec, ca=ca)
-            for ec in MODES for ca in MODES
-        }
         self._action_seconds = {
             ca: self._metrics.histogram("rule_action_seconds",
                                         sample=HOT_PATH_SAMPLE, coupling=ca)
@@ -149,7 +145,6 @@ class RuleManager:
         }
         self._deferred_batch = self._metrics.histogram(
             "deferred_batch_size", buckets=DEFAULT_SIZE_BUCKETS)
-        self._error_count = self._metrics.counter("rule_firing_errors_total")
 
         #: detector for transaction-control events ("the Transaction Manager
         #: ... acts as an event detector", §5.2); its sink is this manager
@@ -445,8 +440,6 @@ class RuleManager:
                 rule=rule.name, ec=rule.ec_coupling, ca=rule.ca_coupling,
                 coupling=coupling,
                 **({"separate_thread": True} if separate else {}))
-        if self._metrics.enabled:
-            self._firing_count[(rule.ec_coupling, rule.ca_coupling)].inc()
         self._watchdog.note_firing()
         ctxn = self._txns.create_transaction(
             parent=parent, source=tracing.RULE_MANAGER, internal=True,
@@ -565,7 +558,6 @@ class RuleManager:
         abort: a separate firing that loses its transaction just stops."""
         firing.error = str(exc)
         self.stats["firing_errors"] += 1
-        self._error_count.inc()
         if not txn.is_finished():
             self._txns.abort_transaction(txn, source=tracing.RULE_MANAGER)
         if not collect or not isinstance(exc, Exception):

@@ -153,10 +153,6 @@ class SegmentWriter:
         #: measure of how well group commit amortizes the §6.3 force
         self._batch_size = self._metrics.histogram(
             "%s_group_batch_size" % name, buckets=BATCH_SIZE_BUCKETS)
-        self._leader_total = self._metrics.counter(
-            "%s_group_leader_total" % name)
-        self._follower_total = self._metrics.counter(
-            "%s_group_follower_total" % name)
         self._mutex = threading.Lock()
         self._cond = threading.Condition(threading.Lock())
         self._sync_active = False
@@ -260,9 +256,8 @@ class SegmentWriter:
                 raise ValueError("segment writer is closed")
             if self._defer:
                 # Bounded-window mode: queue the dict; the background
-                # thread (or the next drain point) frames and writes it.
-                # Even the metric bump waits for the drain (one bump per
-                # batch): nothing but the queue append is on this path.
+                # thread (or the next drain point) frames and writes it:
+                # nothing but the queue append is on this path.
                 self._seq += 1
                 fields[self.seq_field] = self._seq
                 self._pending.append(fields)
@@ -338,7 +333,6 @@ class SegmentWriter:
             while True:
                 if self._durable_seq >= seq:
                     self.stats["group_follows"] += 1
-                    self._follower_total.inc()
                     return
                 if not self._sync_active:
                     self._sync_active = True
@@ -374,7 +368,6 @@ class SegmentWriter:
             if batch > 0:
                 self.stats["group_leads"] += 1
                 self.stats["batched_records"] += batch
-                self._leader_total.inc()
                 self._batch_size.observe(batch)
                 self._durable_seq = target
             self._sync_active = False

@@ -15,7 +15,7 @@ heuristic keys off one incident signature the execution model invites:
 * **deferred-depth alert** — names the transaction shape: which rules
   queued the deferred work that one commit then has to drain;
 * **SLO burn** — locates the timeseries window where the objective
-  left ``ok`` and lists the counters that moved with it;
+  left ``ok`` and lists the stats that moved with it;
 * **cascade cut / WAL failure / firing errors** — critical or latent
   faults surfaced even when no alert carried them.
 
@@ -288,23 +288,22 @@ def _slo_burn(bundle: Dict[str, Any]) -> List[Finding]:
                       objective.get("burn_fast", 0.0),
                       objective.get("burn_slow", 0.0),
                       objective.get("burn_threshold", 0.0))]
-        gauge = 'slo_state{objective="%s"}' % name
+        # The monitor's own count of escalations ticks in the evaluate()
+        # that raised the burn, so it lands in the next window's deltas.
         burn_window = next(
             (window for window in windows
-             if float((window.get("gauges") or {}).get(gauge, 0.0)) >= 1.0),
-            None)
+             if (window.get("collected") or {}).get("slo_alerts")), None)
         if burn_window is not None:
             details.append(
                 "burn started by window seq %s (t=%.0f)"
                 % (burn_window.get("seq"), burn_window.get("t", 0.0)))
             moved = sorted(
                 ((key, value) for key, value in
-                 {**(burn_window.get("counters") or {}),
-                  **(burn_window.get("collected") or {})}.items()
+                 (burn_window.get("collected") or {}).items()
                  if value and not key.startswith(("timeseries_", "slo_"))),
                 key=lambda pair: abs(pair[1]), reverse=True)[:5]
             if moved:
-                details.append("counters that moved in that window: %s"
+                details.append("stats that moved in that window: %s"
                                % ", ".join("%s %+g" % pair
                                            for pair in moved))
         finding = Finding(

@@ -270,8 +270,10 @@ class TestAdminServer:
                     errors.append((path, exc))
 
         def valid_metrics(body):
-            text = body.decode("utf-8")
-            assert "# TYPE hipac_rule_firings_total counter" in text
+            samples = _parse_prometheus(body.decode("utf-8"))
+            assert ("hipac_txn_commit_seconds_count",
+                    (("scope", "top"),)) in samples
+            assert ("hipac_rules_conditions_evaluated", ()) in samples
 
         def valid_health(body):
             assert json.loads(body)["status"] in ("ok", "degraded")
@@ -704,50 +706,71 @@ class TestHistogramExactness:
 class TestPrometheusRoundTrip:
     def test_help_and_type_once_per_family(self):
         registry = MetricsRegistry(enabled=True)
-        registry.counter("rule_firings_total", ec="immediate").inc(1)
-        registry.counter("rule_firings_total", ec="deferred").inc(2)
         registry.histogram("rule_action_seconds", rule="x").observe(0.001)
         registry.histogram("rule_action_seconds", rule="y").observe(0.002)
+        registry.histogram("lock_wait_seconds", mode="S").observe(0.01)
+        registry.histogram("lock_wait_seconds", mode="X").observe(0.02)
         text = prometheus_text(registry)
-        assert text.count("# TYPE hipac_rule_firings_total ") == 1
-        assert text.count("# HELP hipac_rule_firings_total ") == 1
-        assert text.count("# TYPE hipac_rule_action_seconds ") == 1
+        for family in ("rule_action_seconds", "lock_wait_seconds"):
+            assert text.count("# TYPE hipac_%s " % family) == 1
+            assert text.count("# HELP hipac_%s " % family) == 1
         # HELP text comes from the curated table, not the fallback.
-        assert "coupling mode" in text
+        assert "Time lock requests spent blocked" in text
+        _parse_prometheus(text)
 
     def test_label_values_escaped_and_parse_back(self):
         registry = MetricsRegistry(enabled=True)
         hostile = 'with"quote\\slash\nnewline'
-        registry.counter("odd_total", tag=hostile).inc(7)
+        registry.histogram("odd_seconds", tag=hostile).observe(0.5)
         text = prometheus_text(registry)
         samples = _parse_prometheus(text)
-        assert samples[("hipac_odd_total", (("tag", hostile),))] == 7.0
+        assert samples[("hipac_odd_seconds_count", (("tag", hostile),))] \
+            == 1.0
 
-    def test_full_facade_exposition_parses(self):
-        db = _db()
-        db.create_rule(Rule(
-            name="R", event=on_create("A"), condition=Condition.true(),
-            action=Action.call(lambda ctx: None)))
-        with db.transaction() as txn:
-            db.create("A", {"v": 0}, txn)
-        samples = _parse_prometheus(db.prometheus_metrics())
-        fired = [value for (name, labels), value in samples.items()
-                 if name == "hipac_rule_firings_total"]
-        assert sum(fired) >= 1
+    def test_full_facade_exposition_parses(self, tmp_path):
+        """A fully-on instance after a firing, an alert and an SLO
+        evaluation exports every sample once and every family in one
+        contiguous run, with histogram and untyped families only."""
+        db = _db(durability="wal", data_dir=tmp_path, forensics=True,
+                 flight_recorder=True)
+        try:
+            db.create_rule(Rule(
+                name="R", event=on_create("A"), condition=Condition.true(),
+                action=Action.call(lambda ctx: None)))
+            with db.transaction() as txn:
+                db.create("A", {"v": 0}, txn)
+            db.watchdog.note_cascade_limit(5, "loop")
+            db.slo.evaluate()
+            text = db.prometheus_metrics()
+        finally:
+            db.close()
+        samples = _parse_prometheus(text)
+        assert samples[("hipac_rules_conditions_evaluated", ())] >= 1
+        assert samples[("hipac_watchdog_alerts_cascade_depth", ())] == 1
+        assert set(re.findall(r"^# TYPE \S+ (\S+)$", text, re.M)) \
+            == {"histogram", "untyped"}
         # histogram invariants: count equals the +Inf bucket
         for (name, labels), value in samples.items():
             if name.endswith("_count"):
                 inf_key = (name[:-len("_count")] + "_bucket",
                            labels + (("le", "+Inf"),))
                 assert samples[inf_key] == value
-        db.close()
 
 
 def _parse_prometheus(text: str):
-    """Minimal exposition-format parser (the inverse of the exporter's
-    escaping); returns {(name, ((label, value), ...)): float}."""
+    """Strict exposition-format parser (the inverse of the exporter's
+    escaping); returns {(name, ((label, value), ...)): float}.  Every
+    (name, labels) sample appears once and each family's samples are
+    contiguous, or a scrape would reject the page."""
     samples = {}
+    typed, family = set(), None
     for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            family = line.split()[2]
+            assert family not in typed, \
+                "family %s is not contiguous" % family
+            typed.add(family)
+            continue
         if not line or line.startswith("#"):
             continue
         match = re.match(r'^([A-Za-z_:][\w:]*)(?:\{(.*)\})? (\S+)$', line)
@@ -761,7 +784,11 @@ def _parse_prometheus(text: str):
                              .replace("\\\\", "\\"))
                 labels.append((key, unescaped))
         value = float("inf") if value_text == "+Inf" else float(value_text)
-        samples[(name, tuple(labels))] = value
+        key = (name, tuple(labels))
+        assert key not in samples, "duplicate sample: %r" % (key,)
+        samples[key] = value
+        assert family in (name, re.sub(r"_(bucket|sum|count)$", "", name)), \
+            "sample %s outside its family %s" % (name, family)
     return samples
 
 

@@ -35,6 +35,7 @@ from repro import (
 )
 from repro.obs.flightrec import read_journal
 from repro.obs.forensics import ForensicsConfig, ForensicsRecorder
+from repro.obs.slo import Objective
 from repro.obs.watchdog import RULE_STORM, WatchdogConfig
 from repro.tools import doctor
 from repro.tools import top as top_tool
@@ -127,8 +128,7 @@ class TestForensicsRecorder:
                 lambda: recorder.stats_snapshot()["capture_errors"] == 1)
             snapshot = recorder.stats_snapshot()
             assert snapshot["captures"] == 0
-            assert db.metrics.counter(
-                "forensics_capture_errors_total").value == 1
+            assert db.stats()["forensics"]["capture_errors"] == 1
             # The worker survives the error: a healthy capture after the
             # failure still lands.
             del recorder.__dict__["_build_bundle"]
@@ -348,6 +348,41 @@ class TestDoctor:
         text = doctor.report(bundle, findings)
         assert "stormer" in text and "--until" in text
 
+    def test_slo_burn_names_the_window_after_the_escalation(self, tmp_path):
+        """The SLO-burn finding points at the window right after the
+        evaluate() that raised the burn, and lists what moved in it."""
+        db = _db(tmp_path)
+        try:
+            ring = db.timeseries
+            ring.stop()  # ticks driven by hand from here on
+            now = time.time()
+            for step in (1.0, 2.0):  # healthy windows, evaluated each
+                ring.tick(now=now + step)
+            assert not db.watchdog.alerts("slo_burn")
+            db.slo.objectives[:] = [Objective(
+                "tight", histogram="txn_commit_seconds", threshold=1e-9,
+                fast_window=3600.0, slow_window=3600.0)]
+            with db.transaction() as txn:
+                db.create("A", {"v": 1}, txn)
+            escalation = ring.tick(now=now + 3.0)  # runs evaluate()
+            assert db.slo.objectives[0].state == "breached"
+            assert db.watchdog.alerts("slo_burn")
+            after = ring.tick(now=now + 4.0)
+            assert after.seq == escalation.seq + 1
+            bundle = db.forensics.load_bundle(
+                db.forensics.capture(reason="slo check"))
+        finally:
+            db.close()
+        (finding,) = [finding for finding in doctor.diagnose(bundle)
+                      if finding.kind == "slo_burn"]
+        assert "tight" in finding.title
+        assert any("burn started by window seq %d " % after.seq in detail
+                   for detail in finding.details), finding.details
+        moved = [detail for detail in finding.details
+                 if "that moved in that window: " in detail]
+        assert moved and "watchdog_alerts_total" in moved[0], \
+            finding.details
+
     def test_synthetic_bundle_heuristics(self):
         bundle = {
             "kind": "lock_wait",
@@ -495,7 +530,7 @@ class TestAdminEndpoints:
         try:
             db.watchdog.note_cascade_limit(7, "loop")
             text = db.prometheus_metrics()
-            assert 'watchdog_alerts_total{kind="cascade_depth"} 1' in text
+            assert "\nhipac_watchdog_alerts_cascade_depth 1\n" in text
         finally:
             db.close()
 

@@ -11,7 +11,9 @@ through the Chrome ``trace_event`` exporter.
 from __future__ import annotations
 
 import json
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,7 @@ from repro import (
     on_create,
 )
 from repro.core.tracing import Tracer
-from repro.obs.export import prometheus_text, render_span_tree
+from repro.obs.export import HELP_TEXTS, prometheus_text, render_span_tree
 from repro.obs.metrics import HOT_PATH_SAMPLE, MetricsRegistry
 from repro.obs.slowlog import SlowLog
 from repro.obs.spans import SpanRecorder
@@ -39,6 +41,29 @@ def _tracing_db() -> HiPAC:
     for name in ("A", "B", "C"):
         db.define_class(ClassDef(name, attributes(("v", "int"))))
     return db
+
+
+def _fully_on_exposition(data_dir):
+    """The ``/metrics`` page of an instance with every subsystem on, after
+    one firing, one why(), one alert, one SLO evaluation and one capture;
+    plus the names of the histogram families its registry holds."""
+    db = HiPAC(lock_timeout=2.0, durability="wal", data_dir=data_dir,
+               forensics=True, flight_recorder=True)
+    try:
+        db.define_class(ClassDef("A", attributes(("v", "int"))))
+        db.create_rule(Rule(
+            name="R", event=on_create("A"), condition=Condition.true(),
+            action=Action.call(lambda ctx: None)))
+        with db.transaction() as txn:
+            oid = db.create("A", {"v": 0}, txn)
+        db.why(oid, "v")
+        db.watchdog.note_cascade_limit(5, "loop")
+        db.slo.evaluate()
+        assert db.forensics.capture(reason="census")
+        return (db.prometheus_metrics(),
+                {histogram.name for histogram in db.metrics.instruments()})
+    finally:
+        db.close()
 
 
 class TestSpanTrees:
@@ -212,13 +237,11 @@ class TestChromeExport:
 class TestRegistryThreadSafety:
     def test_counters_and_histograms_exact_across_threads(self):
         registry = MetricsRegistry(enabled=True)
-        counter = registry.counter("ops")
         histogram = registry.histogram("lat")
         per_thread, threads = 5000, 8
 
         def worker():
             for index in range(per_thread):
-                counter.inc()
                 histogram.observe(index * 1e-6)
 
         pool = [threading.Thread(target=worker) for _ in range(threads)]
@@ -226,7 +249,6 @@ class TestRegistryThreadSafety:
             thread.start()
         for thread in pool:
             thread.join()
-        assert counter.value == per_thread * threads
         assert histogram.count == per_thread * threads
         snap = histogram.snapshot()
         assert snap["count"] == per_thread * threads
@@ -241,12 +263,8 @@ class TestRegistryThreadSafety:
 
     def test_disabled_registry_records_nothing(self):
         registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("ops")
         histogram = registry.histogram("lat")
-        counter.inc()
-        counter.inc(10)
         histogram.observe(1.0)
-        assert counter.value == 0
         assert histogram.count == 0
         assert not histogram.should_sample()
 
@@ -356,12 +374,14 @@ class TestTracerContract:
 class TestExportsAndFacade:
     def test_prometheus_text_shape(self):
         registry = MetricsRegistry(enabled=True)
-        registry.counter("rule_firings_total", ec="immediate").inc(3)
+        registry.histogram("rule_action_seconds",
+                           coupling="immediate").observe(0.003)
         registry.histogram("commit_seconds").observe(0.004)
         registry.add_collector(lambda: {"live_transactions": 2})
         text = prometheus_text(registry)
-        assert '# TYPE hipac_rule_firings_total counter' in text
-        assert 'hipac_rule_firings_total{ec="immediate"} 3' in text
+        assert '# TYPE hipac_rule_action_seconds histogram' in text
+        assert ('hipac_rule_action_seconds_count{coupling="immediate"} 1'
+                in text)
         assert '# TYPE hipac_commit_seconds histogram' in text
         assert 'le="+Inf"' in text
         assert "hipac_commit_seconds_count 1" in text
@@ -377,7 +397,10 @@ class TestExportsAndFacade:
             db.create("A", {"v": 0}, txn)
         report = db.metrics_report()
         assert "om_operation_seconds" in report or "== metrics ==" in report
-        assert "rule_firings_total" in db.prometheus_metrics()
+        assert "rules_conditions_evaluated" in report
+        text = db.prometheus_metrics()
+        assert "# TYPE hipac_txn_commit_seconds histogram" in text
+        assert "\nhipac_rules_conditions_evaluated 1\n" in text
         root = db.spans.last_root()
         rendered = render_span_tree(root)
         assert "fire:R" in rendered and rendered.startswith("event:")
@@ -409,3 +432,23 @@ class TestExportsAndFacade:
         obs = db.stats()["obs"]
         assert obs["spans_retained"] >= 1
         assert "firing_log_dropped" in obs
+
+
+def test_help_texts_name_real_families(tmp_path):
+    """Every curated ``# HELP`` entry names a histogram family the registry
+    really creates (loadgen creates the serving one)."""
+    _, histograms = _fully_on_exposition(tmp_path)
+    stray = set(HELP_TEXTS) - histograms - {"serving_latency_seconds"}
+    assert not stray, sorted(stray)
+
+
+def test_metrics_doc_matches_exposition(tmp_path):
+    """docs/METRICS.md lists exactly the families a fully-on instance
+    exports."""
+    text, _ = _fully_on_exposition(tmp_path)
+    exported = set(re.findall(r"^# TYPE (\S+) ", text, re.M))
+    doc = (Path(__file__).resolve().parent.parent / "docs"
+           / "METRICS.md").read_text(encoding="utf-8")
+    documented = set(re.findall(r"`(hipac_\w+)`", doc))
+    assert sorted(documented - exported) == []
+    assert sorted(exported - documented) == []

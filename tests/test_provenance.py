@@ -488,9 +488,8 @@ class TestMetricsFamily:
         assert section["why_queries"] == 1
         assert section["approx_bytes"] > 0
         text = db.prometheus_metrics()
-        assert "# TYPE hipac_provenance_entries gauge" in text
-        assert "# TYPE hipac_provenance_bytes gauge" in text
-        assert "# TYPE hipac_provenance_evictions_total counter" in text
+        for key in ("live_entries", "approx_bytes", "evicted"):
+            assert "\nhipac_provenance_%s %d\n" % (key, section[key]) in text
         assert "hipac_provenance_why_seconds_count 1" in text
         db.close()
 

@@ -117,31 +117,38 @@ def _ring(registry, **kwargs):
     return TimeseriesRing(registry, **kwargs)
 
 
+def _stats(registry, **initial):
+    """A mutable component ``stats`` dict pulled in by a collector."""
+    stats = dict(initial)
+    registry.add_collector(lambda: dict(stats))
+    return stats
+
+
 class TestTimeseriesRing:
     def test_windows_hold_deltas_not_totals(self):
         registry = MetricsRegistry()
-        counter = registry.counter("reqs_total")
+        stats = _stats(registry, reqs_total=0)
         hist = registry.histogram("op_seconds")
         ring = _ring(registry)
-        counter.inc(5)
+        stats["reqs_total"] += 5
         hist.observe(0.01)
         ring.tick(now=1.0)
-        counter.inc(3)
+        stats["reqs_total"] += 3
         ring.tick(now=2.0)
         first, second = ring.windows()
-        assert first.counters["reqs_total"] == 5
+        assert first.collected["reqs_total"] == 5
         assert first.histograms["op_seconds"].count == 1
-        assert second.counters["reqs_total"] == 3
+        assert second.collected["reqs_total"] == 3
         # No histogram activity in the second window: the delta is not
         # stored at all (bounded-memory rule: only nonzero entries).
         assert "op_seconds" not in second.histograms
 
     def test_ring_memory_is_bounded_under_soak(self):
         registry = MetricsRegistry()
-        counter = registry.counter("reqs_total")
+        counts = _stats(registry, reqs_total=0)
         ring = _ring(registry, capacity=16)
         for tick in range(500):
-            counter.inc()
+            counts["reqs_total"] += 1
             ring.tick(now=float(tick + 1))
         assert len(ring.windows()) == 16
         stats = ring.stats
@@ -167,18 +174,19 @@ class TestTimeseriesRing:
 
     def test_aggregate_rates_divide_by_covered_time(self):
         registry = MetricsRegistry()
-        counter = registry.counter("reqs_total")
+        stats = _stats(registry, reqs_total=0)
         ring = _ring(registry)
         for tick in range(4):
-            counter.inc(10)
+            stats["reqs_total"] += 10
             ring.tick(now=float(tick + 1))
         agg = ring.aggregate(2.5, now=4.0)  # covers windows at t=2,3,4
-        entry = agg["counters"]["reqs_total"]
+        entry = agg["collected"]["reqs_total"]
         assert entry["delta"] == 30
         assert entry["rate"] == pytest.approx(30 / agg["elapsed"])
 
     def test_labeled_families_merge_under_base_name(self):
         registry = MetricsRegistry()
+        stats = _stats(registry, errs_total=0)
         fast = registry.histogram("txn_commit_seconds", scope="top")
         nested = registry.histogram("txn_commit_seconds", scope="nested")
         ring = _ring(registry)
@@ -189,11 +197,11 @@ class TestTimeseriesRing:
                                                    10.0, now=1.0)
         assert merged.count == 2
         assert bounds
-        counters = registry.counter("errs_total", kind="a")
-        counters.inc(2)
-        registry.counter("errs_total", kind="b").inc(3)
+        stats["errs_total"] += 2
         ring.tick(now=2.0)
-        delta, covered = ring.counter_window("errs_total", 10.0, now=2.0)
+        stats["errs_total"] += 3
+        ring.tick(now=3.0)
+        delta, covered = ring.counter_window("errs_total", 10.0, now=3.0)
         assert delta == 5
         assert covered > 0
 
@@ -242,8 +250,7 @@ def _latency_setup():
                           threshold=0.050, target=0.90,
                           fast_window=2.0, slow_window=50.0)
     watchdog = Watchdog()
-    monitor = SLOMonitor(ring, [objective], watchdog=watchdog,
-                         metrics=registry)
+    monitor = SLOMonitor(ring, [objective], watchdog=watchdog)
     return registry, hist, ring, objective, watchdog, monitor
 
 
@@ -325,34 +332,34 @@ class TestSLOMonitor:
 
     def test_ratio_objective_uses_counter_deltas(self):
         registry = MetricsRegistry()
-        errs = registry.counter("errs_total")
-        reqs = registry.counter("reqs_total")
+        stats = _stats(registry, errs_total=0, reqs_total=0)
         ring = _ring(registry)
         objective = Objective("errors", kind=RATIO,
                               numerator="errs_total",
                               denominator="reqs_total", budget=0.10,
                               fast_window=2.0, slow_window=50.0)
         monitor = SLOMonitor(ring, [objective])
-        reqs.inc(100)
+        stats["reqs_total"] += 100
         ring.tick(now=1.0)
         monitor.evaluate(now=1.0)
         assert objective.state == OK
-        errs.inc(50)
-        reqs.inc(100)
+        stats["errs_total"] += 50
+        stats["reqs_total"] += 100
         ring.tick(now=2.0)
         monitor.evaluate(now=2.0)
         # 50/200 errors in both windows against a 10% budget.
         assert objective.state == BREACHED
 
     def test_state_gauges_exported(self):
-        registry, hist, ring, objective, _, monitor = _latency_setup()
+        _, hist, ring, objective, _, monitor = _latency_setup()
         hist.observe(0.001)
         ring.tick(now=1.0)
         monitor.evaluate(now=1.0)
-        snapshot = registry.collect()
-        assert snapshot["gauges"]['slo_state{objective="lat"}'] == 0
-        assert 'slo_burn_rate{objective="lat",window="fast"}' \
-            in snapshot["gauges"] or True  # zero-valued gauges may elide
+        (state,) = monitor.as_dict()["objectives"]
+        assert state["name"] == "lat" and state["state"] == OK
+        assert state["burn_fast"] == 0.0 and state["burn_slow"] == 0.0
+        summary = monitor.summary()
+        assert summary[OK] == 1 and summary[BURNING] == 0
 
     def test_summary_counts_states(self):
         _, hist, ring, objective, _, monitor = _latency_setup()
