@@ -58,6 +58,7 @@ from pathlib import Path
 
 from benchmarks.conftest import paired_overheads
 from repro import HiPAC
+from repro.obs.watchdog import DEFERRED_QUEUE
 from repro.saa import SecuritiesAssistant
 from repro.workloads import MarketDataGenerator, make_symbols
 
@@ -68,6 +69,10 @@ ROUNDS = 30
 MAX_OVERHEAD_PCT = 5.0
 MAX_TICKER_OVERHEAD_PCT = 1.0
 MAX_FORENSICS_OVERHEAD_PCT = 1.0
+#: the histograms an instrumented SAA quote stream records
+RECORDING = ("condition_eval_seconds", "om_operation_seconds",
+             'rule_action_seconds{coupling="immediate"}',
+             'txn_commit_seconds{scope="top"}')
 
 
 def _build(observability, **kwargs):
@@ -97,17 +102,20 @@ def test_obs_overhead_shape():
     import tempfile
 
     # The armed-but-idle forensics ablation: identical instrumented
-    # stack plus an armed recorder that never captures (emptying the SLO
-    # monitor's objectives keeps the defaults from raising the only alert
-    # kind this workload could trip, so the recorder stays truly idle —
-    # its worker thread is lazy-started and must not even exist).
+    # stack plus an armed recorder that never captures (keeping only the
+    # deferred-set detectors, which immediate-coupled quotes never trip,
+    # keeps the service objectives from raising the only alert kind this
+    # workload could trip, so the recorder stays truly idle — its worker
+    # thread is lazy-started and must not even exist).
     forensics_dir = tempfile.mkdtemp(prefix="hipac-bench-forensics-")
     stacks = {"on": _build(True), "trace": _build("trace"),
               "off": _build(False), "no_ticker": _build(True),
               "forensics": _build(True, forensics=True,
                                   data_dir=forensics_dir)}
     stacks["no_ticker"].db.timeseries.stop()
-    stacks["forensics"].db.slo.objectives = []
+    objectives = stacks["forensics"].db.slo.objectives
+    objectives[:] = [objective for objective in objectives
+                     if objective.alert == DEFERRED_QUEUE]
     # The serving layer rides along on the instrumented stack; it is
     # scraped between rounds (untimed) to prove the endpoint stays valid
     # while the workload runs.
@@ -148,7 +156,9 @@ def test_obs_overhead_shape():
                         overheads[forensics]["best_pct"])
 
     on = stacks["on"]
-    snapshot = on.db.metrics.collect()
+    recorded = {name for name, snap
+                in on.db.metrics.collect()["histograms"].items()
+                if snap["count"]}
     results = {
         "experiment": "obs_overhead",
         "workload": "saa_quotes",
@@ -171,8 +181,7 @@ def test_obs_overhead_shape():
         "max_ticker_overhead_pct": MAX_TICKER_OVERHEAD_PCT,
         "max_forensics_overhead_pct": MAX_FORENSICS_OVERHEAD_PCT,
         "cpu_count": os.cpu_count(),
-        "instruments_recording": sum(
-            1 for snap in snapshot["histograms"].values() if snap["count"]),
+        "instruments_recording": len(recorded),
         "admin_scrapes": scrapes,
     }
     if not os.environ.get("OBS_BENCH_CHECK"):
@@ -181,7 +190,7 @@ def test_obs_overhead_shape():
 
     # The instrumented run really measured the workload... (hot-path
     # histograms sample 1-in-N, so scale the recorded count back up)
-    assert results["instruments_recording"] >= 5
+    assert set(RECORDING) <= recorded, sorted(recorded)
     op_hist = on.db.metrics.histogram("om_operation_seconds")
     assert op_hist.count * op_hist.sample > QUOTES
     # ...trace mode really recorded span trees while the default did not

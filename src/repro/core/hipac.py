@@ -45,8 +45,8 @@ from repro.obs.profiler import RuleProfiler
 from repro.obs.slo import SLOMonitor
 from repro.obs.slowlog import SlowLog
 from repro.obs.spans import SpanRecorder
-from repro.obs.timeseries import TimeseriesRing, Window
-from repro.obs.watchdog import Watchdog, WatchdogConfig
+from repro.obs.timeseries import TimeseriesRing
+from repro.obs.watchdog import Watchdog
 from repro.objstore.manager import ObjectManager
 from repro.objstore.objects import OID
 from repro.objstore.operations import DefineClass, DropClass, Operation
@@ -72,7 +72,6 @@ class HiPAC:
                  wal_fsync: bool = True,
                  rule_library: Optional[Any] = None,
                  observability: Union[bool, str] = True,
-                 watchdog: Optional[WatchdogConfig] = None,
                  flight_recorder: bool = False,
                  provenance: Optional[bool] = None,
                  timeseries_interval: float = 1.0,
@@ -108,13 +107,11 @@ class HiPAC:
         self.metrics = MetricsRegistry(enabled=bool(observability))
         self.spans = SpanRecorder(enabled=observability == "trace")
         self.slow_log = SlowLog(enabled=bool(observability))
-        #: anomaly watchdogs (rule storm, cascade depth, deferred-queue
-        #: blowup, lock-wait spikes).  Alert recording stays on even with
-        #: observability=False — its feeds are per-firing/per-wait events,
-        #: never per-operation, and a guard against runaway rule sets is
-        #: not an instrument to ablate.  Thresholds come from the
-        #: :class:`~repro.obs.watchdog.WatchdogConfig` ``watchdog`` knob.
-        self.watchdog = Watchdog(config=watchdog)
+        #: the alert log.  The cascade cut feeds it inline, whatever the
+        #: observability level; the windowed detectors (deferred set,
+        #: lock-wait p95, rule storm) are objectives of the SLO monitor
+        #: below, declared in ``db.slo.objectives``.
+        self.watchdog = Watchdog()
         #: windowed telemetry + SLO monitor (created at the end of
         #: __init__, after recovery replay, so startup work is never a
         #: "window"); None until then and whenever the ticker is off.
@@ -122,8 +119,7 @@ class HiPAC:
         self.slo: Optional[SLOMonitor] = None
         self.store = ObjectStore()
         self.locks = LockManager(default_timeout=lock_timeout,
-                                 metrics=self.metrics,
-                                 watchdog=self.watchdog)
+                                 metrics=self.metrics)
         self.transaction_manager = TransactionManager(self.locks, self.tracer,
                                                       metrics=self.metrics)
         self.object_manager = ObjectManager(self.store, self.transaction_manager,
@@ -214,15 +210,16 @@ class HiPAC:
         #: seconds into a bounded ring (see :mod:`repro.obs.timeseries`),
         #: and the SLO monitor evaluates its objectives
         #: (:func:`~repro.obs.slo.default_objectives`; ``db.slo.objectives``
-        #: is a plain list) on each window (:mod:`repro.obs.slo`).  The
-        #: ticker backs off while the instance is idle, so short-lived
+        #: is a plain list) on each window (:mod:`repro.obs.slo`) — the
+        #: service objectives and the windowed anomaly detectors alike.
+        #: The ticker backs off while the instance is idle, so short-lived
         #: instances (a test suite) cost a handful of wakeups.
         if observability:
             ring = TimeseriesRing(self.metrics,
                                   interval=timeseries_interval)
             self.timeseries = ring
-            self.slo = SLOMonitor(ring, watchdog=self.watchdog)
-            ring.add_callback(self._on_tick)
+            slo = self.slo = SLOMonitor(ring, watchdog=self.watchdog)
+            ring.add_callback(lambda window: slo.evaluate(now=window.t))
             ring.start()
         #: incident forensics: black-box snapshot bundles on watchdog
         #: alerts, SLO breaches (which arrive as SLO_BURN alerts), WAL
@@ -248,7 +245,6 @@ class HiPAC:
                     "timeseries": self.timeseries is not None,
                     "timeseries_interval": timeseries_interval,
                     "lock_timeout": lock_timeout,
-                    "watchdog": vars(self.watchdog.config),
                 })
             self.watchdog.add_callback(self.forensics.on_alert)
             if self.wal is not None:
@@ -329,18 +325,6 @@ class HiPAC:
             self.flight_recorder.close()
         if self.wal is not None:
             self.wal.close()
-
-    def _on_tick(self, window: Window) -> None:
-        """Per-window callback from the timeseries ticker.
-
-        Drives the watchdog's pull-path detectors (so lock-wait and
-        standing-deferred-backlog alerts fire without an external scraper
-        attached) and the SLO burn-rate evaluation.
-        """
-        self.watchdog.check(deferred_depth=self._deferred_queue_depth(
-            self.transaction_manager.live_transactions()))
-        if self.slo is not None:
-            self.slo.evaluate(now=window.t)
 
     # ------------------------------------------------------------- schema
 
@@ -601,13 +585,16 @@ class HiPAC:
     def health(self) -> Dict[str, Any]:
         """Liveness/anomaly summary backing the admin ``/health`` endpoint.
 
-        Runs the watchdog's pull-path checks, then escalates on failure
-        signals the watchdog does not see: a failed WAL write (append or
-        force) means durability is broken (``failing``), background
+        Reads the alert log and the objective states as the last tick
+        left them — nothing is evaluated here — then escalates on failure
+        signals no alert carries: a failed WAL write (append or force)
+        means durability is broken (``failing``), background
         separate-firing errors mean rule work is silently dying (at least
-        ``degraded``).
+        ``degraded``).  ``enabled`` says whether the windowed detectors
+        run (observability on); the cascade cut always does.
         """
         report = self.watchdog.health()
+        report["enabled"] = self.slo is not None
         background_errors = len(self.rule_manager.background_errors)
         wal_failures = 0
         if self.wal is not None:

@@ -1,5 +1,5 @@
 """Observability: metrics registry, causal spans, exporters, slow log,
-rule-cascade profiler, anomaly watchdogs, admin HTTP endpoint.
+rule-cascade profiler, alert log, admin HTTP endpoint.
 
 One surface for "where does the time go" across the Figure 5.1
 components — see :mod:`repro.obs.metrics` (histograms with percentiles,
@@ -8,10 +8,10 @@ plus the component ``stats`` pulled in by collectors),
 :mod:`repro.obs.export` (Chrome ``trace_event`` JSON, Prometheus text,
 human-readable reports), :mod:`repro.obs.slowlog` (threshold-based
 slow-rule log), :mod:`repro.obs.profiler` (per-rule cost attribution),
-:mod:`repro.obs.watchdog` (rule-storm / cascade-depth / deferred-queue /
-lock-wait anomaly detectors), and :mod:`repro.obs.server` (the embedded
-``/metrics`` / ``/health`` / ``/stats`` / ``/profile`` / ``/trace``
-admin endpoint behind ``HiPAC.serve_admin()``).
+:mod:`repro.obs.watchdog` (the alert log that the cascade cut and the
+:mod:`repro.obs.slo` objectives raise into), and :mod:`repro.obs.server`
+(the embedded ``/metrics`` / ``/health`` / ``/stats`` / ``/profile`` /
+``/trace`` admin endpoint behind ``HiPAC.serve_admin()``).
 """
 
 from repro.obs.export import (
@@ -31,7 +31,7 @@ from repro.obs.profiler import RuleProfile, RuleProfiler, percentile_of
 from repro.obs.server import PROMETHEUS_CONTENT_TYPE, AdminServer
 from repro.obs.slowlog import SlowEntry, SlowLog
 from repro.obs.spans import Span, SpanRecorder
-from repro.obs.watchdog import Alert, Watchdog, WatchdogConfig
+from repro.obs.watchdog import Alert, Watchdog
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -48,7 +48,6 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "Watchdog",
-    "WatchdogConfig",
     "chrome_trace",
     "metrics_report",
     "percentile_of",

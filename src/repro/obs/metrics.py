@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from bisect import bisect_right
+from bisect import bisect_left
 from threading import get_ident
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -215,7 +215,7 @@ class Histogram:
             with self._lock:
                 shard = self._shards.setdefault(
                     get_ident(), _HistogramShard(len(self._bounds) + 1))
-        shard.counts[bisect_right(self._bounds, value)] += 1
+        shard.counts[bisect_left(self._bounds, value)] += 1
         shard.sum += value
         shard.count += 1
         if value < shard.min:

@@ -1,15 +1,18 @@
-"""Service-level objectives with multi-window burn-rate evaluation.
+"""Objectives with multi-window burn-rate evaluation: the one place that
+decides whether an instance is okay.
 
 The timeseries ring (:mod:`repro.obs.timeseries`) answers "what is p99
 right now"; this module answers the next question an operator asks: "is
 that *okay*?"  An :class:`Objective` declares what okay means — commit
-p99 under a threshold, firing-error rate under a budget, no watchdog
-alerts — and the :class:`SLOMonitor` evaluates every objective on each
-ticker window with the SRE-standard multi-window burn-rate method:
+p99 under a threshold, firing-error rate under a budget, no alerts,
+lock-wait p95 under a limit, no runaway deferred set — and the
+:class:`SLOMonitor` evaluates every objective on each ticker window with
+the SRE-standard multi-window burn-rate method:
 
 * the **burn rate** is the fraction of bad events divided by the error
   budget (``1.0`` means the budget is being consumed exactly as fast as
-  it accrues; ``10`` means ten times too fast);
+  it accrues; ``10`` means ten times too fast); a bounded quantity (a
+  rate, a level) burns its measured value over its limit;
 * a **fast window** (default 60 s) makes the monitor responsive — a
   sudden regression trips it within a minute;
 * a **slow window** (default 30 min) makes it proportionate — a
@@ -23,10 +26,15 @@ Objective state machine::
     breached ──fast ok──> recovered ──slow ok──> ok
     recovered ──fast burning──> burning/breached (re-burn)
 
-Transitions into ``burning``/``breached`` raise a watchdog ``slo_burn``
-alert (WARNING — a burning budget degrades health, it never flips it to
-failing) and are counted in the monitor's ``stats``; the current state of
-every objective backs ``GET /slo`` and the health report.
+Each transition into ``burning``/``breached`` raises one WARNING alert
+through the watchdog (a burning budget degrades health, it never flips it
+to failing) and is counted in the monitor's ``stats``.  A service
+objective raises ``slo_burn`` with its burn rate; a *detector* — an
+objective whose ``alert`` names another kind, such as the two default
+``deferred_queue`` objectives — raises that kind with the measured value
+and its limit, which is how the windowed hazards of the Rule Manager are
+watched (DESIGN decision 27).  The current state of every objective backs
+``GET /slo`` and the health report.
 
 No traffic means no burn: every objective treats an empty window as
 within budget, so budgets recover while the system is idle — which is
@@ -37,10 +45,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.metrics import HistogramState, percentile_from_counts
 from repro.obs.timeseries import TimeseriesRing
-from repro.obs.watchdog import SLO_BURN, Watchdog
+from repro.obs.watchdog import DEFERRED_QUEUE, SLO_BURN, WARNING, Watchdog
 
 #: objective states, in escalation order
 OK = "ok"
@@ -53,6 +62,12 @@ STATE_VALUES = {OK: 0, BURNING: 1, BREACHED: 2, RECOVERED: 3}
 LATENCY = "latency"
 RATIO = "ratio"
 ALERT_FREE = "alert_free"
+RATE = "rate"
+LEVEL = "level"
+
+#: deferred firings one commit round, or the live transactions together,
+#: may hold before the default objectives alert (§6.3)
+DEFERRED_LIMIT = 10000
 
 
 @dataclass
@@ -60,23 +75,36 @@ class Objective:
     """One declared objective.
 
     * ``kind=LATENCY`` — at least ``target`` of the observations in
-      ``histogram`` must fall at or under ``threshold`` seconds.  The
-      bad fraction comes from the windowed bucket-count deltas, with the
-      straddling bucket split linearly.
+      ``histogram`` (seconds or sizes) must fall at or under
+      ``threshold``.  The bad fraction comes from the windowed
+      bucket-count deltas, with the straddling bucket split linearly; a
+      window with fewer than ``min_count`` observations counts as good.
     * ``kind=RATIO`` — ``numerator``/``denominator`` (collected-stat
       names) must stay under ``budget``.
-    * ``kind=ALERT_FREE`` — no watchdog alerts in the window (its own
-      ``slo_burn`` alerts excluded, or every burn would feed itself).
-      The burn rate is simply the number of alerts.
+    * ``kind=ALERT_FREE`` — no alerts in the window (``slo_burn`` alerts
+      excluded, or every burn would feed itself).  The burn rate is
+      simply the number of alerts.
+    * ``kind=RATE`` — the collected stat ``numerator`` per second must
+      stay at or under ``threshold``.
+    * ``kind=LEVEL`` — the collected stat ``numerator`` as of the newest
+      tick (a level, such as a queue depth) must stay at or under
+      ``threshold``.
+
+    ``alert`` is the kind a transition into burning or breached raises.
+    Any kind but ``slo_burn`` makes the objective a detector, which
+    reports what it measured over the fast window — the ``target``
+    quantile of a LATENCY histogram, a RATE per second, a LEVEL — against
+    ``threshold``.
     """
 
     name: str
     kind: str = LATENCY
-    #: latency objectives
+    #: latency objectives; the limit of RATE and LEVEL objectives
     histogram: str = "txn_commit_seconds"
     threshold: float = 0.050
     target: float = 0.99
-    #: ratio objectives
+    min_count: int = 0
+    #: ratio objectives; RATE and LEVEL read the stat ``numerator``
     numerator: str = ""
     denominator: str = ""
     budget: float = 0.01
@@ -84,6 +112,7 @@ class Objective:
     fast_window: float = 60.0
     slow_window: float = 1800.0
     burn_threshold: float = 1.0
+    alert: str = SLO_BURN
     #: evaluation state (owned by the monitor)
     state: str = field(default=OK, repr=False)
     burn_fast: float = field(default=0.0, repr=False)
@@ -94,9 +123,13 @@ def default_objectives() -> List[Objective]:
     """The stock objectives a serving HiPAC instance watches.
 
     Commit p99 under 50 ms over the fast minute, firing-error rate under
-    1%, and an alert-free watchdog — the three axes (latency,
+    1%, and an alert-free instance — the three axes (latency,
     correctness, anomaly) the paper's application interface (§4.1)
-    implicitly promises its callers.
+    implicitly promises its callers — plus the guard against a runaway
+    deferred set (§6.3): no commit round draining, and no standing
+    backlog across live transactions holding, more than
+    :data:`DEFERRED_LIMIT` firings.  Those two look at the last second
+    only, so each runaway separated by a quiet tick alerts again.
     """
     return [
         Objective("commit_latency", kind=LATENCY,
@@ -106,7 +139,33 @@ def default_objectives() -> List[Objective]:
                   numerator="rules_firing_errors",
                   denominator="rules_triggered", budget=0.01),
         Objective("alert_free", kind=ALERT_FREE),
+        Objective("deferred_batch", kind=LATENCY,
+                  histogram="deferred_batch_size", threshold=DEFERRED_LIMIT,
+                  target=1.0, fast_window=1.0, slow_window=1.0,
+                  alert=DEFERRED_QUEUE),
+        Objective("deferred_backlog", kind=LEVEL,
+                  numerator="deferred_queue_depth", threshold=DEFERRED_LIMIT,
+                  fast_window=1.0, slow_window=1.0, alert=DEFERRED_QUEUE),
     ]
+
+
+def _window_quantile(state: HistogramState, bounds: Tuple[float, ...],
+                     target: float) -> float:
+    """The ``target`` quantile of one window's observations.
+
+    Windowed deltas keep no extremes, so the overflow bucket is valued
+    at the mean its observations must at least have: the window's sum
+    less the most the finite buckets can hold, and never under the top
+    bound.  A lone oversized observation is reported exactly.
+    """
+    overflow = state.counts[-1] if state.count and bounds else 0
+    vmax = None
+    if overflow:
+        held = sum(count * bound
+                   for count, bound in zip(state.counts, bounds))
+        vmax = max(bounds[-1], (state.sum - held) / overflow)
+    return percentile_from_counts(bounds, state.counts, 100.0 * target,
+                                  vmax=vmax)
 
 
 class SLOMonitor:
@@ -130,7 +189,8 @@ class SLOMonitor:
                               now: Optional[float]) -> float:
         state, bounds = self.ring.histogram_raw_window(
             objective.histogram, seconds, now)
-        if state.count == 0 or not bounds:
+        if state.count == 0 or state.count < objective.min_count \
+                or not bounds:
             return 0.0
         threshold = objective.threshold
         bad = 0.0
@@ -149,6 +209,21 @@ class SLOMonitor:
                 # The threshold splits this bucket: apportion linearly.
                 bad += count * (upper - threshold) / (upper - lower)
         return bad / state.count
+
+    def _measured(self, objective: Objective, seconds: float,
+                  now: Optional[float]) -> float:
+        """What a bounded objective measures over the trailing window:
+        the stat per second (RATE), its newest level (LEVEL), or the
+        ``target`` quantile of the histogram (LATENCY)."""
+        if objective.kind == RATE:
+            delta, covered = self.ring.counter_window(
+                objective.numerator, seconds, now)
+            return delta / covered if covered > 0 else 0.0
+        if objective.kind == LEVEL:
+            return self.ring.level(objective.numerator)
+        state, bounds = self.ring.histogram_raw_window(
+            objective.histogram, seconds, now)
+        return _window_quantile(state, bounds, objective.target)
 
     def _burn(self, objective: Objective, seconds: float,
               now: Optional[float]) -> float:
@@ -170,6 +245,9 @@ class SLOMonitor:
             own, _ = self.ring.counter_window(
                 "watchdog_alerts_%s" % SLO_BURN, seconds, now)
             return max(0.0, total - own)
+        if objective.kind in (RATE, LEVEL):
+            return (self._measured(objective, seconds, now)
+                    / max(1e-9, objective.threshold))
         raise ValueError("unknown objective kind: %r" % objective.kind)
 
     # ---------------------------------------------------------- evaluation
@@ -196,6 +274,27 @@ class SLOMonitor:
                 return OK
         return None
 
+    def _raise(self, objective: Objective, transition: str,
+               now: Optional[float]) -> None:
+        """The one alert of a transition into burning or breached."""
+        if objective.alert == SLO_BURN:
+            self._watchdog.alert(
+                SLO_BURN, WARNING,
+                "SLO %s %s (burn rate %.2fx budget)"
+                % (objective.name, transition, objective.burn_fast),
+                objective.burn_fast, objective.burn_threshold)
+            return
+        value = self._measured(objective, objective.fast_window, now)
+        what = (objective.numerator if objective.kind != LATENCY else
+                "p%g of %s" % (100.0 * objective.target, objective.histogram))
+        self._watchdog.alert(
+            objective.alert, WARNING,
+            "%s %s: %s%s is %g, limit %g"
+            % (objective.name, transition, what,
+               " per second" if objective.kind == RATE else "", value,
+               objective.threshold),
+            value, objective.threshold)
+
     def evaluate(self, now: Optional[float] = None) -> List[Dict[str, Any]]:
         """Evaluate every objective; returns their JSON-safe summaries.
 
@@ -220,9 +319,7 @@ class SLOMonitor:
                     if transition in (BURNING, BREACHED) \
                             and self._watchdog is not None:
                         self.stats["alerts"] += 1
-                        self._watchdog.note_slo(
-                            objective.name, transition, objective.burn_fast,
-                            objective.burn_threshold)
+                        self._raise(objective, transition, now)
                 results.append(self._objective_dict(objective))
         return results
 
@@ -232,6 +329,7 @@ class SLOMonitor:
         out: Dict[str, Any] = {
             "name": objective.name,
             "kind": objective.kind,
+            "alert": objective.alert,
             "state": objective.state,
             "burn_fast": objective.burn_fast,
             "burn_slow": objective.burn_slow,
@@ -243,10 +341,14 @@ class SLOMonitor:
             out["histogram"] = objective.histogram
             out["threshold"] = objective.threshold
             out["target"] = objective.target
+            out["min_count"] = objective.min_count
         elif objective.kind == RATIO:
             out["numerator"] = objective.numerator
             out["denominator"] = objective.denominator
             out["budget"] = objective.budget
+        elif objective.kind in (RATE, LEVEL):
+            out["numerator"] = objective.numerator
+            out["threshold"] = objective.threshold
         return out
 
     def as_dict(self) -> Dict[str, Any]:

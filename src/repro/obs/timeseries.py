@@ -26,11 +26,11 @@ Design constraints:
    ticker backs off, doubling its delay up to ``idle_backoff`` — so the
    hundreds of short-lived HiPAC instances a test suite creates cost a
    handful of wakeups, not one per second each.
-3. **Callbacks ride the tick.**  The watchdog's pull-path detectors and
-   the SLO monitor (:mod:`repro.obs.slo`) register callbacks that run
-   after every window — even idle ones, because burn rates must be able
-   to *recover* while traffic is absent.  Callback exceptions are
-   counted, never propagated into the ticker loop.
+3. **Callbacks ride the tick.**  The SLO monitor (:mod:`repro.obs.slo`),
+   which also runs the windowed anomaly detectors, registers a callback
+   that runs after every window — even idle ones, because burn rates
+   must be able to *recover* while traffic is absent.  Callback
+   exceptions are counted, never propagated into the ticker loop.
 """
 
 from __future__ import annotations
@@ -315,6 +315,12 @@ class TimeseriesRing:
         total = sum((window.collected.get(name, 0) for window in selected),
                     0.0)
         return total, sum(window.dt for window in selected)
+
+    def level(self, name: str) -> float:
+        """One collected stat as of the newest tick: a level, such as a
+        queue depth, whose window deltas say nothing."""
+        with self._lock:
+            return self._prev_collected.get(name, 0.0)
 
     # --------------------------------------------------------------- stats
 

@@ -440,7 +440,6 @@ class RuleManager:
                 rule=rule.name, ec=rule.ec_coupling, ca=rule.ca_coupling,
                 coupling=coupling,
                 **({"separate_thread": True} if separate else {}))
-        self._watchdog.note_firing()
         ctxn = self._txns.create_transaction(
             parent=parent, source=tracing.RULE_MANAGER, internal=True,
             label=("sep-cond:%s" if separate else "cond:%s") % rule.name)
@@ -553,11 +552,14 @@ class RuleManager:
         and the caller must not re-raise.
 
         The SLO monitor's firing-error-rate objective windows the error
-        count against ``triggered`` — it must tick on every failure mode.
-        Collected errors land in :attr:`background_errors`, except an
-        abort: a separate firing that loses its transaction just stops."""
+        count against ``triggered`` — it must tick on every failure mode,
+        and once per firing: a separate condition re-enters here with the
+        error its immediate action already recorded.  Collected errors
+        land in :attr:`background_errors`, except an abort: a separate
+        firing that loses its transaction just stops."""
+        if firing.error is None:
+            self.stats["firing_errors"] += 1
         firing.error = str(exc)
-        self.stats["firing_errors"] += 1
         if not txn.is_finished():
             self._txns.abort_transaction(txn, source=tracing.RULE_MANAGER)
         if not collect or not isinstance(exc, Exception):
@@ -647,12 +649,11 @@ class RuleManager:
                     txn.deferred_conditions = []
                     actions = txn.deferred_actions
                     txn.deferred_actions = []
-                    size = len(conditions) + len(actions)
-                    if self._metrics.enabled:
-                        self._deferred_batch.observe(size)
-                    # Deferred-queue blowup detector (§6.3): the commit that
-                    # drains an oversized queue is where the latency lands.
-                    self._watchdog.note_deferred_depth(size)
+                    # The default deferred_batch objective watches this
+                    # (§6.3): the commit that drains an oversized set is
+                    # where the latency lands.
+                    self._deferred_batch.observe(
+                        len(conditions) + len(actions))
                     self._fire_group([entry for entry in conditions
                                       if entry[0].enabled], txn, DEFERRED)
                     for rule, signal, firing, outcome in actions:

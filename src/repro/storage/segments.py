@@ -150,9 +150,11 @@ class SegmentWriter:
         self._fsync_seconds = self._metrics.histogram(
             "%s_fsync_seconds" % name)
         #: how many records each leader fsync made durable — the direct
-        #: measure of how well group commit amortizes the §6.3 force
-        self._batch_size = self._metrics.histogram(
-            "%s_group_batch_size" % name, buckets=BATCH_SIZE_BUCKETS)
+        #: measure of how well group commit amortizes the §6.3 force;
+        #: only a full-fsync writer runs group commit, so only it has one
+        if self.fsync_enabled:
+            self._batch_size = self._metrics.histogram(
+                "%s_group_batch_size" % name, buckets=BATCH_SIZE_BUCKETS)
         self._mutex = threading.Lock()
         self._cond = threading.Condition(threading.Lock())
         self._sync_active = False

@@ -32,7 +32,6 @@ from typing import (TYPE_CHECKING, Dict, Iterable, NamedTuple, Optional, Set,
 
 from repro.errors import DeadlockError, LockTimeout, TransactionStateError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.watchdog import Watchdog
 from repro.util.tally import Tally
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -135,8 +134,7 @@ class LockManager:
     """
 
     def __init__(self, default_timeout: float = 10.0,
-                 metrics: Optional[MetricsRegistry] = None,
-                 watchdog: Optional[Watchdog] = None) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self._mutex = threading.Lock()
         self._cond = threading.Condition(self._mutex)
         self._table: Dict[LockResource, Dict["Transaction", str]] = {}
@@ -152,10 +150,9 @@ class LockManager:
         self._acquired, self._waited, self._deadlocks, self._timeouts = map(
             self.stats.counter, self.stats)
         self._metrics = metrics or MetricsRegistry(enabled=False)
-        self._watchdog = (watchdog if watchdog is not None
-                          else Watchdog(enabled=False))
         #: blocked-time histogram: observed only when a request actually
-        #: waited (grant, timeout, or deadlock)
+        #: waited (grant, timeout, or deadlock); a lock-wait objective of
+        #: the SLO monitor reads its windowed p95
         self._wait_seconds = self._metrics.histogram("lock_wait_seconds")
 
     # ----------------------------------------------------------- acquire
@@ -279,11 +276,8 @@ class LockManager:
         finally:
             self._waits_for.pop(me, None)
             if slept:
-                # Grant, timeout, or deadlock: record the blocked time, and
-                # feed the watchdog's wait-spike window.
-                blocked = _time.monotonic() - started
-                self._wait_seconds.observe(blocked)
-                self._watchdog.note_lock_wait(blocked)
+                # Grant, timeout, or deadlock: record the blocked time.
+                self._wait_seconds.observe(_time.monotonic() - started)
 
     def _closes_cycle(self, requester: "Transaction",
                       blockers: Iterable["Transaction"]) -> bool:

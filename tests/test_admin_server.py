@@ -29,12 +29,23 @@ from repro import (
     HiPAC,
     Rule,
     attributes,
+    external,
     on_create,
 )
+from repro.obs import watchdog as watchdog_module
 from repro.obs.export import prometheus_text
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from repro.obs.profiler import RuleProfiler, percentile_of
+from repro.obs.slo import (
+    DEFERRED_LIMIT,
+    LATENCY,
+    RATE,
+    Objective,
+    SLOMonitor,
+    default_objectives,
+)
 from repro.obs.spans import SpanRecorder
+from repro.obs.timeseries import TimeseriesRing
 from repro.obs.watchdog import (
     CASCADE_DEPTH,
     CRITICAL,
@@ -44,7 +55,6 @@ from repro.obs.watchdog import (
     SLO_BURN,
     WARNING,
     Watchdog,
-    WatchdogConfig,
 )
 from repro.rules.coupling import DEFERRED, IMMEDIATE
 from repro.rules.firing import FiringLog, RuleFiring
@@ -59,6 +69,29 @@ def _db(**kwargs) -> HiPAC:
     db.define_class(ClassDef("A", attributes(("v", "int"))))
     db.define_class(ClassDef("B", attributes(("v", "int"))))
     return db
+
+
+def _storm(rate: float, window: float) -> Objective:
+    """The rule-storm detector: firings per second over ``window``."""
+    return Objective("rule_storm", kind=RATE,
+                     numerator="rules_conditions_evaluated", threshold=rate,
+                     fast_window=window, alert=RULE_STORM)
+
+
+def _detector(objective: Objective, stats=None):
+    """A fake-clock ring over a fresh registry (plus a collector of
+    ``stats``, when given) and a monitor running ``objective``."""
+    registry = MetricsRegistry()
+    if stats is not None:
+        registry.add_collector(lambda: dict(stats))
+    ring = TimeseriesRing(registry, interval=1.0, clock=lambda: 0.0)
+    wd = Watchdog()
+    return registry, ring, wd, SLOMonitor(ring, [objective], watchdog=wd)
+
+
+def _tick(ring, monitor, now: float) -> None:
+    ring.tick(now=now)
+    monitor.evaluate(now=now)
 
 
 def _get(url: str):
@@ -425,58 +458,83 @@ class TestCyclicCascadeWatchdog:
 
 class TestWatchdogDetectors:
     def test_rule_storm_trips_over_threshold(self):
-        wd = Watchdog(WatchdogConfig(rule_storm_rate=5.0,
-                                     rule_storm_window=10.0))
-        alert = None
-        for _ in range(60):
-            alert = wd.note_firing() or alert
-        assert alert is not None and alert.kind == RULE_STORM
+        stats = {"rules_conditions_evaluated": 0}
+        _, ring, wd, monitor = _detector(_storm(5.0, window=10.0), stats)
+        for now in range(1, 7):
+            stats["rules_conditions_evaluated"] += 10
+            _tick(ring, monitor, float(now))
+        (alert,) = wd.alerts(RULE_STORM)
         assert alert.severity == WARNING
-        assert alert.value > 5.0
+        assert alert.value == pytest.approx(10.0)
+        assert alert.threshold == 5.0
 
     def test_rule_storm_quiet_below_threshold(self):
-        wd = Watchdog(WatchdogConfig(rule_storm_rate=1000.0,
-                                     rule_storm_window=1.0))
-        for _ in range(10):
-            assert wd.note_firing() is None
+        stats = {"rules_conditions_evaluated": 0}
+        _, ring, wd, monitor = _detector(_storm(1000.0, window=1.0), stats)
+        for now in range(1, 11):
+            stats["rules_conditions_evaluated"] += 10
+            _tick(ring, monitor, float(now))
         assert wd.alerts() == []
 
     def test_storm_detector_disabled_by_default_config(self):
-        wd = Watchdog()  # rule_storm_rate=0.0 -> off
-        for _ in range(1000):
-            assert wd.note_firing() is None
+        """A storm limit depends on the rule base, so no default objective
+        watches the firing rate: the detector is an appended objective."""
+        assert [objective for objective in default_objectives()
+                if objective.kind == RATE or objective.alert == RULE_STORM] \
+            == []
 
-    def test_realert_interval_suppresses_duplicates(self):
-        wd = Watchdog(WatchdogConfig(realert_interval=60.0))
+    def test_realert_interval_suppresses_duplicates(self, monkeypatch):
+        monkeypatch.setattr(watchdog_module, "REALERT_INTERVAL", 60.0)
+        wd = Watchdog()
         assert wd.note_cascade_limit(5, "sig") is not None
         assert wd.note_cascade_limit(5, "sig") is None
         assert len(wd.alerts(CASCADE_DEPTH)) == 1
 
     def test_deferred_queue_detector(self):
-        wd = Watchdog(WatchdogConfig(deferred_queue_limit=10))
-        assert wd.note_deferred_depth(10) is None
-        alert = wd.note_deferred_depth(11)
-        assert alert is not None and alert.kind == DEFERRED_QUEUE
+        objective = Objective(
+            "deferred_batch", kind=LATENCY, histogram="deferred_batch_size",
+            threshold=10, target=1.0, fast_window=1.0, slow_window=1.0,
+            alert=DEFERRED_QUEUE)
+        registry, ring, wd, monitor = _detector(objective)
+        batches = registry.histogram("deferred_batch_size",
+                                     buckets=DEFAULT_SIZE_BUCKETS)
+        batches.observe(10)
+        _tick(ring, monitor, 1.0)
+        assert wd.alerts() == []
+        batches.observe(11)
+        _tick(ring, monitor, 2.0)
+        (alert,) = wd.alerts(DEFERRED_QUEUE)
+        assert alert.threshold == 10 and alert.value > 10
 
-    def test_lock_wait_p95_checked_on_pull_path(self):
-        wd = Watchdog(WatchdogConfig(lock_wait_p95_limit=0.010,
-                                     lock_wait_min_samples=5))
+    def test_lock_wait_p95_checked_at_the_tick(self):
+        objective = Objective("lock_wait", histogram="lock_wait_seconds",
+                              threshold=0.010, target=0.95, min_count=5,
+                              alert=LOCK_WAIT)
+        registry, ring, wd, monitor = _detector(objective)
+        waits = registry.histogram("lock_wait_seconds")
         for _ in range(10):
-            wd.note_lock_wait(0.050)
-        assert wd.alerts() == []  # feeds alone never alert
-        raised = wd.check()
-        assert len(raised) == 1 and raised[0].kind == LOCK_WAIT
-        assert raised[0].value == pytest.approx(0.050)
+            waits.observe(0.050)
+        assert wd.alerts() == []  # observations alone never alert
+        _tick(ring, monitor, 1.0)
+        (alert,) = wd.alerts(LOCK_WAIT)
+        # The p95 estimated from the buckets: inside the 50 ms bucket.
+        assert 0.025 < alert.value <= 0.050
+        assert alert.threshold == 0.010
 
     def test_lock_wait_respects_min_samples(self):
-        wd = Watchdog(WatchdogConfig(lock_wait_p95_limit=0.001,
-                                     lock_wait_min_samples=20))
+        objective = Objective("lock_wait", histogram="lock_wait_seconds",
+                              threshold=0.001, target=0.95, min_count=20,
+                              alert=LOCK_WAIT)
+        registry, ring, wd, monitor = _detector(objective)
         for _ in range(5):
-            wd.note_lock_wait(1.0)
-        assert wd.check() == []
+            registry.histogram("lock_wait_seconds").observe(1.0)
+        _tick(ring, monitor, 1.0)
+        assert wd.alerts() == []
 
-    def test_alert_ring_bounded_and_callbacks_fire(self):
-        wd = Watchdog(WatchdogConfig(alert_capacity=3, realert_interval=0.0))
+    def test_alert_ring_bounded_and_callbacks_fire(self, monkeypatch):
+        monkeypatch.setattr(watchdog_module, "ALERT_CAPACITY", 3)
+        monkeypatch.setattr(watchdog_module, "REALERT_INTERVAL", 0.0)
+        wd = Watchdog()
         received = []
         wd.add_callback(received.append)
         for index in range(5):
@@ -492,34 +550,29 @@ class TestWatchdogDetectors:
         assert len(wd) == 0 and wd.dropped == 0
         assert wd.format() == "watchdog: no alerts"
 
-    def test_disabled_watchdog_records_nothing(self):
-        wd = Watchdog(WatchdogConfig(rule_storm_rate=0.001,
-                                     deferred_queue_limit=1), enabled=False)
-        wd.note_firing()
-        wd.note_cascade_limit(99, "sig")
-        wd.note_deferred_depth(100)
-        wd.note_lock_wait(10.0)
-        assert wd.check() == []
-        assert wd.alerts() == []
-        assert wd.health()["status"] == "ok"
-
 
 class TestWatchdogWiring:
     def test_storm_detector_wired_through_facade(self):
-        db = _db(watchdog=WatchdogConfig(rule_storm_rate=2.0,
-                                         rule_storm_window=60.0))
+        db = _db()
+        db.timeseries.stop()  # ticks driven by hand
+        db.slo.objectives.append(_storm(2.0, window=60.0))
         db.create_rule(Rule(
             name="chatty", event=on_create("A"), condition=Condition.true(),
             action=Action.call(lambda ctx: None)))
         for _ in range(150):
             with db.transaction() as txn:
                 db.create("A", {"v": 0}, txn)
+        db.timeseries.tick()
         assert db.watchdog.alerts(RULE_STORM)
         assert db.health()["status"] == "degraded"
         db.close()
 
     def test_deferred_queue_detector_wired_through_facade(self):
-        db = _db(watchdog=WatchdogConfig(deferred_queue_limit=3))
+        db = _db()
+        db.timeseries.stop()  # ticks driven by hand
+        (batch,) = [objective for objective in db.slo.objectives
+                    if objective.name == "deferred_batch"]
+        batch.threshold = 3
         db.create_rule(Rule(
             name="later", event=on_create("A"), condition=Condition.true(),
             action=Action.call(lambda ctx: None),
@@ -527,17 +580,51 @@ class TestWatchdogWiring:
         with db.transaction() as txn:
             for index in range(6):
                 db.create("A", {"v": index}, txn)
+        db.timeseries.tick()
         alerts = db.watchdog.alerts(DEFERRED_QUEUE)
         assert alerts and alerts[0].value >= 6
         db.close()
+
+    def test_default_objectives_catch_a_runaway_deferred_set(self,
+                                                             monkeypatch):
+        """``HiPAC()`` alerts by the next tick on more than 10,000
+        deferred firings: standing on a live transaction, then drained
+        by its commit in one round."""
+        monkeypatch.setattr(watchdog_module, "REALERT_INTERVAL", 0.0)
+        db = _db()
+        try:
+            db.timeseries.stop()  # ticks driven by hand
+            db.define_event("ping")
+            db.create_rule(Rule(
+                name="later", event=external("ping"),
+                condition=Condition.true(),
+                action=Action.call(lambda ctx: None), ec_coupling=DEFERRED))
+            txn = db.begin()
+            for _ in range(DEFERRED_LIMIT + 1):
+                db.signal_event("ping", txn=txn)
+            db.timeseries.tick()
+            (backlog,) = db.watchdog.alerts(DEFERRED_QUEUE)
+            assert backlog.message.startswith("deferred_backlog")
+            assert backlog.value == DEFERRED_LIMIT + 1
+            assert backlog.threshold == DEFERRED_LIMIT
+            db.commit(txn)
+            db.timeseries.tick()
+            _, drained = db.watchdog.alerts(DEFERRED_QUEUE)
+            assert drained.message.startswith("deferred_batch")
+            assert drained.value == DEFERRED_LIMIT + 1
+            assert drained.threshold == DEFERRED_LIMIT
+        finally:
+            db.close()
 
     def test_lock_waits_feed_the_watchdog(self):
         from repro.txn.locks import LockManager, LockMode, LockResource
         from repro.txn.transaction import Transaction
 
-        wd = Watchdog(WatchdogConfig(lock_wait_p95_limit=1e-6,
-                                     lock_wait_min_samples=1))
-        locks = LockManager(default_timeout=2.0, watchdog=wd)
+        objective = Objective("lock_wait", histogram="lock_wait_seconds",
+                              threshold=1e-6, target=0.95, min_count=1,
+                              alert=LOCK_WAIT)
+        registry, ring, wd, monitor = _detector(objective)
+        locks = LockManager(default_timeout=2.0, metrics=registry)
         resource = LockResource.for_class("C")
         holder, waiter = Transaction("t1"), Transaction("t2")
         locks.acquire(holder, resource, LockMode.X)
@@ -550,9 +637,9 @@ class TestWatchdogWiring:
         thread.start()
         locks.acquire(waiter, resource, LockMode.X)
         thread.join()
-        raised = wd.check()
-        assert raised and raised[0].kind == LOCK_WAIT
-        assert raised[0].value >= 0.01
+        _tick(ring, monitor, 1.0)
+        (alert,) = wd.alerts(LOCK_WAIT)
+        assert alert.value >= 0.01
 
     def test_health_degrades_on_background_rule_errors(self):
         from repro.rules.coupling import SEPARATE

@@ -70,7 +70,7 @@ class TestConstruction:
         parameters = inspect.signature(HiPAC.__init__).parameters
         assert list(parameters)[1:] == [
             "clock", "lock_timeout", "config", "durability", "data_dir",
-            "wal_fsync", "rule_library", "observability", "watchdog",
+            "wal_fsync", "rule_library", "observability",
             "flight_recorder", "provenance", "timeseries_interval",
             "forensics"]
         assert [f.name for f in dataclasses.fields(RuleManagerConfig)] == [

@@ -121,6 +121,27 @@ class TestApplicationFailure:
             assert db.read(oid, r)["price"] == 2.0
 
 
+class TestFiringErrorCount:
+    def test_one_failing_firing_counts_one_error(self, db):
+        """A separate-coupled condition hosts its immediate action: when
+        the action raises, the action path records the error and the
+        condition path re-raises it.  The firing failed once, and the
+        firing-error objective windows this count against ``triggered``."""
+        db.create_rule(Rule(
+            name="doomed", event=on_update("Stock", attrs=["price"]),
+            condition=Condition.true(),
+            action=Action.call(lambda ctx: 1 / 0),
+            ec_coupling="separate"))
+        with db.transaction() as setup:
+            oid = db.create("Stock", {"symbol": "A", "price": 1.0}, setup)
+        for price in (2.0, 3.0, 4.0, 5.0):
+            with db.transaction() as txn:
+                db.update(oid, {"price": price}, txn)
+        assert db.drain(timeout=10.0)
+        assert len(db.rule_manager.background_errors) == 4
+        assert db.stats()["rules"]["firing_errors"] == 4
+
+
 class TestActionWritesRolledBackOnLaterFailure:
     def test_first_steps_rolled_back_when_later_step_fails(self, db):
         def two_steps(ctx):

@@ -17,7 +17,8 @@ import pytest
 from repro import Action, ClassDef, Condition, HiPAC, Rule, attributes
 from repro.events.spec import ExternalEventSpec
 from repro.obs import flightrec
-from repro.obs.watchdog import RULE_STORM, Watchdog, WatchdogConfig
+from repro.obs import watchdog as watchdog_module
+from repro.obs.watchdog import RULE_STORM, WARNING, Watchdog
 from repro.recovery import wal as wal_mod
 from repro.objstore.store import UPDATE, Delta
 from repro.rules.actions import CallStep
@@ -396,7 +397,7 @@ class TestWatchdogConcurrentRateLimit:
     def _hammer(self, watchdog: Watchdog, threads: int, each: int) -> None:
         def feed():
             for _ in range(each):
-                watchdog.note_firing()
+                watchdog.alert(RULE_STORM, WARNING, "storm", 1.0, 0.0)
 
         workers = [threading.Thread(target=feed) for _ in range(threads)]
         for worker in workers:
@@ -404,24 +405,23 @@ class TestWatchdogConcurrentRateLimit:
         for worker in workers:
             worker.join()
 
-    def test_realert_interval_holds_under_concurrent_feeds(self):
-        """N threads hammering the storm detector must produce exactly one
-        alert inside one re-alert interval — the rate limit is checked and
+    def test_realert_interval_holds_under_concurrent_feeds(self, monkeypatch):
+        """N threads raising the same kind must produce exactly one alert
+        inside one re-alert interval — the rate limit is checked and
         stamped under the same lock, so no interleaving can double-fire."""
-        watchdog = Watchdog(WatchdogConfig(
-            rule_storm_rate=0.001, rule_storm_window=60.0,
-            realert_interval=3600.0))
+        monkeypatch.setattr(watchdog_module, "REALERT_INTERVAL", 3600.0)
+        watchdog = Watchdog()
         self._hammer(watchdog, threads=8, each=50)
         assert watchdog.stats["alerts_total"] == 1
         assert watchdog.stats["alerts_%s" % RULE_STORM] == 1
         assert len(watchdog.alerts(RULE_STORM)) == 1
 
-    def test_alert_ring_stays_bounded_without_rate_limit(self):
-        """With re-alerting unthrottled every feed raises an alert; the
+    def test_alert_ring_stays_bounded_without_rate_limit(self, monkeypatch):
+        """With re-alerting unthrottled every call records an alert; the
         ring must stay at capacity with exact eviction accounting."""
-        watchdog = Watchdog(WatchdogConfig(
-            rule_storm_rate=0.001, rule_storm_window=60.0,
-            realert_interval=0.0, alert_capacity=16))
+        monkeypatch.setattr(watchdog_module, "REALERT_INTERVAL", 0.0)
+        monkeypatch.setattr(watchdog_module, "ALERT_CAPACITY", 16)
+        watchdog = Watchdog()
         threads, each = 8, 50
         self._hammer(watchdog, threads=threads, each=each)
         total = watchdog.stats["alerts_total"]

@@ -35,8 +35,8 @@ from repro import (
 )
 from repro.obs.flightrec import read_journal
 from repro.obs.forensics import ForensicsConfig, ForensicsRecorder
-from repro.obs.slo import Objective
-from repro.obs.watchdog import RULE_STORM, WatchdogConfig
+from repro.obs.slo import RATE, Objective
+from repro.obs.watchdog import RULE_STORM, SLO_BURN, WARNING
 from repro.tools import doctor
 from repro.tools import top as top_tool
 
@@ -306,10 +306,10 @@ class TestDoctor:
         """Acceptance: induced storm -> bundle -> doctor names the
         storming rule on top, with a bisection seq inside the incident's
         journal range."""
-        db = _db(tmp_path, flight_recorder=True,
-                 watchdog=WatchdogConfig(rule_storm_rate=50.0,
-                                         rule_storm_window=0.5,
-                                         realert_interval=0.2))
+        db = _db(tmp_path, flight_recorder=True)
+        db.slo.objectives.append(Objective(
+            "rule_storm", kind=RATE, numerator="rules_conditions_evaluated",
+            threshold=50.0, fast_window=0.5, alert=RULE_STORM))
         try:
             db.define_class(ClassDef("Stock", attributes(("price", "float"))))
             db.create_rule(Rule(
@@ -472,7 +472,8 @@ class TestAdminEndpoints:
         db = _db(tmp_path)
         try:
             db.watchdog.note_cascade_limit(5, "loop via r1")
-            db.watchdog.note_slo("commit_latency", "burning", 2.0)
+            db.watchdog.alert(SLO_BURN, WARNING,
+                              "SLO commit_latency burning", 2.0, 1.0)
             server = db.serve_admin()
             status, _, body = _get(server.url + "/alerts")
             assert status == 200

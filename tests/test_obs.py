@@ -293,6 +293,16 @@ class TestSampledHistograms:
         assert histogram.percentile(50) <= 0.005
         assert histogram.percentile(99) >= 0.25
 
+    def test_a_value_on_a_bound_counts_under_that_le(self):
+        """Bounds are inclusive upper bounds, as the exported ``le`` label
+        says: a deferred round of exactly 10 is not over a limit of 10."""
+        registry = MetricsRegistry(enabled=True)
+        histogram = registry.histogram("sizes", buckets=(1, 10, 100))
+        for value in (1, 10, 11):
+            histogram.observe(value)
+        assert histogram.buckets() == [(1, 1), (10, 2), (100, 3),
+                                       (float("inf"), 3)]
+
 
 class TestFiringLogRing:
     def test_bounded_with_dropped_count(self):

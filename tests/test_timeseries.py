@@ -18,6 +18,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import (
     Action,
@@ -36,17 +37,20 @@ from repro.obs.metrics import (
     percentile_from_counts,
 )
 from repro.obs.slo import (
+    ALERT_FREE,
     BREACHED,
     BURNING,
     LATENCY,
+    LEVEL,
     OK,
+    RATE,
     RATIO,
     RECOVERED,
     Objective,
     SLOMonitor,
 )
 from repro.obs.timeseries import TimeseriesRing
-from repro.obs.watchdog import SLO_BURN, Watchdog
+from repro.obs.watchdog import DEFERRED_QUEUE, RULE_STORM, SLO_BURN, Watchdog
 from repro.tools.loadgen import build_units, run_loadgen
 
 
@@ -368,6 +372,205 @@ class TestSLOMonitor:
         assert summary["ok"] == 1
 
 
+# ============================================ reference oracle for evaluate()
+
+#: the oracle histogram's bucket bounds, and observations off and on them
+ORACLE_BOUNDS = (0.01, 0.05, 0.1, 0.5)
+OFF_BOUNDS = (0.004, 0.02, 0.03, 0.07, 0.2, 0.7)
+ON_BOUNDS = OFF_BOUNDS + ORACLE_BOUNDS
+
+
+class _Raised:
+    """Stands in for the watchdog: what the monitor raises, in order."""
+
+    def __init__(self):
+        self.alerts = []
+
+    def alert(self, kind, severity, message, value, threshold):
+        self.alerts.append((kind, value, threshold))
+
+
+def _ref_measure(spec, ticks, seconds):
+    """(burn, value) of one objective over the ticks ending inside the
+    trailing ``seconds``, recomputed from the raw per-tick inputs."""
+    now = ticks[-1]["t"]
+    chosen = [tick for tick in ticks if tick["t"] > now - seconds]
+
+    def total(name):
+        return sum(tick["deltas"].get(name, 0) for tick in chosen)
+
+    kind = spec["kind"]
+    if kind == LATENCY:
+        values = [value for tick in chosen for value in tick["values"]]
+        if not values or len(values) < spec.get("min_count", 0):
+            return 0.0, None
+        threshold, bad = spec["threshold"], 0.0
+        for value in values:
+            # Bounds are inclusive upper bounds; past the last, overflow.
+            upper = min((b for b in ORACLE_BOUNDS if value <= b),
+                        default=float("inf"))
+            lower = max((b for b in ORACLE_BOUNDS if b < value), default=0.0)
+            if upper <= threshold:
+                continue
+            if lower >= threshold or upper == float("inf"):
+                bad += 1.0
+            else:
+                bad += (upper - threshold) / (upper - lower)
+        return bad / len(values) / max(1e-9, 1.0 - spec["target"]), None
+    if kind == RATIO:
+        denominator = total(spec["denominator"])
+        if denominator <= 0:
+            return 0.0, None
+        return total(spec["numerator"]) / denominator / spec["budget"], None
+    if kind == ALERT_FREE:
+        return max(0.0, total("watchdog_alerts_total")
+                   - total("watchdog_alerts_slo_burn")), None
+    if kind == RATE:
+        covered = sum(tick["dt"] for tick in chosen)
+        value = total(spec["numerator"]) / covered if covered else 0.0
+    else:  # LEVEL: every delta so far, whatever the window
+        value = sum(tick["deltas"].get(spec["numerator"], 0)
+                    for tick in ticks)
+    return value / spec["threshold"], value
+
+
+def _ref_step(state, fast, slow):
+    """The objective state machine, written out from the module doc."""
+    if state in (OK, RECOVERED) and fast:
+        return BREACHED if slow else BURNING
+    if state == BURNING and not fast:
+        return OK
+    if state == BURNING and slow:
+        return BREACHED
+    if state == BREACHED and not fast:
+        return RECOVERED
+    if state == RECOVERED and not slow:
+        return OK
+    return state
+
+
+def _oracle_ticks(values):
+    return st.lists(st.fixed_dictionaries({
+        "gap": st.integers(1, 6), "values": st.lists(
+            st.sampled_from(values), max_size=6),
+        "bad": st.integers(0, 3), "good": st.integers(0, 4),
+        "alerts": st.integers(0, 2), "own": st.integers(0, 2),
+        "events": st.integers(0, 40), "depth": st.integers(-6, 6),
+    }), min_size=1, max_size=16)
+
+
+_WINDOWS = dict(fast_window=st.sampled_from((1.0, 2.0, 3.0, 5.0)),
+                slow_window=st.sampled_from((2.0, 4.0, 10.0, 30.0)),
+                burn_threshold=st.sampled_from((1.0, 2.0)))
+_LATENCY = dict(kind=st.just(LATENCY), histogram=st.just("op_seconds"),
+                threshold=st.sampled_from((0.01, 0.03, 0.05, 0.075, 0.2,
+                                           1.0)),
+                target=st.sampled_from((0.5, 0.75, 0.9)), **_WINDOWS)
+_SERVICE = st.tuples(
+    st.fixed_dictionaries(_LATENCY),
+    st.fixed_dictionaries(dict(
+        kind=st.just(RATIO), numerator=st.just("errs_total"),
+        denominator=st.just("reqs_total"),
+        budget=st.sampled_from((0.1, 0.25, 0.5)), **_WINDOWS)),
+    st.fixed_dictionaries(dict(kind=st.just(ALERT_FREE), **_WINDOWS)))
+_DETECTORS = st.tuples(
+    st.fixed_dictionaries(dict(min_count=st.integers(0, 6), **_LATENCY)),
+    st.fixed_dictionaries(dict(
+        kind=st.just(RATE), numerator=st.just("events_total"),
+        threshold=st.sampled_from((1.0, 5.0, 20.0)),
+        alert=st.sampled_from((RULE_STORM, SLO_BURN)), **_WINDOWS)),
+    st.fixed_dictionaries(dict(
+        kind=st.just(LEVEL), numerator=st.just("depth"),
+        threshold=st.sampled_from((1.0, 3.0, 10.0)),
+        alert=st.sampled_from((DEFERRED_QUEUE, SLO_BURN)), **_WINDOWS)))
+
+
+def _quiet_tick(gap=1, **fields):
+    """One tick's inputs: nothing happened but ``fields``."""
+    tick = dict(gap=gap, values=[], bad=0, good=0, alerts=0, own=0,
+                events=0, depth=0)
+    tick.update(fields)
+    return tick
+
+
+def _check_against_reference(specs, inputs):
+    """Drive a monitor over ``inputs`` and compare every tick's states
+    and raised alerts with the reference recomputation."""
+    registry = MetricsRegistry()
+    hist = registry.histogram("op_seconds", buckets=ORACLE_BOUNDS)
+    stats = _stats(registry, errs_total=0, reqs_total=0, events_total=0,
+                   depth=0, watchdog_alerts_total=0,
+                   watchdog_alerts_slo_burn=0)
+    ring = _ring(registry)
+    raised = _Raised()
+    objectives = [Objective("o%d" % index, **spec)
+                  for index, spec in enumerate(specs)]
+    monitor = SLOMonitor(ring, objectives, watchdog=raised)
+    states, expected, ticks, now = [OK] * len(specs), [], [], 0.0
+    for tick in inputs:
+        now += tick["gap"] if ticks else 1.0  # the first window: one interval
+        deltas = {"errs_total": tick["bad"],
+                  "reqs_total": tick["bad"] + tick["good"],
+                  "events_total": tick["events"],
+                  "depth": max(tick["depth"], -stats["depth"]),
+                  "watchdog_alerts_total": tick["alerts"] + tick["own"],
+                  "watchdog_alerts_slo_burn": tick["own"]}
+        for name, delta in deltas.items():
+            stats[name] += delta
+        for value in tick["values"]:
+            hist.observe(value)
+        ticks.append({"t": now, "dt": tick["gap"] if ticks else 1.0,
+                      "values": tick["values"], "deltas": deltas})
+        _drive(hist, ring, monitor, now)
+        for index, spec in enumerate(specs):
+            threshold = spec["burn_threshold"]
+            fast, value = _ref_measure(spec, ticks, spec["fast_window"])
+            slow, _ = _ref_measure(spec, ticks, spec["slow_window"])
+            if spec["kind"] == LATENCY and any(
+                    abs(burn - threshold) < 1e-9 for burn in (fast, slow)):
+                return  # at the limit the two split sums may round apart
+            state = _ref_step(states[index], fast > threshold,
+                              slow > threshold)
+            if state != states[index] and state in (BURNING, BREACHED):
+                kind = spec.get("alert", SLO_BURN)
+                expected.append((SLO_BURN, fast, threshold)
+                                if kind == SLO_BURN else
+                                (kind, value, spec["threshold"]))
+            states[index] = state
+        assert [objective.state for objective in objectives] == states
+        assert [kind for kind, _, _ in raised.alerts] \
+            == [kind for kind, _, _ in expected]
+        assert raised.alerts == [(kind, pytest.approx(value), limit)
+                                 for kind, value, limit in expected]
+
+
+class TestSLOReferenceOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(specs=_SERVICE, inputs=_oracle_ticks(OFF_BOUNDS))
+    # burning, then the fast window clears as the slow one fills with the
+    # bad tick alone: back to ok, not breached
+    @example(specs=(
+        dict(kind=LATENCY, histogram="op_seconds", threshold=0.05,
+             target=0.9, fast_window=1.0, slow_window=4.0,
+             burn_threshold=1.0),
+        dict(kind=RATIO, numerator="errs_total", denominator="reqs_total",
+             budget=0.25, fast_window=1.0, slow_window=4.0,
+             burn_threshold=1.0),
+        dict(kind=ALERT_FREE, fast_window=1.0, slow_window=4.0,
+             burn_threshold=1.0)),
+        inputs=[_quiet_tick(good=10), _quiet_tick(bad=1), _quiet_tick(3)])
+    def test_latency_ratio_alert_free_match_the_reference(self, specs,
+                                                          inputs):
+        _check_against_reference(specs, inputs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(specs=_DETECTORS, inputs=_oracle_ticks(ON_BOUNDS))
+    def test_detectors_match_the_reference(self, specs, inputs):
+        """Observations on the bucket bounds, a minimum count, and the
+        RATE and LEVEL kinds with their own alert kinds."""
+        _check_against_reference(specs, inputs)
+
+
 # ============================================== facade + endpoint integration
 
 
@@ -385,11 +588,12 @@ class TestHiPACTimeseriesIntegration:
 
             stats = db.stats()
             assert stats["timeseries"]["ticks"] >= 1
-            assert stats["slo"]["objectives"] == 3
+            assert stats["slo"]["objectives"] == 5
             health = db.health()
             assert health["slo"]["state"] == "ok"
             assert set(health["slo"]["objectives"]) == {
-                "commit_latency", "firing_errors", "alert_free"}
+                "commit_latency", "firing_errors", "alert_free",
+                "deferred_batch", "deferred_backlog"}
 
             server = db.serve_admin()
             import json as _json
@@ -404,7 +608,7 @@ class TestHiPACTimeseriesIntegration:
                                   timeout=5.0) as resp:
                 slo = _json.loads(resp.read())
             assert slo["worst_state"] == "ok"
-            assert len(slo["objectives"]) == 3
+            assert len(slo["objectives"]) == 5
         finally:
             db.close()
         # close() stops the ticker thread.
