@@ -38,10 +38,7 @@ import sys
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
-from typing import (
-    Any, Deque, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple,
-)
+from typing import Any, Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.objstore.objects import OID
 
@@ -78,9 +75,9 @@ def parse_oid(text: str) -> OID:
 class CausalEnvelope:
     """Why a write happened: the firing (or application call) behind it.
 
-    One envelope is shared by reference across every entry the scope
-    produced — a rule action that updates ten attributes costs one
-    envelope, not ten.
+    One envelope is shared by reference across every entry its scope (or
+    its user's run of application writes) produced — a rule action that
+    updates ten attributes costs one envelope, one that writes none, none.
     """
 
     __slots__ = (
@@ -165,7 +162,7 @@ class ProvenanceEntry:
         self.wall_time = wall_time
         self.cause = cause
         self.evicted = False
-        self.nbytes = 0
+        self.nbytes = self.estimate_bytes()  # sized outside publish's mutex
 
     def estimate_bytes(self) -> int:
         try:
@@ -244,6 +241,19 @@ class WhyChain:
 _RingKey = Tuple[OID, Optional[str]]
 
 
+class _Scopes(threading.local):
+    """One thread's stack of ``[rule, firing, signal, envelope]`` slots."""
+
+    def __init__(self) -> None:
+        self.stack: List[List[Any]] = []
+
+
+def _written(old: Dict[str, Any], new: Dict[str, Any]) -> Iterable[str]:
+    """The attributes an update's snapshots may differ on: the keys of
+    ``new`` when both have the same keys (every update), else the union."""
+    return new if old.keys() == new.keys() else set(old) | set(new)
+
+
 class ProvenanceStore:
     """Bounded, thread-safe store of causal write provenance.
 
@@ -263,7 +273,10 @@ class ProvenanceStore:
         self.per_key = per_key
         self.capacity = capacity
         self._mutex = threading.Lock()
-        self._local = threading.local()
+        self._local = _Scopes()
+        #: the last application envelope, reused while the same user writes;
+        #: read once per write, so a race costs an envelope, not a wrong user
+        self._app_cause: Optional[CausalEnvelope] = None
         self._rings: Dict[_RingKey, Deque[ProvenanceEntry]] = {}
         self._by_oid: Dict[OID, Set[Optional[str]]] = {}
         self._order: Deque[ProvenanceEntry] = deque()
@@ -277,69 +290,59 @@ class ProvenanceStore:
 
     # ------------------------------------------------------- causal scopes
 
-    def _stack(self) -> List[CausalEnvelope]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def current_cause(self) -> Optional[CausalEnvelope]:
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else None
-
-    @contextmanager
-    def firing_scope(self, rule: Any, firing: Any,
-                     signal: Any) -> Iterator[CausalEnvelope]:
-        """Causal scope for one rule-action execution.
+    def enter(self, rule: Any, firing: Any, signal: Any) -> None:
+        """Open the causal scope of one rule-action execution; the caller
+        pairs it with :meth:`exit` in a ``finally``.
 
         Every write the action performs (in this thread) is attributed to
-        the firing; cascades nest naturally because the inner firing's
-        scope shadows the outer one.  The journal seq is taken from the
-        triggering signal when the recorder journalled it (external /
-        temporal / manual-fire stimuli) and inherited from the enclosing
-        scope otherwise (cascade signals are suppressed in the journal).
+        the firing; an inner scope shadows the outer one.  The scope is a
+        slot of three references whose envelope is built at its first
+        write, so an action that writes nothing builds none; the slot,
+        and the signal's transaction tree with it, goes at exit.
         """
-        stack = self._stack()
-        parent = stack[-1] if stack else None
-        envelope = self._rule_envelope(rule, firing, signal, parent)
-        stack.append(envelope)
-        try:
-            yield envelope
-        finally:
-            stack.pop()
+        self._local.stack.append([rule, firing, signal, None])
 
-    def _rule_envelope(self, rule: Any, firing: Any, signal: Any,
-                       parent: Optional[CausalEnvelope]) -> CausalEnvelope:
+    def exit(self) -> None:
+        self._local.stack.pop()
+
+    def current_cause(self) -> Optional[CausalEnvelope]:
+        stack = self._local.stack
+        return self._envelope(stack, len(stack) - 1) if stack else None
+
+    def _envelope(self, stack: List[List[Any]], i: int) -> CausalEnvelope:
+        """Scope ``i``'s envelope, built at first use and memoised."""
+        slot = stack[i]
+        if slot[3] is not None:
+            return slot[3]
+        rule, firing, signal, _ = slot
         trigger_oid: Optional[OID] = None
         trigger_attrs: FrozenSet[str] = frozenset()
         trigger_op: Optional[str] = None
         probe = signal
-        if probe is not None and probe.kind == "composite":
+        if probe.kind == "composite":
             # Walk constituents newest-first: the most recent database
             # constituent is the write that completed the composite.
             for constituent in reversed(probe.constituents):
                 if constituent.kind == "database" and constituent.oid is not None:
                     probe = constituent
                     break
-        if probe is not None and probe.kind == "database" and probe.oid is not None:
+        if probe.kind == "database" and probe.oid is not None:
             trigger_oid = probe.oid
             trigger_op = probe.op
             if probe.op == "update":
                 trigger_attrs = probe.changed_attrs()
+        # The seq of the stimulus the recorder journalled (external /
+        # temporal / manual fire), else the enclosing scope's: cascade
+        # signals are suppressed in the journal.
         journal_seq = getattr(signal, "_journal_seq", None)
-        if journal_seq is None and parent is not None:
-            journal_seq = parent.journal_seq
-        return CausalEnvelope(
-            kind="rule",
-            rule=getattr(rule, "name", str(rule)),
-            firing_id=getattr(firing, "firing_id", None),
-            event=signal.describe() if signal is not None else None,
-            event_kind=signal.kind if signal is not None else None,
-            trigger_oid=trigger_oid,
-            trigger_attrs=trigger_attrs,
-            trigger_op=trigger_op,
-            journal_seq=journal_seq,
-        )
+        if journal_seq is None and i:
+            journal_seq = self._envelope(stack, i - 1).journal_seq
+        slot[3] = CausalEnvelope(
+            kind="rule", rule=rule.name, firing_id=firing.firing_id,
+            event=signal.describe(), event_kind=signal.kind,
+            trigger_oid=trigger_oid, trigger_attrs=trigger_attrs,
+            trigger_op=trigger_op, journal_seq=journal_seq)
+        return slot[3]
 
     # ------------------------------------------------------------- capture
 
@@ -356,7 +359,9 @@ class ProvenanceStore:
             return None
         cause = self.current_cause()
         if cause is None:
-            cause = CausalEnvelope(kind="application", user=user)
+            cause = self._app_cause
+            if cause is None or cause.user != user:
+                cause = self._app_cause = CausalEnvelope(kind="application", user=user)
         return cause, txn.txn_id, time.time()
 
     # ----------------------------------------------------------- lifecycle
@@ -388,7 +393,7 @@ class ProvenanceStore:
             if kind == "update":
                 old = delta.old_attrs or {}
                 new = delta.new_attrs or {}
-                for attr in set(old) | set(new):
+                for attr in _written(old, new):
                     if old.get(attr) != new.get(attr):
                         out.append(ProvenanceEntry(
                             kind, oid, attr, old.get(attr), new.get(attr),
@@ -416,18 +421,27 @@ class ProvenanceStore:
         if not entries:
             return
         with self._mutex:
+            seq, insert = self._seq, self._insert_locked
             for entry in entries:
-                entry.seq = next(self._seq)
-                entry.nbytes = entry.estimate_bytes()
-                self._insert_locked(entry)
+                entry.seq = next(seq)
+                insert(entry)
             self.stats["published"] += len(entries)
 
     def on_abort(self, txn: Any) -> None:
         """Count the entries the aborting transaction's own log would have
-        published.  Nothing was buffered, so nothing is removed; the
-        manager aborts still-active children in turn and each counts its
-        own log, so no write is counted twice."""
-        pruned = len(self._expand(txn))
+        published, building none.  Nothing was buffered, so nothing is
+        removed; the manager aborts still-active children in turn and each
+        counts its own log, so no write is counted twice."""
+        pruned = 0
+        for record in txn.undo_log:
+            if record.stamp is None:
+                continue
+            delta = record.delta
+            old, new = delta.old_attrs or {}, delta.new_attrs or {}
+            if delta.kind == "update":
+                pruned += sum(old.get(a) != new.get(a) for a in _written(old, new))
+            else:
+                pruned += len(new) if delta.kind == "create" else 1
         if pruned:
             with self._mutex:
                 self.stats["pruned"] += pruned

@@ -523,12 +523,13 @@ class RuleManager:
             if self.provenance is None:
                 rule.action.run(ctx)
             else:
-                # Causal scope: every write the action performs is tagged
-                # with this firing and its triggering event; cascaded
-                # firings push nested scopes, so attribution always names
-                # the *innermost* cause.
-                with self.provenance.firing_scope(rule, firing, signal):
+                # Causal scope: the action's writes are tagged with this
+                # firing; cascades nest, so the *innermost* cause wins.
+                self.provenance.enter(rule, firing, signal)
+                try:
                     rule.action.run(ctx)
+                finally:
+                    self.provenance.exit()
             self._txns.commit_transaction(atxn, source=tracing.RULE_MANAGER)
             firing.executed = True
             self.stats["actions_executed"] += 1

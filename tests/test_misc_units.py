@@ -137,6 +137,133 @@ class TestTracer:
         assert not trace.subsequence([("B", "C", "y"), ("B", "C", "y")])
 
 
+class TestProvenanceCapturesOnlyWhatItRecords:
+    """With provenance on (the default), a rule action's causal envelope
+    is built at its first write: an action that writes nothing costs no
+    envelope, no rule repr and no changed-attribute diff."""
+
+    @pytest.fixture
+    def saa(self, monkeypatch):
+        import sys
+
+        from repro.events.signal import EventSignal
+        from repro.obs.provenance import CausalEnvelope
+        from repro.saa import SecuritiesAssistant
+
+        db = HiPAC()
+        assert db.provenance is not None
+        saa = SecuritiesAssistant(db, coupling="immediate")
+        ticker = saa.add_ticker("NYSE")
+        display = saa.add_display("analyst")
+        trader = saa.add_trader("TRDSVC")
+        saa.add_trading_rule(client="c", symbol="XRX", shares=10, limit=50.0,
+                             service="TRDSVC", one_shot=False)
+        ticker.push_quote("XRX", 40.0)      # creates the stock
+        ticker.push_quote("XRX", 41.0)      # below the limit: display only
+
+        calls = []
+        build, diff = CausalEnvelope.__init__, EventSignal.changed_attrs
+
+        def built(self, **fields):
+            calls.append("envelope:" + fields["kind"])
+            build(self, **fields)
+
+        def diffed(self):
+            if sys._getframe(1).f_code.co_filename.endswith("provenance.py"):
+                calls.append("changed_attrs")
+            return diff(self)
+
+        monkeypatch.setattr(CausalEnvelope, "__init__", built)
+        monkeypatch.setattr(EventSignal, "changed_attrs", diffed)
+        monkeypatch.setattr(Rule, "__repr__",
+                            lambda self: calls.append("repr") or "")
+        yield ticker, display, trader, calls
+        db.close()
+
+    def test_a_quote_below_the_limit_builds_no_envelope(self, saa):
+        ticker, display, _, calls = saa
+        shown = len(display.ticker_window)
+        ticker.push_quote("XRX", 42.0)
+        assert len(display.ticker_window) == shown + 1  # the action ran
+        assert calls == []
+
+    def test_a_quote_that_trades_builds_one_rule_envelope(self, saa):
+        ticker, display, trader, calls = saa
+        ticker.push_quote("XRX", 60.0)
+        assert trader.stats["trades"] == 1 and display.trade_log
+        # The trading action writes the trade and the position; the two
+        # display actions write nothing; the ticker's application
+        # envelope is the one its previous quote built.
+        assert calls == ["changed_attrs", "envelope:rule"]
+
+    def test_application_envelopes_are_reused_per_user_and_bounded(self):
+        from repro.obs.provenance import ProvenanceStore
+        from repro.objstore.objects import OID
+        from repro.txn.undo import DeltaUndo
+
+        class Write:
+            kind = "update"
+
+            def __init__(self, n):
+                self.oid = OID("A", n)
+                self.old_attrs, self.new_attrs = {"v": 0}, {"v": n}
+
+        class Txn:
+            txn_id, flight_seq, undo_log = "t1", None, []
+
+        store = ProvenanceStore()
+        users = ["u1", "u1", "u2", "u1", "u3", "u3"]
+        for n, user in enumerate(users, 1):
+            write = Write(n)
+            Txn.undo_log.append(
+                DeltaUndo(None, write, store.note_delta(write, Txn, user)))
+        store.publish(Txn)
+        causes = [store.latest(OID("A", n), "v").cause
+                  for n in range(1, len(users) + 1)]
+        assert [cause.user for cause in causes] == users
+        assert {cause.kind for cause in causes} == {"application"}
+        # A run of one user's writes shares one envelope; a new user
+        # replaces it, so the cache holds one however many users write.
+        assert causes[0] is causes[1] and causes[4] is causes[5]
+        assert len({id(cause) for cause in causes}) == 4
+
+    def test_concurrent_writers_each_get_their_own_user(self):
+        """The one-slot cache is shared by every writing thread: under
+        forced thread switches, a stamp must still name its writer."""
+        import sys
+
+        from repro.obs.provenance import ProvenanceStore
+        from repro.objstore.objects import OID
+
+        class Write:
+            kind, oid = "update", OID("A", 1)
+
+        class Txn:
+            txn_id = "t1"
+
+        store, wrong = ProvenanceStore(), []
+
+        def writer(user):
+            for _ in range(2000):
+                cause = store.note_delta(Write, Txn, user)[0]
+                if cause.user != user:
+                    wrong.append((user, cause.user))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=("u%d" % i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+
 class TestFiringLog:
     def test_capacity_bounded(self):
         log = FiringLog(capacity=3)
