@@ -4,8 +4,8 @@ ISSUE 3 acceptance: with the production observability surface on (metrics
 registry + slow log, the ``observability=True`` default), quote throughput
 on the Securities Analyst's Assistant workload must stay within 5% of the
 ``observability=False`` ablation — i.e. instrumentation lives on the hot
-path but costs almost nothing.  ``observability="trace"`` (causal span
-trees around every firing — a diagnostic mode, like any DBMS
+path but costs almost nothing.  ``observability="trace"`` (both phases of
+every firing timed on its record — a diagnostic mode, like any DBMS
 statement-tracing switch) is measured alongside and reported without an
 acceptance bound.
 
@@ -193,13 +193,16 @@ def test_obs_overhead_shape():
     assert set(RECORDING) <= recorded, sorted(recorded)
     op_hist = on.db.metrics.histogram("om_operation_seconds")
     assert op_hist.count * op_hist.sample > QUOTES
-    # ...trace mode really recorded span trees while the default did not
-    # pay for them...
-    assert stacks["trace"].db.spans.roots()
-    assert on.db.spans.roots() == []
+    # ...trace mode really timed its firings while the default did not
+    # pay for it...
+    def timed(mode):
+        return {firing.timing is not None
+                for firing in stacks[mode].db.firing_log().all()}
+    assert timed("trace") == {True}
+    assert timed("on") == {False}
     # ...the ablation really recorded nothing...
     assert not stacks["off"].db.metrics.enabled
-    assert stacks["off"].db.spans.roots() == []
+    assert timed("off") == {False}
     # ...the windowed-telemetry ticker really ran on the "on" stack and
     # really didn't on its paired ablation...
     assert on.db.timeseries is not None

@@ -44,7 +44,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import RuleProfiler
 from repro.obs.slo import SLOMonitor
 from repro.obs.slowlog import SlowLog
-from repro.obs.spans import SpanRecorder
 from repro.obs.timeseries import TimeseriesRing
 from repro.obs.watchdog import Watchdog
 from repro.objstore.manager import ObjectManager
@@ -97,15 +96,15 @@ class HiPAC:
         #:                 (each instrument is a histogram observe; the
         #:                 whole surface stays within a few percent of
         #:                 ``False``);
-        #:   ``"trace"`` — additionally record causal span trees for every
-        #:                 event → firing → action chain (diagnostic mode:
-        #:                 per-firing allocation cost, like any DBMS
-        #:                 statement-tracing switch — flip it on around the
-        #:                 window you want to explain);
+        #:   ``"trace"`` — additionally time both phases of every rule
+        #:                 firing on its record (``RuleFiring.timing``;
+        #:                 diagnostic mode: clock reads per firing, like any
+        #:                 DBMS statement-tracing switch — flip it on around
+        #:                 the window you want to explain);
         #:   ``False``   — overhead-ablation off switch: every instrument
         #:                 degrades to one attribute check.
+        #: At every level each firing records the firing that caused it.
         self.metrics = MetricsRegistry(enabled=bool(observability))
-        self.spans = SpanRecorder(enabled=observability == "trace")
         self.slow_log = SlowLog(enabled=bool(observability))
         #: the alert log.  The cascade cut feeds it inline, whatever the
         #: observability level; the windowed detectors (deferred set,
@@ -140,8 +139,8 @@ class HiPAC:
             self.external_detector, self.composite_detector,
             tracer=self.tracer, clock=self.clock,
             applications=self.applications, config=config,
-            metrics=self.metrics, spans=self.spans, slow_log=self.slow_log,
-            watchdog=self.watchdog)
+            metrics=self.metrics, slow_log=self.slow_log,
+            watchdog=self.watchdog, trace=observability == "trace")
         #: §6.1 rule creation and administration (the Rule Manager's
         #: catalog; the rule operations below call it directly)
         self.rule_catalog = self.rule_manager.catalog
@@ -197,7 +196,7 @@ class HiPAC:
             self.provenance = prov
             self.object_manager.provenance = prov
             self.transaction_manager.provenance = prov
-            self.rule_manager.provenance = prov
+            prov.running = self.rule_manager.running
         #: durability wiring (None / "wal"); see _enable_durability
         self.wal: Optional[Any] = None
         self.checkpointer: Optional[Any] = None
@@ -502,11 +501,9 @@ class HiPAC:
 
     def metrics_report(self) -> str:
         """Human-readable summary: latency percentiles per instrumented
-        operation, non-zero component stats, span retention, and the
-        slow-log tail."""
+        operation, non-zero component stats, and the slow-log tail."""
         return obs_export.metrics_report(self.metrics,
-                                         slow_log=self.slow_log,
-                                         span_recorder=self.spans)
+                                         slow_log=self.slow_log)
 
     def explain_firing(self, rule_name: Optional[str] = None,
                        last: Optional[int] = None) -> str:
@@ -544,13 +541,14 @@ class HiPAC:
         return self.provenance.why(oid, attr, depth=depth)
 
     def export_trace(self, path: Optional[Any] = None) -> Dict[str, Any]:
-        """Chrome ``trace_event`` JSON of all retained span trees.
+        """Chrome ``trace_event`` JSON of the timed firings in the firing
+        log (``observability="trace"``; empty at the other levels).
 
         Returns the document; when ``path`` is given it is also written
         there (load it in ``chrome://tracing`` or ui.perfetto.dev)."""
         if path is None:
-            return obs_export.chrome_trace(self.spans)
-        return obs_export.write_chrome_trace(self.spans, path)
+            return obs_export.chrome_trace(self.rule_manager.firings)
+        return obs_export.write_chrome_trace(self.rule_manager.firings, path)
 
     def prometheus_metrics(self) -> str:
         """The registry in Prometheus text exposition format."""
@@ -649,9 +647,8 @@ class HiPAC:
 
     def rule_profiler(self) -> RuleProfiler:
         """A :class:`~repro.obs.profiler.RuleProfiler` over the current
-        firing log and span trees (timing columns require
-        ``observability="trace"``)."""
-        return RuleProfiler(self.rule_manager.firings, self.spans)
+        firing log (timing columns require ``observability="trace"``)."""
+        return RuleProfiler(self.rule_manager.firings)
 
     def rule_profile(self, top: int = 10) -> str:
         """Per-rule cost attribution report: firings, condition
@@ -755,8 +752,6 @@ class HiPAC:
             "watchdog": dict(self.watchdog.stats,
                              alerts_dropped=self.watchdog.dropped),
             "obs": {
-                "spans_retained": len(self.spans.roots()),
-                "spans_dropped": self.spans.dropped,
                 "slow_entries": len(self.slow_log),
                 "slow_dropped": self.slow_log.dropped,
                 "firing_log_dropped": self.rule_manager.firings.dropped,

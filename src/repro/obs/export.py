@@ -1,99 +1,99 @@
-"""Render spans and metrics for external tools and for humans.
+"""Render rule firings and metrics for external tools and for humans.
 
 Three consumers, three formats:
 
 * **Chrome ``trace_event`` JSON** (:func:`chrome_trace`) — load the file in
   ``chrome://tracing`` or https://ui.perfetto.dev to see rule cascades on a
-  timeline.  Every span becomes one complete ("ph": "X") event; causal
-  parentage (which for deferred/separate firings crosses both time and
-  threads) travels in ``args.parent_id``, and a flow arrow ("s"/"f" pair)
-  is emitted for every child that starts after its parent finished, so
-  Perfetto draws the event → deferred-firing causality explicitly.
+  timeline.  Each timed firing (``observability="trace"``) becomes a
+  ``fire:<rule>`` complete ("ph": "X") event for its condition phase and
+  an ``act:<rule>`` one for its action; causal parentage (a firing hangs
+  off the action of its ``cause``, which for deferred/separate firings
+  crosses both time and threads) travels in ``args.parent_id``, and a flow
+  arrow ("s"/"f" pair) is emitted for every child that starts after its
+  parent finished or on another thread, so Perfetto draws the action →
+  deferred-firing causality explicitly.
 * **Prometheus text format** (:func:`prometheus_text`) — histograms
   (cumulative ``le`` buckets, ``_sum``/``_count``), plus every
   collector-pulled component stat as an untyped sample.
-* **Humans** (:func:`render_span_tree`, :func:`metrics_report`) — indented
-  causal trees and a latency/throughput summary for a REPL or an incident.
+* **Humans** (:func:`render_cascade`, :func:`metrics_report`) — an indented
+  cascade of firings and a latency/throughput summary for a REPL or an
+  incident.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry, format_name
-from repro.obs.spans import Span, SpanRecorder
+
+if TYPE_CHECKING:  # import cycle: rules.firing -> conditions -> ... -> obs
+    from repro.rules.firing import FiringLog, Phase, RuleFiring
 
 _US = 1e6  # seconds -> trace_event microseconds
 
 
-def _json_safe(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return str(value)
-
-
-def chrome_trace(source: Any) -> Dict[str, Any]:
-    """Build a Chrome ``trace_event`` document from spans.
-
-    ``source`` may be a :class:`SpanRecorder` (all retained roots), a
-    single root :class:`Span`, or a list of root spans.
-    """
-    if isinstance(source, SpanRecorder):
-        roots = source.roots()
-    elif isinstance(source, Span):
-        roots = [source]
-    else:
-        roots = list(source)
+def chrome_trace(firings: FiringLog) -> Dict[str, Any]:
+    """Build a Chrome ``trace_event`` document from the timed firings of
+    ``firings`` (firings without ``timing`` are skipped)."""
+    timed = [record for record in firings.all() if record.timing is not None]
+    acted = {record.firing_id: record.timing[1] for record in timed
+             if record.timing[1] is not None}
+    origin = min((record.timing[0][1] for record in timed), default=0.0)
     pid = os.getpid()
     events: List[Dict[str, Any]] = []
-    flow_id = 0
-    for root in roots:
-        for span in root.walk():
-            end = span.end if span.end is not None else span.start
-            args: Dict[str, Any] = {
-                "span_id": span.span_id,
-                "parent_id": span.parent_id,
-            }
-            for key, value in span.tags.items():
-                args[key] = _json_safe(value)
-            events.append({
-                "name": span.name,
-                "cat": span.kind,
-                "ph": "X",
-                "ts": span.start * _US,
-                "dur": max(end - span.start, 0.0) * _US,
-                "pid": pid,
-                "tid": span.tid,
-                "args": args,
-            })
-            for child in span.children:
-                # Deferred/separate children detach in time or thread; a
-                # flow arrow keeps the causal edge visible on the timeline.
-                detached = (child.tid != span.tid
-                            or (span.end is not None
-                                and child.start >= span.end))
-                if not detached:
-                    continue
-                flow_id += 1
-                events.append({
-                    "name": "causes", "cat": "causal", "ph": "s",
-                    "id": flow_id, "ts": span.start * _US,
-                    "pid": pid, "tid": span.tid,
-                })
-                events.append({
-                    "name": "causes", "cat": "causal", "ph": "f",
-                    "bp": "e", "id": flow_id, "ts": child.start * _US,
-                    "pid": pid, "tid": child.tid,
-                })
+
+    def complete(name: str, cat: str, phase: Phase,
+                 args: Dict[str, Any]) -> None:
+        tid, start, end = phase
+        events.append({"name": name, "cat": cat, "ph": "X",
+                       "ts": (start - origin) * _US,
+                       "dur": max(end - start, 0.0) * _US,
+                       "pid": pid, "tid": tid, "args": args})
+
+    def flow(parent: Phase, child: Phase) -> None:
+        # Deferred/separate children detach in time or thread; a flow
+        # arrow keeps the causal edge visible on the timeline.
+        if child[0] == parent[0] and child[1] < parent[2]:
+            return
+        flow_id = len(events)  # unique: events only grows
+        events.append({"name": "causes", "cat": "causal", "ph": "s",
+                       "id": flow_id, "ts": (parent[1] - origin) * _US,
+                       "pid": pid, "tid": parent[0]})
+        events.append({"name": "causes", "cat": "causal", "ph": "f",
+                       "bp": "e", "id": flow_id,
+                       "ts": (child[1] - origin) * _US,
+                       "pid": pid, "tid": child[0]})
+
+    for record in timed:
+        fid, (condition, action) = record.firing_id, record.timing
+        cause = acted.get(record.cause)
+        complete("fire:%s" % record.rule_name, "firing", condition, {
+            "span_id": "fire:%d" % fid,
+            "parent_id": None if cause is None else "act:%d" % record.cause,
+            "firing_id": fid, "cause": record.cause,
+            "rule": record.rule_name, "event": record.event,
+            "ec": record.ec_coupling, "ca": record.ca_coupling,
+            "deferred": record.deferred,
+            "separate_thread": record.separate_thread,
+            "satisfied": record.satisfied, "error": record.error,
+            "txn": record.condition_txn})
+        if cause is not None:
+            flow(cause, condition)
+        if action is not None:
+            complete("act:%s" % record.rule_name, "action", action, {
+                "span_id": "act:%d" % fid, "parent_id": "fire:%d" % fid,
+                "firing_id": fid, "rule": record.rule_name,
+                "txn": record.action_txn})
+            flow(condition, action)
     return {"traceEvents": events, "displayTimeUnit": "ms",
-            "metadata": {"tool": "repro.obs", "spans": len(events)}}
+            "metadata": {"tool": "repro.obs", "firings": len(timed)}}
 
 
-def write_chrome_trace(source: Any, path: Any) -> Dict[str, Any]:
+def write_chrome_trace(firings: FiringLog, path: Any) -> Dict[str, Any]:
     """Write :func:`chrome_trace` output to ``path``; returns the document."""
-    document = chrome_trace(source)
+    document = chrome_trace(firings)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=1)
     return document
@@ -208,21 +208,43 @@ def prometheus_text(registry: MetricsRegistry,
 
 # ------------------------------------------------------------------- humans
 
-def render_span_tree(span: Span, indent: str = "") -> str:
-    """Render one causal tree, one line per span, children indented."""
-    tag_text = "".join(
-        " %s=%s" % (key, value) for key, value in sorted(span.tags.items())
-        if value is not None)
-    lines = ["%s%s [%s] %.3fms%s" % (indent, span.name, span.kind,
-                                     span.duration * 1e3, tag_text)]
-    for child in span.children:
-        lines.append(render_span_tree(child, indent + "  "))
+def render_cascade(firings: FiringLog,
+                   root: Optional[RuleFiring] = None) -> str:
+    """Render one rule cascade: the event behind ``root`` (default: the
+    newest firing that no logged firing caused), then ``root`` and the
+    firings it caused, one line each, children indented."""
+    records = firings.all()
+    ids = {record.firing_id for record in records}
+    caused: Dict[int, List[RuleFiring]] = {}
+    for record in records:
+        if record.cause in ids:
+            caused.setdefault(record.cause, []).append(record)
+    if root is None:
+        roots = [record for record in records if record.cause not in ids]
+        if not roots:
+            return ""
+        root = roots[-1]
+    lines = ["event:%s" % root.event]
+
+    def walk(record: RuleFiring, indent: str) -> None:
+        line = "%sfire:%s [%s/%s] satisfied=%s" % (
+            indent, record.rule_name, record.ec_coupling,
+            record.ca_coupling, record.satisfied)
+        for label, phase in zip(("cond", "act"), record.timing or ()):
+            if phase is not None:
+                line += " %s=%.3fms" % (label, (phase[2] - phase[1]) * 1e3)
+        if record.error:
+            line += " error=%s" % record.error
+        lines.append(line)
+        for child in caused.get(record.firing_id, ()):
+            walk(child, indent + "  ")
+
+    walk(root, "  ")
     return "\n".join(lines)
 
 
 def metrics_report(registry: MetricsRegistry,
-                   slow_log: Optional[Any] = None,
-                   span_recorder: Optional[SpanRecorder] = None) -> str:
+                   slow_log: Optional[Any] = None) -> str:
     """Human-readable summary: latency percentiles, counts, slow log."""
     lines: List[str] = ["== metrics =="]
     histograms = registry.instruments()
@@ -243,10 +265,6 @@ def metrics_report(registry: MetricsRegistry,
         for key, value in sorted(collected.items()):
             if value:
                 lines.append("%-44s %12s" % (key, value))
-    if span_recorder is not None:
-        lines.append("-- spans --")
-        lines.append("retained roots: %d (dropped %d)" % (
-            len(span_recorder.roots()), span_recorder.dropped))
     if slow_log is not None and len(slow_log):
         lines.append("-- slow log (newest) --")
         lines.append(slow_log.format())

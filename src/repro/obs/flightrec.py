@@ -1,8 +1,7 @@
 """Flight recorder: a durable journal of externally-signalled events.
 
-All of the in-memory telemetry (metrics, spans, firing log, watchdog
-alerts) dies with the process; after a crash or a rule-storm abort there
-is no way to reconstruct *which* stimuli produced the incident.  The
+All of the in-memory telemetry (metrics, firing log, watchdog alerts)
+dies with the process; after a crash or a rule-storm abort there is no way to reconstruct *which* stimuli produced the incident.  The
 flight recorder closes that gap: every event that enters rule processing
 from **outside** — application transaction boundaries, top-level data
 operations, external signals, temporal occurrences, rule administration —

@@ -1,8 +1,8 @@
 """Incident forensics: black-box snapshot bundles captured at the moment
 something goes wrong.
 
-PRs 3-8 built rich live telemetry — metrics, spans, the watchdog, the
-flight journal, provenance, windowed SLOs — but all of it is pull-only
+The system keeps rich live telemetry — metrics, the firing log, the
+watchdog, the flight journal, provenance, windowed SLOs — but all of it is pull-only
 and ring-bounded: when a rule storm or SLO breach happens at 3am, the
 evidence has rotated out of the rings long before anyone scrapes an
 endpoint.  The paper itself flags rule tracing and debugging as the
@@ -22,8 +22,7 @@ freezing everything a diagnosis needs:
 * slow-log entries,
 * the profiler's hottest-rules report (firings, selectivity,
   who-triggers-whom edges),
-* a firing-log tail (per-firing event descriptions — the trigger chain
-  when span tracing is off),
+* a firing-log tail (per-firing event descriptions and outcomes),
 * provenance stats,
 * the flight-journal tail seq range, with a ready-to-paste
   ``replay --until SEQ`` bisection command,

@@ -1,30 +1,31 @@
-"""Per-rule cost attribution: fold firings and spans into rule profiles.
+"""Per-rule cost attribution: fold the firing log into rule profiles.
 
 The metrics registry answers "where does the time go *by operation
 kind*"; a production rule base needs the orthogonal cut: "which **rule**
-is costing me".  The profiler folds the two observability surfaces that
-already exist into per-rule aggregates:
+is costing me".  The profiler folds the firing log into per-rule
+aggregates:
 
-* the **firing log** (always on) yields fire counts, condition
-  selectivity (satisfied / evaluated — a rule whose condition almost
-  never holds is pure dispatch overhead), action executions, errors, and
-  coupling mix;
-* the **span trees** (``observability="trace"``) yield wall-clock cost:
-  for every firing span, its *cascade-inclusive* time (the firing plus
+* at every observability level: fire counts, condition selectivity
+  (satisfied / evaluated — a rule whose condition almost never holds is
+  pure dispatch overhead), action executions, errors, coupling mix, and
+  the triggered-by / triggers edges of the actual runtime cascade (each
+  firing's ``cause``) — the observed counterpart of the static triggering
+  graph in :mod:`repro.tools.analysis`;
+* under ``observability="trace"`` (each firing's ``timing``), wall-clock
+  cost: for every firing, its *cascade-inclusive* time (the firing plus
   everything it transitively caused, detached deferred/separate work
   included) and its *self* time (inclusive minus the nested firings it
-  triggered), plus the triggered-by / triggers edges of the actual
-  runtime cascade — the observed counterpart of the static triggering
-  graph in :mod:`repro.tools.analysis`.
+  triggered).
 
-Times follow causality the way the spans do (§3.2): an immediate nested
-firing ran *inside* its parent's duration (the suspension protocol), so
-its time is subtracted from the parent's self time; a deferred or
-separate firing ran detached (after the parent span closed, or on
-another thread), so its inclusive time is *added* to the parent's
-cascade-inclusive total instead.
+Times follow causality (§3.2): an immediate nested firing ran *inside*
+its parent's action (the suspension protocol), so its time is subtracted
+from the parent's self time; a deferred or separate firing ran detached
+(after the parent's action ended, or on another thread), so its inclusive
+time is *added* to the parent's cascade-inclusive total instead.  A
+firing whose cause the log no longer holds counts as triggered by its own
+event.
 
-Without span recording the counts are exact and the timing columns are
+Without timing the counts and edges are exact and the timing columns are
 empty — the report says so rather than printing zeros.
 """
 
@@ -33,10 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.obs.spans import Span, SpanRecorder
-
 if TYPE_CHECKING:  # import cycle: rules.firing -> conditions -> ... -> obs
-    from repro.rules.firing import FiringLog
+    from repro.rules.firing import FiringLog, RuleFiring
 
 
 def percentile_of(sorted_values: List[float], q: float) -> float:
@@ -70,7 +69,7 @@ class RuleProfile:
     #: window on a cross-process clock
     first_wall: float = 0.0
     last_wall: float = 0.0
-    #: wall-clock seconds per firing, from spans (empty without "trace")
+    #: wall-clock seconds per timed firing (empty without "trace")
     self_seconds: List[float] = field(default_factory=list, repr=False)
     inclusive_seconds: List[float] = field(default_factory=list, repr=False)
     #: observed cascade edges: rule/event -> number of firings it caused
@@ -113,19 +112,21 @@ class RuleProfile:
 
 
 class RuleProfiler:
-    """Folds a firing log (and optionally span trees) into rule profiles."""
+    """Folds a firing log into rule profiles."""
 
-    def __init__(self, firings: FiringLog,
-                 spans: Optional[SpanRecorder] = None) -> None:
+    def __init__(self, firings: FiringLog) -> None:
         self._firings = firings
-        self._spans = spans
 
     # ------------------------------------------------------------- folding
 
     def profiles(self) -> Dict[str, RuleProfile]:
-        """One :class:`RuleProfile` per rule seen in the firing log/spans."""
+        """One :class:`RuleProfile` per rule seen in the firing log."""
         profiles: Dict[str, RuleProfile] = {}
-        for record in self._firings.all():
+        records = self._firings.all()
+        by_id = {record.firing_id: record for record in records}
+        caused: Dict[int, List[RuleFiring]] = {}
+        roots: List[RuleFiring] = []
+        for record in records:
             profile = profiles.get(record.rule_name)
             if profile is None:
                 profile = profiles[record.rule_name] = RuleProfile(
@@ -148,51 +149,50 @@ class RuleProfiler:
                 profile.deferred += 1
             if record.separate_thread:
                 profile.separate += 1
-        if self._spans is not None and self._spans.enabled:
-            for root in self._spans.roots():
-                self._fold_root(root, profiles)
+            cause = by_id.get(record.cause)
+            if cause is None:
+                # A stimulus, or a cause the ring has already evicted.
+                source = "event:%s" % record.event
+                roots.append(record)
+            else:
+                # The cause was logged first, so its profile exists.
+                source = cause.rule_name
+                caused.setdefault(cause.firing_id, []).append(record)
+                triggers = profiles[source].triggers
+                triggers[record.rule_name] = \
+                    triggers.get(record.rule_name, 0) + 1
+            profile.triggered_by[source] = \
+                profile.triggered_by.get(source, 0) + 1
+        for record in roots:
+            if record.timing is not None:
+                self._fold(record, caused, profiles)
         return profiles
 
-    def _fold_root(self, root: Span, profiles: Dict[str, RuleProfile]) -> None:
-        source = root.tags.get("event", root.name)
-        for firing in _nearest_firings(root):
-            self._fold_firing(firing, "event:%s" % source, profiles)
+    def _fold(self, record: RuleFiring, caused: Dict[int, List[RuleFiring]],
+              profiles: Dict[str, RuleProfile]) -> Tuple[float, float]:
+        """Time one firing and the timed firings it caused; returns
+        ``(inclusive, detached_tail)``.
 
-    def _fold_firing(self, span: Span, caused_by: str,
-                     profiles: Dict[str, RuleProfile]) -> Tuple[float, float]:
-        """Record one firing span; returns ``(inclusive, detached_tail)``.
-
-        A firing's *synchronous extent* is its firing span (condition
-        evaluation) plus its action spans — the Rule Manager closes the
-        firing span before the action runs, so they never overlap and both
-        are this rule's wall-clock cost.  ``inclusive`` adds everything the
-        firing transitively caused; ``detached_tail`` is the part of
+        A firing's *synchronous extent* is its condition phase plus its
+        action phase — they never overlap and both are this rule's
+        wall-clock cost.  ``inclusive`` adds everything the firing
+        transitively caused; ``detached_tail`` is the part of
         ``inclusive`` that ran outside the extent (deferred firings at
         commit, separate threads) — the caller needs it because a nested
         child's detached tail is *not* covered by the parent's extent
         either.
         """
-        rule = str(span.tags.get("rule", "?"))
-        profile = profiles.get(rule)
-        if profile is None:
-            profile = profiles[rule] = RuleProfile(rule)
-        actions = [child for child in span.children if child.kind == "action"]
-        sync = span.duration + sum(action.duration for action in actions)
-        extent_end = span.end
-        for action in actions:
-            if action.end is not None and (extent_end is None
-                                           or action.end > extent_end):
-                extent_end = action.end
+        phases = [phase for phase in record.timing if phase is not None]
+        sync = sum(end - start for _, start, end in phases)
+        extent_end = max(end for _, _, end in phases)
         inclusive = sync
         overlapped = 0.0
         tail = 0.0
-        for child in _nearest_firings(span):
-            child_inclusive, child_tail = self._fold_firing(
-                child, rule, profiles)
-            child_rule = str(child.tags.get("rule", "?"))
-            profile.triggers[child_rule] = \
-                profile.triggers.get(child_rule, 0) + 1
-            if extent_end is None or child.start < extent_end:
+        for child in caused.get(record.firing_id, ()):
+            if child.timing is None:
+                continue
+            child_inclusive, child_tail = self._fold(child, caused, profiles)
+            if child.timing[0][1] < extent_end:
                 # Nested immediate work: its synchronous part ran inside
                 # this firing's extent (§6.2 suspension), so it is not
                 # extra wall-clock — but its own detached tail is.
@@ -204,8 +204,7 @@ class RuleProfiler:
                 # outside this firing's extent.
                 inclusive += child_inclusive
                 tail += child_inclusive
-        profile.triggered_by[caused_by] = \
-            profile.triggered_by.get(caused_by, 0) + 1
+        profile = profiles[record.rule_name]
         profile.self_seconds.append(max(0.0, sync - overlapped))
         profile.inclusive_seconds.append(inclusive)
         return inclusive, tail
@@ -215,7 +214,7 @@ class RuleProfiler:
     def hottest(self, top: int = 10) -> List[RuleProfile]:
         """Profiles ordered hottest first.
 
-        With span timing, heat is total cascade-inclusive seconds; without
+        With firing timing, heat is total cascade-inclusive seconds; without
         it, fire count (the best available proxy)."""
         profiles = list(self.profiles().values())
         profiles.sort(key=lambda p: (p.total_inclusive, p.firings, p.name),
@@ -290,18 +289,3 @@ class RuleProfiler:
                 "last_wall": profile.last_wall,
             }
         return out
-
-
-def _nearest_firings(span: Span) -> List[Span]:
-    """The firing spans reachable from ``span`` without crossing another
-    firing span (the direct cascade children)."""
-    found: List[Span] = []
-    stack: List[Span] = list(span.children)
-    while stack:
-        node = stack.pop()
-        if node.kind == "firing":
-            found.append(node)
-            continue
-        stack.extend(node.children)
-    found.sort(key=lambda s: s.start)
-    return found

@@ -38,6 +38,7 @@ import sys
 import threading
 import time
 from collections import deque
+from types import SimpleNamespace
 from typing import Any, Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.objstore.objects import OID
@@ -75,8 +76,8 @@ def parse_oid(text: str) -> OID:
 class CausalEnvelope:
     """Why a write happened: the firing (or application call) behind it.
 
-    One envelope is shared by reference across every entry its scope (or
-    its user's run of application writes) produced — a rule action that
+    One envelope is shared by reference across every entry its rule action
+    (or its user's run of application writes) produced — a rule action that
     updates ten attributes costs one envelope, one that writes none, none.
     """
 
@@ -240,12 +241,8 @@ class WhyChain:
 
 _RingKey = Tuple[OID, Optional[str]]
 
-
-class _Scopes(threading.local):
-    """One thread's stack of ``[rule, firing, signal, envelope]`` slots."""
-
-    def __init__(self) -> None:
-        self.stack: List[List[Any]] = []
+#: what a store no Rule Manager was wired to sees: no rule action running
+_NO_ACTIONS = SimpleNamespace(stack=())
 
 
 def _written(old: Dict[str, Any], new: Dict[str, Any]) -> Iterable[str]:
@@ -273,7 +270,10 @@ class ProvenanceStore:
         self.per_key = per_key
         self.capacity = capacity
         self._mutex = threading.Lock()
-        self._local = _Scopes()
+        #: the Rule Manager's ``running`` (wired by the facade): per
+        #: thread, a stack of ``[rule, firing, signal, envelope]`` slots,
+        #: one per running rule action, innermost last
+        self.running: Any = _NO_ACTIONS
         #: the last application envelope, reused while the same user writes;
         #: read once per write, so a race costs an envelope, not a wrong user
         self._app_cause: Optional[CausalEnvelope] = None
@@ -288,29 +288,18 @@ class ProvenanceStore:
         self._why_seconds = (metrics.histogram("provenance_why_seconds")
                              if metrics is not None else None)
 
-    # ------------------------------------------------------- causal scopes
-
-    def enter(self, rule: Any, firing: Any, signal: Any) -> None:
-        """Open the causal scope of one rule-action execution; the caller
-        pairs it with :meth:`exit` in a ``finally``.
-
-        Every write the action performs (in this thread) is attributed to
-        the firing; an inner scope shadows the outer one.  The scope is a
-        slot of three references whose envelope is built at its first
-        write, so an action that writes nothing builds none; the slot,
-        and the signal's transaction tree with it, goes at exit.
-        """
-        self._local.stack.append([rule, firing, signal, None])
-
-    def exit(self) -> None:
-        self._local.stack.pop()
+    # -------------------------------------------------------------- causes
 
     def current_cause(self) -> Optional[CausalEnvelope]:
-        stack = self._local.stack
+        """The envelope of the innermost rule action running on this
+        thread (None outside any): every write it performs is attributed
+        to its firing.  The envelope is built at the action's first write,
+        so an action that writes nothing builds none."""
+        stack = self.running.stack
         return self._envelope(stack, len(stack) - 1) if stack else None
 
     def _envelope(self, stack: List[List[Any]], i: int) -> CausalEnvelope:
-        """Scope ``i``'s envelope, built at first use and memoised."""
+        """Slot ``i``'s envelope, built at first use and memoised."""
         slot = stack[i]
         if slot[3] is not None:
             return slot[3]
@@ -332,7 +321,7 @@ class ProvenanceStore:
             if probe.op == "update":
                 trigger_attrs = probe.changed_attrs()
         # The seq of the stimulus the recorder journalled (external /
-        # temporal / manual fire), else the enclosing scope's: cascade
+        # temporal / manual fire), else the enclosing action's: cascade
         # signals are suppressed in the journal.
         journal_seq = getattr(signal, "_journal_seq", None)
         if journal_seq is None and i:

@@ -29,8 +29,9 @@ and exposes:
 * ``GET /forensics`` — incident snapshot bundles (``?id=…`` fetches one,
   ``&download=1`` as attachment, ``?capture=1`` snapshots now; 409
   unless built with ``forensics=True``);
-* ``GET /trace``    — the Chrome ``trace_event`` document of the retained
-  span trees (only meaningful under ``observability="trace"``; otherwise
+* ``GET /trace``    — the Chrome ``trace_event`` document of the timed
+  firings in the firing log (only meaningful under
+  ``observability="trace"``; otherwise
   409, because an empty trace would read as "nothing happened");
 * ``GET /``         — a plain-text index of the above.
 
@@ -271,9 +272,9 @@ class _AdminHandler(BaseHTTPRequestHandler):
                               "bundles": recorder.list_bundles()[:last]})
 
     def _trace(self, db: Any, query: Dict[str, Any]) -> None:
-        if not db.spans.enabled:
+        if not db.rule_manager.trace:
             self._send(409, "text/plain; charset=utf-8",
-                       "span recording is off; construct the instance with"
+                       "firing timing is off; construct the instance with"
                        " observability=\"trace\" to download causal traces")
             return
         document = db.export_trace()

@@ -7,6 +7,13 @@ fired rule so tests and the Section 6 experiments can assert that shape:
 which transaction evaluated the condition, which executed the action, how
 they nest under the triggering transaction, and whether the condition was
 satisfied.
+
+The record is also the one account of the rule cascade.  ``cause`` names
+the firing whose action was running when this firing was triggered — so
+the log alone is the cascade tree, deferred firings at commit and separate
+firings on worker threads included — and, under
+``observability="trace"``, ``timing`` holds when and on which thread each
+phase ran.  The profiler and the Chrome export read nothing else.
 """
 
 from __future__ import annotations
@@ -16,7 +23,10 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
+
+#: one timed firing phase: ``(thread ident, perf_counter start, end)``
+Phase = Tuple[int, float, float]
 
 #: process-wide firing ids; monotonic so provenance envelopes can name a
 #: specific firing even after the firing log's ring has evicted it
@@ -39,21 +49,23 @@ class RuleFiring:
     deferred: bool = False
     separate_thread: bool = False
     error: Optional[str] = None
-    #: causal span of this firing (set by the Rule Manager when span
-    #: recording is on; excluded from equality — it is observability
-    #: metadata, not part of the firing's identity)
-    span: Optional[Any] = field(default=None, compare=False, repr=False)
-    #: monotonic record time (rate computations in the profiler and the
-    #: ``tools.top`` dashboard; excluded from equality like ``span``)
-    timestamp: float = field(default_factory=time.monotonic, compare=False,
-                             repr=False)
+    #: ``firing_id`` of the firing whose action was running on the
+    #: triggering thread when this firing was partitioned; None for a
+    #: firing triggered from outside any rule action (a stimulus).  Like
+    #: the rest of the metadata below, excluded from equality.
+    cause: Optional[int] = field(default=None, compare=False, repr=False)
+    #: ``[condition phase, action phase]`` under ``observability="trace"``
+    #: (each a :data:`Phase`, the action's None until it has run); None
+    #: at the other levels
+    timing: Optional[List[Optional[Phase]]] = field(
+        default=None, compare=False, repr=False)
     #: wall-clock record time — monotonic timestamps are meaningless
     #: across processes, but flight-recorder journals and replay diffs
     #: must align records from different runs on a common clock
     wall_time: float = field(default_factory=time.time, compare=False,
                              repr=False)
-    #: process-wide monotonic firing id (provenance envelopes reference
-    #: firings by id; excluded from equality like the other metadata)
+    #: process-wide monotonic firing id (``cause`` and provenance envelopes
+    #: reference firings by id)
     firing_id: int = field(default_factory=_FIRING_IDS.__next__,
                            compare=False, repr=False)
 

@@ -28,6 +28,9 @@ transaction* each runs in and *when*.
 
 Cascading: operations performed by conditions/actions signal further events
 through the same path, producing the paper's trees of nested transactions.
+Each thread keeps a stack of the rule actions running on it; a firing
+triggered under one records it as its ``cause``, so the firing log holds
+the cascade tree whatever the coupling.
 """
 
 from __future__ import annotations
@@ -54,13 +57,12 @@ from repro.events.temporal import TemporalEventDetector
 from repro.obs.metrics import (DEFAULT_SIZE_BUCKETS, HOT_PATH_SAMPLE,
                                 MetricsRegistry)
 from repro.obs.slowlog import SlowLog
-from repro.obs.spans import SpanRecorder
 from repro.obs.watchdog import Watchdog
 from repro.objstore.manager import ObjectManager
 from repro.rules.actions import ActionContext
 from repro.rules.catalog import RuleCatalog
 from repro.rules.coupling import DEFERRED, IMMEDIATE, MODES, SEPARATE
-from repro.rules.firing import FiringLog, RuleFiring
+from repro.rules.firing import FiringLog, Phase, RuleFiring
 from repro.rules.rule import RULE_CLASS, Rule
 from repro.scheduler.timecon import DeadlineExecutor
 from repro.txn.manager import TransactionManager
@@ -76,6 +78,20 @@ DRAIN_TIMEOUT = 60.0
 #: one triggered rule on its way through the firing path: the rule, its own
 #: spec-tagged copy of the signal, and the record made at partition (§6.2)
 Entry = Tuple[Rule, EventSignal, RuleFiring]
+
+
+class _Running(threading.local):
+    """One thread's running rule actions, innermost last: a
+    ``[rule, firing, signal, envelope]`` slot each, whose envelope the
+    provenance store builds at the action's first write."""
+
+    def __init__(self) -> None:
+        self.stack: List[List[Any]] = []
+
+
+def _phase(begun: float) -> Phase:
+    """The firing phase that began at ``begun`` and ends now, here."""
+    return threading.get_ident(), begun, _time.perf_counter()
 
 
 @dataclass
@@ -122,8 +138,8 @@ class RuleManager:
                  external_detector: ExternalEventDetector,
                  composite_detector: CompositeEventDetector, *,
                  tracer: tracing.Tracer, clock: Clock, applications: Any,
-                 metrics: MetricsRegistry, spans: SpanRecorder,
-                 slow_log: SlowLog, watchdog: Watchdog,
+                 metrics: MetricsRegistry, slow_log: SlowLog,
+                 watchdog: Watchdog, trace: bool = False,
                  config: Optional[RuleManagerConfig] = None) -> None:
         self._om = object_manager
         self._txns = txn_manager
@@ -135,7 +151,9 @@ class RuleManager:
         self.applications = applications
         self.config = config or RuleManagerConfig()
         self._metrics = metrics
-        self._spans = spans
+        #: record each firing's :attr:`~RuleFiring.timing`
+        #: (``observability="trace"``)
+        self.trace = trace
         self._slow_log = slow_log
         self._watchdog = watchdog
         self._action_seconds = {
@@ -165,11 +183,10 @@ class RuleManager:
         #: each completed condition evaluation is journalled as a ``firing``
         #: response record for replay to diff against.
         self.recorder: Optional[Any] = None
-        #: causal provenance store; None unless the facade enables it.
-        #: Every rule-action execution runs inside a causal scope so the
-        #: writes it performs are attributed to the firing and its
-        #: triggering event.
-        self.provenance: Optional[Any] = None
+        #: the rule actions running on each thread: the top slot is the
+        #: ``cause`` of every firing triggered there, and the provenance
+        #: store reads it to attribute the writes made there
+        self.running = _Running()
         self._depth = threading.local()
 
         self.firings = FiringLog(capacity=self.config.firing_log_capacity)
@@ -242,13 +259,6 @@ class RuleManager:
         # All signals in a batch are spec-tagged copies of one operation;
         # per-operation processing uses the first.
         base = signals[0]
-        espan = None
-        if self._spans.enabled:
-            described = base.describe()
-            espan = self._spans.start_span(
-                "event:%s" % described, kind="event",
-                event=described, depth=depth,
-                txn=base.txn.txn_id if base.txn is not None else None)
         try:
             # Everything from here down is rule processing: stimuli were
             # journalled upstream (Object Manager / detectors), and replay
@@ -274,7 +284,6 @@ class RuleManager:
                                                      pair[0].name))
                     self._process_firings(triggered)
         finally:
-            self._spans.finish_span(espan)
             self._depth.value = depth
 
     def transaction_event(self, kind: str, txn: Transaction) -> None:
@@ -328,18 +337,17 @@ class RuleManager:
         the one record of that firing, whenever and wherever it runs.
         """
         txn = triggered[0][1].txn
-        # Causality bridge for firings that run later or elsewhere (deferred
-        # at commit, §6.3; separate on a worker thread with an empty span
-        # stack): their firing span hangs off the span active *here*.
-        origin = self._spans.current() if self._spans.enabled else None
+        # The action running here caused these firings, however much later
+        # (deferred at commit, §6.3) or elsewhere (separate) they run.
+        running = self.running.stack
+        cause = running[-1][1].firing_id if running else None
         groups: Dict[str, List[Entry]] = {mode: [] for mode in MODES}
         for rule, signal in triggered:
             firing = self.firings.append(RuleFiring(
                 rule.name, signal.describe(), rule.ec_coupling,
                 rule.ca_coupling,
-                triggering_txn=txn.txn_id if txn is not None else None))
-            if origin is not None and rule.ec_coupling != IMMEDIATE:
-                signal._obs_span = origin
+                triggering_txn=txn.txn_id if txn is not None else None,
+                cause=cause))
             groups[rule.ec_coupling].append((rule, signal, firing))
 
         for rule, signal, firing in groups[SEPARATE]:
@@ -430,16 +438,7 @@ class RuleManager:
         transaction that also hosts the action routing before it commits;
         no caller is waiting, so errors are collected instead of raised."""
         separate = parent is None
-        fspan = cspan = None
-        if self._spans.enabled:
-            # Explicit span parent for firings scheduled earlier or on
-            # another thread; immediate firings nest via the thread stack.
-            fspan = self._spans.start_span(
-                "fire:%s" % rule.name, kind="firing",
-                parent=getattr(signal, "_obs_span", None),
-                rule=rule.name, ec=rule.ec_coupling, ca=rule.ca_coupling,
-                coupling=coupling,
-                **({"separate_thread": True} if separate else {}))
+        begun = _time.perf_counter() if self.trace else None
         ctxn = self._txns.create_transaction(
             parent=parent, source=tracing.RULE_MANAGER, internal=True,
             label=("sep-cond:%s" if separate else "cond:%s") % rule.name)
@@ -449,11 +448,6 @@ class RuleManager:
             firing.triggering_txn = parent.txn_id
         firing.condition_txn = ctxn.txn_id
         firing.separate_thread = separate
-        firing.span = fspan
-        if fspan is not None:
-            cspan = self._spans.start_span("cond:%s" % rule.name,
-                                           kind="condition", rule=rule.name,
-                                           coupling=coupling, txn=ctxn.txn_id)
         try:
             if rule.oid is not None:
                 # "Firing requires a read lock" (§2.2) — on the transaction
@@ -473,11 +467,11 @@ class RuleManager:
                 # transaction's top level — unless the firing is on a
                 # separate thread, which flushes itself.
                 self.recorder.record_firing(firing, ctxn.top_level())
-            if fspan is not None:
-                fspan.tags["satisfied"] = outcome.satisfied
             if separate:
-                self._spans.finish_span(cspan)
-                cspan = None
+                if begun is not None:
+                    # This transaction also hosts the action: the condition
+                    # phase ends where the routing begins.
+                    firing.timing = [_phase(begun), None]
                 if outcome.satisfied:
                     self._route_action(rule, signal, firing, outcome, ctxn)
                 self._txns.commit_transaction(ctxn, source=tracing.RULE_MANAGER)
@@ -487,8 +481,8 @@ class RuleManager:
                 raise
             return None
         finally:
-            self._spans.finish_span(cspan)
-            self._spans.finish_span(fspan)
+            if begun is not None and firing.timing is None:
+                firing.timing = [_phase(begun), None]
 
     def _run_action(self, rule: Rule, signal: EventSignal, firing: RuleFiring,
                     outcome: ConditionOutcome,
@@ -503,33 +497,23 @@ class RuleManager:
         firing.action_txn = atxn.txn_id
         if separate:
             firing.separate_thread = True
-        # The action hangs off its firing span (which may already be
-        # finished — deferred C-A runs at commit, long after the condition).
-        aspan = None
-        if self._spans.enabled:
-            aspan = self._spans.start_span("act:%s" % rule.name, kind="action",
-                                           parent=firing.span, rule=rule.name,
-                                           coupling=rule.ca_coupling,
-                                           txn=atxn.txn_id)
         hist = self._action_seconds[rule.ca_coupling]
         timed = hist.should_sample()
-        start = _time.perf_counter() if timed else 0.0
+        start = _time.perf_counter() if timed or self.trace else 0.0
         try:
             ctx = ActionContext(
                 object_manager=self._om, txn=atxn, signal=signal,
                 bindings=outcome.bindings, results=outcome.results,
                 applications=self.applications, rule=rule,
                 signal_external=self._signal_external)
-            if self.provenance is None:
+            # While it runs, this action causes what it triggers and owns
+            # what it writes; cascades nest, so the innermost action wins.
+            running = self.running.stack
+            running.append([rule, firing, signal, None])
+            try:
                 rule.action.run(ctx)
-            else:
-                # Causal scope: the action's writes are tagged with this
-                # firing; cascades nest, so the *innermost* cause wins.
-                self.provenance.enter(rule, firing, signal)
-                try:
-                    rule.action.run(ctx)
-                finally:
-                    self.provenance.exit()
+            finally:
+                running.pop()
             self._txns.commit_transaction(atxn, source=tracing.RULE_MANAGER)
             firing.executed = True
             self.stats["actions_executed"] += 1
@@ -544,7 +528,8 @@ class RuleManager:
                     self._slow_log.note("rule-action", rule.name, elapsed,
                                         coupling=rule.ca_coupling,
                                         txn=atxn.txn_id)
-            self._spans.finish_span(aspan)
+            if self.trace:
+                firing.timing[1] = _phase(start)
 
     def _firing_failed(self, rule: Rule, firing: RuleFiring, txn: Transaction,
                        exc: BaseException, collect: bool) -> bool:
@@ -632,32 +617,26 @@ class RuleManager:
         set drains."""
         if not txn.has_deferred_work():
             return
-        bspan = self._spans.start_span("deferred:%s" % txn.txn_id,
-                                       kind="deferred_batch", txn=txn.txn_id)
-        try:
-            # Commit-time cascade scope: the triggering commit was already
-            # journalled as a stimulus; everything below is re-derived by
-            # replay, so stimulus capture is suppressed throughout.
-            with self._suppression():
-                rounds = 0
-                while txn.has_deferred_work():
-                    rounds += 1
-                    if rounds > MAX_DEFERRED_ROUNDS:
-                        raise RuleError(
-                            "deferred rule firings did not quiesce after"
-                            " %d rounds" % MAX_DEFERRED_ROUNDS)
-                    conditions = txn.deferred_conditions
-                    txn.deferred_conditions = []
-                    actions = txn.deferred_actions
-                    txn.deferred_actions = []
-                    # The default deferred_batch objective watches this
-                    # (§6.3): the commit that drains an oversized set is
-                    # where the latency lands.
-                    self._deferred_batch.observe(
-                        len(conditions) + len(actions))
-                    self._fire_group([entry for entry in conditions
-                                      if entry[0].enabled], txn, DEFERRED)
-                    for rule, signal, firing, outcome in actions:
-                        self._run_action(rule, signal, firing, outcome, txn)
-        finally:
-            self._spans.finish_span(bspan)
+        # Commit-time cascade scope: the triggering commit was already
+        # journalled as a stimulus; everything below is re-derived by
+        # replay, so stimulus capture is suppressed throughout.
+        with self._suppression():
+            rounds = 0
+            while txn.has_deferred_work():
+                rounds += 1
+                if rounds > MAX_DEFERRED_ROUNDS:
+                    raise RuleError(
+                        "deferred rule firings did not quiesce after"
+                        " %d rounds" % MAX_DEFERRED_ROUNDS)
+                conditions = txn.deferred_conditions
+                txn.deferred_conditions = []
+                actions = txn.deferred_actions
+                txn.deferred_actions = []
+                # The default deferred_batch objective watches this (§6.3):
+                # the commit that drains an oversized set is where the
+                # latency lands.
+                self._deferred_batch.observe(len(conditions) + len(actions))
+                self._fire_group([entry for entry in conditions
+                                  if entry[0].enabled], txn, DEFERRED)
+                for rule, signal, firing, outcome in actions:
+                    self._run_action(rule, signal, firing, outcome, txn)

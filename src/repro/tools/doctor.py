@@ -6,8 +6,7 @@ evidence; this tool turns it into a ranked findings report.  Each
 heuristic keys off one incident signature the execution model invites:
 
 * **rule storm** — names the hottest rule by firings and walks its
-  trigger chain backwards (profiler ``triggered_by`` edges when span
-  tracing was on, the firing-log tail's event descriptions otherwise);
+  trigger chain backwards along the profiler's ``triggered_by`` edges;
 * **lock-wait p95 breach** — correlates the breached p95 with
   separate-coupling firing counts (separate firings contend with their
   triggering transactions for the same locks) and the lock manager's
@@ -121,35 +120,23 @@ def _attach_bisection(finding: Finding, bundle: Dict[str, Any]) -> Finding:
     return finding
 
 
-def _trigger_chain(rule: str, rules: Dict[str, Dict[str, Any]],
-                   firings: List[Dict[str, Any]]) -> List[str]:
-    """Walk a rule's dominant trigger edge backwards to the stimulus.
-
-    Prefers the profiler's ``triggered_by`` edges (span tracing); falls
-    back to the firing-log tail's most common event description, which
-    every bundle carries regardless of observability level.
-    """
+def _trigger_chain(rule: str, rules: Dict[str, Dict[str, Any]]) -> List[str]:
+    """Walk a rule's dominant ``triggered_by`` edge backwards to the
+    stimulus (every profile carries the edges, whatever the
+    observability level)."""
     chain = [rule]
     seen = {rule}
     current = rule
     for _ in range(8):
         edges = (rules.get(current) or {}).get("triggered_by") or {}
-        if edges:
-            source = max(sorted(edges), key=lambda name: edges[name])
-            chain.append(source)
-            if source.startswith("event:") or source in seen:
-                break
-            seen.add(source)
-            current = source
-            continue
-        events: Dict[str, int] = {}
-        for firing in firings:
-            if firing.get("rule") == current and firing.get("event"):
-                events[firing["event"]] = events.get(firing["event"], 0) + 1
-        if events:
-            chain.append("event: %s"
-                         % max(sorted(events), key=lambda e: events[e]))
-        break
+        if not edges:
+            break
+        source = max(sorted(edges), key=lambda name: edges[name])
+        chain.append(source)
+        if source.startswith("event:") or source in seen:
+            break
+        seen.add(source)
+        current = source
     return chain
 
 
@@ -173,7 +160,7 @@ def _storm(bundle: Dict[str, Any]) -> List[Finding]:
             % (guilty, profile.get("firings", 0),
                profile.get("executed", 0),
                profile.get("selectivity") or 0.0))
-        chain = _trigger_chain(guilty, rules, bundle.get("firings") or [])
+        chain = _trigger_chain(guilty, rules)
         if len(chain) > 1:
             details.append("trigger chain: %s" % " <- ".join(chain))
     value = float(alert.get("value") or 0.0)

@@ -44,7 +44,6 @@ from repro.obs.slo import (
     SLOMonitor,
     default_objectives,
 )
-from repro.obs.spans import SpanRecorder
 from repro.obs.timeseries import TimeseriesRing
 from repro.obs.watchdog import (
     CASCADE_DEPTH,
@@ -692,7 +691,7 @@ class TestRuleProfiler:
         db.create_rule(Rule(
             name="inner", event=on_create("B"), condition=Condition.true(),
             action=Action.call(lambda ctx: time.sleep(0.01))))
-        db.spans.clear()
+        db.firing_log().clear()
         with db.transaction() as txn:
             db.create("A", {"v": 0}, txn)
         profiles = db.rule_profiler().profiles()
@@ -721,7 +720,7 @@ class TestRuleProfiler:
             condition=Condition.true(),
             action=Action.call(lambda ctx: time.sleep(0.01)),
             ec_coupling=DEFERRED))
-        db.spans.clear()
+        db.firing_log().clear()
         with db.transaction() as txn:
             db.create("A", {"v": 0}, txn)
         profiles = db.rule_profiler().profiles()
@@ -755,7 +754,7 @@ class TestRuleProfiler:
         assert "3 earlier firings dropped" in report
 
     def test_empty_profiler(self):
-        profiler = RuleProfiler(FiringLog(), SpanRecorder(enabled=False))
+        profiler = RuleProfiler(FiringLog())
         assert profiler.profiles() == {}
         assert "no firings" in profiler.report()
 

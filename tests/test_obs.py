@@ -1,11 +1,13 @@
-"""Tests for the observability subsystem (metrics, spans, exports, slow log).
+"""Tests for the observability subsystem (metrics, firing causality and
+timing, exports, slow log).
 
 The headline scenario mirrors the paper's execution model: a cascaded
 firing — database event, immediate rule whose action causes a second
-event, deferred rule fired at commit (§6.3) — must come out of
-``observability="trace"`` as a *single* causal span tree whose shape
-matches the nested-transaction tree of §3.2, and survive a round trip
-through the Chrome ``trace_event`` exporter.
+event, deferred rule fired at commit (§6.3) — must come out of the firing
+log as a *single* causal tree (each firing's ``cause``) whose shape matches
+the nested-transaction tree of §3.2, timed under
+``observability="trace"``, and survive a round trip through the Chrome
+``trace_event`` exporter.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from repro import (
     on_create,
 )
 from repro.core.tracing import Tracer
-from repro.obs.export import HELP_TEXTS, prometheus_text, render_span_tree
+from repro.obs.export import HELP_TEXTS, prometheus_text, render_cascade
 from repro.obs.metrics import HOT_PATH_SAMPLE, MetricsRegistry
 from repro.obs.slowlog import SlowLog
-from repro.obs.spans import SpanRecorder
 from repro.rules.coupling import DEFERRED, IMMEDIATE, SEPARATE
 from repro.rules.firing import FiringLog, RuleFiring
 
@@ -67,9 +68,13 @@ def _fully_on_exposition(data_dir):
 
 
 class TestSpanTrees:
+    """The cascade tree is the firing log: each firing's ``cause``, and
+    its ``timing`` under ``"trace"``."""
+
     def test_cascaded_immediate_then_deferred_is_one_tree(self):
         """Event -> immediate R1 -> cascaded event -> deferred R2 at commit:
-        one root span whose children mirror the nested-transaction tree."""
+        one tree, rooted at the stimulus firing, whose edges mirror the
+        nested-transaction tree."""
         db = _tracing_db()
         db.create_rule(Rule(
             name="R1", event=on_create("A"), condition=Condition.true(),
@@ -80,63 +85,57 @@ class TestSpanTrees:
             action=Action.call(lambda ctx: ctx.create("C", {"v": 2})),
             ec_coupling=DEFERRED, ca_coupling=DEFERRED,
         ))
-        db.spans.clear()
+        db.firing_log().clear()
         with db.transaction() as txn:
             db.create("A", {"v": 0}, txn)
 
-        roots = db.spans.roots()
-        event_roots = [r for r in roots if r.kind == "event"]
-        assert len(event_roots) == 1, \
-            "cascade must form one tree, got %r" % roots
-        root = event_roots[0]
-        assert "A" in root.tags["event"]
-
-        # R1 fired immediately under the triggering event.
-        (r1,) = [s for s in root.find(rule="R1", coupling=IMMEDIATE)
-                 if s.kind == "firing"]
-        assert r1.kind == "firing" and r1.tags["satisfied"] is True
-        # Its action span hangs off the firing; the cascaded event on B
-        # nests inside the action (the §6.2 suspension protocol).
-        (r1_act,) = [s for s in r1.children if s.kind == "action"]
-        cascaded = [s for s in r1_act.walk() if s.kind == "event"]
-        assert len(cascaded) == 1 and "B" in cascaded[0].tags["event"]
-
-        # R2 is deferred: it *ran* at commit time, but its firing span is
-        # parented to the cascaded event that queued it (§6.3 causality),
-        # keeping the whole cascade in one tree.
-        (r2,) = [s for s in root.find(rule="R2", coupling=DEFERRED)
-                 if s.kind == "firing"]
-        assert r2.parent_id == cascaded[0].span_id
-        assert r2.start >= cascaded[0].end  # fired after the event closed
-        assert [s.kind for s in r2.children].count("condition") == 1
-        assert any(s.kind == "action" for s in r2.children)
+        r1, r2 = db.firing_log().all()
+        # R1 fired immediately on the stimulus, nested in its transaction.
+        assert (r1.rule_name, r1.ec_coupling, r1.cause) == \
+            ("R1", IMMEDIATE, None)
+        assert "A" in r1.event and r1.satisfied is True
+        assert r1.triggering_txn == txn.txn_id
+        # R2 is deferred: it *ran* at commit time, but its cause is R1,
+        # whose action made the write that queued it (§6.3 causality).
+        assert (r2.rule_name, r2.ec_coupling, r2.cause) == \
+            ("R2", DEFERRED, r1.firing_id)
+        assert "B" in r2.event and r2.executed
+        # Both phases of both firings are timed, and R2 started only after
+        # R1's action ended (the commit drained it).
+        (_, r1_cond, _), (_, r1_act, r1_end) = r1.timing
+        (_, r2_start, r2_cond_end), (_, r2_act, _) = r2.timing
+        assert r1_cond <= r1_act <= r1_end <= r2_start
+        assert r2_start <= r2_cond_end <= r2_act
 
     def test_separate_firing_attaches_to_launching_event(self):
-        """A separate-coupled firing runs on its own thread but its span
-        hangs off the event span captured at launch time."""
+        """A separate-coupled firing runs on its own thread; it is a
+        stimulus firing of the launching event, and what its action
+        triggers there names it as the cause."""
         db = _tracing_db()
         db.create_rule(Rule(
             name="SEP", event=on_create("A"), condition=Condition.true(),
             action=Action.call(lambda ctx: ctx.create("B", {"v": 1})),
             ec_coupling=SEPARATE, ca_coupling=IMMEDIATE,
         ))
-        db.spans.clear()
+        db.create_rule(Rule(
+            name="ON_B", event=on_create("B"), condition=Condition.true(),
+            action=Action.call(lambda ctx: None),
+        ))
+        db.firing_log().clear()
         with db.transaction() as txn:
             db.create("A", {"v": 0}, txn)
         assert db.drain(5.0)
 
-        # The separate firing's own event (create B) roots a separate tree
-        # on the worker thread; the firing span itself belongs to the
-        # launching event's tree.
-        launch_roots = [r for r in db.spans.roots()
-                        if r.kind == "event" and "A" in r.tags["event"]]
-        assert len(launch_roots) == 1
-        (fire,) = [s for s in launch_roots[0].find(rule="SEP")
-                   if s.kind == "firing"]
-        assert fire.tags["separate_thread"] is True
-        assert fire.tid != launch_roots[0].tid
+        sep, on_b = db.firing_log().all()
+        assert sep.rule_name == "SEP" and sep.cause is None
+        assert "A" in sep.event and sep.separate_thread is True
+        assert sep.timing[0][0] != threading.get_ident()
+        assert on_b.cause == sep.firing_id
+        assert on_b.timing[0][0] == sep.timing[1][0]
 
     def test_deferred_batch_span_wraps_commit_time_work(self):
+        """The commit-time facts the deferred-batch span carried sit on
+        the deferred firing itself."""
         db = _tracing_db()
         db.create_rule(Rule(
             name="DEF", event=on_create("A"), condition=Condition.true(),
@@ -144,36 +143,34 @@ class TestSpanTrees:
                 ctx.signal.oid, {"v": 99})),
             ec_coupling=DEFERRED, ca_coupling=IMMEDIATE,
         ))
-        db.spans.clear()
+        db.firing_log().clear()
         with db.transaction() as txn:
             db.create("A", {"v": 0}, txn)
-        batches = [r for root in db.spans.roots() for r in root.walk()
-                   if r.kind == "deferred_batch"]
-        assert len(batches) == 1
-        assert batches[0].tags["txn"] == txn.txn_id
+        (firing,) = db.firing_log().all()
+        assert firing.deferred and firing.executed
+        assert firing.triggering_txn == txn.txn_id
+        assert firing.condition_txn is not None
+        assert firing.condition_txn != firing.action_txn is not None
+        assert all(phase is not None for phase in firing.timing)
 
     def test_default_observability_records_no_spans(self):
         db = HiPAC(lock_timeout=2.0)
         db.define_class(ClassDef("A", attributes(("v", "int"))))
         db.create_rule(Rule(
             name="R", event=on_create("A"), condition=Condition.true(),
-            action=Action.call(lambda ctx: None),
+            action=Action.call(lambda ctx: ctx.create("A", {"v": 1})
+                               if ctx.bindings["new_v"] == 0 else None),
         ))
         with db.transaction() as txn:
             db.create("A", {"v": 0}, txn)
-        assert db.spans.roots() == []
-        assert not db.spans.enabled
-        # ...but metrics did record (production default).
+        outer, inner = db.firing_log().all()
+        assert outer.timing is None and inner.timing is None
+        assert not db.rule_manager.trace
+        # ...but causes are recorded at every level...
+        assert (outer.cause, inner.cause) == (None, outer.firing_id)
+        # ...and metrics did record (production default).
         assert db.metrics.enabled
         assert db.metrics.histogram("om_operation_seconds").count >= 0
-
-    def test_root_ring_bounded_and_drops_counted(self):
-        recorder = SpanRecorder(capacity=3)
-        for index in range(5):
-            recorder.finish_span(recorder.start_span("s%d" % index))
-        assert len(recorder.roots()) == 3
-        assert recorder.dropped == 2
-        assert [r.name for r in recorder.roots()] == ["s2", "s3", "s4"]
 
 
 class TestChromeExport:
@@ -183,7 +180,7 @@ class TestChromeExport:
             name="R1", event=on_create("A"), condition=Condition.true(),
             action=Action.call(lambda ctx: ctx.create("B", {"v": 1})),
         ))
-        db.spans.clear()
+        db.firing_log().clear()
         with db.transaction() as txn:
             db.create("A", {"v": 0}, txn)
 
@@ -212,7 +209,7 @@ class TestChromeExport:
             action=Action.call(lambda ctx: None),
             ec_coupling=DEFERRED,
         ))
-        db.spans.clear()
+        db.firing_log().clear()
         with db.transaction() as txn:
             db.create("A", {"v": 0}, txn)
         events = db.export_trace()["traceEvents"]
@@ -225,11 +222,15 @@ class TestChromeExport:
             sorted(e["id"] for e in finishes)
 
     def test_write_to_file(self, tmp_path):
-        recorder = SpanRecorder()
-        recorder.finish_span(recorder.start_span("root", kind="event"))
+        db = _tracing_db()
+        db.create_rule(Rule(
+            name="R", event=on_create("A"), condition=Condition.true(),
+            action=Action.call(lambda ctx: None)))
+        with db.transaction() as txn:
+            db.create("A", {"v": 0}, txn)
         path = tmp_path / "trace.json"
         from repro.obs.export import write_chrome_trace
-        document = write_chrome_trace(recorder, path)
+        document = write_chrome_trace(db.firing_log(), path)
         assert json.loads(path.read_text())["traceEvents"] == \
             json.loads(json.dumps(document["traceEvents"]))
 
@@ -411,9 +412,9 @@ class TestExportsAndFacade:
         text = db.prometheus_metrics()
         assert "# TYPE hipac_txn_commit_seconds histogram" in text
         assert "\nhipac_rules_conditions_evaluated 1\n" in text
-        root = db.spans.last_root()
-        rendered = render_span_tree(root)
+        rendered = render_cascade(db.firing_log())
         assert "fire:R" in rendered and rendered.startswith("event:")
+        assert "act=" in rendered
 
     def test_observability_off_switch(self):
         db = HiPAC(lock_timeout=2.0, observability=False)
@@ -422,7 +423,7 @@ class TestExportsAndFacade:
             db.create("A", {"v": 0}, txn)
         assert not db.metrics.enabled
         assert not db.slow_log.enabled
-        assert db.spans.roots() == []
+        assert not db.rule_manager.trace
         snapshot = db.metrics.collect()
         assert all(h["count"] == 0
                    for h in snapshot["histograms"].values())
@@ -440,8 +441,8 @@ class TestExportsAndFacade:
         with db.transaction() as txn:
             db.create("A", {"v": 0}, txn)
         obs = db.stats()["obs"]
-        assert obs["spans_retained"] >= 1
-        assert "firing_log_dropped" in obs
+        assert set(obs) == {"slow_entries", "slow_dropped",
+                            "firing_log_dropped"}
 
 
 def test_help_texts_name_real_families(tmp_path):

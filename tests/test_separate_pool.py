@@ -196,7 +196,7 @@ class TestReusedWorker:
                 thread=threading.current_thread(),
                 name=threading.current_thread().name,
                 depth=getattr(manager._depth, "value", 0),
-                span=db.spans.current(),
+                running=list(manager.running.stack),
                 suppressed=db.flight_recorder.suppressed_here,
                 cause=db.provenance.current_cause())
 
@@ -205,7 +205,7 @@ class TestReusedWorker:
         assert probe["thread"] is threads[0] is threads[1]
         assert probe["name"] == "hipac-sep"
         assert probe["depth"] == 0
-        assert probe["span"] is None
+        assert probe["running"] == []
         assert probe["suppressed"] is False
         assert probe["cause"] is None
         db.close()
