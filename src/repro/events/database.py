@@ -29,7 +29,6 @@ that scan as the oracle).
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import tracing
@@ -131,16 +130,13 @@ class DatabaseEventDetector(EventDetector):
         Returns the specs that matched (useful to callers that must know
         whether the operation was relevant to any rule).  When a signal
         matches several specs it is reported once per spec, each report
-        carrying its own spec tag on its own shallow copy — the caller's
-        signal object is never mutated.
+        carrying its own spec tag on its own :meth:`EventSignal.tagged`
+        copy — the caller's signal is never re-tagged.
         """
         matched = self._probe(signal)
         if not matched:
             return matched  # type: ignore[return-value]
-        # Each report needs an independent .spec tag; always copy (cheap
-        # shallow copy — snapshots inside are never mutated) so the caller's
-        # signal stays untouched however many specs match.
-        self.report_batch([(spec, copy.copy(signal)) for spec in matched])
+        self.report_batch([(spec, signal.tagged(spec)) for spec in matched])
         return matched  # type: ignore[return-value]
 
     def _probe(self, signal: EventSignal) -> List[DatabaseEventSpec]:

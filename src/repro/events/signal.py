@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.events.spec import EventSpec
 from repro.objstore.objects import OID
+from repro.util.canonical import once
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.txn.transaction import Transaction
@@ -58,6 +59,17 @@ class EventSignal:
     #: the spec the signal was matched against (set by the detector)
     spec: Optional[EventSpec] = None
 
+    def tagged(self, spec: EventSpec) -> "EventSignal":
+        """This occurrence reported as an occurrence of ``spec``: a shallow
+        copy carrying its own spec tag, and every fact already computed
+        from the occurrence (the detector has derived its changed
+        attributes by then)."""
+        twin = object.__new__(EventSignal)
+        twin.__dict__.update(self.__dict__)
+        twin.spec = spec
+        return twin
+
+    @once
     def changed_attrs(self) -> frozenset:
         """For update events: the set of attributes whose value changed."""
         if self.old_attrs is None or self.new_attrs is None:
@@ -78,7 +90,14 @@ class EventSignal:
         constituent bindings in occurrence order (later constituents win on
         conflicts) and additionally expose ``event_<i>_<name>`` per
         constituent.  All signals bind ``timestamp``.
+
+        Built once per signal; each caller gets its own copy, so one rule's
+        edits to its bindings never reach another rule's.
         """
+        return dict(self._bindings())
+
+    @once
+    def _bindings(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"timestamp": self.timestamp, "event_kind": self.kind}
         if self.kind == "database":
             out["op"] = self.op

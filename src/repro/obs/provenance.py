@@ -328,7 +328,7 @@ class ProvenanceStore:
             journal_seq = self._envelope(stack, i - 1).journal_seq
         slot[3] = CausalEnvelope(
             kind="rule", rule=rule.name, firing_id=firing.firing_id,
-            event=signal.describe(), event_kind=signal.kind,
+            event=firing.event, event_kind=signal.kind,
             trigger_oid=trigger_oid, trigger_attrs=trigger_attrs,
             trigger_op=trigger_op, journal_seq=journal_seq)
         return slot[3]

@@ -14,12 +14,16 @@ groups, and crash-recovery re-attachment.  The firing path
 :meth:`RuleCatalog.triggered` (which enabled rules does this signal fire?)
 and :meth:`RuleCatalog.on_rule_object` (an operation on a rule object was
 signalled — keep the catalog in step).
+
+Whatever a firing needs that depends on the rule alone is made here, when
+the catalog changes, not on every firing: each event spec's enabled rules
+already in firing order, and each rule's :class:`FiringPlan`.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.conditions.evaluator import ConditionEvaluator
 from repro.core import tracing
@@ -41,13 +45,34 @@ from repro.txn.transaction import Transaction
 from repro.txn.undo import CallbackUndo
 
 
+def firing_order(rule: Rule) -> Tuple[int, str]:
+    """Sort key of serial firing: higher ``priority`` first, then name."""
+    return -rule.priority, rule.name
+
+
+class FiringPlan:
+    """What every firing of one rule reuses (§6.2), made once when the
+    catalog registers the rule: the labels of its condition and action
+    transactions, and the histogram its action's run time goes to."""
+
+    __slots__ = ("cond", "act", "sep_cond", "sep_act", "action_seconds")
+
+    def __init__(self, rule: Rule, action_seconds: Any) -> None:
+        self.cond = "cond:" + rule.name
+        self.act = "act:" + rule.name
+        self.sep_cond = "sep-cond:" + rule.name
+        self.sep_act = "sep-act:" + rule.name
+        self.action_seconds = action_seconds
+
+
 class RuleCatalog:
     """The registered rules and the event->rule mapping (§6.1)."""
 
     def __init__(self, object_manager: ObjectManager,
                  evaluator: ConditionEvaluator, txn_detector: Any,
                  temporal_detector: Any, external_detector: Any,
-                 composite_detector: Any, tracer: tracing.Tracer) -> None:
+                 composite_detector: Any, tracer: tracing.Tracer, *,
+                 action_seconds: Dict[str, Any]) -> None:
         self._om = object_manager
         self._evaluator = evaluator
         self._txn_detector = txn_detector
@@ -55,6 +80,8 @@ class RuleCatalog:
         self._external = external_detector
         self._composite = composite_detector
         self._tracer = tracer
+        #: the action-time histogram of each C-A coupling
+        self._action_seconds = action_seconds
         #: flight recorder; None unless the facade enables it.  Rule
         #: administration is journalled here as a stimulus: the rule-object
         #: operation itself is *not* journalled at the Object Manager
@@ -64,6 +91,9 @@ class RuleCatalog:
         self._rules: Dict[str, Rule] = {}
         self._rules_by_oid: Dict[OID, Rule] = {}
         self._event_map: Dict[EventSpec, Set[str]] = {}
+        #: what :meth:`triggered` answers: per event spec, its enabled
+        #: rules in :func:`firing_order`; rebuilt whenever one changes
+        self._triggered: Dict[EventSpec, Tuple[Rule, ...]] = {}
         self._pending = threading.local()
 
     # ============================================================ rule ops
@@ -182,14 +212,9 @@ class RuleCatalog:
 
     # ==================================================== the firing path's view
 
-    def triggered(self, signal: EventSignal) -> List[Rule]:
-        """The enabled rules ``signal`` triggers, in name order."""
-        if signal.spec is None:
-            return []
-        rules = self._rules
-        return [rules[name]
-                for name in sorted(self._event_map.get(signal.spec, ()))
-                if name in rules and rules[name].enabled]
+    def triggered(self, signal: EventSignal) -> Tuple[Rule, ...]:
+        """The enabled rules ``signal`` triggers, in :func:`firing_order`."""
+        return self._triggered.get(signal.spec, ())
 
     def on_rule_object(self, signal: EventSignal) -> None:
         """Keep the catalog in step with an operation on a ``HiPAC::Rule``
@@ -225,6 +250,7 @@ class RuleCatalog:
 
     def _register(self, rule: Rule, oid: OID, txn: Transaction) -> None:
         rule.oid = oid
+        rule.plan = FiringPlan(rule, self._action_seconds[rule.ca_coupling])
         # §6.1 step 1: add the rule to the condition graph.
         self._evaluator.add_rule(rule.condition, txn)
         # §6.1 step 2: program the event detectors.
@@ -253,6 +279,7 @@ class RuleCatalog:
         self._event_map.setdefault(rule.event, set()).add(rule.name)
         self._rules[rule.name] = rule
         self._rules_by_oid[rule.oid] = rule
+        self._order(rule.event)
 
     def _forget(self, rule: Rule) -> None:
         names = self._event_map.get(rule.event)
@@ -262,6 +289,17 @@ class RuleCatalog:
                 del self._event_map[rule.event]
         self._rules.pop(rule.name, None)
         self._rules_by_oid.pop(rule.oid, None)
+        self._order(rule.event)
+
+    def _order(self, spec: EventSpec) -> None:
+        """Rebuild what :meth:`triggered` answers for ``spec``."""
+        rules = self._rules
+        enabled = [rules[name] for name in self._event_map.get(spec, ())
+                   if name in rules and rules[name].enabled]
+        if enabled:
+            self._triggered[spec] = tuple(sorted(enabled, key=firing_order))
+        else:
+            self._triggered.pop(spec, None)
 
     def _set_enabled(self, rule: Rule, enabled: bool, txn: Transaction) -> None:
         previous = rule.enabled
@@ -274,15 +312,15 @@ class RuleCatalog:
         txn.log_undo(CallbackUndo(revert, label="revert enable %s" % rule.name))
 
     def _sync_detector_enablement(self, rule: Rule) -> None:
-        """Disable event detection for a spec only when *no* enabled rule
-        uses it (several rules may share one event, §5.3)."""
+        """Re-order ``rule``'s event, and disable its detection only when
+        *no* enabled rule uses it (several rules may share one event,
+        §5.3)."""
         spec = rule.event
+        self._order(spec)
         detector = self.detector_for(spec)
         if detector is None or not detector.is_defined(spec):
             return
-        if any(self._rules[name].enabled
-               for name in self._event_map.get(spec, ())
-               if name in self._rules):
+        if spec in self._triggered:
             detector.enable_event(spec)
         else:
             detector.disable_event(spec)

@@ -60,7 +60,7 @@ from repro.obs.slowlog import SlowLog
 from repro.obs.watchdog import Watchdog
 from repro.objstore.manager import ObjectManager
 from repro.rules.actions import ActionContext
-from repro.rules.catalog import RuleCatalog
+from repro.rules.catalog import RuleCatalog, firing_order
 from repro.rules.coupling import DEFERRED, IMMEDIATE, MODES, SEPARATE
 from repro.rules.firing import FiringLog, Phase, RuleFiring
 from repro.rules.rule import RULE_CLASS, Rule
@@ -74,6 +74,8 @@ SEPARATE_WORKERS = min(32, (os.cpu_count() or 1) + 4)
 MAX_DEFERRED_ROUNDS = 1000
 #: seconds :meth:`RuleManager.drain` waits when the caller names no timeout
 DRAIN_TIMEOUT = 60.0
+#: the suppression scope without a flight recorder (reusable, stateless)
+_UNSUPPRESSED = nullcontext()
 
 #: one triggered rule on its way through the firing path: the rule, its own
 #: spec-tagged copy of the signal, and the record made at partition (§6.2)
@@ -156,11 +158,6 @@ class RuleManager:
         self.trace = trace
         self._slow_log = slow_log
         self._watchdog = watchdog
-        self._action_seconds = {
-            ca: self._metrics.histogram("rule_action_seconds",
-                                        sample=HOT_PATH_SAMPLE, coupling=ca)
-            for ca in MODES
-        }
         self._deferred_batch = self._metrics.histogram(
             "deferred_batch_size", buckets=DEFAULT_SIZE_BUCKETS)
 
@@ -171,10 +168,14 @@ class RuleManager:
             tracer=tracer, component=tracing.TRANSACTION_MANAGER,
             metrics=self._metrics)
         self.txn_detector.sink_batch = self.signal_event_batch
-        #: §6.1: the registered rules and the event->rule mapping
+        #: §6.1: the registered rules, the event->rule mapping, and each
+        #: rule's firing plan (its action times go to these histograms)
         self.catalog = RuleCatalog(
             object_manager, evaluator, self.txn_detector, temporal_detector,
-            external_detector, composite_detector, tracer)
+            external_detector, composite_detector, tracer, action_seconds={
+                ca: metrics.histogram("rule_action_seconds",
+                                      sample=HOT_PATH_SAMPLE, coupling=ca)
+                for ca in MODES})
 
         #: flight recorder; None unless the facade enables it.  The Rule
         #: Manager is the journal's gatekeeper: every rule-cascade scope
@@ -203,15 +204,12 @@ class RuleManager:
 
     def _suppression(self):
         """Context manager muting flight-recorder stimulus capture on this
-        thread for the duration of rule-cascade work.
-
-        Transaction-internal filtering alone is not enough: rule actions may
-        call into applications (``ctx.request``) that open their own
-        non-internal top-level transactions, and separate-coupling firings
-        run on worker threads, outside every cascade — so the scope is
-        thread-local and entered wherever cascade processing begins."""
+        thread for the duration of rule-cascade work.  Thread-local, and
+        entered wherever cascade processing begins: rule actions may call
+        applications (``ctx.request``) that open their own top-level
+        transactions, and separate firings run on worker threads."""
         if self.recorder is None:
-            return nullcontext()
+            return _UNSUPPRESSED
         return self.recorder.suppressed()
 
     def signal_event(self, signal: EventSignal) -> None:
@@ -250,9 +248,7 @@ class RuleManager:
             self._watchdog.note_cascade_limit(depth, described)
             raise CascadeLimitExceeded(
                 "rule cascade exceeded max depth %d (signal %s)"
-                % (self.config.max_cascade_depth, described),
-                depth=depth,
-            )
+                % (self.config.max_cascade_depth, described), depth=depth)
         self._depth.value = depth + 1
         if depth + 1 > self.stats["max_cascade_depth_seen"]:
             self.stats["max_cascade_depth_seen"] = depth + 1
@@ -279,9 +275,8 @@ class RuleManager:
                              for rule in self.catalog.triggered(signal)]
                 if triggered:
                     self.stats["triggered"] += len(triggered)
-                    # One global firing order across all matched specs.
-                    triggered.sort(key=lambda pair: (-pair[0].priority,
-                                                     pair[0].name))
+                    if len(signals) > 1:  # one order across matched specs
+                        triggered.sort(key=lambda pair: firing_order(pair[0]))
                     self._process_firings(triggered)
         finally:
             self._depth.value = depth
@@ -296,11 +291,15 @@ class RuleManager:
         (their rules cannot run inside the aborted transaction)."""
         if kind == "commit":
             self._process_deferred(txn)
-        if not txn.internal:
-            self.txn_detector.observe(EventSignal(
-                kind="database", op=kind,
-                txn=None if kind == "abort" else txn,
-                timestamp=self._clock.now()))
+        if txn.internal:
+            return
+        if not self.txn_detector.relevant(kind, None):
+            # No rule waits on it: the detector's fast path, no signal built.
+            self.txn_detector.stats["fast_path"] += 1
+            return
+        self.txn_detector.observe(EventSignal(
+            kind="database", op=kind, txn=None if kind == "abort" else txn,
+            timestamp=self._clock.now()))
 
     def fire_rule(self, name: str, txn: Optional[Transaction], *,
                   args: Optional[Dict[str, Any]] = None) -> None:
@@ -333,43 +332,46 @@ class RuleManager:
         ``triggered`` pairs each rule with the signal that triggered it (its
         own spec-tagged copy of the operation), already in global firing
         order.  All signals of one call describe the same operation, so they
-        share one transaction.  Each pair gets its :class:`RuleFiring` here —
-        the one record of that firing, whenever and wherever it runs.
+        share one transaction and one description.  Each pair gets its
+        :class:`RuleFiring` here — the one record of that firing, whenever
+        and wherever it runs.
         """
         txn = triggered[0][1].txn
+        triggering = txn.txn_id if txn is not None else None
+        event = triggered[0][1].describe()
         # The action running here caused these firings, however much later
         # (deferred at commit, §6.3) or elsewhere (separate) they run.
         running = self.running.stack
         cause = running[-1][1].firing_id if running else None
-        groups: Dict[str, List[Entry]] = {mode: [] for mode in MODES}
+        entries: List[Entry] = []
+        only_immediate = txn is not None
         for rule, signal in triggered:
-            firing = self.firings.append(RuleFiring(
-                rule.name, signal.describe(), rule.ec_coupling,
-                rule.ca_coupling,
-                triggering_txn=txn.txn_id if txn is not None else None,
-                cause=cause))
-            groups[rule.ec_coupling].append((rule, signal, firing))
-
-        for rule, signal, firing in groups[SEPARATE]:
-            self._launch_separate(rule, signal, firing)
-
+            entries.append((rule, signal, self.firings.append(RuleFiring(
+                rule.name, event, rule.ec_coupling, rule.ca_coupling,
+                triggering_txn=triggering, cause=cause))))
+            only_immediate &= rule.ec_coupling == IMMEDIATE
+        if only_immediate:  # every SAA quote: nothing to partition
+            self._fire_group(entries, txn, IMMEDIATE)
+            return
+        groups = {mode: [entry for entry in entries
+                         if entry[0].ec_coupling == mode] for mode in MODES}
+        for entry in groups[SEPARATE]:
+            self._launch_separate(*entry)
         immediate = groups[IMMEDIATE]
-        if txn is None:
-            # Events outside any transaction (temporal, detached external):
-            # host immediate *and* deferred work in a fresh top-level
-            # transaction; its commit drives the deferred set.
-            immediate = immediate + groups[DEFERRED]
-        else:
+        if txn is not None:
             target = txn.top_level() if self.config.defer_to_top_level else txn
             for entry in groups[DEFERRED]:
                 self.stats["deferred_queued"] += 1
                 entry[2].deferred = True
                 target.add_deferred_condition(entry)
-
-        if not immediate:
+            if immediate:
+                self._fire_group(immediate, txn, IMMEDIATE)
             return
-        if txn is not None:
-            self._fire_group(immediate, txn, IMMEDIATE)
+        # Events outside any transaction (temporal, detached external): host
+        # immediate *and* deferred work in a fresh top-level transaction;
+        # its commit drives the deferred set.
+        immediate += groups[DEFERRED]
+        if not immediate:
             return
         host = self._txns.create_transaction(source=tracing.RULE_MANAGER,
                                              label="detached-firing",
@@ -399,7 +401,7 @@ class RuleManager:
             outcomes = [self._run_condition(*entry, host, memo, coupling)
                         for entry in entries]
         for (rule, signal, firing), outcome in zip(entries, outcomes):
-            if outcome.satisfied:
+            if outcome:  # satisfied, and not dropped
                 self._route_action(rule, signal, firing, outcome, host)
 
     def _route_action(self, rule: Rule, signal: EventSignal,
@@ -436,12 +438,16 @@ class RuleManager:
         a new subtransaction of it and errors propagate to the triggering
         operation.  ``parent=None`` is separate E-C: a new top-level
         transaction that also hosts the action routing before it commits;
-        no caller is waiting, so errors are collected instead of raised."""
+        no caller is waiting, so errors are collected instead of raised.  A
+        deferred firing of a rule disabled since it was queued is dropped
+        (None), unless it is a manual fire (a signal no spec tagged)."""
+        if not rule.enabled and coupling == DEFERRED and signal.spec is not None:
+            return None
         separate = parent is None
         begun = _time.perf_counter() if self.trace else None
         ctxn = self._txns.create_transaction(
             parent=parent, source=tracing.RULE_MANAGER, internal=True,
-            label=("sep-cond:%s" if separate else "cond:%s") % rule.name)
+            label=rule.plan.sep_cond if separate else rule.plan.cond)
         if not separate:
             # What the condition nests under — the event's transaction, its
             # top level (deferred scoping) or a detached-firing host.
@@ -461,11 +467,9 @@ class RuleManager:
                 self._txns.commit_transaction(ctxn, source=tracing.RULE_MANAGER)
             firing.satisfied = outcome.satisfied
             if self.recorder is not None:
-                # Response record (bypasses suppression): the journalled
-                # outcome replay diffs its own evaluations against.  It
-                # buffers on the enclosing sphere — the condition
-                # transaction's top level — unless the firing is on a
-                # separate thread, which flushes itself.
+                # Response record (bypasses suppression) replay diffs its
+                # own evaluations against, buffered on the enclosing sphere
+                # unless on a separate thread, which flushes itself.
                 self.recorder.record_firing(firing, ctxn.top_level())
             if separate:
                 if begun is not None:
@@ -493,11 +497,11 @@ class RuleManager:
         separate = parent is None
         atxn = self._txns.create_transaction(
             parent=parent, source=tracing.RULE_MANAGER, internal=True,
-            label=("sep-act:%s" if separate else "act:%s") % rule.name)
+            label=rule.plan.sep_act if separate else rule.plan.act)
         firing.action_txn = atxn.txn_id
         if separate:
             firing.separate_thread = True
-        hist = self._action_seconds[rule.ca_coupling]
+        hist = rule.plan.action_seconds
         timed = hist.should_sample()
         start = _time.perf_counter() if timed or self.trace else 0.0
         try:
@@ -592,7 +596,6 @@ class RuleManager:
                     body()
             finally:
                 worker.name = own
-
         self.executor.submit(self._clock.now() + deadline
                              if deadline is not None else float("inf"), run)
 
@@ -625,18 +628,14 @@ class RuleManager:
             while txn.has_deferred_work():
                 rounds += 1
                 if rounds > MAX_DEFERRED_ROUNDS:
-                    raise RuleError(
-                        "deferred rule firings did not quiesce after"
-                        " %d rounds" % MAX_DEFERRED_ROUNDS)
-                conditions = txn.deferred_conditions
-                txn.deferred_conditions = []
-                actions = txn.deferred_actions
-                txn.deferred_actions = []
+                    raise RuleError("deferred rule firings did not quiesce"
+                                    " after %d rounds" % MAX_DEFERRED_ROUNDS)
+                conditions, txn.deferred_conditions = txn.deferred_conditions, []
+                actions, txn.deferred_actions = txn.deferred_actions, []
                 # The default deferred_batch objective watches this (§6.3):
                 # the commit that drains an oversized set is where the
                 # latency lands.
                 self._deferred_batch.observe(len(conditions) + len(actions))
-                self._fire_group([entry for entry in conditions
-                                  if entry[0].enabled], txn, DEFERRED)
+                self._fire_group(conditions, txn, DEFERRED)
                 for rule, signal, firing, outcome in actions:
                     self._run_action(rule, signal, firing, outcome, txn)

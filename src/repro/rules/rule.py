@@ -22,7 +22,7 @@ disable) require write locks" (§2.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from repro.conditions.condition import Condition
 from repro.errors import RuleError
@@ -89,6 +89,9 @@ class Rule:
 
     #: the rule's object in the store; assigned at creation
     oid: Optional[OID] = None
+    #: what every firing of the rule reuses
+    #: (:class:`~repro.rules.catalog.FiringPlan`); made at registration
+    plan: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:

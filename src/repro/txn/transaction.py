@@ -17,10 +17,19 @@ transaction:
   manager processes at commit (paper §6.3);
 * post-commit / post-abort hooks (causally-dependent separate firings,
   application notifications).
+
+A tree is held from its root down: ``parent.children`` holds each child,
+and a child reaches its parent through a weak reference.  So a tree holds
+no reference cycle, and reference counting frees it the moment nothing
+holds it.  An active transaction is always held (the Transaction Manager
+keeps every unterminated one), so an active child's ``parent`` always
+answers; a finished subtransaction reaches its parent only while something
+holds the tree.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.errors import TransactionStateError
@@ -31,6 +40,11 @@ ACTIVE = "active"
 COMMITTING = "committing"
 COMMITTED = "committed"
 ABORTED = "aborted"
+
+
+def _ROOT() -> None:
+    """The parent reference of a top-level transaction."""
+    return None
 
 
 class Transaction:
@@ -57,7 +71,7 @@ class Transaction:
     def __init__(self, txn_id: str, parent: Optional["Transaction"] = None,
                  *, label: str = "", internal: bool = False) -> None:
         self.txn_id = txn_id
-        self.parent = parent
+        self._parent = _ROOT if parent is None else weakref.ref(parent)
         #: True for transactions the Rule Manager creates to run rule
         #: firings; internal transactions do not generate user-visible
         #: transaction-control events (their commits would otherwise
@@ -96,23 +110,30 @@ class Transaction:
 
     # ----------------------------------------------------------- structure
 
+    @property
+    def parent(self) -> Optional["Transaction"]:
+        """The enclosing transaction; None for a top-level one, and for a
+        finished subtransaction whose tree nothing holds any more."""
+        return self._parent()
+
     def is_top_level(self) -> bool:
         """True for transactions with no parent."""
-        return self.parent is None
+        return self._parent is _ROOT
 
     def top_level(self) -> "Transaction":
         """Return the root of this transaction's tree."""
         node = self
-        while node.parent is not None:
-            node = node.parent
+        parent = node._parent()
+        while parent is not None:
+            node, parent = parent, parent._parent()
         return node
 
     def ancestors(self, include_self: bool = False) -> Iterator["Transaction"]:
         """Yield ancestors from (optionally) self up to the top level."""
-        node = self if include_self else self.parent
+        node = self if include_self else self._parent()
         while node is not None:
             yield node
-            node = node.parent
+            node = node._parent()
 
     def is_descendant_of(self, other: "Transaction") -> bool:
         """True if ``other`` is this transaction or one of its ancestors."""
@@ -120,7 +141,7 @@ class Transaction:
         while node is not None:
             if node is other:
                 return True
-            node = node.parent
+            node = node._parent()
         return False
 
     def active_children(self) -> List["Transaction"]:

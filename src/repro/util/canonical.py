@@ -40,8 +40,10 @@ def once(method):
     Predicates and queries are immutable values that are keyed, hashed and
     compiled many times over a rule's life; what they derive from their own
     structure is computed on first use and kept in the instance ``__dict__``
-    (which also works on frozen dataclasses).  Two threads racing on the
-    first call both compute the same value; the last store wins.
+    (which also works on frozen dataclasses).  An event signal's facts are
+    as fixed once it is detected, and its bindings and changed attributes
+    are kept the same way.  Two threads racing on the first call both
+    compute the same value; the last store wins.
     """
     slot = "_once_" + method.__name__
 

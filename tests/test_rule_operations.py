@@ -219,6 +219,33 @@ class TestManualFire:
             db.fire_rule("probe", txn)
         assert events == ["probe"]
 
+    def test_fire_works_when_disabled_deferred(self, db):
+        """The deferred twin of the test above: the firing is queued on
+        the transaction and still runs at its commit (§6.3)."""
+        events = []
+        db.create_rule(probe_rule(events, ec_coupling="deferred"))
+        db.disable_rule("probe")
+        with db.transaction() as txn:
+            db.fire_rule("probe", txn)
+            assert events == []
+        assert events == ["probe"]
+        [firing] = db.firing_log().for_rule("probe")
+        assert (firing.deferred, firing.satisfied, firing.executed) == (
+            True, True, True)
+
+    def test_deferred_firing_dropped_when_disabled_before_commit(self, db):
+        """Automatic firing stays off: a deferred firing whose rule is
+        disabled before the commit that would run it never runs."""
+        events = []
+        db.create_rule(probe_rule(events, ec_coupling="deferred"))
+        with db.transaction() as txn:
+            oid = db.create("Stock", {"symbol": "X", "price": 1.0}, txn)
+            db.update(oid, {"price": 2.0}, txn)
+            db.rule_catalog.disable_rule("probe", txn)
+        assert events == []
+        [firing] = db.firing_log().for_rule("probe")
+        assert (firing.deferred, firing.satisfied) == (True, None)
+
     def test_fire_with_args_binds_them(self, db):
         seen = []
         db.create_rule(Rule(
