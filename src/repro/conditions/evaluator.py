@@ -20,12 +20,18 @@ evaluation, and materialization of derived data"):
 * parameterized queries run through the (index-aware) executor, with a
   per-signal **memo** so that many rules sharing one query evaluate it once
   per event;
-* ``use_graph=False`` turns all of this off (the naive baseline for the
-  sharing-ablation benchmark: every rule re-runs every query from scratch).
+* every attribute a parameterized query tests by equality is indexed on
+  each extent the query ranges over: *Add Rule* requests the index from the
+  store and *Delete Rule* releases it (shared by reference count), so the
+  executor probes one bucket instead of scanning the extent;
+* ``use_graph=False`` turns the graph off (the naive baseline for the
+  sharing-ablation benchmark: every rule re-runs every query from scratch);
+  whether an index is probed is the executor's ``use_indexes`` alone.
 """
 
 from __future__ import annotations
 
+import threading
 import time as _time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -38,6 +44,7 @@ from repro.obs.metrics import HOT_PATH_SAMPLE, MetricsRegistry
 from repro.obs.slowlog import SlowLog
 from repro.objstore.joins import JoinQuery
 from repro.objstore.manager import ObjectManager
+from repro.objstore.predicates import equality_lookups
 from repro.objstore.query import Query, QueryResult
 from repro.txn.transaction import Transaction
 from repro.txn.undo import CallbackUndo
@@ -45,6 +52,9 @@ from repro.util.canonical import freeze
 
 Memo = Dict[Tuple, QueryResult]
 """Per-signal evaluation cache: (query key, bindings fingerprint) -> result."""
+
+IndexKeys = Tuple[Tuple[str, str], ...]
+"""The ``(class, attribute)`` indexes one query requested."""
 
 
 class ConditionEvaluator:
@@ -71,6 +81,9 @@ class ConditionEvaluator:
         object_manager.add_delta_listener(self.graph.on_delta)
         self.stats = {"evaluations": 0, "graph_answers": 0,
                       "executor_answers": 0, "memo_hits": 0}
+        #: parameterized query -> the index keys of each live request
+        self._indexed: Dict[Query, List[IndexKeys]] = {}
+        self._index_mutex = threading.Lock()
 
     # ------------------------------------------------- paper §5.5 interface
 
@@ -80,10 +93,18 @@ class ConditionEvaluator:
         Each static query is registered as a (possibly shared) alpha node;
         the initial memory comes from running the query through the Object
         Manager in ``txn`` (acquiring the extent locks that make it exact).
-        Undone automatically if ``txn`` aborts.
+        Each parameterized query requests its equality indexes.  Undone
+        automatically if ``txn`` aborts.
         """
         self._tracer.record(tracing.RULE_MANAGER, tracing.CONDITION_EVALUATOR,
                             "add_rule", condition.name or "-")
+        for query in condition.queries:
+            keys = self._index_keys(query)
+            if keys:
+                self._hold(query, keys)
+                txn.log_undo(CallbackUndo(
+                    lambda q=query: self._unhold(q),
+                    label="condition index release"))
         if not self.use_graph:
             return
         for query in condition.queries:
@@ -97,6 +118,12 @@ class ConditionEvaluator:
         """Remove a rule's condition from the condition graph (undoable)."""
         self._tracer.record(tracing.RULE_MANAGER, tracing.CONDITION_EVALUATOR,
                             "delete_rule", condition.name or "-")
+        for query in condition.queries:
+            keys = self._unhold(query)
+            if keys:
+                txn.log_undo(CallbackUndo(
+                    lambda q=query, k=keys: self._hold(q, k),
+                    label="condition index re-request"))
         if not self.use_graph:
             return
         for query in condition.queries:
@@ -175,12 +202,44 @@ class ConditionEvaluator:
             if node is not None:
                 self._om.lock_extent(query.class_name, txn,
                                      include_subclasses=query.include_subclasses)
-                records = [self._om.store.get(oid) for oid in sorted(node.memory)]
+                records = [self._om.store.get(oid) for oid in node.memory]
                 self.stats["graph_answers"] += 1
                 return self._om.executor.materialize_rows(query, records)
         self.stats["executor_answers"] += 1
         return self._om.execute_query(query, txn, bindings,
                                       source=tracing.CONDITION_EVALUATOR)
+
+    def _index_keys(self, query: Query) -> IndexKeys:
+        """The indexes a parameterized, non-join query asks for: every
+        attribute it tests by equality, on every extent it ranges over."""
+        if isinstance(query, JoinQuery) or query.is_static():
+            return ()
+        attrs = equality_lookups(query.predicate)
+        schema = self._om.store.schema
+        if not attrs or not schema.has(query.class_name):
+            return ()
+        classes = (schema.subclasses(query.class_name)
+                   if query.include_subclasses else [query.class_name])
+        return tuple((name, attr) for name in classes for attr in attrs)
+
+    def _hold(self, query: Query, keys: IndexKeys) -> None:
+        with self._index_mutex:
+            for class_name, attr in keys:
+                self._om.store.request_index(class_name, attr)
+            self._indexed.setdefault(query, []).append(keys)
+
+    def _unhold(self, query: Query) -> IndexKeys:
+        """Release ``query``'s newest index request; return its keys."""
+        with self._index_mutex:
+            held = self._indexed.get(query)
+            if not held:
+                return ()
+            keys = held.pop()
+            if not held:
+                del self._indexed[query]
+            for class_name, attr in keys:
+                self._om.store.release_index(class_name, attr)
+            return keys
 
     @staticmethod
     def _bare(query: Query) -> Query:

@@ -7,12 +7,15 @@ extents a query ranges over before invoking the executor).
 Plan selection is deliberately simple and predictable:
 
 1. If the predicate has an indexable equality conjunct (``Attr == Const`` or
-   ``Attr == EventArg``) and an index exists on that attribute for one of the
-   extents ranged over, probe the index and filter the residue.
+   ``Attr == EventArg``) that a probe may answer under the bindings (see
+   :func:`~repro.objstore.predicates.probe_attrs`) and an index exists on
+   that attribute for every extent ranged over, probe the index and filter
+   the residue.
 2. Otherwise scan the extent(s) and filter.
 
 Filtering binds the predicate's conjuncts once per execution and applies them
-one at a time, each to the survivors of the one before.
+a list at a time, each to the survivors of the one before.  Index buckets
+hold the live records, so a probe costs one copy per bucket.
 
 The chosen plan is reported in :class:`Plan` so the ablation benchmark can
 verify which path ran.
@@ -21,13 +24,17 @@ verify which path ran.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, List, Optional
 
 from repro.errors import QueryError
 from repro.objstore.objects import ObjectRecord
-from repro.objstore.predicates import Bindings, equality_lookups
+from repro.objstore.predicates import Bindings, equality_lookups, probe_attrs
 from repro.objstore.query import Query, QueryResult, Row
 from repro.objstore.store import ObjectStore
+
+#: OID order, compared in C: the same order as ``OID.__lt__``
+_BY_OID = attrgetter("oid.class_name", "oid.number")
 
 
 @dataclass(frozen=True)
@@ -47,10 +54,11 @@ class QueryExecutor:
         self.use_indexes = use_indexes
 
     def plan(self, query: Query, bindings: Bindings = ()) -> Plan:
-        """Return the plan that :meth:`execute` would use for ``query``."""
+        """Return the plan that :meth:`execute` would use for ``query``
+        under ``bindings``."""
         class_names = self._extent_classes(query)
         if self.use_indexes:
-            for attr in equality_lookups(query.predicate):
+            for attr in probe_attrs(query.predicate, bindings):
                 if all(
                     self._store.indexes.get(name, attr) is not None
                     for name in class_names
@@ -66,8 +74,10 @@ class QueryExecutor:
             records = self._probe(query, plan, bindings)
         else:
             records = self._scan(plan)
-        for test in query.predicate.bind_conjuncts(bindings):
-            records = [record for record in records if test(record.attrs)]
+        for keep in query.predicate.bind_filters(bindings):
+            if not records:
+                break
+            records = keep(records)
         return self.materialize_rows(query, records)
 
     def count(self, query: Query, bindings: Bindings = ()) -> int:
@@ -82,7 +92,10 @@ class QueryExecutor:
         predicate — used by the condition graph, whose memories already hold
         exactly the matching objects.
         """
-        rows = [self._project(query, record) for record in records]
+        if query.project is None:
+            rows = [Row(record.oid, record.snapshot()) for record in records]
+        else:
+            rows = [self._project(query, record) for record in records]
         rows = self._order_and_limit(query, rows)
         return QueryResult(query, rows)
 
@@ -94,27 +107,25 @@ class QueryExecutor:
         self._store.schema.get(query.class_name)
         return [query.class_name]
 
-    def _scan(self, plan: Plan) -> Iterable[ObjectRecord]:
+    def _scan(self, plan: Plan) -> List[ObjectRecord]:
         records: List[ObjectRecord] = []
         for name in plan.class_names:
             records.extend(self._store.extent(name, include_subclasses=False))
         return records
 
-    def _probe(self, query: Query, plan: Plan, bindings: Bindings) -> Iterable[ObjectRecord]:
+    def _probe(self, query: Query, plan: Plan, bindings: Bindings) -> List[ObjectRecord]:
         value_expr = equality_lookups(query.predicate)[plan.index_attr]  # type: ignore[index]
         value = value_expr.evaluate({}, bindings)
         records: List[ObjectRecord] = []
         for name in plan.class_names:
             index = self._store.indexes.get(name, plan.index_attr)  # type: ignore[arg-type]
-            if index is None:  # pragma: no cover - plan guarantees presence
-                continue
-            for oid in index.lookup(value):
-                records.append(self._store.get(oid))
+            if index is None:  # released since planning: its extent will do
+                records.extend(self._store.extent(name, include_subclasses=False))
+            else:
+                records.extend(index.records(value))
         return records
 
     def _project(self, query: Query, record: ObjectRecord) -> Row:
-        if query.project is None:
-            return Row(record.oid, record.snapshot())
         missing = [name for name in query.project if name not in record.attrs]
         if missing:
             raise QueryError(
@@ -128,14 +139,14 @@ class QueryExecutor:
             try:
                 rows.sort(
                     key=lambda row: (row.get(query.order_by) is None,
-                                     row.get(query.order_by), row.oid),
+                                     row.get(query.order_by), _BY_OID(row)),
                     reverse=query.descending,
                 )
             except TypeError as exc:
                 raise QueryError("cannot order by %r: values are not mutually "
                                  "comparable (%s)" % (query.order_by, exc)) from exc
         else:
-            rows.sort(key=lambda row: row.oid)
+            rows.sort(key=_BY_OID)
         if query.limit is not None:
             rows = rows[: query.limit]
         return rows

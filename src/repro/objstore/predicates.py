@@ -24,6 +24,10 @@ Evaluation is compiled, in two stages.  Each node builds a *binder* once
 closure ``test(attrs) -> bool`` that is then called per candidate object.  A
 predicate without event arguments binds once for good.  ``matches`` and
 ``evaluate`` are ``bind(...)(attrs)``; there is no other evaluator.
+
+The executor filters a list at a time instead: ``bind_filters(bindings)``
+turns each top-level conjunct into a :data:`Filter` over a list of records,
+and an ``Attr op value`` conjunct becomes one list comprehension.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ Test = Callable[[Mapping[str, Any]], bool]
 
 Binder = Callable[[Bindings], Test]
 """A compiled predicate: event-argument bindings -> :data:`Test`."""
+
+Filter = Callable[[List[Any]], List[Any]]
+"""A bound conjunct applied a list at a time: records (anything with an
+``attrs`` mapping) -> the records that satisfy it, in order."""
 
 _OPERATORS = {
     "==": operator.eq,
@@ -92,6 +100,56 @@ def _attr_test(name: str, op: str, value: Any) -> Test:
         except TypeError:
             return False
     return test
+
+
+def _test_filter(test: Test) -> Filter:
+    """Apply a bound test to a list of records."""
+    return lambda records: [record for record in records if test(record.attrs)]
+
+
+# ``Attr(name) op value`` over a list, per operator, with ``value`` not None:
+# the comparison is inline (no call per record) and a None attribute
+# decides as in :func:`_attr_test`.
+_COMPREHENSIONS: Dict[str, Callable[[List[Any], str, Any], List[Any]]] = {
+    "==": lambda records, name, value: [
+        record for record in records
+        if (left := record.attrs.get(name)) is not None and left == value],
+    "!=": lambda records, name, value: [
+        record for record in records
+        if (left := record.attrs.get(name)) is None or left != value],
+    "<": lambda records, name, value: [
+        record for record in records
+        if (left := record.attrs.get(name)) is not None and left < value],
+    "<=": lambda records, name, value: [
+        record for record in records
+        if (left := record.attrs.get(name)) is not None and left <= value],
+    ">": lambda records, name, value: [
+        record for record in records
+        if (left := record.attrs.get(name)) is not None and left > value],
+    ">=": lambda records, name, value: [
+        record for record in records
+        if (left := record.attrs.get(name)) is not None and left >= value],
+}
+
+
+def _attr_filter(name: str, op: str, value: Any) -> Filter:
+    """``Attr(name) op value`` over a list of records: one comprehension.
+
+    The operator is looked up and the None cases decided once, as in
+    :func:`_attr_test`.  A ``TypeError`` (incomparable values) re-filters the
+    list a record at a time through :func:`_attr_test`, so every answer is
+    the one :func:`_safe_compare` gives.
+    """
+    if value is None or op not in _COMPREHENSIONS:
+        return _test_filter(_attr_test(name, op, value))
+    comprehension = _COMPREHENSIONS[op]
+
+    def keep(records: List[Any]) -> List[Any]:
+        try:
+            return comprehension(records, name, value)
+        except TypeError:
+            return _test_filter(_attr_test(name, op, value))(records)
+    return keep
 
 
 def _unbound(name: str) -> Callable[[Mapping[str, Any]], Any]:
@@ -273,9 +331,10 @@ class Predicate:
         """Build this node's binder (once per node; see :meth:`bind`)."""
         raise NotImplementedError
 
-    def bind_conjuncts(self, bindings: Bindings) -> List[Test]:
-        """Bind the top-level conjuncts one by one, for filtering a candidate
-        list a conjunct at a time (survivors of one feed the next).
+    def bind_filters(self, bindings: Bindings) -> List[Filter]:
+        """Bind the top-level conjuncts one by one, as :data:`Filter` s for
+        filtering a candidate list a conjunct at a time (survivors of one
+        feed the next).
 
         Indexable equality conjuncts go first, being the most selective —
         unless an event argument is unbound: then the declared order stands,
@@ -283,8 +342,22 @@ class Predicate:
         """
         declared, equalities_first = self._conjunct_orders()
         bound = all(name in bindings for name in self.event_args())
-        return [part.bind(bindings)
+        return [part._filter_binder()(bindings)
                 for part in (equalities_first if bound else declared)]
+
+    @once
+    def _filter_binder(self) -> Callable[[Bindings], Filter]:
+        binder = self._compile_filter()
+        if self.event_args():
+            return binder
+        keep = binder({})       # nothing to resolve: bound for good
+        return lambda bindings: keep
+
+    def _compile_filter(self) -> Callable[[Bindings], Filter]:
+        """Build this node's list filter: by default its bound test, applied
+        to each record (see :meth:`bind_filters`)."""
+        binder = self._binder()
+        return lambda bindings: _test_filter(binder(bindings))
 
     @once
     def _conjunct_orders(self) -> Tuple[Tuple["Predicate", ...], ...]:
@@ -374,6 +447,17 @@ class Compare(Predicate):
             lhs, rhs = left.bind(bindings), right.bind(bindings)
             return lambda attrs: _safe_compare(op, lhs(attrs), rhs(attrs))
         return bind
+
+    def _compile_filter(self) -> Callable[[Bindings], Filter]:
+        left, op, right = self.left, self.op, self.right
+        if isinstance(left, Attr) and isinstance(right, Const):
+            return lambda bindings: _attr_filter(left.name, op, right.value)
+        if isinstance(left, Attr) and isinstance(right, EventArg):
+            return lambda bindings: (
+                _attr_filter(left.name, op, bindings[right.name])
+                if right.name in bindings
+                else _test_filter(_unbound(right.name)))
+        return super()._compile_filter()
 
     @once
     def canonical_key(self) -> Tuple:
@@ -521,3 +605,22 @@ def equality_lookups(predicate: Predicate) -> Dict[str, ValueExpr]:
         if found is not None:
             lookups.setdefault(*found)
     return dict(sorted(lookups.items()))
+
+
+def probe_attrs(predicate: Predicate, bindings: Bindings) -> Iterable[str]:
+    """The attributes an index probe may answer ``predicate`` on, under
+    ``bindings``, in the planner's preference order.
+
+    A probe resolves its key before it sees any object and then sees only
+    the objects filed under that key.  With every event argument bound the
+    conjuncts raise nothing, so any equality will do.  Otherwise the
+    conjuncts are tested in declared order, and only a leading equality may
+    be probed: a scan tests it first on every object, so nothing a probe
+    skips could reach an unbound argument first.
+    """
+    lookups = equality_lookups(predicate)
+    if all(name in bindings for name in predicate.event_args()):
+        return lookups
+    declared = predicate._conjunct_orders()[0]
+    found = _indexable(declared[0]) if declared else None
+    return (found[0],) if found is not None else ()

@@ -97,6 +97,19 @@ class ObjectStore:
             self.indexes.drop_class(name)
             return Delta(DROP_CLASS, name, class_def=class_def)
 
+    def request_index(self, class_name: str, attr_name: str) -> None:
+        """Request an index on ``class_name.attr_name`` (reference-counted;
+        see :class:`~repro.objstore.index.IndexSet`), filled from the
+        class's own extent if it does not exist yet."""
+        with self._mutex:
+            self.indexes.request(class_name, attr_name,
+                                 self._extents.get(class_name, {}).values())
+
+    def release_index(self, class_name: str, attr_name: str) -> None:
+        """Release one :meth:`request_index`."""
+        with self._mutex:
+            self.indexes.release(class_name, attr_name)
+
     # ------------------------------------------------------------------ DML
 
     def new_oid(self, class_name: str) -> OID:
@@ -146,7 +159,7 @@ class ObjectStore:
                 raise SchemaError("OID %s already exists" % oid)
             record = ObjectRecord(oid, record_attrs)
             extent[oid] = record
-            self.indexes.object_created(class_name, oid, record_attrs)
+            self.indexes.object_created(class_name, record)
             return Delta(CREATE, class_name, oid, None, record.snapshot())
 
     def update(self, oid: OID, changes: Dict[str, Any]) -> Delta:
@@ -159,7 +172,7 @@ class ObjectStore:
                 class_def.attribute(name).validate(value)
             record.attrs.update(changes)
             new_attrs = record.snapshot()
-            self.indexes.object_updated(oid.class_name, oid, old_attrs, new_attrs)
+            self.indexes.object_updated(oid.class_name, record, old_attrs, new_attrs)
             return Delta(UPDATE, oid.class_name, oid, old_attrs, new_attrs)
 
     def delete(self, oid: OID) -> Delta:
@@ -169,7 +182,7 @@ class ObjectStore:
             extent = self._extents[oid.class_name]
             del extent[oid]
             old_attrs = record.snapshot()
-            self.indexes.object_deleted(oid.class_name, oid, old_attrs)
+            self.indexes.object_deleted(oid.class_name, record)
             return Delta(DELETE, oid.class_name, oid, old_attrs, None)
 
     def apply(self, delta: Delta) -> Delta:

@@ -87,7 +87,7 @@ class TestTracer:
         import sys
 
         from repro.objstore import operations
-        from repro.objstore.objects import OID
+        from repro.objstore.objects import OID, ObjectRecord
         from repro.saa import SecuritiesAssistant
 
         db = HiPAC()
@@ -198,7 +198,7 @@ class TestProvenanceCapturesOnlyWhatItRecords:
 
     def test_application_envelopes_are_reused_per_user_and_bounded(self):
         from repro.obs.provenance import ProvenanceStore
-        from repro.objstore.objects import OID
+        from repro.objstore.objects import OID, ObjectRecord
         from repro.txn.undo import DeltaUndo
 
         class Write:
@@ -233,7 +233,7 @@ class TestProvenanceCapturesOnlyWhatItRecords:
         import sys
 
         from repro.obs.provenance import ProvenanceStore
-        from repro.objstore.objects import OID
+        from repro.objstore.objects import OID, ObjectRecord
 
         class Write:
             kind, oid = "update", OID("A", 1)
@@ -322,22 +322,24 @@ class TestManualFireCouplings:
 class TestIndexSet:
     def test_len_and_keys(self):
         from repro.objstore.index import HashIndex
-        from repro.objstore.objects import OID
+        from repro.objstore.objects import OID, ObjectRecord
         index = HashIndex("C", "a")
-        index.insert("x", OID("C", 1))
-        index.insert("x", OID("C", 2))
-        index.insert("y", OID("C", 3))
+        records = [ObjectRecord(OID("C", n), {}) for n in (1, 2, 3)]
+        index.insert("x", records[0])
+        index.insert("x", records[1])
+        index.insert("y", records[2])
         assert len(index) == 3
         assert set(index.keys()) == {"x", "y"}
-        index.remove("x", OID("C", 1))
+        index.remove("x", records[0])
         assert index.lookup("x") == {OID("C", 2)}
-        index.remove("zzz", OID("C", 9))  # absent bucket: no-op
+        assert index.records("x") == [records[1]]
+        index.remove("zzz", records[2])  # absent bucket: no-op
 
     def test_unhashable_values_frozen(self):
         from repro.objstore.index import HashIndex
-        from repro.objstore.objects import OID
+        from repro.objstore.objects import OID, ObjectRecord
         index = HashIndex("C", "tags")
-        index.insert(["a", "b"], OID("C", 1))
+        index.insert(["a", "b"], ObjectRecord(OID("C", 1), {}))
         assert index.lookup(["a", "b"]) == {OID("C", 1)}
 
 
