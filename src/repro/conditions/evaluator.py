@@ -31,7 +31,6 @@ evaluation, and materialization of derived data"):
 
 from __future__ import annotations
 
-import threading
 import time as _time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -54,7 +53,7 @@ Memo = Dict[Tuple, QueryResult]
 """Per-signal evaluation cache: (query key, bindings fingerprint) -> result."""
 
 IndexKeys = Tuple[Tuple[str, str], ...]
-"""The ``(class, attribute)`` indexes one query requested."""
+"""The ``(class, attribute)`` indexes one rule's condition requested."""
 
 
 class ConditionEvaluator:
@@ -81,49 +80,47 @@ class ConditionEvaluator:
         object_manager.add_delta_listener(self.graph.on_delta)
         self.stats = {"evaluations": 0, "graph_answers": 0,
                       "executor_answers": 0, "memo_hits": 0}
-        #: parameterized query -> the index keys of each live request
-        self._indexed: Dict[Query, List[IndexKeys]] = {}
-        self._index_mutex = threading.Lock()
 
     # ------------------------------------------------- paper §5.5 interface
 
-    def add_rule(self, condition: Condition, txn: Transaction) -> None:
+    def add_rule(self, condition: Condition, txn: Transaction) -> IndexKeys:
         """Add a rule's condition to the condition graph.
 
         Each static query is registered as a (possibly shared) alpha node;
         the initial memory comes from running the query through the Object
         Manager in ``txn`` (acquiring the extent locks that make it exact).
-        Each parameterized query requests its equality indexes.  Undone
-        automatically if ``txn`` aborts.
+        Each parameterized query requests its equality indexes; the
+        requests made are returned, for :meth:`delete_rule` to release.
+        Undone automatically if ``txn`` aborts.
         """
         self._tracer.record(tracing.RULE_MANAGER, tracing.CONDITION_EVALUATOR,
                             "add_rule", condition.name or "-")
-        for query in condition.queries:
-            keys = self._index_keys(query)
-            if keys:
-                self._hold(query, keys)
-                txn.log_undo(CallbackUndo(
-                    lambda q=query: self._unhold(q),
-                    label="condition index release"))
-        if not self.use_graph:
-            return
-        for query in condition.queries:
-            if not query.is_static():
-                continue
-            result = self._om.execute_query(
-                self._bare(query), txn, source=tracing.CONDITION_EVALUATOR)
-            self.graph.add_query(query, txn, memory=set(result.oids()))
+        held = tuple(key for query in condition.queries
+                     for key in self._index_keys(query))
+        if held:
+            self._request(held)
+            txn.log_undo(CallbackUndo(lambda: self._release(held),
+                                      label="condition index release"))
+        if self.use_graph:
+            for query in condition.queries:
+                if not query.is_static():
+                    continue
+                result = self._om.execute_query(
+                    self._bare(query), txn, source=tracing.CONDITION_EVALUATOR)
+                self.graph.add_query(query, txn, memory=set(result.oids()))
+        return held
 
-    def delete_rule(self, condition: Condition, txn: Transaction) -> None:
-        """Remove a rule's condition from the condition graph (undoable)."""
+    def delete_rule(self, condition: Condition, txn: Transaction,
+                    held: IndexKeys = ()) -> None:
+        """Remove a rule's condition from the condition graph and release
+        ``held``, the index requests its :meth:`add_rule` returned
+        (undoable)."""
         self._tracer.record(tracing.RULE_MANAGER, tracing.CONDITION_EVALUATOR,
                             "delete_rule", condition.name or "-")
-        for query in condition.queries:
-            keys = self._unhold(query)
-            if keys:
-                txn.log_undo(CallbackUndo(
-                    lambda q=query, k=keys: self._hold(q, k),
-                    label="condition index re-request"))
+        if held:
+            self._release(held)
+            txn.log_undo(CallbackUndo(lambda: self._request(held),
+                                      label="condition index re-request"))
         if not self.use_graph:
             return
         for query in condition.queries:
@@ -222,24 +219,13 @@ class ConditionEvaluator:
                    if query.include_subclasses else [query.class_name])
         return tuple((name, attr) for name in classes for attr in attrs)
 
-    def _hold(self, query: Query, keys: IndexKeys) -> None:
-        with self._index_mutex:
-            for class_name, attr in keys:
-                self._om.store.request_index(class_name, attr)
-            self._indexed.setdefault(query, []).append(keys)
+    def _request(self, keys: IndexKeys) -> None:
+        for class_name, attr in keys:
+            self._om.store.request_index(class_name, attr)
 
-    def _unhold(self, query: Query) -> IndexKeys:
-        """Release ``query``'s newest index request; return its keys."""
-        with self._index_mutex:
-            held = self._indexed.get(query)
-            if not held:
-                return ()
-            keys = held.pop()
-            if not held:
-                del self._indexed[query]
-            for class_name, attr in keys:
-                self._om.store.release_index(class_name, attr)
-            return keys
+    def _release(self, keys: IndexKeys) -> None:
+        for class_name, attr in keys:
+            self._om.store.release_index(class_name, attr)
 
     @staticmethod
     def _bare(query: Query) -> Query:

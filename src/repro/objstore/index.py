@@ -8,8 +8,11 @@ holding it.  There are two kinds, kept by the same :class:`IndexSet`:
 * **requested** — when a rule is added, the Condition Evaluator requests an
   index for each attribute one of its parameterised queries tests by
   equality (§5.5 *Add Rule*).  Requests are reference-counted: the index
-  is built from the extent on the first request and dropped when the last
-  request is released, unless the attribute is also declared.
+  is built from the extent on the first request, published only once
+  whole, and dropped when the last request is released, unless the
+  attribute is also declared.  A request outlives a drop of its class, so
+  the class defined again (or restored by an aborted drop) is indexed
+  again.
 
 Indexes are maintained by the store on every create/update/delete
 (including transaction undo, which routes through the same store
@@ -112,50 +115,53 @@ class IndexSet:
     def __init__(self) -> None:
         self._by_class: Dict[str, Dict[str, HashIndex]] = {}
         self._declared: Set[Tuple[str, str]] = set()
-        #: (class, attr) -> outstanding requests
+        #: (class, attr) -> outstanding requests.  Kept when the class is
+        #: dropped: the rules holding them outlive the drop (and its abort).
         self._requests: Dict[Tuple[str, str], int] = {}
 
-    def create(self, class_name: str, attr_name: str) -> HashIndex:
-        """Declare the index for ``class_name.attr_name`` (creating it, or
-        returning the existing one); a declared index is never released."""
-        self._declared.add((class_name, attr_name))
+    def define_class(self, class_name: str, declared: Iterable[str]) -> None:
+        """Index a newly defined, empty class: each ``declared`` attribute
+        (never released), and each attribute an outstanding request names —
+        a class dropped and defined again, or restored by an aborted drop."""
+        self._declared.update((class_name, attr_name) for attr_name in declared)
         indexes = self._by_class.setdefault(class_name, {})
-        index = indexes.get(attr_name)
-        if index is None:
-            index = indexes[attr_name] = HashIndex(class_name, attr_name)
-        return index
+        for name, attr_name in (*self._declared, *self._requests):
+            if name == class_name and attr_name not in indexes:
+                indexes[attr_name] = HashIndex(class_name, attr_name)
 
     def request(self, class_name: str, attr_name: str,
                 records: Iterable[ObjectRecord]) -> None:
         """Add one request for ``class_name.attr_name``; a missing index is
-        created and filled from ``records``, the class's own extent."""
+        built from ``records``, the class's own extent.
+
+        The index is published only once it is whole: a query planned
+        meanwhile sees no index and scans, never a partial bucket.
+        """
         key = (class_name, attr_name)
         self._requests[key] = self._requests.get(key, 0) + 1
-        indexes = self._by_class.setdefault(class_name, {})
-        if attr_name not in indexes:
-            index = indexes[attr_name] = HashIndex(class_name, attr_name)
+        if self.get(class_name, attr_name) is None:
+            index = HashIndex(class_name, attr_name)
             for record in records:
                 index.insert(record.attrs.get(attr_name), record)
+            self._by_class.setdefault(class_name, {})[attr_name] = index
 
     def release(self, class_name: str, attr_name: str) -> None:
         """Drop one request; the last one drops an undeclared index."""
         key = (class_name, attr_name)
-        left = self._requests.pop(key, 0) - 1
-        if left > 0:
-            self._requests[key] = left
-        elif key not in self._declared and left == 0:
+        count = self._requests.pop(key, 0)
+        if count > 1:
+            self._requests[key] = count - 1
+        elif count == 1 and key not in self._declared:
             indexes = self._by_class.get(class_name, {})
             indexes.pop(attr_name, None)
             if not indexes:
                 self._by_class.pop(class_name, None)
 
     def drop_class(self, class_name: str) -> None:
-        """Drop every index belonging to ``class_name``, declared or
-        requested, and forget its declarations and requests."""
+        """Drop every index belonging to ``class_name`` and forget its
+        declarations; its requests stand (see :meth:`define_class`)."""
         self._by_class.pop(class_name, None)
         self._declared = {key for key in self._declared
-                          if key[0] != class_name}
-        self._requests = {key: count for key, count in self._requests.items()
                           if key[0] != class_name}
 
     def get(self, class_name: str, attr_name: str) -> Optional[HashIndex]:

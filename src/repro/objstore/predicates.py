@@ -342,22 +342,8 @@ class Predicate:
         """
         declared, equalities_first = self._conjunct_orders()
         bound = all(name in bindings for name in self.event_args())
-        return [part._filter_binder()(bindings)
+        return [_bind_filter(part, bindings)
                 for part in (equalities_first if bound else declared)]
-
-    @once
-    def _filter_binder(self) -> Callable[[Bindings], Filter]:
-        binder = self._compile_filter()
-        if self.event_args():
-            return binder
-        keep = binder({})       # nothing to resolve: bound for good
-        return lambda bindings: keep
-
-    def _compile_filter(self) -> Callable[[Bindings], Filter]:
-        """Build this node's list filter: by default its bound test, applied
-        to each record (see :meth:`bind_filters`)."""
-        binder = self._binder()
-        return lambda bindings: _test_filter(binder(bindings))
 
     @once
     def _conjunct_orders(self) -> Tuple[Tuple["Predicate", ...], ...]:
@@ -447,17 +433,6 @@ class Compare(Predicate):
             lhs, rhs = left.bind(bindings), right.bind(bindings)
             return lambda attrs: _safe_compare(op, lhs(attrs), rhs(attrs))
         return bind
-
-    def _compile_filter(self) -> Callable[[Bindings], Filter]:
-        left, op, right = self.left, self.op, self.right
-        if isinstance(left, Attr) and isinstance(right, Const):
-            return lambda bindings: _attr_filter(left.name, op, right.value)
-        if isinstance(left, Attr) and isinstance(right, EventArg):
-            return lambda bindings: (
-                _attr_filter(left.name, op, bindings[right.name])
-                if right.name in bindings
-                else _test_filter(_unbound(right.name)))
-        return super()._compile_filter()
 
     @once
     def canonical_key(self) -> Tuple:
@@ -571,6 +546,18 @@ class Not(Predicate):
 
     def __repr__(self) -> str:
         return "Not(%r)" % self.part
+
+
+def _bind_filter(part: Predicate, bindings: Bindings) -> Filter:
+    """``part`` as a :data:`Filter`: one comprehension for ``Attr op Const``
+    and ``Attr op <bound EventArg>``, its bound test per record otherwise."""
+    if isinstance(part, Compare) and isinstance(part.left, Attr):
+        right = part.right
+        if isinstance(right, Const):
+            return _attr_filter(part.left.name, part.op, right.value)
+        if isinstance(right, EventArg) and right.name in bindings:
+            return _attr_filter(part.left.name, part.op, bindings[right.name])
+    return _test_filter(part.bind(bindings))
 
 
 def conjuncts(predicate: Predicate) -> Tuple[Predicate, ...]:

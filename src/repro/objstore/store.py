@@ -63,6 +63,12 @@ class Delta:
         raise ValueError("cannot invert delta kind %r" % self.kind)
 
 
+def _indexed(class_def: ClassDef) -> List[str]:
+    """The attributes ``class_def`` declares ``indexed=True``."""
+    return [attr.name for attr in class_def.all_attributes.values()
+            if attr.indexed]
+
+
 class ObjectStore:
     """In-memory object store with per-class extents and secondary indexes."""
 
@@ -76,13 +82,12 @@ class ObjectStore:
     # ------------------------------------------------------------------ DDL
 
     def define_class(self, class_def: ClassDef) -> Delta:
-        """Register a class, create its (empty) extent and declared indexes."""
+        """Register a class, create its (empty) extent and its indexes: the
+        declared ones and any a standing request names."""
         with self._mutex:
             self.schema.define_class(class_def)
             self._extents[class_def.name] = {}
-            for attr in class_def.all_attributes.values():
-                if attr.indexed:
-                    self.indexes.create(class_def.name, attr.name)
+            self.indexes.define_class(class_def.name, _indexed(class_def))
             return Delta(DEFINE_CLASS, class_def.name, class_def=class_def)
 
     def drop_class(self, name: str) -> Delta:
@@ -198,9 +203,8 @@ class ObjectStore:
             with self._mutex:
                 self.schema.restore_class(delta.class_def)  # type: ignore[arg-type]
                 self._extents.setdefault(delta.class_name, {})
-                for attr in delta.class_def.all_attributes.values():  # type: ignore[union-attr]
-                    if attr.indexed:
-                        self.indexes.create(delta.class_name, attr.name)
+                self.indexes.define_class(
+                    delta.class_name, _indexed(delta.class_def))  # type: ignore[arg-type]
                 return delta
         if delta.kind == DROP_CLASS:
             with self._mutex:

@@ -252,7 +252,7 @@ class RuleCatalog:
         rule.oid = oid
         rule.plan = FiringPlan(rule, self._action_seconds[rule.ca_coupling])
         # §6.1 step 1: add the rule to the condition graph.
-        self._evaluator.add_rule(rule.condition, txn)
+        rule.indexes = self._evaluator.add_rule(rule.condition, txn)
         # §6.1 step 2: program the event detectors.
         self._define_event(rule.event)
         txn.log_undo(CallbackUndo(
@@ -265,7 +265,7 @@ class RuleCatalog:
             label="forget rule %s" % rule.name))
 
     def _unregister(self, rule: Rule, txn: Transaction) -> None:
-        self._evaluator.delete_rule(rule.condition, txn)
+        self._evaluator.delete_rule(rule.condition, txn, rule.indexes)
         self._delete_event(rule.event)
         txn.log_undo(CallbackUndo(
             lambda: self._define_event(rule.event),

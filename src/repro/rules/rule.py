@@ -22,7 +22,7 @@ disable) require write locks" (§2.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from repro.conditions.condition import Condition
 from repro.errors import RuleError
@@ -92,6 +92,10 @@ class Rule:
     #: what every firing of the rule reuses
     #: (:class:`~repro.rules.catalog.FiringPlan`); made at registration
     plan: Any = field(default=None, init=False, repr=False, compare=False)
+    #: the ``(class, attribute)`` indexes its condition requested (§5.5
+    #: Add Rule), which Delete Rule releases; made at registration
+    indexes: Tuple[Tuple[str, str], ...] = field(
+        default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:

@@ -87,7 +87,7 @@ class TestTracer:
         import sys
 
         from repro.objstore import operations
-        from repro.objstore.objects import OID, ObjectRecord
+        from repro.objstore.objects import OID
         from repro.saa import SecuritiesAssistant
 
         db = HiPAC()
@@ -198,7 +198,7 @@ class TestProvenanceCapturesOnlyWhatItRecords:
 
     def test_application_envelopes_are_reused_per_user_and_bounded(self):
         from repro.obs.provenance import ProvenanceStore
-        from repro.objstore.objects import OID, ObjectRecord
+        from repro.objstore.objects import OID
         from repro.txn.undo import DeltaUndo
 
         class Write:
@@ -233,7 +233,7 @@ class TestProvenanceCapturesOnlyWhatItRecords:
         import sys
 
         from repro.obs.provenance import ProvenanceStore
-        from repro.objstore.objects import OID, ObjectRecord
+        from repro.objstore.objects import OID
 
         class Write:
             kind, oid = "update", OID("A", 1)

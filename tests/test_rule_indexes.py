@@ -157,6 +157,42 @@ def test_every_extent_of_a_hierarchy_is_indexed():
     assert sector_index(db, "Tech") is None and sector_index(db) is None
 
 
+def test_a_delete_releases_exactly_what_its_rule_requested():
+    """Two rules with one query, created either side of a subclass
+    definition, hold different indexes; each delete gives back its own."""
+    db, _ = make_db()
+    db.create_rule(sector_rule("old"))                # Stock alone
+    db.define_class(stock_class("Tech", superclass="Stock"))
+    db.create_rule(sector_rule("new"))                # Stock and Tech
+    db.delete_rule("old")
+    assert sector_index(db, "Tech") is not None       # still "new"'s
+    assert sector_index(db) is not None
+    db.delete_rule("new")
+    assert sector_index(db, "Tech") is None and sector_index(db) is None
+
+
+def test_a_rule_index_outlives_a_drop_of_its_class():
+    db, _ = make_db()
+    db.define_class(stock_class("Tech", superclass="Stock"))
+    db.create_rule(sector_rule("r"))
+    query = sector_rule("x").condition.queries[0]
+    bindings = {"new_sector": "tech", "new_price": 0.0}
+    txn = db.begin()
+    db.drop_class("Tech", txn)
+    assert sector_index(db, "Tech") is None
+    db.abort(txn)                                     # the drop is undone
+    assert sector_index(db, "Tech") is not None
+    db.drop_class("Tech")
+    db.define_class(stock_class("Tech", superclass="Stock"))
+    with db.transaction() as txn:
+        db.create("Tech", {"symbol": "T1", "sector": "tech"}, txn)
+    assert_exact(db, "Tech")
+    assert db.object_manager.executor.plan(query, bindings).kind == \
+        "index-probe"
+    db.delete_rule("r")
+    assert sector_index(db, "Tech") is None and sector_index(db) is None
+
+
 def test_rules_fire_the_same_with_and_without_the_index():
     fired = {}
     for use_indexes in (True, False):
@@ -247,6 +283,56 @@ def test_concurrent_rule_creation_and_deletion_balance_the_requests():
     assert sector_index(db) is None
     db.create_rule(sector_rule("after"))
     assert_exact(db)
+
+
+def test_a_query_never_sees_an_index_being_built():
+    """Rules come and go while another thread probes the populated extent:
+    the query sees no index (and scans) or a whole one, never a bucket
+    still being filled."""
+    db, _ = make_db(count=600)
+    query = sector_rule("q", ceiling=1000.0).condition.queries[0]
+    bindings = {"new_sector": "tech", "new_price": -1.0}
+    probe = QueryExecutor(db.store)
+    expected = QueryExecutor(db.store, use_indexes=False).execute(
+        query, bindings).rows
+    assert len(expected) == 200
+    done = threading.Event()
+    errors, wrong, probes = [], [], []
+
+    def churn():
+        try:
+            for round_ in range(30):
+                db.create_rule(sector_rule("r%d" % round_))
+                db.delete_rule("r%d" % round_)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+        finally:
+            done.set()
+
+    def ask():
+        try:
+            while not done.is_set():
+                rows = probe.execute(query, bindings).rows
+                probes.append(1)
+                if rows != expected:
+                    wrong.append(len(rows))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn),
+                   threading.Thread(target=ask)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and wrong == []
+    assert probes
 
 
 # A step is one of:
