@@ -26,8 +26,9 @@ replaced is the oracle in ``tests/test_dispatch_index.py``.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import time
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.apps.interface import ApplicationInterface
 from repro.apps.registry import ApplicationRegistry
@@ -58,6 +59,15 @@ from repro.rules.rule import Rule, rule_class_def
 from repro.txn.locks import LockManager
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction
+from repro.util import tail
+
+#: the sections of :meth:`HiPAC.snapshot`, in document order
+SNAPSHOT_SECTIONS = (
+    "time", "uptime", "health", "stats", "derived", "forensics",
+    "alerts", "slo", "timeseries", "slowlog", "profile", "firings",
+    "provenance", "journal")
+#: how many entries of each bounded ring a snapshot keeps by default
+SNAPSHOT_LAST = 120
 
 
 class HiPAC:
@@ -557,22 +567,12 @@ class HiPAC:
     def serve_admin(self, port: int = 0, host: str = "127.0.0.1") -> Any:
         """Start (or return) the embedded admin HTTP endpoint.
 
-        Serves ``/metrics`` (Prometheus text), ``/health`` (watchdog
-        status JSON; 503 when failing), ``/stats`` (the :meth:`stats`
-        snapshot plus derived gauges), ``/profile`` (rule-cascade
-        profiler), ``/flight`` (flight-recorder journal stats and recent
-        records; ``?download=1`` streams the live segment),
-        ``/timeseries`` (windowed rates and percentiles from the
-        background ticker), ``/slo`` (objective states and burn rates),
-        ``/why`` (causal provenance chain for ``?oid=Class%23N&attr=``;
-        see :meth:`why`), ``/alerts`` (the watchdog's bounded alert ring;
-        ``?last=N``, ``?kind=``), ``/forensics`` (snapshot bundles:
-        list, ``?id=…&download=1``, ``?capture=1``; requires
-        ``forensics=True``), and ``/trace`` (Chrome trace download under
-        ``observability="trace"``) on a daemon thread.  ``port=0`` binds
-        an ephemeral port; read the bound address from the returned
-        server's ``url``.  Idempotent: a second call returns the running
-        server.  :meth:`close` shuts it down.
+        Serves the endpoints :mod:`repro.obs.server` lists (``GET /``
+        prints the index) — ``/metrics``, ``/health``, ``/snapshot`` (the
+        :meth:`snapshot` document), ``/stats`` and the rest — on a daemon
+        thread.  ``port=0`` binds an ephemeral port; read the bound
+        address from the returned server's ``url``.  Idempotent: a second
+        call returns the running server.  :meth:`close` shuts it down.
         """
         if self._admin is not None and self._admin.running:
             return self._admin
@@ -619,31 +619,66 @@ class HiPAC:
             len(self.transaction_manager.live_transactions())
         return report
 
-    def admin_stats(self) -> Dict[str, Any]:
-        """The ``/stats`` payload: server time + uptime (so pollers like
-        ``repro.tools.top`` can compute rates from successive snapshots),
-        the full :meth:`stats` tree, and live derived gauges."""
-        live = self.transaction_manager.live_transactions()
-        payload = {
-            "time": time.time(),
-            "uptime": time.time() - self._started_at,
-            "stats": self.stats(),
-            "derived": {
-                "live_transactions": len(live),
-                "deferred_queue_depth": self._deferred_queue_depth(live),
-            },
-        }
-        # Mixed-type forensics status (last capture kind/id) lives here,
-        # outside the numeric stats() tree the Prometheus exporter floats.
-        if self.forensics is not None:
-            payload["forensics"] = self.forensics.status()
-        return payload
+    def snapshot(self, sections: Optional[Iterable[str]] = None,
+                 last: int = SNAPSHOT_LAST) -> Dict[str, Any]:
+        """The diagnosis document, built here only: a forensics bundle
+        freezes it, ``GET /snapshot`` serves it, and ``repro.tools.doctor``
+        diagnoses either.
 
-    @staticmethod
-    def _deferred_queue_depth(live: List[Transaction]) -> int:
-        """Deferred firings queued on the given live transactions."""
-        return sum(len(txn.deferred_conditions) + len(txn.deferred_actions)
-                   for txn in live)
+        ``sections`` picks from :data:`SNAPSHOT_SECTIONS` (all by default;
+        an unknown name raises KeyError); ``last`` bounds every ring the
+        document copies.  A section whose subsystem is off is ``None``.
+        """
+        last = max(0, last)
+
+        def firing(record: Any) -> Dict[str, Any]:
+            return {"rule": record.rule_name, "event": record.event,
+                    "ec": record.ec_coupling, "ca": record.ca_coupling,
+                    "satisfied": record.satisfied,
+                    "executed": record.executed,
+                    "deferred": record.deferred,
+                    "separate": record.separate_thread,
+                    "error": record.error, "wall": record.wall_time}
+
+        builders = {
+            "time": time.time,
+            "uptime": lambda: time.time() - self._started_at,
+            "health": self.health,
+            "stats": self.stats,
+            "derived": self._derived,
+            "forensics": lambda: (self.forensics.status()
+                                  if self.forensics is not None else None),
+            "alerts": lambda: [alert.as_dict() for alert in
+                               tail(self.watchdog.alerts(), last)],
+            "slo": lambda: (self.slo.as_dict()
+                            if self.slo is not None else None),
+            "timeseries": lambda: (self.timeseries.as_dict(last=last)
+                                   if self.timeseries is not None else None),
+            "slowlog": lambda: [dataclasses.asdict(entry) for entry in
+                                tail(self.slow_log.entries(), last)],
+            "profile": lambda: self.rule_profiler().as_dict(top=last),
+            "firings": lambda: [firing(record) for record in
+                                tail(self.rule_manager.firings.all(), last)],
+            "provenance": lambda: (self.provenance.stats_snapshot()
+                                   if self.provenance is not None else None),
+            "journal": lambda: (self.flight_recorder.summary()
+                                if self.flight_recorder is not None
+                                else None),
+        }
+        chosen = [(name, builders[name]) for name in
+                  (SNAPSHOT_SECTIONS if sections is None else sections)]
+        return {name: build() for name, build in chosen}
+
+    def _derived(self) -> Dict[str, int]:
+        """Live gauges no component counts: open transactions and the
+        deferred firings queued on them."""
+        live = self.transaction_manager.live_transactions()
+        return {
+            "live_transactions": len(live),
+            "deferred_queue_depth": sum(
+                len(txn.deferred_conditions) + len(txn.deferred_actions)
+                for txn in live),
+        }
 
     def rule_profiler(self) -> RuleProfiler:
         """A :class:`~repro.obs.profiler.RuleProfiler` over the current
@@ -658,15 +693,13 @@ class HiPAC:
 
     def _collect_component_stats(self) -> Dict[str, float]:
         """Pull-time metrics collector: flattens every component ``stats``
-        section as ``<section>_<key>`` and derives the live deferred-queue
-        depth — zero hot-path cost, always exact."""
+        section as ``<section>_<key>`` and adds the live gauges of
+        :meth:`_derived` — zero hot-path cost, always exact."""
         flat: Dict[str, float] = {}
         for section, values in self.stats().items():
             for key, value in values.items():
                 flat["%s_%s" % (section, key)] = value
-        live = self.transaction_manager.live_transactions()
-        flat["live_transactions"] = len(live)
-        flat["deferred_queue_depth"] = self._deferred_queue_depth(live)
+        flat.update(self._derived())
         return flat
 
     def stats(self) -> Dict[str, Dict[str, int]]:

@@ -85,6 +85,7 @@ from typing import (TYPE_CHECKING, Any, Deque, Dict, Iterator, List,
 from repro.obs.metrics import MetricsRegistry
 from repro.recovery.serialize import encode_operation, encode_value
 from repro.storage import SegmentWriter, read_stream, scan_segment, segment_files
+from repro.util import tail
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.events.signal import EventSignal
@@ -454,9 +455,33 @@ class FlightRecorder:
     def recent(self, last: int = 50) -> List[Dict[str, Any]]:
         """The newest ``last`` records (for the admin endpoint)."""
         with self._mutex:
-            if last <= 0:
-                return []
-            return list(self._recent)[-last:]
+            return tail(list(self._recent), last)
+
+    def summary(self) -> Dict[str, Any]:
+        """The diagnosis snapshot's ``journal`` section: where the journal
+        lives, the seq range still held in memory, and the
+        ``replay --until`` command that re-executes up to the newest
+        record."""
+        # Flush first so the on-disk journal really contains last_seq and
+        # the bisection command is runnable as printed.
+        self.flush()
+        with self._mutex:
+            seqs = [record["seq"] for record in self._recent
+                    if record.get("seq") is not None]
+        stats = self.stats
+        section: Dict[str, Any] = {
+            "dir": str(self.directory),
+            "segment": str(self.segment_path),
+            "last_seq": stats.get("last_seq", 0),
+            "tail_first_seq": min(seqs) if seqs else None,
+            "tail_last_seq": max(seqs) if seqs else None,
+            "records": stats.get("records", 0),
+        }
+        if section["last_seq"]:
+            section["replay_command"] = (
+                "python -m repro.tools.replay %s --diff --until %d"
+                % (self.directory.parent, section["last_seq"]))
+        return section
 
     @property
     def segment_path(self) -> Path:

@@ -13,22 +13,23 @@ analytic half).
 A :class:`ForensicsRecorder` hangs off the watchdog's alert callbacks
 (and the WAL's append-failure hook).  When an alert fires it captures a
 **snapshot bundle** — one JSON file under ``data_dir/forensics/``
-freezing everything a diagnosis needs:
+freezing everything a diagnosis needs.  A bundle is the diagnosis
+document :meth:`HiPAC.snapshot() <repro.core.hipac.HiPAC.snapshot>`
+builds — health, stats, alerts, SLO states, timeseries windows, slow
+log, rule profile, firing-log tail, provenance stats, and the
+flight-journal seq range with a ready-to-paste ``replay --until SEQ``
+bisection command — with every ring bounded by
+:attr:`ForensicsConfig.last`, plus:
 
-* the timeseries window ring (rates and windowed percentiles around the
-  incident),
-* SLO objective states and burn rates,
-* the watchdog alert ring,
-* slow-log entries,
-* the profiler's hottest-rules report (firings, selectivity,
-  who-triggers-whom edges),
-* a firing-log tail (per-firing event descriptions and outcomes),
-* provenance stats,
-* the flight-journal tail seq range, with a ready-to-paste
-  ``replay --until SEQ`` bisection command,
+* the capture's ``format``, ``kind``, ``reason``, ``trigger`` alert and
+  ``wall`` time,
+* a config/uptime envelope (how the instance was built),
 * per-thread stack dumps via ``sys._current_frames()`` (what every
-  thread was doing at capture time),
-* a config/uptime envelope (how the instance was built).
+  thread was doing at capture time).
+
+``GET /snapshot`` serves the same document live, so
+``python -m repro.tools.doctor`` diagnoses a bundle and a running
+instance alike.
 
 Operational discipline, because a recorder that worsens the incident it
 records is worse than none:
@@ -67,6 +68,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.core.hipac import SNAPSHOT_LAST
+
 #: capture kinds beyond the watchdog's own alert kinds
 MANUAL = "manual"
 WAL_FAILURE = "wal_failure"
@@ -83,19 +86,15 @@ class ForensicsConfig:
       same kind (a re-alerting storm yields one bundle per interval).
     * ``disk_budget_bytes`` / ``max_bundles`` — oldest-first eviction
       keeps ``data_dir/forensics/`` under both bounds.
-    * ``timeseries_last`` / ``profile_top`` / ``alerts_last`` /
-      ``slowlog_last`` / ``firings_last`` — how much of each bounded
-      ring a bundle freezes.
+    * ``last`` — how many entries of each bounded ring (alerts,
+      timeseries windows, slow log, profiled rules, firings) a bundle
+      freezes.
     """
 
     debounce_seconds: float = 30.0
     disk_budget_bytes: int = 32 * 1024 * 1024
     max_bundles: int = 64
-    timeseries_last: int = 120
-    profile_top: int = 20
-    alerts_last: int = 200
-    slowlog_last: int = 100
-    firings_last: int = 200
+    last: int = SNAPSHOT_LAST
 
 
 class ForensicsRecorder:
@@ -127,16 +126,13 @@ class ForensicsRecorder:
         self._queue: "queue.Queue[Optional[Dict[str, Any]]]" = queue.Queue()
         self._worker: Optional[threading.Thread] = None
         self._closed = False
+        bundles = self.list_bundles()
+        self._seq = bundles[0]["seq"] if bundles else 0
         self.stats: Dict[str, int] = {
             "captures": 0, "capture_errors": 0, "debounced": 0,
-            "evicted": 0, "bundles": 0, "bytes": 0,
+            "evicted": 0, "bundles": len(bundles),
+            "bytes": sum(entry["bytes"] for entry in bundles),
         }
-        self._seq = 0
-        for path in self.directory.glob("forensic-*.json"):
-            match = _BUNDLE_RE.match(path.name)
-            if match:
-                self._seq = max(self._seq, int(match.group(1)))
-        self._refresh_disk_stats()
 
     # ------------------------------------------------------------- triggers
 
@@ -198,20 +194,7 @@ class ForensicsRecorder:
 
     def list_bundles(self) -> List[Dict[str, Any]]:
         """Bundles on disk, newest first: id, kind, wall time, size."""
-        out: List[Dict[str, Any]] = []
-        for path in self.directory.glob("forensic-*.json"):
-            match = _BUNDLE_RE.match(path.name)
-            if not match:
-                continue
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            out.append({"id": path.stem, "seq": int(match.group(1)),
-                        "kind": match.group(2), "wall": stat.st_mtime,
-                        "bytes": stat.st_size})
-        out.sort(key=lambda entry: entry["seq"], reverse=True)
-        return out
+        return list_bundles(self.directory)
 
     def bundle_path(self, bundle_id: str) -> Path:
         """Resolve a bundle id to its file (id validated against path
@@ -335,90 +318,48 @@ class ForensicsRecorder:
             self.stats["bundles"] = len(bundles)
             self.stats["bytes"] = total
 
-    def _refresh_disk_stats(self) -> None:
-        bundles = self.list_bundles()
-        total = sum(entry["bytes"] for entry in bundles)
-        with self._lock:
-            self.stats["bundles"] = len(bundles)
-            self.stats["bytes"] = total
-
     # ----------------------------------------------------------- the bundle
 
     def _build_bundle(self, kind: str, reason: str,
                       alert: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         db = self.db
-        config = self.config
-        now = time.time()
-        bundle: Dict[str, Any] = {
+        bundle = db.snapshot(last=self.config.last)
+        bundle.update({
             "format": "hipac-forensics/1",
             "kind": kind,
             "reason": reason,
             "trigger": alert,
-            "wall": now,
+            "wall": bundle["time"],
             "envelope": {
                 "pid": os.getpid(),
                 "python": sys.version.split()[0],
-                "uptime": now - getattr(db, "_started_at", now),
-                "started_at": getattr(db, "_started_at", None),
+                "uptime": bundle["uptime"],
+                "started_at": db._started_at,
                 "config": self._env,
-                "forensics": dataclasses.asdict(config),
+                "forensics": dataclasses.asdict(self.config),
             },
-        }
-        bundle["health"] = db.health()
-        bundle["stats"] = db.stats()
-        bundle["derived"] = db.admin_stats().get("derived", {})
-        bundle["alerts"] = [
-            alert.as_dict()
-            for alert in db.watchdog.alerts()[-config.alerts_last:]]
-        bundle["slo"] = db.slo.as_dict() if db.slo is not None else None
-        bundle["timeseries"] = (
-            db.timeseries.as_dict(last=config.timeseries_last)
-            if db.timeseries is not None else None)
-        bundle["slowlog"] = [
-            {"kind": entry.kind, "name": entry.name,
-             "seconds": entry.seconds, "threshold": entry.threshold,
-             "tags": dict(entry.tags)}
-            for entry in db.slow_log.entries()[-config.slowlog_last:]]
-        bundle["profile"] = db.rule_profiler().as_dict(top=config.profile_top)
-        bundle["firings"] = [
-            {"rule": firing.rule_name, "event": firing.event,
-             "ec": firing.ec_coupling, "ca": firing.ca_coupling,
-             "satisfied": firing.satisfied, "executed": firing.executed,
-             "deferred": firing.deferred,
-             "separate": firing.separate_thread, "error": firing.error,
-             "wall": firing.wall_time}
-            for firing in db.firing_log().all()[-config.firings_last:]]
-        bundle["provenance"] = (db.provenance.stats_snapshot()
-                                if db.provenance is not None else None)
-        bundle["journal"] = self._journal_section()
-        bundle["threads"] = _thread_dumps()
+            "threads": _thread_dumps(),
+        })
         return bundle
 
-    def _journal_section(self) -> Optional[Dict[str, Any]]:
-        recorder = getattr(self.db, "flight_recorder", None)
-        if recorder is None:
-            return None
-        # Flush first so the on-disk journal really contains last_seq and
-        # the bisection command below is runnable as printed.
-        recorder.flush()
-        recent = recorder.recent(last=1 << 30)
-        seqs = [record.get("seq") for record in recent
-                if record.get("seq") is not None]
-        last_seq = recorder.stats.get("last_seq", 0)
-        data_dir = Path(recorder.segment_path).parent.parent
-        section: Dict[str, Any] = {
-            "dir": str(Path(recorder.segment_path).parent),
-            "segment": str(recorder.segment_path),
-            "last_seq": last_seq,
-            "tail_first_seq": min(seqs) if seqs else None,
-            "tail_last_seq": max(seqs) if seqs else None,
-            "records": recorder.stats.get("records", 0),
-        }
-        if last_seq:
-            section["replay_command"] = (
-                "python -m repro.tools.replay %s --diff --until %d"
-                % (data_dir, last_seq))
-        return section
+
+def list_bundles(directory: Any) -> List[Dict[str, Any]]:
+    """The bundles in a forensics directory, newest (highest seq) first:
+    id, seq, kind, wall time, size."""
+    out: List[Dict[str, Any]] = []
+    for path in Path(directory).glob("forensic-*.json"):
+        match = _BUNDLE_RE.match(path.name)
+        if not match:
+            continue
+        try:
+            stat = path.stat()
+        except OSError:
+            continue
+        out.append({"id": path.stem, "seq": int(match.group(1)),
+                    "kind": match.group(2), "wall": stat.st_mtime,
+                    "bytes": stat.st_size})
+    out.sort(key=lambda entry: entry["seq"], reverse=True)
+    return out
 
 
 def _safe_kind(kind: str) -> str:

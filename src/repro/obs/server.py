@@ -10,9 +10,14 @@ and exposes:
   derived from the watchdog alert state and WAL append failures; the HTTP
   status mirrors it (200 while serving traffic is safe, 503 when failing)
   so load balancers can act on it without parsing the body;
-* ``GET /stats``    — the full ``HiPAC.stats()`` tree as JSON, plus the
-  live derived gauges (live transactions, deferred-queue depth) and
-  server time, which the ``repro.tools.top`` dashboard polls for rates;
+* ``GET /snapshot`` — the diagnosis document of ``HiPAC.snapshot()``,
+  the one a forensics bundle freezes (``?sections=a,b`` selects
+  sections, ``?last=N`` bounds every ring); ``repro.tools.doctor --url``
+  diagnoses it;
+* ``GET /stats``    — the snapshot's ``time``, ``uptime``, ``stats``
+  (the full ``HiPAC.stats()`` tree), ``derived`` (live transactions,
+  deferred-queue depth) and ``forensics`` sections, which the
+  ``repro.tools.top`` dashboard polls for rates;
 * ``GET /profile``  — per-rule cost attribution (JSON; ``?top=N`` bounds
   it, ``?format=text`` renders the hottest-rules table);
 * ``GET /flight``   — flight-recorder journal stats plus the newest
@@ -49,6 +54,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
+
+from repro.util import tail
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -97,6 +104,7 @@ class _AdminHandler(BaseHTTPRequestHandler):
                 "/": self._index,
                 "/metrics": self._metrics,
                 "/health": self._health,
+                "/snapshot": self._snapshot,
                 "/stats": self._stats,
                 "/profile": self._profile,
                 "/flight": self._flight,
@@ -136,8 +144,22 @@ class _AdminHandler(BaseHTTPRequestHandler):
         status = 503 if health["status"] == "failing" else 200
         self._send_json(status, health)
 
+    def _snapshot(self, db: Any, query: Dict[str, Any]) -> None:
+        from repro.core.hipac import SNAPSHOT_LAST, SNAPSHOT_SECTIONS
+        raw = query.get("sections")
+        sections = [name for name in raw[0].split(",") if name] \
+            if raw else None
+        unknown = sorted(set(sections or ()) - set(SNAPSHOT_SECTIONS))
+        if unknown:
+            raise _BadParam("unknown snapshot section(s) %s; known: %s"
+                            % (", ".join(unknown),
+                               ", ".join(SNAPSHOT_SECTIONS)))
+        last = _int_param(query, "last", SNAPSHOT_LAST)
+        self._send_json(200, db.snapshot(sections, last=last))
+
     def _stats(self, db: Any, query: Dict[str, Any]) -> None:
-        self._send_json(200, db.admin_stats())
+        self._send_json(200, db.snapshot(
+            ("time", "uptime", "stats", "derived", "forensics")))
 
     def _profile(self, db: Any, query: Dict[str, Any]) -> None:
         top = _int_param(query, "top", 10)
@@ -223,7 +245,7 @@ class _AdminHandler(BaseHTTPRequestHandler):
         even with observability off."""
         last = _int_param(query, "last", 50)
         kind = query.get("kind", [""])[0] or None
-        alerts = db.watchdog.alerts(kind)
+        alerts = tail(db.watchdog.alerts(kind), last)
         self._send_json(200, {
             "total": db.watchdog.stats.get("alerts_total", 0),
             "dropped": db.watchdog.dropped,
@@ -231,7 +253,7 @@ class _AdminHandler(BaseHTTPRequestHandler):
                         for key, value in db.watchdog.stats.items()
                         if key.startswith("alerts_")
                         and key != "alerts_total"},
-            "alerts": [alert.as_dict() for alert in alerts[-last:]],
+            "alerts": [alert.as_dict() for alert in alerts],
         })
 
     def _forensics(self, db: Any, query: Dict[str, Any]) -> None:
@@ -309,6 +331,8 @@ class _AdminHandler(BaseHTTPRequestHandler):
 _INDEX_TEXT = """hipac admin endpoint
   /metrics   Prometheus text exposition
   /health    liveness JSON (ok | degraded | failing; 503 when failing)
+  /snapshot  the diagnosis document a forensics bundle freezes (?sections=a,b,
+             ?last=N per ring; `python -m repro.tools.doctor --url` reads it)
   /stats     full component stats JSON (polled by `python -m repro.tools.top`)
   /profile   per-rule cost attribution (?top=N, ?format=text)
   /flight    flight-recorder journal stats + recent records (?last=N,

@@ -1,5 +1,5 @@
 """``python -m repro.tools.doctor`` — rule-based diagnosis over a
-forensics bundle (or a live admin endpoint).
+forensics bundle (or a live admin endpoint's ``/snapshot``).
 
 The forensics recorder (:mod:`repro.obs.forensics`) freezes the
 evidence; this tool turns it into a ranked findings report.  Each
@@ -25,7 +25,7 @@ Usage::
 
     python -m repro.tools.doctor data_dir/forensics/forensic-000001-rule_storm.json
     python -m repro.tools.doctor data_dir            # newest bundle
-    python -m repro.tools.doctor --url http://127.0.0.1:8787   # live
+    python -m repro.tools.doctor --url http://127.0.0.1:8787   # /snapshot
     python -m repro.tools.doctor --smoke             # self-check (CI)
 
 Stdlib only; ``--json`` emits the findings machine-readably.
@@ -37,11 +37,12 @@ import argparse
 import json
 import sys
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
+
+from repro.obs.forensics import list_bundles
+from repro.tools.top import fetch
 
 SEVERITY_RANK = {"critical": 2, "warning": 1, "info": 0}
 
@@ -107,12 +108,8 @@ def _profile_rules(bundle: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
     return (bundle.get("profile") or {}).get("rules", {})
 
 
-def _bisection(bundle: Dict[str, Any]) -> Dict[str, Any]:
-    return bundle.get("journal") or {}
-
-
 def _attach_bisection(finding: Finding, bundle: Dict[str, Any]) -> Finding:
-    journal = _bisection(bundle)
+    journal = bundle.get("journal") or {}
     seq = journal.get("last_seq")
     if seq:
         finding.journal_seq = seq
@@ -359,11 +356,12 @@ def _firing_errors(bundle: Dict[str, Any]) -> List[Finding]:
 def report(bundle: Dict[str, Any], findings: List[Finding],
            top: Optional[int] = None) -> str:
     lines = ["== hipac doctor =="]
-    wall = bundle.get("wall")
+    # A live /snapshot document carries no capture fields of its own.
+    wall = bundle.get("wall", bundle.get("time"))
     stamp = (time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(wall))
              if wall else "?")
     lines.append("bundle: kind=%s captured %s (%s)"
-                 % (bundle.get("kind", "?"), stamp,
+                 % (bundle.get("kind", "live"), stamp,
                     bundle.get("reason") or "no reason recorded"))
     health = bundle.get("health") or {}
     lines.append("health at capture: %s (%d alert(s) recorded)"
@@ -389,59 +387,14 @@ def load_bundle_arg(target: str) -> Dict[str, Any]:
     if path.is_dir():
         directory = path / "forensics" if (path / "forensics").is_dir() \
             else path
-        bundles = sorted(directory.glob("forensic-*.json"))
+        bundles = list_bundles(directory)
         if not bundles:
             raise SystemExit("no forensic-*.json bundles under %s"
                              % directory)
-        path = bundles[-1]
+        path = directory / (bundles[0]["id"] + ".json")
     if not path.is_file():
         raise SystemExit("no such bundle: %s" % target)
     return json.loads(path.read_text(encoding="utf-8"))
-
-
-def _fetch_json(url: str, timeout: float = 5.0) -> Optional[Any]:
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
-            return json.loads(resp.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        if exc.code in (409, 404):  # subsystem off on the served instance
-            return None
-        raise
-
-
-def live_bundle(url: str) -> Dict[str, Any]:
-    """Synthesize a bundle from a live admin endpoint (no recorder
-    needed: the same evidence, scraped instead of frozen)."""
-    url = url.rstrip("/")
-    stats_payload = _fetch_json(url + "/stats") or {}
-    alerts_payload = _fetch_json(url + "/alerts") or {}
-    flight = _fetch_json(url + "/flight")
-    bundle: Dict[str, Any] = {
-        "format": "hipac-forensics/1",
-        "kind": "live",
-        "reason": "scraped from %s" % url,
-        "wall": stats_payload.get("time"),
-        "stats": stats_payload.get("stats", {}),
-        "derived": stats_payload.get("derived", {}),
-        "health": _fetch_json(url + "/health") or {},
-        "alerts": alerts_payload.get("alerts", []),
-        "slo": _fetch_json(url + "/slo"),
-        "timeseries": _fetch_json(url + "/timeseries?last=120"),
-        "profile": _fetch_json(url + "/profile?top=20"),
-    }
-    if flight:
-        stats = flight.get("stats", {})
-        last_seq = stats.get("last_seq", 0)
-        section = {"segment": flight.get("segment"),
-                   "last_seq": last_seq,
-                   "records": stats.get("records", 0)}
-        if last_seq and flight.get("segment"):
-            data_dir = Path(flight["segment"]).parent.parent
-            section["replay_command"] = (
-                "python -m repro.tools.replay %s --diff --until %d"
-                % (data_dir, last_seq))
-        bundle["journal"] = section
-    return bundle
 
 
 # ------------------------------------------------------------------- smoke
@@ -491,6 +444,8 @@ def smoke() -> int:
                    if entry["kind"] == "rule_storm"]
         assert bundles, db.forensics.list_bundles()
         bundle = db.forensics.load_bundle(bundles[0]["id"])
+        # The same instance served live: one document, one diagnosis.
+        live = fetch(db.serve_admin().url + "/snapshot")
     finally:
         db.close()
     findings = diagnose(bundle)
@@ -498,6 +453,9 @@ def smoke() -> int:
     top_finding = findings[0]
     assert top_finding.kind == "rule_storm", top_finding
     assert top_finding.rule == "storming_rule", top_finding
+    live_top = diagnose(live)[0]
+    assert (live_top.kind, live_top.rule) \
+        == (top_finding.kind, top_finding.rule), live_top
     assert top_finding.command and "--until" in top_finding.command, \
         top_finding
     seq = int(top_finding.command.rsplit(None, 1)[-1])
@@ -536,7 +494,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.smoke:
         return smoke()
     if args.url:
-        bundle = live_bundle(args.url)
+        # the live document a bundle freezes
+        bundle = fetch(args.url.rstrip("/") + "/snapshot")
     elif args.target:
         bundle = load_bundle_arg(args.target)
     else:
@@ -544,8 +503,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     findings = diagnose(bundle)
     if args.json:
-        print(json.dumps({"kind": bundle.get("kind"),
-                          "wall": bundle.get("wall"),
+        print(json.dumps({"kind": bundle.get("kind", "live"),
+                          "wall": bundle.get("wall", bundle.get("time")),
                           "findings": [finding.as_dict()
                                        for finding in findings]},
                          indent=2, sort_keys=True))

@@ -17,6 +17,7 @@ import re
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -31,6 +32,7 @@ from repro import (
     attributes,
     external,
     on_create,
+    on_update,
 )
 from repro.obs import watchdog as watchdog_module
 from repro.obs.export import prometheus_text
@@ -59,6 +61,7 @@ from repro.rules.coupling import DEFERRED, IMMEDIATE
 from repro.rules.firing import FiringLog, RuleFiring
 from repro.rules.manager import RuleManagerConfig
 from repro.storage.framing import scan_frames
+from repro.tools import doctor
 from repro.tools import top as top_tool
 
 
@@ -963,3 +966,215 @@ class TestTopDashboard:
         assert top_tool.format_duration(5) == "5s"
         assert top_tool.format_duration(125) == "2m05s"
         assert top_tool.format_duration(7322) == "2h02m"
+
+
+# ================================================================== snapshot
+
+
+class TestSnapshotEndpoint:
+    def test_sections_bounds_and_agreement_with_the_endpoints(self):
+        db = _db()
+        try:
+            db.timeseries.stop()  # quiescent: no tick between the GETs
+            server = db.serve_admin()
+            status, _, body = _get(
+                server.url + "/snapshot?sections=health,stats")
+            assert status == 200
+            assert set(json.loads(body)) == {"health", "stats"}
+            status, _, body = _get(server.url + "/snapshot?sections=nope")
+            assert status == 400 and b"nope" in body
+            status, _, body = _get(server.url + "/snapshot?last=x")
+            assert status == 400 and b"last" in body
+            status, _, body = _get(server.url + "/snapshot")
+            assert status == 200
+            snapshot = json.loads(body)
+            for path in ("health", "slo"):
+                status, _, body = _get(server.url + "/" + path)
+                assert status == 200
+                assert json.loads(body) == snapshot[path], path
+            status, _, body = _get(server.url + "/stats")
+            stats = json.loads(body)
+            for key in ("time", "uptime"):
+                stats.pop(key)
+            assert stats == {key: snapshot[key] for key in
+                             ("stats", "derived", "forensics")}
+            status, _, body = _get(server.url + "/")
+            assert status == 200 and b"/snapshot" in body
+        finally:
+            db.close()
+
+    def test_last_zero_returns_no_items(self, tmp_path):
+        db = _db(data_dir=tmp_path, flight_recorder=True)
+        try:
+            db.timeseries.stop()
+            db.create_rule(Rule(
+                name="R", event=on_create("A"), condition=Condition.true(),
+                action=Action.call(lambda ctx: None)))
+            with db.transaction() as txn:
+                db.create("A", {"v": 1}, txn)
+            db.timeseries.tick()
+            for kind in (RULE_STORM, LOCK_WAIT, DEFERRED_QUEUE):
+                db.watchdog.alert(kind, WARNING, "synthetic", 2.0, 1.0)
+            db.slow_log.note("commit", "synthetic", 1.0)
+            server = db.serve_admin()
+
+            def get(path):
+                status, _, body = _get(server.url + path)
+                assert status == 200, path
+                return json.loads(body)
+
+            # every ring holds something, and ?last=0 takes none of it
+            assert len(get("/alerts")["alerts"]) == 3
+            assert get("/alerts?last=0")["alerts"] == []
+            assert get("/alerts?last=-1")["alerts"] == []
+            full = get("/snapshot")
+            empty = get("/snapshot?last=0")
+            for ring in ("alerts", "firings", "slowlog"):
+                assert full[ring] and empty[ring] == [], ring
+            assert full["timeseries"]["windows"]
+            assert empty["timeseries"]["windows"] == []
+            assert full["profile"]["rules"] and empty["profile"]["rules"] == {}
+            assert get("/timeseries")["windows"]
+            assert get("/timeseries?last=0")["windows"] == []
+            assert get("/flight")["recent"]
+            assert get("/flight?last=0")["recent"] == []
+            assert get("/profile")["rules"]
+            assert get("/profile?top=0")["rules"] == {}
+        finally:
+            db.close()
+
+
+# ============================================================== admin smoke
+
+
+def test_admin_smoke():
+    """Every admin endpoint answers one instance that has done a little
+    of everything: committed and aborted writes, a rule whose action
+    writes, a cascade; then the same under ``observability="trace"``."""
+    def get(server, path):
+        try:
+            with urllib.request.urlopen(server.url + path, timeout=10) as resp:
+                return resp.status, resp.read()
+        except urllib.error.HTTPError as err:
+            return err.code, err.read()
+
+    def cascade(db):  # outer's action creates the Inner that fires inner
+        for name in ("Outer", "Inner"):
+            db.define_class(ClassDef(name, attributes(("v", "int"))))
+        db.create_rule(Rule(name="outer", event=on_create("Outer"),
+                            condition=Condition.true(),
+                            action=Action.call(lambda ctx: ctx.create("Inner", {"v": 1}))))
+        db.create_rule(Rule(name="inner", event=on_create("Inner"),
+                            condition=Condition.true(),
+                            action=Action.call(lambda ctx: None)))
+        with db.transaction() as txn:
+            db.create("Outer", {"v": 0}, txn)
+
+    db = HiPAC()
+    for name in ("Smoke", "Feed", "Echo"):
+        db.define_class(ClassDef(name, attributes(("v", "int"))))
+    db.create_rule(Rule(name="watch", event=on_update("Smoke"),
+                        condition=Condition.true(),
+                        action=Action.call(lambda ctx: None)))
+    with db.transaction() as txn:
+        oid = db.create("Smoke", {"v": 1}, txn)
+        feed = db.create("Feed", {"v": 0}, txn)
+        echo = db.create("Echo", {"v": 0}, txn)
+    # a rule whose action writes: /why on Echo.v walks back to Feed
+    db.create_rule(Rule(name="echo", event=on_update("Feed"),
+                        condition=Condition.true(),
+                        action=Action.call(lambda ctx: ctx.update(
+                            echo, {"v": ctx.bindings["new_v"]}))))
+    with db.transaction() as txn:
+        db.update(oid, {"v": 2}, txn)
+        db.update(feed, {"v": 5}, txn)
+    txn = db.begin()
+    db.update(oid, {"v": 3}, txn)
+    db.abort(txn)  # aborted work never reaches the provenance store
+    server = db.serve_admin()  # ephemeral port
+    with urllib.request.urlopen(server.url + "/metrics", timeout=10) as resp:
+        text = resp.read().decode("utf-8")
+        assert resp.status == 200, resp.status
+    assert "# TYPE hipac_txn_commit_seconds histogram" in text, text[:400]
+    # one sample per (name, labels), each family in one contiguous run
+    samples, typed, family = {}, set(), None
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            family = line.split()[2]
+            assert family not in typed, "split family " + family
+            typed.add(family)
+        elif line and not line.startswith("#"):
+            key, value = line.rsplit(" ", 1)
+            assert key not in samples, "duplicate sample " + key
+            samples[key] = float(value)
+            name = key.split("{", 1)[0]
+            assert family in (name, re.sub(r"_(bucket|sum|count)$", "", name)), key
+    assert samples["hipac_rules_conditions_evaluated"] >= 1, samples
+    with urllib.request.urlopen(server.url + "/health", timeout=10) as resp:
+        health = json.loads(resp.read())
+        assert resp.status == 200 and health["status"] == "ok", health
+    why_url = (server.url + "/why?attr=v&oid="
+               + urllib.parse.quote(str(oid)))
+    with urllib.request.urlopen(why_url, timeout=10) as resp:
+        chain = json.loads(resp.read())
+        assert resp.status == 200, resp.status
+        assert chain["complete"] and chain["hops"], chain
+        assert chain["hops"][0]["cause"]["kind"] == "application", chain
+        assert chain["hops"][0]["new"] == 2, chain
+    why_url = (server.url + "/why?attr=v&oid="
+               + urllib.parse.quote(str(echo)))
+    with urllib.request.urlopen(why_url, timeout=10) as resp:
+        chain = json.loads(resp.read())
+        assert resp.status == 200 and chain["complete"], chain
+        rule_hop, app_hop = chain["hops"]
+        assert rule_hop["new"] == 5, chain
+        cause = rule_hop["cause"]
+        assert (cause["kind"], cause["rule"]) == ("rule", "echo"), chain
+        assert cause["trigger_op"] == "update", chain
+        assert cause["trigger_attrs"] == ["v"], chain
+        assert (app_hop["oid"], app_hop["new"]) == (str(feed), 5), chain
+        assert app_hop["cause"]["kind"] == "application", chain
+    with urllib.request.urlopen(server.url + "/stats", timeout=10) as resp:
+        stats = json.loads(resp.read())["stats"]
+        assert stats["provenance"]["pruned"] == 1, stats["provenance"]
+    with urllib.request.urlopen(server.url + "/alerts", timeout=10) as resp:
+        alerts = json.loads(resp.read())
+        assert set(alerts) == {"total", "dropped", "by_kind", "alerts"}, alerts
+        assert alerts["total"] == 0 and alerts["alerts"] == [], alerts
+    with urllib.request.urlopen(server.url + "/slo", timeout=10) as resp:
+        slo = json.loads(resp.read())
+        states = {o["name"]: o["state"] for o in slo["objectives"]}
+        assert states == dict.fromkeys(
+            ("commit_latency", "firing_errors", "alert_free",
+             "deferred_batch", "deferred_backlog"), "ok"), states
+    # cascade edges come from the firing log at every level; timing only under trace
+    cascade(db)
+    status, body = get(server, "/profile")
+    assert status == 200, status
+    assert json.loads(body)["rules"]["outer"]["triggers"] == {"inner": 1}, body
+    status, _ = get(server, "/trace")
+    assert status == 409, status
+    # the diagnosis document, served whole, and doctor diagnosing it live
+    status, body = get(server, "/snapshot")
+    assert status == 200, status
+    snapshot = json.loads(body)
+    assert snapshot["stats"]["provenance"]["pruned"] == 1, snapshot["stats"]
+    assert snapshot["profile"]["rules"]["outer"]["triggers"] == {"inner": 1}, body
+    assert doctor.main(["--url", server.url]) == 0
+    db.close()
+    assert not server.running
+    traced = HiPAC(observability="trace")
+    cascade(traced)
+    traced_server = traced.serve_admin()
+    status, body = get(traced_server, "/trace")
+    assert status == 200, status
+    events = json.loads(body)["traceEvents"]
+    names = {e["name"] for e in events if e["ph"] == "X"}
+    assert {"fire:outer", "act:outer", "fire:inner", "act:inner"} <= names, names
+    starts = sorted(e["id"] for e in events if e["ph"] == "s")
+    assert starts and starts == sorted(e["id"] for e in events if e["ph"] == "f"), events
+    status, body = get(traced_server, "/profile")
+    assert json.loads(body)["rules"]["outer"]["triggers"] == {"inner": 1}, body
+    traced.close()
+    print("admin smoke ok:", server.request_count + traced_server.request_count,
+          "requests served")

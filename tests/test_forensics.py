@@ -33,6 +33,7 @@ from repro import (
     on_create,
     on_update,
 )
+from repro.obs import watchdog as watchdog_module
 from repro.obs.flightrec import read_journal
 from repro.obs.forensics import ForensicsConfig, ForensicsRecorder
 from repro.obs.slo import RATE, Objective
@@ -141,8 +142,7 @@ class TestForensicsRecorder:
         config = ForensicsConfig(
             debounce_seconds=0.0, max_bundles=500,
             # trim the per-bundle rings so the soak stays fast
-            timeseries_last=5, alerts_last=10, slowlog_last=10,
-            firings_last=10, profile_top=5)
+            last=10)
         db = _db(tmp_path, forensics=config)
         try:
             # Bundle size depends on how many threads are alive in this
@@ -158,8 +158,7 @@ class TestForensicsRecorder:
                 db, tmp_path,
                 config=ForensicsConfig(
                     debounce_seconds=0.0, disk_budget_bytes=budget,
-                    max_bundles=500, timeseries_last=5, alerts_last=10,
-                    slowlog_last=10, firings_last=10, profile_top=5))
+                    max_bundles=500, last=10))
             for index in range(50):
                 assert recorder.capture(reason="soak %d" % index)
             snapshot = recorder.stats_snapshot()
@@ -455,6 +454,36 @@ class TestDoctor:
         explicit = doctor.load_bundle_arg(
             str(tmp_path / "forensics" / (newest + ".json")))
         assert explicit["reason"] == "second"
+
+    def test_bundle_and_live_snapshot_diagnose_alike(self, tmp_path,
+                                                     monkeypatch):
+        """A bundle freezes the document ``/snapshot`` serves, so the
+        doctor reads both alike — 60 storm alerts included, more than
+        ``/alerts`` serves by default."""
+        monkeypatch.setattr(watchdog_module, "REALERT_INTERVAL", 0.0)
+        db = _db(tmp_path, flight_recorder=True)
+        try:
+            db.timeseries.stop()  # quiescent between capture and GET
+            with db.transaction() as txn:
+                db.create("A", {"v": 1}, txn)
+            for index in range(60):
+                db.watchdog.alert(RULE_STORM, WARNING, "storm %d" % index,
+                                  100.0, 50.0)
+            server = db.serve_admin()
+            bundle = db.forensics.load_bundle(
+                db.forensics.capture(reason="drift check"))
+            status, _, body = _get(server.url + "/snapshot")
+            assert status == 200
+            live = json.loads(body)
+        finally:
+            db.close()
+        assert len(live["alerts"]) == len(bundle["alerts"]) == 60
+        assert doctor.diagnose(bundle) == doctor.diagnose(live)
+        assert "60 storm alert(s)" in doctor.diagnose(live)[0].details[0]
+        capture_only = {"format", "kind", "reason", "trigger", "wall",
+                        "envelope", "threads"}
+        assert set(bundle) - capture_only == set(live)
+        assert set(bundle["journal"]) == set(live["journal"])
 
 
 class TestAdminEndpoints:

@@ -18,6 +18,8 @@ thread, and a scope left by an exception.
 
 from __future__ import annotations
 
+import random
+import sys
 import threading
 
 import pytest
@@ -174,3 +176,61 @@ def test_a_raising_action_leaves_its_scope():
     assert _writes(chain_b) == [(b, "v", 0)]
     assert chain_b.hops[0].op == "create"
     assert chain_b.hops[0].cause.as_dict() == APPLICATION
+
+
+@pytest.mark.parametrize("coupling", [SEPARATE, IMMEDIATE])
+def test_newest_entry_is_the_stored_value_under_concurrent_writers(coupling):
+    """Four threads update four source objects; a copy rule writes each
+    source's value to its target, in the triggering transaction
+    (immediate) or in a transaction of its own on a worker thread
+    (separate).  Provenance entries are published in commit order, so
+    after the writers and the copies finish, the newest entry of every
+    object carries the value the store holds."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside commits too
+    try:
+        for seed in range(12):
+            db, oids = _db(["S%d" % i for i in range(4)]
+                           + ["T%d" % i for i in range(4)])
+            sources, targets = oids[:4], oids[4:]
+            target_of = dict(zip(sources, targets))
+            errors = []
+
+            def writer(index, rng):
+                try:
+                    for step in range(150):
+                        with db.transaction() as txn:
+                            db.update(rng.choice(sources),
+                                      {"v": index * 1000 + step + 1}, txn)
+                except Exception as exc:  # reported by the main thread
+                    errors.append(exc)
+
+            try:
+                for name in ("S%d" % i for i in range(4)):
+                    db.create_rule(Rule(
+                        "copy_" + name, event=on_update(name),
+                        condition=Condition.true(),
+                        action=Action.call(lambda ctx: ctx.update(
+                            target_of[ctx.bindings["oid"]],
+                            {"v": ctx.bindings["new_v"]})),
+                        ec_coupling=coupling, ca_coupling=IMMEDIATE))
+                threads = [threading.Thread(
+                    target=writer,
+                    args=(index, random.Random(seed * 4 + index)))
+                    for index in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors, errors
+                assert db.drain(30.0)
+                assert all(db.store.get(oid).attrs["v"] for oid in targets)
+                for oid in oids:
+                    stored = db.store.get(oid).attrs["v"]
+                    assert db.provenance.latest(oid, "v").new_value \
+                        == stored, (seed, oid)
+            finally:
+                db.close()
+    finally:
+        sys.setswitchinterval(previous)
