@@ -27,7 +27,7 @@ Reads (``read``/``execute_query``) take shared locks and do not signal.
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.clock import Clock, VirtualClock
 from repro.core import tracing
@@ -51,7 +51,7 @@ from repro.objstore.query import Query, QueryResult
 from repro.objstore.store import Delta, ObjectStore
 from repro.txn.locks import LockMode, LockResource
 from repro.txn.manager import TransactionManager
-from repro.txn.transaction import Transaction
+from repro.txn.transaction import ACTIVE, Transaction, not_active
 from repro.txn.undo import DeltaUndo
 
 DeltaListener = Callable[[Transaction, Delta], None]
@@ -116,7 +116,8 @@ class ObjectManager:
             raise SchemaError("unknown operation: %r" % (op,))
         self._tracer.record(source, tracing.OBJECT_MANAGER,
                             "execute_operation", op.describe)
-        txn.require_active()
+        if txn.state != ACTIVE:
+            raise not_active(txn)
         self.stats["operations"] += 1
         if self.recorder is not None:
             self._journal_operation(op, txn, user)
@@ -194,7 +195,8 @@ class ObjectManager:
     def read(self, oid: OID, txn: Transaction, *, user: str = "system",
              source: str = tracing.APPLICATION) -> Dict[str, Any]:
         """Read one instance's attributes (shared-locked snapshot)."""
-        txn.require_active()
+        if txn.state != ACTIVE:
+            raise not_active(txn)
         self.stats["reads"] += 1
         self.lock_for_read(oid, txn, source=source)
         snapshot = self.store.get(oid).snapshot()
@@ -203,7 +205,9 @@ class ObjectManager:
         return snapshot
 
     def lock_for_read(self, oid: OID, txn: Transaction, *,
-                      source: str = tracing.APPLICATION) -> None:
+                      source: str = tracing.APPLICATION,
+                      resources: Optional[Tuple[LockResource, LockResource]]
+                      = None) -> None:
         """Take the locks of a read of ``oid`` — IS on its class, S on the
         object — without reading it.
 
@@ -211,11 +215,14 @@ class ObjectManager:
         the rule ("firing requires a read lock", §2.2); it asks on the
         transaction the firing nests under, which may be committing (§6.3),
         so only a finished transaction is refused (by the lock manager).
+        A rule's firing plan keeps ``oid``'s (class, object) ``resources``.
         """
         self._tracer.record(source, tracing.OBJECT_MANAGER, "read", "%s", oid)
+        extent, instance = resources or (LockResource.for_class(oid.class_name),
+                                         LockResource.for_object(oid))
         locks = self.txns.locks
-        locks.acquire(txn, LockResource.for_class(oid.class_name), LockMode.IS)
-        locks.acquire(txn, LockResource.for_object(oid), LockMode.S)
+        locks.acquire(txn, extent, LockMode.IS)
+        locks.acquire(txn, instance, LockMode.S)
 
     def execute_query(self, query: Query, txn: Transaction,
                       bindings: Bindings = (), *, user: str = "system",
@@ -223,7 +230,8 @@ class ObjectManager:
         """Evaluate a query with shared locks on the extents it ranges over."""
         self._tracer.record(source, tracing.OBJECT_MANAGER, "execute_query",
                             query.class_name)
-        txn.require_active()
+        if txn.state != ACTIVE:
+            raise not_active(txn)
         self.stats["queries"] += 1
         locks = self.txns.locks
         if query.include_subclasses:
@@ -262,7 +270,8 @@ class ObjectManager:
         other transaction has uncommitted changes in it, so the memory is
         exact for this reader.
         """
-        txn.require_active()
+        if txn.state != ACTIVE:
+            raise not_active(txn)
         if include_subclasses:
             class_names = self.store.schema.subclasses(class_name)
         else:

@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.txn.transaction import Transaction
 
 
-@dataclass
+@dataclass(slots=True)
 class ActionContext:
     """Everything an action step may use while executing."""
 

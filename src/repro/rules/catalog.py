@@ -41,6 +41,7 @@ from repro.events.spec import (
 from repro.objstore.manager import ObjectManager
 from repro.objstore.objects import OID
 from repro.rules.rule import RULE_CLASS, Rule
+from repro.txn.locks import LockResource
 from repro.txn.transaction import Transaction
 from repro.txn.undo import CallbackUndo
 
@@ -53,16 +54,20 @@ def firing_order(rule: Rule) -> Tuple[int, str]:
 class FiringPlan:
     """What every firing of one rule reuses (§6.2), made once when the
     catalog registers the rule: the labels of its condition and action
-    transactions, and the histogram its action's run time goes to."""
+    transactions, the histogram its action's run time goes to, and the
+    (class, object) lock resources of the read lock on its rule object."""
 
-    __slots__ = ("cond", "act", "sep_cond", "sep_act", "action_seconds")
+    __slots__ = ("cond", "act", "sep_cond", "sep_act", "action_seconds",
+                 "read_locks")
 
-    def __init__(self, rule: Rule, action_seconds: Any) -> None:
+    def __init__(self, rule: Rule, oid: OID, action_seconds: Any) -> None:
         self.cond = "cond:" + rule.name
         self.act = "act:" + rule.name
         self.sep_cond = "sep-cond:" + rule.name
         self.sep_act = "sep-act:" + rule.name
         self.action_seconds = action_seconds
+        self.read_locks = (LockResource.for_class(oid.class_name),
+                           LockResource.for_object(oid))
 
 
 class RuleCatalog:
@@ -95,6 +100,10 @@ class RuleCatalog:
         #: rules in :func:`firing_order`; rebuilt whenever one changes
         self._triggered: Dict[EventSpec, Tuple[Rule, ...]] = {}
         self._pending = threading.local()
+        #: serializes every change to the mapping and the detectors, undo
+        #: callbacks included: creating a rule takes only IX on its class,
+        #: so two may register at once (re-entrant: composites recurse)
+        self._mutex = threading.RLock()
 
     # ============================================================ rule ops
 
@@ -250,7 +259,8 @@ class RuleCatalog:
 
     def _register(self, rule: Rule, oid: OID, txn: Transaction) -> None:
         rule.oid = oid
-        rule.plan = FiringPlan(rule, self._action_seconds[rule.ca_coupling])
+        rule.plan = FiringPlan(rule, oid,
+                               self._action_seconds[rule.ca_coupling])
         # §6.1 step 1: add the rule to the condition graph.
         rule.indexes = self._evaluator.add_rule(rule.condition, txn)
         # §6.1 step 2: program the event detectors.
@@ -276,20 +286,22 @@ class RuleCatalog:
             label="re-register rule %s" % rule.name))
 
     def _remember(self, rule: Rule) -> None:
-        self._event_map.setdefault(rule.event, set()).add(rule.name)
-        self._rules[rule.name] = rule
-        self._rules_by_oid[rule.oid] = rule
-        self._order(rule.event)
+        with self._mutex:
+            self._event_map.setdefault(rule.event, set()).add(rule.name)
+            self._rules[rule.name] = rule
+            self._rules_by_oid[rule.oid] = rule
+            self._order(rule.event)
 
     def _forget(self, rule: Rule) -> None:
-        names = self._event_map.get(rule.event)
-        if names is not None:
-            names.discard(rule.name)
-            if not names:
-                del self._event_map[rule.event]
-        self._rules.pop(rule.name, None)
-        self._rules_by_oid.pop(rule.oid, None)
-        self._order(rule.event)
+        with self._mutex:
+            names = self._event_map.get(rule.event)
+            if names is not None:
+                names.discard(rule.name)
+                if not names:
+                    del self._event_map[rule.event]
+            self._rules.pop(rule.name, None)
+            self._rules_by_oid.pop(rule.oid, None)
+            self._order(rule.event)
 
     def _order(self, spec: EventSpec) -> None:
         """Rebuild what :meth:`triggered` answers for ``spec``."""
@@ -316,14 +328,15 @@ class RuleCatalog:
         *no* enabled rule uses it (several rules may share one event,
         §5.3)."""
         spec = rule.event
-        self._order(spec)
-        detector = self.detector_for(spec)
-        if detector is None or not detector.is_defined(spec):
-            return
-        if spec in self._triggered:
-            detector.enable_event(spec)
-        else:
-            detector.disable_event(spec)
+        with self._mutex:
+            self._order(spec)
+            detector = self.detector_for(spec)
+            if detector is None or not detector.is_defined(spec):
+                return
+            if spec in self._triggered:
+                detector.enable_event(spec)
+            else:
+                detector.disable_event(spec)
 
     # ====================================================== detector routing
 
@@ -349,9 +362,10 @@ class RuleCatalog:
             raise RuleError("no detector available for event %r" % spec)
         self._tracer.record(tracing.RULE_MANAGER, tracing.EVENT_DETECTOR,
                             "define_event", "%r", spec)
-        detector.define_event(spec)
-        for member in _constituents(spec):
-            self._define_event(member)
+        with self._mutex:
+            detector.define_event(spec)
+            for member in _constituents(spec):
+                self._define_event(member)
 
     def _delete_event(self, spec: EventSpec) -> None:
         detector = self.detector_for(spec)
@@ -359,9 +373,10 @@ class RuleCatalog:
             return
         self._tracer.record(tracing.RULE_MANAGER, tracing.EVENT_DETECTOR,
                             "delete_event", "%r", spec)
-        detector.delete_event(spec)
-        for member in _constituents(spec):
-            self._delete_event(member)
+        with self._mutex:
+            detector.delete_event(spec)
+            for member in _constituents(spec):
+                self._delete_event(member)
 
 
 def _constituents(spec: EventSpec) -> tuple:

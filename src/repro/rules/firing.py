@@ -33,7 +33,7 @@ Phase = Tuple[int, float, float]
 _FIRING_IDS = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class RuleFiring:
     """One rule firing and the transactions it used."""
 

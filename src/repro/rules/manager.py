@@ -459,7 +459,8 @@ class RuleManager:
                 # "Firing requires a read lock" (§2.2) — on the transaction
                 # the firing nests under, so the condition's own stays empty.
                 self._om.lock_for_read(rule.oid, ctxn if separate else parent,
-                                       source=tracing.RULE_MANAGER)
+                                       source=tracing.RULE_MANAGER,
+                                       resources=rule.plan.read_locks)
             self.stats["conditions_evaluated"] += 1
             outcome = self._evaluator.evaluate(
                 rule.condition, signal, ctxn, coupling=coupling, memo=memo)
@@ -618,14 +619,14 @@ class RuleManager:
         the action."  Deferred work may queue further deferred work (e.g.
         deferred C-A after a deferred condition); rounds repeat until the
         set drains."""
-        if not txn.has_deferred_work():
+        if not (txn.deferred_conditions or txn.deferred_actions):
             return
         # Commit-time cascade scope: the triggering commit was already
         # journalled as a stimulus; everything below is re-derived by
         # replay, so stimulus capture is suppressed throughout.
         with self._suppression():
             rounds = 0
-            while txn.has_deferred_work():
+            while txn.deferred_conditions or txn.deferred_actions:
                 rounds += 1
                 if rounds > MAX_DEFERRED_ROUNDS:
                     raise RuleError("deferred rule firings did not quiesce"

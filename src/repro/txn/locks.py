@@ -32,6 +32,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, NamedTuple, Optional, Set,
 
 from repro.errors import DeadlockError, LockTimeout, TransactionStateError
 from repro.obs.metrics import MetricsRegistry
+from repro.txn.transaction import ABORTED, COMMITTED
 from repro.util.tally import Tally
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,6 +83,9 @@ _SUPREMUM: Dict[Tuple[str, str], str] = {
 # (held, requested) pairs where the holding already covers the request.
 _COVERS = frozenset(pair for pair, join in _SUPREMUM.items() if join == pair[0])
 
+# A finished transaction's release_all already ran: a lock would leak.
+_FINISHED = (COMMITTED, ABORTED)
+
 
 def compatible(requested: str, held: str) -> bool:
     """Return True if ``requested`` can coexist with ``held``."""
@@ -98,8 +102,8 @@ class LockResource(NamedTuple):
 
     ``kind`` is ``"class"`` or ``"object"``; ``name`` is the class name;
     ``number`` is the OID number for object resources (0 for class
-    resources).  A tuple, because one is built, hashed and compared on
-    every lock request.
+    resources).  A tuple, hashed and compared on every lock request; a
+    class's is interned (the schema bounds class names).
     """
 
     kind: str
@@ -108,8 +112,9 @@ class LockResource(NamedTuple):
 
     @staticmethod
     def for_class(class_name: str) -> "LockResource":
-        """The extent-level resource of ``class_name``."""
-        return LockResource("class", class_name)
+        """The extent-level resource of ``class_name`` (interned)."""
+        return _CLASS_RESOURCES.get(class_name) or _CLASS_RESOURCES.setdefault(
+            class_name, LockResource("class", class_name))
 
     @staticmethod
     def for_object(oid) -> "LockResource":
@@ -120,6 +125,9 @@ class LockResource(NamedTuple):
         if self.kind == "class":
             return "class:%s" % self.name
         return "object:%s#%d" % (self.name, self.number)
+
+
+_CLASS_RESOURCES: Dict[str, LockResource] = {}
 
 
 class LockManager:
@@ -166,7 +174,9 @@ class LockManager:
         :class:`DeadlockError` if waiting would close a waits-for cycle, and
         :class:`LockTimeout` if the wait exceeds ``timeout``.
         """
-        self._require_unfinished(txn)
+        if txn.state in _FINISHED:
+            raise TransactionStateError("transaction %s is %s; cannot lock"
+                                        % (txn.txn_id, txn.state))
         if (txn.held_locks.get(resource), mode) in _COVERS:
             # Only the requester's *own* holding short-cuts.  A lock an
             # ancestor holds must still be registered for the child: sibling
@@ -183,22 +193,15 @@ class LockManager:
 
     def try_acquire(self, txn: "Transaction", resource: LockResource, mode: str) -> bool:
         """Non-blocking acquire; returns False instead of waiting."""
-        # A finished transaction's release_all already ran, so any lock
-        # granted to it would leak forever.
-        self._require_unfinished(txn)
+        if txn.state in _FINISHED:
+            raise TransactionStateError("transaction %s is %s; cannot lock"
+                                        % (txn.txn_id, txn.state))
         with self._mutex:
             holders = self._table.get(resource)
             if holders and self._conflicting_holders(txn, holders, mode):
                 return False
             self._grant(txn, resource, holders, mode)
             return True
-
-    @staticmethod
-    def _require_unfinished(txn: "Transaction") -> None:
-        if txn.is_finished():
-            raise TransactionStateError(
-                "transaction %s is %s; cannot lock" % (txn.txn_id, txn.state)
-            )
 
     def _grant(self, txn: "Transaction", resource: LockResource,
                holders: Optional[Dict["Transaction", str]], mode: str) -> None:

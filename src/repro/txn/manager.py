@@ -20,6 +20,8 @@ benchmarks.
 
 from __future__ import annotations
 
+import itertools
+import threading
 import time as _time
 from typing import Any, Callable, Dict, List, Optional
 
@@ -33,9 +35,9 @@ from repro.txn.transaction import (
     COMMITTED,
     COMMITTING,
     Transaction,
+    not_active,
 )
 from repro.txn.undo import replay_reverse
-from repro.util.ids import IdGenerator
 from repro.util.tally import Tally
 
 TransactionEventSink = Callable[[str, Transaction], None]
@@ -50,7 +52,9 @@ class TransactionManager:
                  tracer: Optional[tracing.Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.locks = lock_manager or LockManager()
-        self._ids = IdGenerator("t")
+        self._ids = itertools.count(1)      # ids "t1", "t2", ...
+        #: guards ``live_children``: siblings start and end on any thread
+        self._family = threading.Lock()
         self._tracer = tracer or tracing.Tracer()
         self._metrics = metrics or MetricsRegistry(enabled=False)
         #: commit latency includes §6.3 deferred rule processing — it is
@@ -105,8 +109,9 @@ class TransactionManager:
             self._tracer.record(source, tracing.TRANSACTION_MANAGER,
                                 "create_transaction", "nested under %s",
                                 parent.txn_id)
-        txn = Transaction(self._ids.next_id(), parent, label=label,
-                          internal=internal)
+        with self._family:
+            txn = Transaction("t%d" % next(self._ids), parent, label=label,
+                              internal=internal)
         self._live[txn.txn_id] = txn
         self._created()
         if self.recorder is not None and not internal:
@@ -136,15 +141,15 @@ class TransactionManager:
         """
         self._tracer.record(source, tracing.TRANSACTION_MANAGER,
                             "commit_transaction", txn.txn_id)
-        parent = txn.parent
+        parent = txn._parent()
         timed = parent is None and self._commit_seconds.should_sample()
         start = _time.perf_counter() if timed else 0.0
-        txn.require_active()
-        active_children = txn.active_children()
-        if active_children:
+        if txn.state != ACTIVE:
+            raise not_active(txn)
+        if txn.live_children:
             raise TransactionStateError(
                 "cannot commit %s: active subtransactions %s"
-                % (txn.txn_id, [child.txn_id for child in active_children])
+                % (txn.txn_id, [c.txn_id for c in txn.active_children()])
             )
         txn.state = COMMITTING
         # Journalled before the commit signal (intent discipline): §6.3
@@ -155,7 +160,8 @@ class TransactionManager:
             # this sphere use it as their replay address.
             txn.flight_seq = self.recorder.record_txn_commit(txn)
         try:
-            if not txn.internal or txn.has_deferred_work():
+            if (not txn.internal or txn.deferred_conditions
+                    or txn.deferred_actions):
                 self._signal("commit", txn)
         except BaseException:
             # Deferred rule work failed: the transaction cannot commit.
@@ -173,7 +179,8 @@ class TransactionManager:
                 if txn.held_locks:
                     self.locks.inherit_to_parent(txn)
                 if txn.undo_log:
-                    parent.adopt_child_log(txn)
+                    parent.undo_log.extend(txn.undo_log)
+                    txn.undo_log = []
                 # Permanence of nested effects awaits the ancestors: hand
                 # hooks up.
                 if txn.on_commit:
@@ -194,6 +201,9 @@ class TransactionManager:
             raise
         # The commit stands: nothing below may take it back.
         txn.state = COMMITTED
+        if parent is not None:
+            with self._family:
+                parent.live_children -= 1
         self._committed()
         self._live.pop(txn.txn_id, None)
         if parent is None:
@@ -241,10 +251,14 @@ class TransactionManager:
             # never published, so there is nothing to take back.
             self.provenance.on_abort(txn)
         # Abort any still-active descendants first (deepest first).
-        for child in txn.active_children():
+        for child in txn.active_children() if txn.live_children else ():
             self.abort_transaction(child, source=tracing.TRANSACTION_MANAGER)
         txn.aborted_flag = True
         txn.state = ABORTED
+        parent = txn._parent()
+        if parent is not None:
+            with self._family:
+                parent.live_children -= 1
         self.locks.wake_aborted(txn)
         replay_reverse(txn.undo_log)
         txn.undo_log = []

@@ -30,11 +30,13 @@ holds the tree.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional
 
 from repro.errors import TransactionStateError
-from repro.txn.locks import LockResource
 from repro.txn.undo import UndoRecord
+
+if TYPE_CHECKING:  # pragma: no cover - repro.txn.locks imports this module
+    from repro.txn.locks import LockResource
 
 ACTIVE = "active"
 COMMITTING = "committing"
@@ -47,6 +49,12 @@ def _ROOT() -> None:
     return None
 
 
+def not_active(txn: "Transaction") -> TransactionStateError:
+    """What a new operation raises when ``txn.state`` is not ACTIVE."""
+    return TransactionStateError(
+        "transaction %s is %s" % (txn.txn_id, txn.state))
+
+
 class Transaction:
     """One (possibly nested) transaction.
 
@@ -55,18 +63,11 @@ class Transaction:
     :class:`~repro.core.hipac.HiPAC` facade.
     """
 
-    #: flight-recorder coalescing buffer for a journalled top-level sphere
-    #: (set by the recorder at begin, detached at its commit/abort intent).
-    #: Lives on the transaction because the sphere is thread-confined:
-    #: entries append without any lock.
-    flight_tail: Optional[Dict[str, Any]] = None
-    #: journal seq of this sphere's coalesced flight record (set at commit
-    #: when the recorder is on; provenance entries without a stimulus seq
-    #: inherit it as their replay address)
-    flight_seq: Optional[int] = None
-    #: set True when the system decides to abort this transaction from
-    #: another thread (deadlock victim wake-up, dependency discard)
-    aborted_flag = False
+    __slots__ = ("txn_id", "_parent", "internal", "children", "live_children",
+                 "state", "depth", "label", "undo_log", "held_locks",
+                 "deferred_conditions", "deferred_actions", "on_commit",
+                 "on_abort", "flight_tail", "flight_seq", "aborted_flag",
+                 "__weakref__")
 
     def __init__(self, txn_id: str, parent: Optional["Transaction"] = None,
                  *, label: str = "", internal: bool = False) -> None:
@@ -81,6 +82,9 @@ class Transaction:
         #: thread creates a child: ``list.append`` is atomic, and iterating
         #: a list tolerates a concurrent append, so no mutex guards it.
         self.children: List["Transaction"] = []
+        #: children not yet finished: raised in a child's constructor,
+        #: lowered by the Transaction Manager when that child finishes
+        self.live_children = 0
         self.state = ACTIVE
         self.depth = 0 if parent is None else parent.depth + 1
         self.label = label
@@ -99,14 +103,25 @@ class Transaction:
         self.on_commit: List[Callable[["Transaction"], None]] = []
         #: callbacks to run after abort
         self.on_abort: List[Callable[["Transaction"], None]] = []
+        #: flight-recorder coalescing buffer of a journalled top-level
+        #: sphere (set at begin, detached at its commit/abort intent); the
+        #: sphere is thread-confined, so entries append without any lock
+        self.flight_tail: Optional[Dict[str, Any]] = None
+        #: journal seq of this sphere's coalesced flight record, set at
+        #: commit: the replay address of its provenance entries
+        self.flight_seq: Optional[int] = None
+        #: set True when the system decides to abort this transaction from
+        #: another thread (deadlock victim wake-up, dependency discard)
+        self.aborted_flag = False
 
         if parent is not None:
-            if parent.is_finished():
+            if parent.state in (COMMITTED, ABORTED):
                 raise TransactionStateError(
                     "cannot nest under %s transaction %s"
                     % (parent.state, parent.txn_id)
                 )
             parent.children.append(self)
+            parent.live_children += 1
 
     # ----------------------------------------------------------- structure
 
@@ -146,7 +161,8 @@ class Transaction:
 
     def active_children(self) -> List["Transaction"]:
         """Return children still in the ACTIVE or COMMITTING state."""
-        return [child for child in self.children if not child.is_finished()]
+        return [child for child in self.children
+                if child.state not in (COMMITTED, ABORTED)]
 
     def tree_size(self) -> int:
         """Number of transactions in this subtree (self included)."""
@@ -167,24 +183,11 @@ class Transaction:
         """True once committed or aborted."""
         return self.state in (COMMITTED, ABORTED)
 
-    def require_active(self) -> None:
-        """Raise :class:`TransactionStateError` unless the transaction is
-        usable for new operations."""
-        if self.state != ACTIVE:
-            raise TransactionStateError(
-                "transaction %s is %s" % (self.txn_id, self.state)
-            )
-
     # ----------------------------------------------------------- logging
 
     def log_undo(self, record: UndoRecord) -> None:
         """Append an undo record for an effect just applied."""
         self.undo_log.append(record)
-
-    def adopt_child_log(self, child: "Transaction") -> None:
-        """Take over a committed child's undo log (nested commit)."""
-        self.undo_log.extend(child.undo_log)
-        child.undo_log = []
 
     def add_deferred_condition(self, firing: Any) -> None:
         """Queue a rule firing whose condition is deferred to commit."""

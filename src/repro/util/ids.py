@@ -1,11 +1,9 @@
-"""Thread-safe monotonically increasing id generation.
+"""Thread-safe monotonically increasing OID numbers.
 
-OIDs, transaction ids, rule ids, and firing ids all come from instances of
-:class:`IdGenerator` so that every identifier in a single HiPAC instance is
-small, dense, and deterministic — properties the tests and the tracing
-experiments rely on.  Recovery restores an OID generator past the highest
-recovered identifier (:meth:`IdGenerator.advance_past`) so replayed objects
-and new ones never collide.
+Every OID of one HiPAC instance is small, dense and deterministic — the
+tests and the tracing experiments rely on it.  Recovery restores the
+generator past the highest recovered number (:meth:`IdGenerator.advance_past`)
+so replayed objects and new ones never collide.
 """
 
 from __future__ import annotations
@@ -14,14 +12,13 @@ import threading
 
 
 class IdGenerator:
-    """Produce ids ``prefix1, prefix2, ...`` (or bare ints without a prefix).
+    """Produce the integers 1, 2, ...
 
     Thread safe: multiple event-detector and rule-firing threads allocate ids
     concurrently.
     """
 
-    def __init__(self, prefix: str = "") -> None:
-        self._prefix = prefix
+    def __init__(self) -> None:
         self._next = 1
         self._lock = threading.Lock()
 
@@ -31,10 +28,6 @@ class IdGenerator:
             value = self._next
             self._next += 1
             return value
-
-    def next_id(self) -> str:
-        """Return the next string id, ``<prefix><n>``."""
-        return "%s%d" % (self._prefix, self.next_int())
 
     def peek(self) -> int:
         """The integer the next allocation would return."""

@@ -10,6 +10,7 @@ exactly what a scan answers.
 
 import sys
 import threading
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +21,7 @@ from repro.objstore.executor import QueryExecutor
 from repro.objstore.predicates import And, Attr, Compare, EventArg
 from repro.objstore.query import Query
 from repro.recovery import recover
+from repro.rules.catalog import firing_order
 
 SECTORS = ("tech", "energy", "bank")
 
@@ -283,6 +285,57 @@ def test_concurrent_rule_creation_and_deletion_balance_the_requests():
     assert sector_index(db) is None
     db.create_rule(sector_rule("after"))
     assert_exact(db)
+
+
+def test_rule_administration_soak_keeps_the_catalog_exact():
+    """Twenty rounds of six threads creating, deleting and disabling rules
+    on one event spec at once, switching threads as often as the
+    interpreter allows.  Afterwards the detector counts one registration
+    per live rule, and the catalog answers exactly the enabled ones, in
+    firing order."""
+    spec = on_update("Stock", attrs=["price"])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(20):
+            db, _ = make_db()
+            errors = []
+            start = threading.Barrier(6)
+
+            def churn(worker):
+                try:
+                    start.wait()
+                    for k in range(30):
+                        name = "w%d-%d" % (worker, k)
+                        db.create_rule(sector_rule(name))
+                        if k % 3:
+                            db.delete_rule(name)
+                        elif worker % 2:
+                            db.disable_rule(name)
+                except Exception as exc:  # reported below, with the others
+                    errors.append(exc)
+
+            workers = [threading.Thread(target=churn, args=(n,))
+                       for n in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            assert not any(worker.is_alive() for worker in workers)
+            assert errors == [], "round %d" % round_
+            catalog = db.rule_catalog
+            live = [catalog.get_rule(name) for name in catalog.rule_names()]
+            assert len(live) == 60
+            registration = catalog.detector_for(spec)._registrations[spec]
+            assert registration.refcount == len(live), "round %d" % round_
+            enabled = sorted((rule for rule in live if rule.enabled),
+                             key=firing_order)
+            assert len(enabled) == 30
+            assert catalog.triggered(SimpleNamespace(spec=spec)) == tuple(
+                enabled), "round %d" % round_
+            db.close()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_a_query_never_sees_an_index_being_built():

@@ -11,11 +11,6 @@ class TestIdGenerator:
         gen = IdGenerator()
         assert [gen.next_int() for _ in range(3)] == [1, 2, 3]
 
-    def test_prefixed_ids(self):
-        gen = IdGenerator("t")
-        assert gen.next_id() == "t1"
-        assert gen.next_id() == "t2"
-
     def test_independent_generators(self):
         a, b = IdGenerator(), IdGenerator()
         a.next_int()
