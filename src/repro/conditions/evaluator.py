@@ -17,9 +17,9 @@ evaluation, and materialization of derived data"):
 * static queries answer from shared, incrementally-maintained alpha-node
   memories (:mod:`repro.conditions.graph`) after taking extent locks —
   O(answer) instead of O(extent) per rule per event;
-* parameterized queries run through the (index-aware) executor, with a
-  per-signal **memo** so that many rules sharing one query evaluate it once
-  per event;
+* parameterized queries run through the (index-aware) executor, with one
+  **memo** per firing group (:data:`Memo`) sharing whole queries, candidate
+  lists, conjunct prefixes and rows;
 * every attribute a parameterized query tests by equality is indexed on
   each extent the query ranges over: *Add Rule* requests the index from the
   store and *Delete Rule* releases it (shared by reference count), so the
@@ -49,8 +49,24 @@ from repro.txn.transaction import Transaction
 from repro.txn.undo import CallbackUndo
 from repro.util.canonical import freeze
 
-Memo = Dict[Tuple, QueryResult]
-"""Per-signal evaluation cache: (query key, bindings fingerprint) -> result."""
+Memo = Dict[Any, Any]
+"""One firing group's shared query work, made per group by the Rule
+Manager (none under ``concurrent_conditions``).  For every non-join query
+the group evaluates it holds:
+
+* ``(query key, bindings fingerprint)`` -> the whole :class:`QueryResult`,
+  looked up before the Object Manager is asked (a hit takes no lock);
+* ``(extent classes, probe attribute, probe key)`` -> the candidate
+  records, sorted by OID once;
+* ``(candidate or prefix key, conjunct key, its bound values)`` -> the
+  survivors of that conjunct prefix, in ``bind_filters``' order;
+* an ``ObjectRecord`` -> its :class:`Row`, for every unprojected query.
+
+Sound because a group runs every condition before any action, and the
+first condition's S lock on an extent passes to the host at its commit
+(Moss): the extent cannot change under the group.  Rows are read-only
+snapshots, shared as a whole-query hit shares one result between rules.
+"""
 
 IndexKeys = Tuple[Tuple[str, str], ...]
 """The ``(class, attribute)`` indexes one rule's condition requested."""
@@ -136,10 +152,9 @@ class ConditionEvaluator:
                  memo: Optional[Memo] = None) -> ConditionOutcome:
         """Evaluate ``condition`` against the current state, in ``txn``.
 
-        ``memo`` shares query results across the rules evaluated for one
-        signal (the Rule Manager passes one memo per signal-processing
-        round).  Returns a :class:`ConditionOutcome` carrying the query
-        results for the action.
+        ``memo`` shares query work across the rules of one firing group
+        (:data:`Memo`).  Returns a :class:`ConditionOutcome` carrying the
+        query results for the action.
         """
         self._tracer.record(tracing.RULE_MANAGER, tracing.CONDITION_EVALUATOR,
                             "evaluate_condition", "%s coupling=%s",
@@ -178,18 +193,18 @@ class ConditionEvaluator:
         memo_key = None
         if memo is not None:
             relevant = {name: bindings.get(name) for name in query.event_args()}
-            memo_key = (query.canonical_key(), freeze(relevant))
+            memo_key = (query.canonical_key(), freeze(relevant, tagged=True))
             cached = memo.get(memo_key)
             if cached is not None:
                 self.stats["memo_hits"] += 1
                 return cached
-        result = self._compute(query, bindings, txn)
+        result = self._compute(query, bindings, txn, memo)
         if memo is not None and memo_key is not None:
             memo[memo_key] = result
         return result
 
     def _compute(self, query: Query, bindings: Dict[str, Any],
-                 txn: Transaction) -> QueryResult:
+                 txn: Transaction, memo: Optional[Memo]) -> QueryResult:
         if isinstance(query, JoinQuery):
             self.stats["executor_answers"] += 1
             return self._om.execute_join(query, bindings=bindings, txn=txn,
@@ -203,7 +218,7 @@ class ConditionEvaluator:
                 self.stats["graph_answers"] += 1
                 return self._om.executor.materialize_rows(query, records)
         self.stats["executor_answers"] += 1
-        return self._om.execute_query(query, txn, bindings,
+        return self._om.execute_query(query, txn, bindings, memo=memo,
                                       source=tracing.CONDITION_EVALUATOR)
 
     def _index_keys(self, query: Query) -> IndexKeys:

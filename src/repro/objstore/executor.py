@@ -15,7 +15,8 @@ Plan selection is deliberately simple and predictable:
 
 Filtering binds the predicate's conjuncts once per execution and applies them
 a list at a time, each to the survivors of the one before.  Index buckets
-hold the live records, so a probe costs one copy per bucket.
+hold the live records, so a probe costs one copy per bucket.  The queries of
+one firing group share that work through the group's memo.
 
 The chosen plan is reported in :class:`Plan` so the ablation benchmark can
 verify which path ran.
@@ -25,11 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import QueryError
 from repro.objstore.objects import ObjectRecord
-from repro.objstore.predicates import Bindings, equality_lookups, probe_attrs
+from repro.objstore.predicates import (
+    Bindings, bind_filter, equality_lookups, probe_attrs)
 from repro.objstore.query import Query, QueryResult, Row
 from repro.objstore.store import ObjectStore
 
@@ -44,6 +46,20 @@ class Plan:
     kind: str  # "index-probe" or "scan"
     class_names: tuple
     index_attr: Optional[str] = None
+
+
+def _chain(query: Query, plan: Plan, value: Any, bindings: Bindings) -> Any:
+    """The memo keys of a query's candidate list and of each conjunct prefix
+    after it; None when an argument is unbound or a key unhashable."""
+    keys: List[Any] = [(plan.class_names, plan.index_attr, value)]
+    try:
+        for _, part_key, get in query.predicate.links():
+            keys.append((keys[-1], part_key,
+                         None if get is None else get(bindings)))
+        hash(keys[-1])
+    except (KeyError, TypeError):
+        return None
+    return keys
 
 
 class QueryExecutor:
@@ -66,37 +82,57 @@ class QueryExecutor:
                     return Plan("index-probe", tuple(class_names), attr)
         return Plan("scan", tuple(class_names))
 
-    def execute(self, query: Query, bindings: Bindings = ()) -> QueryResult:
-        """Evaluate ``query`` with the given event-argument ``bindings``."""
+    def execute(self, query: Query, bindings: Bindings = (),
+                memo: Optional[Dict[Any, Any]] = None) -> QueryResult:
+        """Evaluate ``query`` with the given event-argument ``bindings``.
+
+        With a firing group's ``memo`` (:data:`repro.conditions.evaluator.Memo`)
+        the group's queries share candidate lists, sorted by OID once,
+        conjunct prefixes and rows; one with an unbound or unhashable
+        argument shares nothing."""
         bindings = bindings or {}
         plan = self.plan(query, bindings)
+        value = None  # the probe key
         if plan.kind == "index-probe":
-            records = self._probe(query, plan, bindings)
-        else:
-            records = self._scan(plan)
-        for keep in query.predicate.bind_filters(bindings):
-            if not records:
-                break
-            records = keep(records)
-        return self.materialize_rows(query, records)
+            value = equality_lookups(query.predicate)[plan.index_attr].evaluate({}, bindings)  # type: ignore[index]
+        keys = None if memo is None else _chain(query, plan, value, bindings)
+        records = None if keys is None else memo.get(keys[0])
+        if records is None:
+            records = (self._probe(plan, value) if plan.kind == "index-probe"
+                       else self._scan(plan))
+            if keys is None:
+                for keep in query.predicate.bind_filters(bindings):
+                    if not records:
+                        break
+                    records = keep(records)
+                return self.materialize_rows(query, records)
+            records = memo[keys[0]] = sorted(records, key=_BY_OID)
+        for (part, _, _), key in zip(query.predicate.links(), keys[1:]):
+            if key not in memo:
+                memo[key] = bind_filter(part, bindings)(records) if records else records
+            records = memo[key]
+        return self.materialize_rows(query, records, memo)
 
-    def count(self, query: Query, bindings: Bindings = ()) -> int:
-        """Return the number of matching rows (no projection cost)."""
-        return len(self.execute(query, bindings))
-
-    def materialize_rows(self, query: Query,
-                         records: Iterable[ObjectRecord]) -> QueryResult:
+    def materialize_rows(self, query: Query, records: Iterable[ObjectRecord],
+                         memo: Optional[Dict[Any, Any]] = None) -> QueryResult:
         """Build a :class:`QueryResult` from pre-matched records.
 
         Applies the query's projection, ordering, and limit but *not* its
         predicate — used by the condition graph, whose memories already hold
-        exactly the matching objects.
+        exactly the matching objects.  With a ``memo``, ``records`` are in
+        OID order and unprojected rows are shared, one per record.
         """
-        if query.project is None:
+        if query.project is not None:
+            rows = [self._project(query, record) for record in records]
+        elif memo is None:
             rows = [Row(record.oid, record.snapshot()) for record in records]
         else:
-            rows = [self._project(query, record) for record in records]
-        rows = self._order_and_limit(query, rows)
+            rows = [memo.get(record) or memo.setdefault(
+                record, Row(record.oid, record.snapshot())) for record in records]
+        if memo is None or query.order_by is not None:
+            rows = self._order_and_limit(query, rows)
+        elif query.limit is not None:
+            rows = rows[: query.limit]
         return QueryResult(query, rows)
 
     # ------------------------------------------------------------- internal
@@ -113,9 +149,7 @@ class QueryExecutor:
             records.extend(self._store.extent(name, include_subclasses=False))
         return records
 
-    def _probe(self, query: Query, plan: Plan, bindings: Bindings) -> List[ObjectRecord]:
-        value_expr = equality_lookups(query.predicate)[plan.index_attr]  # type: ignore[index]
-        value = value_expr.evaluate({}, bindings)
+    def _probe(self, plan: Plan, value: Any) -> List[ObjectRecord]:
         records: List[ObjectRecord] = []
         for name in plan.class_names:
             index = self._store.indexes.get(name, plan.index_attr)  # type: ignore[arg-type]

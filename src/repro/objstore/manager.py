@@ -226,7 +226,8 @@ class ObjectManager:
 
     def execute_query(self, query: Query, txn: Transaction,
                       bindings: Bindings = (), *, user: str = "system",
-                      source: str = tracing.APPLICATION) -> QueryResult:
+                      source: str = tracing.APPLICATION,
+                      memo: Optional[Dict[Any, Any]] = None) -> QueryResult:
         """Evaluate a query with shared locks on the extents it ranges over."""
         self._tracer.record(source, tracing.OBJECT_MANAGER, "execute_query",
                             query.class_name)
@@ -241,7 +242,7 @@ class ObjectManager:
             class_names = [query.class_name]
         for name in class_names:
             locks.acquire(txn, LockResource.for_class(name), LockMode.S)
-        result = self.executor.execute(query, bindings)
+        result = self.executor.execute(query, bindings, memo)
         self._signal_retrieval("query", query.class_name, txn, user,
                                source=source)
         return result

@@ -242,7 +242,7 @@ class Const(ValueExpr):
         return lambda attrs: value
 
     def canonical_key(self) -> Tuple:
-        return ("const", freeze(self.value))
+        return ("const", freeze(self.value, tagged=True))
 
     def __repr__(self) -> str:
         return "Const(%r)" % (self.value,)
@@ -342,8 +342,19 @@ class Predicate:
         """
         declared, equalities_first = self._conjunct_orders()
         bound = all(name in bindings for name in self.event_args())
-        return [_bind_filter(part, bindings)
+        return [bind_filter(part, bindings)
                 for part in (equalities_first if bound else declared)]
+
+    @once
+    def links(self) -> Tuple[Tuple["Predicate", Tuple, Any], ...]:
+        """``(conjunct, canonical key, getter of its event arguments or
+        None)`` per conjunct, in :meth:`bind_filters`' equalities-first
+        order: what a firing group's memo keys a conjunct prefix by."""
+        return tuple(
+            (part, part.canonical_key(),
+             operator.itemgetter(*sorted(part.event_args()))
+             if part.event_args() else None)
+            for part in self._conjunct_orders()[1])
 
     @once
     def _conjunct_orders(self) -> Tuple[Tuple["Predicate", ...], ...]:
@@ -548,7 +559,7 @@ class Not(Predicate):
         return "Not(%r)" % self.part
 
 
-def _bind_filter(part: Predicate, bindings: Bindings) -> Filter:
+def bind_filter(part: Predicate, bindings: Bindings) -> Filter:
     """``part`` as a :data:`Filter`: one comprehension for ``Attr op Const``
     and ``Attr op <bound EventArg>``, its bound test per record otherwise."""
     if isinstance(part, Compare) and isinstance(part.left, Attr):

@@ -12,19 +12,28 @@ import functools
 from typing import Any
 
 
-def freeze(value: Any) -> Any:
+#: a frozen list's and a frozen dict's tags, equal only to themselves
+_LIST, _DICT = type("list", (), {}), type("dict", (), {})
+
+
+def freeze(value: Any, tagged: bool = False) -> Any:
     """Return a hashable, immutable equivalent of ``value``.
 
     Lists and tuples become tuples of frozen elements, sets become
     ``frozenset``, dicts become sorted tuples of ``(key, frozen value)``
-    pairs.  Scalars pass through unchanged.
+    pairs.  Scalars pass through unchanged.  ``tagged`` also tags lists and
+    dicts, at every depth, so that equal results stand for ``==`` values
+    (``[1, 2] != (1, 2)``): the form for keys that share an answer.
     """
     if isinstance(value, (list, tuple)):
-        return tuple(freeze(item) for item in value)
+        items = tuple(freeze(item, tagged) for item in value)
+        return (_LIST, items) if tagged and isinstance(value, list) else items
     if isinstance(value, (set, frozenset)):
-        return frozenset(freeze(item) for item in value)
+        return frozenset(freeze(item, tagged) for item in value)
     if isinstance(value, dict):
-        return tuple(sorted((key, freeze(val)) for key, val in value.items()))
+        pairs = tuple(sorted((key, freeze(val, tagged))
+                             for key, val in value.items()))
+        return (_DICT, pairs) if tagged else pairs
     return value
 
 

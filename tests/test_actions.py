@@ -30,7 +30,8 @@ def db():
         "title", ("words", "int"))))
     database.define_class(ClassDef("Summary", attributes(
         "doc_title", ("count", "int"))))
-    return database
+    yield database
+    database.close()
 
 
 class TestActionConstruction:

@@ -112,7 +112,8 @@ class TestFourModuleInterface:
     def db(self):
         database = HiPAC(lock_timeout=2.0)
         database.define_class(ClassDef("Doc", attributes("title")))
-        return database
+        yield database
+        database.close()
 
     def test_data_module(self, db):
         app = db.application("editor")

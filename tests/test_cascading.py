@@ -24,7 +24,8 @@ def db():
     database = HiPAC(lock_timeout=2.0)
     for name in ("A", "B", "C", "D"):
         database.define_class(ClassDef(name, attributes(("v", "int"))))
-    return database
+    yield database
+    database.close()
 
 
 def chain_rule(name, src, dst):

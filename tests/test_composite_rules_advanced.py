@@ -26,7 +26,8 @@ def db():
     database = HiPAC(lock_timeout=2.0)
     database.define_class(ClassDef("A", attributes(("v", "int"))))
     database.define_class(ClassDef("B", attributes(("v", "int"))))
-    return database
+    yield database
+    database.close()
 
 
 class TestCompositeCouplings:

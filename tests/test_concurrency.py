@@ -29,7 +29,8 @@ def db():
         AttributeDef("name", AttrType.STRING, required=True),
         AttributeDef("value", AttrType.INT, default=0),
     )))
-    return database
+    yield database
+    database.close()
 
 
 class TestSerializableCounters:

@@ -24,7 +24,8 @@ def db():
     database = HiPAC(lock_timeout=2.0)
     database.define_class(ClassDef("Stock", attributes(
         "symbol", ("price", "number"))))
-    return database
+    yield database
+    database.close()
 
 
 def install(db, events, ec, ca, condition=None):

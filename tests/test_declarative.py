@@ -39,7 +39,8 @@ def db():
         AttributeDef("owner", AttrType.STRING, required=True),
         AttributeDef("balance", AttrType.NUMBER, default=0.0),
     )))
-    return database
+    yield database
+    database.close()
 
 
 class TestDomainConstraint:
@@ -100,7 +101,8 @@ class TestReferentialConstraint:
             AttributeDef("name", AttrType.STRING, required=True),
             AttributeDef("dept", AttrType.OID),
         )))
-        return database
+        yield database
+        database.close()
 
     def seed(self, rdb):
         with rdb.transaction() as txn:
@@ -184,7 +186,8 @@ class TestDerivedAttribute:
         install_derived_attribute(database, DerivedAttribute(
             "portfolio-total", "Portfolio", "total",
             "Holding", "portfolio", "value", aggregate="sum"))
-        return database
+        yield database
+        database.close()
 
     def test_sum_maintained_on_create(self, ddb):
         with ddb.transaction() as txn:

@@ -72,7 +72,8 @@ class TestHiPACExpressesThePaperScenarios:
         database = HiPAC(lock_timeout=2.0)
         database.define_class(ClassDef("Stock", attributes(
             "symbol", ("price", "number"))))
-        return database
+        yield database
+        database.close()
 
     def test_application_defined_event_triggers_rule(self, db):
         db.define_event("analyst-note", "text")

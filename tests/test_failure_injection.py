@@ -26,7 +26,8 @@ def db():
     database.define_class(ClassDef("Stock", attributes(
         "symbol", ("price", "number"))))
     database.define_class(ClassDef("Audit", attributes("note")))
-    return database
+    yield database
+    database.close()
 
 
 class TestSeparateFiringLockTimeout:

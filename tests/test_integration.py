@@ -33,7 +33,8 @@ def db():
         AttributeDef("qty", AttrType.INT, default=1),
         AttributeDef("status", AttrType.STRING, default="new"),
     )))
-    return database
+    yield database
+    database.close()
 
 
 class TestCompositeEventRules:

@@ -30,7 +30,8 @@ def db():
         AttributeDef("warehouse", AttrType.OID),
         AttributeDef("qty", AttrType.INT, default=0),
     )))
-    return database
+    yield database
+    database.close()
 
 
 def seed(db):

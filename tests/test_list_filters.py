@@ -13,6 +13,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import Action, Condition, HiPAC, Rule, on_update
 from repro.errors import QueryError
 from repro.objstore.executor import QueryExecutor
 from repro.objstore.predicates import (
@@ -123,3 +124,175 @@ def test_index_plan_needs_the_scan_to_raise_where_it_raises():
     for use_indexes in (True, False):
         with pytest.raises(QueryError, match="unbound"):
             QueryExecutor(store, use_indexes=use_indexes).execute(leading, {})
+
+
+# ------------------------------------------------ constants tell kinds apart
+
+def kinds_db():
+    """``T(k ANY, n INT)`` holding ``T#1`` (k ``(1, 2)``) and ``T#2`` (k
+    ``[1, 2]``): equal frozen forms, unequal values."""
+    db = HiPAC()
+    db.define_class(ClassDef("T", (AttributeDef("k", AttrType.ANY),
+                                   AttributeDef("n", AttrType.INT, default=0))))
+    with db.transaction() as txn:
+        oids = [db.create("T", {"k": (1, 2)}, txn),
+                db.create("T", {"k": [1, 2]}, txn)]
+    return db, oids
+
+
+def answers_to_an_update(db, oid, queries):
+    """The rows each of ``queries``' rules hands its action on one update."""
+    seen = {}
+    for name, query in queries.items():
+        db.create_rule(Rule(
+            name, event=on_update("T", attrs=["n"]),
+            condition=Condition.of(query),
+            action=Action.call(lambda ctx: seen.__setitem__(
+                ctx.rule.name, ctx.results[0].oids()))))
+    with db.transaction() as txn:
+        db.update(oid, {"n": 1}, txn)
+    return seen
+
+
+def test_a_list_and_a_tuple_constant_are_two_static_conditions():
+    db, (t1, t2) = kinds_db()
+    seen = answers_to_an_update(db, t1, {
+        "tuple": Query("T", Attr("k") == (1, 2)),
+        "list": Query("T", Attr("k") == [1, 2])})
+    assert seen == {"tuple": [t1], "list": [t2]}
+
+
+def test_a_list_and_a_tuple_constant_are_two_memo_entries():
+    db, (t1, t2) = kinds_db()
+    seen = answers_to_an_update(db, t1, {
+        "tuple": Query("T", (Attr("k") == (1, 2)) & (Attr("n") <= EventArg("new_n"))),
+        "list": Query("T", (Attr("k") == [1, 2]) & (Attr("n") <= EventArg("new_n")))})
+    assert seen == {"tuple": [t1], "list": [t2]}
+    assert db.stats()["conditions"]["memo_hits"] == 0
+    with db.transaction() as txn:
+        assert db.query(Query("T", Attr("k") == (1, 2)), txn).oids() == [t1]
+        assert db.query(Query("T", Attr("k") == [1, 2]), txn).oids() == [t2]
+
+
+def as_list(value):
+    return [as_list(item) for item in value] if isinstance(value, tuple) else value
+
+
+def as_tuple(value):
+    if isinstance(value, (list, tuple)):
+        return tuple(as_tuple(item) for item in value)
+    return value
+
+
+# VALUES with lists and dicts beside the tuples, and twins of each: the same
+# value with its lists and tuples swapped, or a number of another type
+KINDS = st.one_of(VALUES, st.lists(VALUES, max_size=2),
+                  st.dictionaries(st.sampled_from("ab"), VALUES, max_size=2))
+TWINS = st.sampled_from([lambda v: v, as_list, as_tuple, lambda v: v == 1,
+                         lambda v: float(v) if type(v) is int else v])
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=KINDS, twin=TWINS, op=OPS, rows=st.lists(KINDS, min_size=1, max_size=6))
+def test_equal_constant_keys_answer_alike(value, twin, op, rows):
+    """Two constants whose keys are equal share a condition-graph node and a
+    memo entry, so they must give every query the same answer."""
+    first = Compare(Attr("k"), op, Const(value))
+    second = Compare(Attr("k"), op, Const(twin(value)))
+    if first.canonical_key() != second.canonical_key():
+        return
+    store = populated([{"k": row} for row in rows])
+    executor = QueryExecutor(store)
+    assert executor.execute(Query("C", first)).oids() \
+        == executor.execute(Query("C", second)).oids()
+
+
+# ------------------------------------------- one firing group's shared memo
+
+def family(rows):
+    """``P`` and its subclass ``A`` (which sorts first, so the extent of
+    ``P`` is not in OID order), ``k`` indexed on both, ``p`` on request.
+    Neither extent is empty (see ``test_both_plans_answer...``)."""
+    store = ObjectStore()
+    store.define_class(ClassDef("P", (
+        AttributeDef("k", AttrType.ANY, indexed=True),
+        AttributeDef("p", AttrType.ANY), AttributeDef("q", AttrType.ANY))))
+    store.define_class(ClassDef("A", (), superclass="P"))
+    for name in ("P", "A"):
+        store.request_index(name, "p")
+    for index, attrs in enumerate(rows):
+        store.insert("PA"[index % 2], attrs)
+    return store
+
+
+def answer(compute):
+    """Rows as ``(oid, attrs)``, or that the query raised."""
+    try:
+        return ("ok", [(row.oid, dict(row.attrs)) for row in compute()])
+    except QueryError:
+        return ("raises",)
+
+
+def by_matches(store, query, bindings):
+    """``matches`` over the extent in OID order, projected and limited."""
+    records = sorted(store.extent(query.class_name, query.include_subclasses),
+                     key=lambda record: record.oid)
+    try:
+        kept = [r for r in records if query.predicate.matches(r.attrs, bindings)]
+    except QueryError:
+        return ("raises",)
+    names = query.project
+    if names is not None and any(name not in r.attrs for r in kept for name in names):
+        return ("raises",)
+    rows = [(r.oid, dict(r.attrs) if names is None
+             else {name: r.attrs[name] for name in names}) for r in kept]
+    return ("ok", rows[:query.limit] if query.limit is not None else rows)
+
+
+# The dominant shape shares a prefix: an equality on a bound argument, then
+# comparisons; every query draws its conjuncts from one small pool.
+PREFIXES = st.sampled_from([
+    Compare(Attr("k"), "==", EventArg("x")), Compare(Attr("p"), "==", EventArg("y")),
+    Attr("k") == 1, Attr("q") > EventArg("x"), Attr("p") < 2.0])
+
+
+@st.composite
+def group(draw):
+    """2-10 queries over a pool of conjuncts, each with one of 1-2 binding
+    sets (a group at commit holds several signals' firings)."""
+    pool = draw(st.lists(st.one_of(PREFIXES, LEAVES), min_size=2, max_size=4))
+    queries = []
+    for _ in range(draw(st.integers(2, 10))):
+        parts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            parts.append(draw(PREDICATES))
+        queries.append((Query(
+            draw(st.sampled_from(["P", "A"])),
+            And(*parts) if len(parts) > 1 else parts[0],
+            project=draw(st.sampled_from([None, None, ("k",), ("p", "k")])),
+            include_subclasses=draw(st.booleans()),
+            order_by=draw(st.sampled_from([None, None, "k", "p"])),
+            descending=draw(st.booleans()),
+            limit=draw(st.sampled_from([None, None, 0, 1, 3]))),
+            draw(st.integers(0, 1))))
+    return queries
+
+
+@settings(max_examples=400, deadline=None)
+@given(queries=group(), bindings=st.lists(BINDINGS, min_size=2, max_size=2),
+       rows=st.lists(st.fixed_dictionaries({}, optional={
+           "k": VALUES, "p": VALUES, "q": VALUES}), min_size=2, max_size=10))
+def test_queries_sharing_a_memo_answer_as_each_alone(queries, bindings, rows):
+    """Every answer with the group's memo equals the query alone, and
+    ``matches`` over the extent in OID order where no ``order_by`` reorders
+    it; a query that raises alone raises at the same point in the group."""
+    store = family(rows)
+    memo = {}
+    for use_indexes in (True, False):
+        executor = QueryExecutor(store, use_indexes=use_indexes)
+        for query, which in queries:
+            alone = answer(lambda: executor.execute(query, bindings[which]))
+            shared = answer(lambda: executor.execute(query, bindings[which], memo))
+            assert shared == alone
+            if query.order_by is None:
+                assert alone == by_matches(store, query, bindings[which])

@@ -293,7 +293,8 @@ class TestManualFireCouplings:
     def db(self):
         database = HiPAC(lock_timeout=2.0)
         database.define_class(ClassDef("Doc", attributes("title")))
-        return database
+        yield database
+        database.close()
 
     def test_fire_deferred_rule_defers_to_commit(self, db):
         ran = []

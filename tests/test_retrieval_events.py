@@ -21,7 +21,8 @@ from repro.declarative import AccessConstraint, install_access_constraint
 def db():
     database = HiPAC(lock_timeout=2.0)
     database.define_class(ClassDef("Secret", attributes("name", "payload")))
-    return database
+    yield database
+    database.close()
 
 
 class TestReadEvents:

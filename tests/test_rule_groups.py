@@ -19,7 +19,8 @@ from repro.saa import SecuritiesAssistant
 def db():
     database = HiPAC(lock_timeout=2.0)
     database.define_class(ClassDef("Doc", attributes("title")))
-    return database
+    yield database
+    database.close()
 
 
 def grouped_rule(name, group, sink):

@@ -26,7 +26,8 @@ def db():
     database = HiPAC(lock_timeout=2.0)
     database.define_class(ClassDef("Stock", attributes(
         "symbol", ("price", "number"))))
-    return database
+    yield database
+    database.close()
 
 
 def probe_rule(events, name="probe", **kwargs):

@@ -21,7 +21,8 @@ def saa():
     assistant.add_ticker("NYSE")
     assistant.add_display("alice")
     assistant.add_trader("TRDSVC")
-    return assistant
+    yield assistant
+    db.close()
 
 
 class TestTicker:

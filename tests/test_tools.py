@@ -165,7 +165,8 @@ class TestExplain:
     def db(self):
         database = HiPAC(lock_timeout=2.0)
         database.define_class(ClassDef("A", attributes(("v", "int"))))
-        return database
+        yield database
+        database.close()
 
     def test_explain_satisfied_firing(self, db):
         db.create_rule(Rule(name="r", event=on_create("A"),

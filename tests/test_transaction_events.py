@@ -22,7 +22,8 @@ def db():
     database = HiPAC(lock_timeout=2.0)
     database.define_class(ClassDef("Doc", attributes("title")))
     database.define_class(ClassDef("AuditLog", attributes("note")))
-    return database
+    yield database
+    database.close()
 
 
 class TestCommitEventRules:
