@@ -86,10 +86,9 @@ class QueryExecutor:
                 memo: Optional[Dict[Any, Any]] = None) -> QueryResult:
         """Evaluate ``query`` with the given event-argument ``bindings``.
 
-        With a firing group's ``memo`` (:data:`repro.conditions.evaluator.Memo`)
-        the group's queries share candidate lists, sorted by OID once,
-        conjunct prefixes and rows; one with an unbound or unhashable
-        argument shares nothing."""
+        With a firing group's ``memo`` (:data:`~repro.conditions.evaluator.Memo`)
+        its queries share candidate lists sorted by OID once, conjunct
+        prefixes and rows, unless an argument is unbound or unhashable."""
         bindings = bindings or {}
         plan = self.plan(query, bindings)
         value = None  # the probe key
@@ -169,6 +168,9 @@ class QueryExecutor:
         return Row(record.oid, {name: record.attrs[name] for name in query.project})
 
     def _order_and_limit(self, query: Query, rows: List[Row]) -> List[Row]:
+        # OID order first, under order_by too: a NaN orders nothing, so its
+        # sort's result would follow the order the plan found the rows in
+        rows.sort(key=_BY_OID)
         if query.order_by is not None:
             try:
                 rows.sort(
@@ -179,8 +181,6 @@ class QueryExecutor:
             except TypeError as exc:
                 raise QueryError("cannot order by %r: values are not mutually "
                                  "comparable (%s)" % (query.order_by, exc)) from exc
-        else:
-            rows.sort(key=_BY_OID)
         if query.limit is not None:
             rows = rows[: query.limit]
         return rows

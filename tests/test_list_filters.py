@@ -11,7 +11,7 @@ from both plans.
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import Action, Condition, HiPAC, Rule, on_update
 from repro.errors import QueryError
@@ -278,6 +278,11 @@ def group(draw):
     return queries
 
 
+# A NaN orders nothing: without one input order for every plan, a sort by
+# ``p`` kept the extent's order alone and OID order in the group.
+@example(queries=[(Query("P", Compare(Attr("k"), "==", Const(None)),
+                         order_by="p"), 0)] * 2,
+         bindings=[{}, {}], rows=[{"k": None, "p": 0}, {"p": NAN}])
 @settings(max_examples=400, deadline=None)
 @given(queries=group(), bindings=st.lists(BINDINGS, min_size=2, max_size=2),
        rows=st.lists(st.fixed_dictionaries({}, optional={
