@@ -21,7 +21,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 from repro.apps.registry import ApplicationRegistry
 from repro.apps.channel import Channel
 from repro.clock import Clock
-from repro.core import tracing
 from repro.events.external import ExternalEventDetector
 from repro.events.signal import EventSignal
 from repro.events.spec import ExternalEventSpec
@@ -112,18 +111,13 @@ class EventModule:
     signals the event, HiPAC will fire the rule." (§4.1)
     """
 
-    def __init__(self, detector: ExternalEventDetector, clock: Clock,
-                 tracer: tracing.Tracer, application: str) -> None:
+    def __init__(self, detector: ExternalEventDetector, clock: Clock) -> None:
         self._detector = detector
         self._clock = clock
-        self._tracer = tracer
-        self._application = application
 
     def define(self, name: str, *parameters: str) -> ExternalEventSpec:
         """Define an application event with the given formal parameters."""
         spec = ExternalEventSpec(name, tuple(parameters))
-        self._tracer.record(tracing.APPLICATION, tracing.EVENT_DETECTOR,
-                            "define_event", name)
         self._detector.define_event(spec)
         return spec
 
@@ -131,8 +125,6 @@ class EventModule:
                txn: Optional[Transaction] = None) -> EventSignal:
         """Signal an occurrence; returns after triggered immediate/deferred
         rule work completes."""
-        self._tracer.record(tracing.APPLICATION, tracing.EVENT_DETECTOR,
-                            "signal_event", name)
         return self._detector.signal(name, args, txn=txn,
                                      timestamp=self._clock.now())
 
@@ -168,12 +160,12 @@ class ApplicationInterface:
 
     def __init__(self, name: str, om: ObjectManager, txns: TransactionManager,
                  external_detector: ExternalEventDetector,
-                 registry: ApplicationRegistry, clock: Clock,
-                 tracer: tracing.Tracer, *, mailbox: bool = False) -> None:
+                 registry: ApplicationRegistry, clock: Clock, *,
+                 mailbox: bool = False) -> None:
         self.name = name
         channel = registry.register(name, mailbox=mailbox)
         #: Figure 4.1 modules
         self.data = DataModule(om, name)
         self.transactions = TransactionModule(txns)
-        self.events = EventModule(external_detector, clock, tracer, name)
+        self.events = EventModule(external_detector, clock)
         self.operations = OperationsModule(channel)

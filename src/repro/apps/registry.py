@@ -16,17 +16,15 @@ import threading
 from typing import Any, Dict, List, Optional
 
 from repro.apps.channel import Channel, Request
-from repro.core import tracing
 from repro.errors import ApplicationError
 
 
 class ApplicationRegistry:
     """All application programs known to one HiPAC instance."""
 
-    def __init__(self, tracer: Optional[tracing.Tracer] = None) -> None:
+    def __init__(self) -> None:
         self._channels: Dict[str, Channel] = {}
         self._mutex = threading.Lock()
-        self._tracer = tracer or tracing.Tracer()
         self.stats = {"requests": 0, "errors": 0}
 
     def register(self, application: str, *, mailbox: bool = False) -> Channel:
@@ -63,9 +61,6 @@ class ApplicationRegistry:
 
         Called by rule actions (:class:`~repro.rules.actions.RequestStep`).
         Returns the application's reply (None in mailbox mode)."""
-        self._tracer.record(tracing.RULE_MANAGER, tracing.APPLICATION,
-                            "application_request", "%s.%s", application,
-                            operation)
         channel = self.channel(application)
         request = Request(application, operation, dict(args or {}))
         self.stats["requests"] += 1

@@ -34,7 +34,6 @@ from __future__ import annotations
 import time as _time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core import tracing
 from repro.conditions.condition import Condition, ConditionOutcome
 from repro.conditions.graph import ConditionGraph
 from repro.errors import ConditionError
@@ -76,12 +75,10 @@ class ConditionEvaluator:
     """Evaluates rule conditions, sharing work through the condition graph."""
 
     def __init__(self, object_manager: ObjectManager,
-                 tracer: Optional[tracing.Tracer] = None,
                  use_graph: bool = True,
                  metrics: Optional[MetricsRegistry] = None,
                  slow_log: Optional[SlowLog] = None) -> None:
         self._om = object_manager
-        self._tracer = tracer or tracing.Tracer()
         self._metrics = metrics or MetricsRegistry(enabled=False)
         # `is not None`, not truthiness: an empty SlowLog is falsy (len 0).
         self._slow_log = (slow_log if slow_log is not None
@@ -109,8 +106,6 @@ class ConditionEvaluator:
         requests made are returned, for :meth:`delete_rule` to release.
         Undone automatically if ``txn`` aborts.
         """
-        self._tracer.record(tracing.RULE_MANAGER, tracing.CONDITION_EVALUATOR,
-                            "add_rule", condition.name or "-")
         held = tuple(key for query in condition.queries
                      for key in self._index_keys(query))
         if held:
@@ -121,8 +116,8 @@ class ConditionEvaluator:
             for query in condition.queries:
                 if not query.is_static():
                     continue
-                result = self._om.execute_query(
-                    self._bare(query), txn, source=tracing.CONDITION_EVALUATOR)
+                result = self._om.execute_query(self._bare(query), txn,
+                                                signal=False)
                 self.graph.add_query(query, txn, memory=set(result.oids()))
         return held
 
@@ -131,8 +126,6 @@ class ConditionEvaluator:
         """Remove a rule's condition from the condition graph and release
         ``held``, the index requests its :meth:`add_rule` returned
         (undoable)."""
-        self._tracer.record(tracing.RULE_MANAGER, tracing.CONDITION_EVALUATOR,
-                            "delete_rule", condition.name or "-")
         if held:
             self._release(held)
             txn.log_undo(CallbackUndo(lambda: self._request(held),
@@ -156,9 +149,6 @@ class ConditionEvaluator:
         (:data:`Memo`).  Returns a :class:`ConditionOutcome` carrying the
         query results for the action.
         """
-        self._tracer.record(tracing.RULE_MANAGER, tracing.CONDITION_EVALUATOR,
-                            "evaluate_condition", "%s coupling=%s",
-                            condition.name or "-", coupling)
         self.stats["evaluations"] += 1
         timed = self._eval_seconds.should_sample()
         start = _time.perf_counter() if timed else 0.0
@@ -207,8 +197,7 @@ class ConditionEvaluator:
                  txn: Transaction, memo: Optional[Memo]) -> QueryResult:
         if isinstance(query, JoinQuery):
             self.stats["executor_answers"] += 1
-            return self._om.execute_join(query, bindings=bindings, txn=txn,
-                                         source=tracing.CONDITION_EVALUATOR)
+            return self._om.execute_join(query, txn, bindings, signal=False)
         if self.use_graph and query.is_static():
             node = self.graph.node_for(query)
             if node is not None:
@@ -219,7 +208,7 @@ class ConditionEvaluator:
                 return self._om.executor.materialize_rows(query, records)
         self.stats["executor_answers"] += 1
         return self._om.execute_query(query, txn, bindings, memo=memo,
-                                      source=tracing.CONDITION_EVALUATOR)
+                                      signal=False)
 
     def _index_keys(self, query: Query) -> IndexKeys:
         """The indexes a parameterized, non-join query asks for: every

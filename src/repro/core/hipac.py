@@ -99,7 +99,8 @@ class HiPAC:
                                 (forensics, "forensics=True")):
                 if needs:
                     raise ValueError("%s requires data_dir" % what)
-        self.tracer = tracing.Tracer()
+        #: the §6 protocol trace (:mod:`repro.core.tracing`)
+        self.tracer = tracing.Tracer(self)
         self.clock = clock or VirtualClock()
         #: observability levels:
         #:   ``True``    — production default: metrics registry + slow log
@@ -129,26 +130,22 @@ class HiPAC:
         self.store = ObjectStore()
         self.locks = LockManager(default_timeout=lock_timeout,
                                  metrics=self.metrics)
-        self.transaction_manager = TransactionManager(self.locks, self.tracer,
+        self.transaction_manager = TransactionManager(self.locks,
                                                       metrics=self.metrics)
         self.object_manager = ObjectManager(self.store, self.transaction_manager,
-                                            self.tracer, self.clock,
-                                            metrics=self.metrics)
+                                            self.clock, metrics=self.metrics)
         self.condition_evaluator = ConditionEvaluator(
-            self.object_manager, self.tracer,
-            metrics=self.metrics, slow_log=self.slow_log)
+            self.object_manager, metrics=self.metrics, slow_log=self.slow_log)
         self.temporal_detector = TemporalEventDetector(
-            self.clock, tracer=self.tracer, schema=self.store.schema)
-        self.external_detector = ExternalEventDetector(tracer=self.tracer)
-        self.composite_detector = CompositeEventDetector(
-            tracer=self.tracer, schema=self.store.schema)
-        self.applications = ApplicationRegistry(self.tracer)
+            self.clock, schema=self.store.schema)
+        self.external_detector = ExternalEventDetector()
+        self.composite_detector = CompositeEventDetector(schema=self.store.schema)
+        self.applications = ApplicationRegistry()
         self.rule_manager = RuleManager(
             self.object_manager, self.transaction_manager,
             self.condition_evaluator, self.temporal_detector,
             self.external_detector, self.composite_detector,
-            tracer=self.tracer, clock=self.clock,
-            applications=self.applications, config=config,
+            clock=self.clock, applications=self.applications, config=config,
             metrics=self.metrics, slow_log=self.slow_log,
             watchdog=self.watchdog, trace=observability == "trace")
         #: §6.1 rule creation and administration (the Rule Manager's
@@ -489,7 +486,7 @@ class HiPAC:
         return ApplicationInterface(
             name, self.object_manager, self.transaction_manager,
             self.external_detector, self.applications, self.clock,
-            self.tracer, mailbox=mailbox)
+            mailbox=mailbox)
 
     # ---------------------------------------------------------------- misc
 

@@ -3,19 +3,21 @@
 The HiPAC paper's Section 6 specifies, step by step, which functional
 component calls which during rule creation, event-signal processing, and
 transaction commit.  Those protocols are this reproduction's primary
-"results", so every inter-component call in the system is routed through a
-:class:`Tracer`.  Experiments turn the tracer on, run an operation, and diff
-the recorded edges against the protocol in the paper (and against the edges
-of Figure 5.1).
+"results".  Experiments turn a HiPAC instance's :class:`Tracer` on, run an
+operation, and diff the recorded edges against the protocol in the paper
+(and against the edges of Figure 5.1).
 
-When disabled (the default) tracing costs one attribute check per call.
+The engine carries no tracing code: :meth:`Tracer.start` wraps the entry
+points of one instance's components by name (:data:`ENTRIES`) and
+:meth:`Tracer.stop` puts every one back, so tracing off costs nothing.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, FrozenSet, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Callable, FrozenSet, List, Optional, Tuple
 
 # Canonical component names, matching Figure 5.1 of the paper.
 APPLICATION = "Application"
@@ -34,6 +36,62 @@ COMPONENTS: FrozenSet[str] = frozenset(
         RULE_MANAGER,
         CONDITION_EVALUATOR,
     }
+)
+
+
+#: every detector, with the component it is embedded in (paper §5.3)
+_DETECTORS = (("object_manager.event_detector", OBJECT_MANAGER),
+              ("rule_manager.txn_detector", TRANSACTION_MANAGER),
+              ("temporal_detector", EVENT_DETECTOR),
+              ("external_detector", EVENT_DETECTOR),
+              ("composite_detector", EVENT_DETECTOR))
+
+#: Figure 5.1's entry points, and the Rule Manager's bound methods the facade
+#: stored at wiring time: ``(holder path, attribute, source, target,
+#: operation, details)``.  ``details(*args, **kwargs)`` returns the detail
+#: of each record a call makes; a ``None`` source is the calling thread's.
+ENTRIES = (
+    ("object_manager", "execute_operation", None, OBJECT_MANAGER,
+     "execute_operation", lambda op, *_, **__: [op.describe()]),
+    ("object_manager", "lock_for_read", None, OBJECT_MANAGER, "read",
+     lambda oid, *_, **__: [str(oid)]),
+    ("object_manager", "execute_query", None, OBJECT_MANAGER, "execute_query",
+     lambda query, *_, **__: [query.class_name]),
+    ("object_manager", "execute_join", None, OBJECT_MANAGER, "execute_join",
+     lambda join, *_, **__: [join.left.class_name + " x " + join.right.class_name]),
+    ("transaction_manager", "create_transaction", None, TRANSACTION_MANAGER,
+     "create_transaction", lambda parent=None, **_: [
+         "top level" if parent is None else "nested under " + parent.txn_id]),
+    ("transaction_manager", "commit_transaction", None, TRANSACTION_MANAGER,
+     "commit_transaction", lambda txn: [txn.txn_id]),
+    ("transaction_manager", "abort_transaction", None, TRANSACTION_MANAGER,
+     "abort_transaction", lambda txn: [txn.txn_id]),
+    ("condition_evaluator", "add_rule", None, CONDITION_EVALUATOR, "add_rule",
+     lambda condition, *_, **__: [condition.name or "-"]),
+    ("condition_evaluator", "delete_rule", None, CONDITION_EVALUATOR,
+     "delete_rule", lambda condition, *_, **__: [condition.name or "-"]),
+    ("condition_evaluator", "evaluate", None, CONDITION_EVALUATOR,
+     "evaluate_condition", lambda condition, *_, coupling="immediate", **__: [
+         "%s coupling=%s" % (condition.name or "-", coupling)]),
+    ("external_detector", "signal", None, EVENT_DETECTOR, "signal_event",
+     lambda name, *_, **__: [name]),
+    ("applications", "request", None, APPLICATION, "application_request",
+     lambda application, operation, *_, **__: [application + "." + operation]),
+    # Rule Manager work that starts on its own: no record.
+    ("rule_manager", "fire_rule", None, RULE_MANAGER, "", lambda *_, **__: ()),
+) + tuple(
+    (holder, method, None, EVENT_DETECTOR, method, lambda spec: [repr(spec)])
+    for holder, _ in _DETECTORS for method in ("define_event", "delete_event")
+) + tuple(
+    # A detector signals from the component it is embedded in.
+    (holder, attribute, source, RULE_MANAGER, "signal_event", details)
+    for holder, source in _DETECTORS
+    for attribute, details in (
+        ("sink", lambda signal: [signal.describe()]),
+        ("sink_batch", lambda signals: [s.describe() for s in signals]))
+) + (
+    ("transaction_manager", "event_sink", TRANSACTION_MANAGER, RULE_MANAGER,
+     "signal_event", lambda kind, txn: ["transaction %s %s" % (kind, txn.txn_id)]),
 )
 
 
@@ -103,7 +161,8 @@ class Tracer:
     """Records inter-component calls when enabled.
 
     Thread safe: separate-coupling rule firings record from their own
-    threads.  A tracer is shared by all components of one HiPAC instance.
+    threads.  ``db.tracer`` is ``Tracer(db)``; a tracer with no database
+    records only what is passed to :meth:`record`.
 
     Enable/disable contract:
 
@@ -117,22 +176,29 @@ class Tracer:
       in the previous one).
     * The unlocked read means a call overlapping :meth:`start` /
       :meth:`stop` may be dropped; it will never be misfiled or torn.
+
+    Who called: every wrapper pushes its target on a per-thread stack while
+    the call runs; a call's source is the innermost other component there,
+    else the Application.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, db: Any = None) -> None:
         self.enabled = False
         self._records: List[TraceRecord] = []
         self._seq = 0
         self._lock = threading.Lock()
+        self._db = db
+        #: per thread: the components it is running inside, innermost last
+        self._calls = threading.local()
+        #: ``(holder, attribute, what its instance dict held)`` per wrapper
+        self._patched: List[Tuple[Any, str, Any]] = []
 
     def record(self, source: str, target: str, operation: str,
                detail: Any = "", *args: Any) -> None:
         """Record one call from ``source`` to ``target`` (no-op when disabled).
 
         ``detail`` is built only when tracing is on: a ``%``-format string
-        is applied to ``args``; a callable (``op.describe``) is called.
-        Call sites therefore pass the parts, never a finished string, and a
-        disabled tracer costs them one attribute check."""
+        is applied to ``args``; a callable is called."""
         if not self.enabled:
             return
         if args:
@@ -151,6 +217,8 @@ class Tracer:
             self._records = []
             self._seq = 0
             self.enabled = True
+            if self._db is not None and not self._patched:
+                self._install(self._db)
 
     def stop(self) -> Trace:
         """Disable tracing and return everything recorded since :meth:`start`."""
@@ -158,12 +226,57 @@ class Tracer:
             self.enabled = False
             trace = Trace(list(self._records))
             self._records = []
+            for holder, attribute, saved in reversed(self._patched):
+                if saved is None:
+                    delattr(holder, attribute)  # the class method shows again
+                else:
+                    setattr(holder, attribute, saved)
+            self._patched = []
         return trace
 
     def snapshot(self) -> Trace:
         """Return a copy of the records so far without stopping."""
         with self._lock:
             return Trace(list(self._records))
+
+    # ------------------------------------------------------------ wrapping
+
+    def _install(self, db: Any) -> None:
+        for path, attribute, source, target, operation, details in ENTRIES:
+            holder = attrgetter(path)(db)
+            fn = getattr(holder, attribute)
+            if fn is not None:  # a detector with no batched sink
+                self._patch(holder, attribute, self._wrap(
+                    fn, source, target, operation, details))
+        # A separate firing's body: Rule Manager work on a worker thread.
+        spawn = db.rule_manager._spawn
+        self._patch(db.rule_manager, "_spawn", lambda body, *args, **kwargs:
+                    spawn(self._wrap(body, None, RULE_MANAGER, "", tuple),
+                          *args, **kwargs))
+
+    def _patch(self, holder: Any, attribute: str, wrapper: Any) -> None:
+        self._patched.append((holder, attribute, vars(holder).get(attribute)))
+        setattr(holder, attribute, wrapper)
+
+    def _wrap(self, fn: Callable[..., Any], source: Optional[str], target: str,
+              operation: str, details: Callable[..., Any]) -> Callable[..., Any]:
+        """``fn``, recording one call per detail and running as work of
+        ``target`` on the calling thread."""
+        calls, record = self._calls, self.record
+
+        def traced(*args: Any, **kwargs: Any) -> Any:
+            stack = calls.__dict__.setdefault("stack", [])
+            if self.enabled:
+                caller = source or next((component for component in reversed(stack)
+                                         if component != target), APPLICATION)
+                for detail in details(*args, **kwargs):
+                    record(caller, target, operation, detail)
+            stack.append(target)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return traced
 
 
 def figure_5_1_edges() -> FrozenSet[Tuple[str, str]]:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional
 
-from repro.core import tracing
 from repro.errors import EventError
 from repro.events.detectors import EventDetector, EventSink
 from repro.events.matching import matches_primitive
@@ -175,9 +174,8 @@ class CompositeEventDetector(EventDetector):
     accepts = CompositeEventSpec
 
     def __init__(self, sink: Optional[EventSink] = None,
-                 tracer: Optional[tracing.Tracer] = None,
                  schema: Optional[Schema] = None) -> None:
-        super().__init__(sink, tracer)
+        super().__init__(sink)
         self._schema = schema
         self._automata: Dict[EventSpec, _Automaton] = {}
         #: (kind, op/name) -> number of automata with a member wanting it

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core import tracing
 from repro.events.detectors import EventDetector, EventSink, SubscriptionIndex
 from repro.events.matching import matches_primitive
 from repro.events.signal import EventSignal
@@ -45,11 +44,9 @@ class DatabaseEventDetector(EventDetector):
 
     accepts = DatabaseEventSpec
 
-    def __init__(self, schema: Schema, sink: Optional[EventSink] = None,
-                 tracer: Optional[tracing.Tracer] = None,
-                 component: Optional[str] = None, *,
+    def __init__(self, schema: Schema, sink: Optional[EventSink] = None, *,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        super().__init__(sink, tracer, component, metrics=metrics)
+        super().__init__(sink, metrics=metrics)
         self._schema = schema
         #: (op, class_name) -> specs without attribute scope
         self._index = SubscriptionIndex()

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core import tracing
 from repro.errors import EventError
 from repro.events.signal import EventSignal
 from repro.events.spec import EventSpec
@@ -95,23 +94,14 @@ class EventDetector:
 
     #: subclasses set this to the EventSpec subclass they accept
     accepts: type = EventSpec
-    component = tracing.EVENT_DETECTOR
 
-    def __init__(self, sink: Optional[EventSink] = None,
-                 tracer: Optional[tracing.Tracer] = None,
-                 component: Optional[str] = None, *,
+    def __init__(self, sink: Optional[EventSink] = None, *,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.sink = sink
         #: batched sink: when wired, all reports of one observed operation
         #: are delivered in a single call (the Rule Manager processes the
         #: union of triggered rules with one priority sort, §6.2)
         self.sink_batch: Optional[BatchEventSink] = None
-        if component is not None:
-            # The database detectors are embedded in the Object Manager and
-            # Transaction Manager (paper §5.3); their signals trace as calls
-            # from those components.
-            self.component = component
-        self._tracer = tracer or tracing.Tracer()
         self._metrics = metrics or MetricsRegistry(enabled=False)
         self._registrations: Dict[EventSpec, _Registration] = {}
         self.stats = {"defined": 0, "reported": 0, "suppressed": 0}
@@ -194,8 +184,6 @@ class EventDetector:
             return
         signal.spec = spec
         self.stats["reported"] += 1
-        self._tracer.record(self.component, tracing.RULE_MANAGER,
-                            "signal_event", signal.describe)
         self.sink(signal)
 
     def report_batch(self, pairs: List[Tuple[EventSpec, EventSignal]]) -> None:
@@ -220,8 +208,6 @@ class EventDetector:
                 continue
             signal.spec = spec
             self.stats["reported"] += 1
-            self._tracer.record(self.component, tracing.RULE_MANAGER,
-                                "signal_event", signal.describe)
             deliverable.append(signal)
         if not deliverable:
             return

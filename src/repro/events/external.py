@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.core import tracing
 from repro.errors import EventError
 from repro.events.detectors import EventDetector, EventSink
 from repro.events.signal import EventSignal
@@ -29,9 +28,8 @@ class ExternalEventDetector(EventDetector):
 
     accepts = ExternalEventSpec
 
-    def __init__(self, sink: Optional[EventSink] = None,
-                 tracer: Optional[tracing.Tracer] = None) -> None:
-        super().__init__(sink, tracer)
+    def __init__(self, sink: Optional[EventSink] = None) -> None:
+        super().__init__(sink)
         self._by_name: Dict[str, ExternalEventSpec] = {}
         #: flight recorder (wired by the facade); application-level event
         #: definitions and signals are journalled as replayable stimuli

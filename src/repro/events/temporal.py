@@ -26,7 +26,6 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.clock import Clock
-from repro.core import tracing
 from repro.events.composite import interest_keys, signal_interest_key
 from repro.events.detectors import EventDetector, EventSink
 from repro.events.matching import matches_primitive
@@ -41,9 +40,8 @@ class TemporalEventDetector(EventDetector):
     accepts = TemporalEventSpec
 
     def __init__(self, clock: Clock, sink: Optional[EventSink] = None,
-                 tracer: Optional[tracing.Tracer] = None,
                  schema: Optional[Schema] = None) -> None:
-        super().__init__(sink, tracer)
+        super().__init__(sink)
         self._clock = clock
         self._schema = schema
         #: flight recorder (wired by the facade); temporal occurrences are

@@ -30,7 +30,6 @@ import time as _time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.clock import Clock, VirtualClock
-from repro.core import tracing
 from repro.errors import SchemaError
 from repro.obs.metrics import HOT_PATH_SAMPLE, MetricsRegistry
 from repro.events.database import DatabaseEventDetector
@@ -62,12 +61,10 @@ class ObjectManager:
     """Executes DDL/DML operations and queries under transactions."""
 
     def __init__(self, store: ObjectStore, txn_manager: TransactionManager,
-                 tracer: Optional[tracing.Tracer] = None,
                  clock: Optional[Clock] = None, *,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.store = store
         self.txns = txn_manager
-        self._tracer = tracer or tracing.Tracer()
         self._clock = clock or VirtualClock()
         self._metrics = metrics or MetricsRegistry(enabled=False)
         #: operation latency includes everything the §6.2 suspension
@@ -81,9 +78,8 @@ class ObjectManager:
         self.executor = QueryExecutor(store)
         #: the in-Object-Manager database event detector (paper §5.3); its
         #: sink is wired to the Rule Manager by the facade
-        self.event_detector = DatabaseEventDetector(
-            store.schema, tracer=self._tracer,
-            component=tracing.OBJECT_MANAGER, metrics=self._metrics)
+        self.event_detector = DatabaseEventDetector(store.schema,
+                                                    metrics=self._metrics)
         self._delta_listeners: List[DeltaListener] = []
         #: flight recorder; None unless the facade enables it.  Top-level
         #: application operations are journalled as replayable stimuli;
@@ -103,8 +99,7 @@ class ObjectManager:
     # ----------------------------------------------------- execute operation
 
     def execute_operation(self, op: Operation, txn: Transaction, *,
-                          user: str = "system",
-                          source: str = tracing.APPLICATION) -> Any:
+                          user: str = "system") -> Any:
         """Execute a DDL/DML operation in ``txn`` (the paper's single entry).
 
         Returns the created :class:`OID` for :class:`CreateObject` and the
@@ -114,8 +109,6 @@ class ObjectManager:
         """
         if not isinstance(op, Operation):
             raise SchemaError("unknown operation: %r" % (op,))
-        self._tracer.record(source, tracing.OBJECT_MANAGER,
-                            "execute_operation", op.describe)
         if txn.state != ACTIVE:
             raise not_active(txn)
         self.stats["operations"] += 1
@@ -163,49 +156,47 @@ class ObjectManager:
     # Convenience wrappers used throughout the library and examples.
 
     def create(self, class_name: str, attrs: Optional[Dict[str, Any]] = None,
-               txn: Optional[Transaction] = None, *, user: str = "system",
-               source: str = tracing.APPLICATION) -> OID:
+               txn: Optional[Transaction] = None, *,
+               user: str = "system") -> OID:
         """Create an instance; returns its OID."""
         if txn is None:
             raise SchemaError("create requires a transaction")
         return self.execute_operation(
-            CreateObject(class_name, dict(attrs or {})), txn, user=user,
-            source=source)
+            CreateObject(class_name, dict(attrs or {})), txn, user=user)
 
     def update(self, oid: OID, changes: Dict[str, Any],
-               txn: Optional[Transaction] = None, *, user: str = "system",
-               source: str = tracing.APPLICATION) -> Delta:
+               txn: Optional[Transaction] = None, *,
+               user: str = "system") -> Delta:
         """Update an instance's attributes."""
         if txn is None:
             raise SchemaError("update requires a transaction")
         return self.execute_operation(UpdateObject(oid, dict(changes)), txn,
-                                      user=user, source=source)
+                                      user=user)
 
     def delete(self, oid: OID, txn: Optional[Transaction] = None, *,
-               user: str = "system",
-               source: str = tracing.APPLICATION) -> Delta:
+               user: str = "system") -> Delta:
         """Delete an instance."""
         if txn is None:
             raise SchemaError("delete requires a transaction")
-        return self.execute_operation(DeleteObject(oid), txn, user=user,
-                                      source=source)
+        return self.execute_operation(DeleteObject(oid), txn, user=user)
 
     # -------------------------------------------------------------- reads
 
     def read(self, oid: OID, txn: Transaction, *, user: str = "system",
-             source: str = tracing.APPLICATION) -> Dict[str, Any]:
-        """Read one instance's attributes (shared-locked snapshot)."""
+             signal: bool = True) -> Dict[str, Any]:
+        """Read one instance's attributes (shared-locked snapshot); with
+        ``signal=False`` (the system's own read) no retrieval event."""
         if txn.state != ACTIVE:
             raise not_active(txn)
         self.stats["reads"] += 1
-        self.lock_for_read(oid, txn, source=source)
+        self.lock_for_read(oid, txn)
         snapshot = self.store.get(oid).snapshot()
-        self._signal_retrieval("read", oid.class_name, txn, user,
-                               oid=oid, attrs=snapshot, source=source)
+        if signal:
+            self._signal_retrieval("read", oid.class_name, txn, user,
+                                   oid=oid, attrs=snapshot)
         return snapshot
 
     def lock_for_read(self, oid: OID, txn: Transaction, *,
-                      source: str = tracing.APPLICATION,
                       resources: Optional[Tuple[LockResource, LockResource]]
                       = None) -> None:
         """Take the locks of a read of ``oid`` — IS on its class, S on the
@@ -217,7 +208,6 @@ class ObjectManager:
         so only a finished transaction is refused (by the lock manager).
         A rule's firing plan keeps ``oid``'s (class, object) ``resources``.
         """
-        self._tracer.record(source, tracing.OBJECT_MANAGER, "read", "%s", oid)
         extent, instance = resources or (LockResource.for_class(oid.class_name),
                                          LockResource.for_object(oid))
         locks = self.txns.locks
@@ -226,11 +216,10 @@ class ObjectManager:
 
     def execute_query(self, query: Query, txn: Transaction,
                       bindings: Bindings = (), *, user: str = "system",
-                      source: str = tracing.APPLICATION,
+                      signal: bool = True,
                       memo: Optional[Dict[Any, Any]] = None) -> QueryResult:
-        """Evaluate a query with shared locks on the extents it ranges over."""
-        self._tracer.record(source, tracing.OBJECT_MANAGER, "execute_query",
-                            query.class_name)
+        """Evaluate a query with shared locks on the extents it ranges over
+        (``signal`` as for :meth:`read`)."""
         if txn.state != ACTIVE:
             raise not_active(txn)
         self.stats["queries"] += 1
@@ -243,23 +232,20 @@ class ObjectManager:
         for name in class_names:
             locks.acquire(txn, LockResource.for_class(name), LockMode.S)
         result = self.executor.execute(query, bindings, memo)
-        self._signal_retrieval("query", query.class_name, txn, user,
-                               source=source)
+        if signal:
+            self._signal_retrieval("query", query.class_name, txn, user)
         return result
 
     def execute_join(self, join: JoinQuery, txn: Transaction,
                      bindings: Bindings = (), *,
-                     source: str = tracing.APPLICATION) -> JoinResult:
+                     signal: bool = True) -> JoinResult:
         """Evaluate a two-class equi-join under shared extent locks.
 
         Both sides run through :meth:`execute_query` (index selection and
         locking apply per side); the pairs are produced by a hash join.
         """
-        self._tracer.record(source, tracing.OBJECT_MANAGER, "execute_join",
-                            "%s x %s", join.left.class_name,
-                            join.right.class_name)
-        left = self.execute_query(join.left, txn, bindings, source=source)
-        right = self.execute_query(join.right, txn, bindings, source=source)
+        left = self.execute_query(join.left, txn, bindings, signal=signal)
+        right = self.execute_query(join.right, txn, bindings, signal=signal)
         return hash_join(join, left.rows, right.rows)
 
     def lock_extent(self, class_name: str, txn: Transaction, *,
@@ -356,23 +342,16 @@ class ObjectManager:
         # synchronously here, suspending this operation (paper §6.2).
         self.event_detector.observe(signal)
 
-    _INTERNAL_SOURCES = frozenset({tracing.RULE_MANAGER,
-                                   tracing.CONDITION_EVALUATOR})
-
     def _signal_retrieval(self, op: str, class_name: str, txn, user: str, *,
                           oid: Optional[OID] = None,
-                          attrs: Optional[Dict[str, Any]] = None,
-                          source: str) -> None:
+                          attrs: Optional[Dict[str, Any]] = None) -> None:
         """Report a read/query event (extension).
 
-        The system's own reads — rule-object locking by the Rule Manager
-        and condition evaluation — never signal, so retrieval rules observe
-        only application activity (and rule *actions*, which read on the
-        application's behalf would also be internal here: they carry the
-        RULE_MANAGER source).
+        Only reads asked with ``signal=True`` get here: the system's own —
+        rule-object locking by the Rule Manager, condition evaluation and a
+        rule action's ``ctx.read`` / ``ctx.query`` — never signal, so
+        retrieval rules observe only application activity.
         """
-        if source in self._INTERNAL_SOURCES:
-            return
         if not self.event_detector.relevant(op, class_name):
             self.stats["signals_skipped"] += 1
             return

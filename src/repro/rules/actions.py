@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.core import tracing
 from repro.errors import RuleError
 from repro.events.signal import EventSignal
 from repro.objstore.objects import OID
@@ -53,32 +52,29 @@ class ActionContext:
     rule: Optional["Rule"] = None
     signal_external: Optional[Callable[..., Any]] = None
 
-    # Database conveniences (all run in the action transaction, attributed
-    # to the Rule Manager for tracing).
+    # Database conveniences (all run in the action transaction; the reads
+    # are the system's own, so they are not retrieval events).
 
     def create(self, class_name: str, attrs: Optional[Dict[str, Any]] = None) -> OID:
         """Create an object as part of the action."""
-        return self.object_manager.create(class_name, attrs, self.txn,
-                                          source=tracing.RULE_MANAGER)
+        return self.object_manager.create(class_name, attrs, self.txn)
 
     def update(self, oid: OID, changes: Dict[str, Any]) -> None:
         """Update an object as part of the action."""
-        self.object_manager.update(oid, changes, self.txn,
-                                   source=tracing.RULE_MANAGER)
+        self.object_manager.update(oid, changes, self.txn)
 
     def delete(self, oid: OID) -> None:
         """Delete an object as part of the action."""
-        self.object_manager.delete(oid, self.txn, source=tracing.RULE_MANAGER)
+        self.object_manager.delete(oid, self.txn)
 
     def read(self, oid: OID) -> Dict[str, Any]:
         """Read an object's attributes in the action transaction."""
-        return self.object_manager.read(oid, self.txn,
-                                        source=tracing.RULE_MANAGER)
+        return self.object_manager.read(oid, self.txn, signal=False)
 
     def query(self, query: Query) -> QueryResult:
         """Run a query in the action transaction."""
         return self.object_manager.execute_query(
-            query, self.txn, self.bindings, source=tracing.RULE_MANAGER)
+            query, self.txn, self.bindings, signal=False)
 
     def request(self, application: str, operation: str, **args: Any) -> Any:
         """Send a request to an application program and return its reply."""
@@ -117,8 +113,7 @@ class DatabaseStep(ActionStep):
         operations = op if isinstance(op, list) else [op]
         result = None
         for operation in operations:
-            result = ctx.object_manager.execute_operation(
-                operation, ctx.txn, source=tracing.RULE_MANAGER)
+            result = ctx.object_manager.execute_operation(operation, ctx.txn)
         return result
 
     def describe(self) -> str:

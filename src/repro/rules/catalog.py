@@ -26,7 +26,6 @@ import threading
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.conditions.evaluator import ConditionEvaluator
-from repro.core import tracing
 from repro.errors import RuleError
 from repro.events.derivation import derive_event_spec
 from repro.events.signal import EventSignal
@@ -76,7 +75,7 @@ class RuleCatalog:
     def __init__(self, object_manager: ObjectManager,
                  evaluator: ConditionEvaluator, txn_detector: Any,
                  temporal_detector: Any, external_detector: Any,
-                 composite_detector: Any, tracer: tracing.Tracer, *,
+                 composite_detector: Any, *,
                  action_seconds: Dict[str, Any]) -> None:
         self._om = object_manager
         self._evaluator = evaluator
@@ -84,7 +83,6 @@ class RuleCatalog:
         self._temporal = temporal_detector
         self._external = external_detector
         self._composite = composite_detector
-        self._tracer = tracer
         #: the action-time histogram of each C-A coupling
         self._action_seconds = action_seconds
         #: flight recorder; None unless the facade enables it.  Rule
@@ -107,8 +105,7 @@ class RuleCatalog:
 
     # ============================================================ rule ops
 
-    def create_rule(self, rule: Rule, txn: Transaction, *,
-                    source: str = tracing.APPLICATION) -> Rule:
+    def create_rule(self, rule: Rule, txn: Transaction) -> Rule:
         """Create a rule (paper §6.1).
 
         The request is handled by the Object Manager: it creates the rule's
@@ -123,7 +120,7 @@ class RuleCatalog:
         stack = self._pending_stack()
         stack.append(rule)
         try:
-            self._om.create(RULE_CLASS, rule.store_attrs(), txn, source=source)
+            self._om.create(RULE_CLASS, rule.store_attrs(), txn)
         finally:
             if stack and stack[-1] is rule:
                 stack.pop()
@@ -131,49 +128,42 @@ class RuleCatalog:
             raise RuleError("rule registration failed for %r" % rule.name)
         return rule
 
-    def delete_rule(self, name: str, txn: Transaction, *,
-                    source: str = tracing.APPLICATION) -> None:
+    def delete_rule(self, name: str, txn: Transaction) -> None:
         """Delete a rule (write lock; undone if ``txn`` aborts)."""
         rule = self.get_rule(name)
         self._journal("rule-delete", name, txn)
-        self._om.delete(rule.oid, txn, source=source)
+        self._om.delete(rule.oid, txn)
 
-    def enable_rule(self, name: str, txn: Transaction, *,
-                    source: str = tracing.APPLICATION) -> None:
+    def enable_rule(self, name: str, txn: Transaction) -> None:
         """Re-enable automatic firing of a rule (write lock)."""
-        self._update_enabled(name, True, txn, source)
+        self._update_enabled(name, True, txn)
 
-    def disable_rule(self, name: str, txn: Transaction, *,
-                     source: str = tracing.APPLICATION) -> None:
+    def disable_rule(self, name: str, txn: Transaction) -> None:
         """Disable automatic firing of a rule (write lock)."""
-        self._update_enabled(name, False, txn, source)
+        self._update_enabled(name, False, txn)
 
-    def _update_enabled(self, name: str, enabled: bool, txn: Transaction,
-                        source: str) -> None:
+    def _update_enabled(self, name: str, enabled: bool, txn: Transaction) -> None:
         rule = self.get_rule(name)
         self._journal("rule-enable" if enabled else "rule-disable", name, txn)
-        self._om.update(rule.oid, {"enabled": enabled}, txn, source=source)
+        self._om.update(rule.oid, {"enabled": enabled}, txn)
 
     def rules_in_group(self, group: str) -> List[str]:
         """Names of the rules belonging to ``group`` (paper §4.2), sorted."""
         return sorted(name for name, rule in self._rules.items()
                       if rule.group == group)
 
-    def enable_group(self, group: str, txn: Transaction, *,
-                     source: str = tracing.APPLICATION) -> List[str]:
+    def enable_group(self, group: str, txn: Transaction) -> List[str]:
         """Enable every rule in a group; returns the affected rule names."""
-        return self._update_group(group, True, txn, source)
+        return self._update_group(group, True, txn)
 
-    def disable_group(self, group: str, txn: Transaction, *,
-                      source: str = tracing.APPLICATION) -> List[str]:
+    def disable_group(self, group: str, txn: Transaction) -> List[str]:
         """Disable every rule in a group; returns the affected rule names."""
-        return self._update_group(group, False, txn, source)
+        return self._update_group(group, False, txn)
 
-    def _update_group(self, group: str, enabled: bool, txn: Transaction,
-                      source: str) -> List[str]:
+    def _update_group(self, group: str, enabled: bool, txn: Transaction) -> List[str]:
         names = self.rules_in_group(group)
         for name in names:
-            self._update_enabled(name, enabled, txn, source)
+            self._update_enabled(name, enabled, txn)
         return names
 
     def reattach_rule(self, rule: Rule, oid: OID, enabled: bool,
@@ -356,12 +346,10 @@ class RuleCatalog:
 
     def _define_event(self, spec: EventSpec) -> None:
         """Program the detectors for ``spec`` (recursively for composites
-        and temporal baselines), with tracing per §6.1."""
+        and temporal baselines), per §6.1."""
         detector = self.detector_for(spec)
         if detector is None:
             raise RuleError("no detector available for event %r" % spec)
-        self._tracer.record(tracing.RULE_MANAGER, tracing.EVENT_DETECTOR,
-                            "define_event", "%r", spec)
         with self._mutex:
             detector.define_event(spec)
             for member in _constituents(spec):
@@ -371,8 +359,6 @@ class RuleCatalog:
         detector = self.detector_for(spec)
         if detector is None:
             return
-        self._tracer.record(tracing.RULE_MANAGER, tracing.EVENT_DETECTOR,
-                            "delete_event", "%r", spec)
         with self._mutex:
             detector.delete_event(spec)
             for member in _constituents(spec):

@@ -47,7 +47,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.clock import Clock
 from repro.conditions.condition import ConditionOutcome
 from repro.conditions.evaluator import ConditionEvaluator, Memo
-from repro.core import tracing
 from repro.errors import CascadeLimitExceeded, RuleError, TransactionAborted
 from repro.events.composite import CompositeEventDetector
 from repro.events.database import DatabaseEventDetector
@@ -139,7 +138,7 @@ class RuleManager:
                  temporal_detector: TemporalEventDetector,
                  external_detector: ExternalEventDetector,
                  composite_detector: CompositeEventDetector, *,
-                 tracer: tracing.Tracer, clock: Clock, applications: Any,
+                 clock: Clock, applications: Any,
                  metrics: MetricsRegistry, slow_log: SlowLog,
                  watchdog: Watchdog, trace: bool = False,
                  config: Optional[RuleManagerConfig] = None) -> None:
@@ -165,14 +164,13 @@ class RuleManager:
         #: ... acts as an event detector", §5.2); its sink is this manager
         self.txn_detector = DatabaseEventDetector(
             object_manager.store.schema, sink=self.signal_event,
-            tracer=tracer, component=tracing.TRANSACTION_MANAGER,
             metrics=self._metrics)
         self.txn_detector.sink_batch = self.signal_event_batch
         #: §6.1: the registered rules, the event->rule mapping, and each
         #: rule's firing plan (its action times go to these histograms)
         self.catalog = RuleCatalog(
             object_manager, evaluator, self.txn_detector, temporal_detector,
-            external_detector, composite_detector, tracer, action_seconds={
+            external_detector, composite_detector, action_seconds={
                 ca: metrics.histogram("rule_action_seconds",
                                       sample=HOT_PATH_SAMPLE, coupling=ca)
                 for ca in MODES})
@@ -373,15 +371,14 @@ class RuleManager:
         immediate += groups[DEFERRED]
         if not immediate:
             return
-        host = self._txns.create_transaction(source=tracing.RULE_MANAGER,
-                                             label="detached-firing",
+        host = self._txns.create_transaction(label="detached-firing",
                                              internal=True)
         try:
             self._fire_group(immediate, host, IMMEDIATE)
         except BaseException:
-            self._txns.abort_transaction(host, source=tracing.RULE_MANAGER)
+            self._txns.abort_transaction(host)
             raise
-        self._txns.commit_transaction(host, source=tracing.RULE_MANAGER)
+        self._txns.commit_transaction(host)
 
     def _fire_group(self, entries: List[Entry], host: Transaction,
                     coupling: str) -> None:
@@ -446,7 +443,7 @@ class RuleManager:
         separate = parent is None
         begun = _time.perf_counter() if self.trace else None
         ctxn = self._txns.create_transaction(
-            parent=parent, source=tracing.RULE_MANAGER, internal=True,
+            parent=parent, internal=True,
             label=rule.plan.sep_cond if separate else rule.plan.cond)
         if not separate:
             # What the condition nests under — the event's transaction, its
@@ -459,13 +456,12 @@ class RuleManager:
                 # "Firing requires a read lock" (§2.2) — on the transaction
                 # the firing nests under, so the condition's own stays empty.
                 self._om.lock_for_read(rule.oid, ctxn if separate else parent,
-                                       source=tracing.RULE_MANAGER,
                                        resources=rule.plan.read_locks)
             self.stats["conditions_evaluated"] += 1
             outcome = self._evaluator.evaluate(
                 rule.condition, signal, ctxn, coupling=coupling, memo=memo)
             if not separate:
-                self._txns.commit_transaction(ctxn, source=tracing.RULE_MANAGER)
+                self._txns.commit_transaction(ctxn)
             firing.satisfied = outcome.satisfied
             if self.recorder is not None:
                 # Response record (bypasses suppression) replay diffs its
@@ -479,7 +475,7 @@ class RuleManager:
                     firing.timing = [_phase(begun), None]
                 if outcome.satisfied:
                     self._route_action(rule, signal, firing, outcome, ctxn)
-                self._txns.commit_transaction(ctxn, source=tracing.RULE_MANAGER)
+                self._txns.commit_transaction(ctxn)
             return outcome
         except BaseException as exc:
             if not self._firing_failed(rule, firing, ctxn, exc, separate):
@@ -497,7 +493,7 @@ class RuleManager:
         top-level transaction on this thread (errors collected)."""
         separate = parent is None
         atxn = self._txns.create_transaction(
-            parent=parent, source=tracing.RULE_MANAGER, internal=True,
+            parent=parent, internal=True,
             label=rule.plan.sep_act if separate else rule.plan.act)
         firing.action_txn = atxn.txn_id
         if separate:
@@ -519,7 +515,7 @@ class RuleManager:
                 rule.action.run(ctx)
             finally:
                 running.pop()
-            self._txns.commit_transaction(atxn, source=tracing.RULE_MANAGER)
+            self._txns.commit_transaction(atxn)
             firing.executed = True
             self.stats["actions_executed"] += 1
         except BaseException as exc:
@@ -552,7 +548,7 @@ class RuleManager:
             self.stats["firing_errors"] += 1
         firing.error = str(exc)
         if not txn.is_finished():
-            self._txns.abort_transaction(txn, source=tracing.RULE_MANAGER)
+            self._txns.abort_transaction(txn)
         if not collect or not isinstance(exc, Exception):
             return False
         if not isinstance(exc, TransactionAborted):

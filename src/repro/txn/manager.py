@@ -25,7 +25,6 @@ import threading
 import time as _time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core import tracing
 from repro.errors import TransactionStateError
 from repro.obs.metrics import HOT_PATH_SAMPLE, MetricsRegistry
 from repro.txn.locks import LockManager
@@ -49,13 +48,11 @@ class TransactionManager:
     """Creates, commits, and aborts (nested) transactions."""
 
     def __init__(self, lock_manager: Optional[LockManager] = None,
-                 tracer: Optional[tracing.Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.locks = lock_manager or LockManager()
         self._ids = itertools.count(1)      # ids "t1", "t2", ...
         #: guards ``live_children``: siblings start and end on any thread
         self._family = threading.Lock()
-        self._tracer = tracer or tracing.Tracer()
         self._metrics = metrics or MetricsRegistry(enabled=False)
         #: commit latency includes §6.3 deferred rule processing — it is
         #: the user-visible cost of "commit returned".  Only top-level
@@ -94,21 +91,9 @@ class TransactionManager:
     # ------------------------------------------------------------- create
 
     def create_transaction(self, parent: Optional[Transaction] = None, *,
-                           label: str = "", internal: bool = False,
-                           source: str = tracing.APPLICATION) -> Transaction:
-        """Create a top-level transaction (``parent=None``) or a nested one.
-
-        ``source`` identifies the calling component for tracing (the Rule
-        Manager creates transactions for rule firings, applications create
-        their own).
-        """
-        if parent is None:
-            self._tracer.record(source, tracing.TRANSACTION_MANAGER,
-                                "create_transaction", "top level")
-        else:
-            self._tracer.record(source, tracing.TRANSACTION_MANAGER,
-                                "create_transaction", "nested under %s",
-                                parent.txn_id)
+                           label: str = "",
+                           internal: bool = False) -> Transaction:
+        """Create a top-level transaction (``parent=None``) or a nested one."""
         with self._family:
             txn = Transaction("t%d" % next(self._ids), parent, label=label,
                               internal=internal)
@@ -122,8 +107,7 @@ class TransactionManager:
 
     # ------------------------------------------------------------- commit
 
-    def commit_transaction(self, txn: Transaction, *,
-                           source: str = tracing.APPLICATION) -> None:
+    def commit_transaction(self, txn: Transaction) -> None:
         """Commit ``txn``.
 
         Order of operations (paper §6.3):
@@ -139,8 +123,6 @@ class TransactionManager:
            hooks are adopted by its parent, since its effects are not yet
            permanent).
         """
-        self._tracer.record(source, tracing.TRANSACTION_MANAGER,
-                            "commit_transaction", txn.txn_id)
         parent = txn._parent()
         timed = parent is None and self._commit_seconds.should_sample()
         start = _time.perf_counter() if timed else 0.0
@@ -166,7 +148,7 @@ class TransactionManager:
         except BaseException:
             # Deferred rule work failed: the transaction cannot commit.
             txn.state = ACTIVE
-            self.abort_transaction(txn, source=tracing.TRANSACTION_MANAGER)
+            self.abort_transaction(txn)
             raise
         # Resume commit processing.  If any resume step raises — the WAL
         # force most plausibly, but also lock inheritance — the transaction
@@ -197,7 +179,7 @@ class TransactionManager:
                 self.wal.log_commit(txn)
         except BaseException:
             txn.state = ACTIVE
-            self.abort_transaction(txn, source=tracing.TRANSACTION_MANAGER)
+            self.abort_transaction(txn)
             raise
         # The commit stands: nothing below may take it back.
         txn.state = COMMITTED
@@ -226,8 +208,7 @@ class TransactionManager:
 
     # -------------------------------------------------------------- abort
 
-    def abort_transaction(self, txn: Transaction, *,
-                          source: str = tracing.APPLICATION) -> None:
+    def abort_transaction(self, txn: Transaction) -> None:
         """Abort ``txn``: discard its effects and those of all descendants.
 
         Idempotent on already-aborted transactions; committing/committed
@@ -235,8 +216,6 @@ class TransactionManager:
         inside the aborting subtree (their effects are discarded through the
         parent's undo log).
         """
-        self._tracer.record(source, tracing.TRANSACTION_MANAGER,
-                            "abort_transaction", txn.txn_id)
         if txn.state == ABORTED:
             return
         start = _time.perf_counter() if self._metrics.enabled else 0.0
@@ -252,7 +231,7 @@ class TransactionManager:
             self.provenance.on_abort(txn)
         # Abort any still-active descendants first (deepest first).
         for child in txn.active_children() if txn.live_children else ():
-            self.abort_transaction(child, source=tracing.TRANSACTION_MANAGER)
+            self.abort_transaction(child)
         txn.aborted_flag = True
         txn.state = ABORTED
         parent = txn._parent()
@@ -287,9 +266,6 @@ class TransactionManager:
         firings (§6.3)."""
         if self.event_sink is None or not self.signal_transaction_events:
             return
-        self._tracer.record(tracing.TRANSACTION_MANAGER, tracing.RULE_MANAGER,
-                            "signal_event", "transaction %s %s", kind,
-                            txn.txn_id)
         self.event_sink(kind, txn)
 
     def live_transactions(self) -> List[Transaction]:

@@ -5,12 +5,14 @@ import pytest
 from repro import (
     AccessDenied,
     Action,
+    Attr,
     ClassDef,
     Condition,
     HiPAC,
     Query,
     Rule,
     attributes,
+    external,
     on_query,
     on_read,
 )
@@ -102,3 +104,51 @@ class TestReadAccessControl:
             db.object_manager.execute_query(Query("Secret"), txn,
                                             user="mallory")
         db.abort(txn)
+
+
+class TestSystemReadsDoNotSignal:
+    """Which reads are retrieval events: the application's, and a rule
+    action's when it goes through the facade; not the system's own."""
+
+    def test_rule_creation_priming_query_does_not_signal(self, db):
+        seen = []
+        db.create_rule(Rule(
+            name="query-watch",
+            event=on_query("Secret"),
+            condition=Condition.true(),
+            action=Action.call(lambda ctx: seen.append(ctx.txn.txn_id)),
+        ))
+        # A static condition on Secret: creating the rule runs its query
+        # once, in the creating transaction, to prime the condition graph.
+        db.create_rule(Rule(
+            name="static-secret",
+            event=on_read("Secret"),
+            condition=Condition.of(Query("Secret", Attr("name") == "s")),
+            action=Action.call(lambda ctx: None),
+        ))
+        assert seen == []
+
+    def test_action_context_reads_do_not_signal_but_facade_reads_do(self, db):
+        with db.transaction() as txn:
+            oid = db.create("Secret", {"name": "s", "payload": "x"}, txn)
+        seen = []
+        for name, event in (("query-watch", on_query("Secret")),
+                            ("read-watch", on_read("Secret"))):
+            db.create_rule(Rule(
+                name=name, event=event, condition=Condition.true(),
+                action=Action.call(lambda ctx, name=name: seen.append(name)),
+            ))
+
+        def reader(ctx):
+            ctx.query(Query("Secret"))
+            ctx.read(oid)
+            assert seen == []
+            db.query(Query("Secret"), ctx.txn)
+
+        db.define_event("look")
+        db.create_rule(Rule(name="reader", event=external("look"),
+                            condition=Condition.true(),
+                            action=Action.call(reader)))
+        with db.transaction() as txn:
+            db.signal_event("look", txn=txn)
+        assert seen == ["query-watch"]
