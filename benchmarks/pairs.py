@@ -30,12 +30,23 @@ per stimulus) are printed beside them as information and never fail the run:
 digits and batch framing.
 
     python3 benchmarks/pairs.py --counts --workload saa_mem coupling_mix
+
+``--replay`` checks that both sides fire the same rules, in the same order,
+and commit the same store: ``benchmarks/replay_shape.py`` records its
+stream (WAL and flight recorder on) under one side's ``src/``, and
+``src/repro/tools/replay.py --diff`` replays it under the other's, in
+both directions, at seeds 11 and 23.  The exit status is 1 on any
+divergence.  The recording script and the replay tool are this tree's
+on both sides (they use only the public API); the engine is the side's.
+
+    python3 benchmarks/pairs.py --replay --parent HEAD~1
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -48,6 +59,7 @@ SEEDS = [11, 12, 13, 14, 15, 16, 17, 18, 19, 23]
 
 
 COUNTS_SEED = 11
+REPLAY_SEEDS = (11, 23)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float,
@@ -58,6 +70,33 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, check=True, capture_output=True, text=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def replay_once(recorder: Path, replayer: Path, seed: int,
+                data_dir: Path) -> bool:
+    """Record ``replay_shape`` at ``seed`` under ``recorder``'s engine and
+    replay it under ``replayer``'s; print the verdict, return whether the
+    replay was clean."""
+    def run(tree: Path, *argv: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tree / "src"), str(ROOT)]))
+        return subprocess.run([sys.executable, "-c", *argv], cwd=ROOT,
+                              env=env, capture_output=True, text=True)
+    recorded = run(recorder, "import sys; from benchmarks.replay_shape import "
+                   "record; print(record(sys.argv[1], int(sys.argv[2])))",
+                   str(data_dir), str(seed))
+    if recorded.returncode != 0:
+        print(recorded.stderr, file=sys.stderr)
+        recorded.check_returncode()
+    replayed = run(replayer, "import runpy, sys; sys.argv[0] = 'replay'; "
+                   "runpy.run_path(sys.argv.pop(1), run_name='__main__')",
+                   str(ROOT / "src" / "repro" / "tools" / "replay.py"),
+                   str(data_dir), "--diff", "--rules",
+                   "benchmarks.replay_shape:setup")
+    lines = (replayed.stdout or replayed.stderr).strip().splitlines()
+    print("  seed %d, recorded %s firings: %s" % (
+        seed, recorded.stdout.strip(), "\n    ".join(lines[:6])))
+    return replayed.returncode == 0
 
 
 def quartiles(values: List[float]) -> List[float]:
@@ -130,7 +169,7 @@ def main() -> int:
     count_names = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
     byte_names = [m["name"] for m in spec["per_layer"] if m["unit"] == "B"]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", nargs="+", required=True,
+    parser.add_argument("--workload", nargs="+",
                         choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--parent", default="HEAD",
                         help="commit to compare the working tree against")
@@ -148,7 +187,12 @@ def main() -> int:
     parser.add_argument("--moved", nargs="*", default=[], metavar="NAME",
                         choices=count_names,
                         help="count metrics the change is meant to move")
+    parser.add_argument("--replay", action="store_true",
+                        help="record benchmarks/replay_shape.py under each"
+                             " side and replay it under the other")
     args = parser.parse_args()
+    if not args.replay and not args.workload:
+        parser.error("--workload is required unless --replay is given")
 
     with tempfile.TemporaryDirectory(prefix="pairs-parent-") as tmp:
         archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT,
@@ -156,6 +200,16 @@ def main() -> int:
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         trees = {"parent": Path(tmp), "change": ROOT}
         held = True
+        if args.replay:
+            for recorder, replayer in (("parent", "change"),
+                                       ("change", "parent")):
+                print("recorded under the %s, replayed under the %s:"
+                      % (recorder, replayer))
+                for seed in REPLAY_SEEDS:
+                    held &= replay_once(
+                        trees[recorder], trees[replayer], seed,
+                        Path(tmp) / ("replay-%s-%d" % (recorder, seed)))
+            return 0 if held else 1
         for workload in args.workload:
             if args.counts:
                 held &= report_counts(workload, count_names, byte_names,

@@ -57,7 +57,9 @@ def interest_keys(spec: EventSpec):
     their name, temporal members to all temporal signals; a composite spec
     contributes the keys of its primitive members.  Composite *baselines*
     (matched by identity against composite occurrences) subscribe to the
-    composite kind.
+    composite kind.  A signal presents the key ``(kind, op or name)``: its
+    operation, its external name, or None for the other kinds (the Rule
+    Manager probes the interest sets with it inline).
     """
     if isinstance(spec, CompositeEventSpec):
         keys = {("composite", None)}
@@ -72,16 +74,6 @@ def interest_keys(spec: EventSpec):
         return {("temporal", None)}
     return {("database", None), ("external", None),
             ("temporal", None), ("composite", None)}  # unknown: want all
-
-
-def signal_interest_key(signal: EventSignal):
-    """The interest key one signal presents (matched against the sets
-    maintained from :func:`interest_keys`)."""
-    if signal.kind == "database":
-        return ("database", signal.op)
-    if signal.kind == "external":
-        return ("external", signal.name)
-    return (signal.kind, None)
 
 
 class _Automaton:
@@ -178,8 +170,10 @@ class CompositeEventDetector(EventDetector):
         super().__init__(sink)
         self._schema = schema
         self._automata: Dict[EventSpec, _Automaton] = {}
-        #: (kind, op/name) -> number of automata with a member wanting it
-        self._interest: Dict[tuple, int] = {}
+        #: (kind, op/name) -> number of automata with a member wanting it;
+        #: the Rule Manager feeds :meth:`observe` only the signals whose key
+        #: is here (finer scoping is the automata's own)
+        self.interest: Dict[tuple, int] = {}
         self._mutex = threading.RLock()
         self.stats.update({"feeds": 0, "feeds_skipped": 0})
 
@@ -187,32 +181,17 @@ class CompositeEventDetector(EventDetector):
         with self._mutex:
             self._automata[spec] = _Automaton(spec, self._schema)
             for key in interest_keys(spec):
-                self._interest[key] = self._interest.get(key, 0) + 1
+                self.interest[key] = self.interest.get(key, 0) + 1
 
     def _removed(self, spec: CompositeEventSpec) -> None:  # type: ignore[override]
         with self._mutex:
             self._automata.pop(spec, None)
             for key in interest_keys(spec):
-                remaining = self._interest.get(key, 0) - 1
+                remaining = self.interest.get(key, 0) - 1
                 if remaining <= 0:
-                    self._interest.pop(key, None)
+                    self.interest.pop(key, None)
                 else:
-                    self._interest[key] = remaining
-
-    def wants(self, signal: EventSignal) -> bool:
-        """True when some programmed automaton has a member that could be
-        advanced by ``signal`` (the Rule Manager's subscription-driven feed:
-        irrelevant signals never reach the automata).
-
-        Conservative — keyed on ``(kind, op/name)`` only; finer scoping
-        (class, attributes) is still checked by the automata themselves.
-        """
-        if signal.kind == "composite":
-            return False  # composite occurrences never feed other composites
-        if signal_interest_key(signal) in self._interest:
-            return True
-        self.stats["feeds_skipped"] += 1
-        return False
+                    self.interest[key] = remaining
 
     def observe(self, signal: EventSignal) -> List[EventSignal]:
         """Feed one signal to every automaton; report recognized composites.

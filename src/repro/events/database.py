@@ -10,33 +10,68 @@ spec the operation satisfies.
 Because the paper's §6.2 protocol suspends every database operation until
 event detection (and any immediate rule work) completes, detection cost is
 on the critical path of *all* data operations.  The detector therefore
-routes through a discrimination index keyed on ``(op, class_name)``:
+answers "who is watching?" once per ``(op, class_name)`` and keeps the
+answer in a *route table*:
 
-* class-scoped specs are indexed under their own class and matched against
-  the signal class's schema *lineage* (an operation on ``Stock`` probes
-  ``Stock``, its superclasses, and the wildcard bucket — subclass-inclusive
-  specs are found on the ancestor they are scoped to);
-* attribute-scoped update specs live in a sub-index keyed on
-  ``(op, class_name, attr)`` probed once per changed attribute;
-* an operation kind with no programmed spec at all is a single dict miss
-  (the per-op refcount table), whatever the rule population.
+* a route holds every programmed spec an operation of that kind on that
+  class can satisfy, worked out through the schema lineage and each spec's
+  ``include_subclasses`` (with :func:`matches_primitive`) when the route is
+  first needed;
+* attribute-scoped update specs ride the route as ``(spec, attrs)`` pairs,
+  delivered when ``attrs`` meets the signal's changed attributes;
+* an operation nobody watches finds the one shared empty route.
 
-Every candidate found by a probe is still verified with
-:func:`matches_primitive`, so the index only ever narrows what a scan of
-all programmed specs would report (``tests/test_dispatch_index.py`` holds
-that scan as the oracle).
+The table is thrown away, never patched: at a spec's first
+``define_event`` and last ``delete_event`` (which the rule catalog's undo
+paths also go through), and whenever :attr:`Schema.version` moves (define,
+drop, restore and unregister of a class).  Enable and disable keep it:
+a disabled spec stays routed and :meth:`report_batch` suppresses it.
+
+Publication order: a programming change updates the spec index first and
+then publishes a fresh table, both under the detector's mutex; a route is
+built on a miss of the table its reader probed, and kept there — in the
+table read *before* the index was.  A route built from the old
+programming therefore lands only in a table that has already been
+replaced.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import threading
+from typing import Callable, List, Optional, Tuple
 
 from repro.events.detectors import EventDetector, EventSink, SubscriptionIndex
 from repro.events.matching import matches_primitive
 from repro.events.signal import EventSignal
-from repro.events.spec import OP_UPDATE, DatabaseEventSpec
+from repro.events.spec import DatabaseEventSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.objstore.types import Schema
+
+Route = Tuple[Tuple[DatabaseEventSpec, ...],
+              Tuple[Tuple[DatabaseEventSpec, frozenset], ...]]
+"""(specs without attribute scope, (attribute-scoped spec, its attrs))."""
+
+#: the route of every operation no programmed spec can match
+_EMPTY: Route = ((), ())
+
+
+class _Routes(dict):
+    """``(op, class_name) -> route`` for one schema version.  A missing
+    route is worked out on first use and kept in *this* table — the one
+    its reader probed — never in a newer one."""
+
+    __slots__ = ("version", "_build")
+
+    def __init__(self, version: int,
+                 build: Callable[[Optional[str], Optional[str]], Route]
+                 ) -> None:
+        super().__init__()
+        self.version = version
+        self._build = build
+
+    def __missing__(self, key: Tuple[Optional[str], Optional[str]]) -> Route:
+        route = self[key] = self._build(*key)
+        return route
 
 
 class DatabaseEventDetector(EventDetector):
@@ -48,78 +83,85 @@ class DatabaseEventDetector(EventDetector):
                  metrics: Optional[MetricsRegistry] = None) -> None:
         super().__init__(sink, metrics=metrics)
         self._schema = schema
-        #: (op, class_name) -> specs without attribute scope
+        #: (op, class_name) -> programmed specs scoped exactly there: the
+        #: input of route building
         self._index = SubscriptionIndex()
-        #: (op, class_name, attr) -> attribute-scoped update specs
-        self._attr_index = SubscriptionIndex()
-        #: (op, class_name) -> number of attribute-scoped specs (pre-check)
-        self._attr_classes: Dict[Tuple[str, Optional[str]], int] = {}
-        #: op -> number of programmed specs (the single-dict-miss fast path)
-        self._ops: Dict[str, int] = {}
+        self._mutex = threading.Lock()
+        self._routes = _Routes(schema.version, self._build)
         self.stats.update({"index_hits": 0, "index_misses": 0,
                            "fast_path": 0})
 
-    # -------------------------------------------------- index maintenance
+    # ------------------------------------------------------ rebuild points
 
     def _installed(self, spec: DatabaseEventSpec) -> None:  # type: ignore[override]
-        self._ops[spec.op] = self._ops.get(spec.op, 0) + 1
-        if spec.attrs:
-            key = (spec.op, spec.class_name)
-            self._attr_classes[key] = self._attr_classes.get(key, 0) + 1
-            for attr in spec.attrs:
-                self._attr_index.add((spec.op, spec.class_name, attr), spec)
-        else:
+        with self._mutex:
             self._index.add((spec.op, spec.class_name), spec)
+            self._routes = _Routes(self._schema.version, self._build)
 
     def _removed(self, spec: DatabaseEventSpec) -> None:  # type: ignore[override]
-        count = self._ops.get(spec.op, 0) - 1
-        if count <= 0:
-            self._ops.pop(spec.op, None)
-        else:
-            self._ops[spec.op] = count
-        if spec.attrs:
-            key = (spec.op, spec.class_name)
-            remaining = self._attr_classes.get(key, 0) - 1
-            if remaining <= 0:
-                self._attr_classes.pop(key, None)
-            else:
-                self._attr_classes[key] = remaining
-            for attr in spec.attrs:
-                self._attr_index.discard((spec.op, spec.class_name, attr), spec)
-        else:
+        with self._mutex:
             self._index.discard((spec.op, spec.class_name), spec)
+            self._routes = _Routes(self._schema.version, self._build)
 
-    # --------------------------------------------------------- fast paths
+    def _current_routes(self) -> _Routes:
+        """The route table, replaced first if the schema moved since it
+        was published."""
+        with self._mutex:
+            version = self._schema.version
+            if self._routes.version != version:
+                self._routes = _Routes(version, self._build)
+            return self._routes
 
-    def _scope_names(self, class_name: Optional[str]) -> Tuple[Optional[str], ...]:
-        """The class buckets an operation on ``class_name`` can hit: the
-        wildcard bucket plus the class's schema lineage (self + ancestors).
+    def _build(self, op: Optional[str], class_name: Optional[str]) -> Route:
+        """Work out the route of ``(op, class_name)``.
 
-        A class unknown to the schema — e.g. the class being dropped by a
-        drop-class operation — probes only its exact bucket, mirroring
-        :func:`matches_primitive`'s refusal to subclass-match it.
+        The candidates are the specs scoped to the wildcard or to a class
+        of ``class_name``'s lineage; a class unknown to the schema (the
+        class a drop-class operation removes) reaches only its exact
+        bucket, as :func:`matches_primitive` refuses to subclass-match it.
         """
+        schema = self._schema
         if class_name is None:
-            return (None,)
-        if self._schema.has(class_name):
-            return (None,) + self._schema.lineage(class_name)
-        return (None, class_name)
+            scope: Tuple[Optional[str], ...] = (None,)
+        elif schema.has(class_name):
+            scope = (None,) + schema.lineage(class_name)
+        else:
+            scope = (None, class_name)
+        candidates = [spec for name in scope
+                      for spec in self._index.get((op, name))]
+        route = _EMPTY
+        if candidates:
+            # One probe occurrence changing every scoped attribute: a
+            # candidate matches it iff its class scope admits class_name.
+            changed = frozenset().union(*(spec.attrs for spec in candidates
+                                          if spec.attrs is not None))
+            probe = EventSignal(kind="database", op=op, class_name=class_name,
+                                old_attrs=dict.fromkeys(changed, 0),
+                                new_attrs=dict.fromkeys(changed, 1))
+            matched = [spec for spec in candidates
+                       if matches_primitive(spec, probe, schema)]
+            plain = tuple(spec for spec in matched if spec.attrs is None)
+            scoped = tuple((spec, spec.attrs) for spec in matched
+                           if spec.attrs is not None)
+            if plain or scoped:
+                route = (plain, scoped)
+        return route
+
+    # ------------------------------------------------------------ routing
 
     def relevant(self, op: str, class_name: Optional[str]) -> bool:
-        """Conservative pre-check: could *any* programmed spec match an
-        operation of kind ``op`` on ``class_name``?
+        """Could *any* programmed spec match an operation of kind ``op`` on
+        ``class_name``?  One probe of the route table.
 
         Used by the Object Manager to skip signal construction entirely for
-        irrelevant operations.  Never returns a false negative.
+        unwatched operations.  Never returns a false negative (a route with
+        only attribute-scoped specs is relevant before the attributes are
+        known).
         """
-        if op not in self._ops:
-            return False
-        for name in self._scope_names(class_name):
-            if (op, name) in self._index or (op, name) in self._attr_classes:
-                return True
-        return False
-
-    # ----------------------------------------------------------- observe
+        routes = self._routes
+        if routes.version != self._schema.version:
+            routes = self._current_routes()
+        return routes[op, class_name] is not _EMPTY
 
     def observe(self, signal: EventSignal) -> List[DatabaseEventSpec]:
         """Process one database operation; report per matching spec.
@@ -130,41 +172,23 @@ class DatabaseEventDetector(EventDetector):
         carrying its own spec tag on its own :meth:`EventSignal.tagged`
         copy — the caller's signal is never re-tagged.
         """
-        matched = self._probe(signal)
-        if not matched:
-            return matched  # type: ignore[return-value]
-        self.report_batch([(spec, signal.tagged(spec)) for spec in matched])
-        return matched  # type: ignore[return-value]
-
-    def _probe(self, signal: EventSignal) -> List[DatabaseEventSpec]:
-        """Candidate lookup through the discrimination index."""
-        op = signal.op
-        if op is None or op not in self._ops:
+        routes = self._routes
+        if routes.version != self._schema.version:
+            routes = self._current_routes()
+        route = routes[signal.op, signal.class_name]
+        if route is _EMPTY:
             self.stats["fast_path"] += 1
             return []
-        matched: List[DatabaseEventSpec] = []
-        seen = set()
-        scope = self._scope_names(signal.class_name)
-        for name in scope:
-            for spec in self._index.get((op, name)):
-                if spec not in seen and \
-                        matches_primitive(spec, signal, self._schema):
-                    seen.add(spec)
-                    matched.append(spec)  # type: ignore[arg-type]
-        if op == OP_UPDATE and self._attr_classes:
+        plain, scoped = route
+        matched = [*plain]
+        if scoped:
             changed = signal.changed_attrs()
-            if changed:
-                for name in scope:
-                    if (op, name) not in self._attr_classes:
-                        continue
-                    for attr in changed:
-                        for spec in self._attr_index.get((op, name, attr)):
-                            if spec not in seen and \
-                                    matches_primitive(spec, signal, self._schema):
-                                seen.add(spec)
-                                matched.append(spec)  # type: ignore[arg-type]
-        if matched:
-            self.stats["index_hits"] += 1
-        else:
+            for spec, attrs in scoped:
+                if attrs & changed:
+                    matched.append(spec)
+        if not matched:
             self.stats["index_misses"] += 1
+            return matched
+        self.stats["index_hits"] += 1
+        self.report_batch([(spec, signal.tagged(spec)) for spec in matched])
         return matched

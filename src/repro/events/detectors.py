@@ -36,12 +36,10 @@ BatchEventSink = Callable[[List[EventSignal]], None]
 class SubscriptionIndex:
     """Discrimination index from hashable keys to programmed event specs.
 
-    Detectors derive one or more keys from each spec at programming time
-    (:meth:`EventDetector._installed`) and from each observed signal at
-    detection time; the candidate specs for a signal are the union of the
-    buckets its keys hit.  An operation with no programmed subscriber is a
-    dict miss — detection cost scales with *relevant* specs, not total
-    specs.  Buckets preserve programming order for deterministic reports.
+    A detector files each spec under a key at programming time
+    (:meth:`EventDetector._installed`); the database detector works its
+    routes out from these buckets.  Buckets preserve programming order for
+    deterministic reports.
     """
 
     __slots__ = ("_buckets",)
@@ -65,12 +63,6 @@ class SubscriptionIndex:
 
     def get(self, key: Hashable) -> Sequence[EventSpec]:
         return self._buckets.get(key, ())
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._buckets
-
-    def __len__(self) -> int:
-        return len(self._buckets)
 
 
 class _Registration:

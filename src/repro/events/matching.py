@@ -29,17 +29,17 @@ def matches_primitive(spec: EventSpec, signal: EventSignal,
     if isinstance(spec, DatabaseEventSpec):
         if signal.kind != "database" or signal.op != spec.op:
             return False
-        if spec.class_name is None:
-            return True
-        if signal.class_name is None:
-            return False
-        if signal.class_name != spec.class_name:
-            if not spec.include_subclasses:
+        if spec.class_name is not None:
+            if signal.class_name is None:
                 return False
-            if schema is None or not schema.has(signal.class_name):
-                return False
-            if not schema.is_subclass(signal.class_name, spec.class_name):
-                return False
+            if signal.class_name != spec.class_name:
+                if not spec.include_subclasses:
+                    return False
+                if schema is None or not schema.has(signal.class_name):
+                    return False
+                if not schema.is_subclass(signal.class_name,
+                                          spec.class_name):
+                    return False
         if spec.attrs is not None:
             # Update events scoped to attributes: at least one scoped
             # attribute must actually have changed.

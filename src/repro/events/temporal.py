@@ -26,7 +26,7 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.clock import Clock
-from repro.events.composite import interest_keys, signal_interest_key
+from repro.events.composite import interest_keys
 from repro.events.detectors import EventDetector, EventSink
 from repro.events.matching import matches_primitive
 from repro.events.signal import EventSignal
@@ -52,8 +52,10 @@ class TemporalEventDetector(EventDetector):
         self._mutex = threading.RLock()
         #: specs with a baseline (the only ones observe_baseline must scan)
         self._baseline_specs: List[TemporalEventSpec] = []
-        #: (kind, op/name) -> number of baselines wanting that signal
-        self._baseline_interest: Dict[tuple, int] = {}
+        #: (kind, op/name) -> number of baselines wanting that signal; the
+        #: Rule Manager feeds :meth:`observe_baseline` only the signals
+        #: whose key is here
+        self.baseline_interest: Dict[tuple, int] = {}
         self.stats.update({"baseline_feeds": 0, "baseline_feeds_skipped": 0})
         clock.subscribe(self._on_clock)
 
@@ -76,8 +78,8 @@ class TemporalEventDetector(EventDetector):
             if spec.baseline is not None:
                 self._baseline_specs.append(spec)
                 for key in interest_keys(spec.baseline):
-                    self._baseline_interest[key] = \
-                        self._baseline_interest.get(key, 0) + 1
+                    self.baseline_interest[key] = \
+                        self.baseline_interest.get(key, 0) + 1
 
     def _removed(self, spec: TemporalEventSpec) -> None:  # type: ignore[override]
         with self._mutex:
@@ -87,30 +89,19 @@ class TemporalEventDetector(EventDetector):
                 if spec in self._baseline_specs:
                     self._baseline_specs.remove(spec)
                 for key in interest_keys(spec.baseline):
-                    remaining = self._baseline_interest.get(key, 0) - 1
+                    remaining = self.baseline_interest.get(key, 0) - 1
                     if remaining <= 0:
-                        self._baseline_interest.pop(key, None)
+                        self.baseline_interest.pop(key, None)
                     else:
-                        self._baseline_interest[key] = remaining
-
-    def wants_baseline(self, signal: EventSignal) -> bool:
-        """True when some programmed relative/periodic spec's baseline could
-        match ``signal`` — the Rule Manager's subscription-driven feed; most
-        signals skip :meth:`observe_baseline` entirely.
-
-        Conservative (keyed on ``(kind, op/name)`` only)."""
-        if signal_interest_key(signal) in self._baseline_interest:
-            return True
-        self.stats["baseline_feeds_skipped"] += 1
-        return False
+                        self.baseline_interest[key] = remaining
 
     def _push(self, due: float, spec: TemporalEventSpec) -> None:
         heapq.heappush(self._heap, (due, next(self._seq), spec))
 
     def observe_baseline(self, signal: EventSignal) -> None:
         """Schedule timers for relative/periodic specs whose baseline is
-        ``signal``'s event.  Called by the Rule Manager for signals in the
-        baseline interest set."""
+        ``signal``'s event.  Called by the Rule Manager for signals in
+        :attr:`baseline_interest`."""
         self.stats["baseline_feeds"] += 1
         with self._mutex:
             specs = list(self._baseline_specs)

@@ -262,13 +262,23 @@ class RuleManager:
                 if base.kind == "database" and base.class_name == RULE_CLASS:
                     self.catalog.on_rule_object(base)
                 # Feed the temporal detector (baselines of relative/periodic
-                # events) and the composite automata — once per operation.
-                # Composite occurrences recognized here re-enter
-                # signal_event recursively.
-                if self._temporal.wants_baseline(base):
-                    self._temporal.observe_baseline(base)
-                if self._composite.wants(base):
-                    self._composite.observe(base)
+                # events) and the composite automata — once per operation,
+                # and only when the signal's (kind, op/name) key is in the
+                # detector's interest set.  Composite occurrences recognized
+                # here re-enter signal_event recursively; they never feed
+                # other composites.
+                kind = base.kind
+                key = (kind, base.op or base.name)
+                temporal, composite = self._temporal, self._composite
+                if key in temporal.baseline_interest:
+                    temporal.observe_baseline(base)
+                else:
+                    temporal.stats["baseline_feeds_skipped"] += 1
+                if kind != "composite":
+                    if key in composite.interest:
+                        composite.observe(base)
+                    else:
+                        composite.stats["feeds_skipped"] += 1
                 triggered = [(rule, signal) for signal in signals
                              for rule in self.catalog.triggered(signal)]
                 if triggered:

@@ -328,16 +328,22 @@ def _diff_firings(expected: List[Dict[str, Any]],
     """Diff recorded firing responses against the replayed firing log.
 
     Synchronous firings (immediate/deferred couplings) are fully ordered
-    by the journal, so they are compared in sequence.  Separate-coupling
-    firings run on worker threads whose interleaving is scheduler-chosen
-    even within one run, so they are compared as a multiset.
+    by the journal, so they are compared in sequence: the order their
+    conditions were evaluated in.  The firing log holds them in the order
+    they were triggered, which differs for a deferred firing (triggered at
+    its event, evaluated at commit), so the replayed ones are put in the
+    order of their condition transactions, whose ids are issued in
+    evaluation order.  Separate-coupling firings run on worker threads
+    whose interleaving is scheduler-chosen even within one run, so they
+    are compared as a multiset.
     """
     report.expected_firings = len(expected)
     report.replayed_firings = len(replayed)
 
     exp_sync = [r for r in expected if not r["data"].get("separate")]
     exp_sep = [r for r in expected if r["data"].get("separate")]
-    got_sync = [f for f in replayed if not f.separate_thread]
+    got_sync = sorted((f for f in replayed if not f.separate_thread),
+                      key=lambda firing: int(firing.condition_txn[1:]))
     got_sep = [f for f in replayed if f.separate_thread]
 
     first_seq: Optional[int] = None

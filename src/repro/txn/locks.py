@@ -177,18 +177,28 @@ class LockManager:
         if txn.state in _FINISHED:
             raise TransactionStateError("transaction %s is %s; cannot lock"
                                         % (txn.txn_id, txn.state))
-        if (txn.held_locks.get(resource), mode) in _COVERS:
+        held = txn.held_locks
+        if (held.get(resource), mode) in _COVERS:
             # Only the requester's *own* holding short-cuts.  A lock an
             # ancestor holds must still be registered for the child: sibling
             # subtransactions conflict through exactly those entries.
             self._acquired()
             return
+        table = self._table
         with self._mutex:
-            holders = self._table.get(resource)
-            if holders:
-                blockers = self._conflicting_holders(txn, holders, mode)
-                if blockers:
-                    holders = self._wait(txn, resource, mode, blockers, timeout)
+            holders = table.get(resource)
+            if holders is None:
+                # Uncontended: the resource's first holder, granted inline.
+                table[resource] = {txn: mode}
+                held[resource] = mode
+                self._acquired()
+                return
+            blockers = self._conflicting_holders(txn, holders, mode)
+            if blockers:
+                holders = self._wait(txn, resource, mode, blockers, timeout)
+            # The holding is re-read from the table by the grant: with
+            # concurrent conditions, siblings lock for one host transaction
+            # from several threads, so it may have moved during the wait.
             self._grant(txn, resource, holders, mode)
 
     def try_acquire(self, txn: "Transaction", resource: LockResource, mode: str) -> bool:
@@ -322,11 +332,13 @@ class LockManager:
         with self._mutex:
             table = self._table
             for resource in held:
-                holders = table.get(resource)
+                # One probe a resource: taken out, and put back only while
+                # another transaction still holds it.
+                holders = table.pop(resource, None)
                 if holders is not None:
                     holders.pop(txn, None)
-                    if not holders:
-                        del table[resource]
+                    if holders:
+                        table[resource] = holders
             held.clear()
             if self._waits_for:
                 self._cond.notify_all()
