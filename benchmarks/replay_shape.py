@@ -3,8 +3,12 @@
 The stream exercises every way event detection decides who is watching:
 a superclass and its subclasses (one defined partway through), update
 rules with and without ``include_subclasses``, attribute-scoped and
-unscoped update rules, create and delete rules, a deferred rule run at
-commit, a ``Sequence`` composite, and aborted transactions.  Partway
+unscoped update rules, create and delete rules, two deferred rules run
+at commit (one guarded, one not), a ``Sequence`` composite, a parameterised condition (which
+requests an index on the attribute it tests for equality) and a static
+one (answered from the condition graph's memory) whose actions audit the
+rows in the order the query returned them, aborted transactions, and
+aborted subtransactions of committed ones.  Partway
 through, one rule is disabled and enabled again, one is deleted, and a new
 subclass is defined (after a first, aborted definition of the same class
 outside the hierarchy).  Every firing writes an ``Audit`` row, so a firing
@@ -26,9 +30,9 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List
 
-from repro import (DEFERRED, Action, AttributeDef, AttrType, ClassDef,
-                   Condition, HiPAC, Rule, Sequence, on_create, on_delete,
-                   on_update)
+from repro import (DEFERRED, Action, Attr, AttributeDef, AttrType, ClassDef,
+                   Compare, Condition, EventArg, HiPAC, Query, Rule,
+                   Sequence, on_create, on_delete, on_update)
 
 #: transactions in one recording
 TRANSACTIONS = 160
@@ -45,6 +49,17 @@ def _audit(name: str) -> Action:
                              "subject": oid.number if oid else -1,
                              "value": (signal.new_attrs or {}).get("price")})
     return Action.call(write, "audit")
+
+
+def _audit_rows(name: str) -> Action:
+    """The action of rule ``name``: one Audit row listing the OIDs its
+    condition's query returned, in the order it returned them."""
+    def write(ctx: Any) -> None:
+        ctx.create("Audit", {"rule": name, "subject": ctx.signal.oid.number,
+                             "value": ",".join(
+                                 str(oid.number)
+                                 for oid in ctx.results[0].oids())})
+    return Action.call(write, "audit-rows")
 
 
 def setup(db: Any) -> Dict[str, Rule]:
@@ -69,9 +84,18 @@ def setup(db: Any) -> Dict[str, Rule]:
              condition=Condition(
                  guard=lambda bindings, results: bindings["new_price"] > 100),
              action=_audit("price-at-commit"), ec_coupling=DEFERRED),
+        Rule(name="volume-at-commit", event=on_update("Sec", attrs=["volume"]),
+             action=_audit("volume-at-commit"), ec_coupling=DEFERRED),
         Rule(name="created-then-deleted",
              event=Sequence(on_create("Stock"), on_delete("Stock")),
              action=_audit("created-then-deleted")),
+        Rule(name="same-symbol", event=on_update("Sec", attrs=["symbol"]),
+             condition=Condition.of(Query("Sec", Compare(
+                 Attr("symbol"), "==", EventArg("new_symbol")))),
+             action=_audit_rows("same-symbol")),
+        Rule(name="cheap", event=on_update("Sec", attrs=["price"]),
+             condition=Condition.of(Query("Sec", Attr("price") < 85.0)),
+             action=_audit_rows("cheap")),
     ]
     return {rule.name: rule for rule in rules}
 
@@ -134,7 +158,8 @@ def _define_bond(db: Any) -> None:
 
 def _transaction(db: Any, rng: random.Random, classes: List[str],
                  live: List[Any]) -> None:
-    """One to four operations; one transaction in eight aborts."""
+    """One to four operations; one transaction in eight aborts, and one
+    in six runs an update in a subtransaction that aborts."""
     txn = db.begin()
     created: List[Any] = []
     deleted: List[Any] = []
@@ -156,6 +181,13 @@ def _transaction(db: Any, rng: random.Random, classes: List[str],
             victim = rng.choice(candidates)
             db.delete(victim, txn)
             deleted.append(victim)
+    candidates = [oid for oid in live + created if oid not in deleted]
+    if candidates and rng.random() < 0.17:
+        child = db.begin(parent=txn)
+        db.update(rng.choice(candidates), {
+            "price": round(rng.uniform(80.0, 120.0), 2),
+            "symbol": "S%d" % rng.randrange(100)}, child)
+        db.abort(child)
     if rng.random() < 0.125:
         db.abort(txn)
         return

@@ -17,12 +17,18 @@ Design points (DESIGN.md decision 16):
   than silent.
 * **Transaction-correct, by reading the undo log.**  A write leaves only
   a *stamp* (cause, writing transaction, wall time) on its undo record.
-  The top-level commit expands the stamped records of ``txn.undo_log`` —
-  by then exactly the sphere's surviving writes: a nested abort consumed
-  its own, a nested commit handed its own up (DESIGN.md decision 25) —
-  into entries, after the durability point and before the sphere's locks
-  are released, so the rings are in the order the writes were serialized.
-  An abort has nothing to clean up; it only counts what it discarded.
+  The top-level commit queues ``txn.undo_log`` — by then exactly the
+  sphere's surviving writes: a nested abort consumed its own, a nested
+  commit handed its own up (DESIGN.md decision 25) — after the
+  durability point and before the sphere's locks are released, so the
+  queue is in the order the writes were serialized.  An abort has
+  nothing to clean up; it only counts what it discarded.
+* **Folded in batches, building only what the rings keep** (decision
+  37).  When :data:`FOLD_RECORDS` undo records are queued, ``publish``
+  turns the queue into entries newest first; a write its key's ring
+  would evict before anyone could read it (``per_key`` newer writes of
+  the same key in the same fold) is counted as published and evicted
+  and never built.  Every read folds first, so no answer changes.
 * **Replay-joined.**  Each entry carries the flight-journal seq of the
   stimulus that (transitively) caused it: the seq of the journalled
   external/temporal signal when the write happened inside a rule cascade
@@ -33,7 +39,6 @@ Design points (DESIGN.md decision 16):
 
 from __future__ import annotations
 
-import itertools
 import sys
 import threading
 import time
@@ -56,6 +61,11 @@ _INSTANCE_KINDS = frozenset({"create", "update", "delete"})
 
 #: fixed per-entry overhead estimate (slots, ring/order bookkeeping)
 _ENTRY_BASE_BYTES = 160
+
+#: queued undo records (not spheres) at which ``publish`` folds the queue.
+#: A bound in records bounds the memory the queue holds whatever a
+#: sphere's size; DESIGN.md decision 37 says how the number was chosen.
+FOLD_RECORDS = 256
 
 
 def parse_oid(text: str) -> OID:
@@ -151,7 +161,7 @@ class ProvenanceEntry:
                  old_value: Any, new_value: Any, txn_id: str,
                  top_txn_id: str, journal_seq: Optional[int],
                  wall_time: float, cause: CausalEnvelope) -> None:
-        self.seq = 0  # assigned at publish
+        self.seq = 0  # assigned by the fold
         self.op = op
         self.oid = oid
         self.attr = attr
@@ -163,7 +173,7 @@ class ProvenanceEntry:
         self.wall_time = wall_time
         self.cause = cause
         self.evicted = False
-        self.nbytes = self.estimate_bytes()  # sized outside publish's mutex
+        self.nbytes = self.estimate_bytes()
 
     def estimate_bytes(self) -> int:
         try:
@@ -257,8 +267,9 @@ class ProvenanceStore:
     Capture (``note_delta``) buffers nothing and takes no mutex — the
     hot write path pays a kind check, a thread-local read and a clock
     read for the stamp its undo record carries.  ``publish`` (top-level
-    commit) and ``why`` queries serialize on one mutex; both are off the
-    per-operation path.
+    commit) appends the sphere's undo log to a queue without the mutex;
+    the fold that empties the queue and every query serialize on one
+    mutex.
     """
 
     def __init__(self, *, per_key: int = 8, capacity: int = 50_000,
@@ -280,7 +291,13 @@ class ProvenanceStore:
         self._rings: Dict[_RingKey, Deque[ProvenanceEntry]] = {}
         self._by_oid: Dict[OID, Set[Optional[str]]] = {}
         self._order: Deque[ProvenanceEntry] = deque()
-        self._seq = itertools.count(1)
+        #: published spheres not folded yet, oldest first:
+        #: ``(top-level txn id, its journal seq, its undo log)``
+        self._pending: Deque[Tuple[str, Optional[int], List[Any]]] = deque()
+        #: undo records in ``_pending``; a lost ``+=`` only delays a fold
+        self._queued = 0
+        #: the seq the next entry gets, built or not
+        self._next_seq = 1
         self._entries = 0
         self._bytes = 0
         self.stats = {"published": 0, "pruned": 0, "evicted": 0,
@@ -355,66 +372,28 @@ class ProvenanceStore:
 
     # ----------------------------------------------------------- lifecycle
 
-    @staticmethod
-    def _expand(txn: Any) -> List[ProvenanceEntry]:
-        """One entry per attribute written by the stamped records of
-        ``txn.undo_log``, in log order.
-
-        ``txn.flight_seq`` (the seq of the sphere's coalesced journal
-        record, when the recorder is on) backfills entries whose cause
-        carried no stimulus seq, so every hop of a why-chain is
-        addressable by ``replay --until``.  Plain loops on purpose: this
-        runs inside every top-level commit.
-        """
-        out: List[ProvenanceEntry] = []
-        top_id = txn.txn_id
-        fallback_seq = txn.flight_seq
-        for record in txn.undo_log:
-            stamp = record.stamp
-            if stamp is None:
-                continue
-            cause, txn_id, wall = stamp
-            seq = cause.journal_seq
-            if seq is None:
-                seq = fallback_seq
-            delta = record.delta
-            kind, oid = delta.kind, delta.oid
-            if kind == "update":
-                old = delta.old_attrs or {}
-                new = delta.new_attrs or {}
-                for attr in _written(old, new):
-                    if old.get(attr) != new.get(attr):
-                        out.append(ProvenanceEntry(
-                            kind, oid, attr, old.get(attr), new.get(attr),
-                            txn_id, top_id, seq, wall, cause))
-            elif kind == "create":
-                for attr, value in (delta.new_attrs or {}).items():
-                    out.append(ProvenanceEntry(
-                        kind, oid, attr, None, value,
-                        txn_id, top_id, seq, wall, cause))
-            else:  # delete: one object-level entry keyed on attr=None
-                out.append(ProvenanceEntry(
-                    kind, oid, None, delta.old_attrs, None,
-                    txn_id, top_id, seq, wall, cause))
-        return out
-
     def publish(self, txn: Any) -> None:
         """Make the sphere's surviving writes queryable.
 
         Called inside a *top-level* commit, after the durability point
         and while the sphere still holds its locks: no other writer of
-        the same objects can publish in between, so ring order is the
-        order the writes were serialized in.
+        the same objects can publish in between, so queue order is the
+        order the writes were serialized in.  The undo log is queued as
+        it stands (the Transaction Manager replaces, never clears, it);
+        once :data:`FOLD_RECORDS` records wait, this call folds them.
+        ``txn.flight_seq`` (the seq of the sphere's coalesced journal
+        record, when the recorder is on) backfills entries whose cause
+        carried no stimulus seq, so every hop of a why-chain is
+        addressable by ``replay --until``.
         """
-        entries = self._expand(txn)
-        if not entries:
+        log = txn.undo_log
+        if not log:
             return
-        with self._mutex:
-            seq, insert = self._seq, self._insert_locked
-            for entry in entries:
-                entry.seq = next(seq)
-                insert(entry)
-            self.stats["published"] += len(entries)
+        self._pending.append((txn.txn_id, txn.flight_seq, log))
+        self._queued += len(log)
+        if self._queued >= FOLD_RECORDS:
+            with self._mutex:
+                self._fold_locked()
 
     def on_abort(self, txn: Any) -> None:
         """Count the entries the aborting transaction's own log would have
@@ -435,15 +414,88 @@ class ProvenanceStore:
             with self._mutex:
                 self.stats["pruned"] += pruned
 
+    def _fold_locked(self) -> None:
+        """Turn every queued sphere into entries, building only the ones
+        the rings will keep (DESIGN.md decision 37).
+
+        The walk goes newest first.  A write with ``per_key`` newer
+        writes of its key in this fold would be evicted by them before
+        anyone could read it: it is counted as published and evicted and
+        never built.  The survivors are inserted oldest first, each with
+        the seq it would have had if every write had been inserted.
+        Plain loops and C-hashed keys on purpose: this is the commit
+        path's provenance cost.
+        """
+        pending = self._pending
+        if not pending:
+            return
+        self._queued = 0
+        spheres = []
+        while pending:
+            spheres.append(pending.popleft())
+        per_key = self.per_key
+        newer: Dict[Tuple[str, int, Optional[str]], int] = {}
+        kept: List[ProvenanceEntry] = []
+        back = 0  # writes walked so far, newest first
+        for top_id, fallback_seq, log in reversed(spheres):
+            for record in reversed(log):
+                stamp = record.stamp
+                if stamp is None:
+                    continue
+                delta = record.delta
+                kind, oid = delta.kind, delta.oid
+                if kind == "update":
+                    old = delta.old_attrs or {}
+                    new = delta.new_attrs or {}
+                    if old.keys() != new.keys():
+                        union = set(old) | set(new)
+                        old = {attr: old.get(attr) for attr in union}
+                        new = {attr: new.get(attr) for attr in union}
+                    every = False
+                elif kind == "create":
+                    new = delta.new_attrs or {}
+                    old = dict.fromkeys(new)
+                    every = True
+                else:  # delete: one object-level entry keyed on attr=None
+                    old, new = {None: delta.old_attrs}, {None: None}
+                    every = True
+                name, number = oid.class_name, oid.number
+                cause, txn_id, wall = stamp
+                for attr in reversed(new):
+                    before, after = old[attr], new[attr]
+                    if every or before != after:
+                        key = (name, number, attr)
+                        seen = newer.get(key, 0)
+                        if seen < per_key:
+                            newer[key] = seen + 1
+                            seq = cause.journal_seq
+                            entry = ProvenanceEntry(
+                                kind, oid, attr, before, after, txn_id,
+                                top_id, fallback_seq if seq is None else seq,
+                                wall, cause)
+                            entry.seq = back  # distance from the newest, for now
+                            kept.append(entry)
+                        back += 1
+        newest = self._next_seq + back - 1
+        self._next_seq += back
+        stats = self.stats
+        stats["published"] += back
+        stats["evicted"] += back - len(kept)
+        insert = self._insert_locked
+        for entry in reversed(kept):
+            entry.seq = newest - entry.seq
+            insert(entry)
+
     def _insert_locked(self, entry: ProvenanceEntry) -> None:
         key: _RingKey = (entry.oid, entry.attr)
         ring = self._rings.get(key)
         if ring is None:
             ring = self._rings[key] = deque()
             self._by_oid.setdefault(entry.oid, set()).add(entry.attr)
-        if len(ring) >= self.per_key:
-            self._evict_locked(ring.popleft(), key, ring)
+        # Append before evicting: a full ring of one must not look empty.
         ring.append(entry)
+        if len(ring) > self.per_key:
+            self._evict_locked(ring.popleft(), key, ring)
         self._order.append(entry)
         self._entries += 1
         self._bytes += entry.nbytes
@@ -498,6 +550,7 @@ class ProvenanceStore:
         given set first, falling back to all attributes on a miss.
         """
         with self._mutex:
+            self._fold_locked()
             return self._latest_locked(oid, attr, before_seq, prefer_attrs)
 
     def _latest_locked(self, oid: OID, attr: Optional[str],
@@ -552,6 +605,7 @@ class ProvenanceStore:
         hops: List[ProvenanceEntry] = []
         truncated = False
         with self._mutex:
+            self._fold_locked()
             entry = self._latest_locked(oid, attr, None, None)
             while entry is not None:
                 hops.append(entry)
@@ -578,6 +632,7 @@ class ProvenanceStore:
     def stats_snapshot(self) -> Dict[str, int]:
         """Point-in-time stats for the facade's ``stats()`` tree."""
         with self._mutex:
+            self._fold_locked()
             return {
                 "published": self.stats["published"],
                 "pruned": self.stats["pruned"],

@@ -69,6 +69,15 @@ def install_linear_dispatch(detector, schema):
     detector.observe = observe
 
 
+class EveryKey(dict):
+    """An interest set that holds every key: the Rule Manager's inline
+    probe feeds its detector every signal, while the detector's own
+    get/pop upkeep of the counts keeps working."""
+
+    def __contains__(self, key):
+        return True
+
+
 def make_db(indexed=True, **kwargs):
     """A HiPAC; with ``indexed=False`` its event routing is the oracle's."""
     db = HiPAC(**kwargs)
@@ -76,8 +85,9 @@ def make_db(indexed=True, **kwargs):
         for detector in (db.object_manager.event_detector,
                          db.rule_manager.txn_detector):
             install_linear_dispatch(detector, db.store.schema)
-        db.composite_detector.wants = lambda signal: True
-        db.temporal_detector.wants_baseline = lambda signal: True
+        composite, temporal = db.composite_detector, db.temporal_detector
+        composite.interest = EveryKey(composite.interest)
+        temporal.baseline_interest = EveryKey(temporal.baseline_interest)
     return db
 
 
@@ -340,6 +350,63 @@ class TestIndexedLinearEquivalence:
             return fired
 
         assert run(True) == run(False)
+
+    def test_composite_and_baseline_feeds_match_the_oracle(self):
+        """Sequences of database events and relative timers on database
+        baselines fire alike whether the interest sets gate their feeds
+        or every signal is fed."""
+        rng = random.Random(4242)
+        pairs = [(random_spec(rng), random_spec(rng)) for _ in range(12)]
+        script = []
+        for step in range(120):
+            kind = rng.random()
+            if kind < 0.4 or step < 4:
+                script.append(("create", rng.choice(["Sec", "Stock", "Bond"])))
+            elif kind < 0.85:
+                script.append(("update", rng.randrange(4),
+                               {rng.choice(["price", "volume"]):
+                                rng.randint(0, 9)}))
+            else:
+                script.append(("delete", rng.randrange(4)))
+
+        def run(indexed):
+            db = make_db(indexed, lock_timeout=5.0)
+            db.define_class(ClassDef("Sec", (AttributeDef("price"),
+                                             AttributeDef("volume"))))
+            db.define_class(ClassDef("Stock", (), superclass="Sec"))
+            db.define_class(ClassDef("Bond", (), superclass="Sec"))
+            fired = []
+
+            def note(name):
+                return Action.call(lambda ctx: fired.append(
+                    (name, db.clock.now())))
+            for i, (first, second) in enumerate(pairs):
+                db.create_rule(Rule(
+                    name="seq%02d" % i, event=Sequence(first, second),
+                    condition=Condition.true(), action=note("seq%02d" % i)))
+                db.create_rule(Rule(
+                    name="rel%02d" % i, event=after(first, 1.0 + i),
+                    condition=Condition.true(), action=note("rel%02d" % i)))
+            live = []
+            for entry in script:
+                with db.transaction() as txn:
+                    if entry[0] == "create":
+                        live.append(db.create(entry[1], {"price": 1,
+                                                         "volume": 1}, txn))
+                    elif live:
+                        oid = live[entry[1] % len(live)]
+                        if entry[0] == "update":
+                            db.update(oid, entry[2], txn)
+                        else:
+                            live.remove(oid)
+                            db.delete(oid, txn)
+                db.advance_time(0.5)
+            db.close()
+            return fired
+
+        fired = run(True)
+        assert {name[:3] for name, _ in fired} == {"seq", "rel"}
+        assert fired == run(False)
 
 
 class TestSchemaCacheInvalidation:

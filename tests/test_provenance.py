@@ -370,9 +370,26 @@ class TestBounds:
             txn = _Txn()
             txn.write(store, _Delta(a, i + 1))
             store.publish(txn)
+        # Publish queues; a read folds the queue into the rings first.
+        assert store.stats_snapshot()["evicted"] > 0
         ring = store._rings[(a, "v")]
         assert [e.new_value for e in ring] == [8, 9, 10]
-        assert store.stats_snapshot()["evicted"] > 0
+
+    def test_ring_of_one_evicts_without_losing_its_key(self):
+        """``per_key=1``: evicting a full ring's only entry must not drop
+        the ring the new entry goes into, nor break the capacity loop."""
+        store = ProvenanceStore(per_key=1, capacity=2)
+        a1, a2 = OID("A", 1), OID("A", 2)
+        for oid in (a1, a2):
+            for i in range(3):
+                txn = _Txn()
+                txn.write(store, _Delta(oid, i + 1))
+                store.publish(txn)
+                snap = store.stats_snapshot()
+                assert snap["live_entries"] == (1 if oid == a1 else 2)
+        assert store.latest(a1, "v").new_value == 3
+        assert store.latest(a2, "v").new_value == 3
+        assert snap["evicted"] + snap["live_entries"] == snap["published"]
 
     def test_memory_bounded_under_100k_write_soak(self):
         """Acceptance: 100k writes stay under the global cap, evictions
