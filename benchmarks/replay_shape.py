@@ -7,7 +7,10 @@ unscoped update rules, create and delete rules, two deferred rules run
 at commit (one guarded, one not), a ``Sequence`` composite, a parameterised condition (which
 requests an index on the attribute it tests for equality) and a static
 one (answered from the condition graph's memory) whose actions audit the
-rows in the order the query returned them, aborted transactions, and
+rows in the order the query returned them, an action whose own query
+bounds an attribute from both sides (the unmemoized path, which filters
+such a pair in one pass) and audits its rows the same way, aborted
+transactions, and
 aborted subtransactions of committed ones.  Partway
 through, one rule is disabled and enabled again, one is deleted, and a new
 subclass is defined (after a first, aborted definition of the same class
@@ -30,8 +33,8 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List
 
-from repro import (DEFERRED, Action, Attr, AttributeDef, AttrType, ClassDef,
-                   Compare, Condition, EventArg, HiPAC, Query, Rule,
+from repro import (DEFERRED, Action, And, Attr, AttributeDef, AttrType,
+                   ClassDef, Compare, Condition, EventArg, HiPAC, Query, Rule,
                    Sequence, on_create, on_delete, on_update)
 
 #: transactions in one recording
@@ -60,6 +63,20 @@ def _audit_rows(name: str) -> Action:
                                  str(oid.number)
                                  for oid in ctx.results[0].oids())})
     return Action.call(write, "audit-rows")
+
+
+def _audit_band(name: str) -> Action:
+    """The action of rule ``name``: one Audit row listing the OIDs its own
+    query returned, in order: every Sec priced from the new price (the
+    updated object's own) up to 110."""
+    def write(ctx: Any) -> None:
+        band = ctx.query(Query("Sec", And(
+            Compare(Attr("price"), ">=", EventArg("new_price")),
+            Attr("price") < 110.0)))
+        ctx.create("Audit", {"rule": name, "subject": ctx.signal.oid.number,
+                             "value": ",".join(str(oid.number)
+                                               for oid in band.oids())})
+    return Action.call(write, "audit-band")
 
 
 def setup(db: Any) -> Dict[str, Rule]:
@@ -96,6 +113,8 @@ def setup(db: Any) -> Dict[str, Rule]:
         Rule(name="cheap", event=on_update("Sec", attrs=["price"]),
              condition=Condition.of(Query("Sec", Attr("price") < 85.0)),
              action=_audit_rows("cheap")),
+        Rule(name="price-band", event=on_update("Sec", attrs=["price"]),
+             action=_audit_band("price-band")),
     ]
     return {rule.name: rule for rule in rules}
 

@@ -58,7 +58,8 @@ the group evaluates it holds:
 * ``(extent classes, probe attribute, probe key)`` -> the candidate
   records, sorted by OID once;
 * ``(candidate or prefix key, conjunct key, its bound values)`` -> the
-  survivors of that conjunct prefix, in ``bind_filters``' order;
+  survivors of that conjunct prefix, equalities first and no bound pair
+  fused (``Predicate.links()``);
 * an ``ObjectRecord`` -> its :class:`Row`, for every unprojected query.
 
 Sound because a group runs every condition before any action, and the

@@ -8,15 +8,20 @@ Plan selection is deliberately simple and predictable:
 
 1. If the predicate has an indexable equality conjunct (``Attr == Const`` or
    ``Attr == EventArg``) that a probe may answer under the bindings (see
-   :func:`~repro.objstore.predicates.probe_attrs`) and an index exists on
-   that attribute for every extent ranged over, probe the index and filter
-   the residue.
+   :meth:`~repro.objstore.predicates.Shape.probe_candidates`) and an index
+   exists on that attribute for every extent ranged over, probe the index
+   and filter the residue.
 2. Otherwise scan the extent(s) and filter.
 
+Both come from the predicate's :class:`~repro.objstore.predicates.Shape`,
+one walk of its conjuncts kept on the predicate; an execution resolves the
+extent classes, their indexes and the probe key once.
+
 Filtering binds the predicate's conjuncts once per execution and applies them
-a list at a time, each to the survivors of the one before.  Index buckets
-hold the live records, so a probe costs one copy per bucket.  The queries of
-one firing group share that work through the group's memo.
+a list at a time, each to the survivors of the one before, an attribute's
+lower and upper bound as one.  Index buckets hold the live records, so a
+probe costs one copy per bucket.  The queries of one firing group share
+that work, unfused, through the group's memo.
 
 The chosen plan is reported in :class:`Plan` so the ablation benchmark can
 verify which path ran.
@@ -26,12 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import QueryError
+from repro.objstore.index import HashIndex
 from repro.objstore.objects import ObjectRecord
-from repro.objstore.predicates import (
-    Bindings, bind_filter, equality_lookups, probe_attrs)
+from repro.objstore.predicates import Bindings, Probe, bind_filter
 from repro.objstore.query import Query, QueryResult, Row
 from repro.objstore.store import ObjectStore
 
@@ -48,10 +53,11 @@ class Plan:
     index_attr: Optional[str] = None
 
 
-def _chain(query: Query, plan: Plan, value: Any, bindings: Bindings) -> Any:
-    """The memo keys of a query's candidate list and of each conjunct prefix
-    after it; None when an argument is unbound or a key unhashable."""
-    keys: List[Any] = [(plan.class_names, plan.index_attr, value)]
+def _chain(query: Query, first: Any, bindings: Bindings) -> Any:
+    """The memo keys of a query's candidate list (``first``) and of each
+    conjunct prefix after it; None when an argument is unbound or a key
+    unhashable."""
+    keys: List[Any] = [first]
     try:
         for _, part_key, get in query.predicate.links():
             keys.append((keys[-1], part_key,
@@ -72,35 +78,53 @@ class QueryExecutor:
     def plan(self, query: Query, bindings: Bindings = ()) -> Plan:
         """Return the plan that :meth:`execute` would use for ``query``
         under ``bindings``."""
-        class_names = self._extent_classes(query)
-        if self.use_indexes:
-            for attr in probe_attrs(query.predicate, bindings):
-                if all(
-                    self._store.indexes.get(name, attr) is not None
-                    for name in class_names
-                ):
-                    return Plan("index-probe", tuple(class_names), attr)
-        return Plan("scan", tuple(class_names))
+        class_names = tuple(self._extent_classes(query))
+        shape = query.predicate.shape()
+        choice = self._choose(shape.probe_candidates(shape.bound(bindings)),
+                              class_names)
+        if choice is None:
+            return Plan("scan", class_names)
+        return Plan("index-probe", class_names, choice[0][0])
 
     def execute(self, query: Query, bindings: Bindings = (),
-                memo: Optional[Dict[Any, Any]] = None) -> QueryResult:
+                memo: Optional[Dict[Any, Any]] = None,
+                class_names: Optional[Sequence[str]] = None) -> QueryResult:
         """Evaluate ``query`` with the given event-argument ``bindings``.
 
         With a firing group's ``memo`` (:data:`~repro.conditions.evaluator.Memo`)
         its queries share candidate lists sorted by OID once, conjunct
-        prefixes and rows, unless an argument is unbound or unhashable."""
+        prefixes and rows, unless an argument is unbound or unhashable.
+        ``class_names`` are the extent's classes, where the caller has
+        resolved them already."""
         bindings = bindings or {}
-        plan = self.plan(query, bindings)
-        value = None  # the probe key
-        if plan.kind == "index-probe":
-            value = equality_lookups(query.predicate)[plan.index_attr].evaluate({}, bindings)  # type: ignore[index]
-        keys = None if memo is None else _chain(query, plan, value, bindings)
+        if class_names is None:
+            class_names = self._extent_classes(query)
+        shape = query.predicate.shape()
+        bound = shape.bound(bindings)
+        choice = self._choose(shape.probe_candidates(bound), class_names)
+        attr = value = None  # the probe's attribute and key
+        if choice is not None:
+            (attr, name, value), indexes = choice
+            if name is not None:
+                if name not in bindings:
+                    raise QueryError("unbound event argument %r" % name)
+                value = bindings[name]
+        keys = None if memo is None else _chain(
+            query, (tuple(class_names), attr, value), bindings)
         records = None if keys is None else memo.get(keys[0])
         if records is None:
-            records = (self._probe(plan, value) if plan.kind == "index-probe"
-                       else self._scan(plan))
+            if choice is None:
+                records = self._store.extent(class_names[0],
+                                             include_subclasses=False)
+                for class_name in class_names[1:]:
+                    records.extend(self._store.extent(
+                        class_name, include_subclasses=False))
+            else:
+                records = indexes[0].records(value)
+                for index in indexes[1:]:
+                    records.extend(index.records(value))
             if keys is None:
-                for keep in query.predicate.bind_filters(bindings):
+                for keep in query.predicate.bind_filters(bindings, bound):
                     if not records:
                         break
                     records = keep(records)
@@ -116,11 +140,15 @@ class QueryExecutor:
                          memo: Optional[Dict[Any, Any]] = None) -> QueryResult:
         """Build a :class:`QueryResult` from pre-matched records.
 
-        Applies the query's projection, ordering, and limit but *not* its
-        predicate — used by the condition graph, whose memories already hold
-        exactly the matching objects.  With a ``memo``, ``records`` are in
-        OID order and unprojected rows are shared, one per record.
+        Applies the query's ordering, projection and limit, in that order,
+        but *not* its predicate — used by the condition graph, whose
+        memories already hold exactly the matching objects.  Ordering reads
+        the records' full attributes, so an ``order_by`` outside ``project``
+        still orders.  With a ``memo``, ``records`` are in OID order and
+        unprojected rows are shared, one per record.
         """
+        if memo is None or query.order_by is not None:
+            records = self._order(query, records)
         if query.project is not None:
             rows = [self._project(query, record) for record in records]
         elif memo is None:
@@ -128,9 +156,7 @@ class QueryExecutor:
         else:
             rows = [memo.get(record) or memo.setdefault(
                 record, Row(record.oid, record.snapshot())) for record in records]
-        if memo is None or query.order_by is not None:
-            rows = self._order_and_limit(query, rows)
-        elif query.limit is not None:
+        if query.limit is not None:
             rows = rows[: query.limit]
         return QueryResult(query, rows)
 
@@ -142,21 +168,26 @@ class QueryExecutor:
         self._store.schema.get(query.class_name)
         return [query.class_name]
 
-    def _scan(self, plan: Plan) -> List[ObjectRecord]:
-        records: List[ObjectRecord] = []
-        for name in plan.class_names:
-            records.extend(self._store.extent(name, include_subclasses=False))
-        return records
+    def _choose(self, probes: Iterable[Probe], class_names: Sequence[str]
+                ) -> Optional[Tuple[Probe, List[HashIndex]]]:
+        """The first of ``probes`` whose attribute every class of
+        ``class_names`` has an index on, with those indexes; None: scan.
 
-    def _probe(self, plan: Plan, value: Any) -> List[ObjectRecord]:
-        records: List[ObjectRecord] = []
-        for name in plan.class_names:
-            index = self._store.indexes.get(name, plan.index_attr)  # type: ignore[arg-type]
-            if index is None:  # released since planning: its extent will do
-                records.extend(self._store.extent(name, include_subclasses=False))
-            else:
-                records.extend(index.records(value))
-        return records
+        The indexes are looked up once: the caller holds S on the extents,
+        so no write reaches them, and one released meanwhile is still exact.
+        """
+        if self.use_indexes:
+            for_class = self._store.indexes.for_class
+            for probe in probes:
+                indexes = []
+                for name in class_names:
+                    index = for_class(name).get(probe[0])
+                    if index is None:
+                        break
+                    indexes.append(index)
+                else:
+                    return probe, indexes
+        return None
 
     def _project(self, query: Query, record: ObjectRecord) -> Row:
         missing = [name for name in query.project if name not in record.attrs]
@@ -167,20 +198,20 @@ class QueryExecutor:
             )
         return Row(record.oid, {name: record.attrs[name] for name in query.project})
 
-    def _order_and_limit(self, query: Query, rows: List[Row]) -> List[Row]:
+    def _order(self, query: Query, records: Iterable[ObjectRecord]
+               ) -> List[ObjectRecord]:
         # OID order first, under order_by too: a NaN orders nothing, so its
-        # sort's result would follow the order the plan found the rows in
-        rows.sort(key=_BY_OID)
-        if query.order_by is not None:
+        # sort's result would follow the order the plan found the records in
+        ordered = sorted(records, key=_BY_OID)
+        name = query.order_by
+        if name is not None:
             try:
-                rows.sort(
-                    key=lambda row: (row.get(query.order_by) is None,
-                                     row.get(query.order_by), _BY_OID(row)),
+                ordered.sort(
+                    key=lambda record: (record.attrs.get(name) is None,
+                                        record.attrs.get(name), _BY_OID(record)),
                     reverse=query.descending,
                 )
             except TypeError as exc:
                 raise QueryError("cannot order by %r: values are not mutually "
-                                 "comparable (%s)" % (query.order_by, exc)) from exc
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        return rows
+                                 "comparable (%s)" % (name, exc)) from exc
+        return ordered

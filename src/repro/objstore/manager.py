@@ -231,7 +231,7 @@ class ObjectManager:
             class_names = [query.class_name]
         for name in class_names:
             locks.acquire(txn, LockResource.for_class(name), LockMode.S)
-        result = self.executor.execute(query, bindings, memo)
+        result = self.executor.execute(query, bindings, memo, class_names)
         if signal:
             self._signal_retrieval("query", query.class_name, txn, user)
         return result

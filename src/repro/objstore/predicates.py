@@ -27,14 +27,17 @@ predicate without event arguments binds once for good.  ``matches`` and
 
 The executor filters a list at a time instead: ``bind_filters(bindings)``
 turns each top-level conjunct into a :data:`Filter` over a list of records,
-and an ``Attr op value`` conjunct becomes one list comprehension.
+and an ``Attr op value`` conjunct becomes one list comprehension, as does an
+attribute's lower and upper bound together.  What planning and filtering
+need from the conjuncts is found in one walk of them (:class:`Shape`).
 """
 
 from __future__ import annotations
 
 import operator
 from typing import (
-    Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple)
+    Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set,
+    Tuple)
 
 from repro.errors import QueryError
 from repro.util.canonical import freeze, once
@@ -149,6 +152,50 @@ def _attr_filter(name: str, op: str, value: Any) -> Filter:
             return comprehension(records, name, value)
         except TypeError:
             return _test_filter(_attr_test(name, op, value))(records)
+    return keep
+
+
+# ``Attr(name)`` between a lower and an upper bound over a list, per
+# (lower, upper) operator, with neither bound None: the attribute's value
+# is on the left of both comparisons, as in ``_COMPREHENSIONS``, so the
+# same methods decide.
+_PAIRS: Dict[Tuple[str, str], Callable[[List[Any], str, Any, Any], List[Any]]] = {
+    (">", "<"): lambda records, name, low, high: [
+        record for record in records
+        if (left := record.attrs.get(name)) is not None
+        and left > low and left < high],
+    (">", "<="): lambda records, name, low, high: [
+        record for record in records
+        if (left := record.attrs.get(name)) is not None
+        and left > low and left <= high],
+    (">=", "<"): lambda records, name, low, high: [
+        record for record in records
+        if (left := record.attrs.get(name)) is not None
+        and left >= low and left < high],
+    (">=", "<="): lambda records, name, low, high: [
+        record for record in records
+        if (left := record.attrs.get(name)) is not None
+        and left >= low and left <= high],
+}
+
+#: the ordering operators that bound an attribute: True below, False above
+_BOUND_SIDES = {">": True, ">=": True, "<": False, "<=": False}
+
+
+def _pair_filter(name: str, lower: str, low: Any, upper: str,
+                 high: Any) -> Filter:
+    """``Attr(name) lower low`` and ``Attr(name) upper high`` over a list
+    of records, neither bound None: one comprehension.  A ``TypeError``
+    applies the two bounds' own filters in turn, each with its per-record
+    fallback, so every answer is the one :func:`_safe_compare` gives."""
+    comprehension = _PAIRS[lower, upper]
+
+    def keep(records: List[Any]) -> List[Any]:
+        try:
+            return comprehension(records, name, low, high)
+        except TypeError:
+            return _attr_filter(name, upper, high)(
+                _attr_filter(name, lower, low)(records))
     return keep
 
 
@@ -331,36 +378,99 @@ class Predicate:
         """Build this node's binder (once per node; see :meth:`bind`)."""
         raise NotImplementedError
 
-    def bind_filters(self, bindings: Bindings) -> List[Filter]:
+    def bind_filters(self, bindings: Bindings, bound: bool) -> List[Filter]:
         """Bind the top-level conjuncts one by one, as :data:`Filter` s for
         filtering a candidate list a conjunct at a time (survivors of one
-        feed the next).
+        feed the next); ``bound`` says whether ``bindings`` bind every
+        event argument (:meth:`Shape.bound`).
 
-        Indexable equality conjuncts go first, being the most selective —
-        unless an event argument is unbound: then the declared order stands,
-        so the error is raised exactly when :meth:`matches` would raise it.
+        Indexable equality conjuncts go first, being the most selective,
+        and an attribute's first lower and first upper bound filter as one,
+        where the first of the two stood.  Unless an event argument is
+        unbound: then the declared order stands, unfused, so the error is
+        raised exactly when :meth:`matches` would raise it.  A pair with a
+        None bound is not fused either.
         """
-        declared, equalities_first = self._conjunct_orders()
-        bound = all(name in bindings for name in self.event_args())
-        return [bind_filter(part, bindings)
-                for part in (equalities_first if bound else declared)]
+        shape = self.shape()
+        if not bound:
+            return [bind_filter(part, bindings) for part in shape.declared]
+        if shape.fused is not None:
+            filters = []
+            for step in shape.fused:
+                if type(step) is not tuple:
+                    filters.append(bind_filter(step, bindings))
+                    continue
+                lower, upper = step
+                low = _value(lower.right, bindings)
+                high = _value(upper.right, bindings)
+                if low is None or high is None:
+                    break
+                filters.append(_pair_filter(lower.left.name, lower.op, low,
+                                            upper.op, high))
+            else:
+                return filters
+        return [bind_filter(part, bindings) for part in shape.ordered]
 
     @once
     def links(self) -> Tuple[Tuple["Predicate", Tuple, Any], ...]:
         """``(conjunct, canonical key, getter of its event arguments or
-        None)`` per conjunct, in :meth:`bind_filters`' equalities-first
-        order: what a firing group's memo keys a conjunct prefix by."""
+        None)`` per conjunct, in equalities-first order and unfused: what a
+        firing group's memo keys a conjunct prefix by."""
         return tuple(
             (part, part.canonical_key(),
              operator.itemgetter(*sorted(part.event_args()))
              if part.event_args() else None)
-            for part in self._conjunct_orders()[1])
+            for part in self.shape().ordered)
 
     @once
-    def _conjunct_orders(self) -> Tuple[Tuple["Predicate", ...], ...]:
-        declared = tuple(part for part in conjuncts(self) if part is not TRUE)
-        return declared, tuple(sorted(
-            declared, key=lambda part: _indexable(part) is None))
+    def shape(self) -> "Shape":
+        """Walk the top-level conjuncts once for all that planning and
+        filtering derive from them."""
+        declared: List[Predicate] = []
+        equalities: List[Predicate] = []
+        others: List[Predicate] = []
+        lookups: Dict[str, ValueExpr] = {}
+        args: Set[str] = set()
+        leading: Optional[str] = None
+        bounds: Dict[Tuple[str, bool], int] = {}  # first per side, in others
+        for part in conjuncts(self):
+            if part is TRUE:
+                continue
+            declared.append(part)
+            leaf = _leaf(part)
+            if leaf is None:
+                args |= part.event_args()
+                others.append(part)
+                continue
+            attr, op, operand = leaf
+            if type(operand) is EventArg:
+                args.add(operand.name)
+            if op == "==":
+                equalities.append(part)
+                lookups.setdefault(attr, operand)
+                if len(declared) == 1:
+                    leading = attr
+                continue
+            if op in _BOUND_SIDES:
+                bounds.setdefault((attr, _BOUND_SIDES[op]), len(others))
+            others.append(part)
+        steps: Optional[List[Any]] = None
+        for (attr, below), at in bounds.items():
+            other = bounds.get((attr, False))
+            if below and other is not None:
+                steps = steps or list(others)
+                steps[min(at, other)] = (others[at], others[other])
+                steps[max(at, other)] = None
+        lookups = dict(sorted(lookups.items()))
+        probes = {attr: (attr, operand.name, None) if type(operand) is EventArg
+                  else (attr, None, operand.value)  # type: ignore[attr-defined]
+                  for attr, operand in lookups.items()}
+        return Shape(
+            tuple(declared), tuple(equalities + others),
+            None if steps is None else tuple(
+                equalities + [step for step in steps if step is not None]),
+            lookups, tuple(probes.values()),
+            () if leading is None else (probes[leading],), frozenset(args))
 
     def canonical_key(self) -> Tuple:
         """Return a hashable structural key (used for condition-graph sharing)."""
@@ -576,19 +686,79 @@ def conjuncts(predicate: Predicate) -> Tuple[Predicate, ...]:
     return predicate.parts if isinstance(predicate, And) else (predicate,)
 
 
-def _indexable(part: Predicate) -> Optional[Tuple[str, ValueExpr]]:
-    """``(attr, expr)`` when ``part`` is ``Attr(attr) == expr`` or ``expr ==
-    Attr(attr)`` with ``expr`` reading no object attribute; else None."""
-    if isinstance(part, Compare) and part.op == "==":
-        left, right = part.left, part.right
-        if isinstance(left, Attr) and not right.attributes():
-            return left.name, right
-        if isinstance(right, Attr) and not left.attributes():
-            return right.name, left
+Probe = Tuple[str, Optional[str], Any]
+"""An equality an index may answer: ``(attribute, event-argument name,
+None)`` or ``(attribute, None, constant)``."""
+
+
+class Shape:
+    """What planning and filtering derive from a predicate's top-level
+    conjuncts, found in one walk of them (:meth:`Predicate.shape`).
+
+    * ``declared``: the conjuncts in declared order, TRUE left out;
+    * ``ordered``: the same, indexable equalities first (a stable sort);
+    * ``fused``: ``ordered`` with each attribute's first lower and first
+      upper bound one ``(lower, upper)`` step, where the first of the two
+      stood; None when no attribute has both;
+    * ``lookups``: :func:`equality_lookups`' answer;
+    * ``probes``: one :data:`Probe` per attribute of ``lookups``, in its
+      order;
+    * ``leading``: the probe of the first declared conjunct when that is an
+      indexable equality, else empty;
+    * ``args``: the event-argument names the conjuncts read.
+    """
+
+    __slots__ = ("declared", "ordered", "fused", "lookups", "probes",
+                 "leading", "args")
+
+    def __init__(self, declared: Tuple["Predicate", ...],
+                 ordered: Tuple["Predicate", ...],
+                 fused: Optional[Tuple[Any, ...]],
+                 lookups: Dict[str, ValueExpr], probes: Tuple[Probe, ...],
+                 leading: Tuple[Probe, ...], args: FrozenSet[str]) -> None:
+        self.declared, self.ordered, self.fused = declared, ordered, fused
+        self.lookups, self.probes, self.leading = lookups, probes, leading
+        self.args = args
+
+    def bound(self, bindings: Bindings) -> bool:
+        """Whether ``bindings`` bind every event argument."""
+        return not self.args or self.args.issubset(bindings)
+
+    def probe_candidates(self, bound: bool) -> Tuple[Probe, ...]:
+        """The equalities an index probe may answer the predicate on, in
+        the planner's preference order.
+
+        A probe resolves its key before it sees any object and then sees
+        only the objects filed under that key.  With every event argument
+        bound the conjuncts raise nothing, so any equality will do.
+        Otherwise the conjuncts are tested in declared order, and only a
+        leading equality may be probed: a scan tests it first on every
+        object, so nothing a probe skips could reach an unbound argument
+        first.
+        """
+        return self.probes if bound else self.leading
+
+
+def _leaf(part: Predicate) -> Optional[Tuple[str, str, ValueExpr]]:
+    """``(attr, op, operand)`` when ``part`` is ``Attr(attr) op operand``,
+    or an equality written ``operand == Attr(attr)``, with a Const or
+    EventArg operand; else None."""
+    if type(part) is not Compare:
+        return None
+    left, op, right = part.left, part.op, part.right
+    if op == "==" and type(right) is Attr:
+        left, right = right, left
+    if type(left) is Attr and type(right) in (Const, EventArg):
+        return left.name, op, right
     return None
 
 
-@once
+def _value(operand: ValueExpr, bindings: Bindings) -> Any:
+    """A Const's value, or a bound EventArg's."""
+    return (operand.value if type(operand) is Const
+            else bindings[operand.name])  # type: ignore[attr-defined]
+
+
 def equality_lookups(predicate: Predicate) -> Dict[str, ValueExpr]:
     """Return ``attr -> value expression`` for indexable equality conjuncts,
     sorted by attribute (the planner's preference order).
@@ -597,28 +767,4 @@ def equality_lookups(predicate: Predicate) -> Dict[str, ValueExpr]:
     conjuncts an index can answer.  The first conjunct on an attribute wins.
     Computed once per predicate: do not mutate the result.
     """
-    lookups: Dict[str, ValueExpr] = {}
-    for part in conjuncts(predicate):
-        found = _indexable(part)
-        if found is not None:
-            lookups.setdefault(*found)
-    return dict(sorted(lookups.items()))
-
-
-def probe_attrs(predicate: Predicate, bindings: Bindings) -> Iterable[str]:
-    """The attributes an index probe may answer ``predicate`` on, under
-    ``bindings``, in the planner's preference order.
-
-    A probe resolves its key before it sees any object and then sees only
-    the objects filed under that key.  With every event argument bound the
-    conjuncts raise nothing, so any equality will do.  Otherwise the
-    conjuncts are tested in declared order, and only a leading equality may
-    be probed: a scan tests it first on every object, so nothing a probe
-    skips could reach an unbound argument first.
-    """
-    lookups = equality_lookups(predicate)
-    if all(name in bindings for name in predicate.event_args()):
-        return lookups
-    declared = predicate._conjunct_orders()[0]
-    found = _indexable(declared[0]) if declared else None
-    return (found[0],) if found is not None else ()
+    return predicate.shape().lookups

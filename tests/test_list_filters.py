@@ -301,3 +301,73 @@ def test_queries_sharing_a_memo_answer_as_each_alone(queries, bindings, rows):
             assert shared == alone
             if query.order_by is None:
                 assert alone == by_matches(store, query, bindings[which])
+
+
+# ------------------------------------------- an attribute's bound pairs
+
+NUMBERS = st.one_of(st.integers(-2, 3), st.sampled_from([0.5, 1.0, 2.0]))
+BOUND_OPERANDS = st.one_of(VALUES.map(Const), ARGS)
+LOWER, UPPER = st.sampled_from([">", ">="]), st.sampled_from(["<", "<="])
+PAIR_BINDINGS = st.fixed_dictionaries({}, optional={
+    "x": st.one_of(NUMBERS, VALUES), "y": st.one_of(NUMBERS, VALUES)})
+# k and p on every record, numbers more often than VALUES alone draws them
+PAIR_ROWS = st.lists(st.fixed_dictionaries(
+    {"k": st.one_of(NUMBERS, VALUES), "p": st.one_of(NUMBERS, VALUES)},
+    optional={"q": VALUES}), min_size=2, max_size=8)
+
+
+@st.composite
+def bound_pairs(draw):
+    """A conjunction holding a lower and an upper bound on one or two
+    attributes, shuffled among repeats of them, more bounds and other
+    leaves: the shape the unmemoized path filters a pair at a time.  Half
+    the draws are plain: numeric constants on ``k`` and ``p``, where every
+    pair fuses and most records compare."""
+    plain = draw(st.booleans())
+    attrs = st.sampled_from(["k", "p"]).map(Attr) if plain else ATTRS
+    operands = NUMBERS.map(Const) if plain else BOUND_OPERANDS
+    parts = []
+    for attr in draw(st.lists(attrs, min_size=1, max_size=2, unique=True)):
+        parts += [Compare(attr, draw(LOWER), draw(operands)),
+                  Compare(attr, draw(UPPER), draw(operands))]
+    more = st.builds(Compare, attrs, st.one_of(LOWER, UPPER), operands)
+    parts += draw(st.lists(st.one_of(more, st.sampled_from(parts))
+                           if plain else st.one_of(more, LEAVES), max_size=2))
+    return And(*draw(st.permutations(parts)))
+
+
+def pair(lower, low, upper, high, attr="p"):
+    return And(Compare(Attr(attr), lower, low), Compare(Attr(attr), upper, high))
+
+
+# NaN; a None bound and None values; a str among floats (the TypeError
+# fallback); a str bound from an argument; bools among numbers; an upper
+# bound declared first, behind a bound on another attribute.
+@example(pred=pair(">=", Const(0.5), "<", Const(2.0)), bindings={},
+         rows=[{"p": NAN}, {"p": 1.0}, {"p": 0.5}, {"p": 2.0}])
+@example(pred=pair(">", Const(None), "<=", Const(2.0)), bindings={},
+         rows=[{"p": None}, {"p": 1.0}, {}])
+@example(pred=pair(">=", Const(0.5), "<", Const(2.0)), bindings={},
+         rows=[{"p": 1.0}, {"p": "a"}, {"p": 0.5}, {"p": 2.0}])
+@example(pred=pair(">=", EventArg("x"), "<", EventArg("y")),
+         bindings={"x": 0.5, "y": "a"}, rows=[{"p": 1.0}, {"p": "ab"}])
+@example(pred=pair(">", Const(False), "<=", Const(True)), bindings={},
+         rows=[{"p": True}, {"p": 1}, {"p": 0.5}, {"p": False}, {"p": 2}])
+@example(pred=And(Attr("q") >= 1, Attr("p") <= 2, Attr("p") > 0),
+         bindings={}, rows=[{"p": 1, "q": 0}, {"p": 2, "q": 3}, {"p": 3}])
+@settings(max_examples=500, deadline=None)
+@given(pred=bound_pairs(), bindings=PAIR_BINDINGS, rows=PAIR_ROWS)
+def test_bound_pairs_answer_what_matches_answers(pred, bindings, rows):
+    """Both plans, with and without a memo, answer what ``matches`` answers
+    over the extent in OID order, or raise where it raises."""
+    store = populated(rows)
+    query = Query("C", pred)
+    expected = outcome(lambda: sorted(
+        record.oid for record in store.extent("C")
+        if pred.matches(record.attrs, bindings)))
+    for use_indexes in (True, False):
+        executor = QueryExecutor(store, use_indexes=use_indexes)
+        assert outcome(lambda: executor.execute(query, bindings).oids()) \
+            == expected
+        assert outcome(lambda: executor.execute(query, bindings, {}).oids()) \
+            == expected
