@@ -10,9 +10,8 @@ import time
 
 import pytest
 
-from benchmarks.conftest import make_db, seed_stocks
-from repro import Action, Condition, HiPAC, Rule, on_update
-from repro.rules.manager import RuleManagerConfig
+from benchmarks.conftest import concurrent_siblings, make_db, seed_stocks
+from repro import Action, Condition, Rule, on_update
 
 SLEEP = 0.004  # per-condition "think time" (releases the GIL, like I/O)
 RULES = 8
@@ -20,8 +19,9 @@ PRICE = [0.0]
 
 
 def build(concurrent):
-    config = RuleManagerConfig(concurrent_conditions=concurrent)
-    db = make_db(config=config)
+    db = make_db()
+    if concurrent:
+        concurrent_siblings(db)
     oids = seed_stocks(db, 5)
     for i in range(RULES):
         db.create_rule(Rule(

@@ -50,6 +50,15 @@ def naive(db: HiPAC, *, graph: bool = True, indexes: bool = True) -> HiPAC:
     return db
 
 
+def concurrent_siblings(db: HiPAC) -> HiPAC:
+    """Put ``db`` on Q5's concurrent side: the conditions of an immediate
+    group run in concurrent sibling subtransactions instead of in the
+    engine's serial, deterministic order.  The engine itself has no such
+    option; the Rule Manager's attribute is the experiment's switch."""
+    db.rule_manager.concurrent_conditions = True
+    return db
+
+
 def seed_stocks(db: HiPAC, count: int, price: float = 100.0):
     """Create ``count`` stocks; returns their OIDs."""
     oids = []

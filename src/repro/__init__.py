@@ -105,7 +105,6 @@ from repro.rules import (
     DatabaseStep,
     RequestStep,
     Rule,
-    RuleManagerConfig,
     SignalStep,
 )
 
@@ -172,7 +171,6 @@ __all__ = [
     "IMMEDIATE",
     "DEFERRED",
     "SEPARATE",
-    "RuleManagerConfig",
     "HiPACError",
     "SchemaError",
     "UnknownObjectError",

@@ -54,7 +54,7 @@ from repro.objstore.predicates import Bindings
 from repro.objstore.query import Query, QueryResult
 from repro.objstore.store import ObjectStore
 from repro.objstore.types import ClassDef
-from repro.rules.manager import RuleManager, RuleManagerConfig
+from repro.rules.manager import RuleManager
 from repro.rules.rule import Rule, rule_class_def
 from repro.txn.locks import LockManager
 from repro.txn.manager import TransactionManager
@@ -75,7 +75,6 @@ class HiPAC:
 
     def __init__(self, *, clock: Optional[Clock] = None,
                  lock_timeout: float = 10.0,
-                 config: Optional[RuleManagerConfig] = None,
                  durability: Optional[str] = None,
                  data_dir: Optional[Any] = None,
                  wal_fsync: bool = True,
@@ -145,7 +144,7 @@ class HiPAC:
             self.object_manager, self.transaction_manager,
             self.condition_evaluator, self.temporal_detector,
             self.external_detector, self.composite_detector,
-            clock=self.clock, applications=self.applications, config=config,
+            clock=self.clock, applications=self.applications,
             metrics=self.metrics, slow_log=self.slow_log,
             watchdog=self.watchdog, trace=observability == "trace")
         #: §6.1 rule creation and administration (the Rule Manager's
@@ -316,11 +315,9 @@ class HiPAC:
             self._admin.close()
             self._admin = None
         # Separate firings commit through the journal and the WAL: let them
-        # finish while both are open.  The Rule Manager's own executor stops
-        # with it; one the caller configured is the caller's to shut down.
+        # finish while both are open, then stop the Rule Manager's executor.
         self.drain()
-        if self.rule_manager.config.deadline_executor is None:
-            self.rule_manager.executor.shutdown()
+        self.rule_manager.executor.shutdown()
         # Forensics first: a queued capture reads the timeseries ring and
         # the flight journal, so drain it while they are still alive.
         if self.forensics is not None:

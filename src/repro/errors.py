@@ -96,14 +96,17 @@ class RuleError(HiPACError):
 
 
 class CascadeLimitExceeded(RuleError):
-    """A rule cascade exceeded the configured depth bound.
+    """A rule cascade exceeded the depth bound.
 
     Raised by the Rule Manager when recursive rule triggering (rules whose
     actions signal events that trigger further rules) reaches
-    ``RuleManagerConfig.max_cascade_depth`` — the runtime guard against the
-    non-terminating rule sets the execution model makes possible.  The
-    signalling transaction is aborted by the normal error path; the depth
-    at which the cascade was cut is available as :attr:`depth`.
+    ``repro.rules.manager.MAX_CASCADE_DEPTH`` causal hops — the runtime
+    guard against the non-terminating rule sets the execution model makes
+    possible.  Every hop counts, whatever its coupling: a separate firing
+    on a worker thread continues the depth of the firing that launched it.
+    The signalling transaction is aborted by the normal error path (a
+    separate firing's error lands in ``RuleManager.background_errors``);
+    the depth at which the cascade was cut is available as :attr:`depth`.
     """
 
     def __init__(self, message: str, *, depth: int = 0) -> None:

@@ -15,7 +15,7 @@ from repro.rules.actions import (
 )
 from repro.rules.catalog import RuleCatalog
 from repro.rules.firing import FiringLog, RuleFiring
-from repro.rules.manager import RuleManager, RuleManagerConfig
+from repro.rules.manager import RuleManager
 
 __all__ = [
     "IMMEDIATE",
@@ -38,5 +38,4 @@ __all__ = [
     "FiringLog",
     "RuleCatalog",
     "RuleManager",
-    "RuleManagerConfig",
 ]

@@ -70,6 +70,11 @@ class RuleFiring:
                            compare=False, repr=False)
 
 
+#: ring capacity of a firing log; the Rule Manager reads it, as
+#: ``repro.rules.manager.FIRING_LOG_CAPACITY``, when it builds its own
+FIRING_LOG_CAPACITY = 100_000
+
+
 class FiringLog:
     """Thread-safe ring buffer of rule firings.
 
@@ -78,7 +83,7 @@ class FiringLog:
     :attr:`dropped` (exported as a metric by the facade).
     """
 
-    def __init__(self, capacity: int = 100000) -> None:
+    def __init__(self, capacity: int = FIRING_LOG_CAPACITY) -> None:
         self._mutex = threading.Lock()
         self._records: Deque[RuleFiring] = deque(maxlen=capacity)
         self.capacity = capacity

@@ -40,7 +40,6 @@ import threading
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -61,16 +60,20 @@ from repro.objstore.manager import ObjectManager
 from repro.rules.actions import ActionContext
 from repro.rules.catalog import RuleCatalog, firing_order
 from repro.rules.coupling import DEFERRED, IMMEDIATE, MODES, SEPARATE
-from repro.rules.firing import FiringLog, Phase, RuleFiring
+from repro.rules.firing import (FIRING_LOG_CAPACITY, FiringLog, Phase,
+                                RuleFiring)
 from repro.rules.rule import RULE_CLASS, Rule
 from repro.scheduler.timecon import DeadlineExecutor
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction
 
-#: worker bound of a manager-owned executor (the stdlib pool's default)
+#: worker bound of the separate-coupling executor (the stdlib pool's default)
 SEPARATE_WORKERS = min(32, (os.cpu_count() or 1) + 4)
 #: bound on deferred firings scheduling further deferred firings at one commit
 MAX_DEFERRED_ROUNDS = 1000
+#: bound on causal hops in one rule cascade, whatever the couplings on the way
+#: (§3.2's unbounded trigger recursion is cut here)
+MAX_CASCADE_DEPTH = 64
 #: seconds :meth:`RuleManager.drain` waits when the caller names no timeout
 DRAIN_TIMEOUT = 60.0
 #: the suppression scope without a flight recorder (reusable, stateless)
@@ -95,40 +98,6 @@ def _phase(begun: float) -> Phase:
     return threading.get_ident(), begun, _time.perf_counter()
 
 
-@dataclass
-class RuleManagerConfig:
-    """Tunables of the Rule Manager.
-
-    * ``concurrent_conditions`` — evaluate the conditions of an immediate
-      group in concurrent sibling subtransactions (the paper's "for rules
-      with the same event and E-C coupling mode, the condition evaluation
-      transactions will execute concurrently"); serial by default for
-      determinism.
-    * ``defer_to_top_level`` — where deferred firings whose event occurred
-      in a *subtransaction* are queued.  True (default) queues them on the
-      top-level transaction, so deferred work — notably integrity
-      constraints — runs once, at the outermost commit, against the
-      transaction's final state (the execution-model intent [HSU88] and the
-      System R integrity lineage).  False follows §2.1's letter ("the same
-      transaction as the triggering event"): the deferred set of each
-      subtransaction is processed at that subtransaction's own commit.
-      Events occurring directly in a top-level transaction behave the same
-      either way.
-    * ``max_cascade_depth`` — bound on recursive rule triggering.
-    """
-
-    concurrent_conditions: bool = False
-    defer_to_top_level: bool = True
-    max_cascade_depth: int = 64
-    #: ring capacity of the firing log (oldest records evicted beyond this;
-    #: evictions are counted on :attr:`FiringLog.dropped`)
-    firing_log_capacity: int = 100000
-    #: the :class:`~repro.scheduler.DeadlineExecutor` that runs separate
-    #: firings, most urgent ``Rule.deadline`` first ([BUC88] time-constrained
-    #: scheduling); None: one the manager makes, :data:`SEPARATE_WORKERS` wide
-    deadline_executor: Any = None
-
-
 class RuleManager:
     """Maps events to rule firings, and rule firings to transactions (§5.4)."""
 
@@ -140,8 +109,7 @@ class RuleManager:
                  composite_detector: CompositeEventDetector, *,
                  clock: Clock, applications: Any,
                  metrics: MetricsRegistry, slow_log: SlowLog,
-                 watchdog: Watchdog, trace: bool = False,
-                 config: Optional[RuleManagerConfig] = None) -> None:
+                 watchdog: Watchdog, trace: bool = False) -> None:
         self._om = object_manager
         self._txns = txn_manager
         self._evaluator = evaluator
@@ -150,7 +118,11 @@ class RuleManager:
         self._composite = composite_detector
         self._clock = clock
         self.applications = applications
-        self.config = config or RuleManagerConfig()
+        #: evaluate the conditions of an immediate group in concurrent
+        #: sibling subtransactions (the paper's "the condition evaluation
+        #: transactions will execute concurrently", §3.2); serial, the
+        #: deterministic order, unless an experiment sets it (Q5)
+        self.concurrent_conditions = False
         self._metrics = metrics
         #: record each firing's :attr:`~RuleFiring.timing`
         #: (``observability="trace"``)
@@ -188,11 +160,11 @@ class RuleManager:
         self.running = _Running()
         self._depth = threading.local()
 
-        self.firings = FiringLog(capacity=self.config.firing_log_capacity)
+        self.firings = FiringLog(capacity=FIRING_LOG_CAPACITY)
         self.background_errors: List[Tuple[str, str]] = []
-        #: where separate work runs (§6.2): the caller's, else the manager's
-        self.executor = self.config.deadline_executor or DeadlineExecutor(
-            SEPARATE_WORKERS, name="hipac-sep")
+        #: where separate work runs (§6.2), most urgent ``Rule.deadline``
+        #: first ([BUC88]); ``HiPAC.close()`` shuts it down
+        self.executor = DeadlineExecutor(SEPARATE_WORKERS, name="hipac-sep")
         self.stats = {"signals": 0, "triggered": 0, "conditions_evaluated": 0,
                       "actions_executed": 0, "separate_spawned": 0,
                       "deferred_queued": 0, "max_cascade_depth_seen": 0,
@@ -236,7 +208,7 @@ class RuleManager:
         if not signals:
             return
         depth = getattr(self._depth, "value", 0)
-        if depth >= self.config.max_cascade_depth:
+        if depth >= MAX_CASCADE_DEPTH:
             # The paper's unbounded trigger-recursion hazard (§3.2): cut the
             # cascade here, with a typed error the application can catch and
             # an alert the /health endpoint surfaces, instead of recursing
@@ -246,7 +218,7 @@ class RuleManager:
             self._watchdog.note_cascade_limit(depth, described)
             raise CascadeLimitExceeded(
                 "rule cascade exceeded max depth %d (signal %s)"
-                % (self.config.max_cascade_depth, described), depth=depth)
+                % (MAX_CASCADE_DEPTH, described), depth=depth)
         self._depth.value = depth + 1
         if depth + 1 > self.stats["max_cascade_depth_seen"]:
             self.stats["max_cascade_depth_seen"] = depth + 1
@@ -367,7 +339,9 @@ class RuleManager:
             self._launch_separate(*entry)
         immediate = groups[IMMEDIATE]
         if txn is not None:
-            target = txn.top_level() if self.config.defer_to_top_level else txn
+            # Deferred work runs once, at the outermost commit (DESIGN.md
+            # decisions 8 and 39).
+            target = txn.top_level()
             for entry in groups[DEFERRED]:
                 self.stats["deferred_queued"] += 1
                 entry[2].deferred = True
@@ -395,7 +369,7 @@ class RuleManager:
         """Evaluate all conditions first (each in a subtransaction of
         ``host``), then schedule the satisfied rules' actions per their C-A
         coupling (paper §6.2; §6.3 for the deferred set at commit)."""
-        if (coupling == IMMEDIATE and self.config.concurrent_conditions
+        if (coupling == IMMEDIATE and self.concurrent_conditions
                 and len(entries) > 1):
             # Concurrent sibling condition subtransactions (§3.2, §6.2); the
             # first failure is re-raised once every sibling has finished.
@@ -425,12 +399,12 @@ class RuleManager:
         elif rule.ca_coupling == DEFERRED:
             self.stats["deferred_queued"] += 1
             firing.deferred = True
-            target = (condition_host.top_level()
-                      if self.config.defer_to_top_level else condition_host)
-            target.add_deferred_action((rule, signal, firing, outcome))
+            condition_host.top_level().add_deferred_action(
+                (rule, signal, firing, outcome))
         else:  # separate
             self._spawn(partial(self._run_action, rule, signal, firing,
-                                outcome, None), rule.name, rule.deadline)
+                                outcome, None), rule.name, rule.deadline,
+                        getattr(self._depth, "value", 0))
 
     # ================================================== the two firing phases
 
@@ -576,10 +550,10 @@ class RuleManager:
                          firing: RuleFiring) -> None:
         """Queue a separate-coupling firing: condition (and, per C-A
         coupling, action) in a new top-level transaction on a worker thread
-        (paper §6.2)."""
+        (paper §6.2).  The worker continues this thread's cascade depth."""
         launch = partial(self._spawn, partial(
             self._run_condition, rule, signal, firing, None, None, SEPARATE),
-            rule.name, rule.deadline)
+            rule.name, rule.deadline, getattr(self._depth, "value", 0))
         if rule.separate_dependent and signal.txn is not None:
             # Extension: hook the transaction in which the event occurred.
             # A nested transaction's hooks migrate to its parent on commit
@@ -590,19 +564,23 @@ class RuleManager:
             launch()
 
     def _spawn(self, body: Callable[[], Any], label: str,
-               deadline: Optional[float] = None) -> None:
+               deadline: Optional[float] = None, depth: int = 0) -> None:
         """Queue ``body`` as separate-coupling work, most urgent first; the
-        worker that takes it is named ``hipac-sep-<label>`` meanwhile."""
+        worker that takes it is named ``hipac-sep-<label>`` meanwhile and
+        runs it at cascade ``depth``, the hops that led to it, so a
+        cascade through separate firings is cut like a synchronous one."""
         self.stats["separate_spawned"] += 1
 
         def run() -> None:
             worker = threading.current_thread()
             own, worker.name = worker.name, "hipac-sep-%s" % label
+            self._depth.value = depth
             try:
                 with self._suppression():
                     body()
             finally:
                 worker.name = own
+                self._depth.value = 0
         self.executor.submit(self._clock.now() + deadline
                              if deadline is not None else float("inf"), run)
 

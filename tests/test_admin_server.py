@@ -59,7 +59,7 @@ from repro.obs.watchdog import (
 )
 from repro.rules.coupling import DEFERRED, IMMEDIATE
 from repro.rules.firing import FiringLog, RuleFiring
-from repro.rules.manager import RuleManagerConfig
+from repro.rules import manager as rule_manager
 from repro.storage.framing import scan_frames
 from repro.tools import doctor
 from repro.tools import top as top_tool
@@ -396,12 +396,12 @@ class TestAdminServer:
 
 
 class TestCyclicCascadeWatchdog:
-    def test_cyclic_rules_trip_detector_and_abort(self):
+    def test_cyclic_rules_trip_detector_and_abort(self, monkeypatch):
         """A triggers B triggers A: the cascade must be cut at the
-        configured depth with a typed error, a critical alert in the log,
+        depth bound with a typed error, a critical alert in the log,
         and /health reporting the instance as failing."""
-        config = RuleManagerConfig(max_cascade_depth=8)
-        db = _db(config=config)
+        monkeypatch.setattr(rule_manager, "MAX_CASCADE_DEPTH", 8)
+        db = _db()
         db.create_rule(Rule(
             name="a2b", event=on_create("A"), condition=Condition.true(),
             action=Action.call(lambda ctx: ctx.create("B", {"v": 0}))))
@@ -438,11 +438,11 @@ class TestCyclicCascadeWatchdog:
         finally:
             db.close()
 
-    def test_caught_cascade_keeps_database_usable(self):
+    def test_caught_cascade_keeps_database_usable(self, monkeypatch):
         """The typed error is catchable; the rest of the database still
         works after the runaway transaction aborts."""
-        config = RuleManagerConfig(max_cascade_depth=4)
-        db = _db(config=config)
+        monkeypatch.setattr(rule_manager, "MAX_CASCADE_DEPTH", 4)
+        db = _db()
         db.create_rule(Rule(
             name="loop", event=on_create("A"), condition=Condition.true(),
             action=Action.call(lambda ctx: ctx.create("A", {"v": 0}))))

@@ -14,9 +14,10 @@ from repro import (
     RuleError,
     attributes,
     on_create,
+    on_update,
 )
+from repro.obs.watchdog import CASCADE_DEPTH
 from repro.rules import manager as rule_manager
-from repro.rules.manager import RuleManagerConfig
 
 
 @pytest.fixture
@@ -62,11 +63,11 @@ class TestCascades:
             for name in ("A", "B", "C"):
                 assert len(db.query(Query(name), r)) == 0
 
-    def test_infinite_cascade_bounded(self, db):
+    def test_infinite_cascade_bounded(self, db, monkeypatch):
         """Mutually recursive immediate rules must hit the depth bound, not
         hang or blow the Python stack."""
-        config = RuleManagerConfig(max_cascade_depth=10)
-        database = HiPAC(lock_timeout=2.0, config=config)
+        monkeypatch.setattr(rule_manager, "MAX_CASCADE_DEPTH", 10)
+        database = HiPAC(lock_timeout=2.0)
         database.define_class(ClassDef("A", attributes(("v", "int"))))
         database.create_rule(Rule(
             name="loop",
@@ -78,6 +79,37 @@ class TestCascades:
         with pytest.raises((RuleError, TransactionAborted)):
             with database.transaction() as txn:
                 database.create("A", {"v": 0}, txn)
+
+    @pytest.mark.parametrize("dependent", [False, True])
+    def test_separate_cascade_bounded(self, db, monkeypatch, dependent):
+        """A separate rule whose action re-triggers it hops to a worker
+        thread each time; every hop still counts toward the bound, so the
+        cascade stops there, with one collected error and one alert."""
+        monkeypatch.setattr(rule_manager, "MAX_CASCADE_DEPTH", 5)
+        with db.transaction() as txn:
+            oid = db.create("A", {"v": 0}, txn)
+        db.create_rule(Rule(
+            name="again", event=on_update("A"), condition=Condition.true(),
+            action=Action.call(lambda ctx: ctx.update(
+                oid, {"v": ctx.bindings["new_v"] + 1})),
+            ec_coupling="separate", separate_dependent=dependent))
+        with db.transaction() as txn:
+            db.update(oid, {"v": 1}, txn)
+        drained = db.drain(5.0)
+        db.disable_rule("again")    # ends the loop if the bound did not
+        assert drained
+        firings = db.firing_log().for_rule("again")
+        assert len(firings) == 5
+        assert [f.cause for f in firings[1:]] == [
+            f.firing_id for f in firings[:-1]]
+        stats = db.rule_manager.stats
+        assert stats["cascades_cut"] == 1
+        assert stats["max_cascade_depth_seen"] == 5
+        (rule, error), = db.rule_manager.background_errors
+        assert rule == "again" and "max depth 5" in error
+        assert len(db.watchdog.alerts(CASCADE_DEPTH)) == 1
+        with db.transaction() as txn:
+            assert db.read(oid, txn)["v"] == 5
 
     def test_deferred_loop_bounded(self, db, monkeypatch):
         """A deferred rule whose action re-queues it never quiesces: the
@@ -215,8 +247,8 @@ class TestMultiRuleEvents:
 
 class TestConcurrentConditions:
     def test_concurrent_sibling_condition_evaluation(self):
-        config = RuleManagerConfig(concurrent_conditions=True)
-        db = HiPAC(lock_timeout=5.0, config=config)
+        db = HiPAC(lock_timeout=5.0)
+        db.rule_manager.concurrent_conditions = True
         db.define_class(ClassDef("A", attributes(("v", "int"))))
         fired = []
         import threading

@@ -14,22 +14,22 @@ from repro import (
     attributes,
     on_update,
 )
-from repro.rules.manager import RuleManagerConfig
-from repro.scheduler import DeadlineExecutor
+from repro.rules import manager as rule_manager
 
 
-def build(executor):
-    config = RuleManagerConfig(deadline_executor=executor)
-    db = HiPAC(lock_timeout=5.0, config=config)
+def build(monkeypatch, workers):
+    """A HiPAC whose separate-coupling executor has ``workers`` workers."""
+    monkeypatch.setattr(rule_manager, "SEPARATE_WORKERS", workers)
+    db = HiPAC(lock_timeout=5.0)
     db.define_class(ClassDef("Stock", attributes(
         "symbol", ("price", "number"))))
     return db
 
 
 class TestDeadlineDispatch:
-    def test_separate_firings_run_via_executor(self):
-        executor = DeadlineExecutor(workers=2)
-        db = build(executor)
+    def test_separate_firings_run_via_executor(self, monkeypatch):
+        db = build(monkeypatch, workers=2)
+        executor = db.rule_manager.executor
         ran = []
         lock = threading.Lock()
         db.create_rule(Rule(
@@ -49,11 +49,11 @@ class TestDeadlineDispatch:
         assert db.drain(timeout=30.0)
         assert len(ran) == 10
         assert executor.stats["submitted"] == 10
-        executor.shutdown()
+        db.close()
 
-    def test_urgent_rule_dispatched_first(self):
-        executor = DeadlineExecutor(workers=1)
-        db = build(executor)
+    def test_urgent_rule_dispatched_first(self, monkeypatch):
+        db = build(monkeypatch, workers=1)
+        executor = db.rule_manager.executor
         order = []
         gate = threading.Event()
         # Occupy the single worker so both firings queue.
@@ -82,11 +82,11 @@ class TestDeadlineDispatch:
         gate.set()
         assert db.drain(timeout=30.0)
         assert order == ["b-urgent", "a-relaxed"]
-        executor.shutdown()
+        db.close()
 
-    def test_rules_without_deadline_run_last(self):
-        executor = DeadlineExecutor(workers=1)
-        db = build(executor)
+    def test_rules_without_deadline_run_last(self, monkeypatch):
+        db = build(monkeypatch, workers=1)
+        executor = db.rule_manager.executor
         order = []
         gate = threading.Event()
         executor.submit(0.0, gate.wait)
@@ -113,7 +113,7 @@ class TestDeadlineDispatch:
         gate.set()
         assert db.drain(timeout=30.0)
         assert order == ["deadline", "none"]
-        executor.shutdown()
+        db.close()
 
     def test_without_configured_executor_own_pool_used(self):
         db = HiPAC(lock_timeout=5.0)

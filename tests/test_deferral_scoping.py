@@ -1,6 +1,7 @@
-"""Tests for the two deferral-scoping semantics (RuleManagerConfig.
-defer_to_top_level): top-level commit (default, the execution-model intent)
-versus the §2.1-literal per-transaction deferral."""
+"""Tests for deferral scoping: deferred firings whose event occurred in a
+subtransaction queue on the top-level transaction and run once, at its
+commit, against the transaction's final state (the execution-model intent;
+DESIGN decisions 8 and 39)."""
 
 import pytest
 
@@ -17,12 +18,10 @@ from repro import (
     on_update,
 )
 from repro.declarative import DomainConstraint, install_domain_constraint
-from repro.rules.manager import RuleManagerConfig
 
 
-def build(defer_to_top_level):
-    db = HiPAC(lock_timeout=2.0,
-               config=RuleManagerConfig(defer_to_top_level=defer_to_top_level))
+def build():
+    db = HiPAC(lock_timeout=2.0)
     db.define_class(ClassDef("Order", (
         AttributeDef("item", AttrType.STRING, required=True),
         AttributeDef("qty", AttrType.INT, default=1),
@@ -45,7 +44,7 @@ def install_doubling_rule(db):
 class TestTopLevelDeferral:
     def test_constraint_violated_by_rule_action_aborts_at_top_commit(self):
         from repro.objstore.predicates import Attr
-        db = build(defer_to_top_level=True)
+        db = build()
         install_domain_constraint(db, DomainConstraint(
             "qty-cap", "Order", Attr("qty") <= 10))
         install_doubling_rule(db)
@@ -60,7 +59,7 @@ class TestTopLevelDeferral:
 
     def test_violation_repaired_later_in_same_top_level_passes(self):
         from repro.objstore.predicates import Attr
-        db = build(defer_to_top_level=True)
+        db = build()
         install_domain_constraint(db, DomainConstraint(
             "qty-cap", "Order", Attr("qty") <= 10))
         install_doubling_rule(db)
@@ -74,44 +73,12 @@ class TestTopLevelDeferral:
 
 
 class TestPerTransactionDeferral:
-    def test_subtransaction_event_defers_to_subtransaction_commit(self):
-        """With the §2.1-literal semantics, a deferred rule triggered inside
-        an action subtransaction runs when *that subtransaction* commits —
-        before the top-level transaction ends."""
-        db = build(defer_to_top_level=False)
-        order_of_events = []
-        db.create_rule(Rule(
-            name="spawn",
-            event=on_create("Order"),
-            condition=Condition.true(),
-            action=Action.call(lambda ctx: ctx.update(
-                ctx.bindings["oid"], {"status": "spawned"})),
-        ))
-        db.create_rule(Rule(
-            name="deferred-observer",
-            event=on_update("Order", attrs=["status"]),
-            condition=Condition.true(),
-            action=Action.call(
-                lambda ctx: order_of_events.append("deferred-ran")),
-            ec_coupling="deferred",
-        ))
-        txn = db.begin()
-        db.create("Order", {"item": "x"}, txn)
-        # The status update happened inside the `spawn` action
-        # subtransaction; per-transaction deferral already drained it at
-        # that subtransaction's commit:
-        order_of_events.append("before-top-commit")
-        db.commit(txn)
-        assert order_of_events == ["deferred-ran", "before-top-commit"]
-        # The host was the internal action subtransaction: the Transaction
-        # Manager still signals the commit of an internal transaction that
-        # carries deferred work.
-        spawn = db.firing_log().for_rule("spawn")[0]
-        observer = db.firing_log().for_rule("deferred-observer")[0]
-        assert observer.triggering_txn == spawn.action_txn != txn.txn_id
+    """Deferred work triggered in any transaction of a tree waits for the
+    top-level commit, whether the event occurred in a subtransaction or in
+    the top-level transaction itself."""
 
     def test_top_level_deferral_waits_for_outer_commit(self):
-        db = build(defer_to_top_level=True)
+        db = build()
         order_of_events = []
         db.create_rule(Rule(
             name="spawn",
@@ -134,19 +101,18 @@ class TestPerTransactionDeferral:
         db.commit(txn)
         assert order_of_events == ["before-top-commit", "deferred-ran"]
 
-    def test_direct_top_level_events_identical_in_both_modes(self):
-        for mode in (True, False):
-            db = build(defer_to_top_level=mode)
-            ran = []
-            db.create_rule(Rule(
-                name="probe",
-                event=on_create("Order"),
-                condition=Condition.true(),
-                action=Action.call(lambda ctx: ran.append(1)),
-                ec_coupling="deferred",
-            ))
-            txn = db.begin()
-            db.create("Order", {"item": "x"}, txn)
-            assert ran == []
-            db.commit(txn)
-            assert ran == [1], "mode=%s" % mode
+    def test_direct_top_level_event_runs_at_its_commit(self):
+        db = build()
+        ran = []
+        db.create_rule(Rule(
+            name="probe",
+            event=on_create("Order"),
+            condition=Condition.true(),
+            action=Action.call(lambda ctx: ran.append(1)),
+            ec_coupling="deferred",
+        ))
+        txn = db.begin()
+        db.create("Order", {"item": "x"}, txn)
+        assert ran == []
+        db.commit(txn)
+        assert ran == [1]

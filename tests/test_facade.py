@@ -1,6 +1,5 @@
 """Tests for the HiPAC facade: wiring, auto-commit conveniences, stats."""
 
-import dataclasses
 import inspect
 import threading
 
@@ -17,7 +16,6 @@ from repro import (
     attributes,
     on_create,
 )
-from repro.rules.manager import RuleManagerConfig
 
 
 class TestConstruction:
@@ -64,18 +62,15 @@ class TestConstruction:
         assert list(tmp_path.iterdir()) == []
 
     def test_one_configuration(self):
-        """The whole option surface of the engine.  A keyword or field added
-        here multiplies what every test and benchmark owes; edit this list
-        on purpose, not in passing."""
+        """The whole option surface of the engine.  A keyword added here
+        multiplies what every test and benchmark owes; edit this list on
+        purpose, not in passing."""
         parameters = inspect.signature(HiPAC.__init__).parameters
         assert list(parameters)[1:] == [
-            "clock", "lock_timeout", "config", "durability", "data_dir",
+            "clock", "lock_timeout", "durability", "data_dir",
             "wal_fsync", "rule_library", "observability",
             "flight_recorder", "provenance", "timeseries_interval",
             "forensics"]
-        assert [f.name for f in dataclasses.fields(RuleManagerConfig)] == [
-            "concurrent_conditions", "defer_to_top_level",
-            "max_cascade_depth", "firing_log_capacity", "deadline_executor"]
 
     def test_the_wal_has_one_writer(self, tmp_path):
         """Durability lives at the commit point: the Transaction Manager

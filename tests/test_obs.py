@@ -25,7 +25,6 @@ from repro import (
     Condition,
     HiPAC,
     Rule,
-    RuleManagerConfig,
     attributes,
     on_create,
 )
@@ -35,6 +34,7 @@ from repro.obs.metrics import HOT_PATH_SAMPLE, MetricsRegistry
 from repro.obs.slowlog import SlowLog
 from repro.rules.coupling import DEFERRED, IMMEDIATE, SEPARATE
 from repro.rules.firing import FiringLog, RuleFiring
+from repro.rules import manager as rule_manager
 
 
 def _tracing_db() -> HiPAC:
@@ -316,9 +316,9 @@ class TestFiringLogRing:
         log.clear()
         assert len(log) == 0 and log.dropped == 0
 
-    def test_facade_exports_dropped_as_component_stat(self):
-        db = HiPAC(lock_timeout=2.0,
-                   config=RuleManagerConfig(firing_log_capacity=2))
+    def test_facade_exports_dropped_as_component_stat(self, monkeypatch):
+        monkeypatch.setattr(rule_manager, "FIRING_LOG_CAPACITY", 2)
+        db = HiPAC(lock_timeout=2.0)
         db.define_class(ClassDef("A", attributes(("v", "int"))))
         db.create_rule(Rule(
             name="R", event=on_create("A"), condition=Condition.true(),

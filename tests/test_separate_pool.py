@@ -1,12 +1,12 @@
 """Separate-coupling firings on the Rule Manager's reusable workers (§6.2).
 
-One dispatch path: every piece of separate work is queued on a
-:class:`~repro.scheduler.DeadlineExecutor` — the manager's own unless one
-is configured — whose workers start on demand up to a bound, are reused,
-take the most urgent firing first and leave when idle.  These tests pin
-what that changes: thread identity and lifetime, ``drain()``, what a
-bounded pool may block on, thread-local state on a reused worker,
-deadlines without configuration, and ``HiPAC.close()``.
+One dispatch path: every piece of separate work is queued on the
+manager's :class:`~repro.scheduler.DeadlineExecutor`, whose workers start
+on demand up to a bound, are reused, take the most urgent firing first
+and leave when idle.  These tests pin what that changes: thread identity
+and lifetime, ``drain()``, what a bounded pool may block on, thread-local
+state on a reused worker, deadlines without configuration, and
+``HiPAC.close()``.
 """
 
 import threading
@@ -24,7 +24,6 @@ from repro import (
     on_update,
 )
 from repro.rules import manager as rule_manager
-from repro.rules.manager import RuleManagerConfig
 from repro.scheduler import timecon
 
 WAIT = 10.0     # bound on every wait in this file; none is expected to hit it
@@ -161,9 +160,10 @@ class TestReusedWorker:
         """One worker runs a firing whose action raises, one cut by the
         cascade limit, then a probe: nothing of the first two is left on
         the thread."""
+        monkeypatch.setattr(rule_manager, "MAX_CASCADE_DEPTH", 4)
         db, oid = build(monkeypatch, workers=1, observability="trace",
                         flight_recorder=True, provenance=True,
-                        data_dir=tmp_path, config=RuleManagerConfig(max_cascade_depth=4))
+                        data_dir=tmp_path)
         db.define_class(ClassDef("Loop", attributes(("n", "number"))))
         with db.transaction() as txn:
             loop = db.create("Loop", {"n": 0}, txn)
@@ -214,7 +214,6 @@ class TestReusedWorker:
 class TestDeadlinesByDefault:
     def test_urgent_first_without_a_configured_executor(self, monkeypatch):
         db, oid = build(monkeypatch, workers=1)
-        assert db.rule_manager.config.deadline_executor is None
         gate, order = threading.Event(), []
         # Occupy the one worker so that the three firings queue.
         db.rule_manager.executor.submit(0.0, lambda: gate.wait(WAIT))
@@ -268,13 +267,3 @@ class TestClose:
             assert "written-by-firing" in names
         finally:
             reopened.close()
-
-    def test_close_leaves_a_configured_executor_running(self):
-        executor = timecon.DeadlineExecutor(workers=1)
-        db = HiPAC(lock_timeout=5.0,
-                   config=RuleManagerConfig(deadline_executor=executor))
-        db.close()
-        done = threading.Event()
-        executor.submit(0.0, done.set)
-        assert done.wait(WAIT)
-        executor.shutdown()
