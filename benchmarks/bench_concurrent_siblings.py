@@ -42,12 +42,20 @@ def one_event(db, oids):
 
 def test_serial_sibling_conditions(benchmark):
     db, oids = build(concurrent=False)
-    benchmark.pedantic(one_event, args=(db, oids), rounds=10, iterations=1)
+    try:
+        benchmark.pedantic(one_event, args=(db, oids), rounds=10,
+                           iterations=1)
+    finally:
+        db.close()
 
 
 def test_concurrent_sibling_conditions(benchmark):
     db, oids = build(concurrent=True)
-    benchmark.pedantic(one_event, args=(db, oids), rounds=10, iterations=1)
+    try:
+        benchmark.pedantic(one_event, args=(db, oids), rounds=10,
+                           iterations=1)
+    finally:
+        db.close()
 
 
 def test_concurrency_wins_for_slow_conditions(benchmark):
@@ -62,16 +70,21 @@ def test_concurrency_wins_for_slow_conditions(benchmark):
             one_event(db, oids)
         return (time.perf_counter() - start) / rounds
 
-    serial = cost(db_serial, oids_serial)
-    concurrent = cost(db_conc, oids_conc)
-    assert concurrent < serial, \
-        "concurrent %.4fs vs serial %.4fs per event" % (concurrent, serial)
-    # Serial must pay at least the sum of sleeps; concurrent well under it.
-    assert serial >= RULES * SLEEP
-    assert concurrent < serial * 0.7
+    try:
+        serial = cost(db_serial, oids_serial)
+        concurrent = cost(db_conc, oids_conc)
+        assert concurrent < serial, \
+            "concurrent %.4fs vs serial %.4fs per event" % (concurrent, serial)
+        # Serial must pay at least the sum of sleeps; concurrent well under
+        # it.
+        assert serial >= RULES * SLEEP
+        assert concurrent < serial * 0.7
 
-    benchmark.pedantic(one_event, args=(db_conc, oids_conc),
-                       rounds=10, iterations=1)
+        benchmark.pedantic(one_event, args=(db_conc, oids_conc),
+                           rounds=10, iterations=1)
+    finally:
+        db_serial.close()
+        db_conc.close()
 
 
 def test_many_separate_firings_in_flight(benchmark):
@@ -95,5 +108,8 @@ def test_many_separate_firings_in_flight(benchmark):
                 db.update(oids[0], {"price": PRICE[0]}, txn)
         assert db.drain(timeout=60.0)
 
-    benchmark.pedantic(run, rounds=3, iterations=1)
-    assert db.rule_manager.background_errors == []
+    try:
+        benchmark.pedantic(run, rounds=3, iterations=1)
+        assert db.rule_manager.background_errors == []
+    finally:
+        db.close()

@@ -112,7 +112,7 @@ def test_temporal_tick_cost_vs_timer_count(timers, benchmark):
     clock = VirtualClock()
     detector = TemporalEventDetector(clock)
     fired = []
-    detector.sink = fired.append
+    detector.sink = fired.extend
     for i in range(timers):
         detector.define_event(every(float(timers), offset=float(i),
                                     info="t%d" % i))

@@ -31,9 +31,10 @@ from repro.txn.transaction import Transaction
 class PassiveDBMS:
     """A conventional (rule-less) DBMS sharing HiPAC's substrates.
 
-    The Object Manager's event detector stays unprogrammed and unwired, so
-    operations never signal anything — the fair baseline: identical storage
-    and transaction costs, zero rule machinery.
+    The Object Manager's event detector stays unprogrammed and unwired, and
+    the Transaction Manager gets no event sink, so operations never signal
+    anything — the fair baseline: identical storage and transaction costs,
+    zero rule machinery.
     """
 
     def __init__(self, *, lock_timeout: float = 10.0,
@@ -41,7 +42,6 @@ class PassiveDBMS:
         self.store = ObjectStore()
         self.locks = LockManager(default_timeout=lock_timeout)
         self.transaction_manager = TransactionManager(self.locks)
-        self.transaction_manager.signal_transaction_events = False
         self.object_manager = ObjectManager(self.store, self.transaction_manager)
         self.object_manager.executor.use_indexes = use_indexes
 

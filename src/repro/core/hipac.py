@@ -83,7 +83,7 @@ class HiPAC:
                  flight_recorder: bool = False,
                  provenance: Optional[bool] = None,
                  timeseries_interval: float = 1.0,
-                 forensics: Optional[Any] = None) -> None:
+                 forensics: bool = False) -> None:
         # Every argument is checked before the first component is built: a
         # rejected call leaves no thread running and no file behind.
         if observability not in (True, False, "trace"):
@@ -150,16 +150,14 @@ class HiPAC:
         #: §6.1 rule creation and administration (the Rule Manager's
         #: catalog; the rule operations below call it directly)
         self.rule_catalog = self.rule_manager.catalog
-        # Figure 5.1 wiring: every detector reports to the Rule Manager; the
-        # Transaction Manager signals transaction termination to it.  The
-        # database detector additionally delivers all reports of one
-        # operation in a single batched call (one firing partition, §6.2).
-        self.object_manager.event_detector.sink = self.rule_manager.signal_event
-        self.object_manager.event_detector.sink_batch = \
-            self.rule_manager.signal_event_batch
-        self.temporal_detector.sink = self.rule_manager.signal_event
-        self.external_detector.sink = self.rule_manager.signal_event
-        self.composite_detector.sink = self.rule_manager.signal_event
+        # Figure 5.1 wiring: every detector reports to the Rule Manager's
+        # Signal Event, all reports of one occurrence in one call (one
+        # firing partition, §6.2); the Transaction Manager signals
+        # transaction termination to it.
+        for detector in (self.object_manager.event_detector,
+                         self.temporal_detector, self.external_detector,
+                         self.composite_detector):
+            detector.sink = self.rule_manager.signal_event_batch
         self.transaction_manager.event_sink = self.rule_manager.transaction_event
         self.metrics.add_collector(self._collect_component_stats)
         #: embedded admin HTTP server (started on demand, see serve_admin)
@@ -230,17 +228,13 @@ class HiPAC:
         #: alerts, SLO breaches (which arrive as SLO_BURN alerts), WAL
         #: append failures, and manual triggers (see
         #: :mod:`repro.obs.forensics`; ``python -m repro.tools.doctor``
-        #: diagnoses the bundles).  ``forensics`` accepts ``True`` or a
-        #: :class:`~repro.obs.forensics.ForensicsConfig`; off by default.
+        #: diagnoses the bundles).  Off by default; its bounds are the
+        #: module constants of :mod:`repro.obs.forensics`.
         self.forensics: Optional[Any] = None
         if forensics:
-            from repro.obs.forensics import (ForensicsConfig,
-                                             ForensicsRecorder)
+            from repro.obs.forensics import ForensicsRecorder
             self.forensics = ForensicsRecorder(
-                self, data_dir,
-                config=(forensics if isinstance(forensics, ForensicsConfig)
-                        else None),
-                metrics=self.metrics,
+                self, data_dir, metrics=self.metrics,
                 env={
                     "durability": durability,
                     "data_dir": str(data_dir),

@@ -83,12 +83,11 @@ ENTRIES = (
     (holder, method, None, EVENT_DETECTOR, method, lambda spec: [repr(spec)])
     for holder, _ in _DETECTORS for method in ("define_event", "delete_event")
 ) + tuple(
-    # A detector signals from the component it is embedded in.
-    (holder, attribute, source, RULE_MANAGER, "signal_event", details)
+    # A detector signals from the component it is embedded in: one record
+    # per signal of the batch.
+    (holder, "sink", source, RULE_MANAGER, "signal_event",
+     lambda signals: [signal.describe() for signal in signals])
     for holder, source in _DETECTORS
-    for attribute, details in (
-        ("sink", lambda signal: [signal.describe()]),
-        ("sink_batch", lambda signals: [s.describe() for s in signals]))
 ) + (
     ("transaction_manager", "event_sink", TRANSACTION_MANAGER, RULE_MANAGER,
      "signal_event", lambda kind, txn: ["transaction %s %s" % (kind, txn.txn_id)]),
@@ -244,10 +243,9 @@ class Tracer:
     def _install(self, db: Any) -> None:
         for path, attribute, source, target, operation, details in ENTRIES:
             holder = attrgetter(path)(db)
-            fn = getattr(holder, attribute)
-            if fn is not None:  # a detector with no batched sink
-                self._patch(holder, attribute, self._wrap(
-                    fn, source, target, operation, details))
+            self._patch(holder, attribute, self._wrap(
+                getattr(holder, attribute), source, target, operation,
+                details))
         # A separate firing's body: Rule Manager work on a worker thread.
         spawn = db.rule_manager._spawn
         self._patch(db.rule_manager, "_spawn", lambda body, *args, **kwargs:

@@ -210,8 +210,11 @@ class CompositeEventDetector(EventDetector):
             with self._mutex:
                 recognized = automaton.feed(signal)
             occurrences.extend(recognized)
+        # One report per occurrence: a batch would merge their priority
+        # sorts and change the firing order.
         for occurrence in occurrences:
-            self.report(occurrence.spec, occurrence)  # type: ignore[arg-type]
+            self.report_batch(
+                [(occurrence.spec, occurrence)])  # type: ignore[list-item]
         return occurrences
 
     def reset(self) -> None:

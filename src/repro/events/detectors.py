@@ -13,8 +13,9 @@ Every detector implements the paper's four-operation interface:
 * ``disable_event(spec)`` / ``enable_event(spec)`` — suspend/resume
   reporting without forgetting the programming (used by rule disable).
 
-Detectors report to a *sink* — ``sink(signal)`` — wired to
-``RuleManager.signal_event`` by the facade.
+Detectors report to a *sink* — ``sink(signals)``, the reports of one
+observed occurrence in one list — wired to the Rule Manager's one Signal
+Event operation, ``RuleManager.signal_event_batch``, by the facade.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from repro.events.signal import EventSignal
 from repro.events.spec import EventSpec
 from repro.obs.metrics import MetricsRegistry
 
-EventSink = Callable[[EventSignal], None]
-"""Destination of detected events (the Rule Manager's signal operation)."""
-
-BatchEventSink = Callable[[List[EventSignal]], None]
-"""Batched destination: all reports of *one* observed operation at once."""
+EventSink = Callable[[List[EventSignal]], None]
+"""Destination of detected events (the Rule Manager's Signal Event): all
+reports of *one* observed occurrence at once."""
 
 
 class SubscriptionIndex:
@@ -80,8 +79,8 @@ class EventDetector:
     """Base class implementing the define/delete/enable/disable protocol.
 
     Subclasses add the actual detection (observing database operations,
-    clock time, or application signals) and call :meth:`report` for each
-    occurrence of a programmed, enabled spec.
+    clock time, or application signals) and call :meth:`report_batch`
+    once per observed occurrence with every programmed spec it matched.
     """
 
     #: subclasses set this to the EventSpec subclass they accept
@@ -90,10 +89,6 @@ class EventDetector:
     def __init__(self, sink: Optional[EventSink] = None, *,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.sink = sink
-        #: batched sink: when wired, all reports of one observed operation
-        #: are delivered in a single call (the Rule Manager processes the
-        #: union of triggered rules with one priority sort, §6.2)
-        self.sink_batch: Optional[BatchEventSink] = None
         self._metrics = metrics or MetricsRegistry(enabled=False)
         self._registrations: Dict[EventSpec, _Registration] = {}
         self.stats = {"defined": 0, "reported": 0, "suppressed": 0}
@@ -162,50 +157,28 @@ class EventDetector:
     def _removed(self, spec: EventSpec) -> None:
         """Subclass hook: a spec's last reference was deleted."""
 
-    def report(self, spec: EventSpec, signal: EventSignal) -> None:
-        """Send ``signal`` (an occurrence of ``spec``) to the sink.
-
-        Suppressed when the spec is disabled or when no sink is wired.
-        """
-        registration = self._registrations.get(spec)
-        if registration is None or not registration.enabled:
-            self.stats["suppressed"] += 1
-            return
-        if self.sink is None:
-            self.stats["suppressed"] += 1
-            return
-        signal.spec = spec
-        self.stats["reported"] += 1
-        self.sink(signal)
-
     def report_batch(self, pairs: List[Tuple[EventSpec, EventSignal]]) -> None:
-        """Send all reports of *one* observed operation to the sink.
+        """Send all reports of *one* observed occurrence to the sink.
 
         Each pair carries its own signal object (the detector tags
-        ``signal.spec`` per report); deliverable reports go to
-        :attr:`sink_batch` in a single call when wired, so the Rule Manager
-        can fire the union of triggered rules with one priority sort and one
-        coupling partition instead of once per spec-tagged copy.  Without a
-        batched sink each report is delivered individually, preserving the
-        single-signal protocol.
+        ``signal.spec`` per report).  Reports of a disabled spec, and all
+        reports while no sink is wired, are suppressed; the rest go to the
+        sink in a single call, so the Rule Manager fires the union of
+        triggered rules with one priority sort and one coupling partition
+        (§6.2).  A single report is a list of one.
         """
+        sink = self.sink
+        if sink is None:
+            self.stats["suppressed"] += len(pairs)
+            return
         deliverable: List[EventSignal] = []
         for spec, signal in pairs:
             registration = self._registrations.get(spec)
             if registration is None or not registration.enabled:
                 self.stats["suppressed"] += 1
                 continue
-            if self.sink is None and self.sink_batch is None:
-                self.stats["suppressed"] += 1
-                continue
             signal.spec = spec
             self.stats["reported"] += 1
             deliverable.append(signal)
-        if not deliverable:
-            return
-        if self.sink_batch is not None:
-            self.sink_batch(deliverable)
-        else:
-            assert self.sink is not None
-            for signal in deliverable:
-                self.sink(signal)
+        if deliverable:
+            sink(deliverable)

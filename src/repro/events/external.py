@@ -89,5 +89,5 @@ class ExternalEventDetector(EventDetector):
             seq = self.recorder.record_signal(signal)
             if seq is not None:
                 signal._journal_seq = seq
-        self.report(spec, signal)
+        self.report_batch([(spec, signal)])
         return signal

@@ -147,7 +147,7 @@ class TemporalEventDetector(EventDetector):
                     signal._journal_seq = seq
             # Reporting happens outside the mutex: rule firings triggered by
             # a temporal event may define further temporal events.
-            self.report(spec, signal)
+            self.report_batch([(spec, signal)])
 
     def pending_count(self) -> int:
         """Number of scheduled timers (diagnostics and benchmarks)."""

@@ -18,8 +18,8 @@ document :meth:`HiPAC.snapshot() <repro.core.hipac.HiPAC.snapshot>`
 builds — health, stats, alerts, SLO states, timeseries windows, slow
 log, rule profile, firing-log tail, provenance stats, and the
 flight-journal seq range with a ready-to-paste ``replay --until SEQ``
-bisection command — with every ring bounded by
-:attr:`ForensicsConfig.last`, plus:
+bisection command — with every ring bounded by ``SNAPSHOT_LAST`` (the
+facade's default for ``/snapshot``), plus:
 
 * the capture's ``format``, ``kind``, ``reason``, ``trigger`` alert and
   ``wall`` time,
@@ -35,15 +35,16 @@ Operational discipline, because a recorder that worsens the incident it
 records is worse than none:
 
 * **debounced per alert kind** — a storm that re-alerts every second
-  yields one bundle per ``debounce_seconds``, not hundreds;
+  yields one bundle per ``DEBOUNCE_SECONDS``, not hundreds;
 * **off the hot path** — alert callbacks run on whichever thread
   detected the anomaly (the signalling thread, a lock waiter, the
   ticker); the callback only enqueues, and a lazy-started daemon worker
   does the actual capture, so an armed-but-idle recorder costs nothing
   but the callback registration;
-* **bounded on disk** — a budget in bytes plus a bundle-count cap,
-  enforced by oldest-first eviction after every write (the newest
-  bundle always survives, even when it alone exceeds the budget);
+* **bounded on disk** — a budget in bytes plus a bundle-count cap
+  (``DISK_BUDGET_BYTES``, ``MAX_BUNDLES``), enforced by oldest-first
+  eviction after every write (the newest bundle always survives, even
+  when it alone exceeds the budget);
 * **failure-isolated** — a capture error increments the
   ``capture_errors`` stat and never propagates into the thread that
   signalled the alert.
@@ -54,7 +55,6 @@ directory never sees a torn bundle.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import json
 import os
@@ -64,7 +64,6 @@ import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -77,42 +76,28 @@ WAL_FAILURE = "wal_failure"
 _BUNDLE_RE = re.compile(r"^forensic-(\d{6})-([A-Za-z0-9_.-]+)\.json$")
 _ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
-
-@dataclass
-class ForensicsConfig:
-    """Operational bounds of the black-box recorder.
-
-    * ``debounce_seconds`` — minimum seconds between two captures of the
-      same kind (a re-alerting storm yields one bundle per interval).
-    * ``disk_budget_bytes`` / ``max_bundles`` — oldest-first eviction
-      keeps ``data_dir/forensics/`` under both bounds.
-    * ``last`` — how many entries of each bounded ring (alerts,
-      timeseries windows, slow log, profiled rules, firings) a bundle
-      freezes.
-    """
-
-    debounce_seconds: float = 30.0
-    disk_budget_bytes: int = 32 * 1024 * 1024
-    max_bundles: int = 64
-    last: int = SNAPSHOT_LAST
+#: minimum seconds between two captures of the same kind (a re-alerting
+#: storm yields one bundle per interval)
+DEBOUNCE_SECONDS = 30.0
+#: oldest-first eviction keeps ``data_dir/forensics/`` under both bounds
+DISK_BUDGET_BYTES = 32 * 1024 * 1024
+MAX_BUNDLES = 64
 
 
 class ForensicsRecorder:
     """Captures snapshot bundles to ``data_dir/forensics/`` on incident.
 
     Wired by :class:`~repro.core.hipac.HiPAC` when constructed with
-    ``forensics=True`` (or a :class:`ForensicsConfig`): the watchdog's
-    alert callback feeds :meth:`on_alert`, the WAL's append-failure hook
-    feeds :meth:`on_wal_failure`, and the admin server's ``/forensics``
-    endpoint lists, downloads, and manually triggers bundles.
+    ``forensics=True``: the watchdog's alert callback feeds
+    :meth:`on_alert`, the WAL's append-failure hook feeds
+    :meth:`on_wal_failure`, and the admin server's ``/forensics`` endpoint
+    lists, downloads, and manually triggers bundles.
     """
 
     def __init__(self, db: Any, data_dir: Any,
-                 config: Optional[ForensicsConfig] = None,
                  metrics: Optional[Any] = None,
                  env: Optional[Dict[str, Any]] = None) -> None:
         self.db = db
-        self.config = config or ForensicsConfig()
         self.directory = Path(data_dir) / "forensics"
         self.directory.mkdir(parents=True, exist_ok=True)
         self._metrics = metrics
@@ -167,8 +152,7 @@ class ForensicsRecorder:
             if self._closed:
                 return False
             last = self._last_capture.get(kind)
-            if last is not None \
-                    and now - last < self.config.debounce_seconds:
+            if last is not None and now - last < DEBOUNCE_SECONDS:
                 self.stats["debounced"] += 1
                 return False
             self._last_capture[kind] = now
@@ -304,8 +288,7 @@ class ForensicsRecorder:
         total = sum(entry["bytes"] for entry in bundles)
         evicted = 0
         while len(bundles) > 1 and (
-                total > self.config.disk_budget_bytes
-                or len(bundles) > self.config.max_bundles):
+                total > DISK_BUDGET_BYTES or len(bundles) > MAX_BUNDLES):
             victim = bundles.pop()  # oldest
             try:
                 (self.directory / (victim["id"] + ".json")).unlink()
@@ -323,7 +306,7 @@ class ForensicsRecorder:
     def _build_bundle(self, kind: str, reason: str,
                       alert: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         db = self.db
-        bundle = db.snapshot(last=self.config.last)
+        bundle = db.snapshot(last=SNAPSHOT_LAST)
         bundle.update({
             "format": "hipac-forensics/1",
             "kind": kind,
@@ -336,7 +319,10 @@ class ForensicsRecorder:
                 "uptime": bundle["uptime"],
                 "started_at": db._started_at,
                 "config": self._env,
-                "forensics": dataclasses.asdict(self.config),
+                "forensics": {"debounce_seconds": DEBOUNCE_SECONDS,
+                              "disk_budget_bytes": DISK_BUDGET_BYTES,
+                              "max_bundles": MAX_BUNDLES,
+                              "last": SNAPSHOT_LAST},
             },
             "threads": _thread_dumps(),
         })

@@ -156,6 +156,23 @@ def percentile_from_counts(bounds: Tuple[float, ...],
     return vmax if vmax is not None else bounds[-1]
 
 
+def window_summary(bounds: Tuple[float, ...],
+                   window: HistogramState) -> Dict[str, float]:
+    """Count, sum, mean and the p50/p95/p99/p99.9 estimates of the
+    observations ``window`` counts (overflow observations report the
+    highest finite bound: windowed counts don't track extremes)."""
+    count, counts = window.count, window.counts
+    return {
+        "count": count,
+        "sum": window.sum,
+        "mean": (window.sum / count) if count else 0.0,
+        "p50": percentile_from_counts(bounds, counts, 50),
+        "p95": percentile_from_counts(bounds, counts, 95),
+        "p99": percentile_from_counts(bounds, counts, 99),
+        "p999": percentile_from_counts(bounds, counts, 99.9),
+    }
+
+
 class Histogram:
     """Fixed-bucket histogram with p50/p95/p99 estimation.
 
@@ -284,22 +301,11 @@ class Histogram:
               current: Optional[HistogramState] = None) -> Dict[str, float]:
         """Windowed summary between ``previous`` and ``current`` states.
 
-        ``current=None`` snapshots now.  Returns count/sum/mean and the
-        windowed p50/p95/p99/p99.9 estimates (overflow observations report
-        the highest finite bound — windowed deltas don't track extremes).
+        ``current=None`` snapshots now; the summary is
+        :func:`window_summary`'s.
         """
         state = current if current is not None else self.state()
-        window = state.delta(previous)
-        count = window.count
-        return {
-            "count": count,
-            "sum": window.sum,
-            "mean": (window.sum / count) if count else 0.0,
-            "p50": percentile_from_counts(self._bounds, window.counts, 50),
-            "p95": percentile_from_counts(self._bounds, window.counts, 95),
-            "p99": percentile_from_counts(self._bounds, window.counts, 99),
-            "p999": percentile_from_counts(self._bounds, window.counts, 99.9),
-        }
+        return window_summary(self._bounds, state.delta(previous))
 
     def buckets(self) -> List[Tuple[float, int]]:
         """Cumulative ``(upper_bound, count)`` pairs, Prometheus ``le`` style

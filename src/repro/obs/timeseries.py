@@ -9,7 +9,7 @@ subtracts the previous snapshot, and appends the resulting *window*
 (collected-stat deltas, histogram bucket-count deltas) to a bounded
 in-memory ring.  Windowed percentiles come from the bucket-count differences
 (:class:`~repro.obs.metrics.HistogramState` /
-:func:`~repro.obs.metrics.percentile_from_counts`), so a window's p99
+:func:`~repro.obs.metrics.window_summary`), so a window's p99
 describes that window alone — the rates and tails every scraper used to
 re-derive client-side are now computed once, server-side.
 
@@ -44,7 +44,7 @@ from repro.obs.metrics import (
     HistogramState,
     MetricsRegistry,
     format_name,
-    percentile_from_counts,
+    window_summary,
 )
 
 #: collected-stats keys excluded from idleness detection (the ticker's own
@@ -252,31 +252,10 @@ class TimeseriesRing:
             "collected": {name: {"delta": delta,
                                  "rate": delta / safe_elapsed}
                           for name, delta in sorted(collected.items())},
-            "histograms": {name: self._summarize(name, state)
-                           for name, state in sorted(merged.items())},
+            "histograms": {
+                name: window_summary(self._bounds.get(name, ()), state)
+                for name, state in sorted(merged.items())},
         }
-
-    def _summarize(self, name: str, state: HistogramState,
-                   bounds: Optional[Tuple[float, ...]] = None
-                   ) -> Dict[str, float]:
-        if bounds is None:
-            bounds = self._bounds.get(name, ())
-        count = state.count
-        return {
-            "count": count,
-            "sum": state.sum,
-            "mean": (state.sum / count) if count else 0.0,
-            "p50": percentile_from_counts(bounds, state.counts, 50),
-            "p95": percentile_from_counts(bounds, state.counts, 95),
-            "p99": percentile_from_counts(bounds, state.counts, 99),
-            "p999": percentile_from_counts(bounds, state.counts, 99.9),
-        }
-
-    def histogram_window(self, name: str, seconds: float,
-                         now: Optional[float] = None) -> Dict[str, float]:
-        """Trailing-window summary for one histogram (zeros if quiet)."""
-        merged, bounds = self.histogram_raw_window(name, seconds, now)
-        return self._summarize(name, merged, bounds)
 
     def histogram_raw_window(self, name: str, seconds: float,
                              now: Optional[float] = None
@@ -345,8 +324,9 @@ class TimeseriesRing:
             "dt": window.dt,
             "idle": window.idle,
             "collected": dict(window.collected),
-            "histograms": {name: self._summarize(name, state)
-                           for name, state in window.histograms.items()},
+            "histograms": {
+                name: window_summary(self._bounds.get(name, ()), state)
+                for name, state in window.histograms.items()},
         }
 
     def as_dict(self, last: int = 60,

@@ -5,8 +5,11 @@ event is detected.  That is, it determines which rules to fire, and
 schedules condition evaluation and action execution for those rules
 according to their coupling modes."
 
-Its paper interface is a single operation — **Signal Event** — used by the
-Event Detectors and the Transaction Manager.  The protocols of Section 6:
+Its paper interface is a single operation — **Signal Event**,
+:meth:`RuleManager.signal_event_batch` — used by the Event Detectors and
+the Transaction Manager.  A detector reports the spec-tagged signals of one
+observed occurrence in one call; a single signal is a list of one.  The
+protocols of Section 6:
 
 * **rule creation** (§6.1) is :class:`~repro.rules.catalog.RuleCatalog`;
   this module asks it only which rules a signal triggers;
@@ -135,9 +138,8 @@ class RuleManager:
         #: detector for transaction-control events ("the Transaction Manager
         #: ... acts as an event detector", §5.2); its sink is this manager
         self.txn_detector = DatabaseEventDetector(
-            object_manager.store.schema, sink=self.signal_event,
+            object_manager.store.schema, sink=self.signal_event_batch,
             metrics=self._metrics)
-        self.txn_detector.sink_batch = self.signal_event_batch
         #: §6.1: the registered rules, the event->rule mapping, and each
         #: rule's firing plan (its action times go to these histograms)
         self.catalog = RuleCatalog(
@@ -182,28 +184,22 @@ class RuleManager:
             return _UNSUPPRESSED
         return self.recorder.suppressed()
 
-    def signal_event(self, signal: EventSignal) -> None:
-        """Report the occurrence of an event (the paper's single operation).
-
-        Called by the Event Detectors (and, for transaction events, by the
-        Transaction Manager through :meth:`transaction_event`).  The
-        operation that caused the signal is suspended until this returns
-        (the call is synchronous).
-        """
-        self.signal_event_batch([signal])
-
     def signal_event_batch(self, signals: List[EventSignal]) -> None:
-        """Report all detector matches of *one* operation in a single call.
+        """Report the occurrence of an event: the paper's one operation,
+        Signal Event.
 
-        The database detector matches every programmed spec in one pass and
-        delivers the spec-tagged reports together (each carries its own
-        ``signal.spec``); this method processes the *union* of the triggered
-        rules — one priority sort, one coupling partition (§6.2) — instead
-        of re-partitioning once per spec-tagged copy.  The underlying
-        operation feeds rule-object management and the temporal/composite
-        detectors exactly once, however many specs it matched, and those
-        feeds are subscription-driven: signals outside a detector's interest
-        set never reach it.
+        Every Event Detector calls it (and, for transaction events, the
+        Transaction Manager through :meth:`transaction_event`) with the
+        spec-tagged reports of *one* observed occurrence — each signal
+        carries its own ``signal.spec``; a single report is a list of one.
+        The operation that caused the signal is suspended until this
+        returns (the call is synchronous).  The *union* of the triggered
+        rules is processed with one priority sort and one coupling
+        partition (§6.2).  The underlying occurrence feeds rule-object
+        management and the temporal/composite detectors exactly once,
+        however many specs it matched, and those feeds are
+        subscription-driven: signals outside a detector's interest set
+        never reach it.
         """
         if not signals:
             return
@@ -237,7 +233,7 @@ class RuleManager:
                 # events) and the composite automata — once per operation,
                 # and only when the signal's (kind, op/name) key is in the
                 # detector's interest set.  Composite occurrences recognized
-                # here re-enter signal_event recursively; they never feed
+                # here re-enter this method recursively; they never feed
                 # other composites.
                 kind = base.kind
                 key = (kind, base.op or base.name)

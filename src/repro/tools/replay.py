@@ -300,7 +300,7 @@ def _replay_temporal(db: Any, record: Dict[str, Any],
     signal = EventSignal(kind="temporal",
                          timestamp=data.get("timestamp", 0.0),
                          info=data.get("info"))
-    db.temporal_detector.report(spec, signal)
+    db.temporal_detector.report_batch([(spec, signal)])
 
 
 def journal_firings(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:

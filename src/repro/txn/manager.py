@@ -66,8 +66,6 @@ class TransactionManager:
         self._abort_seconds = self._metrics.histogram("txn_abort_seconds")
         #: rule-manager hook; None until the facade wires the system
         self.event_sink: Optional[TransactionEventSink] = None
-        #: whether begin/commit/abort produce rule-triggering events
-        self.signal_transaction_events = True
         #: write-ahead log and checkpointer; None while the system runs
         #: in-memory only (attached by the facade when durability is on)
         self.wal: Optional[Any] = None
@@ -264,7 +262,7 @@ class TransactionManager:
         does anything with: one that is not internal (its begin, commit and
         abort are user-visible events) or that commits carrying deferred
         firings (§6.3)."""
-        if self.event_sink is None or not self.signal_transaction_events:
+        if self.event_sink is None:
             return
         self.event_sink(kind, txn)
 

@@ -4,11 +4,10 @@ The end-to-end benchmark records its per-layer spans from outside the
 engine: ``trace.install`` wraps methods of one HiPAC's components *by name*
 (``signal_event_batch``, ``transaction_event``, ``_spawn``, ``txn_detector``,
 ``has_deferred_work``, ``note_delta`` / ``publish`` / ``on_abort``,
-``record*``, ``_delta_listeners``, ``sink`` / ``sink_batch`` /
-``event_sink``, ...).  The benchmark's own smoke test is not part of the
-tier-1 run, so a rename there would pass every test and then fail the
-benchmark gate; this test drives the seam on the full durable stack so the
-rename fails here instead.
+``record*``, ``_delta_listeners``, ``sink`` / ``event_sink``, ...).  The
+benchmark's own smoke test is not part of the tier-1 run, so a rename there
+would pass every test and then fail the benchmark gate; this test drives the
+seam on the full durable stack so the rename fails here instead.
 """
 
 from repro import HiPAC

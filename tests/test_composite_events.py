@@ -20,7 +20,7 @@ def ext_signal(name, t=0.0, **args):
 def make_detector():
     detector = CompositeEventDetector()
     seen = []
-    detector.sink = seen.append
+    detector.sink = seen.extend
     return detector, seen
 
 

@@ -114,23 +114,3 @@ class TestDeadlineDispatch:
         assert db.drain(timeout=30.0)
         assert order == ["deadline", "none"]
         db.close()
-
-    def test_without_configured_executor_own_pool_used(self):
-        db = HiPAC(lock_timeout=5.0)
-        db.define_class(ClassDef("Stock", attributes(
-            "symbol", ("price", "number"))))
-        ran = []
-        db.create_rule(Rule(
-            name="r",
-            event=on_update("Stock", attrs=["price"]),
-            condition=Condition.true(),
-            action=Action.call(lambda ctx: ran.append(1)),
-            ec_coupling="separate",
-            deadline=1.0,  # ordered by the manager's own executor
-        ))
-        with db.transaction() as txn:
-            oid = db.create("Stock", {"symbol": "A", "price": 1.0}, txn)
-        with db.transaction() as txn:
-            db.update(oid, {"price": 2.0}, txn)
-        assert db.drain(timeout=10.0)
-        assert ran == [1]

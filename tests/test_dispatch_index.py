@@ -97,7 +97,7 @@ def make_detector(indexed=True):
     if not indexed:
         install_linear_dispatch(detector, schema)
     seen = []
-    detector.sink = seen.append
+    detector.sink = seen.extend
     return detector, seen
 
 
@@ -208,7 +208,7 @@ class TestDiscriminationIndex:
         counts = []
         for unrelated in (10, 1000):
             schema = make_schema()
-            detector = DatabaseEventDetector(schema, sink=lambda signal: None)
+            detector = DatabaseEventDetector(schema, sink=lambda signals: None)
             detector.define_event(on_update("Stock", attrs=["price"]))
             for i in range(unrelated):
                 schema.define_class(ClassDef("U%d" % i, (AttributeDef("x"),)))
@@ -277,7 +277,7 @@ class TestIndexedLinearEquivalence:
         rng = random.Random(1789)
         specs = {random_spec(rng) for _ in range(120)}
         schema = make_schema()
-        detector = DatabaseEventDetector(schema, sink=lambda signal: None)
+        detector = DatabaseEventDetector(schema, sink=lambda signals: None)
         for spec in specs:
             detector.define_event(spec)
         for _ in range(400):
@@ -468,7 +468,7 @@ class TestSchemaCacheInvalidation:
         schema.define_class(ClassDef("B", (), superclass="A"))
         detector = DatabaseEventDetector(schema)
         seen = []
-        detector.sink = seen.append
+        detector.sink = seen.extend
         detector.define_event(on_create("A"))
         detector.observe(db_signal(class_name="B"))
         assert len(seen) == 1

@@ -59,7 +59,7 @@ class TestDatabaseDetector:
     def make(self):
         detector = DatabaseEventDetector(make_schema())
         seen = []
-        detector.sink = seen.append
+        detector.sink = seen.extend
         return detector, seen
 
     def signal(self, op="create", class_name="Stock", old=None, new=None):
@@ -144,7 +144,7 @@ class TestExternalDetector:
     def test_signal_delivers_bindings(self):
         detector = ExternalEventDetector()
         seen = []
-        detector.sink = seen.append
+        detector.sink = seen.extend
         detector.define_event(external("trade", "symbol"))
         detector.signal("trade", {"symbol": "X"}, timestamp=4.0)
         assert seen[0].bindings()["symbol"] == "X"

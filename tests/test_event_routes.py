@@ -64,9 +64,9 @@ def probes(class_names):
 def check_against_oracle(detector, schema, class_names):
     """Every probe's delivered specs equal the brute-force scan's enabled
     matches, and ``observe`` names all its matches, disabled ones too."""
-    sink, sink_batch = detector.sink, detector.sink_batch
+    sink = detector.sink
     delivered = []
-    detector.sink, detector.sink_batch = None, delivered.extend
+    detector.sink = delivered.extend
     try:
         for signal in probes(class_names):
             programmed = detector.registered_specs()
@@ -89,7 +89,7 @@ def check_against_oracle(detector, schema, class_names):
                             if spec.op == signal.op and matches_primitive(
                                 spec, _all_changed(signal), schema)], described
     finally:
-        detector.sink, detector.sink_batch = sink, sink_batch
+        detector.sink = sink
 
 
 def _all_changed(signal):
@@ -253,7 +253,7 @@ def test_routes_equal_a_fresh_build_after_racing_programming():
     schema = Schema()
     schema.define_class(ClassDef("Sec", (AttributeDef("price"),)))
     schema.define_class(ClassDef("Stock", (), superclass="Sec"))
-    detector = DatabaseEventDetector(schema, sink=lambda signal: None)
+    detector = DatabaseEventDetector(schema, sink=lambda signals: None)
     detector._index = _SlowIndex()
     specs = [DatabaseEventSpec("update", "Sec"),
              DatabaseEventSpec("update", "Stock", frozenset({"price"})),

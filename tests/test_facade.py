@@ -25,7 +25,7 @@ class TestConstruction:
 
     def test_detectors_wired_to_rule_manager(self):
         db = HiPAC()
-        sink = db.rule_manager.signal_event
+        sink = db.rule_manager.signal_event_batch
         assert db.object_manager.event_detector.sink == sink
         assert db.temporal_detector.sink == sink
         assert db.external_detector.sink == sink

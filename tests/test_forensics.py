@@ -35,7 +35,8 @@ from repro import (
 )
 from repro.obs import watchdog as watchdog_module
 from repro.obs.flightrec import read_journal
-from repro.obs.forensics import ForensicsConfig, ForensicsRecorder
+from repro.obs import forensics as forensics_module
+from repro.obs.forensics import ForensicsRecorder
 from repro.obs.slo import RATE, Objective
 from repro.obs.watchdog import RULE_STORM, SLO_BURN, WARNING
 from repro.tools import doctor
@@ -69,12 +70,13 @@ def _get(url: str):
 
 
 class TestForensicsRecorder:
-    def test_concurrent_same_kind_triggers_yield_one_bundle(self, tmp_path):
+    def test_concurrent_same_kind_triggers_yield_one_bundle(self, tmp_path,
+                                                            monkeypatch):
         """Two (here: eight) breaches of the same kind inside the
         debounce window must yield exactly one bundle — the per-kind
         check-and-set is atomic under the recorder lock."""
-        db = _db(tmp_path,
-                 forensics=ForensicsConfig(debounce_seconds=3600.0))
+        monkeypatch.setattr(forensics_module, "DEBOUNCE_SECONDS", 3600.0)
+        db = _db(tmp_path)
         try:
             recorder = db.forensics
             accepted = []
@@ -101,9 +103,9 @@ class TestForensicsRecorder:
         finally:
             db.close()
 
-    def test_manual_capture_bypasses_debounce(self, tmp_path):
-        db = _db(tmp_path,
-                 forensics=ForensicsConfig(debounce_seconds=3600.0))
+    def test_manual_capture_bypasses_debounce(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(forensics_module, "DEBOUNCE_SECONDS", 3600.0)
+        db = _db(tmp_path)
         try:
             first = db.forensics.capture(reason="one")
             second = db.forensics.capture(reason="two")
@@ -138,27 +140,24 @@ class TestForensicsRecorder:
         finally:
             db.close()
 
-    def test_eviction_soak_keeps_disk_under_budget(self, tmp_path):
-        config = ForensicsConfig(
-            debounce_seconds=0.0, max_bundles=500,
-            # trim the per-bundle rings so the soak stays fast
-            last=10)
-        db = _db(tmp_path, forensics=config)
+    def test_eviction_soak_keeps_disk_under_budget(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(forensics_module, "DEBOUNCE_SECONDS", 0.0)
+        monkeypatch.setattr(forensics_module, "MAX_BUNDLES", 500)
+        # trim the per-bundle rings so the soak stays fast
+        monkeypatch.setattr(forensics_module, "SNAPSHOT_LAST", 10)
+        db = _db(tmp_path)
         try:
             # Bundle size depends on how many threads are alive in this
             # process (stack dumps), so size the budget from a probe
             # capture: room for ~4 bundles, far fewer than the 50 the
             # soak writes.
-            probe = ForensicsRecorder(db, tmp_path / "probe",
-                                      config=config)
+            probe = ForensicsRecorder(db, tmp_path / "probe")
             probe.capture(reason="probe")
             budget = 4 * probe.stats_snapshot()["bytes"]
             probe.close()
-            recorder = ForensicsRecorder(
-                db, tmp_path,
-                config=ForensicsConfig(
-                    debounce_seconds=0.0, disk_budget_bytes=budget,
-                    max_bundles=500, last=10))
+            monkeypatch.setattr(forensics_module, "DISK_BUDGET_BYTES", budget)
+            recorder = ForensicsRecorder(db, tmp_path)
             for index in range(50):
                 assert recorder.capture(reason="soak %d" % index)
             snapshot = recorder.stats_snapshot()

@@ -154,7 +154,7 @@ class TestUndoIntegration:
 class TestEventReporting:
     def test_events_reported_when_programmed(self, om):
         seen = []
-        om.event_detector.sink = seen.append
+        om.event_detector.sink = seen.extend
         om.event_detector.define_event(on_update("Stock"))
         txn = om.txns.create_transaction()
         oid = om.create("Stock", {"symbol": "A"}, txn)  # create: not programmed
@@ -170,7 +170,7 @@ class TestEventReporting:
 
     def test_signal_carries_user(self, om):
         seen = []
-        om.event_detector.sink = seen.append
+        om.event_detector.sink = seen.extend
         om.event_detector.define_event(on_create("Stock"))
         txn = om.txns.create_transaction()
         om.create("Stock", {"symbol": "A"}, txn, user="alice")

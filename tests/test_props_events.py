@@ -13,7 +13,7 @@ streams = st.lists(st.sampled_from(NAMES), max_size=30)
 
 def feed(detector, stream):
     seen = []
-    detector.sink = seen.append
+    detector.sink = seen.extend
     for i, name in enumerate(stream):
         detector.observe(EventSignal(kind="external", name=name, args={},
                                      timestamp=float(i)))

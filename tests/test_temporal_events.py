@@ -11,7 +11,7 @@ def make_detector(start=0.0):
     clock = VirtualClock(start)
     detector = TemporalEventDetector(clock)
     seen = []
-    detector.sink = seen.append
+    detector.sink = seen.extend
     return clock, detector, seen
 
 

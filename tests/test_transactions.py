@@ -259,14 +259,6 @@ class TestCommitEventSink:
         tm.abort_transaction(t)
         assert kinds == ["begin", "abort"]
 
-    def test_signals_can_be_disabled(self, tm):
-        kinds = []
-        tm.event_sink = lambda kind, txn: kinds.append(kind)
-        tm.signal_transaction_events = False
-        t = tm.create_transaction()
-        tm.commit_transaction(t)
-        assert kinds == []
-
     def test_live_transactions_tracking(self, tm):
         t = tm.create_transaction()
         assert t in tm.live_transactions()
