@@ -102,7 +102,9 @@ class ConditionEvaluator:
 
         Each static query is registered as a (possibly shared) alpha node;
         the initial memory comes from running the query through the Object
-        Manager in ``txn`` (acquiring the extent locks that make it exact).
+        Manager in ``txn`` (acquiring the extent locks that make it exact),
+        once: the graph answers it from then on, so it requests no range
+        index.
         Each parameterized query requests its equality indexes; the
         requests made are returned, for :meth:`delete_rule` to release.
         Undone automatically if ``txn`` aborts.
@@ -118,7 +120,8 @@ class ConditionEvaluator:
                 if not query.is_static():
                     continue
                 result = self._om.execute_query(self._bare(query), txn,
-                                                signal=False)
+                                                signal=False,
+                                                range_index=False)
                 self.graph.add_query(query, txn, memory=set(result.oids()))
         return held
 

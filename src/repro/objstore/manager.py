@@ -217,9 +217,11 @@ class ObjectManager:
     def execute_query(self, query: Query, txn: Transaction,
                       bindings: Bindings = (), *, user: str = "system",
                       signal: bool = True,
-                      memo: Optional[Dict[Any, Any]] = None) -> QueryResult:
+                      memo: Optional[Dict[Any, Any]] = None,
+                      range_index: bool = True) -> QueryResult:
         """Evaluate a query with shared locks on the extents it ranges over
-        (``signal`` as for :meth:`read`)."""
+        (``signal`` as for :meth:`read`; ``range_index`` as for
+        :meth:`QueryExecutor.execute`)."""
         if txn.state != ACTIVE:
             raise not_active(txn)
         self.stats["queries"] += 1
@@ -231,7 +233,8 @@ class ObjectManager:
             class_names = [query.class_name]
         for name in class_names:
             locks.acquire(txn, LockResource.for_class(name), LockMode.S)
-        result = self.executor.execute(query, bindings, memo, class_names)
+        result = self.executor.execute(query, bindings, memo, class_names,
+                                       range_index=range_index)
         if signal:
             self._signal_retrieval("query", query.class_name, txn, user)
         return result

@@ -102,13 +102,16 @@ class ObjectStore:
             self.indexes.drop_class(name)
             return Delta(DROP_CLASS, name, class_def=class_def)
 
-    def request_index(self, class_name: str, attr_name: str) -> None:
-        """Request an index on ``class_name.attr_name`` (reference-counted;
-        see :class:`~repro.objstore.index.IndexSet`), filled from the
-        class's own extent if it does not exist yet."""
+    def request_index(self, class_name: str, attr_name: str, *,
+                      declare: bool = False) -> None:
+        """Request an index on ``class_name.attr_name`` (reference-counted,
+        or kept as a declaration with ``declare``; see
+        :class:`~repro.objstore.index.IndexSet`), filled from the class's
+        own extent if it does not exist yet."""
         with self._mutex:
             self.indexes.request(class_name, attr_name,
-                                 self._extents.get(class_name, {}).values())
+                                 self._extents.get(class_name, {}).values(),
+                                 declare=declare)
 
     def release_index(self, class_name: str, attr_name: str) -> None:
         """Release one :meth:`request_index`."""

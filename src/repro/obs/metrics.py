@@ -117,6 +117,15 @@ class HistogramState:
         return HistogramState(counts, self.sum - previous.sum,
                               self.count - previous.count)
 
+    def plus(self, other: Optional["HistogramState"]) -> "HistogramState":
+        """The observations of this state and ``other`` together (two
+        windows merged); ``other=None`` returns self."""
+        if other is None:
+            return self
+        return HistogramState(
+            tuple(a + b for a, b in zip(self.counts, other.counts)),
+            self.sum + other.sum, self.count + other.count)
+
 
 def percentile_from_counts(bounds: Tuple[float, ...],
                            counts: Tuple[int, ...], q: float,

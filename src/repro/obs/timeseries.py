@@ -236,14 +236,7 @@ class TimeseriesRing:
             for name, delta in window.collected.items():
                 collected[name] = collected.get(name, 0) + delta
             for name, state in window.histograms.items():
-                prior = merged.get(name)
-                if prior is None:
-                    merged[name] = state
-                else:
-                    merged[name] = HistogramState(
-                        tuple(a + b for a, b
-                              in zip(prior.counts, state.counts)),
-                        prior.sum + state.sum, prior.count + state.count)
+                merged[name] = state.plus(merged.get(name))
         safe_elapsed = max(elapsed, 1e-9)
         return {
             "seconds": seconds,
@@ -276,13 +269,7 @@ class TimeseriesRing:
                     continue
                 if not bounds:
                     bounds = self._bounds.get(key, ())
-                if merged is None:
-                    merged = state
-                else:
-                    merged = HistogramState(
-                        tuple(a + b for a, b
-                              in zip(merged.counts, state.counts)),
-                        merged.sum + state.sum, merged.count + state.count)
+                merged = state.plus(merged)
         if merged is None:
             merged = HistogramState((), 0.0, 0)
         return merged, bounds

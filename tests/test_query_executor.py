@@ -153,6 +153,74 @@ class TestPlanning:
         assert result.oids() == [oids["B"]]
 
 
+def priced_store(count=20):
+    """``count`` stocks priced 0, 1, 2, ...: ``price`` is not indexed."""
+    store, _ = seeded_store()
+    for k in range(count - 4):
+        store.insert("Stock", {"symbol": "S%d" % k, "price": float(k)})
+    return store
+
+
+def band(low=5, high=15):
+    return Query("Stock", And(Attr("price") >= low, Attr("price") < high))
+
+
+class TestRangePlanning:
+    def test_a_range_query_requests_its_index_when_it_runs(self):
+        store = priced_store()
+        executor = QueryExecutor(store)
+        plan = executor.plan(band())
+        assert (plan.kind, plan.index_attr) == ("index-range", "price")
+        assert store.indexes.get("Stock", "price") is None  # plan builds none
+        fast = executor.execute(band())
+        assert store.indexes.get("Stock", "price") is not None
+        assert executor.plan(band()).kind == "index-range"
+        slow = QueryExecutor(store, use_indexes=False).execute(band())
+        assert fast.oids() == slow.oids() and len(fast) == 12
+
+    def test_one_sided_and_non_numeric_bounds_scan(self):
+        store = priced_store()
+        executor = QueryExecutor(store)
+        for query in (
+                Query("Stock", Attr("price") > 5),
+                Query("Stock", And(Attr("price") > 5, Attr("symbol") < "B")),
+                band(low="A"), band(high=None), band(high=True),
+                band(low=float("nan"))):
+            assert executor.plan(query).kind == "scan", query
+            executor.execute(query)
+        assert store.indexes.get("Stock", "price") is None
+
+    def test_unbound_bounds_scan(self):
+        store = priced_store()
+        query = Query("Stock", And(Attr("price") >= EventArg("low"),
+                                   Attr("price") < 15))
+        executor = QueryExecutor(store)
+        assert executor.plan(query).kind == "scan"
+        assert executor.plan(query, {"low": 5}).kind == "index-range"
+
+    def test_an_equality_probe_wins_and_disabled_indexes_scan(self):
+        store = priced_store()
+        query = Query("Stock", And(Attr("symbol") == "S9", Attr("price") >= 5,
+                                   Attr("price") < 15))
+        assert QueryExecutor(store).plan(query).kind == "index-probe"
+        executor = QueryExecutor(store, use_indexes=False)
+        assert executor.plan(band()).kind == "scan"
+        executor.execute(band())
+        assert store.indexes.get("Stock", "price") is None
+
+    def test_the_request_lasts_until_the_class_is_dropped(self):
+        store = priced_store()
+        QueryExecutor(store).execute(band())
+        store.release_index("Stock", "price")     # no rule's to release
+        assert store.indexes.get("Stock", "price") is not None
+        for record in store.extent("Stock"):
+            store.delete(record.oid)
+        store.drop_class("Stock")
+        store.define_class(ClassDef("Stock", (
+            AttributeDef("price", AttrType.NUMBER, default=0.0),)))
+        assert store.indexes.get("Stock", "price") is None
+
+
 class TestSubclassQueries:
     def make(self):
         store = ObjectStore()

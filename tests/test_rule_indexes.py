@@ -388,6 +388,151 @@ def test_a_query_never_sees_an_index_being_built():
     assert probes
 
 
+def price_index(db):
+    return db.store.indexes.get("Stock", "price")
+
+
+def band(low=3.0, high=40.0):
+    return Query("Stock", And(Attr("price") >= low, Attr("price") <= high))
+
+
+def assert_bands_exact(db, txn=None):
+    """Every band's answer, probed, is the scan's (inside ``txn``: under
+    its S lock, with its own writes)."""
+    scan = QueryExecutor(db.store, use_indexes=False)
+    for low, high in ((0.0, 9.5), (3.0, 40.0), (100.0, 300.0), (-1, 1e9)):
+        query = band(low, high)
+        if txn is None:
+            got = db.object_manager.executor.execute(query).oids()
+        else:
+            got = db.query(query, txn).oids()
+        assert got == scan.execute(query).oids(), (low, high)
+
+
+def price_rule(name):
+    """A rule whose condition requests an index on ``price``."""
+    return Rule(
+        name=name, event=on_update("Stock", attrs=["sector"]),
+        condition=Condition.of(Query("Stock", Compare(
+            Attr("price"), "==", EventArg("new_price")))),
+        action=Action.call(lambda ctx: None))
+
+
+def test_a_range_request_survives_the_abort_that_made_it():
+    db, oids = make_db()
+    txn = db.begin()
+    db.update(oids[5], {"price": 20.5}, txn)
+    db.delete(oids[6], txn)
+    db.create("Stock", {"symbol": "N", "price": 7.25}, txn)
+    assert db.object_manager.query_plan(band()).kind == "index-range"
+    assert price_index(db) is None
+    assert_bands_exact(db, txn)            # requested under the txn's S
+    index = price_index(db)
+    assert index is not None
+    db.abort(txn)
+    assert price_index(db) is index        # undo went through it
+    assert_bands_exact(db)
+    assert index.lookup(5.0) == {oids[5]} and index.lookup(7.25) == set()
+
+
+def test_a_static_range_condition_requests_no_index():
+    """The condition graph answers a static condition after its first
+    memory: the query that fills it requests nothing."""
+    db, _ = make_db()
+    db.create_rule(Rule(
+        name="band", event=on_update("Stock", attrs=["sector"]),
+        condition=Condition.of(band()), action=Action.call(lambda ctx: None)))
+    assert price_index(db) is None
+
+
+def test_a_range_request_is_forgotten_with_its_class():
+    db, oids = make_db()
+    assert_bands_exact(db)
+    assert price_index(db) is not None
+    with db.transaction() as txn:
+        for oid in oids:
+            db.delete(oid, txn)
+    db.drop_class("Stock")
+    db.define_class(stock_class())
+    assert price_index(db) is None
+    with db.transaction() as txn:
+        db.create("Stock", {"symbol": "S", "price": 5.0}, txn)
+    assert price_index(db) is None         # the insert filed no index
+    assert_bands_exact(db)                 # the next range query asks anew
+    assert price_index(db).lookup(5.0)
+
+
+def test_range_and_rule_requests_release_nothing_of_each_other():
+    db, _ = make_db()
+    db.create_rule(price_rule("first"))          # the rule's index ...
+    index = price_index(db)
+    assert_bands_exact(db)                       # ... probed by range
+    assert price_index(db) is index
+    db.delete_rule("first")                      # no range request held it
+    assert price_index(db) is None
+    assert_bands_exact(db)                       # requested by range now
+    index = price_index(db)
+    db.create_rule(price_rule("second"))
+    assert price_index(db) is index
+    db.delete_rule("second")                     # the range request stands
+    assert price_index(db) is index
+    assert_bands_exact(db)
+    db.create_rule(price_rule("third"))
+    db.delete_rule("third")
+    assert price_index(db) is index
+
+
+def test_range_queries_racing_to_build_the_index_answer_as_the_scan():
+    """Two threads run range queries that race to build the index (and
+    its key order) while a third commits writes to the class; inside each
+    reader's transaction the probe answers what a scan answers."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(8):
+            db, oids = make_db(count=300)  # a build long enough to race
+            start = threading.Barrier(3)
+            errors = []
+
+            def read(worker):
+                try:
+                    start.wait()
+                    for k in range(12):
+                        with db.transaction() as txn:
+                            assert_bands_exact(db, txn)
+                except Exception as exc:  # reported below, with the others
+                    errors.append(exc)
+
+            def write():
+                try:
+                    start.wait()
+                    for k in range(40):
+                        with db.transaction() as txn:
+                            db.update(oids[k * 7 % len(oids)],
+                                      {"price": k * 0.75}, txn)
+                            if k % 4 == 0:
+                                db.delete(oids.pop(), txn)
+                                oids.insert(0, db.create(
+                                    "Stock", {"symbol": "N%d" % k,
+                                              "price": float(k)}, txn))
+                except Exception as exc:  # reported below, with the others
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read, args=(n,))
+                       for n in range(2)] + [threading.Thread(target=write)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == [], "round %d: %r" % (round_, errors)
+            assert price_index(db) is not None
+            assert_bands_exact(db)
+            db.close()
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # A step is one of:
 #   ("create", sector, price)  ("update", target, sector)
 #   ("delete", target)         ("rule", create?)  - a second rule comes or goes
