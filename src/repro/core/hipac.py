@@ -41,10 +41,16 @@ from repro.events.signal import EventSignal
 from repro.events.spec import ExternalEventSpec
 from repro.events.temporal import TemporalEventDetector
 from repro.obs import export as obs_export
+from repro.obs.forensics import SNAPSHOT_LAST, ForensicsRecorder
+from repro.obs.forensics import STATS_KEYS as FORENSICS_KEYS
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import RuleProfiler
+from repro.obs.provenance import STATS_KEYS as PROVENANCE_KEYS
+from repro.obs.provenance import ProvenanceStore, parse_oid
+from repro.obs.slo import STATS_KEYS as SLO_KEYS
 from repro.obs.slo import SLOMonitor
 from repro.obs.slowlog import SlowLog
+from repro.obs.timeseries import STATS_KEYS as TIMESERIES_KEYS
 from repro.obs.timeseries import TimeseriesRing
 from repro.obs.watchdog import Watchdog
 from repro.objstore.manager import ObjectManager
@@ -66,8 +72,6 @@ SNAPSHOT_SECTIONS = (
     "time", "uptime", "health", "stats", "derived", "forensics",
     "alerts", "slo", "timeseries", "slowlog", "profile", "firings",
     "provenance", "journal")
-#: how many entries of each bounded ring a snapshot keeps by default
-SNAPSHOT_LAST = 120
 
 
 class HiPAC:
@@ -195,7 +199,6 @@ class HiPAC:
         prov_on = (bool(observability) if provenance is None
                    else bool(provenance))
         if prov_on:
-            from repro.obs.provenance import ProvenanceStore
             prov = ProvenanceStore(metrics=self.metrics)
             self.provenance = prov
             self.object_manager.provenance = prov
@@ -232,7 +235,6 @@ class HiPAC:
         #: module constants of :mod:`repro.obs.forensics`.
         self.forensics: Optional[Any] = None
         if forensics:
-            from repro.obs.forensics import ForensicsRecorder
             self.forensics = ForensicsRecorder(
                 self, data_dir, metrics=self.metrics,
                 env={
@@ -534,7 +536,6 @@ class HiPAC:
                 "provenance is off: construct with provenance=True "
                 "(or leave observability on)")
         if isinstance(oid, str):
-            from repro.obs.provenance import parse_oid
             oid = parse_oid(oid)
         return self.provenance.why(oid, attr, depth=depth)
 
@@ -557,8 +558,8 @@ class HiPAC:
 
         Serves the endpoints :mod:`repro.obs.server` lists (``GET /``
         prints the index) — ``/metrics``, ``/health``, ``/snapshot`` (the
-        :meth:`snapshot` document), ``/stats`` and the rest — on a daemon
-        thread.  ``port=0`` binds an ephemeral port; read the bound
+        :meth:`snapshot` document) and the answers it cannot give — on a
+        daemon thread.  ``port=0`` binds an ephemeral port; read the bound
         address from the returned server's ``url``.  Idempotent: a second
         call returns the running server.  :meth:`close` shuts it down.
         """
@@ -740,26 +741,17 @@ class HiPAC:
                 "records", "bytes", "segments", "rotations",
                 "dropped_segments", "fsyncs", "last_seq", "suppressed",
                 "checkpoint_markers"))
-        provenance = dict.fromkeys(
-            ("published", "pruned", "evicted", "why_queries",
-             "live_entries", "approx_bytes", "per_key", "capacity"), 0)
-        if self.provenance is not None:
-            provenance.update(self.provenance.stats_snapshot())
-        timeseries = dict.fromkeys(
-            ("ticks", "idle_ticks", "tick_errors", "callback_errors",
-             "windows", "capacity", "interval_ms"), 0)
-        if self.timeseries is not None:
-            timeseries.update(self.timeseries.stats)
-        slo = dict.fromkeys(
-            ("objectives", "evaluations", "breaches", "alerts",
-             "ok", "burning", "breached", "recovered"), 0)
-        if self.slo is not None:
-            slo.update(self.slo.summary())
-        forensics = dict.fromkeys(
-            ("captures", "capture_errors", "debounced", "evicted",
-             "bundles", "bytes"), 0)
-        if self.forensics is not None:
-            forensics.update(self.forensics.stats_snapshot())
+        # A subsystem that is off reads as its own key list, zero-filled.
+        provenance = (self.provenance.stats_snapshot()
+                      if self.provenance is not None
+                      else dict.fromkeys(PROVENANCE_KEYS, 0))
+        timeseries = (self.timeseries.stats if self.timeseries is not None
+                      else dict.fromkeys(TIMESERIES_KEYS, 0))
+        slo = (self.slo.summary() if self.slo is not None
+               else dict.fromkeys(SLO_KEYS, 0))
+        forensics = (self.forensics.stats_snapshot()
+                     if self.forensics is not None
+                     else dict.fromkeys(FORENSICS_KEYS, 0))
         return {
             "rules": dict(self.rule_manager.stats),
             "events": events,

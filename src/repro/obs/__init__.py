@@ -10,8 +10,8 @@ cascades from the firing log, Prometheus text, human-readable reports),
 :mod:`repro.obs.profiler` (per-rule cost attribution),
 :mod:`repro.obs.watchdog` (the alert log that the cascade cut and the
 :mod:`repro.obs.slo` objectives raise into), and :mod:`repro.obs.server`
-(the embedded ``/metrics`` / ``/health`` / ``/stats`` / ``/profile`` /
-``/trace`` admin endpoint behind ``HiPAC.serve_admin()``).  The causal
+(the admin endpoint behind ``HiPAC.serve_admin()``: ``/snapshot`` plus
+the answers that document cannot give).  The causal
 record of a rule cascade is the firing log itself
 (:class:`~repro.rules.firing.RuleFiring` ``cause`` and ``timing``).
 """

@@ -76,16 +76,13 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Deque, Dict, Iterator, List,
-                    Optional, Tuple)
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.recovery.serialize import encode_operation, encode_value
 from repro.storage import SegmentWriter, read_stream, scan_segment, segment_files
-from repro.util import tail
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.events.signal import EventSignal
@@ -173,12 +170,10 @@ class FlightRecorder:
     def __init__(self, data_dir: Any, *,
                  max_segment_bytes: int = 4 * 1024 * 1024,
                  max_segments: int = 8,
-                 recent_capacity: int = 256,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.directory = journal_dir(data_dir)
         self._mutex = threading.Lock()
         self._local = threading.local()
-        self._recent: Deque[Dict[str, Any]] = deque(maxlen=recent_capacity)
         self._closed = False
         self._stats: Dict[str, int] = {
             "suppressed": 0,
@@ -245,14 +240,10 @@ class FlightRecorder:
 
     def _append_locked(self, rtype: str, data: Optional[Dict[str, Any]],
                        txn: Optional[str]) -> int:
-        # One dict serves both the journal and the recent ring: the
-        # writer fills in "seq", and nobody mutates a record after
-        # append (the ring and the admin endpoint only read it).
+        # The writer fills in "seq".
         fields = {"seq": 0, "type": rtype, "wall": time.time(),
                   "txn": txn, "data": data or {}}
-        seq = self._writer.append(fields)
-        self._recent.append(fields)
-        return seq
+        return self._writer.append(fields)
 
     def _spill_sphere_locked(self, txn: "Transaction",
                              tail: Dict[str, Any]) -> None:
@@ -452,29 +443,18 @@ class FlightRecorder:
 
     # -- introspection ----------------------------------------------------
 
-    def recent(self, last: int = 50) -> List[Dict[str, Any]]:
-        """The newest ``last`` records (for the admin endpoint)."""
-        with self._mutex:
-            return tail(list(self._recent), last)
-
     def summary(self) -> Dict[str, Any]:
         """The diagnosis snapshot's ``journal`` section: where the journal
-        lives, the seq range still held in memory, and the
-        ``replay --until`` command that re-executes up to the newest
-        record."""
+        lives, its newest seq, and the ``replay --until`` command that
+        re-executes up to it (``replay DIR --last N`` prints the tail)."""
         # Flush first so the on-disk journal really contains last_seq and
         # the bisection command is runnable as printed.
         self.flush()
-        with self._mutex:
-            seqs = [record["seq"] for record in self._recent
-                    if record.get("seq") is not None]
         stats = self.stats
         section: Dict[str, Any] = {
             "dir": str(self.directory),
             "segment": str(self.segment_path),
             "last_seq": stats.get("last_seq", 0),
-            "tail_first_seq": min(seqs) if seqs else None,
-            "tail_last_seq": max(seqs) if seqs else None,
             "records": stats.get("records", 0),
         }
         if section["last_seq"]:
@@ -491,8 +471,8 @@ class FlightRecorder:
     def flush(self) -> None:
         """Push every appended record to the OS.
 
-        Readers of the on-disk journal mid-session (the admin download
-        endpoint) call this first: in the bounded-window default, recent
+        Readers of the on-disk journal mid-session (the admin ``/flight``
+        download) call this first: in the bounded-window default, recent
         records may still be queued in writer memory.  A sphere still
         open at this point is *not* journalled yet — its buffered records
         land at its commit intent, the same place the WAL serializes it.

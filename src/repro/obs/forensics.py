@@ -17,9 +17,10 @@ freezing everything a diagnosis needs.  A bundle is the diagnosis
 document :meth:`HiPAC.snapshot() <repro.core.hipac.HiPAC.snapshot>`
 builds — health, stats, alerts, SLO states, timeseries windows, slow
 log, rule profile, firing-log tail, provenance stats, and the
-flight-journal seq range with a ready-to-paste ``replay --until SEQ``
-bisection command — with every ring bounded by ``SNAPSHOT_LAST`` (the
-facade's default for ``/snapshot``), plus:
+flight journal's newest seq with a ready-to-paste ``replay --until SEQ``
+bisection command — with every ring bounded by :data:`SNAPSHOT_LAST`
+(also the default ``last`` of ``HiPAC.snapshot()`` and ``/snapshot``),
+plus:
 
 * the capture's ``format``, ``kind``, ``reason``, ``trigger`` alert and
   ``wall`` time,
@@ -67,8 +68,6 @@ import traceback
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.core.hipac import SNAPSHOT_LAST
-
 #: capture kinds beyond the watchdog's own alert kinds
 MANUAL = "manual"
 WAL_FAILURE = "wal_failure"
@@ -82,6 +81,15 @@ DEBOUNCE_SECONDS = 30.0
 #: oldest-first eviction keeps ``data_dir/forensics/`` under both bounds
 DISK_BUDGET_BYTES = 32 * 1024 * 1024
 MAX_BUNDLES = 64
+#: how many entries of each bounded ring a bundle keeps; windows
+#: dominate a bundle's size.  ``HiPAC.snapshot()`` takes it as its default
+#: ``last`` (this module does not import the facade, which imports it)
+SNAPSHOT_LAST = 120
+
+#: the keys of :meth:`ForensicsRecorder.stats_snapshot`, the
+#: ``stats()["forensics"]`` section
+STATS_KEYS = ("captures", "capture_errors", "debounced", "evicted",
+              "bundles", "bytes")
 
 
 class ForensicsRecorder:
@@ -113,11 +121,9 @@ class ForensicsRecorder:
         self._closed = False
         bundles = self.list_bundles()
         self._seq = bundles[0]["seq"] if bundles else 0
-        self.stats: Dict[str, int] = {
-            "captures": 0, "capture_errors": 0, "debounced": 0,
-            "evicted": 0, "bundles": len(bundles),
-            "bytes": sum(entry["bytes"] for entry in bundles),
-        }
+        self.stats: Dict[str, int] = dict.fromkeys(STATS_KEYS, 0)
+        self.stats["bundles"] = len(bundles)
+        self.stats["bytes"] = sum(entry["bytes"] for entry in bundles)
 
     # ------------------------------------------------------------- triggers
 
@@ -199,9 +205,9 @@ class ForensicsRecorder:
         return json.loads(self.read_bundle(bundle_id).decode("utf-8"))
 
     def status(self) -> Dict[str, Any]:
-        """Mixed-type summary for the ``/stats`` payload and ``top``
-        (keep strings out of :meth:`HiPAC.stats` — the Prometheus
-        exporter floats every collected stat)."""
+        """Mixed-type summary for the snapshot's ``forensics`` section,
+        which ``top`` shows (keep strings out of :meth:`HiPAC.stats` —
+        the Prometheus exporter floats every collected stat)."""
         with self._lock:
             out: Dict[str, Any] = dict(self.stats)
         last = self.list_bundles()

@@ -165,20 +165,38 @@ def percentile_from_counts(bounds: Tuple[float, ...],
     return vmax if vmax is not None else bounds[-1]
 
 
+def window_quantile(bounds: Tuple[float, ...], window: HistogramState,
+                    q: float) -> float:
+    """The ``q``-th percentile (0..100) of the observations ``window``
+    counts.
+
+    Windowed deltas keep no extremes, so the overflow bucket is valued
+    at the mean its observations must at least have: the window's sum
+    less the most the finite buckets can hold, and never under the top
+    bound.  A lone oversized observation is reported exactly.
+    """
+    counts = window.counts
+    overflow = counts[-1] if window.count and bounds else 0
+    vmax = None
+    if overflow:
+        held = sum(count * bound for count, bound in zip(counts, bounds))
+        vmax = max(bounds[-1], (window.sum - held) / overflow)
+    return percentile_from_counts(bounds, counts, q, vmax=vmax)
+
+
 def window_summary(bounds: Tuple[float, ...],
                    window: HistogramState) -> Dict[str, float]:
     """Count, sum, mean and the p50/p95/p99/p99.9 estimates of the
-    observations ``window`` counts (overflow observations report the
-    highest finite bound: windowed counts don't track extremes)."""
-    count, counts = window.count, window.counts
+    observations ``window`` counts (:func:`window_quantile` each)."""
+    count = window.count
     return {
         "count": count,
         "sum": window.sum,
         "mean": (window.sum / count) if count else 0.0,
-        "p50": percentile_from_counts(bounds, counts, 50),
-        "p95": percentile_from_counts(bounds, counts, 95),
-        "p99": percentile_from_counts(bounds, counts, 99),
-        "p999": percentile_from_counts(bounds, counts, 99.9),
+        "p50": window_quantile(bounds, window, 50),
+        "p95": window_quantile(bounds, window, 95),
+        "p99": window_quantile(bounds, window, 99),
+        "p999": window_quantile(bounds, window, 99.9),
     }
 
 

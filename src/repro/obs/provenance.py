@@ -67,6 +67,11 @@ _ENTRY_BASE_BYTES = 160
 #: sphere's size; DESIGN.md decision 37 says how the number was chosen.
 FOLD_RECORDS = 256
 
+#: the keys of :meth:`ProvenanceStore.stats_snapshot`, the
+#: ``stats()["provenance"]`` section
+STATS_KEYS = ("published", "pruned", "evicted", "why_queries",
+              "live_entries", "approx_bytes", "per_key", "capacity")
+
 
 def parse_oid(text: str) -> OID:
     """Parse ``"Class#N"`` (or ``"Class:N"``) into an :class:`OID`.
@@ -633,13 +638,8 @@ class ProvenanceStore:
         """Point-in-time stats for the facade's ``stats()`` tree."""
         with self._mutex:
             self._fold_locked()
-            return {
-                "published": self.stats["published"],
-                "pruned": self.stats["pruned"],
-                "evicted": self.stats["evicted"],
-                "why_queries": self.stats["why_queries"],
-                "live_entries": self._entries,
-                "approx_bytes": self._bytes,
-                "per_key": self.per_key,
-                "capacity": self.capacity,
-            }
+            stats = self.stats
+            return dict(zip(STATS_KEYS, (
+                stats["published"], stats["pruned"], stats["evicted"],
+                stats["why_queries"], self._entries, self._bytes,
+                self.per_key, self.capacity)))

@@ -1,36 +1,25 @@
 """Embedded admin HTTP endpoint: serve the telemetry to scrapers and humans.
 
-PR 3 built the instruments; this module puts them on the wire.  A
-:class:`AdminServer` wraps one HiPAC instance in a stdlib
-``ThreadingHTTPServer`` on a daemon thread (``HiPAC.serve_admin(port=...)``)
-and exposes:
+A :class:`AdminServer` wraps one HiPAC instance in a stdlib
+``ThreadingHTTPServer`` on a daemon thread (``HiPAC.serve_admin(port=...)``).
+Its surface is ``HiPAC.snapshot()`` plus only the answers that document
+cannot give (:data:`ROUTES` is the table; DESIGN decision 42 says who owns
+each fact):
 
+* ``GET /snapshot`` — the diagnosis document of ``HiPAC.snapshot()``,
+  the one a forensics bundle freezes (``?sections=a,b`` selects
+  sections, ``?last=N`` bounds every ring): component stats, alerts,
+  objective states, windowed telemetry with its aggregate, the journal's
+  position.  ``repro.tools.doctor --url`` diagnoses it and
+  ``repro.tools.top`` renders it;
 * ``GET /metrics``  — Prometheus text exposition (scrape target);
 * ``GET /health``   — JSON liveness: ``ok`` / ``degraded`` / ``failing``
   derived from the watchdog alert state and WAL append failures; the HTTP
   status mirrors it (200 while serving traffic is safe, 503 when failing)
   so load balancers can act on it without parsing the body;
-* ``GET /snapshot`` — the diagnosis document of ``HiPAC.snapshot()``,
-  the one a forensics bundle freezes (``?sections=a,b`` selects
-  sections, ``?last=N`` bounds every ring); ``repro.tools.doctor --url``
-  diagnoses it;
-* ``GET /stats``    — the snapshot's ``time``, ``uptime``, ``stats``
-  (the full ``HiPAC.stats()`` tree), ``derived`` (live transactions,
-  deferred-queue depth) and ``forensics`` sections, which the
-  ``repro.tools.top`` dashboard polls for rates;
+* ``GET /why``      — a provenance query (``?oid=…&attr=…&depth=N``);
 * ``GET /profile``  — per-rule cost attribution (JSON; ``?top=N`` bounds
   it, ``?format=text`` renders the hottest-rules table);
-* ``GET /flight``   — flight-recorder journal stats plus the newest
-  records (``?last=N``); ``?download=1`` streams the live journal segment
-  (409 unless the instance was built with ``flight_recorder=True``);
-* ``GET /timeseries`` — the windowed-telemetry ring (per-window stat
-  deltas and histogram-delta percentiles; ``?last=N`` windows,
-  ``?window=SECONDS`` adds a trailing aggregate) — rates and tails are
-  computed server-side once, instead of by every scraper;
-* ``GET /slo``      — declared objectives with burn rates and states
-  (ok / burning / breached / recovered);
-* ``GET /alerts``   — the watchdog's bounded alert ring as JSON
-  (``?last=N``, ``?kind=<detector>``);
 * ``GET /forensics`` — incident snapshot bundles (``?id=…`` fetches one,
   ``&download=1`` as attachment, ``?capture=1`` snapshots now; 409
   unless built with ``forensics=True``);
@@ -38,6 +27,9 @@ and exposes:
   firings in the firing log (only meaningful under
   ``observability="trace"``; otherwise
   409, because an empty trace would read as "nothing happened");
+* ``GET /flight``   — the live flight-journal segment's bytes (409 unless
+  the instance was built with ``flight_recorder=True``; its tail is
+  ``python -m repro.tools.replay DIR --last N``);
 * ``GET /``         — a plain-text index of the above.
 
 Handlers only *read*: every endpoint is pull-path aggregation (merging
@@ -55,9 +47,36 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.util import tail
-
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: the admin surface, as ``(path, handler, what GET / says of it)``
+ROUTES: Tuple[Tuple[str, str, str], ...] = (
+    ("/", "_index", "this index"),
+    ("/snapshot", "_snapshot",
+     "the diagnosis document a forensics bundle freezes (?sections=a,b,\n"
+     "?last=N per ring; `python -m repro.tools.doctor --url` reads it,\n"
+     "`python -m repro.tools.top` renders it)"),
+    ("/metrics", "_metrics", "Prometheus text exposition"),
+    ("/health", "_health",
+     "liveness JSON (ok | degraded | failing; 503 when failing)"),
+    ("/why", "_why",
+     "causal provenance chain JSON (?oid=Class%23N or Class:N,\n"
+     "?attr=, ?depth=N; requires provenance on)"),
+    ("/profile", "_profile",
+     "per-rule cost attribution (?top=N, ?format=text)"),
+    ("/forensics", "_forensics",
+     "snapshot-bundle index JSON (?id=BUNDLE to fetch one,\n"
+     "&download=1 as attachment, ?capture=1 to snapshot now;\n"
+     "requires forensics=True; `python -m repro.tools.doctor`\n"
+     "diagnoses a bundle)"),
+    ("/trace", "_trace",
+     "Chrome trace_event JSON (requires observability=\"trace\")"),
+    ("/flight", "_flight",
+     "the live flight-journal segment, binary (requires\n"
+     "flight_recorder=True; `python -m repro.tools.replay DIR --last N`\n"
+     "prints its tail)"),
+)
+_HANDLERS = {path: handler for path, handler, _ in ROUTES}
 
 
 class _BadParam(Exception):
@@ -100,27 +119,13 @@ class _AdminHandler(BaseHTTPRequestHandler):
         db = self.server.db  # type: ignore[attr-defined]
         self.server.request_count += 1  # type: ignore[attr-defined]
         try:
-            route = {
-                "/": self._index,
-                "/metrics": self._metrics,
-                "/health": self._health,
-                "/snapshot": self._snapshot,
-                "/stats": self._stats,
-                "/profile": self._profile,
-                "/flight": self._flight,
-                "/timeseries": self._timeseries,
-                "/slo": self._slo,
-                "/why": self._why,
-                "/alerts": self._alerts,
-                "/forensics": self._forensics,
-                "/trace": self._trace,
-            }.get(parsed.path)
-            if route is None:
+            handler = _HANDLERS.get(parsed.path)
+            if handler is None:
                 self._send(404, "text/plain; charset=utf-8",
                            "unknown path %r\n%s" % (parsed.path,
                                                     _INDEX_TEXT))
                 return
-            route(db, query)
+            getattr(self, handler)(db, query)
         except _BadParam as exc:
             self._send(400, "text/plain; charset=utf-8", str(exc))
         except Exception as exc:  # pragma: no cover - defensive 500 path
@@ -157,10 +162,6 @@ class _AdminHandler(BaseHTTPRequestHandler):
         last = _int_param(query, "last", SNAPSHOT_LAST)
         self._send_json(200, db.snapshot(sections, last=last))
 
-    def _stats(self, db: Any, query: Dict[str, Any]) -> None:
-        self._send_json(200, db.snapshot(
-            ("time", "uptime", "stats", "derived", "forensics")))
-
     def _profile(self, db: Any, query: Dict[str, Any]) -> None:
         top = _int_param(query, "top", 10)
         if query.get("format", [""])[0] == "text":
@@ -176,47 +177,17 @@ class _AdminHandler(BaseHTTPRequestHandler):
                        "flight recorder is off; construct the instance with"
                        " flight_recorder=True to journal stimuli")
             return
-        if query.get("download", [""])[0]:
-            # Binary segment frames — streamed as-is; read it back with
-            # repro.storage.scan_segment.  Flush first: under the
-            # bounded-window default the newest records are still queued
-            # in recorder memory.
-            recorder.flush()
-            data = recorder.segment_path.read_bytes()
-            self._send_bytes(200, "application/octet-stream", data,
-                             extra_headers=(
-                                 ("Content-Disposition",
-                                  'attachment; filename="%s"'
-                                  % recorder.segment_path.name),))
-            return
-        last = _int_param(query, "last", 50)
-        self._send_json(200, {
-            "stats": dict(recorder.stats),
-            "segment": str(recorder.segment_path),
-            "recent": recorder.recent(last),
-        })
-
-    def _timeseries(self, db: Any, query: Dict[str, Any]) -> None:
-        ring = getattr(db, "timeseries", None)
-        if ring is None:
-            self._send(409, "text/plain; charset=utf-8",
-                       "timeseries ticker is off; construct the instance"
-                       " with observability on")
-            return
-        last = _int_param(query, "last", 60)
-        window = _int_param(query, "window", 0)
-        payload = ring.as_dict(
-            last=last, aggregate_seconds=float(window) if window else None)
-        self._send_json(200, payload)
-
-    def _slo(self, db: Any, query: Dict[str, Any]) -> None:
-        monitor = getattr(db, "slo", None)
-        if monitor is None:
-            self._send(409, "text/plain; charset=utf-8",
-                       "SLO monitor is off; it requires the timeseries"
-                       " ticker (observability on)")
-            return
-        self._send_json(200, monitor.as_dict())
+        # Binary segment frames — streamed as-is; read it back with
+        # repro.storage.scan_segment.  Flush first: under the
+        # bounded-window default the newest records are still queued
+        # in recorder memory.
+        recorder.flush()
+        data = recorder.segment_path.read_bytes()
+        self._send_bytes(200, "application/octet-stream", data,
+                         extra_headers=(
+                             ("Content-Disposition",
+                              'attachment; filename="%s"'
+                              % recorder.segment_path.name),))
 
     def _why(self, db: Any, query: Dict[str, Any]) -> None:
         if getattr(db, "provenance", None) is None:
@@ -238,23 +209,6 @@ class _AdminHandler(BaseHTTPRequestHandler):
         depth = _int_param(query, "depth", 10)
         chain = db.why(oid, attr, depth=max(1, depth))
         self._send_json(200, chain.as_dict())
-
-    def _alerts(self, db: Any, query: Dict[str, Any]) -> None:
-        """The watchdog's bounded alert ring as JSON (``?last=N``,
-        ``?kind=<detector>``) — always available: the watchdog stays on
-        even with observability off."""
-        last = _int_param(query, "last", 50)
-        kind = query.get("kind", [""])[0] or None
-        alerts = tail(db.watchdog.alerts(kind), last)
-        self._send_json(200, {
-            "total": db.watchdog.stats.get("alerts_total", 0),
-            "dropped": db.watchdog.dropped,
-            "by_kind": {key[len("alerts_"):]: value
-                        for key, value in db.watchdog.stats.items()
-                        if key.startswith("alerts_")
-                        and key != "alerts_total"},
-            "alerts": [alert.as_dict() for alert in alerts],
-        })
 
     def _forensics(self, db: Any, query: Dict[str, Any]) -> None:
         recorder = getattr(db, "forensics", None)
@@ -328,27 +282,9 @@ class _AdminHandler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
 
-_INDEX_TEXT = """hipac admin endpoint
-  /metrics   Prometheus text exposition
-  /health    liveness JSON (ok | degraded | failing; 503 when failing)
-  /snapshot  the diagnosis document a forensics bundle freezes (?sections=a,b,
-             ?last=N per ring; `python -m repro.tools.doctor --url` reads it)
-  /stats     full component stats JSON (polled by `python -m repro.tools.top`)
-  /profile   per-rule cost attribution (?top=N, ?format=text)
-  /flight    flight-recorder journal stats + recent records (?last=N,
-             ?download=1 for the live segment; requires flight_recorder=True)
-  /timeseries  windowed rates + delta percentiles JSON (?last=N windows,
-             ?window=SECONDS for a trailing aggregate; requires the ticker)
-  /slo       objective states + burn rates JSON (requires the ticker)
-  /why       causal provenance chain JSON (?oid=Class%23N or Class:N,
-             ?attr=, ?depth=N; requires provenance on)
-  /alerts    watchdog alert ring JSON (?last=N, ?kind=<detector>)
-  /forensics snapshot-bundle index JSON (?id=BUNDLE to fetch one,
-             &download=1 as attachment, ?capture=1 to snapshot now;
-             requires forensics=True; `python -m repro.tools.doctor`
-             diagnoses a bundle)
-  /trace     Chrome trace_event JSON (requires observability="trace")
-"""
+_INDEX_TEXT = "hipac admin endpoint\n" + "".join(
+    "  %-10s %s\n" % (path, text.replace("\n", "\n" + " " * 13))
+    for path, _, text in ROUTES)
 
 
 class AdminServer:

@@ -34,7 +34,7 @@ objective whose ``alert`` names another kind, such as the two default
 ``deferred_queue`` objectives — raises that kind with the measured value
 and its limit, which is how the windowed hazards of the Rule Manager are
 watched (DESIGN decision 27).  The current state of every objective backs
-``GET /slo`` and the health report.
+the snapshot's ``slo`` section and the health report.
 
 No traffic means no burn: every objective treats an empty window as
 within budget, so budgets recover while the system is idle — which is
@@ -45,9 +45,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.obs.metrics import HistogramState, percentile_from_counts
+from repro.obs.metrics import window_quantile
 from repro.obs.timeseries import TimeseriesRing
 from repro.obs.watchdog import DEFERRED_QUEUE, SLO_BURN, WARNING, Watchdog
 
@@ -57,6 +57,10 @@ BURNING = "burning"
 BREACHED = "breached"
 RECOVERED = "recovered"
 STATE_VALUES = {OK: 0, BURNING: 1, BREACHED: 2, RECOVERED: 3}
+
+#: the keys of :meth:`SLOMonitor.summary`, the ``stats()["slo"]`` section
+STATS_KEYS = ("objectives", "evaluations", "breaches", "alerts",
+              *STATE_VALUES)
 
 #: objective kinds
 LATENCY = "latency"
@@ -149,25 +153,6 @@ def default_objectives() -> List[Objective]:
     ]
 
 
-def _window_quantile(state: HistogramState, bounds: Tuple[float, ...],
-                     target: float) -> float:
-    """The ``target`` quantile of one window's observations.
-
-    Windowed deltas keep no extremes, so the overflow bucket is valued
-    at the mean its observations must at least have: the window's sum
-    less the most the finite buckets can hold, and never under the top
-    bound.  A lone oversized observation is reported exactly.
-    """
-    overflow = state.counts[-1] if state.count and bounds else 0
-    vmax = None
-    if overflow:
-        held = sum(count * bound
-                   for count, bound in zip(state.counts, bounds))
-        vmax = max(bounds[-1], (state.sum - held) / overflow)
-    return percentile_from_counts(bounds, state.counts, 100.0 * target,
-                                  vmax=vmax)
-
-
 class SLOMonitor:
     """Evaluates objectives against the timeseries ring on every tick."""
 
@@ -223,7 +208,7 @@ class SLOMonitor:
             return self.ring.level(objective.numerator)
         state, bounds = self.ring.histogram_raw_window(
             objective.histogram, seconds, now)
-        return _window_quantile(state, bounds, objective.target)
+        return window_quantile(bounds, state, 100.0 * objective.target)
 
     def _burn(self, objective: Objective, seconds: float,
               now: Optional[float]) -> float:
@@ -352,7 +337,7 @@ class SLOMonitor:
         return out
 
     def as_dict(self) -> Dict[str, Any]:
-        """The ``GET /slo`` payload."""
+        """The snapshot's ``slo`` section."""
         with self._lock:
             return {
                 "objectives": [self._objective_dict(objective)
@@ -370,17 +355,10 @@ class SLOMonitor:
         return worst
 
     def summary(self) -> Dict[str, float]:
-        """Flat numeric summary for ``stats()["slo"]``."""
+        """Flat numeric summary for ``stats()["slo"]`` (:data:`STATS_KEYS`)."""
         with self._lock:
-            by_state = dict.fromkeys(STATE_VALUES, 0)
+            out: Dict[str, float] = dict.fromkeys(STATS_KEYS, 0)
+            out.update(self.stats, objectives=len(self.objectives))
             for objective in self.objectives:
-                by_state[objective.state] += 1
-            out: Dict[str, float] = {
-                "objectives": len(self.objectives),
-                "evaluations": self.stats["evaluations"],
-                "breaches": self.stats["breaches"],
-                "alerts": self.stats["alerts"],
-            }
-            for state, count in by_state.items():
-                out[state] = count
+                out[objective.state] += 1
             return out

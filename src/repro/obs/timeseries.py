@@ -52,6 +52,11 @@ from repro.obs.metrics import (
 #: ticker awake)
 _SELF_PREFIXES = ("timeseries_", "slo_")
 
+#: the keys of :attr:`TimeseriesRing.stats`, the ``stats()["timeseries"]``
+#: section
+STATS_KEYS = ("ticks", "idle_ticks", "tick_errors", "callback_errors",
+              "windows", "capacity", "interval_ms")
+
 
 class Window:
     """One tick's worth of deltas (only nonzero entries are stored)."""
@@ -219,29 +224,25 @@ class TimeseriesRing:
         cutoff = now - seconds
         return [window for window in self.windows() if window.t > cutoff]
 
-    def aggregate(self, seconds: float,
-                  now: Optional[float] = None) -> Dict[str, Any]:
-        """Merge the windows covering the trailing ``seconds``.
+    def aggregate(self, windows: List[Window]) -> Dict[str, Any]:
+        """Merge ``windows`` (as :meth:`windows` returns them).
 
         Collected-stat deltas sum; histogram bucket counts sum and
-        yield the trailing-window percentiles; rates divide by the
-        covered time (the sum of selected ``dt``, not the requested
-        span — a ring younger than the span reports what it has).
+        yield the merged percentiles; rates divide by the covered time
+        (the sum of the windows' ``dt``).
         """
-        selected = self._select(seconds, now)
-        elapsed = sum(window.dt for window in selected)
+        elapsed = sum(window.dt for window in windows)
         collected: Dict[str, float] = {}
         merged: Dict[str, HistogramState] = {}
-        for window in selected:
+        for window in windows:
             for name, delta in window.collected.items():
                 collected[name] = collected.get(name, 0) + delta
             for name, state in window.histograms.items():
                 merged[name] = state.plus(merged.get(name))
         safe_elapsed = max(elapsed, 1e-9)
         return {
-            "seconds": seconds,
             "elapsed": elapsed,
-            "windows": len(selected),
+            "windows": len(windows),
             "collected": {name: {"delta": delta,
                                  "rate": delta / safe_elapsed}
                           for name, delta in sorted(collected.items())},
@@ -293,15 +294,10 @@ class TimeseriesRing:
     @property
     def stats(self) -> Dict[str, float]:
         with self._lock:
-            return {
-                "ticks": self._ticks,
-                "idle_ticks": self._idle_ticks,
-                "tick_errors": self._tick_errors,
-                "callback_errors": self._callback_errors,
-                "windows": len(self._windows),
-                "capacity": self.capacity,
-                "interval_ms": self.interval * 1e3,
-            }
+            return dict(zip(STATS_KEYS, (
+                self._ticks, self._idle_ticks, self._tick_errors,
+                self._callback_errors, len(self._windows), self.capacity,
+                self.interval * 1e3)))
 
     def window_dict(self, window: Window) -> Dict[str, Any]:
         """JSON-safe rendering of one window (summaries computed here)."""
@@ -316,15 +312,13 @@ class TimeseriesRing:
                 for name, state in window.histograms.items()},
         }
 
-    def as_dict(self, last: int = 60,
-                aggregate_seconds: Optional[float] = None) -> Dict[str, Any]:
-        """The ``GET /timeseries`` payload."""
-        out: Dict[str, Any] = {
+    def as_dict(self, last: int = 60) -> Dict[str, Any]:
+        """The snapshot's ``timeseries`` section: the newest ``last``
+        windows and their :meth:`aggregate`."""
+        windows = self.windows(last)
+        return {
             "interval": self.interval,
             "stats": self.stats,
-            "windows": [self.window_dict(window)
-                        for window in self.windows(last)],
+            "windows": [self.window_dict(window) for window in windows],
+            "aggregate": self.aggregate(windows),
         }
-        if aggregate_seconds is not None:
-            out["aggregate"] = self.aggregate(aggregate_seconds)
-        return out

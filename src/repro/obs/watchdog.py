@@ -68,13 +68,8 @@ class Alert:
     threshold: float   #: threshold in force when it crossed
     timestamp: float   #: wall-clock time (``time.time()``)
 
-    def format(self) -> str:
-        return "[%s] %-14s %s (%.4g over threshold %.4g)" % (
-            self.severity, self.kind, self.message, self.value,
-            self.threshold)
-
     def as_dict(self) -> Dict[str, Any]:
-        """The JSON form ``/health``, ``/alerts`` and forensics bundles use."""
+        """The JSON form ``/health`` and the snapshot's ``alerts`` use."""
         return asdict(self)
 
 
@@ -164,13 +159,6 @@ class Watchdog:
             "alerts_dropped": self.dropped,
             "recent": [alert.as_dict() for alert in alerts[-5:]],
         }
-
-    def format(self, last: int = 20) -> str:
-        """Render the newest ``last`` alerts, one line each."""
-        alerts = self.alerts()[-last:]
-        if not alerts:
-            return "watchdog: no alerts"
-        return "\n".join(alert.format() for alert in alerts)
 
     def clear(self) -> None:
         """Drop the log and the re-alert stamps (between experiment

@@ -1,18 +1,15 @@
 """``python -m repro.tools.top`` — a live terminal dashboard for a served
 HiPAC instance.
 
-Preferred data source is the server's windowed telemetry
-(``GET /timeseries``): the ticker snapshots every interval server-side,
-so each frame shows the trailing-minute rates plus a per-window
-sparkline — one glyph per ticker window — and the windowed commit-latency
-percentiles, all computed from the *server's* clock regardless of how
-slowly this poller runs.  When the served instance has the ticker off
-(409), the dashboard falls back to computing rates client-side from
-successive ``/stats`` snapshots, exactly as before: a slow poller then
-under-samples but never mis-computes.
-
-Either way ``/health`` supplies the watchdog verdict and — when the SLO
-monitor is on — the per-objective burn states.
+Each frame is one ``GET /snapshot`` (:data:`SNAPSHOT_QUERY`): the watchdog
+verdict and SLO states from its ``health`` section, the live gauges and
+the last forensics capture from ``derived`` and ``forensics``, and rates
+from the ``timeseries`` section the server's ticker fills — the
+aggregate of its windows for the rate, one sparkline glyph per window,
+and the aggregate commit-latency percentiles — all from the *server's*
+clock, however slowly this poller runs.  With the ticker off
+(``observability=False``) the section is ``None`` and the frame says so
+instead of showing rates.
 
 Stdlib only (urllib + ANSI escapes); ``--plain`` disables cursor control
 for dumb terminals and log capture.
@@ -28,21 +25,24 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, List, Optional, Tuple
 
-#: counters whose deltas become the rate rows, as (label, section, key).
-#: The same rows serve both sources: the ``/stats`` tree addresses them
-#: as ``stats[section][key]``; the timeseries windows flatten them to
-#: ``<section>_<key>`` in each window's ``collected`` deltas.
-RATE_ROWS: Tuple[Tuple[str, str, str], ...] = (
-    ("rule firings/s", "rules", "triggered"),
-    ("conditions/s", "rules", "conditions_evaluated"),
-    ("actions/s", "rules", "actions_executed"),
-    ("deferred queued/s", "rules", "deferred_queued"),
-    ("txn commits/s", "transactions", "committed"),
-    ("txn aborts/s", "transactions", "aborted"),
-    ("db events/s", "events", "database_reported"),
-    ("lock waits/s", "locks", "waited"),
-    ("prov published/s", "provenance", "published"),
-    ("why queries/s", "provenance", "why_queries"),
+#: the one request a frame makes
+SNAPSHOT_QUERY = ("/snapshot?sections=time,uptime,health,stats,derived,"
+                  "forensics,timeseries&last=60")
+
+#: counters whose windowed deltas become the rate rows, as (label, name):
+#: the timeseries windows flatten ``stats()[section][key]`` to
+#: ``<section>_<key>`` in their ``collected`` deltas.
+RATE_ROWS: Tuple[Tuple[str, str], ...] = (
+    ("rule firings/s", "rules_triggered"),
+    ("conditions/s", "rules_conditions_evaluated"),
+    ("actions/s", "rules_actions_executed"),
+    ("deferred queued/s", "rules_deferred_queued"),
+    ("txn commits/s", "transactions_committed"),
+    ("txn aborts/s", "transactions_aborted"),
+    ("db events/s", "events_database_reported"),
+    ("lock waits/s", "locks_waited"),
+    ("prov published/s", "provenance_published"),
+    ("why queries/s", "provenance_why_queries"),
 )
 
 SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
@@ -71,56 +71,30 @@ def fetch(url: str, timeout: float = 5.0) -> Dict[str, Any]:
         return json.loads(resp.read().decode("utf-8"))
 
 
-def counter(stats: Dict[str, Any], section: str, key: str) -> float:
-    """One counter out of a ``/stats`` ``stats`` tree (0.0 when absent)."""
-    try:
-        return float(stats[section][key])
-    except (KeyError, TypeError, ValueError):
-        return 0.0
-
-
-def rates(previous: Dict[str, Any], current: Dict[str, Any]
-          ) -> List[Tuple[str, float, str]]:
-    """Per-second rates between two ``/stats`` payloads (fallback path).
-
-    Uses the server-side ``time`` stamps; returns an empty list when the
-    interval is non-positive (same snapshot, or server restarted)."""
-    elapsed = float(current.get("time", 0)) - float(previous.get("time", 0))
-    if elapsed <= 0:
-        return []
-    rows = []
-    for label, section, key in RATE_ROWS:
-        delta = (counter(current.get("stats", {}), section, key)
-                 - counter(previous.get("stats", {}), section, key))
-        rows.append((label, max(0.0, delta) / elapsed, ""))
-    return rows
-
-
-def timeseries_rows(payload: Dict[str, Any]
+def timeseries_rows(series: Dict[str, Any]
                     ) -> List[Tuple[str, float, str]]:
-    """(label, rate, sparkline) rows from a ``/timeseries`` payload.
+    """(label, rate, sparkline) rows from the snapshot's ``timeseries``
+    section.
 
-    The rate is the server-computed trailing-window aggregate; the
-    sparkline is the per-window rate series, one glyph per ticker
-    window, newest on the right."""
-    windows = payload.get("windows", [])
-    aggregate = payload.get("aggregate", {})
+    The rate is the aggregate of the section's windows; the sparkline is
+    the per-window rate series, one glyph per ticker window, newest on
+    the right."""
+    windows = series.get("windows", [])
+    collected = series.get("aggregate", {}).get("collected", {})
     rows = []
-    for label, section, key in RATE_ROWS:
-        name = "%s_%s" % (section, key)
-        agg = aggregate.get("collected", {}).get(name, {})
-        series = [window.get("collected", {}).get(name, 0.0)
-                  / max(float(window.get("dt", 0.0)), 1e-9)
-                  for window in windows]
-        rows.append((label, float(agg.get("rate", 0.0)),
-                     sparkline(series)))
+    for label, name in RATE_ROWS:
+        spark = [window.get("collected", {}).get(name, 0.0)
+                 / max(float(window.get("dt", 0.0)), 1e-9)
+                 for window in windows]
+        rows.append((label, float(collected.get(name, {}).get("rate", 0.0)),
+                     sparkline(spark)))
     return rows
 
 
-def commit_latency(payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """The windowed ``txn_commit_seconds`` summary, if any commits landed
-    in the aggregate window (labeled families match by base name)."""
-    histograms = payload.get("aggregate", {}).get("histograms", {})
+def commit_latency(series: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    """The aggregate ``txn_commit_seconds`` summary, if any commits landed
+    in the section's windows (labeled families match by base name)."""
+    histograms = series.get("aggregate", {}).get("histograms", {})
     for name, summary in histograms.items():
         if name.split("{", 1)[0] == "txn_commit_seconds" \
                 and summary.get("count"):
@@ -128,86 +102,82 @@ def commit_latency(payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     return None
 
 
-def render(current: Dict[str, Any],
-           rate_rows: List[Tuple[str, float, str]],
-           health: Optional[Dict[str, Any]] = None,
-           latency: Optional[Dict[str, Any]] = None,
-           windowed: bool = False) -> str:
-    """One dashboard frame as plain text."""
+def render(snapshot: Dict[str, Any]) -> str:
+    """One dashboard frame, as plain text, from a ``/snapshot`` payload
+    holding the sections of :data:`SNAPSHOT_QUERY`."""
     lines = []
-    status = (health or {}).get("status", "?")
-    uptime = float(current.get("uptime", 0.0))
+    health = snapshot.get("health") or {}
+    uptime = float(snapshot.get("uptime", 0.0))
     lines.append("hipac top — status %s — uptime %s"
-                 % (status, format_duration(uptime)))
-    derived = current.get("derived", {})
+                 % (health.get("status", "?"), format_duration(uptime)))
+    derived = snapshot.get("derived", {})
     lines.append("live txns %-6d deferred queue %-6d"
                  % (derived.get("live_transactions", 0),
                     derived.get("deferred_queue_depth", 0)))
-    incident = incident_line(current, health)
+    incident = incident_line(snapshot)
     if incident:
         lines.append(incident)
-    provenance = current.get("stats", {}).get("provenance")
+    provenance = snapshot.get("stats", {}).get("provenance")
     if provenance:
         lines.append("prov entries %-6d evicted %-8d ~%s"
                      % (provenance.get("live_entries", 0),
                         provenance.get("evicted", 0),
                         format_bytes(provenance.get("approx_bytes", 0))))
-    if rate_rows:
-        width = max(len(label) for label, _, _ in rate_rows)
-        for label, rate, spark in rate_rows:
-            line = "  %-*s %10.1f" % (width, label, rate)
-            if spark:
-                line += "  %s" % spark
-            lines.append(line)
-    elif windowed:
+    series = snapshot.get("timeseries")
+    if series is None:
+        lines.append("  (timeseries ticker off: no rates;"
+                     " the instance runs with observability=False)")
+    elif not series.get("windows"):
         lines.append("  (waiting for the first ticker window...)")
     else:
-        lines.append("  (collecting first interval...)")
-    if latency:
-        lines.append("commit latency (windowed): p50 %.2fms  p95 %.2fms"
-                     "  p99 %.2fms  p99.9 %.2fms  (%d commits)"
-                     % (latency.get("p50", 0.0) * 1e3,
-                        latency.get("p95", 0.0) * 1e3,
-                        latency.get("p99", 0.0) * 1e3,
-                        latency.get("p999", 0.0) * 1e3,
-                        latency.get("count", 0)))
-    if health:
-        slo = health.get("slo")
-        if slo:
-            burning = [(name, state)
-                       for name, state in sorted(
-                           slo.get("objectives", {}).items())
-                       if state != "ok"]
-            line = "slo: %s" % slo.get("state", "?")
-            if burning:
-                line += "  (%s)" % ", ".join("%s=%s" % pair
-                                             for pair in burning)
-            lines.append(line)
-        total = health.get("alerts_total", 0)
-        if total:
-            lines.append("alerts: %d total" % total)
-            for alert in health.get("recent", [])[-3:]:
-                lines.append("  [%s] %s: %s" % (
-                    alert.get("severity", "?"), alert.get("kind", "?"),
-                    alert.get("message", "")))
+        rows = timeseries_rows(series)
+        width = max(len(label) for label, _, _ in rows)
+        for label, rate, spark in rows:
+            lines.append("  %-*s %10.1f  %s" % (width, label, rate, spark))
+        latency = commit_latency(series)
+        if latency:
+            lines.append("commit latency (windowed): p50 %.2fms  p95 %.2fms"
+                         "  p99 %.2fms  p99.9 %.2fms  (%d commits)"
+                         % (latency.get("p50", 0.0) * 1e3,
+                            latency.get("p95", 0.0) * 1e3,
+                            latency.get("p99", 0.0) * 1e3,
+                            latency.get("p999", 0.0) * 1e3,
+                            latency.get("count", 0)))
+    slo = health.get("slo")
+    if slo:
+        burning = [(name, state)
+                   for name, state in sorted(
+                       slo.get("objectives", {}).items())
+                   if state != "ok"]
+        line = "slo: %s" % slo.get("state", "?")
+        if burning:
+            line += "  (%s)" % ", ".join("%s=%s" % pair
+                                         for pair in burning)
+        lines.append(line)
+    total = health.get("alerts_total", 0)
+    if total:
+        lines.append("alerts: %d total" % total)
+        for alert in health.get("recent", [])[-3:]:
+            lines.append("  [%s] %s: %s" % (
+                alert.get("severity", "?"), alert.get("kind", "?"),
+                alert.get("message", "")))
     return "\n".join(lines)
 
 
-def incident_line(current: Dict[str, Any],
-                  health: Optional[Dict[str, Any]]) -> str:
+def incident_line(snapshot: Dict[str, Any]) -> str:
     """The incident status line: most recent watchdog alert plus the
     last forensics capture (kind + age), when either subsystem has
     something to say.  Ages come from the server's own clock."""
-    now = float(current.get("time", 0.0))
+    now = float(snapshot.get("time", 0.0))
     bits = []
-    recent = (health or {}).get("recent") or []
+    recent = (snapshot.get("health") or {}).get("recent") or []
     if recent:
         alert = recent[-1]
         age = max(0.0, now - float(alert.get("timestamp") or now))
         bits.append("last alert [%s] %s %s ago"
                     % (alert.get("severity", "?"), alert.get("kind", "?"),
                        format_duration(age)))
-    forensics = current.get("forensics")
+    forensics = snapshot.get("forensics")
     if forensics:
         if forensics.get("last_kind"):
             age = max(0.0, now - float(forensics.get("last_wall") or now))
@@ -250,47 +220,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="stop after N frames (0 = run until ^C)")
     parser.add_argument("--plain", action="store_true",
                         help="no ANSI cursor control (append frames)")
-    parser.add_argument("--no-timeseries", action="store_true",
-                        help="skip /timeseries; compute rates client-side "
-                             "from successive /stats snapshots")
-    parser.add_argument("--window", type=float, default=60.0,
-                        help="trailing aggregation window in seconds for "
-                             "/timeseries rates (default 60)")
     args = parser.parse_args(argv)
 
-    previous: Optional[Dict[str, Any]] = None
-    #: None = undecided (probe on first frame); the served instance may
-    #: have the ticker off (409), in which case we settle on /stats.
-    use_timeseries: Optional[bool] = False if args.no_timeseries else None
-    timeseries_url = "%s/timeseries?last=30&window=%g" % (args.url,
-                                                          args.window)
     frames = 0
     try:
         while True:
-            series: Optional[Dict[str, Any]] = None
             try:
-                current = fetch(args.url + "/stats")
-                health = fetch(args.url + "/health")
-                if use_timeseries is not False:
-                    try:
-                        series = fetch(timeseries_url)
-                        use_timeseries = True
-                    except urllib.error.HTTPError as exc:
-                        if exc.code != 409:  # 409 = ticker off
-                            raise
-                        use_timeseries = False
+                snapshot = fetch(args.url + SNAPSHOT_QUERY)
             except (urllib.error.URLError, OSError) as exc:
                 print("cannot reach %s: %s" % (args.url, exc),
                       file=sys.stderr)
                 return 1
-            if series is not None:
-                rows = timeseries_rows(series)
-                frame = render(current, rows, health,
-                               latency=commit_latency(series),
-                               windowed=True)
-            else:
-                rows = rates(previous, current) if previous else []
-                frame = render(current, rows, health)
+            frame = render(snapshot)
             if args.plain:
                 print(frame)
                 print("---")
@@ -298,7 +239,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 # clear screen + home, then the frame
                 sys.stdout.write("\x1b[2J\x1b[H" + frame + "\n")
                 sys.stdout.flush()
-            previous = current
             frames += 1
             if args.iterations and frames >= args.iterations:
                 return 0

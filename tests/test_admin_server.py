@@ -34,10 +34,12 @@ from repro import (
     on_create,
     on_update,
 )
+from repro.core.hipac import SNAPSHOT_SECTIONS
 from repro.obs import watchdog as watchdog_module
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from repro.obs.profiler import RuleProfiler, percentile_of
+from repro.obs.server import ROUTES
 from repro.obs.slo import (
     DEFERRED_LIMIT,
     LATENCY,
@@ -51,6 +53,7 @@ from repro.obs.watchdog import (
     CASCADE_DEPTH,
     CRITICAL,
     DEFERRED_QUEUE,
+    KINDS,
     LOCK_WAIT,
     RULE_STORM,
     SLO_BURN,
@@ -139,7 +142,8 @@ class TestAdminServer:
             assert set(health["alerts"]) == set(
                 (RULE_STORM, CASCADE_DEPTH, DEFERRED_QUEUE, LOCK_WAIT,
                  SLO_BURN))
-            status, _, body = _get(server.url + "/stats")
+            status, _, body = _get(
+                server.url + "/snapshot?sections=time,uptime,stats,derived")
             assert status == 200
             payload = json.loads(body)
             assert payload["time"] > 0 and payload["uptime"] >= 0
@@ -195,6 +199,32 @@ class TestAdminServer:
         finally:
             db.close()
 
+    def test_one_admin_surface(self):
+        """The admin surface is ``snapshot()`` plus only the answers it
+        cannot give.  A route added here is a second owner of a fact
+        unless the snapshot cannot serve it; edit this list on purpose."""
+        assert [path for path, _, _ in ROUTES] == [
+            "/", "/snapshot", "/metrics", "/health", "/why", "/profile",
+            "/forensics", "/trace", "/flight"]
+        db = _db()
+        try:
+            server = db.serve_admin()
+            status, _, body = _get(server.url + "/")
+            assert status == 200
+            listed = [line.split()[0] for line in
+                      body.decode("utf-8").splitlines()
+                      if line.startswith("  /")]
+            assert listed == [path for path, _, _ in ROUTES]
+            for path in listed:
+                # 400: /why without an oid; 409: a subsystem that is off
+                status, _, _ = _get(server.url + path)
+                assert status in (200, 400, 409), path
+            for gone in ("/stats", "/slo", "/alerts", "/timeseries"):
+                status, _, _ = _get(server.url + gone)
+                assert status == 404, gone
+        finally:
+            db.close()
+
     def test_unknown_path_404_with_index(self):
         db = _db()
         try:
@@ -237,26 +267,27 @@ class TestAdminServer:
             with db.transaction() as txn:
                 db.create("A", {"v": 1}, txn)
             server = db.serve_admin()
-            status, _, body = _get(server.url + "/flight?last=2")
+            # The journal's counters and position are the snapshot's;
+            # /flight serves only the segment's bytes.
+            status, _, body = _get(
+                server.url + "/snapshot?sections=stats,journal")
             assert status == 200
             payload = json.loads(body)
-            assert payload["stats"]["records"] > 0
-            assert len(payload["recent"]) == 2
-            assert payload["recent"][-1]["seq"] \
-                == payload["stats"]["last_seq"]
-            status, headers, body = _get(server.url + "/flight?download=1")
+            storage, journal = payload["stats"]["storage"], payload["journal"]
+            assert storage["journal_records"] > 0
+            assert journal["last_seq"] == storage["journal_last_seq"]
+            status, headers, body = _get(server.url + "/flight")
             assert status == 200
             assert "attachment" in headers["Content-Disposition"]
             assert headers["Content-Type"] == "application/octet-stream"
-            # The live segment is binary frames; boundary records flush
-            # the buffered prefix, so the download holds at least the
-            # commit intents (a coalesced tail may still be buffered).
+            assert journal["segment"].endswith(
+                headers["Content-Disposition"].split('"')[1])
+            # The live segment is binary frames, flushed before serving:
+            # it holds every record, the newest at the journal's last seq.
             records, discarded = scan_frames(body, "seq", 0)
             assert discarded == 0
-            assert 0 < len(records) <= payload["stats"]["records"]
-            assert records[-1]["seq"] <= payload["stats"]["last_seq"]
-            status, _, body = _get(server.url + "/flight?last=zero")
-            assert status == 400
+            assert len(records) == storage["journal_records"]
+            assert records[-1]["seq"] == journal["last_seq"]
         finally:
             db.close()
 
@@ -334,7 +365,7 @@ class TestAdminServer:
 
     def test_stats_and_metrics_scrapes_under_wal_commit_load(self, tmp_path):
         """The storage stats section stays scrapable while 8+ threads
-        commit under ``durability="wal"``: /stats parses with live WAL
+        commit under ``durability="wal"``: /snapshot parses with live WAL
         counters and /metrics stays valid Prometheus text throughout."""
         db = _db(durability="wal", data_dir=tmp_path)
         server = db.serve_admin()
@@ -373,7 +404,8 @@ class TestAdminServer:
         committers = [threading.Thread(target=committer, args=(i,))
                       for i in range(8)]
         scrapers = [threading.Thread(target=scraper,
-                                     args=("/stats", valid_stats))
+                                     args=("/snapshot?sections=stats",
+                                           valid_stats))
                     for _ in range(2)]
         scrapers += [threading.Thread(target=scraper,
                                       args=("/metrics", valid_metrics))
@@ -546,11 +578,10 @@ class TestWatchdogDetectors:
         assert wd.stats["alerts_total"] == 5
         assert len(received) == 5
         assert wd.health()["alerts_dropped"] == 2
-        text = wd.format()
-        assert "cascade_depth" in text
+        assert [alert.value for alert in wd.alerts()] == [2.0, 3.0, 4.0]
         wd.clear()
         assert len(wd) == 0 and wd.dropped == 0
-        assert wd.format() == "watchdog: no alerts"
+        assert wd.alerts() == []
 
 
 class TestWatchdogWiring:
@@ -910,39 +941,71 @@ class TestExplainDroppedNote:
 
 
 class TestTopDashboard:
-    def _payload(self, at, commits, firings):
+    def _snapshot(self, timeseries):
+        """A ``/snapshot`` payload holding the sections top asks for."""
         return {
-            "time": at, "uptime": at,
-            "stats": {"transactions": {"committed": commits, "aborted": 0},
-                      "rules": {"triggered": firings,
-                                "conditions_evaluated": firings,
-                                "actions_executed": firings,
-                                "deferred_queued": 0},
-                      "events": {"database_reported": 0},
-                      "locks": {"waited": 0}},
+            "time": 50.0, "uptime": 50.0,
+            "health": {"status": "ok", "alerts_total": 1,
+                       "recent": [{"severity": "warning",
+                                   "kind": "rule_storm",
+                                   "message": "busy", "timestamp": 45.0}]},
+            "stats": {"provenance": {"live_entries": 3, "evicted": 0,
+                                     "approx_bytes": 2048}},
             "derived": {"live_transactions": 1, "deferred_queue_depth": 2},
+            "forensics": None,
+            "timeseries": timeseries,
         }
 
-    def test_rates_from_successive_snapshots(self):
-        first = self._payload(100.0, commits=10, firings=0)
-        second = self._payload(102.0, commits=30, firings=8)
-        rows = {label: rate for label, rate, _ in top_tool.rates(first,
-                                                                 second)}
-        assert rows["txn commits/s"] == pytest.approx(10.0)
-        assert rows["rule firings/s"] == pytest.approx(4.0)
-        assert top_tool.rates(second, second) == []  # zero interval
+    def _timeseries(self):
+        """Two one-second windows: 10 then 30 commits, 8 firings, and
+        the aggregate the server merges them into."""
+        windows = [
+            {"seq": 1, "t": 48.0, "dt": 1.0, "idle": False,
+             "collected": {"transactions_committed": 10}, "histograms": {}},
+            {"seq": 2, "t": 49.0, "dt": 1.0, "idle": False,
+             "collected": {"transactions_committed": 30,
+                           "rules_triggered": 8}, "histograms": {}},
+        ]
+        return {
+            "interval": 1.0, "stats": {}, "windows": windows,
+            "aggregate": {
+                "elapsed": 2.0, "windows": 2,
+                "collected": {
+                    "rules_triggered": {"delta": 8, "rate": 4.0},
+                    "transactions_committed": {"delta": 40, "rate": 20.0}},
+                "histograms": {'txn_commit_seconds{scope="top"}': {
+                    "count": 40, "sum": 0.04, "mean": 0.001,
+                    "p50": 0.001, "p95": 0.002, "p99": 0.003,
+                    "p999": 0.004}}},
+        }
+
+    def test_rates_and_sparklines_from_the_timeseries_section(self):
+        series = self._timeseries()
+        rows = {label: (rate, spark) for label, rate, spark
+                in top_tool.timeseries_rows(series)}
+        assert rows["txn commits/s"] == (20.0, "▃█")
+        assert rows["rule firings/s"] == (4.0, "▁█")
+        assert rows["txn aborts/s"] == (0.0, "▁▁")
+        latency = top_tool.commit_latency(series)
+        assert latency["count"] == 40 and latency["p99"] == 0.003
 
     def test_render_frame(self):
-        current = self._payload(50.0, commits=1, firings=1)
-        rows = [("txn commits/s", 12.5, "")]
-        health = {"status": "ok", "alerts_total": 1,
-                  "recent": [{"severity": "warning", "kind": "rule_storm",
-                              "message": "busy"}]}
-        frame = top_tool.render(current, rows, health)
+        frame = top_tool.render(self._snapshot(self._timeseries()))
         assert "status ok" in frame
-        assert "12.5" in frame
         assert "deferred queue 2" in frame
-        assert "rule_storm" in frame
+        assert "rule_storm" in frame and "last alert" in frame
+        assert "20.0  ▃█" in frame
+        assert "p99 3.00ms" in frame and "(40 commits)" in frame
+        # The ticker off: the section is None, and the frame says so
+        # instead of showing rates.
+        frame = top_tool.render(self._snapshot(None))
+        assert "status ok" in frame and "rule_storm" in frame
+        assert "ticker off" in frame
+        assert "txn commits/s" not in frame and "commit latency" not in frame
+        # A ticker that has not closed a window yet.
+        empty = dict(self._timeseries(), windows=[])
+        frame = top_tool.render(self._snapshot(empty))
+        assert "waiting for the first ticker window" in frame
 
     def test_main_against_live_server(self, capsys):
         db = _db()
@@ -955,6 +1018,17 @@ class TestTopDashboard:
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("hipac top") == 2
+        # observability=False starts no ticker: one request still serves
+        # the frame, which shows no rates.
+        db = _db(observability=False)
+        server = db.serve_admin()
+        try:
+            code = top_tool.main(["--url", server.url, "--iterations", "1",
+                                  "--plain"])
+        finally:
+            db.close()
+        assert code == 0 and server.request_count == 1
+        assert "ticker off" in capsys.readouterr().out
 
     def test_main_unreachable_url_errors(self, capsys):
         code = top_tool.main(["--url", "http://127.0.0.1:1",
@@ -988,16 +1062,13 @@ class TestSnapshotEndpoint:
             status, _, body = _get(server.url + "/snapshot")
             assert status == 200
             snapshot = json.loads(body)
-            for path in ("health", "slo"):
-                status, _, body = _get(server.url + "/" + path)
-                assert status == 200
-                assert json.loads(body) == snapshot[path], path
-            status, _, body = _get(server.url + "/stats")
-            stats = json.loads(body)
-            for key in ("time", "uptime"):
-                stats.pop(key)
-            assert stats == {key: snapshot[key] for key in
-                             ("stats", "derived", "forensics")}
+            assert set(snapshot) == set(SNAPSHOT_SECTIONS)
+            status, _, body = _get(server.url + "/health")
+            assert status == 200
+            assert json.loads(body) == snapshot["health"]
+            # the timeseries aggregate merges exactly the windows listed
+            series = snapshot["timeseries"]
+            assert series["aggregate"]["windows"] == len(series["windows"])
             status, _, body = _get(server.url + "/")
             assert status == 200 and b"/snapshot" in body
         finally:
@@ -1024,20 +1095,18 @@ class TestSnapshotEndpoint:
                 return json.loads(body)
 
             # every ring holds something, and ?last=0 takes none of it
-            assert len(get("/alerts")["alerts"]) == 3
-            assert get("/alerts?last=0")["alerts"] == []
-            assert get("/alerts?last=-1")["alerts"] == []
             full = get("/snapshot")
             empty = get("/snapshot?last=0")
+            assert len(full["alerts"]) == 3
+            assert get("/snapshot?sections=alerts&last=-1")["alerts"] == []
             for ring in ("alerts", "firings", "slowlog"):
                 assert full[ring] and empty[ring] == [], ring
             assert full["timeseries"]["windows"]
+            assert full["timeseries"]["aggregate"]["windows"] == 1
             assert empty["timeseries"]["windows"] == []
+            assert empty["timeseries"]["aggregate"]["windows"] == 0
+            assert empty["timeseries"]["aggregate"]["collected"] == {}
             assert full["profile"]["rules"] and empty["profile"]["rules"] == {}
-            assert get("/timeseries")["windows"]
-            assert get("/timeseries?last=0")["windows"] == []
-            assert get("/flight")["recent"]
-            assert get("/flight?last=0")["recent"] == []
             assert get("/profile")["rules"]
             assert get("/profile?top=0")["rules"] == {}
         finally:
@@ -1134,19 +1203,20 @@ def test_admin_smoke():
         assert cause["trigger_attrs"] == ["v"], chain
         assert (app_hop["oid"], app_hop["new"]) == (str(feed), 5), chain
         assert app_hop["cause"]["kind"] == "application", chain
-    with urllib.request.urlopen(server.url + "/stats", timeout=10) as resp:
-        stats = json.loads(resp.read())["stats"]
-        assert stats["provenance"]["pruned"] == 1, stats["provenance"]
-    with urllib.request.urlopen(server.url + "/alerts", timeout=10) as resp:
-        alerts = json.loads(resp.read())
-        assert set(alerts) == {"total", "dropped", "by_kind", "alerts"}, alerts
-        assert alerts["total"] == 0 and alerts["alerts"] == [], alerts
-    with urllib.request.urlopen(server.url + "/slo", timeout=10) as resp:
-        slo = json.loads(resp.read())
-        states = {o["name"]: o["state"] for o in slo["objectives"]}
-        assert states == dict.fromkeys(
-            ("commit_latency", "firing_errors", "alert_free",
-             "deferred_batch", "deferred_backlog"), "ok"), states
+    status, body = get(server, "/snapshot?sections=stats,alerts,slo")
+    assert status == 200, status
+    document = json.loads(body)
+    stats = document["stats"]
+    assert stats["provenance"]["pruned"] == 1, stats["provenance"]
+    watchdog = stats["watchdog"]
+    assert watchdog["alerts_total"] == 0 and watchdog["alerts_dropped"] == 0, watchdog
+    assert set(watchdog) == {"alerts_total", "alerts_dropped"} | {
+        "alerts_" + kind for kind in KINDS}, watchdog
+    assert not any(watchdog.values()) and document["alerts"] == [], document
+    states = {o["name"]: o["state"] for o in document["slo"]["objectives"]}
+    assert states == dict.fromkeys(
+        ("commit_latency", "firing_errors", "alert_free",
+         "deferred_batch", "deferred_backlog"), "ok"), states
     # cascade edges come from the firing log at every level; timing only under trace
     cascade(db)
     status, body = get(server, "/profile")

@@ -86,6 +86,26 @@ class TestConstruction:
         finally:
             db.close()
 
+    def test_stats_sections_keep_their_keys(self, tmp_path):
+        """Every ``stats()`` section has one key list, whether its
+        subsystem is on or off: an off subsystem reads as its own
+        module's keys, zero-filled."""
+        on = HiPAC(durability="wal", data_dir=tmp_path, observability=True,
+                   flight_recorder=True, provenance=True, forensics=True)
+        off = HiPAC(observability=False)
+        try:
+            stats_on, stats_off = on.stats(), off.stats()
+        finally:
+            on.close()
+            off.close()
+        assert list(stats_on) == list(stats_off)
+        for section in stats_on:
+            assert list(stats_on[section]) == list(stats_off[section]), \
+                section
+        assert not any(stats_off[section][key] for section in
+                       ("provenance", "timeseries", "slo", "forensics")
+                       for key in stats_off[section])
+
 
 class TestAutoCommitConveniences:
     def test_define_class_auto_commits(self):

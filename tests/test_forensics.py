@@ -1,7 +1,7 @@
 """Tests for the incident-forensics layer: the black-box snapshot
 recorder (:mod:`repro.obs.forensics`), the ``doctor`` diagnosis engine
-(:mod:`repro.tools.doctor`), and the admin server's ``/alerts`` and
-``/forensics`` endpoints.
+(:mod:`repro.tools.doctor`), the admin server's ``/forensics`` endpoint,
+and the snapshot's ``alerts`` section.
 
 The headline scenario is the acceptance criterion: an induced rule storm
 must produce a snapshot bundle whose doctor report names the storming
@@ -457,8 +457,8 @@ class TestDoctor:
     def test_bundle_and_live_snapshot_diagnose_alike(self, tmp_path,
                                                      monkeypatch):
         """A bundle freezes the document ``/snapshot`` serves, so the
-        doctor reads both alike — 60 storm alerts included, more than
-        ``/alerts`` serves by default."""
+        doctor reads both alike — 60 storm alerts included, the count
+        a second assembly of the document once cut to 50."""
         monkeypatch.setattr(watchdog_module, "REALERT_INTERVAL", 0.0)
         db = _db(tmp_path, flight_recorder=True)
         try:
@@ -496,30 +496,32 @@ class TestAdminEndpoints:
         finally:
             db.close()
 
-    def test_alerts_endpoint_filters_and_bounds(self, tmp_path):
+    def test_alerts_section_counts_and_bounds(self, tmp_path):
+        """The alert ring is the snapshot's ``alerts`` section and its
+        counts are ``stats()["watchdog"]``."""
         db = _db(tmp_path)
         try:
             db.watchdog.note_cascade_limit(5, "loop via r1")
             db.watchdog.alert(SLO_BURN, WARNING,
                               "SLO commit_latency burning", 2.0, 1.0)
             server = db.serve_admin()
-            status, _, body = _get(server.url + "/alerts")
+            status, _, body = _get(server.url
+                                   + "/snapshot?sections=alerts,stats")
             assert status == 200
             payload = json.loads(body)
-            assert payload["total"] == 2
-            assert payload["by_kind"]["cascade_depth"] == 1
-            assert payload["by_kind"]["slo_burn"] == 1
-            assert len(payload["alerts"]) == 2
-            status, _, body = _get(server.url
-                                   + "/alerts?kind=cascade_depth")
-            payload = json.loads(body)
+            watchdog = payload["stats"]["watchdog"]
+            assert watchdog["alerts_total"] == 2
+            assert watchdog["alerts_cascade_depth"] == 1
+            assert watchdog["alerts_slo_burn"] == 1
+            assert watchdog["alerts_dropped"] == 0
             assert [a["kind"] for a in payload["alerts"]] \
-                == ["cascade_depth"]
-            status, _, body = _get(server.url + "/alerts?last=1")
+                == ["cascade_depth", "slo_burn"]
+            status, _, body = _get(server.url
+                                   + "/snapshot?sections=alerts&last=1")
             payload = json.loads(body)
-            assert len(payload["alerts"]) == 1
-            assert payload["alerts"][0]["kind"] == "slo_burn"
-            status, _, _ = _get(server.url + "/alerts?last=nope")
+            assert [a["kind"] for a in payload["alerts"]] == ["slo_burn"]
+            status, _, _ = _get(server.url
+                                + "/snapshot?sections=alerts&last=nope")
             assert status == 400
         finally:
             db.close()
@@ -548,9 +550,9 @@ class TestAdminEndpoints:
             status, _, _ = _get(server.url
                                 + "/forensics?id=..%2F..%2Fetc%2Fpasswd")
             assert status == 404
-            # the index advertises the new endpoints
+            # the index advertises the bundles beside the live document
             _, _, body = _get(server.url + "/")
-            assert b"/forensics" in body and b"/alerts" in body
+            assert b"/forensics" in body and b"/snapshot" in body
         finally:
             db.close()
 
@@ -566,31 +568,32 @@ class TestAdminEndpoints:
 
 class TestTopIncidentLine:
     def test_alert_and_capture_ages(self):
-        current = {
+        snapshot = {
             "time": 1000.0,
+            "health": {"recent": [{"kind": "rule_storm",
+                                   "severity": "warning",
+                                   "timestamp": 880.0}]},
             "forensics": {"bundles": 2, "bytes": 4096,
                           "last_kind": "rule_storm", "last_wall": 940.0},
         }
-        health = {"recent": [{"kind": "rule_storm", "severity": "warning",
-                              "timestamp": 880.0}]}
-        line = top_tool.incident_line(current, health)
+        line = top_tool.incident_line(snapshot)
         assert "last alert [warning] rule_storm 2m00s ago" in line
         assert "last capture rule_storm 1m00s ago" in line
         assert "2 bundle(s)" in line
 
     def test_armed_but_idle(self):
         line = top_tool.incident_line(
-            {"time": 10.0, "forensics": {"bundles": 0, "bytes": 0,
-                                         "last_kind": None}}, {})
+            {"time": 10.0, "health": {},
+             "forensics": {"bundles": 0, "bytes": 0, "last_kind": None}})
         assert line == "forensics armed, no captures"
 
     def test_absent_when_nothing_to_say(self):
-        assert top_tool.incident_line({"time": 10.0}, {}) == ""
+        assert top_tool.incident_line({"time": 10.0, "health": {}}) == ""
 
     def test_render_includes_incident_line(self):
         frame = top_tool.render(
-            {"time": 100.0, "uptime": 5.0,
+            {"time": 100.0, "uptime": 5.0, "health": {"status": "ok"},
              "forensics": {"bundles": 1, "bytes": 10,
-                           "last_kind": "manual", "last_wall": 90.0}},
-            [], health={"status": "ok"})
+                           "last_kind": "manual", "last_wall": 90.0},
+             "timeseries": None})
         assert "last capture manual 10s ago" in frame

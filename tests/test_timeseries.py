@@ -35,6 +35,7 @@ from repro.obs.metrics import (
     HistogramState,
     MetricsRegistry,
     percentile_from_counts,
+    window_summary,
 )
 from repro.obs.slo import (
     ALERT_FREE,
@@ -104,6 +105,25 @@ class TestHistogramDelta:
         # ...and to the observed max when one is supplied.
         assert percentile_from_counts(bounds, (0, 0, 4), 99,
                                       vmax=2.5) == 2.5
+
+    def test_one_windowed_quantile_values_the_overflow_bucket(self):
+        """The summary a snapshot shows and the SLO's measurement share
+        one estimator: a lone observation past the top bound is itself
+        the window's p99 in both, not the top bound."""
+        registry = MetricsRegistry()
+        hist = registry.histogram("op_seconds", buckets=(0.1, 1.0))
+        ring = TimeseriesRing(registry, interval=1.0, clock=lambda: 0.0)
+        monitor = SLOMonitor(ring, [Objective(
+            "op_p99", histogram="op_seconds", threshold=1.0, target=0.99)])
+        hist.observe(7.5)
+        ring.tick(now=1.0)
+        (window,) = ring.windows()
+        summary = window_summary(hist.bounds,
+                                 window.histograms["op_seconds"])
+        measured = monitor._measured(monitor.objectives[0], 60.0, 1.0)
+        assert summary["p99"] == measured == 7.5
+        assert ring.window_dict(window)["histograms"]["op_seconds"]["p99"] \
+            == 7.5
 
     def test_snapshot_reports_p999(self):
         registry = MetricsRegistry()
@@ -183,10 +203,12 @@ class TestTimeseriesRing:
         for tick in range(4):
             stats["reqs_total"] += 10
             ring.tick(now=float(tick + 1))
-        agg = ring.aggregate(2.5, now=4.0)  # covers windows at t=2,3,4
+        agg = ring.aggregate(ring.windows(3))  # the windows at t=2,3,4
+        assert agg["windows"] == 3 and agg["elapsed"] == pytest.approx(3.0)
         entry = agg["collected"]["reqs_total"]
         assert entry["delta"] == 30
         assert entry["rate"] == pytest.approx(30 / agg["elapsed"])
+        assert ring.as_dict(last=3)["aggregate"] == agg
 
     def test_labeled_families_merge_under_base_name(self):
         registry = MetricsRegistry()
@@ -598,15 +620,14 @@ class TestHiPACTimeseriesIntegration:
             server = db.serve_admin()
             import json as _json
             import urllib.request as _request
-            with _request.urlopen(server.url
-                                  + "/timeseries?last=5&window=60",
-                                  timeout=5.0) as resp:
+            with _request.urlopen(
+                    server.url + "/snapshot?sections=timeseries,slo&last=5",
+                    timeout=5.0) as resp:
                 payload = _json.loads(resp.read())
-            assert payload["windows"]
-            assert "aggregate" in payload
-            with _request.urlopen(server.url + "/slo",
-                                  timeout=5.0) as resp:
-                slo = _json.loads(resp.read())
+            series = payload["timeseries"]
+            assert 0 < len(series["windows"]) <= 5
+            assert series["aggregate"]["windows"] == len(series["windows"])
+            slo = payload["slo"]
             assert slo["worst_state"] == "ok"
             assert len(slo["objectives"]) == 5
         finally:
@@ -614,18 +635,19 @@ class TestHiPACTimeseriesIntegration:
         # close() stops the ticker thread.
         assert not db.timeseries.running
 
-    def test_endpoints_409_when_ticker_off(self):
-        import urllib.error as _error
+    def test_sections_none_when_ticker_off(self):
+        import json as _json
         import urllib.request as _request
         db = HiPAC(observability=False)
         try:
             assert db.timeseries is None
             assert db.slo is None
             server = db.serve_admin()
-            for path in ("/timeseries", "/slo"):
-                with pytest.raises(_error.HTTPError) as err:
-                    _request.urlopen(server.url + path, timeout=5.0)
-                assert err.value.code == 409
+            with _request.urlopen(
+                    server.url + "/snapshot?sections=timeseries,slo",
+                    timeout=5.0) as resp:
+                payload = _json.loads(resp.read())
+            assert payload == {"timeseries": None, "slo": None}
         finally:
             db.close()
 
