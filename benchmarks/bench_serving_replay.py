@@ -6,15 +6,16 @@ north star actually asks: with the recorded SAA quote stream arriving on
 its own schedule — sped up ``SPEED``x — what throughput does the stack
 sustain, and what do the latency tails look like *from the moment each
 stimulus was due*, not from the moment a stalled driver got around to
-sending it (coordinated-omission-free; see ``repro.tools.loadgen``).
+sending it (coordinated-omission-free; see ``repro.tools.replay``).
 
 Method: record a journal of ``QUOTES`` quotes pushed at
 ``QUOTE_SPACING_S`` intervals through the full SAA stack (flight
 recorder on, immediate coupling, a durable trading rule so every
-matching quote fires), then replay it with the open-loop load generator
-at ``SPEED``x against a fresh in-process HiPAC.  The run is valid only
-if the per-rule firing counts match the recording exactly — a load
-number from a replay that dropped firings measures a different workload.
+matching quote fires), then replay it paced at ``SPEED``x
+(``replay(..., speed=SPEED)``) against a fresh in-process HiPAC.  The
+run is valid only if every recorded firing is reproduced — the same
+multiset of firing identities, outcomes included — a load number from a
+replay that changed what fired measures a different workload.
 On a busy host the open-loop schedule itself absorbs scheduler noise, so
 the bench retries the whole record/replay round up to ``ATTEMPTS`` times
 and keeps the highest-throughput clean attempt.
@@ -36,7 +37,7 @@ from pathlib import Path
 
 from repro import HiPAC
 from repro.saa import SecuritiesAssistant
-from repro.tools.loadgen import run_loadgen
+from repro.tools.replay import replay
 from repro.workloads import MarketDataGenerator, make_symbols
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent \
@@ -85,19 +86,24 @@ def _measure() -> dict:
     data_dir = Path(tempfile.mkdtemp(prefix="bench-serving-"))
     try:
         _record(data_dir)
-        report = run_loadgen(
+        result = replay(
             data_dir,
             rules=lambda db: _build(db, False).rule_library,
             speed=SPEED)
+        result.db.close()
     finally:
         shutil.rmtree(data_dir, ignore_errors=True)
-    out = report.as_dict()
+    out = result.divergence.as_dict()
+    out["firing_divergence"] = result.divergence.diverged
+    out["speed"] = SPEED
+    out["stimuli_per_second"] = result.stimuli_per_second
+    out["latency"] = result.latency
     out["experiment"] = "serving_replay"
     out["workload"] = "saa_quotes_recorded"
     out["quote_spacing_s"] = QUOTE_SPACING_S
     out["min_stimuli_per_sec"] = MIN_STIMULI_PER_SEC
-    # Exact latency lists do not belong in a baseline file; the windowed
-    # summary in report.latency is the durable artifact.
+    # Exact latency lists do not belong in a baseline file; the percentile
+    # summary in result.latency is the durable artifact.
     return out
 
 
@@ -118,8 +124,8 @@ def test_serving_replay():
         BASELINE_PATH.write_text(json.dumps(results, indent=2,
                                             sort_keys=True) + "\n")
     assert not results["firing_divergence"], \
-        "replayed firing counts diverged from the recording: %s" \
-        % results["firing_counts"]
+        "replayed firings diverged from the recording: missing %s, " \
+        "extra %s" % (results["missing_firings"], results["extra_firings"])
     assert results["stimuli_per_second"] >= MIN_STIMULI_PER_SEC, \
         "sustained %.0f stimuli/s under the %.0f/s floor (offered %.0f/s)" \
         % (results["stimuli_per_second"], MIN_STIMULI_PER_SEC,

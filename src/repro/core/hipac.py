@@ -43,7 +43,8 @@ from repro.events.temporal import TemporalEventDetector
 from repro.obs import export as obs_export
 from repro.obs.forensics import SNAPSHOT_LAST, ForensicsRecorder
 from repro.obs.forensics import STATS_KEYS as FORENSICS_KEYS
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (JOURNAL_STATS_KEYS, WAL_STATS_KEYS,
+                               MetricsRegistry)
 from repro.obs.profiler import RuleProfiler
 from repro.obs.provenance import STATS_KEYS as PROVENANCE_KEYS
 from repro.obs.provenance import ProvenanceStore, parse_oid
@@ -727,21 +728,16 @@ class HiPAC:
             recovery["rules_rebound"] = report.rules_rebound
             recovery["rules_unbound"] = len(report.rules_unbound)
         # One ``storage`` family for both segment streams: the WAL
-        # (``wal_*``) and the flight journal (``journal_*``), each the
-        # shared segment writer's counters plus its domain layer's own.
-        wal_stats = self.wal.stats if self.wal is not None else {}
-        storage = {"wal_%s" % key: wal_stats.get(key, 0) for key in (
-            "records", "bytes", "segments", "fsyncs", "syncs",
-            "group_leads", "group_follows", "batched_records",
-            "commits_forced", "append_failures")}
-        journal_stats = (self.flight_recorder.stats
-                         if self.flight_recorder is not None else {})
-        storage.update(
-            ("journal_%s" % key, journal_stats.get(key, 0)) for key in (
-                "records", "bytes", "segments", "rotations",
-                "dropped_segments", "fsyncs", "last_seq", "suppressed",
-                "checkpoint_markers"))
-        # A subsystem that is off reads as its own key list, zero-filled.
+        # (``wal_*``) and the flight journal (``journal_*``).  A subsystem
+        # that is off reads as its own key list, zero-filled.
+        storage: Dict[str, int] = {}
+        for prefix, stream, keys in (
+                ("wal", self.wal, WAL_STATS_KEYS),
+                ("journal", self.flight_recorder, JOURNAL_STATS_KEYS)):
+            values = (stream.stats if stream is not None
+                      else dict.fromkeys(keys, 0))
+            storage.update(("%s_%s" % (prefix, key), value)
+                           for key, value in values.items())
         provenance = (self.provenance.stats_snapshot()
                       if self.provenance is not None
                       else dict.fromkeys(PROVENANCE_KEYS, 0))

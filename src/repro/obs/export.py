@@ -120,8 +120,6 @@ HELP_TEXTS: Dict[str, str] = {
         "Flight-journal record append latency (sampled)",
     "journal_fsync_seconds": "Flight-journal background fsync latency",
     "provenance_why_seconds": "why() causal chain walk latency",
-    "serving_latency_seconds":
-        "Loadgen per-stimulus latency from scheduled send time",
     "forensics_capture_seconds": "Snapshot bundle capture latency",
 }
 

@@ -80,6 +80,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.obs.metrics import JOURNAL_STATS_KEYS as STATS_KEYS
 from repro.obs.metrics import MetricsRegistry
 from repro.recovery.serialize import encode_operation, encode_value
 from repro.storage import SegmentWriter, read_stream, scan_segment, segment_files
@@ -191,10 +192,10 @@ class FlightRecorder:
 
     @property
     def stats(self) -> Dict[str, int]:
-        """Recorder counters merged with the underlying writer's."""
-        merged = dict(self._writer.stats)
-        merged.update(self._stats)
-        return merged
+        """The :data:`STATS_KEYS` counters: the writer's plus the
+        recorder's."""
+        merged = dict(self._writer.stats, **self._stats)
+        return {key: merged[key] for key in STATS_KEYS}
 
     # -- suppression ------------------------------------------------------
 

@@ -53,6 +53,16 @@ DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = (
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 5000, 10000,
 )
 
+#: the WAL's and the flight recorder's ``STATS_KEYS`` (their ``stats``):
+#: here, beside the registry both import, so the facade zero-fills a
+#: stream that is off without loading its module
+WAL_STATS_KEYS = ("records", "bytes", "segments", "fsyncs", "syncs",
+                  "group_leads", "group_follows", "batched_records",
+                  "commits_forced", "append_failures")
+JOURNAL_STATS_KEYS = ("records", "bytes", "segments", "rotations",
+                      "dropped_segments", "fsyncs", "last_seq", "suppressed",
+                      "checkpoint_markers")
+
 #: stride for sampled latency histograms on microsecond-scale hot paths
 #: (prime, so it can't lock onto small periodic workload patterns)
 HOT_PATH_SAMPLE = 5

@@ -38,7 +38,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from functools import reduce
+from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
+                    Tuple)
 
 from repro.obs.metrics import (
     HistogramState,
@@ -224,6 +226,24 @@ class TimeseriesRing:
         cutoff = now - seconds
         return [window for window in self.windows() if window.t > cutoff]
 
+    @staticmethod
+    def _fold(windows: List[Window],
+              pick: Callable[[Window], Tuple[Iterable[Any], Iterable[Any]]]
+              ) -> Tuple[float, Dict[str, float], Dict[str, HistogramState]]:
+        """The one windowed sum: ``(covered seconds, stat deltas, merged
+        histogram states)`` of the entries ``pick(window)`` yields."""
+        elapsed = 0.0
+        collected: Dict[str, float] = {}
+        merged: Dict[str, HistogramState] = {}
+        for window in windows:
+            elapsed += window.dt
+            stats, histograms = pick(window)
+            for name, delta in stats:
+                collected[name] = collected.get(name, 0) + delta
+            for name, state in histograms:
+                merged[name] = state.plus(merged.get(name))
+        return elapsed, collected, merged
+
     def aggregate(self, windows: List[Window]) -> Dict[str, Any]:
         """Merge ``windows`` (as :meth:`windows` returns them).
 
@@ -231,14 +251,9 @@ class TimeseriesRing:
         yield the merged percentiles; rates divide by the covered time
         (the sum of the windows' ``dt``).
         """
-        elapsed = sum(window.dt for window in windows)
-        collected: Dict[str, float] = {}
-        merged: Dict[str, HistogramState] = {}
-        for window in windows:
-            for name, delta in window.collected.items():
-                collected[name] = collected.get(name, 0) + delta
-            for name, state in window.histograms.items():
-                merged[name] = state.plus(merged.get(name))
+        elapsed, collected, merged = self._fold(
+            windows, lambda window: (window.collected.items(),
+                                     window.histograms.items()))
         safe_elapsed = max(elapsed, 1e-9)
         return {
             "elapsed": elapsed,
@@ -261,27 +276,22 @@ class TimeseriesRing:
         — a bare name merges every labeled child (children of one family
         share their bucket bounds).
         """
-        selected = self._select(seconds, now)
-        merged: Optional[HistogramState] = None
-        bounds: Tuple[float, ...] = self._bounds.get(name, ())
-        for window in selected:
-            for key, state in window.histograms.items():
-                if key != name and key.split("{", 1)[0] != name:
-                    continue
-                if not bounds:
-                    bounds = self._bounds.get(key, ())
-                merged = state.plus(merged)
-        if merged is None:
-            merged = HistogramState((), 0.0, 0)
-        return merged, bounds
+        _, _, children = self._fold(
+            self._select(seconds, now), lambda window: ((), (
+                (key, state) for key, state in window.histograms.items()
+                if key == name or key.split("{", 1)[0] == name)))
+        if not children:
+            return HistogramState((), 0.0, 0), self._bounds.get(name, ())
+        return (reduce(HistogramState.plus, children.values()),
+                self._bounds.get(name) or self._bounds[next(iter(children))])
 
     def counter_window(self, name: str, seconds: float,
                        now: Optional[float] = None) -> Tuple[float, float]:
         """``(delta, covered_seconds)`` for one collected stat."""
-        selected = self._select(seconds, now)
-        total = sum((window.collected.get(name, 0) for window in selected),
-                    0.0)
-        return total, sum(window.dt for window in selected)
+        covered, collected, _ = self._fold(
+            self._select(seconds, now),
+            lambda window: (((name, window.collected.get(name, 0)),), ()))
+        return float(collected.get(name, 0.0)), covered
 
     def level(self, name: str) -> float:
         """One collected stat as of the newest tick: a level, such as a

@@ -57,7 +57,7 @@ class RecoveryReport:
     replayed_records: int = 0
     replayed_spheres: int = 0
     discarded_spheres: int = 0
-    discarded_lines: int = 0
+    discarded_bytes: int = 0
     rules_rebound: int = 0
     rules_unbound: List[str] = field(default_factory=list)
 
@@ -170,7 +170,7 @@ def replay_into(db: Any, data_dir: Any,
         apply_checkpoint_state(store, checkpoint)
 
     records, discarded = wal_mod.read_wal_records(data_dir)
-    report.discarded_lines = discarded
+    report.discarded_bytes = discarded
     report.last_lsn = max(report.checkpoint_lsn,
                           records[-1]["lsn"] if records else 0)
 

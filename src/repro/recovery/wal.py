@@ -51,6 +51,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from repro.obs.metrics import WAL_STATS_KEYS as STATS_KEYS
 from repro.obs.metrics import MetricsRegistry
 from repro.recovery.serialize import encode_delta
 from repro.storage import SegmentWriter, read_stream, scan_segment, segment_files
@@ -121,10 +122,9 @@ class WriteAheadLog:
 
     @property
     def stats(self) -> Dict[str, int]:
-        """WAL counters merged with the underlying writer's."""
-        merged = dict(self._writer.stats)
-        merged.update(self._stats)
-        return merged
+        """The :data:`STATS_KEYS` counters: the writer's plus the WAL's."""
+        merged = dict(self._writer.stats, **self._stats)
+        return {key: merged[key] for key in STATS_KEYS}
 
     # ------------------------------------------------------------- append
 

@@ -80,13 +80,6 @@ def segment_files(directory: Any, prefix: str) -> List[Path]:
     return [path for _, path in indexed]
 
 
-def _count_units(path: Path, seq_field: str) -> int:
-    """Approximate record count of an untrusted segment (for discarded
-    accounting after a tear in an earlier segment)."""
-    records, trailing = scan_segment(path, seq_field=seq_field, last_seq=0)
-    return len(records) + (1 if trailing else 0)
-
-
 def read_stream(directory: Any, prefix: str, *, seq_field: str
                 ) -> Tuple[List[Dict[str, Any]], int]:
     """Read the valid prefix of a whole stream, across segments.
@@ -94,8 +87,8 @@ def read_stream(directory: Any, prefix: str, *, seq_field: str
     A bad record poisons everything after it (later segments included):
     the trusted prefix is exactly what a sequential writer durably
     completed before the first tear.  ``discarded`` counts the dropped
-    trailing content — unreadable bytes in the torn segment plus the
-    record units of every later segment.
+    trailing bytes: the unreadable tail of the torn segment plus the
+    whole of every later segment.
     """
     records: List[Dict[str, Any]] = []
     discarded = 0
@@ -109,8 +102,8 @@ def read_stream(directory: Any, prefix: str, *, seq_field: str
             last_seq = seg_records[-1][seq_field]
         if seg_discarded:
             discarded += seg_discarded
-            for later in files[index + 1:]:
-                discarded += _count_units(later, seq_field)
+            discarded += sum(later.stat().st_size
+                             for later in files[index + 1:])
             break
     return records, discarded
 

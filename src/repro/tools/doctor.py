@@ -459,7 +459,7 @@ def smoke() -> int:
     assert top_finding.command and "--until" in top_finding.command, \
         top_finding
     seq = int(top_finding.command.rsplit(None, 1)[-1])
-    records, last_seq = read_journal(data_dir)
+    records, _discarded = read_journal(data_dir)
     seqs = [record.get("seq") for record in records
             if record.get("seq") is not None]
     assert seqs and min(seqs) <= seq <= max(seqs), \

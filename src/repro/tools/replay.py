@@ -24,6 +24,16 @@ reproduction recipe; a divergence localises *where* determinism broke —
 a rule edited since the recording, a store mutated out-of-band, or
 genuine nondeterminism in a rule body.
 
+**Paced replay** (``speed``) is the same engine as load: each unit is
+due at its recorded wall-clock offset divided by ``speed`` and its
+latency runs from that schedule, so an engine stall is charged to every
+unit due during it, not hidden by a driver that waits (no coordinated
+omission).  Traffic (update-only transactions, signals, manual fires)
+runs on :data:`WORKERS` threads; a barrier (anything that perturbs OID
+allocation or the rule base) waits for them to drain and runs inline.
+Concurrency may reorder firings but must not change what fired: every
+firing is compared as an identity multiset, and the store diff skipped.
+
 CLI (``python -m repro.tools.replay``)::
 
     replay DATA_DIR              journal summary + recent records
@@ -31,7 +41,11 @@ CLI (``python -m repro.tools.replay``)::
                                  full replay + divergence report
     replay DATA_DIR --diff --until SEQ
                                  replay a prefix (bisecting an incident)
-    replay --smoke               self-contained SAA record/replay check
+    replay DATA_DIR --diff --speed N
+                                 paced replay at N times the recorded pace:
+                                 throughput, latency from the schedule
+    replay --smoke               self-contained SAA record/replay checks,
+                                 sequential and paced
 
 ``--rules pkg.mod:attr`` names either a rule library (dict / iterable of
 rules) or a *setup callable* ``setup(db) -> library`` that may register
@@ -42,11 +56,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import queue
 import sys
-from dataclasses import dataclass, field
+import threading
+import time
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.obs import flightrec
+from repro.obs.profiler import percentile_of
 from repro.recovery.checkpoint import load_checkpoint
 from repro.recovery.recover import (
     RecoveryReport,
@@ -113,19 +131,7 @@ class DivergenceReport:
                     or self.extra_firings or self.store_deltas)
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "diverged": self.diverged,
-            "replayed_stimuli": self.replayed_stimuli,
-            "expected_firings": self.expected_firings,
-            "replayed_firings": self.replayed_firings,
-            "first_divergence_seq": self.first_divergence_seq,
-            "sync_mismatches": self.sync_mismatches,
-            "missing_firings": self.missing_firings,
-            "extra_firings": self.extra_firings,
-            "store_deltas": self.store_deltas,
-            "unbound_rules": self.unbound_rules,
-            "notes": self.notes,
-        }
+        return dict(asdict(self), diverged=self.diverged)
 
     def summary(self) -> str:
         if not self.diverged:
@@ -150,6 +156,11 @@ class ReplayResult:
     db: Any
     divergence: DivergenceReport
     recovery: RecoveryReport
+    #: paced replay only: units driven per second of wall time, and the
+    #: latency from each unit's schedule (seconds: count, p50, p95, p99,
+    #: p999, max, mean)
+    stimuli_per_second: float = 0.0
+    latency: Dict[str, float] = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------
@@ -269,15 +280,6 @@ def _replay_stimulus(db: Any, record: Dict[str, Any],
         raise ReplayError("unknown stimulus type %r" % rtype)
 
 
-#: public alias — the load generator (:mod:`repro.tools.loadgen`)
-#: re-issues journalled stimuli through the same single-record engine.
-def replay_stimulus(db: Any, record: Dict[str, Any],
-                    txn_map: Dict[str, Any], library: Dict[str, Rule],
-                    report: DivergenceReport) -> None:
-    """Re-issue one journal record against ``db`` (see module docs)."""
-    _replay_stimulus(db, record, txn_map, library, report)
-
-
 def _replay_temporal(db: Any, record: Dict[str, Any],
                      report: DivergenceReport) -> None:
     """Re-report a recorded temporal occurrence against its spec.
@@ -324,39 +326,38 @@ def journal_firings(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
 def _diff_firings(expected: List[Dict[str, Any]],
                   replayed: List[Any],
-                  report: DivergenceReport) -> None:
+                  report: DivergenceReport, *, ordered: bool) -> None:
     """Diff recorded firing responses against the replayed firing log.
 
     Synchronous firings (immediate/deferred couplings) are fully ordered
-    by the journal, so they are compared in sequence: the order their
-    conditions were evaluated in.  The firing log holds them in the order
-    they were triggered, which differs for a deferred firing (triggered at
-    its event, evaluated at commit), so the replayed ones are put in the
-    order of their condition transactions, whose ids are issued in
-    evaluation order.  Separate-coupling firings run on worker threads
-    whose interleaving is scheduler-chosen even within one run, so they
-    are compared as a multiset.
+    by the journal, so an ``ordered`` diff compares them in sequence: the
+    order their conditions were evaluated in.  The firing log holds them
+    in the order they were triggered, which differs for a deferred firing
+    (triggered at its event, evaluated at commit), so the replayed ones
+    are put in the order of their condition transactions, whose ids are
+    issued in evaluation order.  Separate-coupling firings run on worker
+    threads whose interleaving is scheduler-chosen even within one run,
+    so they are compared as a multiset — and so is every firing of a
+    paced replay (not ``ordered``), whose traffic runs concurrently.
     """
     report.expected_firings = len(expected)
     report.replayed_firings = len(replayed)
 
-    exp_sync = [r for r in expected if not r["data"].get("separate")]
-    exp_sep = [r for r in expected if r["data"].get("separate")]
-    got_sync = sorted((f for f in replayed if not f.separate_thread),
+    def in_sequence(separate: bool) -> bool:
+        return ordered and not separate
+
+    exp_sync = [r for r in expected if in_sequence(r["data"].get("separate"))]
+    exp_free = [r for r in expected
+                if not in_sequence(r["data"].get("separate"))]
+    got_sync = sorted((f for f in replayed if in_sequence(f.separate_thread)),
                       key=lambda firing: int(firing.condition_txn[1:]))
-    got_sep = [f for f in replayed if f.separate_thread]
+    got_free = [f for f in replayed if not in_sequence(f.separate_thread)]
 
     first_seq: Optional[int] = None
 
-    def _expected_identity(record: Dict[str, Any]) -> Tuple[Any, ...]:
-        data = record["data"]
+    def identity(data: Dict[str, Any]) -> Tuple[Any, ...]:
         return firing_identity(data["rule"], data["event"], data["ec"],
                                data["ca"], data["satisfied"])
-
-    def _replayed_identity(firing: Any) -> Tuple[Any, ...]:
-        return firing_identity(firing.rule_name, firing.event,
-                               firing.ec_coupling, firing.ca_coupling,
-                               firing.satisfied)
 
     for index, record in enumerate(exp_sync):
         if index >= len(got_sync):
@@ -365,34 +366,32 @@ def _diff_firings(expected: List[Dict[str, Any]],
             if first_seq is None:
                 first_seq = record["seq"]
             continue
-        want = _expected_identity(record)
-        got = _replayed_identity(got_sync[index])
-        if want != got:
-            report.sync_mismatches.append({
-                "seq": record["seq"],
-                "expected": record["data"],
-                "actual": _firing_dict(got_sync[index]),
-            })
+        got = _firing_dict(got_sync[index])
+        if identity(record["data"]) != identity(got):
+            report.sync_mismatches.append({"seq": record["seq"],
+                                           "expected": record["data"],
+                                           "actual": got})
             if first_seq is None:
                 first_seq = record["seq"]
     for firing in got_sync[len(exp_sync):]:
         report.extra_firings.append({"firing": _firing_dict(firing)})
 
-    # Separate firings: order-free matching by identity multiset.
-    unmatched = [(_replayed_identity(f), f) for f in got_sep]
-    for record in exp_sep:
-        want = _expected_identity(record)
-        hit = next((i for i, (ident, _) in enumerate(unmatched)
-                    if ident == want), None)
-        if hit is None:
-            report.missing_firings.append(
-                {"seq": record["seq"], "firing": record["data"]})
-            if first_seq is None or record["seq"] < first_seq:
-                first_seq = record["seq"]
-        else:
-            unmatched.pop(hit)
-    for _, firing in unmatched:
-        report.extra_firings.append({"firing": _firing_dict(firing)})
+    # Order-free matching by identity multiset.
+    unmatched: Dict[Tuple[Any, ...], List[Dict[str, Any]]] = {}
+    for firing in map(_firing_dict, got_free):
+        unmatched.setdefault(identity(firing), []).append(firing)
+    for record in exp_free:
+        candidates = unmatched.get(identity(record["data"]))
+        if candidates:
+            candidates.pop()
+            continue
+        report.missing_firings.append(
+            {"seq": record["seq"], "firing": record["data"]})
+        if first_seq is None or record["seq"] < first_seq:
+            first_seq = record["seq"]
+    for candidates in unmatched.values():
+        report.extra_firings.extend({"firing": firing}
+                                    for firing in candidates)
 
     report.first_divergence_seq = first_seq
 
@@ -435,9 +434,168 @@ def _diff_store(original: Any, replayed: Any,
             })
 
 
+# --------------------------------------------------------------------------
+# paced replay
+
+#: traffic worker threads of a paced replay
+WORKERS = 4
+
+#: record types that are traffic when standalone
+_TRAFFIC_SIGNALS = frozenset((flightrec.EXTERNAL, flightrec.TEMPORAL,
+                              flightrec.FIRE))
+
+
+@dataclass
+class _Unit:
+    """One schedulable unit: a stimulus record or a whole txn group."""
+
+    records: List[Dict[str, Any]]
+    traffic: bool = True    #: safe on the worker pool vs. barrier
+
+    @property
+    def seq(self) -> int:
+        return self.records[0]["seq"]
+
+    @property
+    def wall(self) -> float:
+        """Recorded wall-clock of the first record."""
+        return self.records[0].get("wall", 0.0)
+
+
+def _updates_only(record: Dict[str, Any]) -> bool:
+    """Safe to run concurrently: a create, delete or DDL operation
+    perturbs OID allocation order and must barrier."""
+    data = record["data"]
+    entries = (data.get("ops", []) if record["type"] == flightrec.TXN_AUTO
+               else [data])
+    return all(entry["op"]["kind"] == "update" for entry in entries)
+
+
+def build_units(suffix: List[Dict[str, Any]]) -> List[_Unit]:
+    """Partition a journal suffix into schedulable units, in seq order.
+
+    Explicit transactions group into one unit spanning begin..commit
+    (nested begins alias into the enclosing group); everything else is a
+    unit of one record.  A unit is *traffic* when every record in it is
+    an update-only operation or a signal — anything touching the schema,
+    the rule base, or OID allocation is a barrier.
+    """
+    units: List[_Unit] = []
+    #: txn id -> its open group (a nested txn aliases the enclosing one)
+    open_groups: Dict[str, _Unit] = {}
+    for record in suffix:
+        rtype = record["type"]
+        if rtype not in flightrec.STIMULUS_TYPES:
+            continue
+        if rtype == flightrec.TXN_BEGIN:
+            group = open_groups.get(record["data"].get("parent"))
+            if group is None:
+                group = _Unit([])
+                units.append(group)
+            group.records.append(record)
+            open_groups[record["txn"]] = group
+            continue
+        group = open_groups.get(record["txn"])
+        if group is None:
+            units.append(_Unit([record], _updates_only(record)
+                               if rtype == flightrec.TXN_AUTO
+                               else rtype in _TRAFFIC_SIGNALS))
+            continue
+        group.records.append(record)
+        if rtype == flightrec.OPERATION:
+            group.traffic = group.traffic and _updates_only(record)
+        elif rtype not in (flightrec.TXN_COMMIT, flightrec.TXN_ABORT,
+                           flightrec.EXTERNAL, flightrec.FIRE):
+            # rule admin / event definition inside the transaction
+            group.traffic = False
+        if rtype in (flightrec.TXN_COMMIT, flightrec.TXN_ABORT) \
+                and record["txn"] == group.records[0]["txn"]:
+            for alias in [key for key, value in open_groups.items()
+                          if value is group]:
+                del open_groups[alias]
+    # A torn tail can leave groups open; replay what was captured, as a
+    # barrier (the commit never made it, determinism is off anyway).
+    for group in open_groups.values():
+        group.traffic = False
+    return units
+
+
+def _pace(db: Any, suffix: List[Dict[str, Any]], speed: float,
+          library: Dict[str, Rule], result: ReplayResult) -> None:
+    """Drive the suffix's units on the open-loop schedule at ``speed``x
+    and fill the result's throughput and latency."""
+    report = result.divergence
+    units = build_units(suffix)
+    report.replayed_stimuli = sum(len(unit.records) for unit in units)
+    latencies: List[float] = []
+    work: "queue.Queue[Optional[Tuple[_Unit, float]]]" = queue.Queue()
+
+    def execute(unit: _Unit, scheduled_at: float) -> None:
+        txn_map: Dict[str, Any] = {}
+        try:
+            for record in unit.records:
+                _replay_stimulus(db, record, txn_map, library, report)
+        except Exception as exc:
+            report.notes.append("seq %d: unit failed during replay: %s"
+                                % (unit.seq, exc))
+        finally:
+            for txn in list(txn_map.values()):
+                if not txn.is_finished() and txn.parent is None:
+                    db.abort(txn)
+        latencies.append(time.perf_counter() - scheduled_at)
+
+    def worker() -> None:
+        while True:
+            item = work.get()
+            try:
+                if item is None:
+                    return
+                execute(*item)
+            finally:
+                work.task_done()
+
+    pool = [threading.Thread(target=worker, daemon=True,
+                             name="replay-%d" % index)
+            for index in range(WORKERS)]
+    for thread in pool:
+        thread.start()
+    base_wall = units[0].wall if units else 0.0
+    start = time.perf_counter()
+    for unit in units:
+        # Wait for the schedule, never for the system: a unit's latency
+        # runs from when it was due.
+        scheduled_at = start + max(0.0, unit.wall - base_wall) / speed
+        delay = scheduled_at - time.perf_counter()
+        if delay > 0:
+            time.sleep(delay)
+        if unit.traffic:
+            work.put((unit, scheduled_at))
+        else:
+            work.join()
+            execute(unit, scheduled_at)
+    for _ in pool:
+        work.put(None)
+    for thread in pool:
+        thread.join()
+    db.drain()
+    result.stimuli_per_second = len(units) / max(
+        1e-9, time.perf_counter() - start)
+
+    ordered = sorted(latencies) or [0.0]
+    result.latency = {name: percentile_of(ordered, q) for name, q in (
+        ("p50", 50), ("p95", 95), ("p99", 99), ("p999", 99.9))}
+    result.latency.update(count=len(latencies), max=ordered[-1],
+                          mean=sum(ordered) / len(ordered))
+
+
+# --------------------------------------------------------------------------
+# the replayer
+
+
 def replay(data_dir: Any, rules: RuleSource = None, *,
            until: Optional[int] = None,
-           store_diff: bool = True) -> ReplayResult:
+           store_diff: bool = True,
+           speed: Optional[float] = None) -> ReplayResult:
     """Replay the journal under ``data_dir`` and diff against the record.
 
     ``rules`` supplies the rule library (callables in rules cannot be
@@ -449,20 +607,30 @@ def replay(data_dir: Any, rules: RuleSource = None, *,
     ``until`` truncates the journal at a sequence number (inclusive) for
     bisection; partial replays skip the store diff (the journal prefix
     does not correspond to the final committed state).
+
+    ``speed`` paces the replay as load (see the module docs) and fills
+    the result's ``stimuli_per_second`` and ``latency``; firings are then
+    compared as a multiset and the store diff is skipped.
     """
     from repro.core.hipac import HiPAC
 
+    if speed is not None and speed <= 0:
+        raise ValueError("speed must be positive, got %r" % speed)
     records, dropped = flightrec.read_journal(data_dir)
     report = DivergenceReport()
     if dropped:
         report.notes.append(
-            "journal: %d torn/unreadable trailing units ignored" % dropped)
+            "journal: %d torn/unreadable trailing bytes ignored" % dropped)
     if until is not None:
         records = [r for r in records if r["seq"] <= until]
         if store_diff:
             store_diff = False
             report.notes.append(
                 "store diff skipped: partial replay (--until %d)" % until)
+    if speed is not None and store_diff:
+        store_diff = False
+        report.notes.append("store diff skipped: paced replay (--speed %g) "
+                            "runs traffic concurrently" % speed)
 
     checkpoint = load_checkpoint(data_dir)
     cut = _journal_cut(records, checkpoint)
@@ -475,7 +643,33 @@ def replay(data_dir: Any, rules: RuleSource = None, *,
         recovery.checkpoint_lsn = checkpoint["lsn"]
         apply_checkpoint_state(db.store, checkpoint)
         rebind_stored_rules(db, library, recovery)
+    result = ReplayResult(db=db, divergence=report, recovery=recovery)
 
+    if speed is not None:
+        _pace(db, suffix, speed, library, result)
+    else:
+        _replay_in_order(db, suffix, library, report)
+
+    expected = journal_firings(suffix)
+    replayed = [f for f in db.firing_log().all() if f.satisfied is not None]
+    _diff_firings(expected, replayed, report, ordered=speed is None)
+
+    if store_diff:
+        from repro.recovery.recover import has_durable_state
+        if has_durable_state(data_dir):
+            original = recover(data_dir, rules=None, durability=None)
+            _diff_store(original, db, report)
+        else:
+            report.notes.append("store diff skipped: no WAL/checkpoint "
+                                "under %s" % data_dir)
+
+    return result
+
+
+def _replay_in_order(db: Any, suffix: List[Dict[str, Any]],
+                     library: Dict[str, Rule],
+                     report: DivergenceReport) -> None:
+    """Re-issue the suffix's stimuli one at a time, in journal order."""
     txn_map: Dict[str, Any] = {}
     for record in suffix:
         if record["type"] not in flightrec.STIMULUS_TYPES:
@@ -506,21 +700,6 @@ def replay(data_dir: Any, rules: RuleSource = None, *,
             db.abort(txn)
     db.drain()
 
-    expected = journal_firings(suffix)
-    replayed = [f for f in db.firing_log().all() if f.satisfied is not None]
-    _diff_firings(expected, replayed, report)
-
-    if store_diff:
-        from repro.recovery.recover import has_durable_state
-        if has_durable_state(data_dir):
-            original = recover(data_dir, rules=None, durability=None)
-            _diff_store(original, db, report)
-        else:
-            report.notes.append("store diff skipped: no WAL/checkpoint "
-                                "under %s" % data_dir)
-
-    return ReplayResult(db=db, divergence=report, recovery=recovery)
-
 
 # --------------------------------------------------------------------------
 # CLI
@@ -550,41 +729,56 @@ def _summarize(data_dir: str, last: int) -> Dict[str, Any]:
         "data_dir": str(data_dir),
         "segments": [str(p) for p in flightrec.journal_segments(data_dir)],
         "records": len(records),
-        "discarded_lines": dropped,
+        "discarded_bytes": dropped,
         "last_seq": records[-1]["seq"] if records else 0,
         "by_type": by_type,
         "tail": records[-last:] if last > 0 else [],
     }
 
 
-def _smoke() -> int:
-    """Self-contained record/replay round trip on the SAA (CI gate).
+def _smoke(speed: float) -> int:
+    """Self-contained record/replay round trips on the SAA (CI gate).
 
-    Runs the paper's securities workload with the recorder on, abandons
-    the process state (no checkpoint — the WAL and journal are all that
-    survives, plus a deliberately torn journal tail), replays, and fails
-    on any divergence.
+    Sequential: the paper's securities workload with the recorder on,
+    abandoned without a checkpoint (the WAL and journal are all that
+    survives, plus a deliberately torn journal tail), replayed and
+    diffed.  Paced: a quote stream under an immediate, durable trading
+    rule, replayed at ``speed``x on the worker pool.  Fails on any
+    divergence of either.
     """
     import shutil
     import tempfile
 
     from repro.core.hipac import HiPAC
-    from repro.rules.coupling import SEPARATE
+    from repro.rules.coupling import IMMEDIATE, SEPARATE
     from repro.saa.assistant import SecuritiesAssistant
 
-    def build_saa(db: Any, install: bool) -> Any:
-        saa = SecuritiesAssistant(db, coupling=SEPARATE, install=install)
+    def build_saa(db: Any, install: bool, coupling: str) -> Any:
+        saa = SecuritiesAssistant(db, coupling=coupling, install=install)
         saa.add_ticker("NYSE")
         saa.add_display("jones")
         saa.add_trader("fidelity")
+        # The sequential check keeps the paper's one-shot rule; a paced
+        # one reorders traffic, so a durable rule keeps what fires fixed.
         saa.add_trading_rule(client="smith", symbol="XRX", shares=500,
-                             limit=50.0, service="fidelity")
+                             limit=50.0, service="fidelity",
+                             one_shot=coupling == SEPARATE)
         return saa
 
-    data_dir = tempfile.mkdtemp(prefix="flightrec-smoke-")
+    def check(data_dir: str, coupling: str,
+              speed: Optional[float] = None) -> int:
+        result = replay(data_dir,
+                        rules=lambda fresh: build_saa(fresh, False, coupling)
+                        .rule_library, speed=speed)
+        result.db.close()
+        return _render(result, speed, as_json=False)
+
+    sequential = tempfile.mkdtemp(prefix="flightrec-smoke-")
+    paced = tempfile.mkdtemp(prefix="flightrec-paced-")
     try:
-        db = HiPAC(durability="wal", data_dir=data_dir, flight_recorder=True)
-        saa = build_saa(db, True)
+        db = HiPAC(durability="wal", data_dir=sequential,
+                   flight_recorder=True)
+        saa = build_saa(db, True, SEPARATE)
         ticker = saa.tickers["NYSE"]
         for symbol, price in [("XRX", 48.0), ("IBM", 101.0), ("XRX", 49.5),
                               ("XRX", 50.25), ("IBM", 102.0)]:
@@ -592,19 +786,22 @@ def _smoke() -> int:
             saa.drain()
         db.close()
         # Tear the journal tail: a half-written record must be ignored.
-        segments = flightrec.journal_segments(data_dir)
+        segments = flightrec.journal_segments(sequential)
         with open(segments[-1], "a", encoding="utf-8") as handle:
             handle.write('{"seq": 99999, "type": "external", "wal')
 
-        result = replay(data_dir,
-                        rules=lambda fresh: build_saa(fresh, False)
-                        .rule_library)
-        print(result.divergence.summary())
-        for note in result.divergence.notes:
-            print("note:", note)
-        return 1 if result.divergence.diverged else 0
+        db = HiPAC(flight_recorder=True, data_dir=paced)
+        ticker = build_saa(db, True, IMMEDIATE).tickers["NYSE"]
+        for index in range(80):
+            ticker.push_quote(("XRX", "IBM")[index % 2], 45.0 + (index % 12))
+            time.sleep(0.002)
+        db.close()
+
+        return max(check(sequential, SEPARATE),
+                   check(paced, IMMEDIATE, speed))
     finally:
-        shutil.rmtree(data_dir, ignore_errors=True)
+        shutil.rmtree(sequential, ignore_errors=True)
+        shutil.rmtree(paced, ignore_errors=True)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -619,19 +816,25 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="rule library or setup callable for --diff")
     parser.add_argument("--until", type=int, metavar="SEQ",
                         help="replay only records with seq <= SEQ")
+    parser.add_argument("--speed", type=float, metavar="N",
+                        help="with --diff: pace the replay at N times the "
+                             "recorded speed, as load on a worker pool "
+                             "(--smoke: the paced check's N, default 5)")
     parser.add_argument("--last", type=int, default=10, metavar="N",
                         help="records of journal tail to show (default 10)")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
     parser.add_argument("--smoke", action="store_true",
                         help="run the self-contained SAA record/replay "
-                             "round trip")
+                             "round trips, sequential and paced")
     options = parser.parse_args(argv)
 
     if options.smoke:
-        return _smoke()
+        return _smoke(options.speed or 5.0)
     if not options.data_dir:
         parser.error("data_dir is required unless --smoke is given")
+    if options.speed is not None and not options.diff:
+        parser.error("--speed paces a replay: give --diff too")
 
     if not options.diff:
         summary = _summarize(options.data_dir, options.last)
@@ -640,9 +843,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print("journal under %s" % summary["data_dir"])
             print("  segments: %d, records: %d, last seq: %d, "
-                  "discarded lines: %d"
+                  "discarded bytes: %d"
                   % (len(summary["segments"]), summary["records"],
-                     summary["last_seq"], summary["discarded_lines"]))
+                     summary["last_seq"], summary["discarded_bytes"]))
             for rtype in sorted(summary["by_type"]):
                 print("  %-14s %d" % (rtype, summary["by_type"][rtype]))
             for record in summary["tail"]:
@@ -653,28 +856,46 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     rules = _load_rules_ref(options.rules) if options.rules else None
     try:
-        result = replay(options.data_dir, rules, until=options.until)
+        result = replay(options.data_dir, rules, until=options.until,
+                        speed=options.speed)
     except ReplayError as exc:
         print("replay failed: %s" % exc, file=sys.stderr)
         return 2
+    return _render(result, options.speed, options.json)
+
+
+def _render(result: ReplayResult, speed: Optional[float],
+            as_json: bool) -> int:
+    """Print a replay's verdict (and a paced one's load figures); the
+    exit status is 1 when it diverged."""
     divergence = result.divergence
-    if options.json:
-        print(json.dumps(divergence.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(divergence.summary())
-        for entry in divergence.sync_mismatches:
-            print("  seq %d: expected %s, got %s"
-                  % (entry["seq"], entry["expected"], entry["actual"]))
-        for entry in divergence.missing_firings:
-            print("  seq %d: missing %s" % (entry["seq"], entry["firing"]))
-        for entry in divergence.extra_firings:
-            print("  extra: %s" % entry["firing"])
-        for entry in divergence.store_deltas:
-            print("  store %s %s: expected %s, got %s"
-                  % (entry["kind"], entry["oid"], entry["expected"],
-                     entry["actual"]))
-        for note in divergence.notes:
-            print("  note: %s" % note)
+    paced = ({"speed": speed, "stimuli_per_second": result.stimuli_per_second,
+              "latency": result.latency} if speed is not None else {})
+    if as_json:
+        print(json.dumps(dict(divergence.as_dict(), **paced), indent=2,
+                         sort_keys=True))
+        return 1 if divergence.diverged else 0
+    print(divergence.summary())
+    if paced:
+        latency = result.latency
+        print("  paced at %gx: %.0f stimuli/s; latency from schedule "
+              "p50 %.3fms p95 %.3fms p99 %.3fms max %.3fms"
+              % (speed, result.stimuli_per_second, latency["p50"] * 1e3,
+                 latency["p95"] * 1e3, latency["p99"] * 1e3,
+                 latency["max"] * 1e3))
+    for entry in divergence.sync_mismatches:
+        print("  seq %d: expected %s, got %s"
+              % (entry["seq"], entry["expected"], entry["actual"]))
+    for entry in divergence.missing_firings:
+        print("  seq %d: missing %s" % (entry["seq"], entry["firing"]))
+    for entry in divergence.extra_firings:
+        print("  extra: %s" % entry["firing"])
+    for entry in divergence.store_deltas:
+        print("  store %s %s: expected %s, got %s"
+              % (entry["kind"], entry["oid"], entry["expected"],
+                 entry["actual"]))
+    for note in divergence.notes:
+        print("  note: %s" % note)
     return 1 if divergence.diverged else 0
 
 

@@ -1,6 +1,8 @@
 """Tests for the HiPAC facade: wiring, auto-commit conveniences, stats."""
 
 import inspect
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -105,6 +107,29 @@ class TestConstruction:
         assert not any(stats_off[section][key] for section in
                        ("provenance", "timeseries", "slo", "forensics")
                        for key in stats_off[section])
+
+    def test_the_storage_section_loads_no_stream_module(self):
+        """The storage keys are the WAL's and the journal's STATS_KEYS,
+        zero-filled without loading either stream's module: a default
+        instance, its stats read, imports no flight recorder, recovery
+        or storage code (each adds to every process's resident size)."""
+        from repro.obs import flightrec
+        from repro.recovery import wal
+        keys = ["wal_" + key for key in wal.STATS_KEYS]
+        keys += ["journal_" + key for key in flightrec.STATS_KEYS]
+        db = HiPAC()
+        try:
+            assert list(db.stats()["storage"]) == keys
+        finally:
+            db.close()
+        code = ("import sys; from repro import HiPAC; db = HiPAC(); "
+                "db.stats(); db.close(); print(sorted(name for name in "
+                "sys.modules if name.startswith(('repro.obs.flightrec', "
+                "'repro.recovery', 'repro.storage'))))")
+        loaded = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, timeout=60)
+        assert loaded.returncode == 0, loaded.stderr
+        assert loaded.stdout.strip() == "[]"
 
 
 class TestAutoCommitConveniences:

@@ -447,9 +447,9 @@ class TestExportsAndFacade:
 
 def test_help_texts_name_real_families(tmp_path):
     """Every curated ``# HELP`` entry names a histogram family the registry
-    really creates (loadgen creates the serving one)."""
+    really creates."""
     _, histograms = _fully_on_exposition(tmp_path)
-    stray = set(HELP_TEXTS) - histograms - {"serving_latency_seconds"}
+    stray = set(HELP_TEXTS) - histograms
     assert not stray, sorted(stray)
 
 

@@ -108,6 +108,18 @@ class TestStream:
         assert [r["lsn"] for r in records] == [1]
         assert discarded > 0
 
+    def test_discarded_counts_bytes_across_segments(self, tmp_path):
+        # The torn segment's unreadable tail and every later segment's
+        # whole file, both in bytes.
+        torn = b"\xa6garbage"
+        (tmp_path / "wal-00000001.seg").write_bytes(
+            encode_frame({"lsn": 1}) + torn)
+        later = tmp_path / "wal-00000002.seg"
+        later.write_bytes(encode_frame({"lsn": 2}) + encode_frame({"lsn": 3}))
+        records, discarded = read_stream(tmp_path, "wal", seq_field="lsn")
+        assert [r["lsn"] for r in records] == [1]
+        assert discarded == len(torn) + later.stat().st_size
+
     @pytest.mark.parametrize("name", ["wal.jsonl", "wal-00000001.jsonl"])
     def test_jsonl_wal_directory_fails_recovery_by_name(self, tmp_path, name):
         # No reader for the pre-segment-store format remains; a directory

@@ -1,13 +1,12 @@
 """Tests for the windowed-telemetry layer: histogram delta states, the
-timeseries ring, the SLO burn-rate monitor, and the recorded-traffic
-load generator.
+timeseries ring, the SLO burn-rate monitor, and paced journal replay
+(recorded traffic as load).
 
 The ring and the monitor are driven with fake clocks throughout — every
 windowing and state-machine assertion is deterministic.  The one
 deliberately wall-clock test is the coordinated-omission demonstration:
-the open-loop load generator must report the latency a stalled engine
-inflicts on its *schedule*, which the closed-loop control mode
-structurally cannot see.
+a paced replay must report the latency a stalled engine inflicts on its
+*schedule*, which a closed-loop driver structurally cannot see.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro import (
     HiPAC,
     Rule,
     attributes,
-    on_create,
     on_update,
 )
 from repro.obs import flightrec
@@ -52,7 +50,7 @@ from repro.obs.slo import (
 )
 from repro.obs.timeseries import TimeseriesRing
 from repro.obs.watchdog import DEFERRED_QUEUE, RULE_STORM, SLO_BURN, Watchdog
-from repro.tools.loadgen import build_units, run_loadgen
+from repro.tools.replay import build_units, replay
 
 
 # ======================================================== histogram deltas
@@ -652,7 +650,7 @@ class TestHiPACTimeseriesIntegration:
             db.close()
 
 
-# ============================================================ load generator
+# ============================================================= paced replay
 
 
 def _record(record_type, seq, txn=None, wall=0.0, **data):
@@ -728,60 +726,83 @@ def _record_update_journal(data_dir, updates, spacing, action_sleep):
         db.close()
 
 
-def _install_update_rule(db, action_sleep):
+def _install_update_rule(db, action_sleep, condition=Condition.true()):
     db.define_class(ClassDef("Q", attributes(("v", "int"))))
     rule = Rule(name="slowpoke", event=on_update("Q", attrs=["v"]),
-                condition=Condition.true(),
+                condition=condition,
                 action=Action.call(lambda ctx: time.sleep(action_sleep)))
     db.create_rule(rule)
     return {"slowpoke": rule}
 
 
-class TestLoadgenReplay:
-    def test_roundtrip_reproduces_firing_counts(self):
-        data_dir = Path(tempfile.mkdtemp(prefix="loadgen-test-"))
+class TestPacedReplay:
+    def test_roundtrip_reproduces_firings(self):
+        data_dir = Path(tempfile.mkdtemp(prefix="paced-test-"))
         try:
             _record_update_journal(data_dir, updates=15, spacing=0.001,
                                    action_sleep=0.0)
-            report = run_loadgen(
+            result = replay(
                 data_dir,
                 rules=lambda db: _install_update_rule(db, 0.0),
                 speed=50.0)
-            assert not report.firing_divergence
-            assert report.firing_counts["slowpoke"]["got"] == 15
-            assert report.latency["count"] == report.units
-            assert report.stimuli_per_second > 0
-            assert report.slo, "SLO verdict missing from the report"
+            divergence = result.divergence
+            assert not divergence.diverged
+            assert divergence.expected_firings == 15
+            assert divergence.replayed_firings == 15
+            # the class, the rule, one create, fifteen updates: a unit each
+            assert result.latency["count"] == 18
+            assert result.stimuli_per_second > 0
+            assert any("paced replay" in note for note in divergence.notes)
+            # The fresh instance's SLO monitor can judge the run.
+            result.db.timeseries.tick()
+            assert result.db.slo.evaluate(), "SLO verdict missing"
+            result.db.close()
         finally:
             shutil.rmtree(data_dir, ignore_errors=True)
 
-    def test_open_loop_sees_the_stall_closed_loop_hides_it(self):
+    def test_paced_latency_sees_the_stall(self):
         """The coordinated-omission demonstration.
 
         The replayed rule's action sleeps ~4 ms per update while the
-        journal offers an update every ~0.1 ms (2 ms recorded, 20x) —
-        the engine cannot keep up.  Open-loop latency (measured from the
-        *schedule*) must absorb the growing backlog; the closed-loop
-        control (measured from the send that politely waited) reports
-        only the per-update service time and hides the overload.
+        journal offers an update every ~0.3 ms (about 6 ms recorded,
+        20x), and every update writes one object — the engine cannot
+        keep up.  Latency measured from the *schedule* must absorb the
+        growing backlog: the last of ~30 queued updates is ~100 ms late,
+        where a driver that waited for each reply would report one
+        service time.  A host stall can only raise these latencies.
         """
-        data_dir = Path(tempfile.mkdtemp(prefix="loadgen-co-"))
+        data_dir = Path(tempfile.mkdtemp(prefix="paced-co-"))
         try:
             _record_update_journal(data_dir, updates=30, spacing=0.002,
                                    action_sleep=0.004)
-            common = dict(
-                rules=lambda db: _install_update_rule(db, 0.004),
-                speed=20.0, workers=1)
-            open_report = run_loadgen(data_dir, open_loop=True, **common)
-            closed_report = run_loadgen(data_dir, open_loop=False,
-                                        **common)
-            assert not open_report.firing_divergence
-            assert not closed_report.firing_divergence
-            # ~30 queued updates at ~4ms each: the last one is ~100ms
-            # late against its schedule.  Closed loop never sees more
-            # than one service time.
-            assert open_report.latency["p95"] \
-                > 3 * closed_report.latency["p95"]
-            assert open_report.latency["max"] > 0.040
+            result = replay(data_dir,
+                            rules=lambda db: _install_update_rule(db, 0.004),
+                            speed=20.0)
+            result.db.close()
+            assert not result.divergence.diverged
+            assert result.latency["p95"] > 10 * 0.004
+            assert result.latency["max"] > 0.040
+        finally:
+            shutil.rmtree(data_dir, ignore_errors=True)
+
+    def test_a_changed_condition_outcome_diverges(self):
+        """Paced replay judges firings by identity, not per-rule counts:
+        the same rule firing as often with its condition now false is a
+        divergence."""
+        data_dir = Path(tempfile.mkdtemp(prefix="paced-cond-"))
+        try:
+            _record_update_journal(data_dir, updates=10, spacing=0.001,
+                                   action_sleep=0.0)
+            never = Condition(guard=lambda bindings, results: False)
+            result = replay(
+                data_dir,
+                rules=lambda db: _install_update_rule(db, 0.0, never),
+                speed=50.0)
+            result.db.close()
+            divergence = result.divergence
+            assert divergence.replayed_firings == 10
+            assert divergence.diverged
+            assert len(divergence.missing_firings) == 10
+            assert len(divergence.extra_firings) == 10
         finally:
             shutil.rmtree(data_dir, ignore_errors=True)
