@@ -36,8 +36,10 @@ and commit the same store: ``benchmarks/replay_shape.py`` records its
 stream (WAL and flight recorder on) under one side's ``src/``, and
 ``src/repro/tools/replay.py --diff`` replays it under the other's, in
 both directions, at seeds 11 and 23.  The exit status is 1 on any
-divergence.  The recording script and the replay tool are this tree's
-on both sides (they use only the public API); the engine is the side's.
+divergence.  The recording script is this tree's on both sides (it uses
+only the public API); the engine and its replay tool are the side's,
+because the tool reads a replayed firing through the engine's own
+``RuleFiring`` (its dict form and identity).
 
     python3 benchmarks/pairs.py --replay --parent HEAD~1
 """
@@ -90,7 +92,7 @@ def replay_once(recorder: Path, replayer: Path, seed: int,
         recorded.check_returncode()
     replayed = run(replayer, "import runpy, sys; sys.argv[0] = 'replay'; "
                    "runpy.run_path(sys.argv.pop(1), run_name='__main__')",
-                   str(ROOT / "src" / "repro" / "tools" / "replay.py"),
+                   str(replayer / "src" / "repro" / "tools" / "replay.py"),
                    str(data_dir), "--diff", "--rules",
                    "benchmarks.replay_shape:setup")
     lines = (replayed.stdout or replayed.stderr).strip().splitlines()

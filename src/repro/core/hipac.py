@@ -621,15 +621,6 @@ class HiPAC:
         """
         last = max(0, last)
 
-        def firing(record: Any) -> Dict[str, Any]:
-            return {"rule": record.rule_name, "event": record.event,
-                    "ec": record.ec_coupling, "ca": record.ca_coupling,
-                    "satisfied": record.satisfied,
-                    "executed": record.executed,
-                    "deferred": record.deferred,
-                    "separate": record.separate_thread,
-                    "error": record.error, "wall": record.wall_time}
-
         builders = {
             "time": time.time,
             "uptime": lambda: time.time() - self._started_at,
@@ -647,7 +638,7 @@ class HiPAC:
             "slowlog": lambda: [dataclasses.asdict(entry) for entry in
                                 tail(self.slow_log.entries(), last)],
             "profile": lambda: self.rule_profiler().as_dict(top=last),
-            "firings": lambda: [firing(record) for record in
+            "firings": lambda: [record.as_dict() for record in
                                 tail(self.rule_manager.firings.all(), last)],
             "provenance": lambda: (self.provenance.stats_snapshot()
                                    if self.provenance is not None else None),

@@ -5,8 +5,9 @@ Three consumers, three formats:
 * **Chrome ``trace_event`` JSON** (:func:`chrome_trace`) — load the file in
   ``chrome://tracing`` or https://ui.perfetto.dev to see rule cascades on a
   timeline.  Each timed firing (``observability="trace"``) becomes a
-  ``fire:<rule>`` complete ("ph": "X") event for its condition phase and
-  an ``act:<rule>`` one for its action; causal parentage (a firing hangs
+  ``fire:<rule>`` complete ("ph": "X") event for its condition phase
+  (its ``args`` the firing's ``as_dict()``) and an ``act:<rule>`` one for
+  its action; causal parentage (a firing hangs
   off the action of its ``cause``, which for deferred/separate firings
   crosses both time and threads) travels in ``args.parent_id``, and a flow
   arrow ("s"/"f" pair) is emitted for every child that starts after its
@@ -69,16 +70,10 @@ def chrome_trace(firings: FiringLog) -> Dict[str, Any]:
     for record in timed:
         fid, (condition, action) = record.firing_id, record.timing
         cause = acted.get(record.cause)
-        complete("fire:%s" % record.rule_name, "firing", condition, {
-            "span_id": "fire:%d" % fid,
-            "parent_id": None if cause is None else "act:%d" % record.cause,
-            "firing_id": fid, "cause": record.cause,
-            "rule": record.rule_name, "event": record.event,
-            "ec": record.ec_coupling, "ca": record.ca_coupling,
-            "deferred": record.deferred,
-            "separate_thread": record.separate_thread,
-            "satisfied": record.satisfied, "error": record.error,
-            "txn": record.condition_txn})
+        complete("fire:%s" % record.rule_name, "firing", condition, dict(
+            record.as_dict(), span_id="fire:%d" % fid,
+            parent_id=None if cause is None else "act:%d" % record.cause,
+            firing_id=fid, txn=record.condition_txn))
         if cause is not None:
             flow(cause, condition)
         if action is not None:
@@ -211,14 +206,10 @@ def render_cascade(firings: FiringLog,
     """Render one rule cascade: the event behind ``root`` (default: the
     newest firing that no logged firing caused), then ``root`` and the
     firings it caused, one line each, children indented."""
-    records = firings.all()
-    ids = {record.firing_id for record in records}
-    caused: Dict[int, List[RuleFiring]] = {}
-    for record in records:
-        if record.cause in ids:
-            caused.setdefault(record.cause, []).append(record)
+    from repro.rules.firing import cascade
+
+    roots, caused = cascade(firings.all())
     if root is None:
-        roots = [record for record in records if record.cause not in ids]
         if not roots:
             return ""
         root = roots[-1]

@@ -24,8 +24,10 @@ re-derived by replay and is skipped.
 Two kinds of record do bypass suppression:
 
 * ``firing`` **response** records — the recorded outcome of each condition
-  evaluation.  These are the expected *outputs* replay diffs against, so
-  every evaluation is journalled no matter how deep in a cascade it ran.
+  evaluation (:meth:`RuleFiring.response`).  These are the expected
+  *outputs* replay diffs against, so every evaluation is journalled no
+  matter how deep in a cascade it ran; each carries its firing's ``id``
+  and ``cause``, so the journal and the firing log match one to one.
 * ``checkpoint`` markers — written by the checkpointer so replay knows
   where the durable state snapshot sits in the event sequence.
 
@@ -408,15 +410,7 @@ class FlightRecorder:
         """
         if self._closed:
             return None
-        data = {
-            "rule": firing.rule_name,
-            "event": firing.event,
-            "ec": firing.ec_coupling,
-            "ca": firing.ca_coupling,
-            "satisfied": firing.satisfied,
-            "separate": firing.separate_thread,
-            "wall_time": firing.wall_time,
-        }
+        data = firing.response()
         txn = firing.triggering_txn
         if sphere is not None and not firing.separate_thread:
             # Buffer on the enclosing sphere (cascade firings included:

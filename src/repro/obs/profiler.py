@@ -31,6 +31,7 @@ empty — the report says so rather than printing zeros.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -64,17 +65,12 @@ class RuleProfile:
     errors: int = 0
     deferred: int = 0
     separate: int = 0
-    #: wall-clock time of the oldest/newest firing in the log (0.0 if
-    #: none) — lets dashboards and replay diffs place a rule's activity
-    #: window on a cross-process clock
-    first_wall: float = 0.0
-    last_wall: float = 0.0
     #: wall-clock seconds per timed firing (empty without "trace")
     self_seconds: List[float] = field(default_factory=list, repr=False)
     inclusive_seconds: List[float] = field(default_factory=list, repr=False)
     #: observed cascade edges: rule/event -> number of firings it caused
-    triggered_by: Dict[str, int] = field(default_factory=dict)
-    triggers: Dict[str, int] = field(default_factory=dict)
+    triggered_by: Dict[str, int] = field(default_factory=Counter)
+    triggers: Dict[str, int] = field(default_factory=Counter)
 
     @property
     def selectivity(self) -> Optional[float]:
@@ -121,22 +117,16 @@ class RuleProfiler:
 
     def profiles(self) -> Dict[str, RuleProfile]:
         """One :class:`RuleProfile` per rule seen in the firing log."""
+        from repro.rules.firing import cascade
+
         profiles: Dict[str, RuleProfile] = {}
         records = self._firings.all()
-        by_id = {record.firing_id: record for record in records}
-        caused: Dict[int, List[RuleFiring]] = {}
-        roots: List[RuleFiring] = []
         for record in records:
             profile = profiles.get(record.rule_name)
             if profile is None:
                 profile = profiles[record.rule_name] = RuleProfile(
                     record.rule_name)
             profile.firings += 1
-            if profile.first_wall == 0.0 \
-                    or record.wall_time < profile.first_wall:
-                profile.first_wall = record.wall_time
-            if record.wall_time > profile.last_wall:
-                profile.last_wall = record.wall_time
             if record.satisfied is not None:
                 profile.evaluated += 1
                 if record.satisfied:
@@ -149,20 +139,15 @@ class RuleProfiler:
                 profile.deferred += 1
             if record.separate_thread:
                 profile.separate += 1
-            cause = by_id.get(record.cause)
-            if cause is None:
-                # A stimulus, or a cause the ring has already evicted.
-                source = "event:%s" % record.event
-                roots.append(record)
-            else:
-                # The cause was logged first, so its profile exists.
-                source = cause.rule_name
-                caused.setdefault(cause.firing_id, []).append(record)
-                triggers = profiles[source].triggers
-                triggers[record.rule_name] = \
-                    triggers.get(record.rule_name, 0) + 1
-            profile.triggered_by[source] = \
-                profile.triggered_by.get(source, 0) + 1
+        roots, caused = cascade(records)
+        for record in roots:
+            # A stimulus, or a cause the ring has already evicted.
+            source = "event:%s" % record.event
+            profiles[record.rule_name].triggered_by[source] += 1
+        for cause in records:
+            for record in caused.get(cause.firing_id, ()):
+                profiles[cause.rule_name].triggers[record.rule_name] += 1
+                profiles[record.rule_name].triggered_by[cause.rule_name] += 1
         for record in roots:
             if record.timing is not None:
                 self._fold(record, caused, profiles)
@@ -285,7 +270,5 @@ class RuleProfiler:
                 "triggered_by": dict(profile.triggered_by),
                 "timing": profile.timing(),
                 "timed_firings": len(profile.inclusive_seconds),
-                "first_wall": profile.first_wall,
-                "last_wall": profile.last_wall,
             }
         return out

@@ -13,7 +13,10 @@ the firing whose action was running when this firing was triggered — so
 the log alone is the cascade tree, deferred firings at commit and separate
 firings on worker threads included — and, under
 ``observability="trace"``, ``timing`` holds when and on which thread each
-phase ran.  The profiler and the Chrome export read nothing else.
+phase ran.  The profiler and the Chrome export read nothing else, and
+only this module maps the record to a dict (:meth:`RuleFiring.as_dict`,
+:meth:`RuleFiring.response`), to its :func:`identity` across runs, or to
+its :func:`cascade`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 #: one timed firing phase: ``(thread ident, perf_counter start, end)``
 Phase = Tuple[int, float, float]
@@ -59,15 +62,57 @@ class RuleFiring:
     #: at the other levels
     timing: Optional[List[Optional[Phase]]] = field(
         default=None, compare=False, repr=False)
-    #: wall-clock record time — monotonic timestamps are meaningless
-    #: across processes, but flight-recorder journals and replay diffs
-    #: must align records from different runs on a common clock
+    #: wall-clock record time, the ``wall`` of :meth:`as_dict`, which
+    #: ``explain`` stamps; neither the journal's response nor replay reads it
     wall_time: float = field(default_factory=time.time, compare=False,
                              repr=False)
     #: process-wide monotonic firing id (``cause`` and provenance envelopes
     #: reference firings by id)
     firing_id: int = field(default_factory=_FIRING_IDS.__next__,
                            compare=False, repr=False)
+
+    def response(self) -> Dict[str, Any]:
+        """The flight journal's response record, written once the
+        condition is evaluated: the :func:`identity` fields, ``separate``
+        (replay orders synchronous firings only), and ``id`` and
+        ``cause``, which match it to its entry in the firing log."""
+        return {"rule": self.rule_name, "event": self.event,
+                "ec": self.ec_coupling, "ca": self.ca_coupling,
+                "satisfied": self.satisfied, "separate": self.separate_thread,
+                "id": self.firing_id, "cause": self.cause}
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The serialised form: the response plus what the action's run
+        settles and what replay does not compare."""
+        return dict(self.response(), executed=self.executed,
+                    deferred=self.deferred, error=self.error,
+                    wall=self.wall_time)
+
+
+def identity(record: Dict[str, Any]) -> Tuple[Any, ...]:
+    """What makes two serialised firings (:meth:`RuleFiring.as_dict`, a
+    journal response) "the same" across runs: the rule, its event, the
+    couplings and the condition outcome — not ids or times, which differ
+    between a recording and its replay by construction."""
+    return (record["rule"], record["event"], record["ec"], record["ca"],
+            record["satisfied"])
+
+
+def cascade(records: List[RuleFiring]
+            ) -> Tuple[List[RuleFiring], Dict[int, List[RuleFiring]]]:
+    """The cascade tree of ``records`` (oldest first): the roots, whose
+    ``cause`` is none of the records (a stimulus, or a cause the ring has
+    evicted), and the firings each firing caused, by its ``firing_id``;
+    both keep the records' order."""
+    ids = {record.firing_id for record in records}
+    roots: List[RuleFiring] = []
+    caused: Dict[int, List[RuleFiring]] = {}
+    for record in records:
+        if record.cause in ids:
+            caused.setdefault(record.cause, []).append(record)
+        else:
+            roots.append(record)
+    return roots, caused
 
 
 #: ring capacity of a firing log; the Rule Manager reads it, as
@@ -107,16 +152,6 @@ class FiringLog:
         """Firings of one rule."""
         with self._mutex:
             return [r for r in self._records if r.rule_name == rule_name]
-
-    def satisfied_count(self) -> int:
-        """Number of firings whose condition held."""
-        with self._mutex:
-            return sum(1 for r in self._records if r.satisfied)
-
-    def executed_count(self) -> int:
-        """Number of firings whose action ran."""
-        with self._mutex:
-            return sum(1 for r in self._records if r.executed)
 
     def clear(self) -> None:
         """Drop all records (between experiment phases)."""

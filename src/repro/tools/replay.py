@@ -77,6 +77,7 @@ from repro.recovery.serialize import (
     decode_value,
     encode_attrs,
 )
+from repro.rules.firing import identity
 from repro.rules.rule import Rule
 
 RuleSource = Union[None, Dict[str, Rule], Iterable[Rule],
@@ -89,17 +90,6 @@ class ReplayError(Exception):
 
 # --------------------------------------------------------------------------
 # divergence report
-
-
-def firing_identity(rule: str, event: str, ec: str, ca: str,
-                    satisfied: Optional[bool]) -> Tuple[Any, ...]:
-    """What makes two firings "the same" across runs.
-
-    Transaction identifiers and timestamps differ between the recording
-    and the replay by construction; the identity is the rule, the event
-    expression it fired on, the couplings, and the condition outcome.
-    """
-    return (rule, event, ec, ca, satisfied)
 
 
 @dataclass
@@ -124,6 +114,8 @@ class DivergenceReport:
     unbound_rules: List[str] = field(default_factory=list)
     #: non-fatal replay caveats (skipped store diff, dropped records, ...)
     notes: List[str] = field(default_factory=list)
+    #: was the replayed store diffed against crash recovery's?
+    store_compared: bool = False
 
     @property
     def diverged(self) -> bool:
@@ -136,8 +128,9 @@ class DivergenceReport:
     def summary(self) -> str:
         if not self.diverged:
             return ("replay clean: %d stimuli, %d firings reproduced, "
-                    "store identical"
-                    % (self.replayed_stimuli, self.expected_firings))
+                    "store %s" % (self.replayed_stimuli, self.expected_firings,
+                                  "identical" if self.store_compared
+                                  else "not compared"))
         parts = ["REPLAY DIVERGED"]
         if self.first_divergence_seq is not None:
             parts.append("first divergence at seq %d"
@@ -354,11 +347,6 @@ def _diff_firings(expected: List[Dict[str, Any]],
     got_free = [f for f in replayed if not in_sequence(f.separate_thread)]
 
     first_seq: Optional[int] = None
-
-    def identity(data: Dict[str, Any]) -> Tuple[Any, ...]:
-        return firing_identity(data["rule"], data["event"], data["ec"],
-                               data["ca"], data["satisfied"])
-
     for index, record in enumerate(exp_sync):
         if index >= len(got_sync):
             report.missing_firings.append(
@@ -366,7 +354,7 @@ def _diff_firings(expected: List[Dict[str, Any]],
             if first_seq is None:
                 first_seq = record["seq"]
             continue
-        got = _firing_dict(got_sync[index])
+        got = got_sync[index].as_dict()
         if identity(record["data"]) != identity(got):
             report.sync_mismatches.append({"seq": record["seq"],
                                            "expected": record["data"],
@@ -374,12 +362,13 @@ def _diff_firings(expected: List[Dict[str, Any]],
             if first_seq is None:
                 first_seq = record["seq"]
     for firing in got_sync[len(exp_sync):]:
-        report.extra_firings.append({"firing": _firing_dict(firing)})
+        report.extra_firings.append({"firing": firing.as_dict()})
 
     # Order-free matching by identity multiset.
     unmatched: Dict[Tuple[Any, ...], List[Dict[str, Any]]] = {}
-    for firing in map(_firing_dict, got_free):
-        unmatched.setdefault(identity(firing), []).append(firing)
+    for firing in got_free:
+        got = firing.as_dict()
+        unmatched.setdefault(identity(got), []).append(got)
     for record in exp_free:
         candidates = unmatched.get(identity(record["data"]))
         if candidates:
@@ -394,13 +383,6 @@ def _diff_firings(expected: List[Dict[str, Any]],
                                     for firing in candidates)
 
     report.first_divergence_seq = first_seq
-
-
-def _firing_dict(firing: Any) -> Dict[str, Any]:
-    return {"rule": firing.rule_name, "event": firing.event,
-            "ec": firing.ec_coupling, "ca": firing.ca_coupling,
-            "satisfied": firing.satisfied,
-            "separate": firing.separate_thread}
 
 
 def _canonical_state(db: Any) -> Dict[str, Dict[Tuple[str, int], Any]]:
@@ -659,6 +641,7 @@ def replay(data_dir: Any, rules: RuleSource = None, *,
         if has_durable_state(data_dir):
             original = recover(data_dir, rules=None, durability=None)
             _diff_store(original, db, report)
+            report.store_compared = True
         else:
             report.notes.append("store diff skipped: no WAL/checkpoint "
                                 "under %s" % data_dir)

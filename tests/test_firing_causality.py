@@ -9,12 +9,14 @@ doctor read nothing else, so:
   by an oracle (the values the span-tree profiler produced on the same
   scenario), and the default level gives the same edges;
 * the firing ids that the firing log, ``why()``, the Chrome document and
-  the flight journal carry agree on one recorded run.
+  the flight journal carry agree, on one recorded run and on a loaded one:
+  every journal response is its logged firing's, matched by id.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import threading
 from collections import Counter
 
 from repro import (
@@ -28,8 +30,8 @@ from repro import (
 )
 from repro.obs.flightrec import read_journal
 from repro.rules.coupling import DEFERRED, SEPARATE
-from repro.rules.firing import RuleFiring
-from repro.tools.replay import firing_identity, journal_firings
+from repro.rules.firing import RuleFiring, identity
+from repro.tools.replay import journal_firings
 
 #: every ``as_dict()`` column but the timing ones and the wall times
 COLUMNS = ("firings", "evaluated", "satisfied", "executed", "errors",
@@ -146,6 +148,34 @@ def test_rule_firing_fields():
         "timing", "wall_time", "firing_id"]
 
 
+def _assert_journal_is_the_log(data_dir, log) -> None:
+    """Each journal response equals its logged firing, found by ``id``, in
+    identity and ``cause``; each evaluated firing is journalled once."""
+    records, _ = read_journal(data_dir)
+    responses = [entry["data"] for entry in journal_firings(records)]
+    assert Counter(response["id"] for response in responses) == \
+        Counter(firing.firing_id for firing in log
+                if firing.satisfied is not None)
+    by_id = {firing.firing_id: firing.as_dict() for firing in log}
+    for response in responses:
+        logged = by_id[response["id"]]
+        assert (identity(response), response["cause"]) == \
+            (identity(logged), logged["cause"]), response
+
+
+def _assert_hops_name_logged_firings(db: HiPAC, classes: str,
+                                     log) -> set:
+    """Every rule hop of ``why()`` on the objects of ``classes`` names a
+    logged firing of its rule; returns the rules the hops name."""
+    by_id = {firing.firing_id: firing for firing in log}
+    hops = [hop.cause for cls in classes for record in db.store.extent(cls)
+            for hop in db.why(record.oid, "v").hops
+            if hop.cause.kind == "rule"]
+    for cause in hops:
+        assert by_id[cause.firing_id].rule_name == cause.rule
+    return {cause.rule for cause in hops}
+
+
 class TestCrossRecordAgreement:
     """The firing log, provenance, the Chrome document and the flight
     journal name one set of firings."""
@@ -156,32 +186,14 @@ class TestCrossRecordAgreement:
         try:
             log = db.firing_log().all()
             by_id = {firing.firing_id: firing for firing in log}
-            chains = [db.why(record.oid, "v")
-                      for cls in "BCDES" for record in db.store.extent(cls)]
+            hop_rules = _assert_hops_name_logged_firings(db, "BCDES", log)
             document = db.export_trace()
         finally:
             db.close()
         assert {firing.rule_name for firing in log} == set(ORACLE)
-
-        # The journal's responses are the log's evaluated firings.
-        records, _ = read_journal(tmp_path)
-        journalled = Counter(
-            firing_identity(d["rule"], d["event"], d["ec"], d["ca"],
-                            d["satisfied"])
-            for d in (entry["data"] for entry in journal_firings(records)))
-        logged = Counter(
-            firing_identity(f.rule_name, f.event, f.ec_coupling,
-                            f.ca_coupling, f.satisfied)
-            for f in log if f.satisfied is not None)
-        assert journalled == logged and sum(logged.values()) == len(log)
-
-        # Every rule hop of why() names a logged firing of its rule.
-        hops = [hop.cause for chain in chains for hop in chain.hops
-                if hop.cause.kind == "rule"]
-        assert {cause.rule for cause in hops} == \
-            {"outer", "inner", "sep", "late", "dca"}
-        for cause in hops:
-            assert by_id[cause.firing_id].rule_name == cause.rule
+        assert all(firing.satisfied is not None for firing in log)
+        _assert_journal_is_the_log(tmp_path, log)
+        assert hop_rules == {"outer", "inner", "sep", "late", "dca"}
 
         # Every cause is a logged firing whose action ran...
         caused = [firing for firing in log if firing.cause is not None]
@@ -192,3 +204,70 @@ class TestCrossRecordAgreement:
                  for event in document["traceEvents"] if event["ph"] == "X"}
         assert shown == {firing.firing_id for firing in log
                          if firing.timing is not None} == set(by_id)
+
+    def test_loaded_run_with_reused_separate_workers(self, tmp_path):
+        """Four application threads, immediate, deferred and separate
+        rules, the WAL, the journal and provenance all on: more separate
+        firings than the Rule Manager has workers, so workers are reused.
+
+        Each transaction's ``txn`` record carries two responses (``imm``
+        and ``even``, whose condition holds for half the A's); ``dfr``'s
+        is journalled at commit and ``sep``'s from its worker, whose
+        firing ``imm``'s action caused on the application thread."""
+        db = HiPAC(durability="wal", data_dir=tmp_path, flight_recorder=True,
+                   provenance=True)
+        for name in "ABCS":
+            db.define_class(ClassDef(name, attributes(("v", "int"))))
+        workers = []
+
+        def separate(ctx):
+            workers.append(threading.get_ident())
+            ctx.create("S", {"v": 0})
+
+        db.create_rule(Rule(name="imm", event=on_create("A"),
+                            condition=Condition.true(),
+                            action=Action.call(
+                                lambda ctx: ctx.create("B", {"v": 0}))))
+        db.create_rule(Rule(name="dfr", event=on_create("B"),
+                            condition=Condition.true(),
+                            action=Action.call(
+                                lambda ctx: ctx.create("C", {"v": 0})),
+                            ec_coupling=DEFERRED))
+        db.create_rule(Rule(
+            name="even", event=on_create("A"),
+            condition=Condition(guard=lambda b, r: b["new_v"] % 2 == 0),
+            action=Action.call(lambda ctx: None)))
+        db.create_rule(Rule(name="sep", event=on_create("B"),
+                            condition=Condition.true(),
+                            action=Action.call(separate),
+                            ec_coupling=SEPARATE))
+        errors = []
+
+        def application(index):
+            try:
+                for value in range(12):
+                    with db.transaction() as txn:
+                        db.create("A", {"v": index * 100 + value}, txn)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=application, args=(index,))
+                   for index in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            assert db.drain(30.0)
+            log = db.firing_log().all()
+            hop_rules = _assert_hops_name_logged_firings(db, "BCS", log)
+        finally:
+            db.close()
+        assert errors == []
+        assert Counter((firing.rule_name, firing.satisfied)
+                       for firing in log) == {
+            ("imm", True): 48, ("even", True): 24, ("even", False): 24,
+            ("dfr", True): 48, ("sep", True): 48}
+        assert len(workers) == 48 > len(set(workers))
+        _assert_journal_is_the_log(tmp_path, log)
+        assert hop_rules == {"imm", "dfr", "sep"}

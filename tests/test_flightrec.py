@@ -14,7 +14,8 @@ import threading
 
 import pytest
 
-from repro import Action, ClassDef, Condition, HiPAC, Rule, attributes
+from repro import (Action, ClassDef, Condition, HiPAC, Rule, attributes,
+                   on_update)
 from repro.events.spec import ExternalEventSpec
 from repro.obs import flightrec
 from repro.obs import watchdog as watchdog_module
@@ -121,6 +122,8 @@ class TestCleanReplay:
         assert report.replayed_stimuli > 0
         assert report.expected_firings == report.replayed_firings > 0
         assert any("torn" in note for note in report.notes)
+        assert report.store_compared
+        assert report.summary().endswith("store identical")
         # The recording exercised both couplings under test.
         firings = result.db.firing_log().all()
         assert any(f.separate_thread for f in firings)
@@ -169,6 +172,40 @@ class TestCleanReplay:
         report = result.divergence
         assert not report.diverged, report.as_dict()
         assert any("store diff skipped" in note for note in report.notes)
+        assert report.summary().endswith("store not compared")
+
+    @pytest.mark.parametrize("durability,speed", [("wal", 50.0),
+                                                  (None, None)])
+    def test_a_store_never_compared_is_not_called_identical(
+            self, tmp_path, durability, speed):
+        """A paced replay, and a journal with no WAL beside it, skip the
+        store diff: the clean verdict says so."""
+        db = HiPAC(durability=durability, data_dir=tmp_path,
+                   flight_recorder=True)
+        db.define_class(ClassDef("Counter", attributes(("n", "int"))))
+        db.create_rule(Rule(name="seen", event=on_update("Counter", "n"),
+                            condition=Condition.true(),
+                            action=Action.call(lambda ctx: None)))
+        oids = []
+        for _ in range(2):
+            with db.transaction() as txn:
+                oids.append(db.create("Counter", {"n": 0}, txn))
+        for n in range(1, 6):
+            for oid in oids:
+                with db.transaction() as txn:
+                    db.update(oid, {"n": n}, txn)
+        db.close()
+
+        report = replay(tmp_path, rules=lambda fresh: {
+            "seen": Rule(name="seen", event=on_update("Counter", "n"),
+                         condition=Condition.true(),
+                         action=Action.call(lambda ctx: None))},
+            speed=speed).divergence
+        assert not report.diverged, report.as_dict()
+        assert report.expected_firings == 10 and not report.store_compared
+        assert report.summary() == ("replay clean: %d stimuli, 10 firings "
+                                    "reproduced, store not compared"
+                                    % report.replayed_stimuli)
 
     def test_missing_checkpoint_marker_is_an_error(self, tmp_path):
         _record_session(tmp_path, coupling=IMMEDIATE)

@@ -278,8 +278,8 @@ class TestFiringLog:
                               satisfied=True, executed=True))
         log.append(RuleFiring("b", "e", "immediate", "immediate",
                               satisfied=False))
-        assert log.satisfied_count() == 1
-        assert log.executed_count() == 1
+        assert sum(1 for r in log.all() if r.satisfied) == 1
+        assert sum(1 for r in log.all() if r.executed) == 1
 
     def test_clear(self):
         log = FiringLog()

@@ -13,7 +13,6 @@ just before) that exact cause.
 from __future__ import annotations
 
 import json
-import threading
 import urllib.parse
 
 import pytest
@@ -25,7 +24,6 @@ from repro import (
     HiPAC,
     Rule,
     attributes,
-    on_create,
     on_update,
 )
 from repro.events.spec import ExternalEventSpec
