@@ -689,8 +689,7 @@ class HiPAC:
         The ``"events"`` section flattens each detector's counters under a
         ``<detector>_<counter>`` key — including the dispatch-index
         ``index_hits`` / ``index_misses`` / ``fast_path`` counters of the
-        database detectors and the interest-set feed counters of the
-        temporal/composite detectors.
+        database detectors.
         """
         events: Dict[str, int] = {}
         for name, detector in (

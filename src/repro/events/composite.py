@@ -2,8 +2,10 @@
 
 "Primitive events can be combined using disjunction and sequence operators
 to specify composite events."  This detector maintains one automaton per
-programmed composite spec, feeds it every signal the Rule Manager processes,
-and reports a composite occurrence when the automaton completes.
+programmed composite spec, feeds it every occurrence of a spec among some
+composite's primitives (the rule catalog's subscriptions name it the
+consumer of those specs), and reports a composite occurrence when the
+automaton completes.
 
 Semantics (documented choices where the paper is silent):
 
@@ -39,41 +41,11 @@ from repro.events.signal import EventSignal
 from repro.events.spec import (
     CompositeEventSpec,
     Conjunction,
-    DatabaseEventSpec,
     Disjunction,
     EventSpec,
-    ExternalEventSpec,
     Sequence,
-    TemporalEventSpec,
 )
 from repro.objstore.types import Schema
-
-
-def interest_keys(spec: EventSpec):
-    """The ``(kind, discriminator)`` keys under which a spec's automaton (or
-    baseline matcher) wants to see signals.
-
-    Database members subscribe to their operation kind, external members to
-    their name, temporal members to all temporal signals; a composite spec
-    contributes the keys of its primitive members.  Composite *baselines*
-    (matched by identity against composite occurrences) subscribe to the
-    composite kind.  A signal presents the key ``(kind, op or name)``: its
-    operation, its external name, or None for the other kinds (the Rule
-    Manager probes the interest sets with it inline).
-    """
-    if isinstance(spec, CompositeEventSpec):
-        keys = {("composite", None)}
-        for member in spec.primitives():
-            keys |= interest_keys(member)
-        return keys
-    if isinstance(spec, DatabaseEventSpec):
-        return {("database", spec.op)}
-    if isinstance(spec, ExternalEventSpec):
-        return {("external", spec.name)}
-    if isinstance(spec, TemporalEventSpec):
-        return {("temporal", None)}
-    return {("database", None), ("external", None),
-            ("temporal", None), ("composite", None)}  # unknown: want all
 
 
 class _Automaton:
@@ -158,9 +130,9 @@ class _Automaton:
 class CompositeEventDetector(EventDetector):
     """Detects composite events by feeding automata with primitive signals.
 
-    The Rule Manager calls :meth:`observe` with every primitive (and
-    temporal and external) signal it processes; recognized composite
-    occurrences are reported to the sink like any other event.
+    The Rule Manager calls :meth:`observe` with every occurrence of a
+    composite's primitive spec; recognized composite occurrences are
+    reported to the sink like any other event.
     """
 
     accepts = CompositeEventSpec
@@ -170,28 +142,16 @@ class CompositeEventDetector(EventDetector):
         super().__init__(sink)
         self._schema = schema
         self._automata: Dict[EventSpec, _Automaton] = {}
-        #: (kind, op/name) -> number of automata with a member wanting it;
-        #: the Rule Manager feeds :meth:`observe` only the signals whose key
-        #: is here (finer scoping is the automata's own)
-        self.interest: Dict[tuple, int] = {}
         self._mutex = threading.RLock()
-        self.stats.update({"feeds": 0, "feeds_skipped": 0})
+        self.stats.update({"feeds": 0})
 
     def _installed(self, spec: CompositeEventSpec) -> None:  # type: ignore[override]
         with self._mutex:
             self._automata[spec] = _Automaton(spec, self._schema)
-            for key in interest_keys(spec):
-                self.interest[key] = self.interest.get(key, 0) + 1
 
     def _removed(self, spec: CompositeEventSpec) -> None:  # type: ignore[override]
         with self._mutex:
             self._automata.pop(spec, None)
-            for key in interest_keys(spec):
-                remaining = self.interest.get(key, 0) - 1
-                if remaining <= 0:
-                    self.interest.pop(key, None)
-                else:
-                    self.interest[key] = remaining
 
     def observe(self, signal: EventSignal) -> List[EventSignal]:
         """Feed one signal to every automaton; report recognized composites.

@@ -19,13 +19,14 @@ answer in a *route table*:
   first needed;
 * attribute-scoped update specs ride the route as ``(spec, attrs)`` pairs,
   delivered when ``attrs`` meets the signal's changed attributes;
-* an operation nobody watches finds the one shared empty route.
+* an operation nobody watches finds no route (``None``).
 
-The table is thrown away, never patched: at a spec's first
-``define_event`` and last ``delete_event`` (which the rule catalog's undo
-paths also go through), and whenever :attr:`Schema.version` moves (define,
-drop, restore and unregister of a class).  Enable and disable keep it:
-a disabled spec stays routed and :meth:`report_batch` suppresses it.
+Routes hold only enabled specs.  The table is thrown away, never
+patched: whenever a spec enters or leaves the routes (its first
+``define_event``, last ``delete_event``, ``enable_event`` and
+``disable_event``; the rule catalog's undo paths use the same calls), and
+whenever :attr:`Schema.version` moves (define, drop, restore and
+unregister of a class).
 
 Publication order: a programming change updates the spec index first and
 then publishes a fresh table, both under the detector's mutex; a route is
@@ -51,25 +52,23 @@ Route = Tuple[Tuple[DatabaseEventSpec, ...],
               Tuple[Tuple[DatabaseEventSpec, frozenset], ...]]
 """(specs without attribute scope, (attribute-scoped spec, its attrs))."""
 
-#: the route of every operation no programmed spec can match
-_EMPTY: Route = ((), ())
-
 
 class _Routes(dict):
-    """``(op, class_name) -> route`` for one schema version.  A missing
-    route is worked out on first use and kept in *this* table — the one
-    its reader probed — never in a newer one."""
+    """``(op, class_name) -> route or None`` for one schema version.  A
+    missing route is worked out on first use and kept in *this* table —
+    the one its reader probed — never in a newer one."""
 
     __slots__ = ("version", "_build")
 
     def __init__(self, version: int,
-                 build: Callable[[Optional[str], Optional[str]], Route]
-                 ) -> None:
+                 build: Callable[[Optional[str], Optional[str]],
+                                 Optional[Route]]) -> None:
         super().__init__()
         self.version = version
         self._build = build
 
-    def __missing__(self, key: Tuple[Optional[str], Optional[str]]) -> Route:
+    def __missing__(self, key: Tuple[Optional[str], Optional[str]]
+                    ) -> Optional[Route]:
         route = self[key] = self._build(*key)
         return route
 
@@ -83,10 +82,10 @@ class DatabaseEventDetector(EventDetector):
                  metrics: Optional[MetricsRegistry] = None) -> None:
         super().__init__(sink, metrics=metrics)
         self._schema = schema
-        #: (op, class_name) -> programmed specs scoped exactly there: the
+        #: (op, class_name) -> enabled specs scoped exactly there: the
         #: input of route building
         self._index = SubscriptionIndex()
-        self._mutex = threading.Lock()
+        self._mutex = threading.RLock()
         self._routes = _Routes(schema.version, self._build)
         self.stats.update({"index_hits": 0, "index_misses": 0,
                            "fast_path": 0})
@@ -103,6 +102,22 @@ class DatabaseEventDetector(EventDetector):
             self._index.discard((spec.op, spec.class_name), spec)
             self._routes = _Routes(self._schema.version, self._build)
 
+    def enable_event(self, spec: DatabaseEventSpec) -> None:  # type: ignore[override]
+        """Resume detecting ``spec``: it rejoins the routes."""
+        with self._mutex:
+            registration = self._registration(spec)
+            if not registration.enabled:
+                registration.enabled = True
+                self._installed(spec)
+
+    def disable_event(self, spec: DatabaseEventSpec) -> None:  # type: ignore[override]
+        """Suspend detecting ``spec``: it leaves the routes."""
+        with self._mutex:
+            registration = self._registration(spec)
+            if registration.enabled:
+                registration.enabled = False
+                self._removed(spec)
+
     def _current_routes(self) -> _Routes:
         """The route table, replaced first if the schema moved since it
         was published."""
@@ -112,8 +127,10 @@ class DatabaseEventDetector(EventDetector):
                 self._routes = _Routes(version, self._build)
             return self._routes
 
-    def _build(self, op: Optional[str], class_name: Optional[str]) -> Route:
-        """Work out the route of ``(op, class_name)``.
+    def _build(self, op: Optional[str], class_name: Optional[str]
+               ) -> Optional[Route]:
+        """Work out the route of ``(op, class_name)``; None if no enabled
+        spec can match such an operation.
 
         The candidates are the specs scoped to the wildcard or to a class
         of ``class_name``'s lineage; a class unknown to the schema (the
@@ -129,7 +146,7 @@ class DatabaseEventDetector(EventDetector):
             scope = (None, class_name)
         candidates = [spec for name in scope
                       for spec in self._index.get((op, name))]
-        route = _EMPTY
+        route = None
         if candidates:
             # One probe occurrence changing every scoped attribute: a
             # candidate matches it iff its class scope admits class_name.
@@ -149,36 +166,35 @@ class DatabaseEventDetector(EventDetector):
 
     # ------------------------------------------------------------ routing
 
-    def relevant(self, op: str, class_name: Optional[str]) -> bool:
-        """Could *any* programmed spec match an operation of kind ``op`` on
-        ``class_name``?  One probe of the route table.
+    def relevant(self, op: str, class_name: Optional[str]) -> Optional[Route]:
+        """The route of an operation of kind ``op`` on ``class_name``, or
+        None when no enabled spec can match it: one probe of the table.
 
-        Used by the Object Manager to skip signal construction entirely for
-        unwatched operations.  Never returns a false negative (a route with
-        only attribute-scoped specs is relevant before the attributes are
+        Callers skip building the signal on None and hand any other route
+        to :meth:`observe`.  Never a false None (a route with only
+        attribute-scoped specs is relevant before the attributes are
         known).
         """
         routes = self._routes
         if routes.version != self._schema.version:
             routes = self._current_routes()
-        return routes[op, class_name] is not _EMPTY
+        return routes[op, class_name]
 
-    def observe(self, signal: EventSignal) -> List[DatabaseEventSpec]:
+    def observe(self, signal: EventSignal,
+                route: Optional[Route] = None) -> List[DatabaseEventSpec]:
         """Process one database operation; report per matching spec.
 
-        Returns the specs that matched (useful to callers that must know
-        whether the operation was relevant to any rule).  When a signal
+        ``route`` is what :meth:`relevant` answered; without one it is
+        probed here.  Returns the specs that matched.  When a signal
         matches several specs it is reported once per spec, each report
         carrying its own spec tag on its own :meth:`EventSignal.tagged`
         copy — the caller's signal is never re-tagged.
         """
-        routes = self._routes
-        if routes.version != self._schema.version:
-            routes = self._current_routes()
-        route = routes[signal.op, signal.class_name]
-        if route is _EMPTY:
-            self.stats["fast_path"] += 1
-            return []
+        if route is None:
+            route = self.relevant(signal.op, signal.class_name)
+            if route is None:
+                self.stats["fast_path"] += 1
+                return []
         plain, scoped = route
         matched = [*plain]
         if scoped:
@@ -190,5 +206,10 @@ class DatabaseEventDetector(EventDetector):
             self.stats["index_misses"] += 1
             return matched
         self.stats["index_hits"] += 1
-        self.report_batch([(spec, signal.tagged(spec)) for spec in matched])
+        # Routes hold only enabled specs: no flag to check per report.
+        if self.sink is None:
+            self.stats["suppressed"] += len(matched)
+        else:
+            self.stats["reported"] += len(matched)
+            self.sink([signal.tagged(spec) for spec in matched])
         return matched

@@ -15,7 +15,8 @@ that became due during the interval, in deadline order, synchronously —
 which makes temporal experiments deterministic.
 
 Baseline occurrences reach the detector through :meth:`observe_baseline`,
-called by the Rule Manager for every signal it processes.
+called by the Rule Manager for every occurrence of a spec that is some
+relative or periodic event's baseline.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.clock import Clock
-from repro.events.composite import interest_keys
 from repro.events.detectors import EventDetector, EventSink
 from repro.events.matching import matches_primitive
 from repro.events.signal import EventSignal
@@ -52,11 +52,7 @@ class TemporalEventDetector(EventDetector):
         self._mutex = threading.RLock()
         #: specs with a baseline (the only ones observe_baseline must scan)
         self._baseline_specs: List[TemporalEventSpec] = []
-        #: (kind, op/name) -> number of baselines wanting that signal; the
-        #: Rule Manager feeds :meth:`observe_baseline` only the signals
-        #: whose key is here
-        self.baseline_interest: Dict[tuple, int] = {}
-        self.stats.update({"baseline_feeds": 0, "baseline_feeds_skipped": 0})
+        self.stats.update({"baseline_feeds": 0})
         clock.subscribe(self._on_clock)
 
     def close(self) -> None:
@@ -77,31 +73,21 @@ class TemporalEventDetector(EventDetector):
             # relative and baseline-periodic events wait for the baseline
             if spec.baseline is not None:
                 self._baseline_specs.append(spec)
-                for key in interest_keys(spec.baseline):
-                    self.baseline_interest[key] = \
-                        self.baseline_interest.get(key, 0) + 1
 
     def _removed(self, spec: TemporalEventSpec) -> None:  # type: ignore[override]
         with self._mutex:
             self._heap = [entry for entry in self._heap if entry[2] != spec]
             heapq.heapify(self._heap)
-            if spec.baseline is not None:
-                if spec in self._baseline_specs:
-                    self._baseline_specs.remove(spec)
-                for key in interest_keys(spec.baseline):
-                    remaining = self.baseline_interest.get(key, 0) - 1
-                    if remaining <= 0:
-                        self.baseline_interest.pop(key, None)
-                    else:
-                        self.baseline_interest[key] = remaining
+            if spec in self._baseline_specs:
+                self._baseline_specs.remove(spec)
 
     def _push(self, due: float, spec: TemporalEventSpec) -> None:
         heapq.heappush(self._heap, (due, next(self._seq), spec))
 
     def observe_baseline(self, signal: EventSignal) -> None:
         """Schedule timers for relative/periodic specs whose baseline is
-        ``signal``'s event.  Called by the Rule Manager for signals in
-        :attr:`baseline_interest`."""
+        ``signal``'s event.  Called by the Rule Manager for occurrences of
+        a spec that is some timer's baseline."""
         self.stats["baseline_feeds"] += 1
         with self._mutex:
             specs = list(self._baseline_specs)

@@ -324,10 +324,11 @@ class ObjectManager:
         txn.log_undo(DeltaUndo(self.store, delta, stamp))
         for listener in self._delta_listeners:
             listener(txn, delta)
-        # Dispatch-index pre-check: when no programmed spec can match this
+        # Dispatch-index pre-check: when no enabled spec can match this
         # (op, class) the signal is never even constructed — an operation on
         # a class without rules pays a couple of dict probes, not a scan.
-        if not self.event_detector.relevant(delta.kind, delta.class_name):
+        route = self.event_detector.relevant(delta.kind, delta.class_name)
+        if route is None:
             self.stats["signals_skipped"] += 1
             return
         signal = EventSignal(
@@ -343,7 +344,7 @@ class ObjectManager:
         )
         # The detector reports to the Rule Manager; immediate rule work runs
         # synchronously here, suspending this operation (paper §6.2).
-        self.event_detector.observe(signal)
+        self.event_detector.observe(signal, route)
 
     def _signal_retrieval(self, op: str, class_name: str, txn, user: str, *,
                           oid: Optional[OID] = None,
@@ -355,7 +356,8 @@ class ObjectManager:
         rule action's ``ctx.read`` / ``ctx.query`` — never signal, so
         retrieval rules observe only application activity.
         """
-        if not self.event_detector.relevant(op, class_name):
+        route = self.event_detector.relevant(op, class_name)
+        if route is None:
             self.stats["signals_skipped"] += 1
             return
         signal = EventSignal(
@@ -368,4 +370,4 @@ class ObjectManager:
             new_attrs=attrs,
             user=user,
         )
-        self.event_detector.observe(signal)
+        self.event_detector.observe(signal, route)

@@ -10,20 +10,26 @@ event->rule mapping."
 create / delete / enable / disable (each a write-locked operation on the
 rule's ``HiPAC::Rule`` object, undone if the transaction aborts), rule
 groups, and crash-recovery re-attachment.  The firing path
-(:mod:`repro.rules.manager`) sees the catalog through two calls only:
-:meth:`RuleCatalog.triggered` (which enabled rules does this signal fire?)
-and :meth:`RuleCatalog.on_rule_object` (an operation on a rule object was
-signalled — keep the catalog in step).
+(:mod:`repro.rules.manager`) sees the catalog through one table,
+:attr:`RuleCatalog.subscriptions`: per programmed event spec, the one
+:class:`Subscription` saying who acts on its occurrences — its enabled
+rules, already in firing order, and the feeds that must see it first (the
+catalog's own rule-object handler, the temporal detector's baselines, the
+composite automata).
 
-Whatever a firing needs that depends on the rule alone is made here, when
-the catalog changes, not on every firing: each event spec's enabled rules
-already in firing order, and each rule's :class:`FiringPlan`.
+The table is rebuilt, never patched, on every change to it: create,
+delete, enable and disable, and each of their undos.  The same rebuild
+keeps the Event Detectors programmed to match (§6.1): a spec is enabled
+at its detector exactly while its subscription is non-empty.  Whatever
+else a firing needs that depends on the rule alone is made here too, once:
+each rule's :class:`FiringPlan`.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 from repro.conditions.evaluator import ConditionEvaluator
 from repro.errors import RuleError
@@ -69,6 +75,20 @@ class FiringPlan:
                            LockResource.for_object(oid))
 
 
+Feed = Callable[[EventSignal], Any]
+"""A consumer of every occurrence of a spec other than its rules."""
+
+
+class Subscription(NamedTuple):
+    """Who acts on the occurrences of one programmed event spec."""
+
+    #: the spec's enabled rules, in :func:`firing_order`
+    rules: Tuple[Rule, ...]
+    #: what sees each occurrence before the rules, in the order of
+    #: :attr:`RuleCatalog.feeds`
+    feeds: Tuple[Feed, ...]
+
+
 class RuleCatalog:
     """The registered rules and the event->rule mapping (§6.1)."""
 
@@ -93,15 +113,22 @@ class RuleCatalog:
         self.recorder: Optional[Any] = None
         self._rules: Dict[str, Rule] = {}
         self._rules_by_oid: Dict[OID, Rule] = {}
-        self._event_map: Dict[EventSpec, Set[str]] = {}
-        #: what :meth:`triggered` answers: per event spec, its enabled
-        #: rules in :func:`firing_order`; rebuilt whenever one changes
-        self._triggered: Dict[EventSpec, Tuple[Rule, ...]] = {}
+        #: every feed, in the order a batch's union of them runs: temporal
+        #: baselines, the automata, then rule management — an occurrence
+        #: reaches the timers and automata programmed when it happened,
+        #: before rule management reprograms them
+        self.feeds: Tuple[Feed, ...] = (
+            temporal_detector.observe_baseline, composite_detector.observe,
+            self.on_rule_object)
+        #: per programmed spec with a rule or a feed, who acts on it;
+        #: replaced whole by :meth:`_rebuild`
+        self.subscriptions: Dict[EventSpec, Subscription] = {}
         self._pending = threading.local()
         #: serializes every change to the mapping and the detectors, undo
         #: callbacks included: creating a rule takes only IX on its class,
         #: so two may register at once (re-entrant: composites recurse)
         self._mutex = threading.RLock()
+        self._rebuild()
 
     # ============================================================ rule ops
 
@@ -179,7 +206,6 @@ class RuleCatalog:
         self._prepare(rule)
         rule.enabled = bool(enabled)
         self._register(rule, oid, txn)
-        self._sync_detector_enablement(rule)
         return rule
 
     def get_rule(self, name: str) -> Rule:
@@ -211,9 +237,13 @@ class RuleCatalog:
 
     # ==================================================== the firing path's view
 
-    def triggered(self, signal: EventSignal) -> Tuple[Rule, ...]:
-        """The enabled rules ``signal`` triggers, in :func:`firing_order`."""
-        return self._triggered.get(signal.spec, ())
+    def union(self, first: Tuple[Feed, ...], second: Tuple[Feed, ...]
+              ) -> Tuple[Feed, ...]:
+        """The feeds of either subscription, each once, in :attr:`feeds`
+        order (an operation matching several specs feeds each consumer
+        once)."""
+        return tuple(feed for feed in self.feeds
+                     if feed in first or feed in second)
 
     def on_rule_object(self, signal: EventSignal) -> None:
         """Keep the catalog in step with an operation on a ``HiPAC::Rule``
@@ -253,80 +283,77 @@ class RuleCatalog:
                                self._action_seconds[rule.ca_coupling])
         # §6.1 step 1: add the rule to the condition graph.
         rule.indexes = self._evaluator.add_rule(rule.condition, txn)
-        # §6.1 step 2: program the event detectors.
-        self._define_event(rule.event)
+        # §6.1 steps 2 and 3: program the event detectors and extend the
+        # event->rule mapping.
+        self._attach(rule)
         txn.log_undo(CallbackUndo(
-            lambda: self._delete_event(rule.event),
-            label="undefine events of %s" % rule.name))
-        # §6.1 step 3: extend the event->rule mapping.
-        self._remember(rule)
-        txn.log_undo(CallbackUndo(
-            lambda: self._forget(rule),
-            label="forget rule %s" % rule.name))
+            lambda: self._detach(rule), label="forget rule %s" % rule.name))
 
     def _unregister(self, rule: Rule, txn: Transaction) -> None:
         self._evaluator.delete_rule(rule.condition, txn, rule.indexes)
-        self._delete_event(rule.event)
+        self._detach(rule)
         txn.log_undo(CallbackUndo(
-            lambda: self._define_event(rule.event),
-            label="re-define events of %s" % rule.name))
-        self._forget(rule)
-        txn.log_undo(CallbackUndo(
-            lambda: self._remember(rule),
+            lambda: self._attach(rule),
             label="re-register rule %s" % rule.name))
 
-    def _remember(self, rule: Rule) -> None:
+    def _attach(self, rule: Rule) -> None:
         with self._mutex:
-            self._event_map.setdefault(rule.event, set()).add(rule.name)
+            self._define_event(rule.event)
             self._rules[rule.name] = rule
             self._rules_by_oid[rule.oid] = rule
-            self._order(rule.event)
+            self._rebuild()
 
-    def _forget(self, rule: Rule) -> None:
+    def _detach(self, rule: Rule) -> None:
         with self._mutex:
-            names = self._event_map.get(rule.event)
-            if names is not None:
-                names.discard(rule.name)
-                if not names:
-                    del self._event_map[rule.event]
+            self._delete_event(rule.event)
             self._rules.pop(rule.name, None)
             self._rules_by_oid.pop(rule.oid, None)
-            self._order(rule.event)
-
-    def _order(self, spec: EventSpec) -> None:
-        """Rebuild what :meth:`triggered` answers for ``spec``."""
-        rules = self._rules
-        enabled = [rules[name] for name in self._event_map.get(spec, ())
-                   if name in rules and rules[name].enabled]
-        if enabled:
-            self._triggered[spec] = tuple(sorted(enabled, key=firing_order))
-        else:
-            self._triggered.pop(spec, None)
+            self._rebuild()
 
     def _set_enabled(self, rule: Rule, enabled: bool, txn: Transaction) -> None:
         previous = rule.enabled
-        rule.enabled = enabled
-        self._sync_detector_enablement(rule)
+        self._enable(rule, enabled)
+        txn.log_undo(CallbackUndo(lambda: self._enable(rule, previous),
+                                  label="revert enable %s" % rule.name))
 
-        def revert() -> None:
-            rule.enabled = previous
-            self._sync_detector_enablement(rule)
-        txn.log_undo(CallbackUndo(revert, label="revert enable %s" % rule.name))
-
-    def _sync_detector_enablement(self, rule: Rule) -> None:
-        """Re-order ``rule``'s event, and disable its detection only when
-        *no* enabled rule uses it (several rules may share one event,
-        §5.3)."""
-        spec = rule.event
+    def _enable(self, rule: Rule, enabled: bool) -> None:
         with self._mutex:
-            self._order(spec)
+            rule.enabled = enabled
+            self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Replace :attr:`subscriptions` with one worked out from the
+        registered rules, then set each programmed spec's detector state
+        to match: enabled exactly while its subscription is non-empty
+        (several rules, composites and timers may share one spec, §5.3).
+        Callers hold the mutex."""
+        baseline, automata, rule_object = self.feeds
+        wanted: Dict[EventSpec, Set[Feed]] = {
+            spec: {rule_object} for spec in self.bootstrap_specs()}
+        enabled: Dict[EventSpec, List[Rule]] = {}
+        programmed = dict.fromkeys(wanted)  # in programming order
+        for rule in self._rules.values():
+            if rule.enabled:
+                enabled.setdefault(rule.event, []).append(rule)
+            for spec in _programming(rule.event):
+                programmed[spec] = None
+                if isinstance(spec, CompositeEventSpec):
+                    for member in spec.primitives():
+                        wanted.setdefault(member, set()).add(automata)
+                elif (isinstance(spec, TemporalEventSpec)
+                      and spec.baseline is not None):
+                    wanted.setdefault(spec.baseline, set()).add(baseline)
+        self.subscriptions = subscriptions = {
+            spec: Subscription(
+                tuple(sorted(enabled.get(spec, ()), key=firing_order)),
+                tuple(feed for feed in self.feeds
+                      if feed in wanted.get(spec, ())))
+            for spec in {*enabled, *wanted}}
+        for spec in programmed:
             detector = self.detector_for(spec)
-            if detector is None or not detector.is_defined(spec):
-                return
-            if spec in self._triggered:
-                detector.enable_event(spec)
-            else:
-                detector.disable_event(spec)
+            on = spec in subscriptions
+            if detector.is_defined(spec) and detector.is_enabled(spec) != on:
+                (detector.enable_event if on else detector.disable_event)(spec)
 
     # ====================================================== detector routing
 
@@ -345,31 +372,31 @@ class RuleCatalog:
         return None
 
     def _define_event(self, spec: EventSpec) -> None:
-        """Program the detectors for ``spec`` (recursively for composites
-        and temporal baselines), per §6.1."""
-        detector = self.detector_for(spec)
-        if detector is None:
-            raise RuleError("no detector available for event %r" % spec)
-        with self._mutex:
-            detector.define_event(spec)
-            for member in _constituents(spec):
-                self._define_event(member)
+        """Program the detectors for ``spec`` and every spec programmed
+        along with it, per §6.1 (callers hold the mutex)."""
+        for each in _programming(spec):
+            detector = self.detector_for(each)
+            if detector is None:
+                raise RuleError("no detector available for event %r" % each)
+            detector.define_event(each)
 
     def _delete_event(self, spec: EventSpec) -> None:
-        detector = self.detector_for(spec)
-        if detector is None:
-            return
-        with self._mutex:
-            detector.delete_event(spec)
-            for member in _constituents(spec):
-                self._delete_event(member)
+        for each in _programming(spec):
+            detector = self.detector_for(each)
+            if detector is not None:
+                detector.delete_event(each)
 
 
-def _constituents(spec: EventSpec) -> tuple:
-    """The specs that must be programmed along with ``spec``: a composite's
-    members, a relative/periodic temporal event's baseline."""
+def _programming(spec: EventSpec) -> Iterator[EventSpec]:
+    """``spec`` and, recursively, the specs that must be programmed along
+    with it: a composite's members, a relative/periodic temporal event's
+    baseline."""
+    yield spec
     if isinstance(spec, CompositeEventSpec):
-        return tuple(spec.members)
-    if isinstance(spec, TemporalEventSpec) and spec.baseline is not None:
-        return (spec.baseline,)
-    return ()
+        members: Tuple[EventSpec, ...] = tuple(spec.members)
+    elif isinstance(spec, TemporalEventSpec) and spec.baseline is not None:
+        members = (spec.baseline,)
+    else:
+        return
+    for member in members:
+        yield from _programming(member)

@@ -12,7 +12,7 @@ observed occurrence in one call; a single signal is a list of one.  The
 protocols of Section 6:
 
 * **rule creation** (§6.1) is :class:`~repro.rules.catalog.RuleCatalog`;
-  this module asks it only which rules a signal triggers;
+  this module reads only its subscriptions (who acts on a spec);
 * **event signal processing** (§6.2, :meth:`RuleManager.signal_event_batch`):
   triggered rules are partitioned by E-C coupling; *separate* firings get
   new top-level transactions on worker threads; *deferred* firings are
@@ -65,7 +65,7 @@ from repro.rules.catalog import RuleCatalog, firing_order
 from repro.rules.coupling import DEFERRED, IMMEDIATE, MODES, SEPARATE
 from repro.rules.firing import (FIRING_LOG_CAPACITY, FiringLog, Phase,
                                 RuleFiring)
-from repro.rules.rule import RULE_CLASS, Rule
+from repro.rules.rule import Rule
 from repro.scheduler.timecon import DeadlineExecutor
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction
@@ -116,9 +116,7 @@ class RuleManager:
         self._om = object_manager
         self._txns = txn_manager
         self._evaluator = evaluator
-        self._temporal = temporal_detector
         self._external = external_detector
-        self._composite = composite_detector
         self._clock = clock
         self.applications = applications
         #: evaluate the conditions of an immediate group in concurrent
@@ -195,11 +193,10 @@ class RuleManager:
         The operation that caused the signal is suspended until this
         returns (the call is synchronous).  The *union* of the triggered
         rules is processed with one priority sort and one coupling
-        partition (§6.2).  The underlying occurrence feeds rule-object
-        management and the temporal/composite detectors exactly once,
-        however many specs it matched, and those feeds are
-        subscription-driven: signals outside a detector's interest set
-        never reach it.
+        partition (§6.2).  Each reported spec's subscription names its
+        rules and its feeds (rule-object management, temporal baselines,
+        composite automata); the union of the feeds sees the underlying
+        occurrence once, before any rule, however many specs it matched.
         """
         if not signals:
             return
@@ -227,28 +224,23 @@ class RuleManager:
             # re-derives this work by re-signalling them.
             with self._suppression():
                 self.stats["signals"] += len(signals)
-                if base.kind == "database" and base.class_name == RULE_CLASS:
-                    self.catalog.on_rule_object(base)
-                # Feed the temporal detector (baselines of relative/periodic
-                # events) and the composite automata — once per operation,
-                # and only when the signal's (kind, op/name) key is in the
-                # detector's interest set.  Composite occurrences recognized
-                # here re-enter this method recursively; they never feed
-                # other composites.
-                kind = base.kind
-                key = (kind, base.op or base.name)
-                temporal, composite = self._temporal, self._composite
-                if key in temporal.baseline_interest:
-                    temporal.observe_baseline(base)
-                else:
-                    temporal.stats["baseline_feeds_skipped"] += 1
-                if kind != "composite":
-                    if key in composite.interest:
-                        composite.observe(base)
-                    else:
-                        composite.stats["feeds_skipped"] += 1
-                triggered = [(rule, signal) for signal in signals
-                             for rule in self.catalog.triggered(signal)]
+                catalog = self.catalog
+                subscriptions = catalog.subscriptions
+                triggered: List[Tuple[Rule, EventSignal]] = []
+                feeds: Tuple[Any, ...] = ()
+                for signal in signals:
+                    subscription = subscriptions.get(signal.spec)
+                    if subscription is None:
+                        continue
+                    rules, wanted = subscription
+                    if wanted:
+                        feeds = (catalog.union(feeds, wanted) if feeds
+                                 else wanted)
+                    triggered += [(rule, signal) for rule in rules]
+                # Composite occurrences recognized by a feed re-enter this
+                # method recursively, before this operation's rules.
+                for feed in feeds:
+                    feed(base)
                 if triggered:
                     self.stats["triggered"] += len(triggered)
                     if len(signals) > 1:  # one order across matched specs
@@ -269,13 +261,14 @@ class RuleManager:
             self._process_deferred(txn)
         if txn.internal:
             return
-        if not self.txn_detector.relevant(kind, None):
+        route = self.txn_detector.relevant(kind, None)
+        if route is None:
             # No rule waits on it: the detector's fast path, no signal built.
             self.txn_detector.stats["fast_path"] += 1
             return
         self.txn_detector.observe(EventSignal(
             kind="database", op=kind, txn=None if kind == "abort" else txn,
-            timestamp=self._clock.now()))
+            timestamp=self._clock.now()), route)
 
     def fire_rule(self, name: str, txn: Optional[Transaction], *,
                   args: Optional[Dict[str, Any]] = None) -> None:

@@ -144,8 +144,10 @@ def why_not(db, rule_name: str) -> str:
     """Diagnose why a rule has not been executing.
 
     Checks, in order: does the rule exist, is it enabled, is its event
-    programmed and enabled at the detector, has it ever been triggered, and
-    what happened on its most recent firings."""
+    programmed, does anything subscribe to it (the detector reports an
+    event only while an enabled rule, a composite or a timer uses it), has
+    it ever been triggered, and what happened on its most recent
+    firings."""
     from repro.errors import RuleError
 
     try:
@@ -158,8 +160,9 @@ def why_not(db, rule_name: str) -> str:
     detector = db.rule_catalog.detector_for(rule.event)
     if detector is None or not detector.is_defined(rule.event):
         reasons.append("its event is not programmed on any detector")
-    elif not detector.is_enabled(rule.event):
-        reasons.append("its event is disabled at the detector")
+    elif rule.event not in db.rule_catalog.subscriptions:
+        reasons.append("its event is not reported: no enabled rule,"
+                       " composite or timer uses it")
     firings = db.firing_log().for_rule(rule_name)
     if not firings:
         reasons.append("it has never been triggered (has its event occurred?)")

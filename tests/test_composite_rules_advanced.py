@@ -126,6 +126,74 @@ class TestCompositeRuleManagement:
         assert ran == ["r2"]
 
 
+def _noop():
+    return Action.call(lambda ctx: None)
+
+
+def _stimulus(db, kind):
+    """An event of ``kind`` ("database" or "external"), and a function that
+    makes it occur once."""
+    if kind == "database":
+        def occur():
+            with db.transaction() as txn:
+                db.create("A", {"v": 1}, txn)
+        return on_create("A"), occur
+    db.define_event("base")
+    return external("base"), lambda: db.signal_event("base")
+
+
+class TestSharedEventSubscriptions:
+    """Rules, composites and timers built on one event each keep acting on
+    it, whatever the others' enabled state (§5.3: several rules may share
+    one event)."""
+
+    @pytest.mark.parametrize("kind", ["database", "external"])
+    def test_disabling_the_direct_rule_keeps_sequences_and_timers(
+            self, db, kind):
+        event, occur = _stimulus(db, kind)
+        db.create_rule(Rule(name="plain", event=event,
+                            condition=Condition.true(), action=_noop()))
+        db.create_rule(Rule(name="seq", event=Sequence(event, event),
+                            condition=Condition.true(), action=_noop()))
+        db.create_rule(Rule(name="rel", event=after(event, 1.0),
+                            condition=Condition.true(), action=_noop()))
+        db.disable_rule("plain")
+        db.firing_log().clear()
+        occur()
+        occur()
+        db.advance_time(2.0)
+        assert sorted(f.rule_name for f in db.firing_log().all()) == [
+            "rel", "rel", "seq"]
+
+    @pytest.mark.parametrize("kind", ["database", "external"])
+    def test_a_rule_created_beside_a_disabled_one_fires(self, db, kind):
+        event, occur = _stimulus(db, kind)
+        db.create_rule(Rule(name="off", event=event,
+                            condition=Condition.true(), action=_noop()))
+        db.disable_rule("off")
+        db.create_rule(Rule(name="on", event=event,
+                            condition=Condition.true(), action=_noop()))
+        occur()
+        assert [f.rule_name for f in db.firing_log().all()] == ["on"]
+
+    def test_a_composite_keeps_its_feed_when_its_sibling_goes(self, db):
+        """Two composites share a member; deleting the last rule of one
+        leaves the other fed."""
+        db.define_event("go")
+        for name in ("first", "second"):
+            db.create_rule(Rule(
+                name=name, condition=Condition.true(), action=_noop(),
+                event=Sequence(on_create("A"), external("go"),
+                               *(() if name == "first" else
+                                 (external("go"),)))))
+        db.delete_rule("first")
+        with db.transaction() as txn:
+            db.create("A", {"v": 1}, txn)
+        db.signal_event("go")
+        db.signal_event("go")
+        assert [f.rule_name for f in db.firing_log().all()] == ["second"]
+
+
 class TestTemporalBaselineRules:
     def test_relative_rule_with_composite_baseline(self):
         clock = VirtualClock()

@@ -3,15 +3,16 @@
 Covers the database detector's discrimination index (wildcard, lineage,
 attribute sub-index, fast paths), the spec-tag aliasing regression, indexed
 vs. linear equivalence on randomized workloads, schema-cache invalidation
-under DDL (including transaction undo), the composite/temporal interest-set
-gating, and the batched union firing protocol.
+under DDL (including transaction undo), the subscription gating of the
+composite/temporal feeds, and the batched union firing protocol.
 
 Linear dispatch — signal every operation, scan every programmed spec, feed
 every signal to the composite and temporal detectors — is what the index
-replaced.  The engine no longer has it; it lives here as the oracle the
-indexed path is compared against (:func:`linear_matches`,
-:func:`install_linear_dispatch`; ``make_detector(indexed=False)`` and
-``make_db(indexed=False)`` build on it).
+and the subscriptions replaced.  The engine no longer has it; it lives here
+as the oracle the indexed path is compared against (:func:`linear_matches`,
+:func:`install_linear_dispatch`, :func:`feed_everything`;
+``make_detector(indexed=False)`` and ``make_db(indexed=False)`` build on
+it).
 """
 
 import copy
@@ -38,6 +39,7 @@ from repro.events.matching import matches_primitive
 from repro.events.signal import EventSignal
 from repro.events.spec import DatabaseEventSpec, after
 from repro.objstore.types import Schema
+from repro.rules.rule import RULE_CLASS
 
 
 def make_schema():
@@ -60,7 +62,7 @@ def linear_matches(detector, signal, schema):
 
 def install_linear_dispatch(detector, schema):
     """Route ``detector`` through the oracle: no pre-check, no index."""
-    def observe(signal):
+    def observe(signal, route=None):
         matched = linear_matches(detector, signal, schema)
         detector.report_batch([(spec, copy.copy(signal)) for spec in matched])
         return matched
@@ -69,13 +71,32 @@ def install_linear_dispatch(detector, schema):
     detector.observe = observe
 
 
-class EveryKey(dict):
-    """An interest set that holds every key: the Rule Manager's inline
-    probe feeds its detector every signal, while the detector's own
-    get/pop upkeep of the counts keeps working."""
+def feed_everything(db):
+    """Feeds without subscriptions: every signal that reaches the Rule
+    Manager goes to every baseline and every automaton (and then, on a
+    rule object, to rule management), whatever spec it was reported for.
+    The engine's own feeds become no-ops that still count as subscribers,
+    so the detectors keep reporting what some feed wants."""
+    catalog, manager = db.rule_catalog, db.rule_manager
+    baseline, automata, on_rule_object = catalog.feeds
+    catalog.feeds = (lambda signal: None, lambda signal: None,
+                     lambda signal: None)
+    with catalog._mutex:
+        catalog._rebuild()
+    signal_event_batch = manager.signal_event_batch
 
-    def __contains__(self, key):
-        return True
+    def fed(signals):
+        base = signals[0]
+        baseline(base)
+        automata(base)
+        if base.kind == "database" and base.class_name == RULE_CLASS:
+            on_rule_object(base)
+        signal_event_batch(signals)
+    manager.signal_event_batch = fed
+    for detector in (db.object_manager.event_detector,
+                     manager.txn_detector, db.temporal_detector,
+                     db.external_detector, db.composite_detector):
+        detector.sink = fed
 
 
 def make_db(indexed=True, **kwargs):
@@ -85,9 +106,7 @@ def make_db(indexed=True, **kwargs):
         for detector in (db.object_manager.event_detector,
                          db.rule_manager.txn_detector):
             install_linear_dispatch(detector, db.store.schema)
-        composite, temporal = db.composite_detector, db.temporal_detector
-        composite.interest = EveryKey(composite.interest)
-        temporal.baseline_interest = EveryKey(temporal.baseline_interest)
+        feed_everything(db)
     return db
 
 
@@ -353,8 +372,8 @@ class TestIndexedLinearEquivalence:
 
     def test_composite_and_baseline_feeds_match_the_oracle(self):
         """Sequences of database events and relative timers on database
-        baselines fire alike whether the interest sets gate their feeds
-        or every signal is fed."""
+        baselines fire alike whether subscriptions gate their feeds or
+        every signal is fed."""
         rng = random.Random(4242)
         pairs = [(random_spec(rng), random_spec(rng)) for _ in range(12)]
         script = []
@@ -478,6 +497,9 @@ class TestSchemaCacheInvalidation:
 
 
 class TestInterestSetGating:
+    """The composite and temporal feeds see only the occurrences of specs
+    whose subscriptions name them."""
+
     def test_database_signals_skip_external_only_composite(self):
         db = HiPAC(lock_timeout=5.0)
         db.define_class(ClassDef("Stock", attributes("price")))
@@ -498,7 +520,10 @@ class TestInterestSetGating:
         # The create reached the Rule Manager (db-rule fired) but was not
         # fed to the automata: no composite member wants database signals.
         assert db.composite_detector.stats["feeds"] == before
-        assert db.composite_detector.stats["feeds_skipped"] > 0
+        subscriptions = db.rule_catalog.subscriptions
+        assert subscriptions[on_create("Stock")].feeds == ()
+        assert subscriptions[external("e1")].feeds == (
+            db.composite_detector.observe,)
         db.signal_event("e1")
         db.signal_event("e2")
         assert hits == [1]
@@ -511,15 +536,18 @@ class TestInterestSetGating:
             name="rel", event=after(external("base"), 5.0),
             condition=Condition.true(),
             action=Action.call(lambda ctx: ticks.append(ctx.signal.timestamp))))
-        skipped_before = db.temporal_detector.stats["baseline_feeds_skipped"]
+        fed_before = db.temporal_detector.stats["baseline_feeds"]
         # Rule creation signals create-rule events: database signals no
         # baseline wants — they must be gated out.
+        db.create_rule(Rule(
+            name="noise", event=on_create("Noise"),
+            condition=Condition.true(), action=Action.call(lambda ctx: None)))
         db.define_class(ClassDef("Noise", attributes("x")))
         with db.transaction() as txn:
             db.create("Noise", {"x": 1}, txn)
-        assert db.temporal_detector.stats["baseline_feeds_skipped"] \
-            >= skipped_before
-        fed_before = db.temporal_detector.stats["baseline_feeds"]
+        assert db.temporal_detector.stats["baseline_feeds"] == fed_before
+        assert db.rule_catalog.subscriptions[external("base")].feeds == (
+            db.temporal_detector.observe_baseline,)
         db.signal_event("base")
         assert db.temporal_detector.stats["baseline_feeds"] == fed_before + 1
         db.advance_time(5.0)
@@ -602,7 +630,7 @@ class TestStatsAndTracer:
         events = stats["events"]
         for key in ("database_reported", "database_index_hits",
                     "database_fast_path", "database_index_misses",
-                    "composite_feeds_skipped", "temporal_baseline_feeds",
+                    "composite_feeds", "temporal_baseline_feeds",
                     "external_reported", "transaction_reported"):
             assert key in events, "missing detector counter %r" % key
         assert events["database_index_hits"] >= 1

@@ -119,12 +119,18 @@ class TestDatabaseDetector:
         assert {s.spec for s in seen} == {on_create("Stock"), on_create("Sec")}
 
     def test_disabled_spec_suppressed(self):
+        """A disabled spec leaves the routes: the operation finds no route
+        at all, and re-enabling routes it again."""
         detector, seen = self.make()
         detector.define_event(on_create("Stock"))
         detector.disable_event(on_create("Stock"))
         detector.observe(self.signal())
         assert seen == []
-        assert detector.stats["suppressed"] == 1
+        assert detector.relevant("create", "Stock") is None
+        assert detector.stats["fast_path"] == 1
+        detector.enable_event(on_create("Stock"))
+        detector.observe(self.signal())
+        assert [s.spec for s in seen] == [on_create("Stock")]
 
 
 class TestExternalDetector:

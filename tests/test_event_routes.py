@@ -1,15 +1,21 @@
-"""The database detectors' route tables against a brute-force oracle.
+"""The database detectors' route tables and the rule catalog's
+subscriptions against a brute-force oracle that trusts neither.
 
-A route answers "which programmed specs can an operation of kind ``op`` on
+A route answers "which enabled specs can an operation of kind ``op`` on
 class ``C`` satisfy?" once, and is reused until the programming or the
-schema changes.  The oracle here asks :func:`matches_primitive` of *every*
-programmed spec for every probe, so a route that outlives a change it
-should not (a subclass defined or dropped, an event defined or deleted,
-any of them undone by an abort) shows as a difference.
+schema changes.  The oracle works out who acts on each probe from the
+rules the state machine itself created: the specs of its enabled rules,
+the members of its composite rules and the baselines of its timers, plus
+the rule class's own operations.  It asks :func:`matches_primitive` of
+every such spec for every probe, so a route that outlives a change it
+should not (a subclass defined or dropped, a rule created, deleted,
+enabled or disabled, any of them undone by an abort) shows as a
+difference; and each of those specs' subscription must name the model's
+rules on it, in firing order, and the model's feeds.
 
-The second test races programming changes against route building on two
-threads; the route table must end equal to a fresh build (the publication
-order of :mod:`repro.events.database`).
+The last tests race programming changes, and enable and disable, against
+route building on two threads; the route table must end equal to a fresh
+build (the publication order of :mod:`repro.events.database`).
 """
 
 import threading
@@ -20,11 +26,13 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
 from repro import (Action, AttributeDef, ClassDef, Condition, DatabaseEventSpec,
-                   EventSignal, HiPAC, Rule, SchemaError)
+                   Disjunction, EventSignal, HiPAC, Rule, SchemaError, Sequence)
 from repro.events.database import DatabaseEventDetector
 from repro.events.detectors import SubscriptionIndex
 from repro.events.matching import matches_primitive
+from repro.events.spec import after
 from repro.objstore.types import Schema
+from repro.rules.rule import RULE_CLASS
 
 ATTRS = ("x", "y", "z")
 CLASSES = ("A", "B", "C", "D")
@@ -61,31 +69,27 @@ def probes(class_names):
         yield EventSignal(kind="database", op=op)
 
 
-def check_against_oracle(detector, schema, class_names):
-    """Every probe's delivered specs equal the brute-force scan's enabled
-    matches, and ``observe`` names all its matches, disabled ones too."""
+def check_against_oracle(detector, schema, class_names, watched):
+    """Every probe delivers exactly the ``watched`` specs it satisfies, and
+    ``observe`` names them."""
     sink = detector.sink
     delivered = []
     detector.sink = delivered.extend
     try:
         for signal in probes(class_names):
-            programmed = detector.registered_specs()
-            expected = [spec for spec in programmed
-                        if matches_primitive(spec, signal, schema)]
+            expected = sorted(repr(spec) for spec in watched
+                              if matches_primitive(spec, signal, schema))
             delivered.clear()
             matched = detector.observe(signal)
             described = "%s on %s" % (signal.describe(), sorted(
                 signal.changed_attrs()))
-            assert sorted(map(repr, matched)) == sorted(map(repr, expected)), \
+            assert sorted(map(repr, matched)) == expected, described
+            assert sorted(repr(s.spec) for s in delivered) == expected, \
                 described
-            assert len(set(matched)) == len(matched), described
-            assert sorted(repr(s.spec) for s in delivered) == sorted(
-                repr(spec) for spec in expected
-                if detector.is_enabled(spec)), described
-            if not detector.relevant(signal.op, signal.class_name):
+            if detector.relevant(signal.op, signal.class_name) is None:
                 # A route the pre-check calls empty has no spec whatever
                 # attributes change.
-                assert not [spec for spec in programmed
+                assert not [spec for spec in watched
                             if spec.op == signal.op and matches_primitive(
                                 spec, _all_changed(signal), schema)], described
     finally:
@@ -99,9 +103,31 @@ def _all_changed(signal):
                        new_attrs={a: 1 for a in ATTRS})
 
 
+def model_subscriptions(rules, feeds):
+    """Who acts on what, worked out from the rules the machine created
+    (``rules``: name -> ``(event, enabled, priority)``): spec -> (rule
+    names in firing order, feeds in ``feeds`` order)."""
+    baseline, automata, rule_object = feeds
+    wanted = {DatabaseEventSpec(op, RULE_CLASS): {rule_object}
+              for op in ("create", "update", "delete")}
+    enabled = {}
+    for name, (event, on, priority) in rules.items():
+        if on:
+            enabled.setdefault(event, []).append((-priority, name))
+        if event.is_composite():
+            for member in event.primitives():
+                wanted.setdefault(member, set()).add(automata)
+        elif getattr(event, "baseline", None) is not None:
+            wanted.setdefault(event.baseline, set()).add(baseline)
+    return {spec: ([name for _, name in sorted(enabled.get(spec, ()))],
+                   tuple(feed for feed in feeds
+                         if feed in wanted.get(spec, ())))
+            for spec in {*enabled, *wanted}}
+
+
 class RouteMachine(RuleBasedStateMachine):
-    """Schema and programming changes, each committed or aborted, with
-    operations between them and the oracle after every step."""
+    """Schema and rule changes, each committed or aborted, with operations
+    between them and the oracle after every step."""
 
     @initialize()
     def start(self):
@@ -109,13 +135,14 @@ class RouteMachine(RuleBasedStateMachine):
         self.db.define_class(ClassDef("A", tuple(map(AttributeDef, ATTRS))))
         self.db.define_class(ClassDef("B", (), superclass="A"))
         self.db.define_class(ClassDef("C", (), superclass="B"))
+        #: name -> (event, enabled, priority), as committed
         self.rules = {}
         self.seq = 0
         # Watchers on the ancestors from the start: most schema steps then
         # move some route.
-        self.create_rule(DatabaseEventSpec("create", "A"), True)
+        self.create_rule(DatabaseEventSpec("create", "A"), 0, True)
         self.create_rule(DatabaseEventSpec("update", "B", frozenset({"x"}),
-                                           include_subclasses=False), True)
+                                           include_subclasses=False), 0, True)
 
     def teardown(self):
         self.db.close()
@@ -151,17 +178,29 @@ class RouteMachine(RuleBasedStateMachine):
             return
         self._finish(txn, commit)
 
-    @rule(spec=event_specs(), commit=st.booleans())
-    def create_rule(self, spec, commit):
+    @rule(event=event_specs(), priority=st.integers(0, 2),
+          commit=st.booleans())
+    def create_rule(self, event, priority, commit):
         self.seq += 1
         name = "r%d" % self.seq
         txn = self.db.begin()
-        self.db.create_rule(Rule(name=name, event=spec,
+        self.db.create_rule(Rule(name=name, event=event, priority=priority,
                                  condition=Condition.true(),
                                  action=Action.call(lambda ctx: None)), txn)
         self._finish(txn, commit)
         if commit:
-            self.rules[name] = spec
+            self.rules[name] = (event, True, priority)
+
+    @rule(first=event_specs(), second=event_specs(), ordered=st.booleans(),
+          priority=st.integers(0, 2), commit=st.booleans())
+    def create_composite_rule(self, first, second, ordered, priority, commit):
+        operator = Sequence if ordered else Disjunction
+        self.create_rule(operator(first, second), priority, commit)
+
+    @rule(baseline=event_specs(), priority=st.integers(0, 2),
+          commit=st.booleans())
+    def create_timer_rule(self, baseline, priority, commit):
+        self.create_rule(after(baseline, 1.0), priority, commit)
 
     @precondition(lambda self: self.rules)
     @rule(data=st.data(), commit=st.booleans())
@@ -183,6 +222,9 @@ class RouteMachine(RuleBasedStateMachine):
         else:
             self.db.disable_rule(name, txn)
         self._finish(txn, commit)
+        if commit:
+            event, _, priority = self.rules[name]
+            self.rules[name] = (event, enable, priority)
 
     @rule(name=st.sampled_from(CLASSES), changed=attr_sets,
           commit=st.booleans())
@@ -199,16 +241,26 @@ class RouteMachine(RuleBasedStateMachine):
         self._finish(txn, commit)
 
     @invariant()
-    def routes_match_the_oracle(self):
+    def routes_and_subscriptions_match_the_model(self):
         if not hasattr(self, "db"):
             return
+        catalog = self.db.rule_catalog
+        model = model_subscriptions(self.rules, catalog.feeds)
+        assert {spec: ([rule.name for rule in rules], feeds)
+                for spec, (rules, feeds) in catalog.subscriptions.items()
+                } == model
         # Classes not (or no longer) defined are probed too: their routes
         # reach only their exact buckets until a definition changes that.
         schema = self.db.store.schema
         names = set(schema.class_names()) | set(CLASSES)
-        for detector in (self.db.object_manager.event_detector,
-                         self.db.rule_manager.txn_detector):
-            check_against_oracle(detector, schema, sorted(names))
+        database = [spec for spec in model
+                    if isinstance(spec, DatabaseEventSpec)]
+        for detector, watched in (
+                (self.db.object_manager.event_detector,
+                 [spec for spec in database if spec.op not in TXN_OPS]),
+                (self.db.rule_manager.txn_detector,
+                 [spec for spec in database if spec.op in TXN_OPS])):
+            check_against_oracle(detector, schema, sorted(names), watched)
 
 
 RouteMachine.TestCase.settings = settings(max_examples=60,
@@ -287,3 +339,50 @@ def test_routes_equal_a_fresh_build_after_racing_programming():
             key: detector._build(*key) for key in keys}, round_
         for spec in kept:
             detector.delete_event(spec)
+
+
+def test_routes_equal_a_fresh_build_after_racing_enable_and_disable():
+    """A prober keeps building routes while another thread disables every
+    spec and enables some again; the index updates are slow, so probes
+    land inside every change.  Afterwards every route equals a fresh build
+    and holds exactly the enabled specs."""
+    schema = Schema()
+    schema.define_class(ClassDef("Sec", (AttributeDef("price"),)))
+    schema.define_class(ClassDef("Stock", (), superclass="Sec"))
+    detector = DatabaseEventDetector(schema, sink=lambda signals: None)
+    detector._index = _SlowIndex()
+    specs = [DatabaseEventSpec("update", "Sec"),
+             DatabaseEventSpec("update", "Stock", frozenset({"price"})),
+             DatabaseEventSpec("update", None),
+             DatabaseEventSpec("create", "Sec", include_subclasses=False)]
+    for spec in specs:
+        detector.define_event(spec)
+    keys = [(op, name) for op in ("update", "create")
+            for name in ("Sec", "Stock", None)]
+    stop = threading.Event()
+
+    def probe():
+        while not stop.is_set():
+            for key in keys:
+                detector.relevant(*key)
+
+    for round_ in range(24):
+        kept = specs[round_ % len(specs):]
+        prober = threading.Thread(target=probe)
+        prober.start()
+        try:
+            for spec in specs:
+                detector.disable_event(spec)
+            for spec in kept:
+                detector.enable_event(spec)
+        finally:
+            stop.set()
+            prober.join()
+            stop.clear()
+        routes = detector._routes
+        assert {key: routes[key] for key in keys} == {
+            key: detector._build(*key) for key in keys}, round_
+        routed = {spec for key in keys if routes[key] is not None
+                  for spec in (*routes[key][0],
+                               *(spec for spec, _ in routes[key][1]))}
+        assert routed == set(kept), round_

@@ -2,12 +2,14 @@
 and per rule answers exactly what was once computed on every signal.
 
 :func:`reference` is that per-signal computation, kept here as the oracle:
-the rules registered for the signal's spec in name order, the disabled
-ones filtered out, then sorted into firing order (higher priority first,
-then name).  Random sequences of rule administration, each step committed
-or aborted and the sequence ending with a crash-recovery re-attach, must
-leave ``catalog.triggered(signal)`` equal to it after every step, and equal
-to a model of the committed rule set kept by this file alone.
+the registered rules on the signal's spec, the disabled ones filtered out,
+sorted into firing order (higher priority first, then name).  Random
+sequences of rule administration, each step committed or aborted and the
+sequence ending with a crash-recovery re-attach, must leave each spec's
+subscribed rules equal to it after every step, and equal to a model of the
+committed rule set kept by this file alone.  The spec's detector must
+report it exactly while the model has an enabled rule on it or a
+composite rule with it among its members.
 """
 
 import tempfile
@@ -21,6 +23,7 @@ from repro import (
     EventSignal,
     HiPAC,
     Rule,
+    Sequence,
     attributes,
     external,
     on_create,
@@ -29,7 +32,8 @@ from repro import (
 from repro.recovery import recover
 from repro.util.canonical import once
 
-SPECS = (on_update("Item"), on_create("Item"), external("ping"))
+SPECS = (on_update("Item"), on_create("Item"), external("ping"),
+         Sequence(on_create("Item"), external("ping")))
 NAMES = ["r%d" % i for i in range(5)]
 GROUPS = ["g0", "g1"]
 
@@ -48,16 +52,17 @@ def make_rule(name, priority, enabled=True):
                 condition=Condition.true(), action=Action.call(lambda ctx: None))
 
 
-def reference(catalog, signal):
+def reference(catalog, spec):
     """The per-signal answer the catalog's kept tuples replaced."""
-    if signal.spec is None:
-        return []
-    rules = catalog._rules
-    named = [rules[name]
-             for name in sorted(catalog._event_map.get(signal.spec, ()))
-             if name in rules and rules[name].enabled]
+    named = [catalog.get_rule(name) for name in catalog.rule_names()]
+    named = [rule for rule in named if rule.event == spec and rule.enabled]
     named.sort(key=lambda rule: (-rule.priority, rule.name))
     return named
+
+
+def subscribed(catalog, spec):
+    subscription = catalog.subscriptions.get(spec)
+    return list(subscription.rules) if subscription is not None else []
 
 
 def expected(model, spec):
@@ -68,14 +73,21 @@ def expected(model, spec):
                   key=lambda name: (-model[name][0], name))
 
 
+def fed(model, spec):
+    """Does a composite rule of the model have ``spec`` among its members?"""
+    return any(spec in spec_of(name).primitives() for name in model
+               if spec_of(name).is_composite())
+
+
 def check(db, model):
     catalog = db.rule_catalog
     for spec in SPECS:
-        signal = EventSignal(kind="database", spec=spec)
-        got = list(catalog.triggered(signal))
-        assert got == reference(catalog, signal)
+        got = subscribed(catalog, spec)
+        assert got == reference(catalog, spec)
         assert [rule.name for rule in got] == expected(model, spec)
-    assert list(catalog.triggered(EventSignal(kind="database"))) == []
+        assert catalog.detector_for(spec).is_enabled(spec) == bool(
+            expected(model, spec) or fed(model, spec)), spec
+    assert None not in catalog.subscriptions
 
 
 steps = st.lists(st.one_of(

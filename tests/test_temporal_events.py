@@ -1,6 +1,7 @@
 """Tests for the temporal event detector on a virtual clock."""
 
 
+from repro import Action, ClassDef, Condition, HiPAC, Rule, attributes
 from repro.clock import VirtualClock
 from repro.events.signal import EventSignal
 from repro.events.spec import after, at_time, every, external, on_create
@@ -154,3 +155,43 @@ class TestHousekeeping:
         detector.close()
         clock.advance(20.0)
         assert seen == []
+
+
+class TestBaselinesThroughRules:
+    """A timer's baseline is detected for the timer's sake, whatever the
+    enabled state of the rules on the baseline event itself."""
+
+    def make_db(self):
+        db = HiPAC(lock_timeout=2.0)
+        db.define_class(ClassDef("A", attributes(("v", "int"))))
+        db.define_event("base")
+        return db
+
+    def rule(self, name, event):
+        return Rule(name=name, event=event, condition=Condition.true(),
+                    action=Action.call(lambda ctx: None))
+
+    def test_a_disabled_rule_on_the_baseline_keeps_the_timer(self):
+        db = self.make_db()
+        for kind, base in (("database", on_create("A")),
+                           ("external", external("base"))):
+            db.create_rule(self.rule("plain-" + kind, base))
+            db.create_rule(self.rule("rel-" + kind, after(base, 1.0)))
+            db.disable_rule("plain-" + kind)
+        with db.transaction() as txn:
+            db.create("A", {"v": 1}, txn)
+        db.signal_event("base")
+        db.advance_time(2.0)
+        assert sorted(f.rule_name for f in db.firing_log().all()) == [
+            "rel-database", "rel-external"]
+        db.close()
+
+    def test_a_timer_created_beside_a_disabled_rule_is_scheduled(self):
+        db = self.make_db()
+        db.create_rule(self.rule("off", external("base")))
+        db.disable_rule("off")
+        db.create_rule(self.rule("rel", after(external("base"), 1.0)))
+        db.signal_event("base")
+        db.advance_time(2.0)
+        assert [f.rule_name for f in db.firing_log().all()] == ["rel"]
+        db.close()

@@ -9,6 +9,7 @@ from repro import (
     CreateObject,
     HiPAC,
     Rule,
+    Sequence,
     attributes,
     external,
     on_create,
@@ -211,6 +212,22 @@ class TestExplain:
                             action=Action.call(lambda ctx: None)))
         db.disable_rule("r")
         assert "DISABLED" in why_not(db, "r")
+
+    def test_why_not_names_the_missing_subscriber(self, db):
+        db.create_rule(Rule(name="r", event=on_create("A"),
+                            condition=Condition.true(),
+                            action=Action.call(lambda ctx: None)))
+        db.create_rule(Rule(name="seq", event=Sequence(on_create("A"),
+                                                       on_create("A")),
+                            condition=Condition.true(),
+                            action=Action.call(lambda ctx: None)))
+        db.disable_rule("r")
+        # A composite still wants the event: it is reported, r just is
+        # not on it.
+        assert "not reported" not in why_not(db, "r")
+        db.delete_rule("seq")
+        assert ("its event is not reported: no enabled rule, composite or"
+                " timer uses it") in why_not(db, "r")
 
     def test_why_not_never_triggered(self, db):
         db.create_rule(Rule(name="r", event=on_create("A"),
